@@ -2,8 +2,9 @@
 identity checks, Cartan decompositions and the OSAKA catalog, all emitting
 versioned JSON reports with exact scalar strings.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad parameters,
-3 input file could not be parsed, 4 schema violation.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad parameters
+(unknown record or form, negative degree or trial count, degree 0 for
+OSAKA verification), 3 input file could not be parsed, 4 schema violation.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import time
 from . import cartan, kmext, osaka, rand, serialize
 from .involution import PreservationError, fixed_and_eigenspaces
 from .loop import killing_gram
-from .serialize import render_element  # noqa: F401  (part of the CLI surface)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -41,17 +41,28 @@ def _read_json(path):
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", EXIT_PARSE) from exc
 
 
-def _default_degree(value, fallback=3):
+def _default_degree(value, fallback=3, minimum=0):
     # fallback 3 for catalog verification, 4 for definiteness checks
-    if value is not None:
-        return value
-    env = os.environ.get("KMALG_DEFAULT_DEGREE")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise CliError(f"bad KMALG_DEFAULT_DEGREE={env!r}", EXIT_PARAM) from exc
-    return fallback
+    source = "--degree"
+    if value is None:
+        value = fallback
+        env = os.environ.get("KMALG_DEFAULT_DEGREE")
+        if env is not None:
+            source = "KMALG_DEFAULT_DEGREE"
+            try:
+                value = int(env)
+            except ValueError as exc:
+                raise CliError(f"bad KMALG_DEFAULT_DEGREE={env!r}", EXIT_PARAM) from exc
+    if value < minimum:
+        raise CliError(f"{source} must be at least {minimum}, got {value}", EXIT_PARAM)
+    return value
+
+
+def _catalog_record(name):
+    try:
+        return osaka.catalog_record(name)
+    except KeyError as exc:
+        raise CliError(str(exc), EXIT_PARAM) from exc
 
 
 def _emit(report, out_path):
@@ -112,7 +123,7 @@ def cmd_bracket(args):
 
 def cmd_killing_gram(args):
     degree = _default_degree(args.degree, fallback=4)
-    rec = osaka.catalog_record(args.form)
+    rec = _catalog_record(args.form)
     basis = [f for f in rec.real_form.loop_basis(degree) if not f.is_zero()]
     gram, verdict = killing_gram(basis)
     report = _base_report("killing-gram", form=args.form, degree=degree)
@@ -124,6 +135,8 @@ def cmd_killing_gram(args):
 
 def cmd_jacobi_check(args):
     degree = _default_degree(args.degree)
+    if args.trials < 0:
+        raise CliError(f"--trials must be at least 0, got {args.trials}", EXIT_PARAM)
     algebra, twist = serialize.lookup_algebra(args.algebra, args.twist)
     failures = []
     for t in range(args.trials):
@@ -146,7 +159,7 @@ def cmd_jacobi_check(args):
 
 def cmd_decompose(args):
     degree = _default_degree(args.degree)
-    rec = osaka.catalog_record(args.form)
+    rec = _catalog_record(args.form)
     inv = rec.involution
     if args.involution:
         inv = serialize.involution_from_json(_read_json(args.involution), rec.real_form.algebra)
@@ -181,7 +194,7 @@ def _record_report(rec, degree):
 
 
 def cmd_osaka_catalog(args):
-    degree = _default_degree(args.degree)
+    degree = _default_degree(args.degree, minimum=1)
     records = [_record_report(rec, degree) for rec in osaka.build_catalog_a1()]
     pairing = osaka.duality_pairing()
     report = _base_report("osaka-catalog", degree=degree)
@@ -197,7 +210,7 @@ def cmd_osaka_catalog(args):
 
 
 def cmd_osaka_verify(args):
-    degree = _default_degree(args.degree)
+    degree = _default_degree(args.degree, minimum=1)
     name = args.record
     specials = {
         "euclidean": osaka.euclidean_osaka,
@@ -209,10 +222,7 @@ def cmd_osaka_verify(args):
     elif name in specials:
         rec = specials[name]()
     else:
-        try:
-            rec = osaka.catalog_record(name)
-        except KeyError as exc:
-            raise CliError(str(exc), EXIT_PARAM) from exc
+        rec = _catalog_record(name)
     entry = _record_report(rec, degree)
     report = _base_report("osaka-verify", record=name, degree=degree)
     report.update(entry)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .scalars import ONE, ZERO, Scalar
+from .scalars import I_POWERS, ONE, ZERO, Scalar
 
 Matrix = tuple  # tuple of row tuples of Scalar
 
@@ -55,13 +55,10 @@ def mat_scale(c, a) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_mul(a, b) -> Matrix:
-    n, m = len(a), len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), ZERO) for j in range(m))
-        for i in range(n)
-    )
+def mat_mul(a, b, conjugate=False) -> Matrix:
+    """a . conj^conjugate(b), one sparse column of the product at a time."""
+    rows = sparse_rows(a)
+    return tuple(zip(*(sparse_apply(rows, col, conjugate) for col in zip(*b))))
 
 
 def mat_bracket(a, b) -> Matrix:
@@ -76,16 +73,54 @@ def mat_conj(a) -> Matrix:
     return tuple(tuple(x.conjugate() for x in row) for row in a)
 
 
-def mat_trace(a) -> Scalar:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
-
-
-def mat_is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def mat_flatten(a):
     return [x for row in a for x in row]
+
+
+# -- sparse exact linear maps ----------------------------------------------
+
+def sparse_rows(matrix):
+    """Per row, the (j, q, entry) triples of its nonzero entries. q is k when
+    the entry is i^k (one of 1, i, -1, -i) and None for any other entry."""
+    return tuple(
+        tuple((j, I_POWERS.index(x) if x in I_POWERS else None, x) for j, x in enumerate(row) if x)
+        for row in matrix
+    )
+
+
+def sparse_apply(rows, vec, conjugate=False, power=0):
+    """i^power * M conj^conjugate(vec), from the sparse rows of M.
+
+    Zero source coordinates are skipped and no sum starts from ZERO. A unit
+    entry i^q acts by a sign change or a re/im swap; only other entries
+    multiply.
+    """
+    out = []
+    for row in rows:
+        re = im = None
+        for j, q, x in row:
+            v = vec[j]
+            if not v:
+                continue
+            if q is None:
+                p = x * (v.conjugate() if conjugate else v)
+                a, b, q = p.re, p.im, power
+            else:
+                a, b, q = v.re, (-v.im if conjugate else v.im), q + power
+            q %= 4
+            if q == 1:
+                a, b = -b, a
+            elif q == 2:
+                a, b = -a, -b
+            elif q == 3:
+                a, b = b, -a
+            re, im = (a, b) if re is None else (re + a, im + b)
+        out.append(ZERO if re is None else Scalar(re, im))
+    return tuple(out)
+
+
+def sparse_is_identity(rows) -> bool:
+    return all(len(row) == 1 and row[0][:2] == (i, 0) for i, row in enumerate(rows))
 
 
 @dataclass(frozen=True)
@@ -516,7 +551,7 @@ def _rational_eigenvalues(phi):
                 return []
     m = [[x.re for x in row] for row in phi]
     # Krylov minimal polynomial of the matrix itself
-    powers = [[[one_if(i == j) for j in range(d)] for i in range(d)]]
+    powers = [[[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]]
     while True:
         prev = powers[-1]
         nxt = [
@@ -533,10 +568,6 @@ def _rational_eigenvalues(phi):
         powers.append(nxt)
         if len(powers) > d + 1:
             raise LieAlgebraError("minimal polynomial search failed")
-
-
-def one_if(cond):
-    return Fraction(1) if cond else Fraction(0)
 
 
 def _rational_roots(poly):
@@ -593,10 +624,6 @@ def _poly_eval(ints, x: Fraction):
 
 # -- Killing-based predicates -------------------------------------------
 
-def killing(g: FiniteLieAlgebra, x, y) -> Scalar:
-    return g.killing(x, y)
-
-
 def is_compact_type(g: FiniteLieAlgebra) -> bool:
     """Negative definite Killing form on a real semisimple algebra."""
     if g.field != "R":
@@ -622,39 +649,23 @@ class FiniteAutomorphism:
 
     def __init__(self, algebra, matrix_rows, conjugate_linear=False, order=None):
         self.algebra = algebra
-        self.matrix = tuple(
-            tuple(x if isinstance(x, Scalar) else Scalar(x) for x in row) for row in matrix_rows
-        )
+        self.matrix = mat(matrix_rows)
+        self.sparse = sparse_rows(self.matrix)
         self.conjugate_linear = bool(conjugate_linear)
         self.order = order
 
     def apply(self, coords):
-        if self.conjugate_linear:
-            coords = tuple(c.conjugate() for c in coords)
-        m = self.matrix
-        return tuple(
-            sum((m[i][j] * coords[j] for j in range(len(coords)) if coords[j]), ZERO)
-            for i in range(len(m))
-        )
+        return sparse_apply(self.sparse, coords, self.conjugate_linear)
 
     def compose(self, other) -> "FiniteAutomorphism":
         """self after other."""
-        if self.conjugate_linear:
-            mat2 = mat_conj(other.matrix)
-        else:
-            mat2 = other.matrix
-        prod = mat_mul(self.matrix, mat2)
+        prod = mat_mul(self.matrix, other.matrix, self.conjugate_linear)
         return FiniteAutomorphism(
             self.algebra, prod, self.conjugate_linear != other.conjugate_linear
         )
 
     def is_identity(self) -> bool:
-        if self.conjugate_linear:
-            return False
-        n = len(self.matrix)
-        return all(
-            self.matrix[i][j] == (ONE if i == j else ZERO) for i in range(n) for j in range(n)
-        )
+        return not self.conjugate_linear and sparse_is_identity(self.sparse)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteAutomorphism):
@@ -737,13 +748,6 @@ def entrywise_conjugation_automorphism(g) -> FiniteAutomorphism:
     rows_t = [g.coords(mat_conj(b)) for b in g.basis]
     rows = [[rows_t[j][i] for j in range(g.dim)] for i in range(g.dim)]
     return automorphism_from_order(g, rows, conjugate_linear=(g.field == "C"))
-
-
-def negative_transpose_automorphism(g) -> FiniteAutomorphism:
-    """x -> -x^T; an automorphism whenever the basis span is transpose-stable."""
-    rows_t = [g.coords(mat_scale(Scalar(-1), mat_transpose(b))) for b in g.basis]
-    rows = [[rows_t[j][i] for j in range(g.dim)] for i in range(g.dim)]
-    return automorphism_from_order(g, rows)
 
 
 def _mat_inverse(a: Matrix) -> Matrix:

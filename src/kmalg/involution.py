@@ -15,7 +15,16 @@ from enum import Enum
 from fractions import Fraction
 
 from . import linalg
-from .findim import FiniteAutomorphism, FiniteLieAlgebra, check_automorphism, mat_conj, mat_mul
+from .findim import (
+    FiniteAutomorphism,
+    FiniteLieAlgebra,
+    check_automorphism,
+    mat,
+    mat_mul,
+    sparse_apply,
+    sparse_is_identity,
+    sparse_rows,
+)
 from .kmext import ExtendedElement, hat_bracket
 from .loop import TwistedLoopElement, check_twist, zero_loop
 from .scalars import I, ONE, Scalar, ZERO, i_power
@@ -34,12 +43,11 @@ class PreservationError(InvolutionError):
 class CoeffMap:
     """(Phi a)_k = i^{parity*k} * matrix . conj^conjugate(a_{index_sign*k})."""
 
-    __slots__ = ("matrix", "index_sign", "conjugate", "parity")
+    __slots__ = ("matrix", "sparse", "index_sign", "conjugate", "parity")
 
     def __init__(self, matrix, index_sign=1, conjugate=False, parity=0):
-        self.matrix = tuple(
-            tuple(x if isinstance(x, Scalar) else Scalar(x) for x in row) for row in matrix
-        )
+        self.matrix = mat(matrix)
+        self.sparse = sparse_rows(self.matrix)
         if index_sign not in (1, -1):
             raise InvolutionError("index_sign must be +-1")
         self.index_sign = index_sign
@@ -51,18 +59,7 @@ class CoeffMap:
         return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
 
     def apply_vec(self, vec, k=0):
-        if self.conjugate:
-            vec = tuple(c.conjugate() for c in vec)
-        m = self.matrix
-        out = tuple(
-            sum((m[i][j] * vec[j] for j in range(len(vec)) if vec[j]), ZERO)
-            for i in range(len(m))
-        )
-        if self.parity:
-            f = i_power(self.parity * k)
-            if f != ONE:
-                out = tuple(f * x for x in out)
-        return out
+        return sparse_apply(self.sparse, vec, self.conjugate, self.parity * k)
 
     def apply_loop(self, f: TwistedLoopElement) -> TwistedLoopElement:
         s = self.index_sign
@@ -76,8 +73,7 @@ class CoeffMap:
         """self after other, as one coefficient map."""
         s1, s2 = self.index_sign, other.index_sign
         d1 = self.conjugate
-        m2 = mat_conj(other.matrix) if d1 else other.matrix
-        matrix = mat_mul(self.matrix, m2)
+        matrix = mat_mul(self.matrix, other.matrix, d1)
         parity = (self.parity + other.parity * s1 * (-1 if d1 else 1)) % 4
         return CoeffMap(matrix, s1 * s2, d1 != other.conjugate, parity)
 
@@ -95,12 +91,11 @@ class CoeffMap:
         return hash((self.matrix, self.index_sign, self.conjugate, self.parity))
 
     def is_identity(self):
-        n = len(self.matrix)
         return (
             self.index_sign == 1
             and not self.conjugate
             and self.parity == 0
-            and all(self.matrix[i][j] == (ONE if i == j else ZERO) for i in range(n) for j in range(n))
+            and sparse_is_identity(self.sparse)
         )
 
     def __repr__(self):
@@ -124,14 +119,12 @@ class Admissibility(Enum):
 @dataclass(frozen=True, eq=False)
 class InvolutionDescriptor:
     """Standard-form involution: loop coefficients via a CoeffMap, c and d
-    scaled by epsilon (with gamma-shift of d into c kept at 0)."""
+    scaled by epsilon."""
 
     name: str
     loop_map: CoeffMap
     epsilon: int
     reflect_time: bool
-    gamma: Scalar = ZERO
-    finite_part: FiniteAutomorphism | None = None
     invariant_pair: tuple | None = None  # (rho_plus, rho_minus) real automorphisms
 
     def __post_init__(self):
@@ -145,14 +138,12 @@ class InvolutionDescriptor:
         return self.loop_map.conjugate
 
     def apply(self, x: ExtendedElement) -> ExtendedElement:
-        c = x.c.conjugate() if self.conjugate_linear else x.c
-        d = x.d.conjugate() if self.conjugate_linear else x.d
-        eps = Scalar(self.epsilon)
-        return ExtendedElement(
-            self.loop_map.apply_loop(x.loop),
-            eps * c + self.gamma * d,
-            eps * d,
-        )
+        c, d = x.c, x.d
+        if self.conjugate_linear:
+            c, d = c.conjugate(), d.conjugate()
+        if self.epsilon == -1:
+            c, d = -c, -d
+        return ExtendedElement(self.loop_map.apply_loop(x.loop), c, d)
 
     def kind(self) -> InvolutionKind:
         return InvolutionKind.SECOND if self.epsilon == -1 else InvolutionKind.FIRST
@@ -206,7 +197,6 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
         loop_map=CoeffMap(rho_plus.matrix, index_sign=-1),
         epsilon=-1,
         reflect_time=True,
-        finite_part=FiniteAutomorphism(gc, rho_plus.matrix, order=rho_plus.order),
         invariant_pair=(rho_plus, rho_minus),
     )
     return desc, gc, sigma
@@ -261,9 +251,6 @@ class RealFormDescriptor:
         return True
 
     # -- truncated bases ---------------------------------------------------
-    def degree_grid(self, n_max: int):
-        return range(-n_max, n_max + 1)
-
     def block_keys(self, n_max: int):
         keys = [(0,)]
         keys.extend((k, -k) for k in range(1, n_max + 1))
@@ -306,9 +293,8 @@ class RealFormDescriptor:
             for k in degrees:
                 sign = Scalar(1 if k % 2 == 0 else -1)
                 for i in range(dim):
-                    eq = [(k, j, self.twist.matrix[i][j]) for j in range(dim)]
-                    eq.append((k, i, -sign))
-                    add_complex_rows([(d, j, m) for d, j, m in eq if m])
+                    eq = [(k, j, x) for j, _, x in self.twist.sparse[i]]
+                    add_complex_rows(eq + [(k, i, -sign)])
         # real-structure constraints: (conj a)_k = a_k
         if self.conj is not None:
             s = self.conj.index_sign
@@ -324,10 +310,8 @@ class RealFormDescriptor:
                     re_row = [Fraction(0)] * nvar
                     im_row = [Fraction(0)] * nvar
                     base_s = 2 * dim * pos[src]
-                    for j in range(dim):
-                        m = f * self.conj.matrix[i][j]
-                        if not m:
-                            continue
+                    for j, _, x in self.conj.sparse[i]:
+                        m = f * x
                         # m * conj(a_src_j): re += m.re*re_j + m.im*im_j
                         #                    im += m.im*re_j - m.re*im_j
                         re_row[base_s + j] += m.re

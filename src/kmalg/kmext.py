@@ -22,6 +22,7 @@ from .loop import (
     TwistedLoopElement,
     loop_bracket,
     loop_derivative,
+    twist_eigenbasis,
     zero_loop,
 )
 from .scalars import I, Scalar, ZERO
@@ -63,10 +64,6 @@ class ExtendedElement:
 
     def __repr__(self):
         return f"ExtendedElement({self.loop!r}, c={self.c}, d={self.d})"
-
-
-def extended_zero(algebra, twist) -> ExtendedElement:
-    return ExtendedElement(zero_loop(algebra, twist))
 
 
 def central_element(algebra, twist, value=1) -> ExtendedElement:
@@ -244,11 +241,29 @@ class SplittingHom:
         return ExtendedElement(loop, c_total, ZERO)
 
     def kernel_dimension(self) -> int:
-        """Rank-verified dimension of the kernel: tuples of pure-c elements
-        with vanishing coefficient sum."""
-        n = len(self.factors)
-        rows = [[Fraction(1)] * n]
-        return len(linalg.nullspace(rows))
+        """Dimension of the kernel of apply on a basis of the factors'
+        derived algebras truncated to degrees -1..1: each factor's c line
+        and its loop coordinates at degrees 0 and +-1, one factor at a time.
+        The images are flattened to real vectors; the kernel is the space of
+        their real linear relations."""
+        zeros = [ExtendedElement(zero_loop(alg, twist)) for alg, twist in self.factors]
+        images = []
+        for i, (alg, twist) in enumerate(self.factors):
+            # k mod the twist order picks the (-1)^k eigenspace of an order-2
+            # twist and every coordinate of an untwisted factor
+            spanning = [ExtendedElement(zero_loop(alg, twist), c=1)] + [
+                ExtendedElement(TwistedLoopElement(alg, twist, {k: vec}))
+                for k in (-1, 0, 1) for vec in twist_eigenbasis(alg, twist, k % twist.order)
+            ]
+            images.extend(self.apply(zeros[:i] + [x] + zeros[i + 1:]) for x in spanning)
+        degrees = sorted({k for y in images for k in y.loop.terms})
+        zero = self.target_algebra.zero_coords()
+        flat = [
+            [v for k in degrees for v in linalg.real_flatten(y.loop.terms.get(k, zero))]
+            + [y.c.re, y.c.im, y.d.re, y.d.im]
+            for y in images
+        ]
+        return len(linalg.nullspace([list(row) for row in zip(*flat)]))
 
     def bracket_in_factors(self, xs, ys):
         """Componentwise derived-algebra bracket of two factor tuples."""

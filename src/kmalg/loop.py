@@ -115,9 +115,6 @@ class TwistedLoopElement:
     def coeff(self, k):
         return self.terms.get(k, self.algebra.zero_coords())
 
-    def max_abs_degree(self):
-        return max((abs(k) for k in self.terms), default=0)
-
     def _require_match(self, other):
         if self.algebra is not other.algebra or self.twist != other.twist:
             raise MismatchError("loop elements live over different algebras or twists")

@@ -109,11 +109,6 @@ def _restrict_to_coords(x: ExtendedElement, allowed) -> bool:
     )
 
 
-def fixed_basis(record: OsakaRecord, n_max: int):
-    dec = fixed_and_eigenspaces(record.involution, record.real_form, n_max)
-    return dec, dec.k_basis
-
-
 def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     """All defining checks, exactly, at truncation degree n_max."""
     report = OsakaReport(record.name)
@@ -506,10 +501,6 @@ def duality_pairing(catalog=None, n_max: int = 2) -> PairingReport:
         by_name[a].dual_name == b and by_name[b].dual_name == a for a, b in table.items()
     )
     return PairingReport(matches, double_ok, table_ok)
-
-
-def _loop_map_of(record: OsakaRecord) -> CoeffMap:
-    return record.involution.loop_map
 
 
 # -- static metadata -------------------------------------------------------------

@@ -49,9 +49,6 @@ class TrialRng:
         im = Fraction(0) if real_only else self.fraction(max_num, max_den)
         return Scalar(re, im)
 
-    def choice(self, seq):
-        return seq[self.u32() % len(seq)]
-
 
 def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6, max_terms=4):
     """Random graded element: coefficients drawn inside twist eigenspaces."""

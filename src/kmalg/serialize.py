@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .findim import FiniteAutomorphism, direct_sum, make_abelian, make_sl, make_su
+from .findim import direct_sum, make_abelian, make_sl, make_su
 from .involution import CoeffMap, InvolutionDescriptor
 from .kmext import ExtendedElement
 from .loop import TwistedLoopElement, untwisted
@@ -180,7 +180,6 @@ def involution_from_json(obj, algebra) -> InvolutionDescriptor:
         loop_map=CoeffMap(rows, index_sign=s, conjugate=conj),
         epsilon=eps,
         reflect_time=reflect,
-        finite_part=FiniteAutomorphism(algebra, rows, conjugate_linear=conj, order=2),
     )
 
 

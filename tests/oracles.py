@@ -11,20 +11,25 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from kmalg.findim import mat_mul, mat_trace
 from kmalg.scalars import Scalar, ZERO
 
 
 # -- finite Killing forms by matrix trace ---------------------------------
 
+def _trace_of_product(x_mat, y_mat) -> Scalar:
+    """tr(xy) = sum_{i,t} x_it y_ti, every product taken densely."""
+    n = len(x_mat)
+    return sum((x_mat[i][t] * y_mat[t][i] for i in range(n) for t in range(n)), ZERO)
+
+
 def killing_sl_family(n, x_mat, y_mat) -> Scalar:
     """B(x, y) = 2n tr(xy) on sl(n) and its real forms (su(n), sl(n,R))."""
-    return Scalar(2 * n) * mat_trace(mat_mul(x_mat, y_mat))
+    return Scalar(2 * n) * _trace_of_product(x_mat, y_mat)
 
 
 def killing_so_family(n, x_mat, y_mat) -> Scalar:
     """B(x, y) = (n-2) tr(xy) on so(n)."""
-    return Scalar(n - 2) * mat_trace(mat_mul(x_mat, y_mat))
+    return Scalar(n - 2) * _trace_of_product(x_mat, y_mat)
 
 
 # -- symbolic trigonometric integration -----------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kmalg import cli, serialize
 from kmalg.kmext import ExtendedElement
 from kmalg.loop import loop_monomial
@@ -199,6 +201,58 @@ def test_env_default_degree(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "killing-gram", "--form", "I[Id,Id]")
     assert code == cli.EXIT_OK
     assert json.loads(out)["size"] == 9  # 3 * (2*1 + 1)
+
+
+def _param_error(err):
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", ["killing-gram", "decompose"])
+def test_unknown_form_exits_param(capsys, command):
+    code, out, err = run_cli(capsys, command, "--form", "nope", "--degree", "1")
+    assert code == cli.EXIT_PARAM
+    assert out == ""
+    assert "nope" in _param_error(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["osaka-verify", "--record", "II"],
+    ["osaka-catalog"],
+    ["killing-gram", "--form", "II"],
+    ["decompose", "--form", "II"],
+    ["jacobi-check", "--trials", "1", "--seed", "s"],
+])
+def test_negative_degree_exits_param(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--degree", "-1")
+    assert code == cli.EXIT_PARAM
+    assert out == ""
+    assert "--degree must be at least" in _param_error(err)
+
+
+@pytest.mark.parametrize("argv", [["osaka-verify", "--record", "II"], ["osaka-catalog"]])
+def test_degree_zero_verification_exits_param(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--degree", "0")
+    assert code == cli.EXIT_PARAM
+    assert "--degree must be at least 1, got 0" in _param_error(err)
+
+
+def test_negative_trials_exit_param(capsys):
+    code, out, err = run_cli(capsys, "jacobi-check", "--trials", "-3", "--seed", "s")
+    assert code == cli.EXIT_PARAM
+    assert out == ""
+    assert "--trials must be at least 0, got -3" in _param_error(err)
+
+
+@pytest.mark.parametrize("value,argv", [
+    ("-2", ["killing-gram", "--form", "II"]),
+    ("0", ["osaka-verify", "--record", "II"]),
+])
+def test_env_default_degree_is_validated(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("KMALG_DEFAULT_DEGREE", value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PARAM
+    assert out == ""
+    assert "KMALG_DEFAULT_DEGREE must be at least" in _param_error(err)
 
 
 def test_out_file(tmp_path, capsys):

@@ -5,6 +5,7 @@ from kmalg.findim import automorphism_from_order, direct_sum, make_abelian, make
 from kmalg.kmext import (
     ExtendedElement,
     GradedSubspace,
+    SplittingHom,
     central_element,
     cocycle,
     derivation_element,
@@ -15,7 +16,7 @@ from kmalg.kmext import (
     residue_cocycle,
     splitting_hom,
 )
-from kmalg.loop import loop_monomial, untwisted, zero_loop
+from kmalg.loop import TwistedLoopElement, loop_monomial, untwisted, zero_loop
 from kmalg.rand import TrialRng, random_extended_element, random_loop_element
 from kmalg.scalars import I, Scalar, ZERO
 
@@ -291,6 +292,43 @@ def test_splitting_hom_surjective_on_truncation():
         ExtendedElement(zero_loop(SU2C, TW1)),
     ])
     assert c_img.c == Scalar(1) and c_img.loop.is_zero()
+
+
+def test_splitting_kernel_with_twisted_factors():
+    su2 = make_su(2)
+    target = direct_sum(su2, su2).complexify()
+    diag = (-1, 1, -1, -1, 1, -1)  # TW2 on each factor
+    ttw = automorphism_from_order(target, [[diag[i] if i == j else 0 for j in range(6)]
+                                           for i in range(6)])
+    hom = splitting_hom([(SU2C, TW2), (SU2C, TW2)], target, ttw)
+    assert hom.kernel_dimension() == 1
+
+
+def test_splitting_kernel_sees_a_broken_apply(monkeypatch):
+    """kernel_dimension is computed from apply, so an apply that drops one
+    factor's c (one factor: kernel 0 -> 1) or one factor's degree-1 loop
+    part (two factors: kernel 1 -> 1 + 3) is caught."""
+    one = splitting_hom([(SU2C, TW1)], SU2C, TW1)
+    target = direct_sum(make_su(2), make_su(2)).complexify()
+    two = splitting_hom([(SU2C, TW1), (SU2C, TW1)], target, untwisted(target))
+    assert (one.kernel_dimension(), two.kernel_dimension()) == (0, 1)
+    original = SplittingHom.apply
+
+    def drop_c(self, parts):
+        first = ExtendedElement(parts[0].loop, ZERO, parts[0].d)
+        return original(self, [first] + list(parts[1:]))
+
+    monkeypatch.setattr(SplittingHom, "apply", drop_c)
+    assert one.kernel_dimension() == 1
+
+    def drop_degree_one(self, parts):
+        loop = parts[0].loop
+        terms = {k: v for k, v in loop.terms.items() if k != 1}
+        first = ExtendedElement(TwistedLoopElement(loop.algebra, loop.twist, terms), parts[0].c)
+        return original(self, [first] + list(parts[1:]))
+
+    monkeypatch.setattr(SplittingHom, "apply", drop_degree_one)
+    assert two.kernel_dimension() == 4
 
 
 # -- center on truncations ------------------------------------------------------------

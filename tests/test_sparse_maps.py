@@ -1,0 +1,176 @@
+"""The sparse exact maps (findim.sparse_rows / sparse_apply behind CoeffMap,
+FiniteAutomorphism and mat_mul) against a dense reference written here.
+
+Random maps mix zero entries, the units 1, i, -1, -i, other Gaussian
+rationals, zero rows and identity-like matrices; every product in the
+reference is a plain Scalar multiplication summed from zero.
+"""
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from kmalg.findim import FiniteAutomorphism, make_abelian, mat_mul
+from kmalg.involution import CoeffMap
+from kmalg.loop import TwistedLoopElement, untwisted
+from kmalg.scalars import Scalar, ZERO
+
+UNITS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+general = st.builds(Scalar, rationals, rationals)
+entries = st.one_of(st.just(ZERO), st.sampled_from(UNITS), general)
+coords = st.one_of(st.just(ZERO), general)
+dims = st.integers(1, 4)
+
+
+# -- dense reference -----------------------------------------------------------
+
+def dense_apply(matrix, vec, conjugate=False, power=0):
+    """i^power * M conj^conjugate(vec), every entry multiplied."""
+    if conjugate:
+        vec = [v.conjugate() for v in vec]
+    factor = Scalar(1)
+    for _ in range(power % 4):
+        factor = factor * Scalar(0, 1)
+    return tuple(
+        factor * sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in matrix
+    )
+
+
+def dense_mul(a, b, conjugate=False):
+    if conjugate:
+        b = [[x.conjugate() for x in row] for row in b]
+    return tuple(
+        tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), ZERO) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def dense_is_identity(matrix):
+    n = len(matrix)
+    return all(matrix[i][j] == (Scalar(1) if i == j else ZERO) for i in range(n) for j in range(n))
+
+
+# -- strategies ----------------------------------------------------------------
+
+@st.composite
+def matrices(draw, n, m=None):
+    m = n if m is None else m
+    kind = draw(st.sampled_from(("random", "identity", "signed permutation")))
+    if kind == "identity":
+        rows = [[UNITS[0] if i == j else ZERO for j in range(m)] for i in range(n)]
+    elif kind == "signed permutation":
+        perm = draw(st.permutations(range(m)))
+        rows = [[draw(st.sampled_from(UNITS)) if j == perm[i % m] else ZERO for j in range(m)]
+                for i in range(n)]
+    else:
+        rows = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    # perturb one entry (possibly to zero, making a zero row more likely)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+        rows[i][j] = draw(entries)
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [ZERO] * m
+    return rows
+
+
+@st.composite
+def coeff_maps(draw, n):
+    return CoeffMap(
+        draw(matrices(n)),
+        index_sign=draw(st.sampled_from((1, -1))),
+        conjugate=draw(st.booleans()),
+        parity=draw(st.integers(0, 3)),
+    )
+
+
+def vectors(n):
+    return st.lists(coords, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def loops(draw, n):
+    alg = make_abelian(n).complexify()
+    degrees = draw(st.lists(st.integers(-4, 4), max_size=4, unique=True))
+    terms = {k: draw(vectors(n)) for k in degrees}
+    return TwistedLoopElement(alg, untwisted(alg), terms)
+
+
+@st.composite
+def map_and(draw, what):
+    n = draw(dims)
+    return n, draw(coeff_maps(n)), draw(what(n))
+
+
+# -- CoeffMap --------------------------------------------------------------------
+
+@settings(deadline=None)
+@given(map_and(vectors), st.integers(-5, 5))
+def test_apply_vec_matches_dense(case, k):
+    _, phi, vec = case
+    want = dense_apply(phi.matrix, vec, phi.conjugate, phi.parity * k)
+    assert phi.apply_vec(vec, k) == want
+
+
+@settings(deadline=None)
+@given(map_and(loops))
+def test_apply_loop_matches_dense(case):
+    _, phi, f = case
+    s = phi.index_sign
+    want = {
+        s * j: dense_apply(phi.matrix, vec, phi.conjugate, phi.parity * s * j)
+        for j, vec in f.terms.items()
+    }
+    assert phi.apply_loop(f) == TwistedLoopElement(f.algebra, f.twist, want)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_coeff_map_compose_matches_dense(data):
+    n = data.draw(dims)
+    phi, psi = data.draw(coeff_maps(n)), data.draw(coeff_maps(n))
+    f = data.draw(loops(n))
+    both = phi.compose(psi)
+    assert both.matrix == dense_mul(phi.matrix, psi.matrix, phi.conjugate)
+    assert both.apply_loop(f) == phi.apply_loop(psi.apply_loop(f))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_coeff_map_is_identity_matches_dense(data):
+    n = data.draw(dims)
+    phi = data.draw(coeff_maps(n))
+    want = (
+        phi.index_sign == 1 and not phi.conjugate and phi.parity == 0
+        and dense_is_identity(phi.matrix)
+    )
+    assert phi.is_identity() == want
+    plain = CoeffMap(phi.matrix)
+    assert plain.is_identity() == dense_is_identity(phi.matrix)
+
+
+# -- FiniteAutomorphism and mat_mul ---------------------------------------------------
+
+@settings(deadline=None)
+@given(st.data())
+def test_finite_automorphism_matches_dense(data):
+    n = data.draw(dims)
+    alg = make_abelian(n).complexify()
+    a = FiniteAutomorphism(alg, data.draw(matrices(n)), data.draw(st.booleans()))
+    b = FiniteAutomorphism(alg, data.draw(matrices(n)), data.draw(st.booleans()))
+    vec = data.draw(vectors(n))
+    assert a.apply(vec) == dense_apply(a.matrix, vec, a.conjugate_linear)
+    ab = a.compose(b)
+    assert ab.matrix == dense_mul(a.matrix, b.matrix, a.conjugate_linear)
+    assert ab.conjugate_linear == (a.conjugate_linear != b.conjugate_linear)
+    assert ab.apply(vec) == a.apply(b.apply(vec))
+    assert a.is_identity() == (not a.conjugate_linear and dense_is_identity(a.matrix))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_mat_mul_matches_dense_on_rectangles(data):
+    n, k, m = data.draw(dims), data.draw(dims), data.draw(dims)
+    a, b = data.draw(matrices(n, k)), data.draw(matrices(k, m))
+    conjugate = data.draw(st.booleans())
+    assert mat_mul(a, b, conjugate) == dense_mul(a, b, conjugate)
