@@ -124,7 +124,7 @@ def cmd_bracket(args):
 def cmd_killing_gram(args):
     degree = _default_degree(args.degree, fallback=4)
     rec = _catalog_record(args.form)
-    basis = [f for f in rec.real_form.loop_basis(degree) if not f.is_zero()]
+    basis = rec.real_form.truncate(degree).loops
     gram, verdict = killing_gram(basis)
     report = _base_report("killing-gram", form=args.form, degree=degree)
     report["size"] = len(basis)
@@ -164,7 +164,7 @@ def cmd_decompose(args):
     if args.involution:
         inv = serialize.involution_from_json(_read_json(args.involution), rec.real_form.algebra)
     try:
-        dec = fixed_and_eigenspaces(inv, rec.real_form, degree)
+        dec = fixed_and_eigenspaces(inv, rec.real_form.truncate(degree))
     except PreservationError as exc:
         raise CliError(str(exc), EXIT_FAIL) from exc
     k_loops = dec.loop_parts("K")

@@ -25,7 +25,7 @@ from .findim import (
     sparse_is_identity,
     sparse_rows,
 )
-from .kmext import ExtendedElement, hat_bracket
+from .kmext import ExtendedElement, hat_bracket, real_coords
 from .loop import TwistedLoopElement, check_twist, zero_loop
 from .scalars import I, ONE, Scalar, ZERO, i_power
 
@@ -149,10 +149,6 @@ class InvolutionDescriptor:
         return InvolutionKind.SECOND if self.epsilon == -1 else InvolutionKind.FIRST
 
 
-def check_kind(phi: InvolutionDescriptor) -> InvolutionKind:
-    return phi.kind()
-
-
 def admissibility_check(per_factor) -> Admissibility:
     """Factorwise involutions extend to one involution of the whole extension
     iff their epsilon values agree."""
@@ -200,10 +196,6 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
         invariant_pair=(rho_plus, rho_minus),
     )
     return desc, gc, sigma
-
-
-def apply_involution(phi: InvolutionDescriptor, x: ExtendedElement) -> ExtendedElement:
-    return phi.apply(x)
 
 
 # -- real forms --------------------------------------------------------------
@@ -339,25 +331,19 @@ class RealFormDescriptor:
             out.append(ExtendedElement(TwistedLoopElement(self.algebra, self.twist, terms)))
         return out
 
-    def basis(self, n_max: int):
-        """All block bases up to degree n_max, as (key, elements) pairs."""
-        return [(key, self.block_basis(key)) for key in self.block_keys(n_max)]
-
-    def loop_basis(self, n_max: int):
-        out = []
-        for key, elems in self.basis(n_max):
-            if key != ("cd",):
-                out.extend(e.loop for e in elems)
-        return out
-
-    def dimension(self, n_max: int) -> int:
-        return sum(len(elems) for _, elems in self.basis(n_max))
+    def truncate(self, n_max: int) -> "Truncation":
+        """The degree-<=n_max truncation, every block basis computed once."""
+        return Truncation(self, n_max, tuple(
+            (key, self.block_basis(key)) for key in self.block_keys(n_max)
+        ))
 
     # -- closure -----------------------------------------------------------
-    def verify_closed(self, n_max: int) -> bool:
+    def verify_closed(self, truncation: "Truncation") -> bool:
         """Brackets of truncated basis elements stay in the form (membership
         is degree-unbounded, so no truncation artifacts)."""
-        flat = [e for _, elems in self.basis(n_max) for e in elems]
+        if truncation.real_form is not self:
+            raise InvolutionError(f"truncation of {truncation.real_form.name}, not {self.name}")
+        flat = truncation.elements
         for i, x in enumerate(flat):
             for y in flat[i:]:
                 if not self.contains(hat_bracket(x, y)):
@@ -365,8 +351,23 @@ class RealFormDescriptor:
         return True
 
 
-def real_form_membership(rf: RealFormDescriptor, x: ExtendedElement) -> bool:
-    return rf.contains(x)
+@dataclass(frozen=True, eq=False)
+class Truncation:
+    """A real form cut at degree n_max: the exact real basis of each block,
+    as (key, elements) pairs in block_keys order."""
+
+    real_form: RealFormDescriptor
+    n_max: int
+    blocks: tuple
+
+    @property
+    def elements(self):
+        return [e for _, elems in self.blocks for e in elems]
+
+    @property
+    def loops(self):
+        """Loop parts of the degree blocks, each nonzero."""
+        return [e.loop for key, elems in self.blocks if key != ("cd",) for e in elems]
 
 
 # -- eigenspace split ---------------------------------------------------------
@@ -401,15 +402,6 @@ class CartanDecomposition:
         return [e.loop for e in elems if not e.loop.is_zero()]
 
 
-def _flatten_extended(x: ExtendedElement, degrees, dim):
-    out = []
-    for k in degrees:
-        vec = x.loop.terms.get(k, (ZERO,) * dim)
-        out.extend(linalg.real_flatten(vec))
-    out.extend([x.c.re, x.c.im, x.d.re, x.d.im])
-    return out
-
-
 def _combine(elements, coeffs):
     total = None
     for c, e in zip(coeffs, elements):
@@ -433,18 +425,17 @@ def express_in_basis(x: ExtendedElement, basis, degrees):
         return None
     if not basis:
         return [] if x.is_zero() else None
-    dim = basis[0].loop.algebra.dim
-    flat_basis = [_flatten_extended(b, degrees, dim) for b in basis]
-    target = _flatten_extended(x, degrees, dim)
-    return linalg.coords_in_span(flat_basis, target)
+    flat_basis = [real_coords(b, degrees) for b in basis]
+    return linalg.coords_in_span(flat_basis, real_coords(x, degrees))
 
 
-def fixed_and_eigenspaces(phi: InvolutionDescriptor, rf: RealFormDescriptor,
-                          n_max: int) -> CartanDecomposition:
-    """Exact +1/-1 eigenspace bases of phi on the degree-<=n_max truncation
-    of the real form; phi must preserve the form."""
+def fixed_and_eigenspaces(phi: InvolutionDescriptor,
+                          truncation: Truncation) -> CartanDecomposition:
+    """Exact +1/-1 eigenspace bases of phi on a truncation of a real form;
+    phi must preserve the form."""
+    rf = truncation.real_form
     blocks = []
-    for key, elems in rf.basis(n_max):
+    for key, elems in truncation.blocks:
         if not elems:
             blocks.append(EigenBlock(key, [], []))
             continue
@@ -475,32 +466,29 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, rf: RealFormDescriptor,
         k_basis = [_combine(elems, v) for v in k_vecs]
         p_basis = [_combine(elems, v) for v in p_vecs]
         blocks.append(EigenBlock(key, k_basis, p_basis))
-    return CartanDecomposition(rf, phi, n_max, blocks)
+    return CartanDecomposition(rf, phi, truncation.n_max, blocks)
 
 
 def verify_cartan_relations(dec: CartanDecomposition) -> bool:
     """[K,K] in K, [K,P] in P, [P,P] in K, exactly on the truncation.
 
     Brackets raise degree, so membership is tested intrinsically: the
-    bracket must stay in the real form and must be an exact +-1 eigenvector
-    of the involution (K for +1, P for -1).
+    bracket of x (sign s_x: +1 in K, -1 in P) and y must stay in the real
+    form and be an exact s_x s_y eigenvector of the involution. Both tests
+    are invariant under z -> -z and the bracket is antisymmetric, so each
+    unordered pair is bracketed once.
     """
     rf, phi = dec.real_form, dec.involution
-    for left, right, sign in (
-        (dec.k_basis, dec.k_basis, 1),
-        (dec.k_basis, dec.p_basis, -1),
-        (dec.p_basis, dec.p_basis, 1),
-    ):
-        for x in left:
-            for y in right:
-                z = hat_bracket(x, y)
-                if z.is_zero():
-                    continue
-                if not rf.contains(z):
-                    return False
-                want = z if sign == 1 else -z
-                if phi.apply(z) != want:
-                    return False
+    signed = [(x, 1) for x in dec.k_basis] + [(y, -1) for y in dec.p_basis]
+    for i, (x, sx) in enumerate(signed):
+        for y, sy in signed[i:]:
+            z = hat_bracket(x, y)
+            if z.is_zero():
+                continue
+            if not rf.contains(z):
+                return False
+            if phi.apply(z) != (z if sx == sy else -z):
+                return False
     return True
 
 
@@ -557,6 +545,6 @@ def dualize(dec: CartanDecomposition, name=None) -> DualForm:
         epsilon=-1,
         reflect_time=True,
     )
-    if not dual_rf.verify_closed(max(1, dec.n_max)):
+    if not dual_rf.verify_closed(dual_rf.truncate(max(1, dec.n_max))):
         raise InvolutionError("dual form is not closed under the bracket")
     return DualForm(dual_rf, rho_star)

@@ -66,6 +66,18 @@ class ExtendedElement:
         return f"ExtendedElement({self.loop!r}, c={self.c}, d={self.d})"
 
 
+def real_coords(x: ExtendedElement, degrees) -> list:
+    """x as one rational vector: real_flatten of its loop coordinates at each
+    of the given degrees (zero where x has no term), then c.re, c.im, d.re,
+    d.im."""
+    zero = x.loop.algebra.zero_coords()
+    out = []
+    for k in degrees:
+        out.extend(linalg.real_flatten(x.loop.terms.get(k, zero)))
+    out.extend((x.c.re, x.c.im, x.d.re, x.d.im))
+    return out
+
+
 def central_element(algebra, twist, value=1) -> ExtendedElement:
     return ExtendedElement(zero_loop(algebra, twist), c=value)
 
@@ -257,12 +269,7 @@ class SplittingHom:
             ]
             images.extend(self.apply(zeros[:i] + [x] + zeros[i + 1:]) for x in spanning)
         degrees = sorted({k for y in images for k in y.loop.terms})
-        zero = self.target_algebra.zero_coords()
-        flat = [
-            [v for k in degrees for v in linalg.real_flatten(y.loop.terms.get(k, zero))]
-            + [y.c.re, y.c.im, y.d.re, y.d.im]
-            for y in images
-        ]
+        flat = [real_coords(y, degrees) for y in images]
         return len(linalg.nullspace([list(row) for row in zip(*flat)]))
 
     def bracket_in_factors(self, xs, ys):
@@ -277,7 +284,3 @@ class SplittingHom:
             if lhs != rhs:
                 return False
         return True
-
-
-def splitting_hom(factors, target_algebra, target_twist) -> SplittingHom:
-    return SplittingHom(factors, target_algebra, target_twist)

@@ -23,13 +23,14 @@ from .involution import (
     InvolutionDescriptor,
     InvolutionKind,
     RealFormDescriptor,
+    Truncation,
     dualize,
     fixed_and_eigenspaces,
     involution_from_invariants,
     verify_cartan_relations,
 )
 from .kmext import ExtendedElement
-from .loop import Definiteness, killing_gram, untwisted
+from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted, zero_loop
 from .scalars import ONE, ZERO
 
 
@@ -93,14 +94,6 @@ class OsakaReport:
 
 # -- core checks ----------------------------------------------------------
 
-def _semisimple_coord_indices(algebra):
-    return {i for b in algebra.simple_blocks() for i in b.indices}
-
-
-def _abelian_coord_indices(algebra):
-    return set(algebra.abelian_indices())
-
-
 def _restrict_to_coords(x: ExtendedElement, allowed) -> bool:
     return all(
         not coeff or i in allowed
@@ -110,14 +103,16 @@ def _restrict_to_coords(x: ExtendedElement, allowed) -> bool:
 
 
 def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
-    """All defining checks, exactly, at truncation degree n_max."""
+    """All defining checks, exactly, at truncation degree n_max; every
+    check reads the one truncation of the real form built here."""
     report = OsakaReport(record.name)
     rf, phi = record.real_form, record.involution
+    truncation = rf.truncate(n_max)
 
-    closed = rf.verify_closed(n_max)
+    closed = rf.verify_closed(truncation)
     report.checks["closure"] = CheckResult(closed, "real form closed under the bracket")
 
-    basis = [e for _, elems in rf.basis(n_max) for e in elems]
+    basis = truncation.elements
     preserved = all(rf.contains(phi.apply(e)) for e in basis)
     squares = all(phi.apply(phi.apply(e)) == e for e in basis)
     report.checks["involutive"] = CheckResult(
@@ -130,13 +125,13 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
         report.checks["KP_match"] = CheckResult(False, "prerequisites failed")
         return report
 
-    dec = fixed_and_eigenspaces(phi, rf, n_max)
+    dec = fixed_and_eigenspaces(phi, truncation)
 
     # (c) the fixed algebra must be a loop algebra over the semisimple part
     # with negative definite loop Killing form: no fixed c/d directions, no
     # fixed abelian loop leakage into the pairing, Gram neg definite.
     fixed_cd_free = all(not e.c and not e.d for e in dec.k_basis)
-    ss = _semisimple_coord_indices(rf.algebra)
+    ss = {i for b in rf.algebra.simple_blocks() for i in b.indices}
     fixed_ss_loops = [
         e.loop for e in dec.k_basis if not e.loop.is_zero() and _restrict_to_coords(e, ss)
     ]
@@ -159,7 +154,7 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
 
     # (d) Fix meets the abelian part (constant loops in the abelian block)
     # trivially.
-    ab = _abelian_coord_indices(rf.algebra)
+    ab = set(rf.algebra.abelian_indices())
     ab_fixed = []
     for e in dec.k_basis:
         const = e.loop.terms.get(0)
@@ -173,17 +168,18 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     # (e) expected K/P conditions match the computed eigenspaces per block.
     report.checks["KP_match"] = CheckResult(*_check_expected_kp(record, dec))
 
+    computed = classify_type(truncation)
     report.checks["type"] = _check_type(
-        record, dec, n_max, valid_so_far=report.checks["fix_compact"].passed
+        record, dec, computed, valid_so_far=report.checks["fix_compact"].passed
     )
     report.checks["effective"] = CheckResult(
         effectiveness_check(record) == Effectiveness.EFFECTIVE, f"epsilon = {phi.epsilon}"
     )
-    verdict, witness = irreducibility_check(record, n_max)
+    verdict, witness = irreducibility_check(record)
     report.checks["irreducible"] = CheckResult(
         verdict == "Irreducible", f"witness blocks: {witness}" if witness else ""
     )
-    report.computed_type = classify_type(record, n_max).value
+    report.computed_type = computed.value
     return report
 
 
@@ -211,9 +207,8 @@ def _check_expected_kp(record: OsakaRecord, dec: CartanDecomposition):
     return True, "eigenspaces match the expected conditions and dimensions"
 
 
-def _check_type(record: OsakaRecord, dec: CartanDecomposition, n_max: int,
+def _check_type(record: OsakaRecord, dec: CartanDecomposition, computed: OsakaType,
                 valid_so_far: bool = True) -> CheckResult:
-    computed = classify_type(record, n_max)
     ok = computed == record.claimed_type
     if ok and valid_so_far and computed == OsakaType.NON_COMPACT:
         ok = verify_cartan_relations(dec)
@@ -230,7 +225,7 @@ def effectiveness_check(record: OsakaRecord) -> Effectiveness:
     if effective:
         assert phi.kind() == InvolutionKind.SECOND
         c_el = ExtendedElement(
-            _zero_loop(record.real_form),
+            zero_loop(record.real_form.algebra, record.real_form.twist),
             c=record.real_form.cd_scale if record.real_form.cd_scale else ONE,
         )
         img = phi.apply(c_el)
@@ -238,23 +233,13 @@ def effectiveness_check(record: OsakaRecord) -> Effectiveness:
     return Effectiveness.EFFECTIVE if effective else Effectiveness.NOT_EFFECTIVE
 
 
-def _zero_loop(rf: RealFormDescriptor):
-    from .loop import zero_loop
-
-    return zero_loop(rf.algebra, rf.twist)
-
-
-def classify_type(record: OsakaRecord, n_max: int = 3) -> OsakaType:
+def classify_type(truncation: Truncation) -> OsakaType:
     """Euclidean iff the loop part is abelian; else compact iff the loop
     Killing Gram of the real form is negative definite at the truncation."""
-    from .loop import NonRealPairingError
-
-    rf = record.real_form
-    if not rf.algebra.simple_blocks():
+    if not truncation.real_form.algebra.simple_blocks():
         return OsakaType.EUCLIDEAN
-    loops = [f for f in rf.loop_basis(n_max) if not f.is_zero()]
     try:
-        _, verdict = killing_gram(loops)
+        _, verdict = killing_gram(truncation.loops)
     except NonRealPairingError:
         # not even a real form in the Killing sense; certainly not compact
         return OsakaType.NON_COMPACT
@@ -263,7 +248,7 @@ def classify_type(record: OsakaRecord, n_max: int = 3) -> OsakaType:
     return OsakaType.NON_COMPACT
 
 
-def irreducibility_check(record: OsakaRecord, n_max: int = 3):
+def irreducibility_check(record: OsakaRecord):
     """('Irreducible', None) or ('Reducible', witness). A proper nonempty
     subcollection of simple blocks whose loop subspace is invariant under
     the involution's coefficient map is a witness."""
@@ -366,7 +351,7 @@ def build_catalog_a1():
 
     # ---- types III and IV: exact duals of the compact records.
     for rec in list(records):
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form, 1)
+        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(1))
         dual = dualize(dec, name=_dual_form_name(rec.name))
         records.append(OsakaRecord(
             name=rec.dual_name,
@@ -472,13 +457,17 @@ def duality_pairing(catalog=None, n_max: int = 2) -> PairingReport:
     """Dualize every record and compare with its declared partner: the
     coefficient conditions (conjugation map), the c/d reality scale, and the
     involution's coefficient map must agree exactly; applying duality twice
-    must reproduce the record."""
+    must reproduce the record.
+
+    osaka-catalog calls this with the default n_max = 2, whatever its
+    --degree: duality is checked at truncation degree 2 only.
+    """
     catalog = catalog or build_catalog_a1()
     by_name = {r.name: r for r in catalog}
     matches = {}
     double_ok = True
     for rec in catalog:
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form, n_max)
+        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(n_max))
         dual = dualize(dec)
         partner = by_name[rec.dual_name]
         same = (
@@ -487,7 +476,7 @@ def duality_pairing(catalog=None, n_max: int = 2) -> PairingReport:
             and dual.involution.loop_map == partner.involution.loop_map
         )
         matches[rec.name] = same
-        ddec = fixed_and_eigenspaces(partner.involution, dual.real_form, n_max)
+        ddec = fixed_and_eigenspaces(partner.involution, dual.real_form.truncate(n_max))
         ddual = dualize(ddec)
         if not (
             ddual.real_form.conj == rec.real_form.conj

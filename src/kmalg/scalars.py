@@ -84,9 +84,6 @@ class Scalar:
     def conjugate(self):
         return Scalar(self.re, -self.im)
 
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     # -- comparison ----------------------------------------------------
     def __eq__(self, other):
         other = _coerce(other)

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .findim import direct_sum, make_abelian, make_sl, make_su
-from .involution import CoeffMap, InvolutionDescriptor
+from .involution import CoeffMap, InvolutionDescriptor, InvolutionError, RealFormDescriptor
 from .kmext import ExtendedElement
 from .loop import TwistedLoopElement, untwisted
 from .scalars import Scalar, ZERO
@@ -163,24 +163,38 @@ def extended_from_json(obj) -> ExtendedElement:
     )
 
 
+def _square_matrix(spec, what, dim):
+    """Scalar rows of spec["matrix"], which must be dim x dim."""
+    rows = spec.get("matrix") if isinstance(spec, dict) else None
+    if not isinstance(rows, list) or len(rows) != dim or any(
+            not isinstance(r, list) or len(r) != dim for r in rows):
+        raise SchemaError(f"{what} needs a {dim} x {dim} 'matrix'")
+    return [[scalar_from_json(x) for x in row] for row in rows]
+
+
+def _int_field(obj, key, default, allowed):
+    value = obj.get(key, default)
+    if type(value) is not int or value not in allowed:
+        raise SchemaError(f"{key!r} must be one of {list(allowed)}, got {value!r}")
+    return value
+
+
 def involution_from_json(obj, algebra) -> InvolutionDescriptor:
     _check_schema(obj)
-    spec = obj.get("rho_plus")
-    if not isinstance(spec, dict) or "matrix" not in spec:
-        raise SchemaError("involution needs rho_plus.matrix")
-    rows = [[scalar_from_json(x) for x in row] for row in spec["matrix"]]
-    if len(rows) != algebra.dim or any(len(r) != algebra.dim for r in rows):
-        raise SchemaError("rho_plus matrix has the wrong shape")
+    rows = _square_matrix(obj.get("rho_plus"), "involution rho_plus", algebra.dim)
     conj = bool(obj.get("conjugate_linear", False))
     reflect = bool(obj.get("reflect_time", True))
-    eps = int(obj.get("epsilon", -1))
+    eps = _int_field(obj, "epsilon", -1, (1, -1))
     s = (-1 if reflect else 1) * (-1 if conj else 1)
-    return InvolutionDescriptor(
-        name=obj.get("name", "custom involution"),
-        loop_map=CoeffMap(rows, index_sign=s, conjugate=conj),
-        epsilon=eps,
-        reflect_time=reflect,
-    )
+    try:
+        return InvolutionDescriptor(
+            name=obj.get("name", "custom involution"),
+            loop_map=CoeffMap(rows, index_sign=s, conjugate=conj),
+            epsilon=eps,
+            reflect_time=reflect,
+        )
+    except InvolutionError as exc:
+        raise SchemaError(f"invalid involution: {exc}") from exc
 
 
 def _check_schema(obj):
@@ -200,14 +214,16 @@ def record_from_json(obj):
             raise SchemaError(f"record missing {key!r}")
     algebra, twist = lookup_algebra(obj["algebra"], obj["twist_order"])
     form_spec = obj["form"]
+    if not isinstance(form_spec, dict):
+        raise SchemaError(f"record 'form' must be an object, got {form_spec!r}")
     conj = None
     if form_spec.get("conj") is not None:
         cs = form_spec["conj"]
         conj = CoeffMap(
-            [[scalar_from_json(x) for x in row] for row in cs["matrix"]],
-            index_sign=int(cs.get("index_sign", -1)),
+            _square_matrix(cs, "form conj", algebra.dim),
+            index_sign=_int_field(cs, "index_sign", -1, (1, -1)),
             conjugate=True,
-            parity=int(cs.get("parity", 0)),
+            parity=_int_field(cs, "parity", 0, range(4)),
         )
     scale_text = form_spec.get("cd_scale", "1")
     if scale_text is None:
@@ -216,12 +232,15 @@ def record_from_json(obj):
         from .scalars import parse_scalar
 
         cd_scale = parse_scalar(scale_text)
-    from .involution import RealFormDescriptor
-
-    form = RealFormDescriptor(
-        name=form_spec.get("name", obj["name"] + " form"),
-        algebra=algebra, twist=twist, conj=conj, cd_scale=cd_scale,
-    )
+    try:
+        form = RealFormDescriptor(
+            name=form_spec.get("name", obj["name"] + " form"),
+            algebra=algebra, twist=twist, conj=conj, cd_scale=cd_scale,
+        )
+    except InvolutionError as exc:
+        raise SchemaError(f"invalid real form: {exc}") from exc
+    if not isinstance(obj["involution"], dict):
+        raise SchemaError("record 'involution' must be an object")
     inv = involution_from_json({"schema": SCHEMA, **obj["involution"]}, algebra)
     dims = {
         key: tuple(val) for key, val in obj.get(

@@ -18,7 +18,6 @@ from kmalg.findim import (
 )
 from kmalg.involution import (
     InvolutionKind,
-    check_kind,
     dualize,
     fixed_and_eigenspaces,
 )
@@ -27,7 +26,7 @@ from kmalg.kmext import (
     cocycle,
     jacobi_residual,
     residue_cocycle,
-    splitting_hom,
+    SplittingHom,
 )
 from kmalg.loop import (
     Definiteness,
@@ -226,7 +225,7 @@ def test_c05_killing_signatures():
 def test_c06_kp_sign_split():
     for name in ("III[Id,Id]", "III[Id,mu]", "III[mu,mu]"):
         rec = catalog_record(name)
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form, 3)
+        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(3))
         _, kv = killing_gram(dec.loop_parts("K"))
         _, pv = killing_gram(dec.loop_parts("P"))
         assert kv == Definiteness.NEG_DEFINITE, name
@@ -321,7 +320,7 @@ def _entry_constraint_dim(name, k, sign):
 def test_c07_kp_condition_match():
     for name, psi in _KP_PREDICATES.items():
         rec = catalog_record(name)
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form, 3)
+        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(3))
         real_entries = name == "III[mu,mu]"
         for block in dec.blocks:
             if block.key == ("cd",):
@@ -369,9 +368,9 @@ def test_c09_duality():
     assert rep.double_dual_ok
     # explicit double-dual on every record's decomposition
     for rec in build_catalog_a1():
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form, 2)
+        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(2))
         dual = dualize(dec)
-        ddec = fixed_and_eigenspaces(dual.involution, dual.real_form, 2)
+        ddec = fixed_and_eigenspaces(dual.involution, dual.real_form.truncate(2))
         ddual = dualize(ddec)
         assert ddual.real_form.conj == rec.real_form.conj
         assert ddual.real_form.cd_scale == rec.real_form.cd_scale
@@ -388,7 +387,7 @@ def test_c10_splitting_hom():
         target = direct_sum(*([su2] * n)).complexify() if n > 1 else SU2C
         ttw = untwisted(target)
         factors = [(SU2C, TW_SU)] * n
-        hom = splitting_hom(factors, target, ttw)
+        hom = SplittingHom(factors, target, ttw)
         assert hom.kernel_dimension() == n - 1
         pairs = []
         for t in range(trials):
@@ -409,14 +408,14 @@ def test_c11_effectiveness():
 
     for rec in build_catalog_a1():
         assert effectiveness_check(rec) == Effectiveness.EFFECTIVE
-        assert check_kind(rec.involution) == InvolutionKind.SECOND
+        assert rec.involution.kind() == InvolutionKind.SECOND
         scale = rec.real_form.cd_scale
         c_el = central_element(rec.real_form.algebra, rec.real_form.twist, scale)
         assert rec.involution.apply(c_el) == -c_el
     ce = complex_conjugation_counterexample()
     assert ce.involution.epsilon == 1
     assert effectiveness_check(ce) == Effectiveness.NOT_EFFECTIVE
-    assert check_kind(ce.involution) == InvolutionKind.FIRST
+    assert ce.involution.kind() == InvolutionKind.FIRST
 
 
 # -- 12 -----------------------------------------------------------------------

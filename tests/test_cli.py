@@ -188,6 +188,57 @@ def test_osaka_verify_from_record_file(tmp_path, capsys):
     assert rep["all_passed"] is True
 
 
+def _scalar_matrix(scale, dim=3):
+    return [[[str(scale if i == j else 0), "0"] for j in range(dim)] for i in range(dim)]
+
+
+def _su2c_record(rho_scale=1, **overrides):
+    """A record file on su2c: compact form, rho_plus = rho_scale * Id."""
+    record = {
+        "schema": "kmalg/1",
+        "name": "scaled involution",
+        "algebra": "su2c",
+        "twist_order": 1,
+        "form": {"conj": {"matrix": _scalar_matrix(1), "index_sign": -1}, "cd_scale": "1"},
+        "involution": {"rho_plus": {"matrix": _scalar_matrix(rho_scale)},
+                       "reflect_time": True, "conjugate_linear": False, "epsilon": -1},
+        "claimed_type": "Compact",
+    }
+    record.update(overrides)
+    return record
+
+
+def test_osaka_verify_non_involution_fails_prerequisites(tmp_path, capsys):
+    path = write_json(tmp_path, "record.json", _su2c_record(rho_scale=2))
+    code, out, _ = run_cli(capsys, "osaka-verify", "--record", path, "--degree", "2")
+    assert code == cli.EXIT_FAIL
+    rep = json.loads(out)
+    assert rep["checks"] == {"closure": True, "involutive": False, "fix_compact": False,
+                             "fix_abelian_zero": False, "KP_match": False}
+    assert rep["details"]["involutive"] == "preserves form: True, squares to identity: False"
+    for name in ("fix_compact", "fix_abelian_zero", "KP_match"):
+        assert rep["details"][name] == "prerequisites failed"
+    assert rep["computed_type"] is None
+
+
+_INVOLUTION = _su2c_record()["involution"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"form": 5},
+    {"involution": {**_INVOLUTION, "epsilon": "z"}},
+    {"involution": {**_INVOLUTION, "epsilon": 0}},
+    {"form": {"conj": {"matrix": [[["1", "0"]]], "index_sign": -1}}},
+], ids=["form-not-object", "epsilon-not-int", "epsilon-zero", "conj-1x1"])
+def test_malformed_record_file_exits_schema(tmp_path, capsys, overrides):
+    path = write_json(tmp_path, "record.json", _su2c_record(**overrides))
+    code, out, err = run_cli(capsys, "osaka-verify", "--record", path, "--degree", "1")
+    assert code == cli.EXIT_SCHEMA
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]
+
+
 def test_counts_command(capsys):
     code, out, _ = run_cli(capsys, "counts", "--family", "a2(1)")
     assert code == cli.EXIT_OK

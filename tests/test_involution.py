@@ -16,12 +16,9 @@ from kmalg.involution import (
     PreservationError,
     RealFormDescriptor,
     admissibility_check,
-    apply_involution,
-    check_kind,
     dualize,
     fixed_and_eigenspaces,
     involution_from_invariants,
-    real_form_membership,
     verify_cartan_relations,
 )
 from kmalg.kmext import ExtendedElement, central_element, derivation_element, hat_bracket
@@ -126,14 +123,14 @@ def test_invariant_pair_rejects_non_involution():
 def test_apply_involution_formulas():
     phi, gc, tw = involution_from_invariants(ID_R, ID_R)
     const = ExtendedElement(loop_monomial(gc, tw, 0, X))
-    assert apply_involution(phi, const) == const
+    assert phi.apply(const) == const
     osc = ExtendedElement(loop_monomial(gc, tw, 1, X))
-    img = apply_involution(phi, osc)
+    img = phi.apply(osc)
     assert img.loop.terms == {-1: X}
     c = central_element(gc, tw)
-    assert apply_involution(phi, c) == -c
+    assert phi.apply(c) == -c
     d = derivation_element(gc, tw)
-    assert apply_involution(phi, d) == -d
+    assert phi.apply(d) == -d
 
 
 def test_involution_squares_and_is_homomorphism():
@@ -173,18 +170,18 @@ def test_epsilon_forced_on_c():
 
 def test_check_kind():
     phi, _, _ = involution_from_invariants(ID_R, ID_R)
-    assert check_kind(phi) == InvolutionKind.SECOND
+    assert phi.kind() == InvolutionKind.SECOND
     first = InvolutionDescriptor(
         name="rotation", loop_map=CoeffMap(CoeffMap.identity(3).matrix), epsilon=1,
         reflect_time=False,
     )
-    assert check_kind(first) == InvolutionKind.FIRST
+    assert first.kind() == InvolutionKind.FIRST
     compact_conj = InvolutionDescriptor(
         name="conjugation along the compact form",
         loop_map=CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1, conjugate=True),
         epsilon=1, reflect_time=False,
     )
-    assert check_kind(compact_conj) == InvolutionKind.FIRST
+    assert compact_conj.kind() == InvolutionKind.FIRST
 
 
 def test_admissibility():
@@ -205,11 +202,11 @@ def test_membership_untwisted_forms():
     aspl_mumu = catalog_record("III[mu,mu]").real_form
     tw = aspl_idid.twist
     u_su2 = ExtendedElement(loop_monomial(SU2C, tw, 1, (ZERO, Scalar(1), ZERO)))
-    assert real_form_membership(aspl_idid, u_su2)
+    assert aspl_idid.contains(u_su2)
     # H = -i X1 is in sl(2,R) but not su(2)
     h = ExtendedElement(loop_monomial(SU2C, tw, 1, (Scalar(0, -1), ZERO, ZERO)))
-    assert real_form_membership(aspl_mumu, h)
-    assert not real_form_membership(aspl_idid, h)
+    assert aspl_mumu.contains(h)
+    assert not aspl_idid.contains(h)
 
 
 def test_membership_twisted_form():
@@ -219,12 +216,12 @@ def test_membership_twisted_form():
     tw = rf.twist
     h = ExtendedElement(loop_monomial(SU2C, tw, 1, (Scalar(0, -1), ZERO, ZERO)))
     ef = ExtendedElement(loop_monomial(SU2C, tw, 1, (ZERO, ZERO, Scalar(0, -1))))
-    assert real_form_membership(rf, h)       # H, symmetric
-    assert real_form_membership(rf, ef)      # E + F, symmetric
+    assert rf.contains(h)       # H, symmetric
+    assert rf.contains(ef)      # E + F, symmetric
     x1 = ExtendedElement(loop_monomial(SU2C, tw, 1, X))  # anti-Hermitian, not real
-    assert not real_form_membership(rf, x1)
+    assert not rf.contains(x1)
     # block dimension: 2 per odd signed degree
-    (key, elems) = rf.basis(1)[1]
+    (key, elems) = rf.truncate(1).blocks[1]
     assert key == (1, -1) and len(elems) == 4
     # every member's matrix at degree 1 is real symmetric traceless
     for e in elems:
@@ -235,14 +232,14 @@ def test_membership_twisted_form():
         assert all(x.is_real() for row in m for x in row)
         assert m[0][1] == m[1][0] and m[0][0] == -m[1][1]
     # c, d lines are imaginary
-    assert real_form_membership(rf, central_element(SU2C, tw).scale(I))
-    assert not real_form_membership(rf, central_element(SU2C, tw))
+    assert rf.contains(central_element(SU2C, tw).scale(I))
+    assert not rf.contains(central_element(SU2C, tw))
 
 
 def test_cd_reality_of_compact_form():
     rf = _compact_form(untwisted(SU2C))
-    assert real_form_membership(rf, central_element(SU2C, rf.twist))
-    assert not real_form_membership(rf, central_element(SU2C, rf.twist).scale(I))
+    assert rf.contains(central_element(SU2C, rf.twist))
+    assert not rf.contains(central_element(SU2C, rf.twist).scale(I))
 
 
 # -- eigenspaces -------------------------------------------------------------------
@@ -250,7 +247,7 @@ def test_cd_reality_of_compact_form():
 def test_fixed_and_eigenspaces_dims():
     phi, gc, tw = involution_from_invariants(ID_R, ID_R)
     rf = _compact_form(tw)
-    dec = fixed_and_eigenspaces(phi, rf, 1)
+    dec = fixed_and_eigenspaces(phi, rf.truncate(1))
     # oracle: K demands u_n = u_{-n} (6 parameters: u_0 and u_1), P demands
     # u_n = -u_{-n} (3 parameters) plus the two negated c, d directions
     assert dec.dims() == {(0,): (3, 0), (1, -1): (3, 3), ("cd",): (0, 2)}
@@ -269,8 +266,8 @@ def test_fixed_and_eigenspaces_dims():
 def test_dimension_count_matches_form():
     for name in ("I[Id,Id]", "I[Id,mu]", "I[mu,mu]", "II"):
         rec = catalog_record(name)
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form, 2)
-        total = rec.real_form.dimension(2)
+        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(2))
+        total = len(rec.real_form.truncate(2).elements)
         assert len(dec.k_basis) + len(dec.p_basis) == total
 
 
@@ -284,7 +281,7 @@ def test_preservation_error():
     )
     rf = catalog_record("III[mu,mu]").real_form
     with pytest.raises(PreservationError):
-        fixed_and_eigenspaces(bad, rf, 1)
+        fixed_and_eigenspaces(bad, rf.truncate(1))
 
 
 def test_non_involutive_map_rejected_on_eigensplit():
@@ -296,13 +293,13 @@ def test_non_involutive_map_rejected_on_eigensplit():
     )
     rf = _compact_form(untwisted(SU2C))
     with pytest.raises(InvolutionError):
-        fixed_and_eigenspaces(rot, rf, 1)
+        fixed_and_eigenspaces(rot, rf.truncate(1))
 
 
 def test_cartan_relations_for_catalog():
     for name in ("III[Id,Id]", "III[mu,mu]", "IV"):
         rec = catalog_record(name)
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form, 1)
+        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(1))
         assert verify_cartan_relations(dec)
 
 
@@ -311,7 +308,7 @@ def test_cartan_relations_for_catalog():
 def test_dualize_compact_to_almost_split():
     phi, gc, tw = involution_from_invariants(ID_R, ID_R)
     rf = _compact_form(tw)
-    dec = fixed_and_eigenspaces(phi, rf, 1)
+    dec = fixed_and_eigenspaces(phi, rf.truncate(1))
     dual = dualize(dec)
     aspl = catalog_record("III[Id,Id]").real_form
     assert dual.real_form.conj == aspl.conj
@@ -322,9 +319,9 @@ def test_dualize_compact_to_almost_split():
 def test_dualize_is_involutive():
     phi, gc, tw = involution_from_invariants(MU_R, MU_R)
     rf = _compact_form(tw)
-    dec = fixed_and_eigenspaces(phi, rf, 1)
+    dec = fixed_and_eigenspaces(phi, rf.truncate(1))
     dual = dualize(dec)
-    ddec = fixed_and_eigenspaces(dual.involution, dual.real_form, 1)
+    ddec = fixed_and_eigenspaces(dual.involution, dual.real_form.truncate(1))
     ddual = dualize(ddec)
     assert ddual.real_form.conj == rf.conj
     assert ddual.real_form.cd_scale == rf.cd_scale
@@ -333,11 +330,11 @@ def test_dualize_is_involutive():
 
 def test_duality_flips_compactness():
     rec = catalog_record("I[mu,mu]")
-    loops = [f for f in rec.real_form.loop_basis(2) if not f.is_zero()]
+    loops = rec.real_form.truncate(2).loops
     _, v = killing_gram(loops)
     assert v == Definiteness.NEG_DEFINITE
     dual_rf = catalog_record("III[mu,mu]").real_form
-    loops_d = [f for f in dual_rf.loop_basis(2) if not f.is_zero()]
+    loops_d = dual_rf.truncate(2).loops
     _, vd = killing_gram(loops_d)
     assert vd != Definiteness.NEG_DEFINITE
 
@@ -347,7 +344,7 @@ def test_duality_flips_compactness():
 @pytest.mark.parametrize("name", ["III[Id,Id]", "III[Id,mu]", "III[mu,mu]"])
 def test_kp_killing_signs(name):
     rec = catalog_record(name)
-    dec = fixed_and_eigenspaces(rec.involution, rec.real_form, 2)
+    dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(2))
     _, kv = killing_gram(dec.loop_parts("K"))
     _, pv = killing_gram(dec.loop_parts("P"))
     assert kv == Definiteness.NEG_DEFINITE
@@ -358,11 +355,11 @@ def test_no_mixed_type():
     """Every catalog form is either compact (negative definite) or admits the
     verified Cartan split; never definite on neither side."""
     for rec in build_catalog_a1():
-        loops = [f for f in rec.real_form.loop_basis(2) if not f.is_zero()]
+        loops = rec.real_form.truncate(2).loops
         _, v = killing_gram(loops)
         if v == Definiteness.NEG_DEFINITE:
             continue
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form, 2)
+        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(2))
         _, kv = killing_gram(dec.loop_parts("K"))
         _, pv = killing_gram(dec.loop_parts("P"))
         assert kv == Definiteness.NEG_DEFINITE
@@ -378,7 +375,7 @@ def test_conjugation_formula_agrees_on_form():
     mu_c = entrywise_conjugation_automorphism(SU2C)
     ambient = CoeffMap(mu_c.matrix, index_sign=1, conjugate=True)
     rf = _compact_form(tw)
-    for key, elems in rf.basis(2):
+    for key, elems in rf.truncate(2).blocks:
         for e in elems:
             if e.loop.is_zero():
                 continue

@@ -14,7 +14,6 @@ from kmalg.kmext import (
     is_ideal,
     jacobi_residual,
     residue_cocycle,
-    splitting_hom,
 )
 from kmalg.loop import TwistedLoopElement, loop_monomial, untwisted, zero_loop
 from kmalg.rand import TrialRng, random_extended_element, random_loop_element
@@ -258,7 +257,7 @@ def test_splitting_hom_kernel_and_homomorphism(n, kernel):
     target = direct_sum(*([su2] * n)).complexify() if n > 1 else SU2C
     ttw = untwisted(target)
     factors = [(SU2C, TW1)] * n
-    hom = splitting_hom(factors, target, ttw)
+    hom = SplittingHom(factors, target, ttw)
     assert hom.kernel_dimension() == kernel
     pairs = []
     for t in range(25):
@@ -271,7 +270,7 @@ def test_splitting_hom_surjective_on_truncation():
     su2 = make_su(2)
     target = direct_sum(su2, su2).complexify()
     ttw = untwisted(target)
-    hom = splitting_hom([(SU2C, TW1), (SU2C, TW1)], target, ttw)
+    hom = SplittingHom([(SU2C, TW1), (SU2C, TW1)], target, ttw)
     # hit every target basis monomial and the center
     for k in (-2, 0, 2):
         for block in (0, 1):
@@ -300,7 +299,7 @@ def test_splitting_kernel_with_twisted_factors():
     diag = (-1, 1, -1, -1, 1, -1)  # TW2 on each factor
     ttw = automorphism_from_order(target, [[diag[i] if i == j else 0 for j in range(6)]
                                            for i in range(6)])
-    hom = splitting_hom([(SU2C, TW2), (SU2C, TW2)], target, ttw)
+    hom = SplittingHom([(SU2C, TW2), (SU2C, TW2)], target, ttw)
     assert hom.kernel_dimension() == 1
 
 
@@ -308,9 +307,9 @@ def test_splitting_kernel_sees_a_broken_apply(monkeypatch):
     """kernel_dimension is computed from apply, so an apply that drops one
     factor's c (one factor: kernel 0 -> 1) or one factor's degree-1 loop
     part (two factors: kernel 1 -> 1 + 3) is caught."""
-    one = splitting_hom([(SU2C, TW1)], SU2C, TW1)
+    one = SplittingHom([(SU2C, TW1)], SU2C, TW1)
     target = direct_sum(make_su(2), make_su(2)).complexify()
-    two = splitting_hom([(SU2C, TW1), (SU2C, TW1)], target, untwisted(target))
+    two = SplittingHom([(SU2C, TW1), (SU2C, TW1)], target, untwisted(target))
     assert (one.kernel_dimension(), two.kernel_dimension()) == (0, 1)
     original = SplittingHom.apply
 

@@ -1,0 +1,128 @@
+"""One truncation per real form and degree: osaka_verify builds each block
+basis and the type verdict once, and verify_cartan_relations brackets each
+unordered pair of K/P vectors once with the same verdict as the ordered
+K x K, K x P, P x P check."""
+from collections import Counter
+
+import pytest
+
+from kmalg import involution, osaka
+from kmalg.involution import (
+    CartanDecomposition,
+    EigenBlock,
+    InvolutionError,
+    RealFormDescriptor,
+    fixed_and_eigenspaces,
+    verify_cartan_relations,
+)
+from kmalg.kmext import hat_bracket
+from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
+from kmalg.scalars import I
+
+NAMES = [rec.name for rec in build_catalog_a1()]
+
+
+def _ordered_cartan_relations(dec):
+    """Reference: every ordered pair of K x K, K x P and P x P."""
+    rf, phi = dec.real_form, dec.involution
+    for left, right, sign in (
+        (dec.k_basis, dec.k_basis, 1),
+        (dec.k_basis, dec.p_basis, -1),
+        (dec.p_basis, dec.p_basis, 1),
+    ):
+        for x in left:
+            for y in right:
+                z = hat_bracket(x, y)
+                if z.is_zero():
+                    continue
+                if not rf.contains(z) or phi.apply(z) != (z if sign == 1 else -z):
+                    return False
+    return True
+
+
+def _decomposition(name, n_max=1):
+    rec = catalog_record(name)
+    return fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(n_max))
+
+
+def _move_one(dec, from_k):
+    """dec with the first vector of the first nonempty K (or P) block moved
+    to the other side."""
+    blocks = list(dec.blocks)
+    for i, b in enumerate(blocks):
+        source = b.k_basis if from_k else b.p_basis
+        if source:
+            moved, rest = source[0], source[1:]
+            blocks[i] = (EigenBlock(b.key, rest, b.p_basis + [moved]) if from_k
+                         else EigenBlock(b.key, b.k_basis + [moved], rest))
+            return CartanDecomposition(dec.real_form, dec.involution, dec.n_max, blocks)
+    raise AssertionError("no vector to move")
+
+
+def _first_k_times_i(dec):
+    """dec with its first K vector multiplied by i: still a +1 eigenvector
+    of the (linear) involution, but outside the real form."""
+    blocks = list(dec.blocks)
+    for i, b in enumerate(blocks):
+        if b.k_basis:
+            blocks[i] = EigenBlock(b.key, [b.k_basis[0].scale(I)] + b.k_basis[1:], b.p_basis)
+            return CartanDecomposition(dec.real_form, dec.involution, dec.n_max, blocks)
+    raise AssertionError("no K vector")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_cartan_relations_fail_on_a_wrong_split(name):
+    dec = _decomposition(name)
+    assert verify_cartan_relations(dec)
+    assert not verify_cartan_relations(_move_one(dec, from_k=True))
+    assert not verify_cartan_relations(_first_k_times_i(dec))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_cartan_relations_agree_with_ordered_pairs(name):
+    dec = _decomposition(name)
+    for candidate in (dec, _move_one(dec, from_k=True), _move_one(dec, from_k=False),
+                      _first_k_times_i(dec)):
+        assert verify_cartan_relations(candidate) == _ordered_cartan_relations(candidate)
+
+
+def test_cartan_relations_bracket_each_unordered_pair_once(monkeypatch):
+    dec = _decomposition("III[mu,mu]")
+    n = len(dec.k_basis) + len(dec.p_basis)
+    calls = Counter()
+
+    def counting_bracket(x, y):
+        calls[x, y] += 1
+        return hat_bracket(x, y)
+
+    monkeypatch.setattr(involution, "hat_bracket", counting_bracket)
+    assert verify_cartan_relations(dec)
+    assert sum(calls.values()) == n * (n + 1) // 2
+    assert set(calls.values()) == {1}
+
+
+def test_osaka_verify_builds_each_block_and_the_type_once(monkeypatch):
+    rec = catalog_record("III[mu,mu]")
+    calls = Counter()
+    block_basis, classify_type = RealFormDescriptor.block_basis, osaka.classify_type
+
+    def counting_block_basis(self, key):
+        calls["block_basis"] += 1
+        return block_basis(self, key)
+
+    def counting_classify_type(*args):
+        calls["classify_type"] += 1
+        return classify_type(*args)
+
+    monkeypatch.setattr(RealFormDescriptor, "block_basis", counting_block_basis)
+    monkeypatch.setattr(osaka, "classify_type", counting_classify_type)
+    report = osaka_verify(rec, 3)
+    assert report.all_passed
+    assert calls == {"block_basis": len(rec.real_form.block_keys(3)), "classify_type": 1}
+
+
+def test_verify_closed_rejects_another_forms_truncation():
+    a, b = catalog_record("I[mu,mu]").real_form, catalog_record("III[mu,mu]").real_form
+    assert a.verify_closed(a.truncate(1))
+    with pytest.raises(InvolutionError):
+        a.verify_closed(b.truncate(1))
