@@ -225,15 +225,11 @@ class RealFormDescriptor:
             raise InvolutionError("cd_scale must be 1 or i")
 
     # -- membership ------------------------------------------------------
-    def contains_loop(self, f: TwistedLoopElement) -> bool:
+    def contains(self, x: ExtendedElement) -> bool:
+        f = x.loop
         if f.algebra is not self.algebra or f.twist != self.twist:
             return False
-        if self.conj is None:
-            return True
-        return self.conj.apply_loop(f) == f
-
-    def contains(self, x: ExtendedElement) -> bool:
-        if not self.contains_loop(x.loop):
+        if self.conj is not None and self.conj.apply_loop(f) != f:
             return False
         if self.cd_scale is None:
             return True
@@ -515,14 +511,17 @@ def _canonical_scale(s: Scalar) -> Scalar:
     raise InvolutionError("cd reality lines must be real or imaginary")
 
 
-def dualize(dec: CartanDecomposition, name=None) -> DualForm:
-    """K + P -> K + iP with the dual involution k + ip -> k - ip.
+def dualize(rf: RealFormDescriptor, phi: InvolutionDescriptor, n_max: int = 1,
+            name=None) -> DualForm:
+    """K + P -> K + iP with the dual involution k + ip -> k - ip, where K
+    and P are the +1/-1 eigenspaces of phi on rf.
 
     The dual form's conjugation is (linear extension of phi) . theta; the
     dual involution is the linear-on-the-dual-form extension of theta. The
-    dual form is re-verified to be bracket-closed on the truncation.
+    dual form is re-verified to be bracket-closed on its truncation at
+    degree max(1, n_max). That phi preserves rf and squares to the identity
+    is not checked here; osaka_verify reports it as its involutive check.
     """
-    rf, phi = dec.real_form, dec.involution
     if rf.conj is None:
         raise InvolutionError("cannot dualize the full complex algebra")
     theta = rf.conj
@@ -545,6 +544,6 @@ def dualize(dec: CartanDecomposition, name=None) -> DualForm:
         epsilon=-1,
         reflect_time=True,
     )
-    if not dual_rf.verify_closed(dual_rf.truncate(max(1, dec.n_max))):
+    if not dual_rf.verify_closed(dual_rf.truncate(max(1, n_max))):
         raise InvolutionError("dual form is not closed under the bracket")
     return DualForm(dual_rf, rho_star)

@@ -155,19 +155,17 @@ def in_derived_algebra(x: ExtendedElement) -> bool:
 # -- ideals ----------------------------------------------------------------
 
 class GradedSubspace:
-    """Coefficient-block/degree-pattern subspace description.
+    """Coefficient-block subspace description.
 
-    Membership: loop coefficients supported on the given ideal blocks (and
-    inside the degree range when one is given), c component allowed iff
-    include_c, d component allowed iff include_d.
+    Membership: loop coefficients supported on the given ideal blocks, c
+    component allowed iff include_c, d component allowed iff include_d.
     """
 
-    def __init__(self, algebra, block_ids, include_c=False, include_d=False, degree_range=None):
+    def __init__(self, algebra, block_ids, include_c=False, include_d=False):
         self.algebra = algebra
         self.block_ids = tuple(block_ids)
         self.include_c = include_c
         self.include_d = include_d
-        self.degree_range = degree_range
         allowed = set()
         for b in block_ids:
             allowed.update(algebra.blocks[b].indices)
@@ -178,11 +176,7 @@ class GradedSubspace:
             return False
         if x.d and not self.include_d:
             return False
-        for k, vec in x.loop.terms.items():
-            if self.degree_range is not None:
-                lo, hi = self.degree_range
-                if not lo <= k <= hi:
-                    return False
+        for vec in x.loop.terms.values():
             for i, coeff in enumerate(vec):
                 if coeff and i not in self._allowed:
                     return False

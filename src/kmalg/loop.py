@@ -186,21 +186,14 @@ class Definiteness(Enum):
     DEGENERATE = "Degenerate"
 
 
-def killing_gram(basis, real_form=None):
+def killing_gram(basis):
     """Exact Gram matrix of loop_killing on a list of loop elements, plus a
     definiteness verdict from the exact signature.
 
     Entries must come out real; a non-real value means the basis does not
-    span a real subspace and raises NonRealPairingError. When a real-form
-    descriptor is supplied, membership of every basis element is checked
-    first. Degenerate (nonzero radical) takes precedence in the verdict.
+    span a real subspace and raises NonRealPairingError. Degenerate (nonzero
+    radical) takes precedence in the verdict.
     """
-    if real_form is not None:
-        for b in basis:
-            if not real_form.contains_loop(b):
-                raise NonRealPairingError(
-                    "basis element is not a member of the supplied real form"
-                )
     n = len(basis)
     gram = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):

@@ -351,8 +351,7 @@ def build_catalog_a1():
 
     # ---- types III and IV: exact duals of the compact records.
     for rec in list(records):
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(1))
-        dual = dualize(dec, name=_dual_form_name(rec.name))
+        dual = dualize(rec.real_form, rec.involution, 1, name=_dual_form_name(rec.name))
         records.append(OsakaRecord(
             name=rec.dual_name,
             real_form=dual.real_form,
@@ -467,8 +466,7 @@ def duality_pairing(catalog=None, n_max: int = 2) -> PairingReport:
     matches = {}
     double_ok = True
     for rec in catalog:
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(n_max))
-        dual = dualize(dec)
+        dual = dualize(rec.real_form, rec.involution, n_max)
         partner = by_name[rec.dual_name]
         same = (
             dual.real_form.conj == partner.real_form.conj
@@ -476,8 +474,7 @@ def duality_pairing(catalog=None, n_max: int = 2) -> PairingReport:
             and dual.involution.loop_map == partner.involution.loop_map
         )
         matches[rec.name] = same
-        ddec = fixed_and_eigenspaces(partner.involution, dual.real_form.truncate(n_max))
-        ddual = dualize(ddec)
+        ddual = dualize(dual.real_form, partner.involution, n_max)
         if not (
             ddual.real_form.conj == rec.real_form.conj
             and ddual.real_form.cd_scale == rec.real_form.cd_scale

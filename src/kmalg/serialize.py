@@ -75,6 +75,8 @@ def registry():
 
 def lookup_algebra(name: str, twist_order: int):
     reg = registry()
+    if type(twist_order) is not int:
+        raise SchemaError(f"twist order must be an integer, got {twist_order!r}")
     if name not in reg:
         raise SchemaError(f"unknown algebra {name!r}; known: {sorted(reg)}")
     algebra, twists = reg[name]
@@ -231,7 +233,12 @@ def record_from_json(obj):
     else:
         from .scalars import parse_scalar
 
-        cd_scale = parse_scalar(scale_text)
+        if not isinstance(scale_text, str):
+            raise SchemaError(f"form 'cd_scale' must be a scalar string, got {scale_text!r}")
+        try:
+            cd_scale = parse_scalar(scale_text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"bad form 'cd_scale' {scale_text!r}: {exc}") from exc
     try:
         form = RealFormDescriptor(
             name=form_spec.get("name", obj["name"] + " form"),
@@ -242,18 +249,35 @@ def record_from_json(obj):
     if not isinstance(obj["involution"], dict):
         raise SchemaError("record 'involution' must be an object")
     inv = involution_from_json({"schema": SCHEMA, **obj["involution"]}, algebra)
-    dims = {
-        key: tuple(val) for key, val in obj.get(
-            "expected_dims",
-            {"zero": (0, 0), "even_pair": (0, 0), "odd_pair": (0, 0), "cd": (0, 2)},
-        ).items()
-    }
+    try:
+        claimed = OsakaType(obj["claimed_type"])
+    except ValueError as exc:
+        raise SchemaError(f"bad 'claimed_type': {exc}") from exc
+    dims = _expected_dims(obj.get(
+        "expected_dims", {"zero": [0, 0], "even_pair": [0, 0], "odd_pair": [0, 0], "cd": [0, 2]}))
     return OsakaRecord(
         name=obj["name"], real_form=form, involution=inv,
-        claimed_type=OsakaType(obj["claimed_type"]),
+        claimed_type=claimed,
         expected_kp=ExpectedKP(inv.loop_map, dims),
         dual_name=obj.get("dual"),
     )
+
+
+def _expected_dims(spec):
+    """Per-block (K, P) dimensions of a record; every key a pair of
+    non-negative integers."""
+    if not isinstance(spec, dict):
+        raise SchemaError(f"'expected_dims' must be an object, got {spec!r}")
+    dims = {}
+    for key in ("zero", "even_pair", "odd_pair", "cd"):
+        pair = spec.get(key)
+        if not isinstance(pair, list) or len(pair) != 2 or any(
+                type(n) is not int or n < 0 for n in pair):
+            raise SchemaError(
+                f"'expected_dims' needs {key!r} as a pair of non-negative integers, got {pair!r}"
+            )
+        dims[key] = tuple(pair)
+    return dims
 
 
 # -- text rendering ------------------------------------------------------------

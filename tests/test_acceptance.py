@@ -368,10 +368,8 @@ def test_c09_duality():
     assert rep.double_dual_ok
     # explicit double-dual on every record's decomposition
     for rec in build_catalog_a1():
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(2))
-        dual = dualize(dec)
-        ddec = fixed_and_eigenspaces(dual.involution, dual.real_form.truncate(2))
-        ddual = dualize(ddec)
+        dual = dualize(rec.real_form, rec.involution, 2)
+        ddual = dualize(dual.real_form, dual.involution, 2)
         assert ddual.real_form.conj == rec.real_form.conj
         assert ddual.real_form.cd_scale == rec.real_form.cd_scale
         assert ddual.involution.loop_map == rec.involution.loop_map

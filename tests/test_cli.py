@@ -229,7 +229,13 @@ _INVOLUTION = _su2c_record()["involution"]
     {"involution": {**_INVOLUTION, "epsilon": "z"}},
     {"involution": {**_INVOLUTION, "epsilon": 0}},
     {"form": {"conj": {"matrix": [[["1", "0"]]], "index_sign": -1}}},
-], ids=["form-not-object", "epsilon-not-int", "epsilon-zero", "conj-1x1"])
+    {"claimed_type": "compact"},
+    {"form": {**_su2c_record()["form"], "cd_scale": "x"}},
+    {"expected_dims": {"zero": [3, 0]}},
+    {"twist_order": [1]},
+], ids=["form-not-object", "epsilon-not-int", "epsilon-zero", "conj-1x1",
+        "claimed-type-unknown", "cd-scale-not-scalar", "expected-dims-incomplete",
+        "twist-order-list"])
 def test_malformed_record_file_exits_schema(tmp_path, capsys, overrides):
     path = write_json(tmp_path, "record.json", _su2c_record(**overrides))
     code, out, err = run_cli(capsys, "osaka-verify", "--record", path, "--degree", "1")

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from kmalg import linalg
 from kmalg.scalars import Scalar
 
@@ -56,6 +58,50 @@ def test_signatures():
     assert linalg.symmetric_signature([[F(0), F(1)], [F(1), F(0)]]) == (1, 1, 0)
     assert linalg.symmetric_signature([[F(0), F(0)], [F(0), F(0)]]) == (0, 0, 2)
     assert linalg.symmetric_signature([[F(1), F(1)], [F(1), F(1)]]) == (1, 0, 1)
+
+
+nonzero = st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))
+sparse_rationals = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+)
+
+
+@st.composite
+def congruent_diagonals(draw):
+    """(S, (p + h, q + h, z)) with S = P^T D P: D block diagonal with p
+    positive, q negative and z zero entries and h hyperbolic blocks
+    [[0, c], [c, 0]] in a random order; P unit upper triangular with random
+    rational entries and its columns randomly permuted."""
+    p, q, z = (draw(st.integers(0, 5)) for _ in range(3))
+    h = draw(st.integers(0, (15 - p - q - z) // 2))
+    blocks = [[draw(nonzero)] for _ in range(p)] + [[-draw(nonzero)] for _ in range(q)]
+    blocks += [[Fraction(0)] for _ in range(z)] + [[Fraction(0), draw(nonzero)] for _ in range(h)]
+    blocks = draw(st.permutations(blocks))
+    n = p + q + z + 2 * h
+    d = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        if len(block) == 1:
+            d[at][at] = block[0]
+        else:
+            d[at][at + 1] = d[at + 1][at] = block[1]
+        at += len(block)
+    upper = [[Fraction(1) if i == j else draw(sparse_rationals) if i < j else Fraction(0)
+              for j in range(n)] for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    pm = [[row[c] for c in order] for row in upper]
+    dp = [[sum((d[i][t] * pm[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
+          for i in range(n)]
+    s = [[sum((pm[t][i] * dp[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
+         for i in range(n)]
+    return s, (p + h, q + h, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(congruent_diagonals())
+def test_signature_obeys_sylvesters_law(case):
+    s, expected = case
+    assert linalg.symmetric_signature(s) == expected
 
 
 def test_real_flatten_round_trip():

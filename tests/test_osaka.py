@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kmalg import osaka
 from kmalg.findim import direct_sum, make_su
 from kmalg.involution import (
     CoeffMap,
@@ -160,6 +161,23 @@ def test_duality_pairing_table():
     assert rep.double_dual_ok
     assert all(rep.matches.values())
     assert rep.all_passed
+
+
+def test_catalog_and_duality_take_no_eigenspace_split(monkeypatch):
+    """Dualizing reads the form and the involution only: building the
+    catalog and pairing it never split a truncation into K and P."""
+    calls = []
+
+    def counting_split(*args):
+        calls.append(args)
+        return fixed_and_eigenspaces(*args)
+
+    monkeypatch.setattr(osaka, "fixed_and_eigenspaces", counting_split)
+    monkeypatch.setattr(osaka, "_CATALOG_CACHE", {})
+    catalog = build_catalog_a1()
+    assert len(calls) == 0
+    assert duality_pairing(catalog).all_passed
+    assert len(calls) == 0
 
 
 def test_dual_names_are_involutive():
