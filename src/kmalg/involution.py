@@ -328,10 +328,25 @@ class RealFormDescriptor:
         return out
 
     def truncate(self, n_max: int) -> "Truncation":
-        """The degree-<=n_max truncation, every block basis computed once."""
-        return Truncation(self, n_max, tuple(
-            (key, self.block_basis(key)) for key in self.block_keys(n_max)
-        ))
+        """The degree-<=n_max truncation, every block basis computed once.
+
+        The equations of block (k, -k) depend on k only through (-1)^k and
+        i^{parity k}, so they repeat with period 4: for k > 4 the basis is
+        that of block (k - 4, 4 - k) with each exponent moved 4 further from
+        0. Only blocks (0,), (1, -1) .. (4, -4) and ("cd",) are solved.
+        """
+        blocks = {}
+        for key in self.block_keys(n_max):
+            if key[0] == "cd" or key[0] <= 4:
+                blocks[key] = self.block_basis(key)
+                continue
+            blocks[key] = [
+                ExtendedElement(TwistedLoopElement(self.algebra, self.twist, {
+                    k + (4 if k > 0 else -4): vec for k, vec in e.loop.terms.items()
+                }))
+                for e in blocks[(key[0] - 4, 4 - key[0])]
+            ]
+        return Truncation(self, n_max, tuple(blocks.items()))
 
     # -- closure -----------------------------------------------------------
     def verify_closed(self, truncation: "Truncation") -> bool:
@@ -411,20 +426,6 @@ def _combine(elements, coeffs):
     return total
 
 
-def express_in_basis(x: ExtendedElement, basis, degrees):
-    """Real coefficients of x in a basis of extended elements, or None.
-
-    Degrees outside the window make x inexpressible by definition.
-    """
-    window = set(degrees)
-    if any(k not in window for k in x.loop.terms):
-        return None
-    if not basis:
-        return [] if x.is_zero() else None
-    flat_basis = [real_coords(b, degrees) for b in basis]
-    return linalg.coords_in_span(flat_basis, real_coords(x, degrees))
-
-
 def fixed_and_eigenspaces(phi: InvolutionDescriptor,
                           truncation: Truncation) -> CartanDecomposition:
     """Exact +1/-1 eigenspace bases of phi on a truncation of a real form;
@@ -444,17 +445,20 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor,
                     f"{phi.name} does not preserve real form {rf.name} on block {key}"
                 )
             images.append(img)
-        coeff_rows = []
-        for img in images:
-            coords = express_in_basis(img, elems, degrees)
-            if coords is None:
-                raise PreservationError(
-                    f"image under {phi.name} left the {key} block of {rf.name}"
-                )
-            coeff_rows.append(coords)
+        left = PreservationError(f"image under {phi.name} left the {key} block of {rf.name}")
+        window = set(degrees)
+        if any(k not in window for img in images for k in img.loop.terms):
+            raise left
+        # one elimination on [block basis | images], real coordinates as rows
+        columns = [real_coords(x, degrees) for x in elems + images]
+        red, pivots = linalg.rref(list(zip(*columns)))
         n = len(elems)
-        # matrix of phi on the block: columns are images
-        m = [[coeff_rows[j][i] for j in range(n)] for i in range(n)]
+        if any(c >= n for c in pivots):
+            raise left
+        # matrix of phi on the block: column j holds the coordinates of image j
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for r, c in enumerate(pivots):
+            m[c] = red[r][n:]
         k_vecs = linalg.nullspace([[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)])
         p_vecs = linalg.nullspace([[m[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)])
         if len(k_vecs) + len(p_vecs) != n:

@@ -1,9 +1,11 @@
 """Exact dense linear algebra over Fraction or Scalar entries.
 
 Everything here is plain Gaussian elimination with exact division, no
-fraction-free tricks. Sizes are not small: `killing-gram --degree 60` signs
-726 x 726 Gram matrices, and one `osaka-catalog --degree 5` sends `rref`
-117854 cells. Matrices are lists of row lists; functions never mutate inputs.
+fraction-free tricks. Matrices stay small: `killing-gram` signs one Gram
+block per exponent class (at most 12 x 12 on the catalog forms, 61 blocks
+at degree 60) rather than the whole 726 x 726 Gram, and the eigen-split
+solves all images of a block in one `rref`. Matrices are lists of row lists;
+functions never mutate inputs.
 """
 from __future__ import annotations
 

@@ -190,14 +190,44 @@ def killing_gram(basis):
     """Exact Gram matrix of loop_killing on a list of loop elements, plus a
     definiteness verdict from the exact signature.
 
+    A degree-k coefficient pairs only with a degree -k one, so two elements
+    can pair nonzero only inside one exponent class: a class of the
+    union-find that joins the |k| of each element's support (elements with
+    no terms form one class). Only pairs inside a class are computed; the
+    returned n x n matrix is zero elsewhere. The signature is the sum of the
+    signatures of the class sub-matrices: grouping the basis by class is a
+    congruence, so by Sylvester's law of inertia the sum is the signature of
+    the whole matrix.
+
     Entries must come out real; a non-real value means the basis does not
-    span a real subspace and raises NonRealPairingError. Degenerate (nonzero
-    radical) takes precedence in the verdict.
+    span a real subspace and raises NonRealPairingError for the first such
+    (i, j), i <= j, in row-major order. Degenerate (nonzero radical) takes
+    precedence in the verdict.
     """
+    for f in basis:
+        basis[0]._require_match(f)
+    parent = {}
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for f in basis:
+        roots = [find(parent.setdefault(abs(k), abs(k))) for k in f.terms]
+        for r in roots:
+            parent[r] = roots[0]
+    label = [find(abs(next(iter(f.terms)))) if f.terms else None for f in basis]
+    classes = {}
+    for i, cls in enumerate(label):
+        classes.setdefault(cls, []).append(i)
     n = len(basis)
     gram = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
+        for j in classes[label[i]]:
+            if j < i:
+                continue
             v = loop_killing(basis[i], basis[j])
             if not v.is_real():
                 raise NonRealPairingError(f"pairing ({i},{j}) has value {v}")
@@ -205,7 +235,10 @@ def killing_gram(basis):
             gram[j][i] = v.re
     if n == 0:
         return gram, Definiteness.NEG_DEFINITE
-    pos, neg, zero = linalg.symmetric_signature(gram)
+    pos = neg = zero = 0
+    for members in classes.values():
+        p, q, z = linalg.symmetric_signature([[gram[i][j] for j in members] for i in members])
+        pos, neg, zero = pos + p, neg + q, zero + z
     if zero:
         verdict = Definiteness.DEGENERATE
     elif pos == n:

@@ -181,16 +181,31 @@ def _int_field(obj, key, default, allowed):
     return value
 
 
+def _bool_field(obj, key, default):
+    value = obj.get(key, default)
+    if type(value) is not bool:
+        raise SchemaError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _str_field(obj, key, default):
+    value = obj.get(key, default)
+    if not isinstance(value, str):
+        raise SchemaError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
 def involution_from_json(obj, algebra) -> InvolutionDescriptor:
     _check_schema(obj)
     rows = _square_matrix(obj.get("rho_plus"), "involution rho_plus", algebra.dim)
-    conj = bool(obj.get("conjugate_linear", False))
-    reflect = bool(obj.get("reflect_time", True))
+    conj = _bool_field(obj, "conjugate_linear", False)
+    reflect = _bool_field(obj, "reflect_time", True)
     eps = _int_field(obj, "epsilon", -1, (1, -1))
+    name = _str_field(obj, "name", "custom involution")
     s = (-1 if reflect else 1) * (-1 if conj else 1)
     try:
         return InvolutionDescriptor(
-            name=obj.get("name", "custom involution"),
+            name=name,
             loop_map=CoeffMap(rows, index_sign=s, conjugate=conj),
             epsilon=eps,
             reflect_time=reflect,
@@ -214,10 +229,12 @@ def record_from_json(obj):
     for key in ("name", "algebra", "twist_order", "form", "involution", "claimed_type"):
         if key not in obj:
             raise SchemaError(f"record missing {key!r}")
+    name = _str_field(obj, "name", None)
     algebra, twist = lookup_algebra(obj["algebra"], obj["twist_order"])
     form_spec = obj["form"]
     if not isinstance(form_spec, dict):
         raise SchemaError(f"record 'form' must be an object, got {form_spec!r}")
+    form_name = _str_field(form_spec, "name", name + " form")
     conj = None
     if form_spec.get("conj") is not None:
         cs = form_spec["conj"]
@@ -241,7 +258,7 @@ def record_from_json(obj):
             raise SchemaError(f"bad form 'cd_scale' {scale_text!r}: {exc}") from exc
     try:
         form = RealFormDescriptor(
-            name=form_spec.get("name", obj["name"] + " form"),
+            name=form_name,
             algebra=algebra, twist=twist, conj=conj, cd_scale=cd_scale,
         )
     except InvolutionError as exc:
@@ -255,11 +272,14 @@ def record_from_json(obj):
         raise SchemaError(f"bad 'claimed_type': {exc}") from exc
     dims = _expected_dims(obj.get(
         "expected_dims", {"zero": [0, 0], "even_pair": [0, 0], "odd_pair": [0, 0], "cd": [0, 2]}))
+    dual = obj.get("dual")
+    if dual is not None and not isinstance(dual, str):
+        raise SchemaError(f"'dual' must be a string, got {dual!r}")
     return OsakaRecord(
-        name=obj["name"], real_form=form, involution=inv,
+        name=name, real_form=form, involution=inv,
         claimed_type=claimed,
         expected_kp=ExpectedKP(inv.loop_map, dims),
-        dual_name=obj.get("dual"),
+        dual_name=dual,
     )
 
 

@@ -233,9 +233,17 @@ _INVOLUTION = _su2c_record()["involution"]
     {"form": {**_su2c_record()["form"], "cd_scale": "x"}},
     {"expected_dims": {"zero": [3, 0]}},
     {"twist_order": [1]},
+    {"name": 5},
+    {"form": {**_su2c_record()["form"], "name": 5}},
+    {"involution": {**_INVOLUTION, "name": ["x"]}},
+    {"dual": 5},
+    {"involution": {**_INVOLUTION, "reflect_time": "no"}},
+    {"involution": {**_INVOLUTION, "conjugate_linear": 0}},
 ], ids=["form-not-object", "epsilon-not-int", "epsilon-zero", "conj-1x1",
         "claimed-type-unknown", "cd-scale-not-scalar", "expected-dims-incomplete",
-        "twist-order-list"])
+        "twist-order-list", "name-not-string", "form-name-not-string",
+        "involution-name-not-string", "dual-not-string", "reflect-time-string",
+        "conjugate-linear-int"])
 def test_malformed_record_file_exits_schema(tmp_path, capsys, overrides):
     path = write_json(tmp_path, "record.json", _su2c_record(**overrides))
     code, out, err = run_cli(capsys, "osaka-verify", "--record", path, "--degree", "1")

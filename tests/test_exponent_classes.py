@@ -1,0 +1,276 @@
+"""Work proportional to what differs: killing_gram pairs only elements whose
+exponents meet, truncate solves each period-4 block class once, and
+fixed_and_eigenspaces reads the matrix of an involution off one elimination
+per block. Each is checked against a reference written here."""
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kmalg import linalg, loop, serialize
+from kmalg.involution import (
+    CoeffMap,
+    InvolutionDescriptor,
+    InvolutionError,
+    RealFormDescriptor,
+    _combine,
+    fixed_and_eigenspaces,
+)
+from kmalg.kmext import real_coords
+from kmalg.loop import (
+    Definiteness,
+    MismatchError,
+    NonRealPairingError,
+    TwistedLoopElement,
+    killing_gram,
+    loop_killing,
+    loop_monomial,
+    untwisted,
+    zero_loop,
+)
+from kmalg.osaka import (
+    build_catalog_a1,
+    catalog_record,
+    complex_conjugation_counterexample,
+    euclidean_osaka,
+)
+from kmalg.scalars import Scalar
+
+# -- killing_gram against all pairs ---------------------------------------------
+
+SU2C, _ = serialize.lookup_algebra("su2c", 1)
+SL2C, _ = serialize.lookup_algebra("sl2c", 1)
+
+
+def _all_pairs_gram(basis):
+    """Reference: every pair i <= j in row-major order, then the signature
+    of the whole matrix."""
+    n = len(basis)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = loop_killing(basis[i], basis[j])
+            if not v.is_real():
+                raise NonRealPairingError(f"pairing ({i},{j}) has value {v}")
+            gram[i][j] = gram[j][i] = v.re
+    if n == 0:
+        return gram, Definiteness.NEG_DEFINITE
+    pos, neg, zero = linalg.symmetric_signature(gram)
+    if zero:
+        return gram, Definiteness.DEGENERATE
+    if pos == n:
+        return gram, Definiteness.POS_DEFINITE
+    if neg == n:
+        return gram, Definiteness.NEG_DEFINITE
+    return gram, Definiteness.INDEFINITE
+
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+coefficients = st.one_of(st.just(Scalar(0)), st.builds(Scalar, rationals))
+
+
+@st.composite
+def loop_bases(draw):
+    """Up to 12 elements on one untwisted algebra, each with 1-3 of the
+    exponent pairs {k, -k}, |k| <= 3, so some elements bridge exponent
+    classes and k = 0 occurs. Either a_{-k} = conj(a_k), as in the compact
+    form of su2c (definite or degenerate Grams), or the coefficients at k
+    and -k are drawn apart, either one possibly absent. About one element in
+    twenty is multiplied by i, and a quarter of the bases hold a zero
+    element."""
+    algebra = draw(st.sampled_from([SU2C, SL2C]))
+    twist = untwisted(algebra)
+    compact = draw(st.booleans())
+    basis = []
+    for _ in range(draw(st.integers(0, 12))):
+        terms = {}
+        for k in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+            if compact:
+                vec = tuple(Scalar(draw(rationals), draw(rationals) if k else 0)
+                            for _ in range(algebra.dim))
+                terms[k] = vec
+                terms[-k] = tuple(c.conjugate() for c in vec)
+            else:
+                for exponent in draw(st.sampled_from([(k,), (-k,), (k, -k)])):
+                    terms[exponent] = tuple(draw(coefficients) for _ in range(algebra.dim))
+        f = TwistedLoopElement(algebra, twist, terms)
+        # an occasional element times i pairs non-real with the real ones
+        basis.append(f.scale(Scalar(0, 1)) if draw(st.integers(0, 19)) == 0 else f)
+    if draw(st.integers(0, 3)) == 0:
+        basis.insert(draw(st.integers(0, len(basis))), zero_loop(algebra, twist))
+    return basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_bases())
+def test_killing_gram_matches_all_pairs(basis):
+    try:
+        expected = _all_pairs_gram(basis)
+    except NonRealPairingError as exc:
+        with pytest.raises(NonRealPairingError) as got:
+            killing_gram(basis)
+        assert str(got.value) == str(exc)
+        return
+    assert killing_gram(basis) == expected
+
+
+def test_killing_gram_pairs_only_within_classes(monkeypatch):
+    basis = catalog_record("II").real_form.truncate(6).loops
+    calls = Counter()
+
+    def counting_loop_killing(f, g):
+        calls["pairs"] += 1
+        return loop_killing(f, g)
+
+    monkeypatch.setattr(loop, "loop_killing", counting_loop_killing)
+    _, verdict = killing_gram(basis)
+    assert verdict == Definiteness.NEG_DEFINITE
+    sizes = Counter(frozenset(abs(k) for k in f.terms) for f in basis)
+    assert calls["pairs"] == sum(s * (s + 1) // 2 for s in sizes.values())
+
+
+def test_killing_gram_names_the_first_non_real_pair_in_row_major_order():
+    # classes {|k| = 1}: 0, 3, 4 and {|k| = 2}: 1, 2; pairs (1, 2) and (3, 4)
+    # are non-real, (0, 3) and (0, 4) vanish since B(X, Y) = 0
+    tw = untwisted(SU2C)
+    x, y = (Scalar(1), Scalar(0), Scalar(0)), (Scalar(0), Scalar(1), Scalar(0))
+
+    def pair(k, vec):
+        return TwistedLoopElement(SU2C, tw, {k: vec, -k: vec})
+
+    i = Scalar(0, 1)
+    basis = [pair(1, x), pair(2, x), pair(2, x).scale(i), pair(1, y), pair(1, y).scale(i)]
+    with pytest.raises(NonRealPairingError, match=r"pairing \(1,2\)"):
+        killing_gram(basis)
+    with pytest.raises(NonRealPairingError, match=r"pairing \(1,2\)"):
+        _all_pairs_gram(basis)
+
+
+def test_killing_gram_rejects_a_mismatch_in_another_class():
+    x = (Scalar(1), Scalar(0), Scalar(0))
+    f = loop_monomial(SU2C, untwisted(SU2C), 1, x)
+    for other in (loop_monomial(SL2C, untwisted(SL2C), 2, x), zero_loop(SL2C, untwisted(SL2C))):
+        with pytest.raises(MismatchError):
+            killing_gram([f, other])
+
+
+# -- period-4 blocks ------------------------------------------------------------
+
+PERIOD_FORMS = [
+    (alg, order, sign, parity)
+    for alg, order in (("su2c", 1), ("su2c", 2), ("sl2c", 2), ("su2su2c", 1))
+    for sign in (1, -1)
+    for parity in range(4)
+]
+
+
+@pytest.mark.parametrize("alg,order,sign,parity", PERIOD_FORMS)
+def test_truncate_blocks_equal_direct_block_bases(alg, order, sign, parity):
+    algebra, twist = serialize.lookup_algebra(alg, order)
+    conj = CoeffMap(CoeffMap.identity(algebra.dim).matrix, index_sign=sign, conjugate=True,
+                    parity=parity)
+    rf = RealFormDescriptor(name="period test", algebra=algebra, twist=twist, conj=conj)
+    assert rf.truncate(12).blocks == tuple(
+        (key, rf.block_basis(key)) for key in rf.block_keys(12)
+    )
+
+
+def test_truncate_solves_only_the_first_period(monkeypatch):
+    rf = catalog_record("I[Id,mu]").real_form
+    calls = Counter()
+    block_basis = RealFormDescriptor.block_basis
+
+    def counting_block_basis(self, key):
+        calls[key] += 1
+        return block_basis(self, key)
+
+    monkeypatch.setattr(RealFormDescriptor, "block_basis", counting_block_basis)
+    truncation = rf.truncate(60)
+    assert sum(calls.values()) == len(rf.block_keys(4))
+    assert [key for key, _ in truncation.blocks] == rf.block_keys(60)
+
+
+# -- one elimination per eigen-split block ----------------------------------------
+
+
+def _per_image_split(phi, truncation):
+    """Reference: the eigen-split with each image solved on its own by
+    linalg.coords_in_span; returns (key, K, P) triples or the exception."""
+    rf = truncation.real_form
+    out = []
+    for key, elems in truncation.blocks:
+        if not elems:
+            out.append((key, [], []))
+            continue
+        degrees = [0] if key == ("cd",) else sorted(set(key))
+        images = [phi.apply(e) for e in elems]
+        if not all(rf.contains(img) for img in images):
+            return "PreservationError"
+        flat = [real_coords(e, degrees) for e in elems]
+        coords = []
+        for img in images:
+            c = None
+            if all(k in degrees for k in img.loop.terms):
+                c = linalg.coords_in_span(flat, real_coords(img, degrees))
+            if c is None:
+                return "PreservationError"
+            coords.append(c)
+        n = len(elems)
+        m = [[coords[j][i] for j in range(n)] for i in range(n)]
+        k_vecs = linalg.nullspace([[m[i][j] - (i == j) for j in range(n)] for i in range(n)])
+        p_vecs = linalg.nullspace([[m[i][j] + (i == j) for j in range(n)] for i in range(n)])
+        if len(k_vecs) + len(p_vecs) != n:
+            return "InvolutionError"
+        out.append((key, [_combine(elems, v) for v in k_vecs],
+                    [_combine(elems, v) for v in p_vecs]))
+    return out
+
+
+SPLIT_RECORDS = build_catalog_a1() + [euclidean_osaka(), complex_conjugation_counterexample()]
+_BY_ALGEBRA = {}
+for _rec in SPLIT_RECORDS:
+    _BY_ALGEBRA.setdefault(id(_rec.real_form.algebra), []).append(_rec.involution)
+
+
+@st.composite
+def split_cases(draw):
+    """A record's form, a truncation degree and a map built from one or two
+    involutions acting on the same algebra, scaled by 1, -1, 2 or i and
+    possibly conjugated by a real unipotent g (g phi g^-1 has a non-symmetric
+    matrix on the blocks): some preserve the form and square to the
+    identity, some do neither."""
+    rec = draw(st.sampled_from(SPLIT_RECORDS))
+    rf = rec.real_form
+    pool = _BY_ALGEBRA[id(rf.algebra)]
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+    loop_map = factors[0].loop_map
+    epsilon = factors[0].epsilon
+    for phi in factors[1:]:
+        loop_map = loop_map.compose(phi.loop_map)
+        epsilon *= phi.epsilon
+    scale = draw(st.sampled_from([1, -1, 2, Scalar(0, 1)]))
+    loop_map = CoeffMap([[x * scale for x in row] for row in loop_map.matrix],
+                        loop_map.index_sign, loop_map.conjugate, loop_map.parity)
+    dim = rf.algebra.dim
+    a, b = draw(st.permutations(range(dim)))[:2] if dim > 1 else (0, 0)
+    t = draw(st.sampled_from([0, 1, -2])) if dim > 1 else 0
+    g, g_inv = ([[Scalar(1 if i == j else c if (i, j) == (a, b) else 0) for j in range(dim)]
+                 for i in range(dim)] for c in (t, -t))
+    loop_map = CoeffMap(g).compose(loop_map).compose(CoeffMap(g_inv))
+    phi = InvolutionDescriptor(name="candidate", loop_map=loop_map, epsilon=epsilon,
+                               reflect_time=epsilon == -1)
+    return phi, rf.truncate(draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_cases())
+def test_eigen_split_matches_per_image_solves(case):
+    phi, truncation = case
+    expected = _per_image_split(phi, truncation)
+    try:
+        dec = fixed_and_eigenspaces(phi, truncation)
+    except InvolutionError as exc:
+        assert type(exc).__name__ == expected
+        return
+    assert [(b.key, b.k_basis, b.p_basis) for b in dec.blocks] == expected
