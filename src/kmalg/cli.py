@@ -4,7 +4,8 @@ versioned JSON reports with exact scalar strings.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad parameters
 (unknown record or form, negative degree or trial count, degree 0 for
-OSAKA verification), 3 input file could not be parsed, 4 schema violation.
+OSAKA verification), 3 input file could not be parsed or the report could
+not be written (an unwritable --out or a closed stdout), 4 schema violation.
 """
 from __future__ import annotations
 
@@ -66,12 +67,30 @@ def _catalog_record(name):
 
 
 def _emit(report, out_path):
+    """Write the report to out_path, or else to stdout. An unwritable
+    out_path or stdout raises CliError (exit 3); a stdout closed by its
+    reader returns False, as there is no one left to tell."""
     text = json.dumps(report, indent=2, ensure_ascii=False, sort_keys=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc}", EXIT_PARSE) from exc
+        return True
+    try:
         print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return False
+        raise CliError(f"cannot write stdout: {exc}", EXIT_PARSE) from exc
+    return True
 
 
 def _base_report(command, **params):
@@ -323,14 +342,16 @@ def run(argv=None) -> int:
     start = time.monotonic()
     try:
         report, ok = args.func(args)
+        report["timing_ms"] = round(1000 * (time.monotonic() - start), 3)
+        written = _emit(report, getattr(args, "out", None))
     except CliError as exc:
         print(json.dumps({"schema": serialize.SCHEMA, "error": str(exc)}), file=sys.stderr)
         return exc.code
     except serialize.SchemaError as exc:
         print(json.dumps({"schema": serialize.SCHEMA, "error": str(exc)}), file=sys.stderr)
         return EXIT_SCHEMA
-    report["timing_ms"] = round(1000 * (time.monotonic() - start), 3)
-    _emit(report, getattr(args, "out", None))
+    if not written:
+        return EXIT_PARSE
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import linalg
 from .findim import (
@@ -226,6 +225,10 @@ class RealFormDescriptor:
 
     # -- membership ------------------------------------------------------
     def contains(self, x: ExtendedElement) -> bool:
+        """Whether x lies in the form: its loop part is fixed by conj, and c
+        and d lie on the line cd_scale * R. As cd_scale is 1 or i, c / 1 is
+        real iff c.im == 0 and c / i is real iff c.re == 0, so no division
+        is needed."""
         f = x.loop
         if f.algebra is not self.algebra or f.twist != self.twist:
             return False
@@ -233,10 +236,9 @@ class RealFormDescriptor:
             return False
         if self.cd_scale is None:
             return True
-        for coeff in (x.c, x.d):
-            if (coeff / self.cd_scale).im:
-                return False
-        return True
+        if self.cd_scale == ONE:
+            return not x.c.im and not x.d.im
+        return not x.c.re and not x.d.re
 
     # -- truncated bases ---------------------------------------------------
     def block_keys(self, n_max: int):
@@ -263,8 +265,8 @@ class RealFormDescriptor:
 
         def add_complex_rows(coeff_rows):
             # coeff_rows: list of (degree, jcoord, Scalar multiplier) equations == 0
-            re_row = [Fraction(0)] * nvar
-            im_row = [Fraction(0)] * nvar
+            re_row = [0] * nvar
+            im_row = [0] * nvar
             for deg, j, mult in coeff_rows:
                 base = 2 * dim * pos[deg]
                 re_row[base + j] += mult.re
@@ -295,8 +297,8 @@ class RealFormDescriptor:
                     # i^{pk} M conj(a_src) - a_k = 0 componentwise; conj of the
                     # source splits re/im with a sign, handled by writing the
                     # equation on (re, im) directly.
-                    re_row = [Fraction(0)] * nvar
-                    im_row = [Fraction(0)] * nvar
+                    re_row = [0] * nvar
+                    im_row = [0] * nvar
                     base_s = 2 * dim * pos[src]
                     for j, _, x in self.conj.sparse[i]:
                         m = f * x
@@ -314,7 +316,7 @@ class RealFormDescriptor:
                     if any(im_row):
                         rows.append(im_row)
         null = linalg.nullspace(rows) if rows else [
-            [Fraction(1) if t == s_ else Fraction(0) for t in range(nvar)] for s_ in range(nvar)
+            [1 if t == s_ else 0 for t in range(nvar)] for s_ in range(nvar)
         ]
         out = []
         for v in null:
@@ -456,7 +458,7 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor,
         if any(c >= n for c in pivots):
             raise left
         # matrix of phi on the block: column j holds the coordinates of image j
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for r, c in enumerate(pivots):
             m[c] = red[r][n:]
         k_vecs = linalg.nullspace([[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)])

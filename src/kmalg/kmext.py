@@ -13,7 +13,6 @@ integral form is the one used by the bracket.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
@@ -25,7 +24,7 @@ from .loop import (
     twist_eigenbasis,
     zero_loop,
 )
-from .scalars import I, Scalar, ZERO
+from .scalars import I, Scalar, ZERO, exact_div
 
 
 class ExtendedElement:
@@ -97,7 +96,7 @@ def cocycle(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:
     for k, ak in f.terms.items():
         bmk = g.terms.get(-k)
         if bmk is not None and k:
-            total = total + Scalar(0, Fraction(-k, m)) * alg.killing(ak, bmk)
+            total = total + Scalar(0, exact_div(-k, m)) * alg.killing(ak, bmk)
     return total
 
 

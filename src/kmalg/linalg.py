@@ -1,17 +1,16 @@
-"""Exact dense linear algebra over Fraction or Scalar entries.
+"""Exact dense linear algebra over int, Fraction or Scalar entries.
 
 Everything here is plain Gaussian elimination with exact division, no
-fraction-free tricks. Matrices stay small: `killing-gram` signs one Gram
-block per exponent class (at most 12 x 12 on the catalog forms, 61 blocks
-at degree 60) rather than the whole 726 x 726 Gram, and the eigen-split
-solves all images of a block in one `rref`. Matrices are lists of row lists;
-functions never mutate inputs.
+fraction-free tricks. Every division goes through `scalars.exact_div`, so
+two int entries divide to an int or a Fraction, never to a float. Matrices
+stay small: `killing-gram` signs one Gram block per exponent class (at most
+12 x 12 on the catalog forms, 61 blocks at degree 60) rather than the whole
+726 x 726 Gram, and the eigen-split solves all images of a block in one
+`rref`. Matrices are lists of row lists; functions never mutate inputs.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import Scalar
+from .scalars import Scalar, exact_div
 
 
 def _clone(rows):
@@ -32,7 +31,7 @@ def rref(rows):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        m[r] = [exact_div(x, pv) for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
@@ -102,7 +101,7 @@ def determinant(rows):
     """Exact determinant by fraction Gaussian elimination."""
     n = len(rows)
     if n == 0:
-        return Fraction(1)
+        return 1
     m = _clone(rows)
     det = _zero_like(m[0][0]) + 1
     for c in range(n):
@@ -117,7 +116,7 @@ def determinant(rows):
         pv = m[c][c]
         for i in range(c + 1, n):
             if m[i][c]:
-                f = m[i][c] / pv
+                f = exact_div(m[i][c], pv)
                 m[i] = [a - f * b for a, b in zip(m[i], inv_rows)]
     return det
 
@@ -163,7 +162,7 @@ def symmetric_signature(rows):
         for row in live:
             f = row.pop(idx)
             if f:
-                f = f / d
+                f = exact_div(f, d)
                 row[:] = [a - f * b for a, b in zip(row, pivot_row)]
     return pos, neg, 0
 
@@ -171,7 +170,7 @@ def symmetric_signature(rows):
 def _zero_like(x):
     if isinstance(x, Scalar):
         return Scalar(0)
-    return Fraction(0)
+    return 0
 
 
 # -- real flattening of complex vectors --------------------------------

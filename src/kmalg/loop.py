@@ -10,11 +10,10 @@ Fourier coefficient of the pointwise Killing pairing (normalized by 1/2pi).
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from . import linalg
 from .findim import FiniteAutomorphism, FiniteLieAlgebra, identity_automorphism
-from .scalars import Scalar, ZERO
+from .scalars import Scalar, ZERO, exact_div
 
 
 class LoopError(ValueError):
@@ -161,7 +160,7 @@ def loop_derivative(f: TwistedLoopElement) -> TwistedLoopElement:
     out = {}
     for k, vec in f.terms.items():
         if k:
-            factor = Scalar(0, Fraction(k, m))
+            factor = Scalar(0, exact_div(k, m))
             out[k] = tuple(factor * c for c in vec)
     return TwistedLoopElement(f.algebra, f.twist, out, validate=False)
 
@@ -223,7 +222,7 @@ def killing_gram(basis):
     for i, cls in enumerate(label):
         classes.setdefault(cls, []).append(i)
     n = len(basis)
-    gram = [[Fraction(0)] * n for _ in range(n)]
+    gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in classes[label[i]]:
             if j < i:

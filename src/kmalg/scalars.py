@@ -2,6 +2,13 @@
 
 All arithmetic in this package runs over Q(i) so that every equality test,
 rank computation and sign verdict is exact. Scalars are immutable.
+
+Each part is stored as an ``int`` when its denominator is 1 and as a
+``Fraction`` otherwise, so products of Gaussian integers (nearly all of the
+structure-constant arithmetic) never pay for a gcd. ``Scalar`` accepts only
+``int``, ``bool`` and ``Fraction`` parts and raises ``TypeError`` on anything
+else, floats included. Python's ``int / int`` is a float, so every division
+of rationals in the package goes through ``exact_div``.
 """
 from __future__ import annotations
 
@@ -10,14 +17,39 @@ from fractions import Fraction
 _Rat = (int, Fraction)
 
 
+def _canonical_part(x):
+    """x as a canonical part: int when its denominator is 1, else Fraction.
+
+    Raises TypeError unless x is an int (bool included) or a Fraction.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"Scalar parts must be int or Fraction, got {type(x).__name__}")
+
+
+def exact_div(a, b):
+    """a / b with no float ever: two rationals give a canonical part (an int
+    when the quotient is integral, else a Fraction); a Scalar operand divides
+    as a Scalar."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q if isinstance(q, Scalar) else _canonical_part(q)
+
+
 class Scalar:
     """A complex number re + im*i with re, im in Q. Immutable, hashable."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        _set_re(self, re if type(re) is int else _canonical_part(re))
+        _set_im(self, im if type(im) is int else _canonical_part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -34,17 +66,19 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -57,10 +91,17 @@ class Scalar:
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
+        # A real factor (structure constants, most random parts) skips the
+        # cross terms, which would multiply by an exact zero.
+        if not d:
+            return Scalar(a * c, b * c)
+        if not b:
+            return Scalar(a * c, a * d)
         return Scalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -73,7 +114,7 @@ class Scalar:
         if not n:
             raise ZeroDivisionError("division by zero Scalar")
         a, b, c, d = self.re, self.im, other.re, -other.im
-        return Scalar((a * c - b * d) / n, (a * d + b * c) / n)
+        return Scalar(exact_div(a * c - b * d, n), exact_div(a * d + b * c, n))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -86,9 +127,10 @@ class Scalar:
 
     # -- comparison ----------------------------------------------------
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -99,6 +141,10 @@ class Scalar:
 
     def __str__(self):
         return render_scalar(self)
+
+
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
 
 
 def _coerce(x):

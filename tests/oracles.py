@@ -119,3 +119,15 @@ def leading_minors_oracle(rows):
         bareiss_determinant([row[: k + 1] for row in rows[: k + 1]])
         for k in range(len(rows))
     ]
+
+
+# -- the Fraction-only scalar representation --------------------------------
+
+def fraction_backed(re, im=0) -> Scalar:
+    """A Scalar whose parts are stored as Fraction even when integral, the
+    way every Scalar was stored before parts became int-first. It is built
+    around the constructor, which would store integral parts as int."""
+    s = object.__new__(Scalar)
+    Scalar.re.__set__(s, Fraction(re))
+    Scalar.im.__set__(s, Fraction(im))
+    return s

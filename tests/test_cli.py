@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -339,3 +342,47 @@ def test_render_parse_round_trip_on_random_elements():
             assert serialize.parse_element(text, alg, tw) == x
             as_json = serialize.extended_to_json(x)
             assert serialize.extended_from_json(json.loads(json.dumps(as_json))) == x
+
+
+def test_unwritable_out_file_exits_parse(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run_cli(capsys, "counts", "--out", str(target))
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "Traceback" not in err
+    error = json.loads(err)
+    assert set(error) == {"schema", "error"}
+    assert str(target) in error["error"]
+
+
+def _cli_subprocess(stdout, *argv):
+    """Run the CLI in a fresh interpreter on the kmalg package under test."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "kmalg.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+
+
+def test_closed_stdout_pipe_exits_parse_silently():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        proc = _cli_subprocess(write_end, "counts")
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stderr == b""
+
+
+def test_full_stdout_exits_parse_with_json_error():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    with open("/dev/full", "wb") as full:
+        proc = _cli_subprocess(full, "counts")
+    assert proc.returncode == cli.EXIT_PARSE
+    err = proc.stderr.decode("utf-8")
+    assert "Traceback" not in err
+    assert set(json.loads(err)) == {"schema", "error"}

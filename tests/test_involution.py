@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmalg.findim import (
     automorphism_from_order,
@@ -394,3 +397,36 @@ def test_ad_formula_is_conjugate_representative():
 
 def _inverse_rotation():
     return CoeffMap(mat([[1, 0, 0], [0, 0, 1], [0, -1, 0]]))
+
+
+# -- membership of c and d without division -----------------------------------
+
+_rationals = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+_cd_coeffs = st.one_of(_rationals, st.builds(Scalar, _rationals, _rationals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([ONE, I, None]),
+    st.sampled_from([(ID_R, ID_R), (ID_R, MU_R)]),
+    st.integers(0, 10_000),
+    st.booleans(),
+    _cd_coeffs,
+    _cd_coeffs,
+)
+def test_contains_matches_division_rule(cd_scale, invariants, seed, symmetrize, c, d):
+    twist = involution_from_invariants(*invariants)[2]
+    theta = CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1, conjugate=True)
+    rf = RealFormDescriptor(name="compact", algebra=SU2C, twist=twist, conj=theta,
+                            cd_scale=cd_scale)
+    loop = random_extended_element(SU2C, twist, TrialRng("contains", seed), max_degree=3).loop
+    if symmetrize:
+        loop = loop + theta.apply_loop(loop)
+    x = ExtendedElement(loop, c, d)
+    expected = theta.apply_loop(loop) == loop and (
+        cd_scale is None or all(not (coeff / cd_scale).im for coeff in (x.c, x.d))
+    )
+    assert rf.contains(x) == expected

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from kmalg import linalg
 from kmalg.scalars import Scalar
 
-from oracles import bareiss_determinant
+from oracles import bareiss_determinant, fraction_backed
 
 F = Fraction
 
@@ -115,3 +115,116 @@ def test_coords_in_real_span():
     assert linalg.coords_in_real_span([v], v) == [F(1)]
     iv = (Scalar(0, 1), Scalar(-1))
     assert linalg.coords_in_real_span([v], iv) is None
+
+
+# -- exact division: no float on int, Fraction or Scalar entries ---------------
+
+small_ints = st.integers(-3, 3)
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+gaussian = st.builds(Scalar, st.one_of(small_ints, small_fractions),
+                     st.one_of(small_ints, small_fractions))
+ENTRIES = {"int": small_ints, "Fraction": small_fractions, "Scalar": gaussian}
+
+
+@st.composite
+def matrices(draw, square=False, symmetric=False, kinds=("int", "Fraction", "Scalar")):
+    entry = ENTRIES[draw(st.sampled_from(kinds))]
+    n = draw(st.integers(1, 5))
+    ncols = n if square or symmetric else draw(st.integers(1, 6))
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(n)]
+    if symmetric:
+        for i in range(n):
+            for j in range(i):
+                m[i][j] = m[j][i]
+    return m
+
+
+def _exact(value):
+    """Whether value (a result of linalg, possibly nested) holds no float:
+    rationals are int or Fraction, Scalar parts are canonical."""
+    if isinstance(value, (list, tuple)):
+        return all(_exact(v) for v in value)
+    if isinstance(value, Scalar):
+        return all(type(p) is int or (type(p) is Fraction and p.denominator != 1)
+                   for p in (value.re, value.im))
+    return value is None or type(value) in (int, Fraction)
+
+
+def _reference(m):
+    """The same matrix in the Fraction-only representation: rational entries
+    as Fraction, Scalar entries with Fraction parts."""
+    def conv(x):
+        if isinstance(x, Scalar):
+            return fraction_backed(x.re, x.im)
+        return Fraction(x)
+    return [[conv(x) for x in row] for row in m]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_rank_nullspace_exact(m):
+    red, pivots = linalg.rref(m)
+    assert _exact(red)
+    assert (red, pivots) == linalg.rref(_reference(m))
+    null = linalg.nullspace(m)
+    assert _exact(null)
+    assert null == linalg.nullspace(_reference(m))
+    for v in null:
+        assert all(not sum((a * x for a, x in zip(row, v)), 0 * v[0]) for row in m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_solve_exact(m, data):
+    entry = ENTRIES["Scalar" if isinstance(m[0][0], Scalar) else "int"]
+    b = [data.draw(entry) for _ in m]
+    x = linalg.solve(m, b)
+    assert _exact(x)
+    assert x == linalg.solve(_reference(m), _reference([b])[0])
+    if x is not None:
+        for row, bv in zip(m, b):
+            assert sum((a * xv for a, xv in zip(row, x)), 0 * bv) == bv
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True))
+def test_determinant_exact(m):
+    det = linalg.determinant(m)
+    assert _exact(det)
+    assert det == linalg.determinant(_reference(m))
+    if not isinstance(m[0][0], Scalar):
+        assert det == bareiss_determinant(_reference(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(symmetric=True, kinds=("int", "Fraction")))
+def test_symmetric_signature_matches_fraction_reference(m):
+    sig = linalg.symmetric_signature(m)
+    assert sig == linalg.symmetric_signature(_reference(m))
+    assert sum(sig) == len(m)
+
+
+@st.composite
+def integer_congruent_diagonals(draw):
+    """(S, signature) with S = P^T D P an int matrix: D diagonal with
+    entries in -3..3 and P unit upper triangular with int entries, its
+    columns permuted. Eliminating S divides ints by ints, and any inexact
+    quotient leaves a residue where the Schur complement must be zero."""
+    n = draw(st.integers(1, 7))
+    d = [draw(st.integers(-3, 3)) for _ in range(n)]
+    upper = [[1 if i == j else draw(st.integers(-2, 2)) if i < j else 0 for j in range(n)]
+             for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    pm = [[row[c] for c in order] for row in upper]
+    s = [[sum(pm[t][i] * d[t] * pm[t][j] for t in range(n)) for j in range(n)]
+         for i in range(n)]
+    expected = (sum(x > 0 for x in d), sum(x < 0 for x in d), sum(x == 0 for x in d))
+    return s, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_congruent_diagonals())
+def test_signature_on_int_matrices_is_exact(case):
+    s, expected = case
+    assert all(type(x) is int for row in s for x in row)
+    assert linalg.symmetric_signature(s) == expected
