@@ -2,7 +2,10 @@
 
 Everything here is plain Gaussian elimination with exact division, no
 fraction-free tricks. Every division goes through `scalars.exact_div`, so
-two int entries divide to an int or a Fraction, never to a float. Matrices
+two int entries divide to an int or a Fraction, never to a float. Updates
+like a - f * b are not normalised, so a rational result may hold an
+integer as Fraction(n, 1), which equals, hashes and prints as n; Scalar
+results are canonical, since Scalar normalises its parts. Matrices
 stay small: `killing-gram` signs one Gram block per exponent class (at most
 12 x 12 on the catalog forms, 61 blocks at degree 60) rather than the whole
 726 x 726 Gram, and the eigen-split solves all images of a block in one
