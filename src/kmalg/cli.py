@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import cartan, kmext, osaka, rand, serialize
-from .involution import PreservationError, fixed_and_eigenspaces
+from .involution import InvolutionError, fixed_and_eigenspaces
 from .loop import killing_gram
 
 EXIT_OK = 0
@@ -184,7 +184,7 @@ def cmd_decompose(args):
         inv = serialize.involution_from_json(_read_json(args.involution), rec.real_form.algebra)
     try:
         dec = fixed_and_eigenspaces(inv, rec.real_form.truncate(degree))
-    except PreservationError as exc:
+    except InvolutionError as exc:
         raise CliError(str(exc), EXIT_FAIL) from exc
     k_loops = dec.loop_parts("K")
     p_loops = dec.loop_parts("P")

@@ -202,18 +202,15 @@ class FiniteLieAlgebra:
         """Coordinates of a matrix in the basis; raises if outside the span."""
         target = mat_flatten(m)
         # complex coordinates found by a real 2x-blown-up solve
-        flat = [[self._flat_basis[j][i] for j in range(self.dim)] for i in range(len(target))]
-        real_rows = []
-        real_rhs = []
+        rows, rhs = [], []
         for i, t in enumerate(target):
-            row = flat[i]
-            real_rows.append([c.re for c in row] + [-c.im for c in row])
-            real_rows.append([c.im for c in row] + [c.re for c in row])
-            real_rhs.extend([t.re, t.im])
-        sol = linalg.solve(real_rows, real_rhs)
+            rows.extend(linalg.real_rows(
+                [(0, j, b[i], ZERO) for j, b in enumerate(self._flat_basis)], 1, self.dim))
+            rhs.extend(linalg.real_flatten((t,)))
+        sol = linalg.solve(rows, rhs)
         if sol is None:
             raise LieAlgebraError("matrix is not in the span of the basis")
-        return tuple(Scalar(sol[j], sol[self.dim + j]) for j in range(self.dim))
+        return linalg.real_unflatten(sol)
 
     def matrix(self, coords) -> Matrix:
         out = mat_zero(self.matrix_size)
@@ -429,7 +426,6 @@ def compute_ideal_split(g: FiniteLieAlgebra):
     rational eigenspace decomposition of its centroid.
     """
     dim = g.dim
-    one = Fraction(1)
     # center: x with ad(x) = 0, i.e. bracket against every basis vector is 0
     rows = []
     for k in range(dim):
@@ -440,7 +436,7 @@ def compute_ideal_split(g: FiniteLieAlgebra):
                     if mm == m:
                         row_re[j] = c
             rows.append(row_re)
-    center = _complex_nullspace(rows, dim)
+    center = linalg.nullspace(rows)
     # derived algebra: span of all brackets
     derived_vecs = []
     for j in range(dim):
@@ -457,15 +453,6 @@ def compute_ideal_split(g: FiniteLieAlgebra):
     for ideal in _split_semisimple(g, derived):
         out.append(("simple", ideal))
     return out
-
-
-def _complex_nullspace(scalar_rows, nvars):
-    """Nullspace over the Scalar field itself (not its real blow-up)."""
-    rows = [[x if isinstance(x, Scalar) else Scalar(x) for x in row] for row in scalar_rows]
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return [tuple(ONE if j == i else ZERO for j in range(nvars)) for i in range(nvars)]
-    return [tuple(v) for v in linalg.nullspace(rows)]
 
 
 def _independent_subset(vectors):
@@ -510,9 +497,8 @@ def _split_semisimple(g, span_vectors):
                     ckb = sub_bracket[(k, b)]
                     if ckb[m]:
                         row[k * d + a] = row[k * d + a] - ckb[m]
-                if any(row):
-                    rows.append(row)
-    centroid = _complex_nullspace(rows, d * d)
+                rows.append(row)
+    centroid = linalg.nullspace(rows)
     if len(centroid) <= 1:
         return [[tuple(v) for v in basis]]
     # find a centroid element with a nontrivial rational eigenvalue split
@@ -528,7 +514,7 @@ def _split_semisimple(g, span_vectors):
         pieces = []
         for lam in eigs:
             shifted = [[phi[i][j] - (lam if i == j else 0) for j in range(d)] for i in range(d)]
-            vecs = _complex_nullspace(shifted, d)
+            vecs = linalg.nullspace(shifted)
             if vecs:
                 sub = [
                     tuple(sum((v[k] * basis[k][m] for k in range(d)), ZERO) for m in range(g.dim))

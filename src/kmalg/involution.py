@@ -248,7 +248,13 @@ class RealFormDescriptor:
         return keys
 
     def block_basis(self, key):
-        """Exact real basis of one degree block (or of the c,d lines)."""
+        """Exact real basis of one degree block (or of the c,d lines).
+
+        The coefficient vectors a_k of the block solve two kinds of equation:
+        the complex-linear twist grading (sigma - (-1)^k) a_k = 0 and the
+        conjugate-linear real structure i^{pk} M conj(a_{sk}) - a_k = 0. Both
+        go to `linalg.real_kernel`, with the degrees as its unknown vectors.
+        """
         if key == ("cd",):
             out = []
             scales = (self.cd_scale,) if self.cd_scale is not None else (ONE, I)
@@ -258,74 +264,26 @@ class RealFormDescriptor:
             return out
         degrees = tuple(key)
         dim = self.algebra.dim
-        # unknowns: real and imaginary parts of the coords at each degree
-        nvar = 2 * dim * len(degrees)
-        pos = {k: i for i, k in enumerate(degrees)}
-        rows = []
-
-        def add_complex_rows(coeff_rows):
-            # coeff_rows: list of (degree, jcoord, Scalar multiplier) equations == 0
-            re_row = [0] * nvar
-            im_row = [0] * nvar
-            for deg, j, mult in coeff_rows:
-                base = 2 * dim * pos[deg]
-                re_row[base + j] += mult.re
-                re_row[base + dim + j] += -mult.im
-                im_row[base + j] += mult.im
-                im_row[base + dim + j] += mult.re
-            if any(re_row):
-                rows.append(re_row)
-            if any(im_row):
-                rows.append(im_row)
-
-        # grading constraints: (sigma - (-1)^k) a_k = 0
+        pos = {k: b for b, k in enumerate(degrees)}
+        equations = []
         if self.twist.order == 2:
             for k in degrees:
-                sign = Scalar(1 if k % 2 == 0 else -1)
+                sign = ONE if k % 2 == 0 else -ONE
                 for i in range(dim):
-                    eq = [(k, j, x) for j, _, x in self.twist.sparse[i]]
-                    add_complex_rows(eq + [(k, i, -sign)])
-        # real-structure constraints: (conj a)_k = a_k
+                    eq = [(pos[k], j, x, ZERO) for j, _, x in self.twist.sparse[i]]
+                    equations.append(eq + [(pos[k], i, -sign, ZERO)])
         if self.conj is not None:
             s = self.conj.index_sign
             for k in degrees:
-                src = s * k
-                if src not in pos:
+                if s * k not in pos:
                     raise InvolutionError("block is not closed under the real structure")
                 f = i_power(self.conj.parity * k)
                 for i in range(dim):
-                    # i^{pk} M conj(a_src) - a_k = 0 componentwise; conj of the
-                    # source splits re/im with a sign, handled by writing the
-                    # equation on (re, im) directly.
-                    re_row = [0] * nvar
-                    im_row = [0] * nvar
-                    base_s = 2 * dim * pos[src]
-                    for j, _, x in self.conj.sparse[i]:
-                        m = f * x
-                        # m * conj(a_src_j): re += m.re*re_j + m.im*im_j
-                        #                    im += m.im*re_j - m.re*im_j
-                        re_row[base_s + j] += m.re
-                        re_row[base_s + dim + j] += m.im
-                        im_row[base_s + j] += m.im
-                        im_row[base_s + dim + j] += -m.re
-                    base_k = 2 * dim * pos[k]
-                    re_row[base_k + i] += -1
-                    im_row[base_k + dim + i] += -1
-                    if any(re_row):
-                        rows.append(re_row)
-                    if any(im_row):
-                        rows.append(im_row)
-        null = linalg.nullspace(rows) if rows else [
-            [1 if t == s_ else 0 for t in range(nvar)] for s_ in range(nvar)
-        ]
+                    eq = [(pos[s * k], j, ZERO, f * x) for j, _, x in self.conj.sparse[i]]
+                    equations.append(eq + [(pos[k], i, -ONE, ZERO)])
         out = []
-        for v in null:
-            terms = {}
-            for k in degrees:
-                base = 2 * dim * pos[k]
-                vec = tuple(Scalar(v[base + j], v[base + dim + j]) for j in range(dim))
-                if any(vec):
-                    terms[k] = vec
+        for vecs in linalg.real_kernel(equations, len(degrees), dim):
+            terms = {k: vec for k, vec in zip(degrees, vecs) if any(vec)}
             out.append(ExtendedElement(TwistedLoopElement(self.algebra, self.twist, terms)))
         return out
 

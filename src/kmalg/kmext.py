@@ -66,9 +66,9 @@ class ExtendedElement:
 
 
 def real_coords(x: ExtendedElement, degrees) -> list:
-    """x as one rational vector: real_flatten of its loop coordinates at each
-    of the given degrees (zero where x has no term), then c.re, c.im, d.re,
-    d.im."""
+    """x as one rational vector in the real layout of the `linalg`
+    docstring: one [re | im] chunk of loop coordinates per given degree
+    (zero where x has no term), then c.re, c.im, d.re, d.im."""
     zero = x.loop.algebra.zero_coords()
     out = []
     for k in degrees:

@@ -10,6 +10,13 @@ stay small: `killing-gram` signs one Gram block per exponent class (at most
 12 x 12 on the catalog forms, 61 blocks at degree 60) rather than the whole
 726 x 726 Gram, and the eigen-split solves all images of a block in one
 `rref`. Matrices are lists of row lists; functions never mutate inputs.
+
+Real layout. This module alone turns Q(i) vectors into rational columns.
+A Scalar vector v becomes real_flatten(v) = [re v | im v]; several unknown
+vectors a_0 .. a_{n-1} of one width become these chunks one after another,
+[re a_0 | im a_0 | re a_1 | im a_1 | ...]. `real_rows` writes an equation
+sum alpha a_b[j] + beta conj(a_b[j]) = 0 in that layout, and `real_kernel`
+solves a list of them.
 """
 from __future__ import annotations
 
@@ -176,10 +183,10 @@ def _zero_like(x):
     return 0
 
 
-# -- real flattening of complex vectors --------------------------------
+# -- real layout of complex vectors ------------------------------------
 
 def real_flatten(vec):
-    """Scalar vector -> rational vector (all real parts, then all imag parts)."""
+    """Scalar vector -> rational vector [re | im] (the layout above)."""
     out = [s.re for s in vec]
     out.extend(s.im for s in vec)
     return out
@@ -191,11 +198,30 @@ def real_unflatten(vec):
     return tuple(Scalar(vec[i], vec[n + i]) for i in range(n))
 
 
-def coords_in_real_span(basis_vectors, target):
-    """Real (rational) coefficients expressing a Scalar vector in a basis.
+def real_rows(terms, nvec, width):
+    """The real and imaginary part of sum alpha a_b[j] + beta conj(a_b[j]),
+    one term (b, j, alpha, beta) each, as two rational rows over nvec unknown
+    vectors of the given width; alpha and beta are Scalars, and beta = 0 in
+    a complex-linear equation."""
+    re_row = [0] * (2 * nvec * width)
+    im_row = [0] * (2 * nvec * width)
+    for b, j, alpha, beta in terms:
+        x = 2 * width * b + j  # column of re a_b[j]; im a_b[j] is width further
+        y = x + width
+        re_row[x] += alpha.re + beta.re
+        re_row[y] += beta.im - alpha.im
+        im_row[x] += alpha.im + beta.im
+        im_row[y] += alpha.re - beta.re
+    return re_row, im_row
 
-    basis_vectors and target are Scalar vectors; coefficients are sought in Q,
-    i.e. membership in the real span.
-    """
-    flat_basis = [real_flatten(v) for v in basis_vectors]
-    return coords_in_span(flat_basis, real_flatten(target))
+
+def real_kernel(equations, nvec, width):
+    """Real solutions of the equations (each a list of real_rows terms), as
+    a basis of nvec-tuples of Scalar vectors; the standard basis when there
+    is no nonzero equation."""
+    rows = [row for eq in equations for row in real_rows(eq, nvec, width) if any(row)]
+    n = 2 * width
+    return [
+        tuple(real_unflatten(v[b * n:(b + 1) * n]) for b in range(nvec))
+        for v in nullspace(rows or [[0] * (n * nvec)])
+    ]

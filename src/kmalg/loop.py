@@ -261,22 +261,9 @@ def twist_eigenbasis(algebra, twist, parity):
 
 
 def _twist_eigenbasis(algebra, twist, parity):
-    if twist.order == 1:
-        if parity % 2:
-            return []
-        return [
-            tuple(Scalar(1) if i == j else ZERO for i in range(algebra.dim))
-            for j in range(algebra.dim)
-        ]
     sign = Scalar(1) if parity % 2 == 0 else Scalar(-1)
     rows = [
         [twist.matrix[i][j] - (sign if i == j else ZERO) for j in range(algebra.dim)]
         for i in range(algebra.dim)
     ]
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return [
-            tuple(Scalar(1) if i == j else ZERO for i in range(algebra.dim))
-            for j in range(algebra.dim)
-        ]
     return [tuple(v) for v in linalg.nullspace(rows)]

@@ -4,14 +4,21 @@ These deliberately take different computational routes from the library:
 Killing values via matrix traces instead of adjoint traces, loop pairings
 via symbolic trigonometric expansion and term-by-term integration instead
 of the convolution rule, determinants via the Bareiss fraction-free scheme
-instead of divide-and-eliminate.
+instead of divide-and-eliminate. The real-form block bases and finite
+coordinates are the hand-written real blow-ups the library used before one
+equation builder in linalg served them both.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 
-from kmalg.scalars import Scalar, ZERO
+from kmalg import linalg
+from kmalg.findim import LieAlgebraError, mat_flatten
+from kmalg.involution import InvolutionError
+from kmalg.kmext import ExtendedElement
+from kmalg.loop import TwistedLoopElement, zero_loop
+from kmalg.scalars import I, ONE, Scalar, ZERO, i_power
 
 
 # -- finite Killing forms by matrix trace ---------------------------------
@@ -131,3 +138,110 @@ def fraction_backed(re, im=0) -> Scalar:
     Scalar.re.__set__(s, Fraction(re))
     Scalar.im.__set__(s, Fraction(im))
     return s
+
+
+# -- hand-written real blow-ups -----------------------------------------------
+
+def block_basis_reference(self, key):
+    """RealFormDescriptor.block_basis as it was before it moved onto
+    linalg.real_kernel: both kinds of equation blown up to rational rows by
+    hand. `self` is the real form; the body is kept verbatim."""
+    if key == ("cd",):
+        out = []
+        scales = (self.cd_scale,) if self.cd_scale is not None else (ONE, I)
+        for scale in scales:
+            out.append(ExtendedElement(zero_loop(self.algebra, self.twist), c=scale))
+            out.append(ExtendedElement(zero_loop(self.algebra, self.twist), d=scale))
+        return out
+    degrees = tuple(key)
+    dim = self.algebra.dim
+    # unknowns: real and imaginary parts of the coords at each degree
+    nvar = 2 * dim * len(degrees)
+    pos = {k: i for i, k in enumerate(degrees)}
+    rows = []
+
+    def add_complex_rows(coeff_rows):
+        # coeff_rows: list of (degree, jcoord, Scalar multiplier) equations == 0
+        re_row = [0] * nvar
+        im_row = [0] * nvar
+        for deg, j, mult in coeff_rows:
+            base = 2 * dim * pos[deg]
+            re_row[base + j] += mult.re
+            re_row[base + dim + j] += -mult.im
+            im_row[base + j] += mult.im
+            im_row[base + dim + j] += mult.re
+        if any(re_row):
+            rows.append(re_row)
+        if any(im_row):
+            rows.append(im_row)
+
+    # grading constraints: (sigma - (-1)^k) a_k = 0
+    if self.twist.order == 2:
+        for k in degrees:
+            sign = Scalar(1 if k % 2 == 0 else -1)
+            for i in range(dim):
+                eq = [(k, j, x) for j, _, x in self.twist.sparse[i]]
+                add_complex_rows(eq + [(k, i, -sign)])
+    # real-structure constraints: (conj a)_k = a_k
+    if self.conj is not None:
+        s = self.conj.index_sign
+        for k in degrees:
+            src = s * k
+            if src not in pos:
+                raise InvolutionError("block is not closed under the real structure")
+            f = i_power(self.conj.parity * k)
+            for i in range(dim):
+                # i^{pk} M conj(a_src) - a_k = 0 componentwise; conj of the
+                # source splits re/im with a sign, handled by writing the
+                # equation on (re, im) directly.
+                re_row = [0] * nvar
+                im_row = [0] * nvar
+                base_s = 2 * dim * pos[src]
+                for j, _, x in self.conj.sparse[i]:
+                    m = f * x
+                    # m * conj(a_src_j): re += m.re*re_j + m.im*im_j
+                    #                    im += m.im*re_j - m.re*im_j
+                    re_row[base_s + j] += m.re
+                    re_row[base_s + dim + j] += m.im
+                    im_row[base_s + j] += m.im
+                    im_row[base_s + dim + j] += -m.re
+                base_k = 2 * dim * pos[k]
+                re_row[base_k + i] += -1
+                im_row[base_k + dim + i] += -1
+                if any(re_row):
+                    rows.append(re_row)
+                if any(im_row):
+                    rows.append(im_row)
+    null = linalg.nullspace(rows) if rows else [
+        [1 if t == s_ else 0 for t in range(nvar)] for s_ in range(nvar)
+    ]
+    out = []
+    for v in null:
+        terms = {}
+        for k in degrees:
+            base = 2 * dim * pos[k]
+            vec = tuple(Scalar(v[base + j], v[base + dim + j]) for j in range(dim))
+            if any(vec):
+                terms[k] = vec
+        out.append(ExtendedElement(TwistedLoopElement(self.algebra, self.twist, terms)))
+    return out
+
+
+def coords_reference(self, m):
+    """FiniteLieAlgebra.coords as it was before it moved onto
+    linalg.real_rows: the real blow-up written by hand. `self` is the
+    algebra; the body is kept verbatim."""
+    target = mat_flatten(m)
+    # complex coordinates found by a real 2x-blown-up solve
+    flat = [[self._flat_basis[j][i] for j in range(self.dim)] for i in range(len(target))]
+    real_rows = []
+    real_rhs = []
+    for i, t in enumerate(target):
+        row = flat[i]
+        real_rows.append([c.re for c in row] + [-c.im for c in row])
+        real_rows.append([c.im for c in row] + [c.re for c in row])
+        real_rhs.extend([t.re, t.im])
+    sol = linalg.solve(real_rows, real_rhs)
+    if sol is None:
+        raise LieAlgebraError("matrix is not in the span of the basis")
+    return tuple(Scalar(sol[j], sol[self.dim + j]) for j in range(self.dim))

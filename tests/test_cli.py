@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -158,6 +159,21 @@ def test_decompose_with_custom_involution(tmp_path, capsys):
     rep = json.loads(out)
     # the identity pair involution: K = 6, P = 5 at degree 1
     assert len(rep["K"]) == 6 and len(rep["P"]) == 5
+
+
+def test_decompose_with_non_involutive_map_exits_fail(tmp_path, capsys):
+    # rho_plus = 2 Id preserves the form but does not square to the identity
+    two = [[["2" if i == j else "0", "0"] for j in range(3)] for i in range(3)]
+    spec = {"schema": "kmalg/1", "rho_plus": {"matrix": two}, "reflect_time": True,
+            "conjugate_linear": False, "epsilon": -1}
+    path = write_json(tmp_path, "inv.json", spec)
+    code, out, err = run_cli(
+        capsys, "decompose", "--form", "I[Id,Id]", "--involution", path, "--degree", "1"
+    )
+    assert code == cli.EXIT_FAIL
+    assert out == ""
+    assert "Traceback" not in err
+    assert "does not square to the identity" in _param_error(err)
 
 
 def test_finite_element_json_round_trip():
@@ -386,3 +402,31 @@ def test_full_stdout_exits_parse_with_json_error():
     err = proc.stderr.decode("utf-8")
     assert "Traceback" not in err
     assert set(json.loads(err)) == {"schema", "error"}
+
+
+# -- decompose reports pinned --------------------------------------------------
+
+# SHA-256 of each `decompose --form F --degree 3` report without timing_ms,
+# as printed (indent 2), recorded before block_basis and coords moved onto
+# linalg.real_kernel / real_rows. The K and P lists print the basis elements,
+# so these digests also pin the order and normalisation of every block basis.
+DECOMPOSE_DIGESTS = {
+    "I[Id,Id]": "febce5fe8cf56e0b05b59ffcb9d8725a6d21c87d814a3942865bddb2baad16e4",
+    "I[Id,mu]": "4bdf74317d30477e1dfb49422db539130c93a2a86e00b2a0eaa8397c211f1b75",
+    "I[mu,mu]": "2771b5e7c6ae243711c03520ec1f902a8237e66ecd0ab61916968b5bbec28345",
+    "II": "e987a7359f5d2684ca2394bd909ea46c36055f968c6785caefee46f93a40d4b6",
+    "III[Id,Id]": "5131dd751a80dcf1152c85e1a19c6247345e83cddf1f85c6b48648aa6963997b",
+    "III[Id,mu]": "4e45599c4b0ea81372013b83bb885a0377063066fb0697dba50640870c3d8db8",
+    "III[mu,mu]": "61a3b246f2ab2d690c93cd9b0ac85598cfb22ca09beeeb1bd7f8bfed5ccf7a11",
+    "IV": "a9423831a4d4dc3191ac9bdd7b61f824fb22f81e514d87dfefe7748310544009",
+}
+
+
+@pytest.mark.parametrize("form", sorted(DECOMPOSE_DIGESTS))
+def test_decompose_report_digest(capsys, form):
+    code, out, _ = run_cli(capsys, "decompose", "--form", form, "--degree", "3")
+    assert code == cli.EXIT_OK
+    rep = json.loads(out)
+    del rep["timing_ms"]
+    text = json.dumps(rep, indent=2, ensure_ascii=False)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DECOMPOSE_DIGESTS[form]

@@ -109,14 +109,6 @@ def test_real_flatten_round_trip():
     assert linalg.real_unflatten(linalg.real_flatten(vec)) == vec
 
 
-def test_coords_in_real_span():
-    # i*v is not in the real span of v
-    v = (Scalar(1), Scalar(0, 1))
-    assert linalg.coords_in_real_span([v], v) == [F(1)]
-    iv = (Scalar(0, 1), Scalar(-1))
-    assert linalg.coords_in_real_span([v], iv) is None
-
-
 # -- exact division: no float on int, Fraction or Scalar entries ---------------
 
 small_ints = st.integers(-3, 3)

@@ -1,0 +1,143 @@
+"""One builder for Q(i) equations: linalg.real_rows writes an equation
+sum alpha a + beta conj(a) = 0 as two rational rows, and linalg.real_kernel
+solves a list of them. RealFormDescriptor.block_basis and
+FiniteLieAlgebra.coords both go through it; each is checked here against the
+hand-written real blow-up it replaced (tests/oracles.py), element for
+element and in the same order."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kmalg import linalg, serialize
+from kmalg.findim import LieAlgebraError
+from kmalg.involution import CoeffMap, RealFormDescriptor
+from kmalg.scalars import I, ONE, Scalar, ZERO
+
+from oracles import block_basis_reference, coords_reference
+
+parts = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+gaussians = st.builds(Scalar, parts, parts)
+
+
+# -- real_rows against the complex value it encodes ---------------------------
+
+@st.composite
+def equations(draw):
+    nvec = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 3))
+    unknowns = [tuple(draw(gaussians) for _ in range(width)) for _ in range(nvec)]
+    term = st.tuples(st.integers(0, nvec - 1), st.integers(0, width - 1), gaussians, gaussians)
+    return nvec, width, unknowns, draw(st.lists(term, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(equations())
+def test_real_rows_encode_the_mixed_linear_value(case):
+    nvec, width, unknowns, terms = case
+    value = sum((alpha * unknowns[b][j] + beta * unknowns[b][j].conjugate()
+                 for b, j, alpha, beta in terms), ZERO)
+    # the layout of the linalg docstring: [re a_0 | im a_0 | re a_1 | ...]
+    layout = [x for a in unknowns for x in linalg.real_flatten(a)]
+    re_row, im_row = linalg.real_rows(terms, nvec, width)
+    assert sum(r * x for r, x in zip(re_row, layout)) == value.re
+    assert sum(r * x for r, x in zip(im_row, layout)) == value.im
+
+
+@settings(max_examples=200, deadline=None)
+@given(equations())
+def test_real_kernel_solves_its_equations(case):
+    nvec, width, _, terms = case
+    basis = linalg.real_kernel([terms], nvec, width)
+    for vecs in basis:
+        assert len(vecs) == nvec and all(len(v) == width for v in vecs)
+        value = sum((alpha * vecs[b][j] + beta * vecs[b][j].conjugate()
+                     for b, j, alpha, beta in terms), ZERO)
+        assert not value
+    # one equation takes away at most two real dimensions
+    assert 2 * nvec * width - 2 <= len(basis) <= 2 * nvec * width
+
+
+def test_real_kernel_without_equations_is_the_standard_basis():
+    # width 2, one vector: columns re a[0], re a[1], im a[0], im a[1]
+    assert linalg.real_kernel([], 1, 2) == [((ONE, ZERO),), ((ZERO, ONE),),
+                                            ((I, ZERO),), ((ZERO, I),)]
+    # an equation whose terms cancel leaves the standard basis too
+    cancelling = [(0, 0, ONE, ZERO), (0, 0, -ONE, ZERO)]
+    assert linalg.real_kernel([cancelling], 2, 1) == linalg.real_kernel([], 2, 1)
+
+
+# -- block_basis against the hand-written blow-up -------------------------------
+
+ALGEBRAS = [("su2c", 1), ("su2c", 2), ("sl2c", 1), ("sl2c", 2), ("su2su2c", 1)]
+ENTRIES = [ONE, -ONE, I, -I, Scalar(2), Scalar(1, 1)]
+KEYS = [(0,)] + [(k, -k) for k in range(1, 5)] + [("cd",)]
+
+
+@st.composite
+def real_forms(draw):
+    """A form whose conjugation is a permutation matrix times a diagonal
+    (or None), with every index sign, parity and cd scale."""
+    algebra, twist = serialize.lookup_algebra(*draw(st.sampled_from(ALGEBRAS)))
+    n = algebra.dim
+    conj = None
+    if draw(st.integers(0, 5)):
+        perm = draw(st.permutations(range(n)))
+        diag = [draw(st.sampled_from(ENTRIES)) for _ in range(n)]
+        matrix = [[diag[j] if perm[i] == j else ZERO for j in range(n)] for i in range(n)]
+        conj = CoeffMap(matrix, index_sign=draw(st.sampled_from([1, -1])), conjugate=True,
+                        parity=draw(st.integers(0, 3)))
+    cd_scale = draw(st.sampled_from([ONE, I]))
+    return RealFormDescriptor(name="drawn", algebra=algebra, twist=twist, conj=conj,
+                              cd_scale=cd_scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_forms(), st.sampled_from(KEYS))
+def test_block_basis_matches_hand_written_blow_up(rf, key):
+    assert rf.block_basis(key) == block_basis_reference(rf, key)
+
+
+@pytest.mark.parametrize("alg,order", ALGEBRAS)
+def test_full_complex_blocks_match_hand_written_blow_up(alg, order):
+    algebra, twist = serialize.lookup_algebra(alg, order)
+    rf = RealFormDescriptor(name="full", algebra=algebra, twist=twist, conj=None, cd_scale=None)
+    for key in KEYS:
+        assert rf.block_basis(key) == block_basis_reference(rf, key)
+
+
+# -- coords against the hand-written blow-up ------------------------------------
+
+REGISTRY_ALGEBRAS = [entry[0] for entry in serialize.registry().values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(REGISTRY_ALGEBRAS), st.data())
+def test_coords_round_trip_and_match_reference(algebra, data):
+    c = tuple(data.draw(gaussians) for _ in range(algebra.dim))
+    m = algebra.matrix(c)
+    assert algebra.coords(m) == c
+    assert coords_reference(algebra, m) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(REGISTRY_ALGEBRAS), st.data())
+def test_coords_of_any_matrix_agree_with_reference(algebra, data):
+    size = algebra.matrix_size
+    m = tuple(tuple(data.draw(gaussians) for _ in range(size)) for _ in range(size))
+    try:
+        expected = coords_reference(algebra, m)
+    except LieAlgebraError:
+        with pytest.raises(LieAlgebraError):
+            algebra.coords(m)
+        return
+    assert algebra.coords(m) == expected
+
+
+@pytest.mark.parametrize("algebra", [a for a in REGISTRY_ALGEBRAS if a.matrix_size > 1])
+def test_coords_outside_the_span_raise(algebra):
+    # every registered algebra of size > 1 is traceless, so the identity is outside
+    size = algebra.matrix_size
+    identity = tuple(tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size))
+    with pytest.raises(LieAlgebraError):
+        algebra.coords(identity)
