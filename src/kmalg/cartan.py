@@ -66,10 +66,10 @@ class GeneralizedCartanMatrix:
 
 def validate(entries) -> GeneralizedCartanMatrix:
     """Check the generalized-Cartan-matrix axioms and freeze the matrix."""
+    if not isinstance(entries, (list, tuple)) or any(
+            not isinstance(row, (list, tuple)) or len(row) != len(entries) for row in entries):
+        raise NotSquare("matrix is not square")
     n = len(entries)
-    for row in entries:
-        if len(row) != n:
-            raise NotSquare("matrix is not square")
     for i in range(n):
         for j in range(n):
             v = entries[i][j]

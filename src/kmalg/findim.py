@@ -8,7 +8,6 @@ traces, and finite-order automorphisms checked against the bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .scalars import I_POWERS, ONE, ZERO, Scalar
@@ -416,218 +415,6 @@ def direct_sum(*algebras, name=None) -> FiniteLieAlgebra:
     return FiniteLieAlgebra(name, field, basis, blocks)
 
 
-# -- ideal split discovery ----------------------------------------------
-
-def compute_ideal_split(g: FiniteLieAlgebra):
-    """Rediscover the abelian/simple ideal split by exact linear algebra.
-
-    Returns a list of (kind, coordinate basis) pairs: the center spans the
-    abelian part, the derived algebra splits into minimal ideals through a
-    rational eigenspace decomposition of its centroid.
-    """
-    dim = g.dim
-    # center: x with ad(x) = 0, i.e. bracket against every basis vector is 0
-    rows = []
-    for k in range(dim):
-        for m in range(dim):
-            row_re = [ZERO] * dim
-            for j in range(dim):
-                for mm, c in g.structure[j][k]:
-                    if mm == m:
-                        row_re[j] = c
-            rows.append(row_re)
-    center = linalg.nullspace(rows)
-    # derived algebra: span of all brackets
-    derived_vecs = []
-    for j in range(dim):
-        for k in range(dim):
-            v = [ZERO] * dim
-            for m, c in g.structure[j][k]:
-                v[m] = c
-            if any(v):
-                derived_vecs.append(tuple(v))
-    derived = _independent_subset(derived_vecs)
-    out = []
-    if center:
-        out.append(("abelian", [tuple(v) for v in center]))
-    for ideal in _split_semisimple(g, derived):
-        out.append(("simple", ideal))
-    return out
-
-
-def _independent_subset(vectors):
-    kept = []
-    flat = []
-    for v in vectors:
-        cand = flat + [linalg.real_flatten(list(v))]
-        if linalg.rank(cand) > len(flat):
-            kept.append(v)
-            flat = cand
-    return kept
-
-
-def _split_semisimple(g, span_vectors):
-    """Split a semisimple ideal (given by a spanning set) into minimal ideals
-    via rational eigenvalues of centroid elements."""
-    if not span_vectors:
-        return []
-    basis = span_vectors
-    d = len(basis)
-    # centroid of the subalgebra in its own coordinates
-    sub_bracket = {}
-    for a in range(d):
-        for b in range(d):
-            br = g.bracket(basis[a], basis[b])
-            coeffs = linalg.coords_in_span([list(v) for v in basis], list(br))
-            assert coeffs is not None, "spanning set is not bracket-closed"
-            sub_bracket[(a, b)] = coeffs
-    # unknown phi: d x d; phi([x,y]) = [phi x, y] for basis pairs
-    rows = []
-    for a in range(d):
-        for b in range(d):
-            cab = sub_bracket[(a, b)]
-            for m in range(d):
-                row = [ZERO] * (d * d)
-                # lhs: sum_k cab[k] phi[m][k]
-                for k in range(d):
-                    if cab[k]:
-                        row[m * d + k] = row[m * d + k] + cab[k]
-                # rhs: sum_k phi[k][a] c_{k b}[m]
-                for k in range(d):
-                    ckb = sub_bracket[(k, b)]
-                    if ckb[m]:
-                        row[k * d + a] = row[k * d + a] - ckb[m]
-                rows.append(row)
-    centroid = linalg.nullspace(rows)
-    if len(centroid) <= 1:
-        return [[tuple(v) for v in basis]]
-    # find a centroid element with a nontrivial rational eigenvalue split
-    candidates = list(centroid)
-    for a in range(len(centroid)):
-        for b in range(a + 1, len(centroid)):
-            candidates.append(tuple(x + y for x, y in zip(centroid[a], centroid[b])))
-    for phi_flat in candidates:
-        phi = [[phi_flat[i * d + j] for j in range(d)] for i in range(d)]
-        eigs = _rational_eigenvalues(phi)
-        if len(eigs) < 2:
-            continue
-        pieces = []
-        for lam in eigs:
-            shifted = [[phi[i][j] - (lam if i == j else 0) for j in range(d)] for i in range(d)]
-            vecs = linalg.nullspace(shifted)
-            if vecs:
-                sub = [
-                    tuple(sum((v[k] * basis[k][m] for k in range(d)), ZERO) for m in range(g.dim))
-                    for v in vecs
-                ]
-                pieces.extend(_split_semisimple(g, _independent_subset(sub)))
-        if sum(len(p) for p in pieces) == d:
-            return pieces
-    raise LieAlgebraError("could not split semisimple part with rational eigenvalues")
-
-
-def _rational_eigenvalues(phi):
-    """Distinct rational eigenvalues of a matrix over Scalars with real
-    rational entries, found by factoring the minimal polynomial by rational
-    root search (sufficient for split centroids)."""
-    d = len(phi)
-    for row in phi:
-        for x in row:
-            if not x.is_real():
-                return []
-    m = [[x.re for x in row] for row in phi]
-    # Krylov minimal polynomial of the matrix itself
-    powers = [[[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]]
-    while True:
-        prev = powers[-1]
-        nxt = [
-            [sum((prev[i][t] * m[t][j] for t in range(d)), Fraction(0)) for j in range(d)]
-            for i in range(d)
-        ]
-        flat = [[p[i][j] for i in range(d) for j in range(d)] for p in powers]
-        target = [nxt[i][j] for i in range(d) for j in range(d)]
-        coeffs = linalg.coords_in_span(flat, target)
-        if coeffs is not None:
-            # x^k = sum coeffs[i] x^i  ->  min poly x^k - sum coeffs_i x^i
-            poly = [-c for c in coeffs] + [Fraction(1)]
-            return _rational_roots(poly)
-        powers.append(nxt)
-        if len(powers) > d + 1:
-            raise LieAlgebraError("minimal polynomial search failed")
-
-
-def _rational_roots(poly):
-    """All rational roots of a rational-coefficient polynomial."""
-    from math import gcd
-
-    # clear denominators
-    den = 1
-    for c in poly:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in poly]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
-    lead = abs(ints[-1])
-    # strip root 0
-    roots = []
-    k = 0
-    while k < len(ints) and ints[k] == 0:
-        k += 1
-    if k:
-        roots.append(Fraction(0))
-        ints = ints[k:]
-    const = abs(ints[0]) if ints else 0
-    if const:
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if not _poly_eval(ints, cand):
-                        if cand not in roots:
-                            roots.append(cand)
-    return roots
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _poly_eval(ints, x: Fraction):
-    total = Fraction(0)
-    for c in reversed(ints):
-        total = total * x + c
-    return total
-
-
-# -- Killing-based predicates -------------------------------------------
-
-def is_compact_type(g: FiniteLieAlgebra) -> bool:
-    """Negative definite Killing form on a real semisimple algebra."""
-    if g.field != "R":
-        raise LieAlgebraError("compactness is a notion for real algebras")
-    km = []
-    for row in g.killing_matrix:
-        r = []
-        for x in row:
-            if not x.is_real():
-                raise LieAlgebraError("real algebra with non-real Killing values")
-            r.append(x.re)
-        km.append(r)
-    if not km:
-        return False
-    pos, neg, zero = linalg.symmetric_signature(km)
-    return zero == 0 and pos == 0 and neg == g.dim
-
-
 # -- automorphisms -------------------------------------------------------
 
 class FiniteAutomorphism:
@@ -716,18 +503,6 @@ def automorphism_from_order(g, matrix_rows, conjugate_linear=False, max_order=8)
     raise WrongOrderError(f"no order up to {max_order} found")
 
 
-def ad_conjugation_automorphism(g, h: Matrix) -> FiniteAutomorphism:
-    """Ad(h): x -> h x h^-1, expressed in basis coordinates."""
-    n = g.matrix_size
-    h_inv = _mat_inverse(h)
-    rows_t = []
-    for b in g.basis:
-        img = mat_mul(mat_mul(h, b), h_inv)
-        rows_t.append(g.coords(img))
-    rows = [[rows_t[j][i] for j in range(g.dim)] for i in range(g.dim)]
-    return automorphism_from_order(g, rows)
-
-
 def entrywise_conjugation_automorphism(g) -> FiniteAutomorphism:
     """x -> conj(x) entrywise on matrices. On a real algebra this is a linear
     involution of the basis; on a complex algebra it is conjugate-linear."""
@@ -735,11 +510,3 @@ def entrywise_conjugation_automorphism(g) -> FiniteAutomorphism:
     rows = [[rows_t[j][i] for j in range(g.dim)] for i in range(g.dim)]
     return automorphism_from_order(g, rows, conjugate_linear=(g.field == "C"))
 
-
-def _mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [list(a[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    red, pivots = linalg.rref(aug)
-    if pivots != list(range(n)):
-        raise LieAlgebraError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))

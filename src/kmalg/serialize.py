@@ -12,7 +12,7 @@ from fractions import Fraction
 from .findim import direct_sum, make_abelian, make_sl, make_su
 from .involution import CoeffMap, InvolutionDescriptor, InvolutionError, RealFormDescriptor
 from .kmext import ExtendedElement
-from .loop import TwistedLoopElement, untwisted
+from .loop import GradingError, TwistedLoopElement, untwisted
 from .scalars import Scalar, ZERO
 
 SCHEMA = "kmalg/1"
@@ -37,8 +37,15 @@ def scalar_from_json(obj) -> Scalar:
         raise SchemaError(f"scalar must be a [re, im] pair, got {obj!r}")
     try:
         return Scalar(Fraction(obj[0]), Fraction(obj[1]))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError(f"bad rational in scalar: {obj!r}") from exc
+
+
+def _coords_from_json(obj, dim, what):
+    """A list of dim scalars; what names it in the error."""
+    if not isinstance(obj, list) or len(obj) != dim:
+        raise SchemaError(f"{what} must be a list of {dim} scalars, got {obj!r}")
+    return tuple(scalar_from_json(c) for c in obj)
 
 
 # -- algebra registry --------------------------------------------------------
@@ -75,6 +82,8 @@ def registry():
 
 def lookup_algebra(name: str, twist_order: int):
     reg = registry()
+    if not isinstance(name, str):
+        raise SchemaError(f"algebra must be a name string, got {name!r}")
     if type(twist_order) is not int:
         raise SchemaError(f"twist order must be an integer, got {twist_order!r}")
     if name not in reg:
@@ -107,10 +116,7 @@ def finite_element_from_json(obj):
     if "algebra" not in obj or "coords" not in obj:
         raise SchemaError("finite element needs 'algebra' and 'coords'")
     algebra, _ = lookup_algebra(obj["algebra"], 1)
-    coords = tuple(scalar_from_json(c) for c in obj["coords"])
-    if len(coords) != algebra.dim:
-        raise SchemaError(f"expected {algebra.dim} coords, got {len(coords)}")
-    return algebra, coords
+    return algebra, _coords_from_json(obj["coords"], algebra.dim, "'coords'")
 
 
 # -- loop and extended elements ----------------------------------------------
@@ -132,17 +138,20 @@ def loop_from_json(obj) -> TwistedLoopElement:
         if key not in obj:
             raise SchemaError(f"loop element missing {key!r}")
     algebra, twist = lookup_algebra(obj["algebra"], obj["twist_order"])
+    if not isinstance(obj["terms"], list):
+        raise SchemaError(f"loop 'terms' must be a list, got {obj['terms']!r}")
     terms = {}
     for t in obj["terms"]:
-        if "k" not in t or "coords" not in t:
-            raise SchemaError("each term needs 'k' and 'coords'")
-        coords = tuple(scalar_from_json(c) for c in t["coords"])
-        if len(coords) != algebra.dim:
-            raise SchemaError(
-                f"term at k={t['k']} has {len(coords)} coords, algebra dim is {algebra.dim}"
-            )
-        terms[int(t["k"])] = coords
-    return TwistedLoopElement(algebra, twist, terms)
+        if not isinstance(t, dict) or "k" not in t or "coords" not in t:
+            raise SchemaError(f"each term needs 'k' and 'coords', got {t!r}")
+        k = t["k"]
+        if type(k) is not int:
+            raise SchemaError(f"term exponent 'k' must be an integer, got {k!r}")
+        terms[k] = _coords_from_json(t["coords"], algebra.dim, f"'coords' of the term at k={k}")
+    try:
+        return TwistedLoopElement(algebra, twist, terms)
+    except GradingError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def extended_to_json(x: ExtendedElement):

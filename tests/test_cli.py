@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmalg import cli, serialize
 from kmalg.kmext import ExtendedElement
@@ -44,6 +48,23 @@ def test_classify_rejects_bad_matrix(tmp_path, capsys):
     assert "axiom" in err
 
 
+def assert_schema_exit(code, out, err):
+    assert code == cli.EXIT_SCHEMA
+    assert out == ""
+    assert "Traceback" not in err
+    error = json.loads(err)
+    assert set(error) == {"schema", "error"} and error["error"]
+
+
+@pytest.mark.parametrize("matrix", [5, [2, 3], [[2, -1], 3]],
+                         ids=["matrix-int", "rows-int", "one-row-int"])
+def test_classify_non_list_rows_exits_schema(tmp_path, capsys, matrix):
+    path = write_json(tmp_path, "m.json", {"matrix": matrix})
+    code, out, err = run_cli(capsys, "classify", "--in", path)
+    assert_schema_exit(code, out, err)
+    assert "not square" in _param_error(err)
+
+
 def test_classify_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json", encoding="utf-8")
@@ -67,6 +88,69 @@ def test_bracket_command(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["result"]["c"] == ["0", "8"]
     assert rep["result"]["loop"]["terms"] == []
+
+
+E1_JSON = [["1", "0"], ["0", "0"], ["0", "0"]]
+
+
+def _su2c_element(twist_order=1, **loop_overrides):
+    """An extended element on su2c as JSON: E1 at k = 1, or loop_overrides."""
+    loop = {"schema": "kmalg/1", "algebra": "su2c", "twist_order": twist_order,
+            "terms": [{"k": 1, "coords": E1_JSON}]}
+    loop.update(loop_overrides)
+    return {"schema": "kmalg/1", "loop": loop, "c": ["0", "0"], "d": ["0", "0"]}
+
+
+@pytest.mark.parametrize("element", [
+    _su2c_element(algebra=[1]),
+    _su2c_element(terms=5),
+    _su2c_element(terms=[5]),
+    _su2c_element(terms=[{"k": 1, "coords": 5}]),
+    _su2c_element(terms=[{"k": "a", "coords": E1_JSON}]),
+    _su2c_element(terms=[{"k": 1.5, "coords": E1_JSON}]),
+    _su2c_element(terms=[{"k": True, "coords": E1_JSON}]),
+    # twist 2 negates E1, so E1 may only sit at odd exponents
+    _su2c_element(twist_order=2, terms=[{"k": 0, "coords": E1_JSON}]),
+], ids=["algebra-list", "terms-int", "term-int", "coords-int", "k-string", "k-float",
+        "k-bool", "outside-twist-eigenspace"])
+def test_malformed_bracket_element_exits_schema(tmp_path, capsys, element):
+    bad = write_json(tmp_path, "bad.json", element)
+    good = write_json(tmp_path, "good.json", _su2c_element())
+    code, out, err = run_cli(capsys, "bracket", "--lhs", good, "--rhs", bad)
+    assert_schema_exit(code, out, err)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+
+
+def _run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.run(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["matrix", "terms", "k", "coords", "algebra"]), value=json_values)
+def test_arbitrary_json_fields_exit_ok_or_schema(field, value):
+    """Any JSON value as a Cartan matrix or as a loop-element field is
+    either accepted or rejected with exit 4; it never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        if field == "matrix":
+            obj, argv = {"matrix": value}, ["classify", "--in", path]
+        else:
+            obj, argv = _su2c_element(), ["bracket", "--lhs", path, "--rhs", path]
+            if field in ("terms", "algebra"):
+                obj["loop"][field] = value
+            else:
+                obj["loop"]["terms"][0] = {**obj["loop"]["terms"][0], field: value}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        assert _run_quietly(argv) in (cli.EXIT_OK, cli.EXIT_SCHEMA)
 
 
 def test_jacobi_check_zero_trials_warns(capsys):
@@ -258,18 +342,16 @@ _INVOLUTION = _su2c_record()["involution"]
     {"dual": 5},
     {"involution": {**_INVOLUTION, "reflect_time": "no"}},
     {"involution": {**_INVOLUTION, "conjugate_linear": 0}},
+    {"algebra": [1]},
 ], ids=["form-not-object", "epsilon-not-int", "epsilon-zero", "conj-1x1",
         "claimed-type-unknown", "cd-scale-not-scalar", "expected-dims-incomplete",
         "twist-order-list", "name-not-string", "form-name-not-string",
         "involution-name-not-string", "dual-not-string", "reflect-time-string",
-        "conjugate-linear-int"])
+        "conjugate-linear-int", "algebra-list"])
 def test_malformed_record_file_exits_schema(tmp_path, capsys, overrides):
     path = write_json(tmp_path, "record.json", _su2c_record(**overrides))
     code, out, err = run_cli(capsys, "osaka-verify", "--record", path, "--degree", "1")
-    assert code == cli.EXIT_SCHEMA
-    assert out == ""
-    assert "Traceback" not in err
-    assert json.loads(err)["error"]
+    assert_schema_exit(code, out, err)
 
 
 def test_counts_command(capsys):

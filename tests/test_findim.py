@@ -1,15 +1,13 @@
 import pytest
 
-from kmalg import findim, linalg
+from kmalg import findim
 from kmalg.findim import (
     FiniteAutomorphism,
-    ad_conjugation_automorphism,
+    automorphism_from_order,
     check_automorphism,
-    compute_ideal_split,
     direct_sum,
     entrywise_conjugation_automorphism,
     identity_automorphism,
-    is_compact_type,
     make_abelian,
     make_sl,
     make_so,
@@ -77,22 +75,25 @@ def test_su2_complexification_matches_sl2():
         assert to_sl2(a1.bracket(x, y)) == sl2.bracket(to_sl2(x), to_sl2(y))
 
 
+def assert_declared_blocks_are_ideals(g):
+    """Each declared block is an ideal read from the structure constants:
+    [block, g] lies in the block, and [block, block] = 0 when abelian."""
+    for block in g.blocks:
+        inside = set(block.indices)
+        for j in block.indices:
+            for k in range(g.dim):
+                assert {m for m, _ in g.structure[j][k]} <= inside
+                if block.kind == "abelian" and k in inside:
+                    assert not g.structure[j][k]
+
+
 def test_so_dimensions_and_split():
     assert make_so(5, "C").dim == 10
     assert make_so(3, "R").dim == 3
     so4 = make_so(4)
     assert so4.dim == 6
-    assert [b.kind for b in so4.blocks] == ["simple", "simple"]
-    split = compute_ideal_split(so4)
-    assert sorted((k, len(v)) for k, v in split) == [("simple", 3), ("simple", 3)]
-    # each returned piece is an ideal: brackets with everything stay inside
-    for _, vecs in split:
-        flat = [linalg.real_flatten(list(v)) for v in vecs]
-        for v in vecs:
-            for j in range(so4.dim):
-                probe = tuple(Scalar(1) if i == j else ZERO for i in range(so4.dim))
-                img = so4.bracket(v, probe)
-                assert linalg.coords_in_span(flat, linalg.real_flatten(list(img))) is not None
+    assert [(b.kind, len(b.indices)) for b in so4.blocks] == [("simple", 3), ("simple", 3)]
+    assert_declared_blocks_are_ideals(so4)
 
 
 def test_abelian():
@@ -100,12 +101,8 @@ def test_abelian():
     assert all(not ab.structure[j][k] for j in range(1) for k in range(1))
     assert ab.killing((Scalar(1),), (Scalar(1),)) == ZERO
     g = direct_sum(make_abelian(1), make_su(2))
-    kinds = [b.kind for b in g.blocks]
-    assert kinds == ["abelian", "simple"]
-    assert sorted((k, len(v)) for k, v in compute_ideal_split(g)) == [
-        ("abelian", 1),
-        ("simple", 3),
-    ]
+    assert [(b.kind, len(b.indices)) for b in g.blocks] == [("abelian", 1), ("simple", 3)]
+    assert_declared_blocks_are_ideals(g)
 
 
 # -- killing form -------------------------------------------------------------
@@ -187,14 +184,6 @@ def test_non_orthogonal_blocks_rejected():
         )
 
 
-def test_compactness():
-    assert is_compact_type(make_su(2))
-    assert not is_compact_type(make_sl(2, "R"))
-    assert not is_compact_type(make_abelian(1))
-    with pytest.raises(findim.LieAlgebraError):
-        is_compact_type(make_sl(2, "C"))
-
-
 # -- automorphisms -----------------------------------------------------------------
 
 def test_entrywise_conjugation_on_su2():
@@ -202,13 +191,6 @@ def test_entrywise_conjugation_on_su2():
     assert mu.order == 2
     assert not mu.conjugate_linear  # real algebra: a linear involution
     assert mu.matrix == mat([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
-
-
-def test_ad_diag_involution():
-    su2c = make_su(2).complexify()
-    adg = ad_conjugation_automorphism(su2c, mat([[1, 0], [0, -1]]))
-    assert adg.order == 2
-    assert adg.matrix == mat([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
 
 
 def test_identity_order_one():
@@ -234,7 +216,8 @@ def test_wrong_order_rejected():
 
 def test_killing_invariance_under_automorphisms():
     su2c = make_su(2).complexify()
-    adg = ad_conjugation_automorphism(su2c, mat([[1, 0], [0, -1]]))
+    adg = automorphism_from_order(su2c, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    assert adg.order == 2
     muc = entrywise_conjugation_automorphism(su2c)
     assert muc.conjugate_linear
     rng = TrialRng("killing-invariance")
