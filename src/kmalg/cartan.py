@@ -70,10 +70,13 @@ def validate(entries) -> GeneralizedCartanMatrix:
             not isinstance(row, (list, tuple)) or len(row) != len(entries) for row in entries):
         raise NotSquare("matrix is not square")
     n = len(entries)
+    if not n:
+        raise CartanMatrixError("matrix is empty")
     for i in range(n):
         for j in range(n):
             v = entries[i][j]
-            if not isinstance(v, int):
+            # bool is an int subclass, but true and false are not entries
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise CartanMatrixError(f"entry a[{i}][{j}] is not an integer")
     for i in range(n):
         if entries[i][i] != 2:

@@ -5,7 +5,8 @@ versioned JSON reports with exact scalar strings.
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad parameters
 (unknown record or form, negative degree or trial count, degree 0 for
 OSAKA verification), 3 input file could not be parsed or the report could
-not be written (an unwritable --out or a closed stdout), 4 schema violation.
+not be written (an unwritable --out or a closed stdout), 4 schema violation,
+5 internal error (any other exception a command raises).
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ EXIT_FAIL = 1
 EXIT_PARAM = 2
 EXIT_PARSE = 3
 EXIT_SCHEMA = 4
+EXIT_INTERNAL = 5
 
 
 class CliError(Exception):
@@ -344,12 +346,16 @@ def run(argv=None) -> int:
         report, ok = args.func(args)
         report["timing_ms"] = round(1000 * (time.monotonic() - start), 3)
         written = _emit(report, getattr(args, "out", None))
-    except CliError as exc:
+    except (CliError, serialize.SchemaError) as exc:
         print(json.dumps({"schema": serialize.SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return exc.code
-    except serialize.SchemaError as exc:
-        print(json.dumps({"schema": serialize.SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return EXIT_SCHEMA
+        return exc.code if isinstance(exc, CliError) else EXIT_SCHEMA
+    except Exception as exc:  # a fault in the command: name it and where, no traceback
+        import traceback  # only a failing command pays for this import
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        error = (f"internal error: {type(exc).__name__}: {exc} (at "
+                 f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})")
+        print(json.dumps({"schema": serialize.SCHEMA, "error": error}), file=sys.stderr)
+        return EXIT_INTERNAL
     if not written:
         return EXIT_PARSE
     return EXIT_OK if ok else EXIT_FAIL

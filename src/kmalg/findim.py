@@ -4,13 +4,19 @@ An algebra is a basis of square matrices over Gaussian rationals together
 with its structure constants (computed and verified at construction), an
 ideal split into abelian and simple blocks, the Killing form via adjoint
 traces, and finite-order automorphisms checked against the bracket.
+
+The bracket runs on ints: the structure constants are also kept as
+Gaussian-integer numerators over one denominator D_s, the arguments as
+numerators over their least common denominators D_x and D_y, and each output
+coordinate is divided once by D_x D_y D_s; each output Scalar is built once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import linalg
-from .scalars import I_POWERS, ONE, ZERO, Scalar
+from .scalars import I_POWERS, ONE, ZERO, Scalar, exact_div
 
 Matrix = tuple  # tuple of row tuples of Scalar
 
@@ -122,6 +128,30 @@ def sparse_is_identity(rows) -> bool:
     return all(len(row) == 1 and row[0][:2] == (i, 0) for i, row in enumerate(rows))
 
 
+# -- Gaussian-integer numerators -------------------------------------------
+
+def _scaled(part, den):
+    """part * den as an int; den is a multiple of part's denominator."""
+    return part * den if type(part) is int else part.numerator * (den // part.denominator)
+
+
+def _numerators(vec):
+    """(j, re, im) int numerators of vec's nonzero coordinates over D, and D."""
+    nz = []
+    den = 1
+    for j, v in enumerate(vec):
+        a, b = v.re, v.im
+        if a or b:
+            nz.append((j, a, b))
+            if type(a) is not int:
+                den = lcm(den, a.denominator)
+            if type(b) is not int:
+                den = lcm(den, b.denominator)
+    if den == 1:
+        return nz, 1
+    return [(j, _scaled(a, den), _scaled(b, den)) for j, a, b in nz], den
+
+
 @dataclass(frozen=True)
 class IdealBlock:
     kind: str  # "abelian" | "simple"
@@ -157,9 +187,15 @@ class FiniteLieAlgebra:
         if check:
             self._check_field_reality()
             self._check_block_orthogonality()
-        self._ad = [self._ad_matrix(j) for j in range(self.dim)]
+        den = self._sc_den = _numerators([c for row in self.structure for es in row for _, c in es])[1]
+        self._sc_num = tuple(
+            tuple(tuple((m, _scaled(c.re, den), _scaled(c.im, den)) for m, c in es) for es in row)
+            for row in self.structure)
         self.killing_matrix = tuple(
             tuple(self._ad_trace(j, l) for l in range(self.dim)) for j in range(self.dim)
+        )
+        self._killing_rows = tuple(
+            tuple((l, c.re, c.im) for l, c in enumerate(row) if c) for row in self.killing_matrix
         )
 
     # -- construction-time verification ---------------------------------
@@ -224,50 +260,52 @@ class FiniteLieAlgebra:
     # -- bracket and Killing form ----------------------------------------
 
     def bracket(self, x, y):
-        """[x, y] in coordinates, via the structure constants."""
-        out = [ZERO] * self.dim
-        sc = self.structure
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
+        """[x, y] in coordinates: numerators of x and y over D_x and D_y
+        times the integer structure constants over D_s, summed as ints and
+        divided once by D_x D_y D_s (not at all when it is 1)."""
+        xs, dx = _numerators(x)
+        ys, dy = _numerators(y)
+        re, im = [0] * self.dim, [0] * self.dim
+        sc = self._sc_num
+        for j, a, b in xs:
             row = sc[j]
-            for k, yk in enumerate(y):
-                if not yk:
+            for k, c, d in ys:
+                entries = row[k]
+                if not entries:
                     continue
-                f = xj * yk
-                for m, c in row[k]:
-                    out[m] = out[m] + f * c
-        return tuple(out)
-
-    def _ad_matrix(self, j):
-        ad = [[ZERO] * self.dim for _ in range(self.dim)]
-        for k in range(self.dim):
-            for m, c in self.structure[j][k]:
-                ad[m][k] = c
-        return ad
+                p, q = a * c - b * d, a * d + b * c
+                for m, s, t in entries:
+                    re[m] += p * s - q * t
+                    im[m] += p * t + q * s
+        den = dx * dy * self._sc_den
+        if den == 1:
+            return tuple(Scalar(r, i) if r or i else ZERO for r, i in zip(re, im))
+        return tuple(Scalar(exact_div(r, den), exact_div(i, den)) if r or i else ZERO
+                     for r, i in zip(re, im))
 
     def _ad_trace(self, j, l):
-        adj, adl = self._ad[j], self._ad[l]
-        total = ZERO
-        for m in range(self.dim):
-            for k in range(self.dim):
-                if adj[m][k] and adl[k][m]:
-                    total = total + adj[m][k] * adl[k][m]
-        return total
+        """tr(ad e_j ad e_l) = sum over k, m of c_jk^m c_lm^k."""
+        sc = self.structure
+        return sum((c * d for k in range(self.dim) for m, c in sc[j][k]
+                    for k2, d in sc[l][m] if k2 == k), ZERO)
 
     def killing(self, x, y) -> Scalar:
-        """Trace of ad(x) ad(y), from the precomputed basis Gram matrix."""
+        """Trace of ad(x) ad(y), from the precomputed basis Gram matrix: the
+        raw parts summed over its nonzero entries, one Scalar at the end."""
         if len(x) != self.dim or len(y) != self.dim:
             raise LieAlgebraError("coordinate vector has the wrong dimension")
-        total = ZERO
-        km = self.killing_matrix
+        re = im = 0
         for j, xj in enumerate(x):
-            if not xj:
+            a, b = xj.re, xj.im
+            if not (a or b):
                 continue
-            for l, yl in enumerate(y):
-                if yl and km[j][l]:
-                    total = total + xj * yl * km[j][l]
-        return total
+            for l, c, d in self._killing_rows[j]:
+                e, f = y[l].re, y[l].im
+                if e or f:
+                    p, q = a * e - b * f, a * f + b * e
+                    re += p * c - q * d
+                    im += p * d + q * c
+        return Scalar(re, im)
 
     def is_semisimple(self) -> bool:
         return bool(linalg.determinant([list(r) for r in self.killing_matrix]))

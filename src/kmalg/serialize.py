@@ -33,11 +33,14 @@ def scalar_to_json(s: Scalar):
 
 
 def scalar_from_json(obj) -> Scalar:
+    """A [re, im] pair of exact "p/q" strings; a JSON number is refused."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise SchemaError(f"scalar must be a [re, im] pair, got {obj!r}")
+    if not all(isinstance(part, str) for part in obj):
+        raise SchemaError(f"scalar parts must be \"p/q\" strings, got {obj!r}")
     try:
         return Scalar(Fraction(obj[0]), Fraction(obj[1]))
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational in scalar: {obj!r}") from exc
 
 

@@ -6,7 +6,9 @@ via symbolic trigonometric expansion and term-by-term integration instead
 of the convolution rule, determinants via the Bareiss fraction-free scheme
 instead of divide-and-eliminate. The real-form block bases and finite
 coordinates are the hand-written real blow-ups the library used before one
-equation builder in linalg served them both.
+equation builder in linalg served them both. The finite bracket and Killing
+form are the Scalar loops the library ran before its integer-numerator
+kernel.
 """
 from __future__ import annotations
 
@@ -37,6 +39,40 @@ def killing_sl_family(n, x_mat, y_mat) -> Scalar:
 def killing_so_family(n, x_mat, y_mat) -> Scalar:
     """B(x, y) = (n-2) tr(xy) on so(n)."""
     return Scalar(n - 2) * _trace_of_product(x_mat, y_mat)
+
+
+# -- the Scalar-by-Scalar finite bracket and Killing form -------------------
+
+def bracket_reference(g, x, y):
+    """FiniteLieAlgebra.bracket as it was before its integer-numerator
+    kernel: one Scalar product and sum per structure-constant term."""
+    out = [ZERO] * g.dim
+    sc = g.structure
+    for j, xj in enumerate(x):
+        if not xj:
+            continue
+        row = sc[j]
+        for k, yk in enumerate(y):
+            if not yk:
+                continue
+            f = xj * yk
+            for m, c in row[k]:
+                out[m] = out[m] + f * c
+    return tuple(out)
+
+
+def killing_reference(g, x, y) -> Scalar:
+    """FiniteLieAlgebra.killing as it was before it summed raw parts: a
+    Scalar product and sum per nonzero term of the Killing matrix."""
+    total = ZERO
+    km = g.killing_matrix
+    for j, xj in enumerate(x):
+        if not xj:
+            continue
+        for l, yl in enumerate(y):
+            if yl and km[j][l]:
+                total = total + xj * yl * km[j][l]
+    return total
 
 
 # -- symbolic trigonometric integration -----------------------------------

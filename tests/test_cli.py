@@ -65,6 +65,18 @@ def test_classify_non_list_rows_exits_schema(tmp_path, capsys, matrix):
     assert "not square" in _param_error(err)
 
 
+@pytest.mark.parametrize("matrix,message", [
+    ([], "empty"),
+    ([[2, False], [False, 2]], "not an integer"),
+    ([[True]], "not an integer"),
+], ids=["empty", "boolean-off-diagonal", "boolean-diagonal"])
+def test_classify_empty_or_boolean_matrix_exits_schema(tmp_path, capsys, matrix, message):
+    path = write_json(tmp_path, "m.json", {"matrix": matrix})
+    code, out, err = run_cli(capsys, "classify", "--in", path)
+    assert_schema_exit(code, out, err)
+    assert message in _param_error(err)
+
+
 def test_classify_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json", encoding="utf-8")
@@ -118,6 +130,33 @@ def test_malformed_bracket_element_exits_schema(tmp_path, capsys, element):
     good = write_json(tmp_path, "good.json", _su2c_element())
     code, out, err = run_cli(capsys, "bracket", "--lhs", good, "--rhs", bad)
     assert_schema_exit(code, out, err)
+
+
+@pytest.mark.parametrize("part", [0.1, 1, True, None], ids=["float", "int", "bool", "null"])
+def test_non_string_scalar_part_exits_schema(tmp_path, capsys, part):
+    """Scalar parts are exact "p/q" strings; a JSON number would be read as
+    a binary float (0.1 as 3602879701896397/36028797018963968)."""
+    coords = [[part, "0"], ["0", "0"], ["0", "0"]]
+    bad = write_json(tmp_path, "bad.json", _su2c_element(terms=[{"k": 1, "coords": coords}]))
+    good = write_json(tmp_path, "good.json", _su2c_element())
+    code, out, err = run_cli(capsys, "bracket", "--lhs", good, "--rhs", bad)
+    assert_schema_exit(code, out, err)
+    assert '"p/q" strings' in _param_error(err)
+
+
+def test_command_exception_exits_internal_without_traceback(capsys, monkeypatch):
+    def broken():
+        raise ZeroDivisionError("injected fault")
+
+    monkeypatch.setattr(cli.osaka, "involution_counts", broken)
+    code, out, err = run_cli(capsys, "counts")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" not in err
+    error = json.loads(err)
+    assert set(error) == {"schema", "error"}
+    assert error["error"].startswith("internal error: ZeroDivisionError: injected fault")
+    assert "in broken" in error["error"]
 
 
 json_values = st.recursive(
@@ -343,11 +382,14 @@ _INVOLUTION = _su2c_record()["involution"]
     {"involution": {**_INVOLUTION, "reflect_time": "no"}},
     {"involution": {**_INVOLUTION, "conjugate_linear": 0}},
     {"algebra": [1]},
+    {"involution": {**_INVOLUTION, "rho_plus": {"matrix": [
+        [[0.5, "0"] if i == j == 0 else ["1" if i == j else "0", "0"] for j in range(3)]
+        for i in range(3)]}}},
 ], ids=["form-not-object", "epsilon-not-int", "epsilon-zero", "conj-1x1",
         "claimed-type-unknown", "cd-scale-not-scalar", "expected-dims-incomplete",
         "twist-order-list", "name-not-string", "form-name-not-string",
         "involution-name-not-string", "dual-not-string", "reflect-time-string",
-        "conjugate-linear-int", "algebra-list"])
+        "conjugate-linear-int", "algebra-list", "rho-plus-float-part"])
 def test_malformed_record_file_exits_schema(tmp_path, capsys, overrides):
     path = write_json(tmp_path, "record.json", _su2c_record(**overrides))
     code, out, err = run_cli(capsys, "osaka-verify", "--record", path, "--degree", "1")

@@ -1,6 +1,9 @@
-import pytest
+from fractions import Fraction
 
-from kmalg import findim
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kmalg import findim, serialize
 from kmalg.findim import (
     FiniteAutomorphism,
     automorphism_from_order,
@@ -13,11 +16,12 @@ from kmalg.findim import (
     make_so,
     make_su,
     mat,
+    mat_scale,
 )
 from kmalg.rand import TrialRng
 from kmalg.scalars import Scalar, ZERO
 
-from oracles import killing_sl_family, killing_so_family
+from oracles import bracket_reference, killing_reference, killing_sl_family, killing_so_family
 
 E1 = (Scalar(1), ZERO, ZERO)
 E2 = (ZERO, Scalar(1), ZERO)
@@ -182,6 +186,64 @@ def test_non_orthogonal_blocks_rejected():
             "bad-split", "R", su2.basis,
             [findim.IdealBlock("simple", (0,)), findim.IdealBlock("simple", (1, 2))],
         )
+
+
+# -- the integer-numerator kernel against the Scalar reference ------------------
+
+def _scaled_algebra(g, factor, field):
+    """g's basis times factor: constants times factor, Killing entries times
+    factor**2, so a non-integral factor leaves Gaussian integers behind."""
+    return findim.FiniteLieAlgebra(f"{factor}*{g.name}", field,
+                                   [mat_scale(factor, b) for b in g.basis], g.blocks)
+
+
+# su(2)/4 has constants +-1/2 and B = -1/2; sl(2,C) times (1+i)/2 has
+# constants +-(1+i)/2 and +-(1+i) and purely imaginary Killing entries. Both
+# have D_s = 2, so the kernel's division and the imaginary parts of its
+# constants and Killing entries are exercised.
+QUARTER_SU2 = _scaled_algebra(make_su(2), Scalar(Fraction(1, 4)), "R")
+HALF_I_SL2 = _scaled_algebra(make_sl(2, "C"), Scalar(Fraction(1, 2), Fraction(1, 2)), "C")
+KERNEL_ALGEBRAS = [alg for alg, _ in serialize.registry().values()] + [
+    make_su(2), make_sl(3), make_so(4), make_so(5, "C"), QUARTER_SU2, HALF_I_SL2]
+
+_parts = st.integers(-6, 6) | st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_scalars = st.one_of(
+    st.just(ZERO),
+    st.builds(Scalar, _parts),  # real
+    st.builds(lambda im: Scalar(0, im), _parts),  # purely imaginary
+    st.builds(Scalar, _parts, _parts),
+)
+
+
+@st.composite
+def _algebra_and_vectors(draw):
+    g = draw(st.sampled_from(KERNEL_ALGEBRAS))
+    vec = st.lists(_scalars, min_size=g.dim, max_size=g.dim).map(tuple)
+    return g, draw(vec), draw(vec)
+
+
+def _assert_exact(values):
+    for v in values:
+        for part in (v.re, v.im):
+            assert type(part) is int or (type(part) is Fraction and part.denominator != 1)
+
+
+def test_kernel_algebras_need_division():
+    assert QUARTER_SU2._sc_den == 2 and HALF_I_SL2._sc_den == 2
+    assert QUARTER_SU2.killing_matrix[0][0] == Scalar(Fraction(-1, 2))
+    assert not HALF_I_SL2.killing_matrix[0][0].re and HALF_I_SL2.killing_matrix[0][0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_algebra_and_vectors())
+def test_bracket_and_killing_match_reference(case):
+    g, x, y = case
+    br = g.bracket(x, y)
+    assert br == bracket_reference(g, x, y)
+    _assert_exact(br)
+    b = g.killing(x, y)
+    assert b == killing_reference(g, x, y)
+    _assert_exact((b,))
 
 
 # -- automorphisms -----------------------------------------------------------------
