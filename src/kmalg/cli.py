@@ -158,7 +158,10 @@ def cmd_jacobi_check(args):
     degree = _default_degree(args.degree)
     if args.trials < 0:
         raise CliError(f"--trials must be at least 0, got {args.trials}", EXIT_PARAM)
-    algebra, twist = serialize.lookup_algebra(args.algebra, args.twist)
+    try:
+        algebra, twist = serialize.lookup_algebra(args.algebra, args.twist)
+    except serialize.SchemaError as exc:
+        raise CliError(str(exc), EXIT_PARAM) from exc
     failures = []
     for t in range(args.trials):
         rng = rand.TrialRng(args.seed, t)

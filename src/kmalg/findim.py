@@ -290,8 +290,8 @@ class FiniteLieAlgebra:
                     for k2, d in sc[l][m] if k2 == k), ZERO)
 
     def killing(self, x, y) -> Scalar:
-        """Trace of ad(x) ad(y), from the precomputed basis Gram matrix: the
-        raw parts summed over its nonzero entries, one Scalar at the end."""
+        """Trace of ad(x) ad(y): raw parts summed over the nonzero entries of
+        the basis Gram matrix (a real one skips two products), one Scalar."""
         if len(x) != self.dim or len(y) != self.dim:
             raise LieAlgebraError("coordinate vector has the wrong dimension")
         re = im = 0
@@ -303,8 +303,8 @@ class FiniteLieAlgebra:
                 e, f = y[l].re, y[l].im
                 if e or f:
                     p, q = a * e - b * f, a * f + b * e
-                    re += p * c - q * d
-                    im += p * d + q * c
+                    re += p * c - q * d if d else p * c
+                    im += p * d + q * c if d else q * c
         return Scalar(re, im)
 
     def is_semisimple(self) -> bool:

@@ -293,7 +293,8 @@ class RealFormDescriptor:
         The equations of block (k, -k) depend on k only through (-1)^k and
         i^{parity k}, so they repeat with period 4: for k > 4 the basis is
         that of block (k - 4, 4 - k) with each exponent moved 4 further from
-        0. Only blocks (0,), (1, -1) .. (4, -4) and ("cd",) are solved.
+        0. Only blocks (0,), (1, -1) .. (4, -4) and ("cd",) are solved; a
+        shift keeps each exponent's parity, so it skips the grading check.
         """
         blocks = {}
         for key in self.block_keys(n_max):
@@ -303,7 +304,7 @@ class RealFormDescriptor:
             blocks[key] = [
                 ExtendedElement(TwistedLoopElement(self.algebra, self.twist, {
                     k + (4 if k > 0 else -4): vec for k, vec in e.loop.terms.items()
-                }))
+                }, validate=False))
                 for e in blocks[(key[0] - 4, 4 - key[0])]
             ]
         return Truncation(self, n_max, tuple(blocks.items()))

@@ -198,10 +198,16 @@ def killing_gram(basis):
     congruence, so by Sylvester's law of inertia the sum is the signature of
     the whole matrix.
 
+    Renaming lemma: as k pairs only with -k, renaming each exponent k of a
+    class to sign(k) r(|k|), r injective with r(0) = 0, changes no in-class
+    entry. So a class is keyed on its members in basis order with r ranking
+    its distinct nonzero |k| from 1 (rank 0 would merge k with -k), and a
+    memo local to the call builds each key's sub-matrix and signature once.
+
     Entries must come out real; a non-real value means the basis does not
     span a real subspace and raises NonRealPairingError for the first such
     (i, j), i <= j, in row-major order. Degenerate (nonzero radical) takes
-    precedence in the verdict.
+    precedence in the verdict; an empty basis is NegDefinite.
     """
     for f in basis:
         basis[0]._require_match(f)
@@ -223,30 +229,50 @@ def killing_gram(basis):
         classes.setdefault(cls, []).append(i)
     n = len(basis)
     gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in classes[label[i]]:
-            if j < i:
-                continue
-            v = loop_killing(basis[i], basis[j])
-            if not v.is_real():
-                raise NonRealPairingError(f"pairing ({i},{j}) has value {v}")
-            gram[i][j] = v.re
-            gram[j][i] = v.re
-    if n == 0:
-        return gram, Definiteness.NEG_DEFINITE
+    memo = {}
     pos = neg = zero = 0
+    bad = []
     for members in classes.values():
-        p, q, z = linalg.symmetric_signature([[gram[i][j] for j in members] for i in members])
-        pos, neg, zero = pos + p, neg + q, zero + z
+        ranks = sorted({abs(k) for i in members for k in basis[i].terms})
+        rank = {k: r for r, k in enumerate(ranks, 0 if 0 in ranks else 1)}
+        key = tuple(tuple(sorted((rank[k] if k >= 0 else -rank[-k], v) for k, v in basis[i].terms.items()))
+                    for i in members)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = _class_gram([basis[i] for i in members])
+        block, sig = entry
+        if block is None:
+            bad.append((members[sig[0]], members[sig[1]], sig[2]))
+            continue
+        for i, block_row in zip(members, block):
+            for j, x in zip(members, block_row):
+                gram[i][j] = x
+        pos, neg, zero = pos + sig[0], neg + sig[1], zero + sig[2]
+    if bad:
+        raise NonRealPairingError("pairing ({},{}) has value {}".format(*min(bad)))
     if zero:
         verdict = Definiteness.DEGENERATE
-    elif pos == n:
-        verdict = Definiteness.POS_DEFINITE
     elif neg == n:
         verdict = Definiteness.NEG_DEFINITE
+    elif pos == n:
+        verdict = Definiteness.POS_DEFINITE
     else:
         verdict = Definiteness.INDEFINITE
     return gram, verdict
+
+
+def _class_gram(elems):
+    """Gram block of one exponent class and its signature, or (None, (a, b,
+    value)) for its first non-real pair a <= b in row-major order."""
+    s = len(elems)
+    block = [[0] * s for _ in range(s)]
+    for a in range(s):
+        for b in range(a, s):
+            v = loop_killing(elems[a], elems[b])
+            if not v.is_real():
+                return None, (a, b, v)
+            block[a][b] = block[b][a] = v.re
+    return block, linalg.symmetric_signature(block)
 
 
 _EIGENBASIS_CACHE = {}

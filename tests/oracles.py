@@ -8,7 +8,8 @@ instead of divide-and-eliminate. The real-form block bases and finite
 coordinates are the hand-written real blow-ups the library used before one
 equation builder in linalg served them both. The finite bracket and Killing
 form are the Scalar loops the library ran before its integer-numerator
-kernel.
+kernel, and the loop Gram matrix is built class by class as it was before
+classes equal up to exponent renaming shared one computation.
 """
 from __future__ import annotations
 
@@ -19,7 +20,13 @@ from kmalg import linalg
 from kmalg.findim import LieAlgebraError, mat_flatten
 from kmalg.involution import InvolutionError
 from kmalg.kmext import ExtendedElement
-from kmalg.loop import TwistedLoopElement, zero_loop
+from kmalg.loop import (
+    Definiteness,
+    NonRealPairingError,
+    TwistedLoopElement,
+    loop_killing,
+    zero_loop,
+)
 from kmalg.scalars import I, ONE, Scalar, ZERO, i_power
 
 
@@ -73,6 +80,58 @@ def killing_reference(g, x, y) -> Scalar:
             if yl and km[j][l]:
                 total = total + xj * yl * km[j][l]
     return total
+
+
+# -- the class-by-class loop Gram matrix ---------------------------------------
+
+def killing_gram_reference(basis):
+    """loop.killing_gram as it was before classes equal up to exponent
+    renaming shared one computation: every in-class pair is paired and every
+    class sub-matrix signed. The body is kept verbatim."""
+    for f in basis:
+        basis[0]._require_match(f)
+    parent = {}
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for f in basis:
+        roots = [find(parent.setdefault(abs(k), abs(k))) for k in f.terms]
+        for r in roots:
+            parent[r] = roots[0]
+    label = [find(abs(next(iter(f.terms)))) if f.terms else None for f in basis]
+    classes = {}
+    for i, cls in enumerate(label):
+        classes.setdefault(cls, []).append(i)
+    n = len(basis)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in classes[label[i]]:
+            if j < i:
+                continue
+            v = loop_killing(basis[i], basis[j])
+            if not v.is_real():
+                raise NonRealPairingError(f"pairing ({i},{j}) has value {v}")
+            gram[i][j] = v.re
+            gram[j][i] = v.re
+    if n == 0:
+        return gram, Definiteness.NEG_DEFINITE
+    pos = neg = zero = 0
+    for members in classes.values():
+        p, q, z = linalg.symmetric_signature([[gram[i][j] for j in members] for i in members])
+        pos, neg, zero = pos + p, neg + q, zero + z
+    if zero:
+        verdict = Definiteness.DEGENERATE
+    elif pos == n:
+        verdict = Definiteness.POS_DEFINITE
+    elif neg == n:
+        verdict = Definiteness.NEG_DEFINITE
+    else:
+        verdict = Definiteness.INDEFINITE
+    return gram, verdict
 
 
 # -- symbolic trigonometric integration -----------------------------------

@@ -451,6 +451,18 @@ def test_negative_trials_exit_param(capsys):
     assert "--trials must be at least 0, got -3" in _param_error(err)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--algebra", "nope"], "unknown algebra 'nope'"),
+    (["--algebra", "abelian1c", "--twist", "2"], "has no canonical twist of order 2"),
+])
+def test_jacobi_check_unknown_algebra_or_twist_exits_param(capsys, argv, message):
+    code, out, err = run_cli(capsys, "jacobi-check", *argv, "--seed", "1", "--trials", "2")
+    assert code == cli.EXIT_PARAM
+    assert out == ""
+    assert message in _param_error(err)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value,argv", [
     ("-2", ["killing-gram", "--form", "II"]),
     ("0", ["osaka-verify", "--record", "II"]),

@@ -1,7 +1,8 @@
 """Work proportional to what differs: killing_gram pairs only elements whose
-exponents meet, truncate solves each period-4 block class once, and
-fixed_and_eigenspaces reads the matrix of an involution off one elimination
-per block. Each is checked against a reference written here."""
+exponents meet and computes each exponent class once up to renaming,
+truncate solves each period-4 block class once, and fixed_and_eigenspaces
+reads the matrix of an involution off one elimination per block. Each is
+checked against a reference written here or kept in oracles."""
 from collections import Counter
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from kmalg.osaka import (
     euclidean_osaka,
 )
 from kmalg.scalars import Scalar
+from oracles import killing_gram_reference
 
 # -- killing_gram against all pairs ---------------------------------------------
 
@@ -64,6 +66,19 @@ def _all_pairs_gram(basis):
     if neg == n:
         return gram, Definiteness.NEG_DEFINITE
     return gram, Definiteness.INDEFINITE
+
+
+def _expect_same_gram(basis, reference):
+    """killing_gram(basis) equals reference(basis): the same matrix and
+    verdict, or a NonRealPairingError with the same message."""
+    try:
+        expected = reference(basis)
+    except NonRealPairingError as exc:
+        with pytest.raises(NonRealPairingError) as got:
+            killing_gram(basis)
+        assert str(got.value) == str(exc)
+        return
+    assert killing_gram(basis) == expected
 
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -105,29 +120,108 @@ def loop_bases(draw):
 @settings(max_examples=300, deadline=None)
 @given(loop_bases())
 def test_killing_gram_matches_all_pairs(basis):
-    try:
-        expected = _all_pairs_gram(basis)
-    except NonRealPairingError as exc:
-        with pytest.raises(NonRealPairingError) as got:
-            killing_gram(basis)
-        assert str(got.value) == str(exc)
-        return
-    assert killing_gram(basis) == expected
+    _expect_same_gram(basis, _all_pairs_gram)
+
+
+@st.composite
+def renamed_bases(draw):
+    """Bases whose exponent classes repeat up to renaming. A template of 1-5
+    elements on |k| <= 3 (supports such as {1, 3} and {2, 3} bridge one
+    class) is copied 2-4 times. Each copy moves the template's nonzero |k|
+    by an increasing map into a range of its own, keeps or drops the
+    degree-0 terms (copies that keep them join one class through k = 0), and
+    may swap the coefficients at k and -k of one element, a near miss for a
+    renaming; half the copies list the template in another order. The
+    copies are interleaved, each keeping its order, so a repeated class is
+    not contiguous. About one template element in eight is times i in every
+    copy, so the first non-real pair can lie in any repeat of its class."""
+    algebra = draw(st.sampled_from([SU2C, SL2C]))
+    twist = untwisted(algebra)
+    template = []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = {}
+        for k in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+            for exponent in draw(st.sampled_from([(k,), (-k,), (k, -k)])):
+                terms[exponent] = tuple(draw(coefficients) for _ in range(algebra.dim))
+        template.append((terms, draw(st.integers(0, 7)) == 0))
+    moved = sorted({abs(k) for terms, _ in template for k in terms} - {0})
+    copies = []
+    for c in range(draw(st.integers(2, 4))):
+        targets = sorted(draw(st.lists(st.integers(10 * c + 1, 10 * c + 9), unique=True,
+                                       min_size=len(moved), max_size=len(moved))))
+        rename = {0: 0, **dict(zip(moved, targets))}
+        keep_zero = draw(st.booleans())
+        swapped = draw(st.integers(0, 4 * len(template)))
+        order = range(len(template))
+        if draw(st.booleans()):
+            order = draw(st.permutations(order))
+        copy = []
+        for e in order:
+            terms, times_i = template[e]
+            new = {(1 if k > 0 else -1) * rename[abs(k)]: vec
+                   for k, vec in terms.items() if k or keep_zero}
+            if e == swapped:
+                new = {-k: vec for k, vec in new.items()}
+            f = TwistedLoopElement(algebra, twist, new)
+            copy.append(f.scale(Scalar(0, 1)) if times_i else f)
+        copies.append(copy)
+    interleave = draw(st.permutations([c for c, copy in enumerate(copies) for _ in copy]))
+    basis = [copies[c].pop(0) for c in interleave]
+    if draw(st.integers(0, 3)) == 0:
+        basis.insert(draw(st.integers(0, len(basis))), zero_loop(algebra, twist))
+    return basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(renamed_bases())
+def test_killing_gram_reuses_classes_equal_up_to_renaming(basis):
+    _expect_same_gram(basis, _all_pairs_gram)
+
+
+GRAM_RECORDS = build_catalog_a1() + [euclidean_osaka(), complex_conjugation_counterexample()]
+
+
+@pytest.mark.parametrize("rec", GRAM_RECORDS, ids=lambda rec: rec.name)
+def test_killing_gram_matches_class_by_class_reference(rec):
+    basis = rec.real_form.truncate(24).loops
+    _expect_same_gram(basis, killing_gram_reference)
+
+
+def _distinct_class_pairs(basis):
+    """In-class pairs of each distinct class once its exponents are
+    renamed: on a truncation each class is one block (k, -k), whose
+    nonzero |k| is renamed 1."""
+    classes = {}
+    for f in basis:
+        classes.setdefault(frozenset(abs(k) for k in f.terms), []).append(f)
+    distinct = {}
+    for members in classes.values():
+        key = tuple(tuple(sorted(((k > 0) - (k < 0), vec) for k, vec in f.terms.items()))
+                    for f in members)
+        distinct[key] = len(members)
+    return sum(s * (s + 1) // 2 for s in distinct.values())
 
 
 def test_killing_gram_pairs_only_within_classes(monkeypatch):
-    basis = catalog_record("II").real_form.truncate(6).loops
+    """Each distinct class up to renaming is paired once, so on every
+    catalog form the pairings at degree 60 are those at degree 4."""
     calls = Counter()
 
     def counting_loop_killing(f, g):
-        calls["pairs"] += 1
+        calls[name, degree] += 1
         return loop_killing(f, g)
 
-    monkeypatch.setattr(loop, "loop_killing", counting_loop_killing)
-    _, verdict = killing_gram(basis)
-    assert verdict == Definiteness.NEG_DEFINITE
-    sizes = Counter(frozenset(abs(k) for k in f.terms) for f in basis)
-    assert calls["pairs"] == sum(s * (s + 1) // 2 for s in sizes.values())
+    for rec in build_catalog_a1():
+        name = rec.name
+        for degree in (4, 60):
+            basis = rec.real_form.truncate(degree).loops
+            _, expected = killing_gram_reference(basis)
+            with monkeypatch.context() as patch:
+                patch.setattr(loop, "loop_killing", counting_loop_killing)
+                _, verdict = killing_gram(basis)
+            assert verdict == expected
+            assert calls[name, degree] == _distinct_class_pairs(basis)
+        assert calls[name, 60] == calls[name, 4]
 
 
 def test_killing_gram_names_the_first_non_real_pair_in_row_major_order():
