@@ -45,6 +45,10 @@ class WrongSize(CartanMatrixError):
     pass
 
 
+class ClassificationError(ArithmeticError):
+    """An exact classification step contradicted another: a library fault."""
+
+
 @dataclass(frozen=True)
 class GeneralizedCartanMatrix:
     """Validated integer matrix with 2s on the diagonal, non-positive
@@ -148,7 +152,6 @@ def _classify_block(a: GeneralizedCartanMatrix, idx):
     if all(m > 0 for m in minors):
         ones = [Fraction(1)] * k
         v = linalg.solve(sub, ones)
-        assert v is not None
         _check_witness(sub, v, strict=True)
         return CartanKind.FINITE, tuple(v)
     if linalg.rank(sub) == k - 1:
@@ -163,12 +166,12 @@ def _classify_block(a: GeneralizedCartanMatrix, idx):
 
 
 def _check_witness(sub, v, strict):
-    if any(x <= 0 for x in v):
-        raise AssertionError("witness vector not entrywise positive")
+    if v is None or any(x <= 0 for x in v):
+        raise ClassificationError("witness vector missing or not entrywise positive")
     av = [sum(row[j] * v[j] for j in range(len(v))) for row in sub]
     ok = all(x > 0 for x in av) if strict else all(x == 0 for x in av)
     if not ok:
-        raise AssertionError("witness vector fails its defining condition")
+        raise ClassificationError("witness vector fails its defining condition")
 
 
 def classify(a: GeneralizedCartanMatrix) -> CartanClass:
@@ -241,11 +244,11 @@ def identify_2x2(a: GeneralizedCartanMatrix, extra_catalog=()) -> Family2x2:
 
 
 def realization_dims(a: GeneralizedCartanMatrix) -> RealizationDims:
-    """(n, rank, 2n - rank); for affine matrices rank n-1 is asserted."""
+    """(n, rank, 2n - rank). An affine matrix of b indecomposable blocks
+    must have rank n - b, one less than full in each block."""
     n = a.n
     l = linalg.rank(_submatrix(a, range(n)))
-    dims = RealizationDims(n=n, l=l, dim_h=2 * n - l)
-    if classify(a).kind == CartanKind.AFFINE:
-        assert l == n - 1, "affine matrix must have rank n-1"
-        assert dims.dim_h == n + 1
-    return dims
+    cls = classify(a)
+    if cls.kind == CartanKind.AFFINE and l != n - len(cls.components):
+        raise ClassificationError(f"affine matrix of {len(cls.components)} blocks has rank {l}")
+    return RealizationDims(n=n, l=l, dim_h=2 * n - l)

@@ -146,11 +146,15 @@ def cmd_killing_gram(args):
     degree = _default_degree(args.degree, fallback=4)
     rec = _catalog_record(args.form)
     basis = rec.real_form.truncate(degree).loops
-    gram, verdict = killing_gram(basis)
+    blocks, verdict = killing_gram(basis)
+    diagonal = [None] * len(basis)
+    for members, rows in blocks:
+        for a, i in enumerate(members):
+            diagonal[i] = str(rows[a][a])
     report = _base_report("killing-gram", form=args.form, degree=degree)
     report["size"] = len(basis)
     report["verdict"] = verdict.value
-    report["gram_diagonal"] = [str(gram[i][i]) for i in range(len(basis))]
+    report["gram_diagonal"] = diagonal
     return report, True
 
 

@@ -5,18 +5,16 @@ with its structure constants (computed and verified at construction), an
 ideal split into abelian and simple blocks, the Killing form via adjoint
 traces, and finite-order automorphisms checked against the bracket.
 
-The bracket runs on ints: the structure constants are also kept as
-Gaussian-integer numerators over one denominator D_s, the arguments as
-numerators over their least common denominators D_x and D_y, and each output
-coordinate is divided once by D_x D_y D_s; each output Scalar is built once.
+The bracket and the Killing form run on ints: they take numerator vectors
+(see `scalars`), the structure constants and the Killing matrix are kept as
+Gaussian-integer numerators over one denominator each, and a result is
+reduced once. Automorphisms act on numerator vectors the same way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
-
 from . import linalg
-from .scalars import I_POWERS, ONE, ZERO, Scalar, exact_div
+from .scalars import ONE, ZERO, Scalar, exact_div, vec_canon, vec_from_scalars, vec_to_scalars
 
 Matrix = tuple  # tuple of row tuples of Scalar
 
@@ -61,9 +59,11 @@ def mat_scale(c, a) -> Matrix:
 
 
 def mat_mul(a, b, conjugate=False) -> Matrix:
-    """a . conj^conjugate(b), one sparse column of the product at a time."""
-    rows = sparse_rows(a)
-    return tuple(zip(*(sparse_apply(rows, col, conjugate) for col in zip(*b))))
+    """a . conj^conjugate(b), over the nonzero entries of a."""
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    cols = tuple(zip(*(mat_conj(b) if conjugate else b)))
+    return tuple(tuple(sum((x * col[j] for j, x in row if col[j]), ZERO) for col in cols)
+                 for row in rows)
 
 
 def mat_bracket(a, b) -> Matrix:
@@ -85,71 +85,41 @@ def mat_flatten(a):
 # -- sparse exact linear maps ----------------------------------------------
 
 def sparse_rows(matrix):
-    """Per row, the (j, q, entry) triples of its nonzero entries. q is k when
-    the entry is i^k (one of 1, i, -1, -i) and None for any other entry."""
+    """M as (rows, D): per row the (j, re, im) integer numerators of its
+    nonzero entries over one common denominator D."""
+    width = len(matrix[0]) if matrix else 0
+    nums, den = vec_from_scalars([x for row in matrix for x in row])
+    half = len(nums) // 2
     return tuple(
-        tuple((j, I_POWERS.index(x) if x in I_POWERS else None, x) for j, x in enumerate(row) if x)
-        for row in matrix
-    )
+        tuple((j, nums[i * width + j], nums[half + i * width + j]) for j, x in enumerate(row) if x)
+        for i, row in enumerate(matrix)
+    ), den
 
 
-def sparse_apply(rows, vec, conjugate=False, power=0):
-    """i^power * M conj^conjugate(vec), from the sparse rows of M.
-
-    Zero source coordinates are skipped and no sum starts from ZERO. A unit
-    entry i^q acts by a sign change or a re/im swap; only other entries
-    multiply.
-    """
-    out = []
+def sparse_apply(sparse, vec, conjugate=False, power=0):
+    """i^power * M conj^conjugate(vec) for a numerator vector vec, from the
+    sparse rows of M: products summed as ints, then one reduction."""
+    rows, dm = sparse
+    nums, den = vec
+    n = len(nums) // 2
+    re_in, im_in = nums[:n], (nums[n:] if not conjugate else [-b for b in nums[n:]])
+    for _ in range(power % 4):  # i^power M conj(v) = M (i^power conj(v))
+        re_in, im_in = [-b for b in im_in], re_in
+    re_out, im_out = [], []
     for row in rows:
-        re = im = None
-        for j, q, x in row:
-            v = vec[j]
-            if not v:
-                continue
-            if q is None:
-                p = x * (v.conjugate() if conjugate else v)
-                a, b, q = p.re, p.im, power
-            else:
-                a, b, q = v.re, (-v.im if conjugate else v.im), q + power
-            q %= 4
-            if q == 1:
-                a, b = -b, a
-            elif q == 2:
-                a, b = -a, -b
-            elif q == 3:
-                a, b = b, -a
-            re, im = (a, b) if re is None else (re + a, im + b)
-        out.append(ZERO if re is None else Scalar(re, im))
-    return tuple(out)
+        re = im = 0
+        for j, s, t in row:
+            a, b = re_in[j], im_in[j]
+            re += s * a - t * b
+            im += s * b + t * a
+        re_out.append(re)
+        im_out.append(im)
+    return vec_canon(re_out + im_out, den * dm)
 
 
-def sparse_is_identity(rows) -> bool:
-    return all(len(row) == 1 and row[0][:2] == (i, 0) for i, row in enumerate(rows))
-
-
-# -- Gaussian-integer numerators -------------------------------------------
-
-def _scaled(part, den):
-    """part * den as an int; den is a multiple of part's denominator."""
-    return part * den if type(part) is int else part.numerator * (den // part.denominator)
-
-
-def _numerators(vec):
-    """(j, re, im) int numerators of vec's nonzero coordinates over D, and D."""
-    nz = []
-    den = 1
-    for j, v in enumerate(vec):
-        a, b = v.re, v.im
-        if a or b:
-            nz.append((j, a, b))
-            if type(a) is not int:
-                den = lcm(den, a.denominator)
-            if type(b) is not int:
-                den = lcm(den, b.denominator)
-    if den == 1:
-        return nz, 1
-    return [(j, _scaled(a, den), _scaled(b, den)) for j, a, b in nz], den
+def sparse_is_identity(sparse) -> bool:
+    rows, den = sparse
+    return den == 1 and all(row == ((i, 1, 0),) for i, row in enumerate(rows))
 
 
 @dataclass(frozen=True)
@@ -187,16 +157,15 @@ class FiniteLieAlgebra:
         if check:
             self._check_field_reality()
             self._check_block_orthogonality()
-        den = self._sc_den = _numerators([c for row in self.structure for es in row for _, c in es])[1]
-        self._sc_num = tuple(
-            tuple(tuple((m, _scaled(c.re, den), _scaled(c.im, den)) for m, c in es) for es in row)
-            for row in self.structure)
+        consts = [c for row in self.structure for es in row for _, c in es]
+        nums, self._sc_den = vec_from_scalars(consts)
+        parts = iter(zip(nums, nums[len(consts):]))
+        self._sc_num = tuple(tuple(tuple((m, *next(parts)) for m, _ in es) for es in row)
+                             for row in self.structure)
         self.killing_matrix = tuple(
             tuple(self._ad_trace(j, l) for l in range(self.dim)) for j in range(self.dim)
         )
-        self._killing_rows = tuple(
-            tuple((l, c.re, c.im) for l, c in enumerate(row) if c) for row in self.killing_matrix
-        )
+        self._killing_rows, self._killing_den = sparse_rows(self.killing_matrix)
 
     # -- construction-time verification ---------------------------------
 
@@ -260,14 +229,16 @@ class FiniteLieAlgebra:
     # -- bracket and Killing form ----------------------------------------
 
     def bracket(self, x, y):
-        """[x, y] in coordinates: numerators of x and y over D_x and D_y
-        times the integer structure constants over D_s, summed as ints and
-        divided once by D_x D_y D_s (not at all when it is 1)."""
-        xs, dx = _numerators(x)
-        ys, dy = _numerators(y)
-        re, im = [0] * self.dim, [0] * self.dim
+        """[x, y] of numerator vectors x and y: their numerators times the
+        integer structure constants summed as ints over D_x D_y D_s."""
+        (xn, dx), (yn, dy) = x, y
+        n = self.dim
+        ys = [(k, c, d) for k, c, d in zip(range(n), yn, yn[n:]) if c or d]
+        re, im = [0] * n, [0] * n
         sc = self._sc_num
-        for j, a, b in xs:
+        for j, a, b in zip(range(n), xn, xn[n:]):
+            if not (a or b):
+                continue
             row = sc[j]
             for k, c, d in ys:
                 entries = row[k]
@@ -277,11 +248,7 @@ class FiniteLieAlgebra:
                 for m, s, t in entries:
                     re[m] += p * s - q * t
                     im[m] += p * t + q * s
-        den = dx * dy * self._sc_den
-        if den == 1:
-            return tuple(Scalar(r, i) if r or i else ZERO for r, i in zip(re, im))
-        return tuple(Scalar(exact_div(r, den), exact_div(i, den)) if r or i else ZERO
-                     for r, i in zip(re, im))
+        return vec_canon(re + im, dx * dy * self._sc_den)
 
     def _ad_trace(self, j, l):
         """tr(ad e_j ad e_l) = sum over k, m of c_jk^m c_lm^k."""
@@ -290,22 +257,25 @@ class FiniteLieAlgebra:
                     for k2, d in sc[l][m] if k2 == k), ZERO)
 
     def killing(self, x, y) -> Scalar:
-        """Trace of ad(x) ad(y): raw parts summed over the nonzero entries of
-        the basis Gram matrix (a real one skips two products), one Scalar."""
-        if len(x) != self.dim or len(y) != self.dim:
+        """Trace of ad(x) ad(y) for numerator vectors x and y: their
+        numerators summed as ints over the nonzero entries of the basis Gram
+        matrix, one Scalar."""
+        (xn, dx), (yn, dy) = x, y
+        n = self.dim
+        if len(xn) != 2 * n or len(yn) != 2 * n:
             raise LieAlgebraError("coordinate vector has the wrong dimension")
         re = im = 0
-        for j, xj in enumerate(x):
-            a, b = xj.re, xj.im
+        for j, a, b in zip(range(n), xn, xn[n:]):
             if not (a or b):
                 continue
             for l, c, d in self._killing_rows[j]:
-                e, f = y[l].re, y[l].im
+                e, f = yn[l], yn[n + l]
                 if e or f:
                     p, q = a * e - b * f, a * f + b * e
-                    re += p * c - q * d if d else p * c
-                    im += p * d + q * c if d else q * c
-        return Scalar(re, im)
+                    re += p * c - q * d
+                    im += p * d + q * c
+        den = dx * dy * self._killing_den
+        return Scalar(exact_div(re, den), exact_div(im, den))
 
     def is_semisimple(self) -> bool:
         return bool(linalg.determinant([list(r) for r in self.killing_matrix]))
@@ -466,7 +436,9 @@ class FiniteAutomorphism:
         self.order = order
 
     def apply(self, coords):
-        return sparse_apply(self.sparse, coords, self.conjugate_linear)
+        """The automorphism on Scalar coordinates."""
+        return vec_to_scalars(sparse_apply(self.sparse, vec_from_scalars(coords),
+                                           self.conjugate_linear))
 
     def compose(self, other) -> "FiniteAutomorphism":
         """self after other."""
@@ -481,7 +453,7 @@ class FiniteAutomorphism:
     def __eq__(self, other):
         if not isinstance(other, FiniteAutomorphism):
             return NotImplemented
-        return (
+        return self is other or (
             self.algebra is other.algebra
             and self.conjugate_linear == other.conjugate_linear
             and self.matrix == other.matrix
@@ -502,18 +474,16 @@ def identity_automorphism(g) -> FiniteAutomorphism:
 
 def check_automorphism(g, phi: FiniteAutomorphism) -> FiniteAutomorphism:
     """Verify bracket preservation and the declared finite order, exactly."""
-    basis_coords = [
-        tuple(ONE if i == j else ZERO for i in range(g.dim)) for j in range(g.dim)
-    ]
-    images = [phi.apply(v) for v in basis_coords]
-    for j in range(g.dim):
-        for k in range(g.dim):
-            lhs_vec = [ZERO] * g.dim
+    n = g.dim
+    images = [sparse_apply(phi.sparse, ((0,) * j + (1,) + (0,) * (2 * n - j - 1), 1),
+                           phi.conjugate_linear) for j in range(n)]
+    for j in range(n):
+        for k in range(n):
+            lhs_vec = [ZERO] * n
             for m, c in g.structure[j][k]:
                 lhs_vec[m] = c
-            lhs = phi.apply(tuple(lhs_vec))
-            rhs = g.bracket(images[j], images[k])
-            if lhs != rhs:
+            lhs = sparse_apply(phi.sparse, vec_from_scalars(lhs_vec), phi.conjugate_linear)
+            if lhs != g.bracket(images[j], images[k]):
                 raise NotAutomorphismError(j, k)
     if phi.order is None:
         raise WrongOrderError("automorphism must declare its order")

@@ -26,7 +26,7 @@ from .findim import (
 )
 from .kmext import ExtendedElement, hat_bracket, real_coords
 from .loop import TwistedLoopElement, check_twist, zero_loop
-from .scalars import I, ONE, Scalar, ZERO, i_power
+from .scalars import I, ONE, Scalar, ZERO, i_power, vec_from_scalars, vec_to_scalars
 
 
 class InvolutionError(ValueError):
@@ -58,15 +58,15 @@ class CoeffMap:
         return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
 
     def apply_vec(self, vec, k=0):
-        return sparse_apply(self.sparse, vec, self.conjugate, self.parity * k)
+        """The map on Scalar coordinates landing at target degree k."""
+        return vec_to_scalars(sparse_apply(self.sparse, vec_from_scalars(vec), self.conjugate,
+                                           self.parity * k))
 
     def apply_loop(self, f: TwistedLoopElement) -> TwistedLoopElement:
-        s = self.index_sign
-        terms = {}
-        for j, vec in f.terms.items():
-            k = s * j  # source degree j contributes to target degree s*j
-            terms[k] = self.apply_vec(vec, k)
-        return TwistedLoopElement(f.algebra, f.twist, terms, validate=False)
+        # source degree j contributes to target degree s*j
+        s, p = self.index_sign, self.parity
+        return f.from_vecs(f.algebra, f.twist, {
+            s * j: sparse_apply(self.sparse, vec, self.conjugate, p * s * j) for j, vec in f.terms.items()})
 
     def compose(self, other: "CoeffMap") -> "CoeffMap":
         """self after other, as one coefficient map."""
@@ -270,7 +270,7 @@ class RealFormDescriptor:
             for k in degrees:
                 sign = ONE if k % 2 == 0 else -ONE
                 for i in range(dim):
-                    eq = [(pos[k], j, x, ZERO) for j, _, x in self.twist.sparse[i]]
+                    eq = [(pos[k], j, x, ZERO) for j, x in enumerate(self.twist.matrix[i]) if x]
                     equations.append(eq + [(pos[k], i, -sign, ZERO)])
         if self.conj is not None:
             s = self.conj.index_sign
@@ -279,7 +279,7 @@ class RealFormDescriptor:
                     raise InvolutionError("block is not closed under the real structure")
                 f = i_power(self.conj.parity * k)
                 for i in range(dim):
-                    eq = [(pos[s * k], j, ZERO, f * x) for j, _, x in self.conj.sparse[i]]
+                    eq = [(pos[s * k], j, ZERO, f * x) for j, x in enumerate(self.conj.matrix[i]) if x]
                     equations.append(eq + [(pos[k], i, -ONE, ZERO)])
         out = []
         for vecs in linalg.real_kernel(equations, len(degrees), dim):
@@ -302,9 +302,8 @@ class RealFormDescriptor:
                 blocks[key] = self.block_basis(key)
                 continue
             blocks[key] = [
-                ExtendedElement(TwistedLoopElement(self.algebra, self.twist, {
-                    k + (4 if k > 0 else -4): vec for k, vec in e.loop.terms.items()
-                }, validate=False))
+                ExtendedElement(e.loop._like({
+                    k + (4 if k > 0 else -4): vec for k, vec in e.loop.terms.items()}))
                 for e in blocks[(key[0] - 4, 4 - key[0])]
             ]
         return Truncation(self, n_max, tuple(blocks.items()))

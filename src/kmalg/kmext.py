@@ -24,7 +24,7 @@ from .loop import (
     twist_eigenbasis,
     zero_loop,
 )
-from .scalars import I, Scalar, ZERO, exact_div
+from .scalars import I, Scalar, ZERO, exact_div, vec_mul, vec_support
 
 
 class ExtendedElement:
@@ -69,10 +69,11 @@ def real_coords(x: ExtendedElement, degrees) -> list:
     """x as one rational vector in the real layout of the `linalg`
     docstring: one [re | im] chunk of loop coordinates per given degree
     (zero where x has no term), then c.re, c.im, d.re, d.im."""
-    zero = x.loop.algebra.zero_coords()
+    zero = ((0,) * (2 * x.loop.algebra.dim), 1)
     out = []
     for k in degrees:
-        out.extend(linalg.real_flatten(x.loop.terms.get(k, zero)))
+        nums, den = x.loop.terms.get(k, zero)
+        out.extend(exact_div(a, den) for a in nums)
     out.extend((x.c.re, x.c.im, x.d.re, x.d.im))
     return out
 
@@ -88,16 +89,11 @@ def derivation_element(algebra, twist, value=1) -> ExtendedElement:
 # -- cocycle --------------------------------------------------------------
 
 def cocycle(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:
-    """(1/2pi) int <f, g'> dt = -(i/m) sum_k k B(a_k, b_{-k}). Antisymmetric."""
+    """(1/2pi) int <f, g'> dt = sum_k B(a_k, -(i k/m) b_{-k}). Antisymmetric."""
     f._require_match(g)
-    alg = f.algebra
-    m = f.twist.order
-    total = ZERO
-    for k, ak in f.terms.items():
-        bmk = g.terms.get(-k)
-        if bmk is not None and k:
-            total = total + Scalar(0, exact_div(-k, m)) * alg.killing(ak, bmk)
-    return total
+    killing, other, m = f.algebra.killing, g.terms, f.twist.order
+    return sum((killing(ak, vec_mul(other[-k], ((0, -k), m)))
+                for k, ak in f.terms.items() if k and -k in other), ZERO)
 
 
 class ResidueCocycle(NamedTuple):
@@ -175,11 +171,7 @@ class GradedSubspace:
             return False
         if x.d and not self.include_d:
             return False
-        for vec in x.loop.terms.values():
-            for i, coeff in enumerate(vec):
-                if coeff and i not in self._allowed:
-                    return False
-        return True
+        return all(vec_support(vec) <= self._allowed for vec in x.loop.terms.values())
 
 
 def is_ideal(generators, ambient_sample, description: GradedSubspace) -> bool:
@@ -235,7 +227,7 @@ class SplittingHom:
                 raise MismatchError("factor elements live in derived algebras: d = 0")
             if part.loop.algebra is not alg or part.loop.twist != twist:
                 raise MismatchError("factor element over the wrong algebra or twist")
-            for k, vec in part.loop.terms.items():
+            for k, vec in part.loop.coeffs.items():
                 row = terms.setdefault(k, [ZERO] * self.target_algebra.dim)
                 for i, val in enumerate(vec):
                     row[off + i] = row[off + i] + val
@@ -257,7 +249,7 @@ class SplittingHom:
             # k mod the twist order picks the (-1)^k eigenspace of an order-2
             # twist and every coordinate of an untwisted factor
             spanning = [ExtendedElement(zero_loop(alg, twist), c=1)] + [
-                ExtendedElement(TwistedLoopElement(alg, twist, {k: vec}))
+                ExtendedElement(TwistedLoopElement.from_vecs(alg, twist, {k: vec}))
                 for k in (-1, 0, 1) for vec in twist_eigenbasis(alg, twist, k % twist.order)
             ]
             images.extend(self.apply(zeros[:i] + [x] + zeros[i + 1:]) for x in spanning)

@@ -6,14 +6,31 @@ m in {1, 2}; the grading invariant sigma(a_k) = (-1)^k a_k is enforced at
 construction. The pointwise bracket becomes coefficient convolution, the
 derivative multiplies by i k / m, and the loop Killing form is the constant
 Fourier coefficient of the pointwise Killing pairing (normalized by 1/2pi).
+
+Coefficients. `terms` maps each exponent k to a_k as a numerator vector (see
+`scalars`): Gaussian-integer numerators over one positive denominator, in
+lowest terms and never zero. So equality, hashing and zero tests compare int
+tuples, and +, -, scale, the bracket, the derivative, the Killing form, the
+cocycle and the coefficient maps of `involution` all run on ints. Scalar is
+the type at the edge: the constructor takes Scalar coordinates, `coeff` and
+`coeffs` give them back, and c, d, real coordinates, JSON and rendering
+read Scalars or rationals.
 """
 from __future__ import annotations
 
 from enum import Enum
 
 from . import linalg
-from .findim import FiniteAutomorphism, FiniteLieAlgebra, identity_automorphism
-from .scalars import Scalar, ZERO, exact_div
+from .findim import FiniteAutomorphism, FiniteLieAlgebra, identity_automorphism, sparse_apply
+from .scalars import (
+    Scalar,
+    ZERO,
+    vec_add,
+    vec_from_scalars,
+    vec_mul,
+    vec_neg,
+    vec_to_scalars,
+)
 
 
 class LoopError(ValueError):
@@ -43,55 +60,63 @@ def check_twist(algebra: FiniteLieAlgebra, twist: FiniteAutomorphism):
 
 class TwistedLoopElement:
     """Finite map from integer exponent k (frequency k/m) to a coefficient
-    coordinate vector; no zero coefficients are stored."""
+    numerator vector; no zero coefficients are stored."""
 
     __slots__ = ("algebra", "twist", "terms")
 
-    def __init__(self, algebra, twist, terms, validate=True):
-        self.algebra = algebra
-        self.twist = twist
+    def __init__(self, algebra, twist, terms):
+        """terms maps exponents to Scalar coordinates; the twist and the
+        grading are checked."""
+        check_twist(algebra, twist)
         clean = {}
-        for k, vec in terms.items():
-            vec = tuple(vec)
-            if any(vec):
+        for k, coords in terms.items():
+            vec = vec_from_scalars(coords)
+            if any(vec[0]):
                 clean[int(k)] = vec
-        self.terms = clean
-        if validate:
-            check_twist(algebra, twist)
-            if twist.order == 2:
-                for k, vec in clean.items():
-                    img = twist.apply(vec)
-                    want = vec if k % 2 == 0 else tuple(-c for c in vec)
-                    if img != want:
-                        raise GradingError(
-                            f"coefficient at exponent {k} is not in the required twist eigenspace"
-                        )
+        if twist.order == 2:
+            for k, vec in clean.items():
+                if sparse_apply(twist.sparse, vec) != (vec_neg(vec) if k % 2 else vec):
+                    raise GradingError(
+                        f"coefficient at exponent {k} is not in the required twist eigenspace"
+                    )
+        self.algebra, self.twist, self.terms = algebra, twist, clean
+
+    @classmethod
+    def from_vecs(cls, algebra, twist, terms):
+        """An element from graded numerator vectors, unchecked; zero vectors
+        are dropped."""
+        f = object.__new__(cls)
+        f.algebra, f.twist = algebra, twist
+        f.terms = {k: vec for k, vec in terms.items() if any(vec[0])}
+        return f
+
+    def _like(self, terms):
+        """An element over this one's algebra and twist, from nonzero graded
+        numerator vectors."""
+        f = object.__new__(TwistedLoopElement)
+        f.algebra, f.twist, f.terms = self.algebra, self.twist, terms
+        return f
 
     # -- vector-space structure ----------------------------------------
-    def _like(self, terms):
-        return TwistedLoopElement(self.algebra, self.twist, terms, validate=False)
-
     def __add__(self, other):
         self._require_match(other)
         terms = dict(self.terms)
         for k, vec in other.terms.items():
-            if k in terms:
-                terms[k] = tuple(a + b for a, b in zip(terms[k], vec))
-            else:
-                terms[k] = vec
-        return self._like(terms)
+            terms[k] = vec_add(terms[k], vec) if k in terms else vec
+        return self.from_vecs(self.algebra, self.twist, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({k: tuple(-c for c in v) for k, v in self.terms.items()})
+        return self._like({k: vec_neg(v) for k, v in self.terms.items()})
 
     def scale(self, c):
         c = c if isinstance(c, Scalar) else Scalar(c)
         if not c:
             return self._like({})
-        return self._like({k: tuple(c * x for x in v) for k, v in self.terms.items()})
+        c = vec_from_scalars((c,))
+        return self._like({k: vec_mul(v, c) for k, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, TwistedLoopElement):
@@ -112,10 +137,18 @@ class TwistedLoopElement:
         return sorted(self.terms)
 
     def coeff(self, k):
-        return self.terms.get(k, self.algebra.zero_coords())
+        """Scalar coordinates of a_k."""
+        vec = self.terms.get(k)
+        return vec_to_scalars(vec) if vec else self.algebra.zero_coords()
+
+    @property
+    def coeffs(self):
+        """Exponent -> Scalar coordinates, for the nonzero terms."""
+        return {k: vec_to_scalars(v) for k, v in self.terms.items()}
 
     def _require_match(self, other):
-        if self.algebra is not other.algebra or self.twist != other.twist:
+        if self.algebra is not other.algebra or (self.twist is not other.twist
+                                                 and self.twist != other.twist):
             raise MismatchError("loop elements live over different algebras or twists")
 
     def __repr__(self):
@@ -140,42 +173,28 @@ def untwisted(algebra) -> FiniteAutomorphism:
 def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopElement:
     """Pointwise bracket: coefficient convolution [f,g]_k = sum [a_p, b_q]."""
     f._require_match(g)
-    alg = f.algebra
+    bracket = f.algebra.bracket
     out = {}
     for p, ap in f.terms.items():
         for q, bq in g.terms.items():
-            val = alg.bracket(ap, bq)
-            if any(val):
-                k = p + q
-                if k in out:
-                    out[k] = tuple(a + b for a, b in zip(out[k], val))
-                else:
-                    out[k] = val
-    return TwistedLoopElement(alg, f.twist, out, validate=False)
+            val = bracket(ap, bq)
+            k = p + q
+            out[k] = vec_add(out[k], val) if k in out else val
+    return f.from_vecs(f.algebra, f.twist, out)
 
 
 def loop_derivative(f: TwistedLoopElement) -> TwistedLoopElement:
     """d/dt of sum a_k e^{ikt/m}: multiplies a_k by i k / m."""
     m = f.twist.order
-    out = {}
-    for k, vec in f.terms.items():
-        if k:
-            factor = Scalar(0, exact_div(k, m))
-            out[k] = tuple(factor * c for c in vec)
-    return TwistedLoopElement(f.algebra, f.twist, out, validate=False)
+    return f._like({k: vec_mul(v, ((0, k), m)) for k, v in f.terms.items() if k})
 
 
 def loop_killing(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:
     """(1/2pi) integral of B(f(t), g(t)): the constant Fourier coefficient,
     sum_k B(a_k, b_{-k}). Exact."""
     f._require_match(g)
-    alg = f.algebra
-    total = ZERO
-    for k, ak in f.terms.items():
-        bmk = g.terms.get(-k)
-        if bmk is not None:
-            total = total + alg.killing(ak, bmk)
-    return total
+    killing, other = f.algebra.killing, g.terms
+    return sum((killing(ak, other[-k]) for k, ak in f.terms.items() if -k in other), ZERO)
 
 
 class Definiteness(Enum):
@@ -186,14 +205,16 @@ class Definiteness(Enum):
 
 
 def killing_gram(basis):
-    """Exact Gram matrix of loop_killing on a list of loop elements, plus a
-    definiteness verdict from the exact signature.
+    """Exact Gram matrix of loop_killing on a list of loop elements, by
+    class blocks, plus a definiteness verdict from the exact signature.
 
     A degree-k coefficient pairs only with a degree -k one, so two elements
     can pair nonzero only inside one exponent class: a class of the
     union-find that joins the |k| of each element's support (elements with
-    no terms form one class). Only pairs inside a class are computed; the
-    returned n x n matrix is zero elsewhere. The signature is the sum of the
+    no terms form one class). Only pairs inside a class are computed, and
+    the Gram matrix is returned as a list of (members, sub-matrix) pairs,
+    one per class, members its basis indices in order; every other entry
+    of the matrix is zero. The signature is the sum of the
     signatures of the class sub-matrices: grouping the basis by class is a
     congruence, so by Sylvester's law of inertia the sum is the signature of
     the whole matrix.
@@ -202,7 +223,8 @@ def killing_gram(basis):
     class to sign(k) r(|k|), r injective with r(0) = 0, changes no in-class
     entry. So a class is keyed on its members in basis order with r ranking
     its distinct nonzero |k| from 1 (rank 0 would merge k with -k), and a
-    memo local to the call builds each key's sub-matrix and signature once.
+    memo local to the call builds each key's sub-matrix and signature once;
+    classes with one key share the sub-matrix.
 
     Entries must come out real; a non-real value means the basis does not
     span a real subspace and raises NonRealPairingError for the first such
@@ -228,7 +250,7 @@ def killing_gram(basis):
     for i, cls in enumerate(label):
         classes.setdefault(cls, []).append(i)
     n = len(basis)
-    gram = [[0] * n for _ in range(n)]
+    blocks = []
     memo = {}
     pos = neg = zero = 0
     bad = []
@@ -244,9 +266,7 @@ def killing_gram(basis):
         if block is None:
             bad.append((members[sig[0]], members[sig[1]], sig[2]))
             continue
-        for i, block_row in zip(members, block):
-            for j, x in zip(members, block_row):
-                gram[i][j] = x
+        blocks.append((members, block))
         pos, neg, zero = pos + sig[0], neg + sig[1], zero + sig[2]
     if bad:
         raise NonRealPairingError("pairing ({},{}) has value {}".format(*min(bad)))
@@ -258,7 +278,7 @@ def killing_gram(basis):
         verdict = Definiteness.POS_DEFINITE
     else:
         verdict = Definiteness.INDEFINITE
-    return gram, verdict
+    return blocks, verdict
 
 
 def _class_gram(elems):
@@ -279,8 +299,9 @@ _EIGENBASIS_CACHE = {}
 
 
 def twist_eigenbasis(algebra, twist, parity):
-    """Coordinate basis of the twist eigenspace with eigenvalue (-1)^parity."""
-    key = (id(algebra), twist, parity % 2)
+    """Basis of the twist eigenspace with eigenvalue (-1)^parity, as
+    numerator vectors."""
+    key = (id(algebra), twist.sparse, parity % 2)  # sparse names a linear twist exactly
     if key not in _EIGENBASIS_CACHE:
         _EIGENBASIS_CACHE[key] = _twist_eigenbasis(algebra, twist, parity)
     return _EIGENBASIS_CACHE[key]
@@ -292,4 +313,4 @@ def _twist_eigenbasis(algebra, twist, parity):
         [twist.matrix[i][j] - (sign if i == j else ZERO) for j in range(algebra.dim)]
         for i in range(algebra.dim)
     ]
-    return [tuple(v) for v in linalg.nullspace(rows)]
+    return [vec_from_scalars(v) for v in linalg.nullspace(rows)]

@@ -21,7 +21,6 @@ from .involution import (
     CartanDecomposition,
     CoeffMap,
     InvolutionDescriptor,
-    InvolutionKind,
     RealFormDescriptor,
     Truncation,
     dualize,
@@ -31,7 +30,7 @@ from .involution import (
 )
 from .kmext import ExtendedElement
 from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted, zero_loop
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, vec_support
 
 
 class OsakaType(Enum):
@@ -43,6 +42,10 @@ class OsakaType(Enum):
 class Effectiveness(Enum):
     EFFECTIVE = "Effective"
     NOT_EFFECTIVE = "NotEffective"
+
+
+class EffectivenessError(ValueError):
+    """epsilon = -1 is declared, but the involution does not negate c."""
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,7 @@ class OsakaReport:
 # -- core checks ----------------------------------------------------------
 
 def _restrict_to_coords(x: ExtendedElement, allowed) -> bool:
-    return all(
-        not coeff or i in allowed
-        for vec in x.loop.terms.values()
-        for i, coeff in enumerate(vec)
-    )
+    return all(vec_support(vec) <= allowed for vec in x.loop.terms.values())
 
 
 def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
@@ -138,7 +137,7 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     mixed = [
         e for e in dec.k_basis
         if not e.loop.is_zero() and not _restrict_to_coords(e, ss)
-        and any(coeff and i in ss for vec in e.loop.terms.values() for i, coeff in enumerate(vec))
+        and any(vec_support(vec) & ss for vec in e.loop.terms.values())
     ]
     if fixed_ss_loops:
         _, verdict = killing_gram(fixed_ss_loops)
@@ -158,9 +157,8 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     ab_fixed = []
     for e in dec.k_basis:
         const = e.loop.terms.get(0)
-        if const is not None and any(const[i] for i in ab):
-            if all(not coeff for k, vec in e.loop.terms.items() if k != 0 for coeff in vec):
-                ab_fixed.append(e)
+        if const is not None and vec_support(const) & ab and len(e.loop.terms) == 1:
+            ab_fixed.append(e)
     report.checks["fix_abelian_zero"] = CheckResult(
         not ab_fixed, f"{len(ab_fixed)} fixed constant abelian directions"
     )
@@ -218,18 +216,18 @@ def _check_type(record: OsakaRecord, dec: CartanDecomposition, computed: OsakaTy
 
 
 def effectiveness_check(record: OsakaRecord) -> Effectiveness:
-    """Effective iff the involution does not fix the center line, i.e. maps
-    c to -c; effectiveness forces second kind (cross-checked)."""
+    """Effective iff the involution does not fix the center line, i.e. its
+    epsilon is -1, so that it maps c to -c. An involution that declares
+    epsilon = -1 but does not negate c raises EffectivenessError."""
     phi = record.involution
     effective = phi.epsilon == -1
     if effective:
-        assert phi.kind() == InvolutionKind.SECOND
         c_el = ExtendedElement(
             zero_loop(record.real_form.algebra, record.real_form.twist),
             c=record.real_form.cd_scale if record.real_form.cd_scale else ONE,
         )
-        img = phi.apply(c_el)
-        assert img == -c_el, "epsilon = -1 but c is not negated"
+        if phi.apply(c_el) != -c_el:
+            raise EffectivenessError(f"{phi.name}: epsilon = -1 but c is not negated")
     return Effectiveness.EFFECTIVE if effective else Effectiveness.NOT_EFFECTIVE
 
 

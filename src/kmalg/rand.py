@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .kmext import ExtendedElement
 from .loop import TwistedLoopElement, twist_eigenbasis
-from .scalars import Scalar, ZERO
+from .scalars import Scalar, ZERO, vec_add, vec_from_scalars, vec_mul
 
 
 class TrialRng:
@@ -51,7 +51,8 @@ class TrialRng:
 
 
 def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6, max_terms=4):
-    """Random graded element: coefficients drawn inside twist eigenspaces."""
+    """Random graded element: coefficients drawn inside twist eigenspaces,
+    so the grading holds by construction."""
     terms = {}
     n_terms = rng.randint(1, max_terms)
     for _ in range(n_terms):
@@ -59,15 +60,13 @@ def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6, max_terms=4
         basis = twist_eigenbasis(algebra, twist, k % 2)
         if not basis:
             continue
-        vec = [ZERO] * algebra.dim
+        vec = ((0,) * (2 * algebra.dim), 1)
         for b in basis:
             c = rng.scalar()
             if c:
-                vec = [v + c * x for v, x in zip(vec, b)]
-        if k in terms:
-            vec = [a + b for a, b in zip(terms[k], vec)]
-        terms[k] = tuple(vec)
-    return TwistedLoopElement(algebra, twist, terms)
+                vec = vec_add(vec, vec_mul(b, vec_from_scalars((c,))))
+        terms[k] = vec_add(terms[k], vec) if k in terms else vec
+    return TwistedLoopElement.from_vecs(algebra, twist, terms)
 
 
 def random_extended_element(algebra, twist, rng: TrialRng, max_degree=6, max_terms=4,

@@ -9,10 +9,19 @@ structure-constant arithmetic) never pay for a gcd. ``Scalar`` accepts only
 ``int``, ``bool`` and ``Fraction`` parts and raises ``TypeError`` on anything
 else, floats included. Python's ``int / int`` is a float, so every division
 of rationals in the package goes through ``exact_div``.
+
+Beneath Scalar, a coefficient vector of n Gaussian rationals is a numerator
+vector ``(nums, den)``: ``nums`` holds the 2n integer numerators of the real
+parts and then of the imaginary parts (the real layout of ``linalg``), all
+over one positive ``den``. It is kept in lowest terms, gcd(den, *nums) = 1,
+so that equal vectors are equal tuples; the zero vector is
+``((0, ..., 0), 1)``. The loop layer stores and combines these, and
+converts to Scalar only at its edge.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _Rat = (int, Fraction)
 
@@ -163,6 +172,58 @@ I_POWERS = (ONE, I, Scalar(-1), Scalar(0, -1))
 
 def i_power(k: int) -> Scalar:
     return I_POWERS[k % 4]
+
+
+# -- numerator vectors -------------------------------------------------------
+
+def vec_canon(nums, den):
+    """(nums, den) in lowest terms, nums as a tuple; den must be positive."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple(x // g for x in nums), den // g
+    return tuple(nums), den
+
+
+def vec_from_scalars(coords):
+    """Scalar coordinates as a numerator vector over the least common
+    denominator of their parts, which is already in lowest terms."""
+    parts = [s.re for s in coords] + [s.im for s in coords]
+    den = lcm(*(x.denominator for x in parts if type(x) is not int))
+    return tuple(x.numerator * (den // x.denominator) for x in parts), den
+
+
+def vec_to_scalars(v):
+    """The Scalar coordinates of a numerator vector."""
+    nums, den = v
+    n = len(nums) // 2
+    return tuple(Scalar(exact_div(a, den), exact_div(b, den)) for a, b in zip(nums, nums[n:]))
+
+
+def vec_add(u, v):
+    (a, da), (b, db) = u, v
+    d = lcm(da, db)
+    fa, fb = d // da, d // db
+    return vec_canon([x * fa + y * fb for x, y in zip(a, b)], d)
+
+
+def vec_neg(v):
+    return tuple(-x for x in v[0]), v[1]
+
+
+def vec_mul(v, c):
+    """c v, where c = ((p, q), e) is the numerator form of (p + q i) / e."""
+    (nums, den), ((p, q), e) = v, c
+    n = len(nums) // 2
+    pairs = list(zip(nums, nums[n:]))
+    return vec_canon([a * p - b * q for a, b in pairs] + [a * q + b * p for a, b in pairs], den * e)
+
+
+def vec_support(v):
+    """The set of indices of the nonzero coordinates."""
+    nums = v[0]
+    n = len(nums) // 2
+    return {j for j, a, b in zip(range(n), nums, nums[n:]) if a or b}
 
 
 def render_scalar(s: Scalar) -> str:

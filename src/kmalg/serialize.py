@@ -6,23 +6,18 @@ small registry of named built-ins and carry their twist order.
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .findim import direct_sum, make_abelian, make_sl, make_su
 from .involution import CoeffMap, InvolutionDescriptor, InvolutionError, RealFormDescriptor
 from .kmext import ExtendedElement
 from .loop import GradingError, TwistedLoopElement, untwisted
-from .scalars import Scalar, ZERO
+from .scalars import Scalar
 
 SCHEMA = "kmalg/1"
 
 
 class SchemaError(ValueError):
-    pass
-
-
-class ParseFailure(ValueError):
     pass
 
 
@@ -130,7 +125,7 @@ def loop_to_json(f: TwistedLoopElement):
         "algebra": algebra_name(f.algebra),
         "twist_order": f.twist.order,
         "terms": [
-            {"k": k, "coords": [scalar_to_json(c) for c in f.terms[k]]} for k in sorted(f.terms)
+            {"k": k, "coords": [scalar_to_json(c) for c in f.coeff(k)]} for k in sorted(f.terms)
         ],
     }
 
@@ -355,7 +350,7 @@ def render_element(x: ExtendedElement) -> str:
     m = x.loop.twist.order
     parts = []
     for k in sorted(x.loop.terms):
-        parts.append(f"({_render_matrix_sum(x.loop.algebra, x.loop.terms[k])})·z^{_exp_str(k, m)}")
+        parts.append(f"({_render_matrix_sum(x.loop.algebra, x.loop.coeff(k))})·z^{_exp_str(k, m)}")
     if x.c:
         parts.append(f"{_scalar_factor(x.c)}c")
     if x.d:
@@ -369,94 +364,3 @@ def render_element(x: ExtendedElement) -> str:
         else:
             out += " + " + p
     return out
-
-
-_TERM_RE = re.compile(r"^\((?P<body>.*)\)·z\^(?P<exp>\(?-?\d+(?:/2)?\)?)$")
-_UNIT_RE = re.compile(r"^(?P<factor>.*?)E(?P<r>\d)(?P<c>\d)$")
-
-
-def parse_element(text: str, algebra, twist) -> ExtendedElement:
-    """Inverse of render_element for the given algebra and twist."""
-    from .findim import mat_add, mat_scale, mat_zero, _unit
-    from .loop import zero_loop
-
-    text = text.strip()
-    if text == "0":
-        return ExtendedElement(zero_loop(algebra, twist))
-    chunks = _split_top_level(text)
-    terms = {}
-    c_val = ZERO
-    d_val = ZERO
-    m = twist.order
-    for sign, chunk in chunks:
-        if chunk in ("c", "-c") or chunk.endswith("·c"):
-            c_val = c_val + sign * _parse_factor(chunk[:-1])
-            continue
-        if chunk in ("d", "-d") or chunk.endswith("·d"):
-            d_val = d_val + sign * _parse_factor(chunk[:-1])
-            continue
-        mt = _TERM_RE.match(chunk)
-        if not mt:
-            raise ParseFailure(f"cannot parse term {chunk!r}")
-        exp = mt.group("exp").strip("()")
-        if "/" in exp:
-            k = int(exp.split("/")[0])
-            if m != 2:
-                raise ParseFailure("half-integer exponent on an untwisted element")
-        else:
-            k = int(exp) * (2 if m == 2 else 1)
-        mat_val = mat_zero(algebra.matrix_size)
-        for usign, unit in _split_top_level(mt.group("body")):
-            um = _UNIT_RE.match(unit)
-            if not um:
-                raise ParseFailure(f"cannot parse matrix unit {unit!r}")
-            coeff = usign * _parse_factor(um.group("factor"))
-            r, c = int(um.group("r")) - 1, int(um.group("c")) - 1
-            mat_val = mat_add(mat_val, mat_scale(coeff, _unit(algebra.matrix_size, r, c)))
-        coords = algebra.coords(mat_val)
-        coords = tuple(sign * x for x in coords)
-        if k in terms:
-            coords = tuple(a + b for a, b in zip(terms[k], coords))
-        terms[k] = coords
-    loop = TwistedLoopElement(algebra, twist, terms)
-    return ExtendedElement(loop, c_val, d_val)
-
-
-def _parse_factor(text: str) -> Scalar:
-    from .scalars import parse_scalar
-
-    text = text.strip()
-    if text.endswith("·"):
-        text = text[:-1]
-    if text in ("", "+"):
-        return Scalar(1)
-    if text == "-":
-        return Scalar(-1)
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    return parse_scalar(text)
-
-
-def _split_top_level(text: str):
-    """Split 'a + b - c' at depth zero into (sign, chunk) pairs."""
-    out = []
-    depth = 0
-    sign = Scalar(1)
-    cur = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and i > 0 and text[i - 1] == " " and i + 1 < len(text) and text[i + 1] == " ":
-            out.append((sign, "".join(cur).strip()))
-            sign = Scalar(1) if ch == "+" else Scalar(-1)
-            cur = []
-            i += 2
-            continue
-        cur.append(ch)
-        i += 1
-    out.append((sign, "".join(cur).strip()))
-    return [(s, c) for s, c in out if c]

@@ -8,26 +8,41 @@ instead of divide-and-eliminate. The real-form block bases and finite
 coordinates are the hand-written real blow-ups the library used before one
 equation builder in linalg served them both. The finite bracket and Killing
 form are the Scalar loops the library ran before its integer-numerator
-kernel, and the loop Gram matrix is built class by class as it was before
-classes equal up to exponent renaming shared one computation.
+kernel, and the loop operations those it ran before loop elements stored
+numerator vectors. The loop Gram matrix is built class by class as it was
+before classes equal up to exponent renaming shared one computation, and
+laid out densely from the class blocks the library now returns.
+parse_element, the inverse of the rendering, lives here because only the
+render round trip reads it.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 from kmalg import linalg
-from kmalg.findim import LieAlgebraError, mat_flatten
+from kmalg.findim import LieAlgebraError, _unit, mat_add, mat_flatten, mat_scale, mat_zero
 from kmalg.involution import InvolutionError
 from kmalg.kmext import ExtendedElement
 from kmalg.loop import (
     Definiteness,
     NonRealPairingError,
     TwistedLoopElement,
+    killing_gram,
     loop_killing,
     zero_loop,
 )
-from kmalg.scalars import I, ONE, Scalar, ZERO, i_power
+from kmalg.scalars import (
+    I,
+    ONE,
+    Scalar,
+    ZERO,
+    i_power,
+    parse_scalar,
+    vec_from_scalars,
+    vec_to_scalars,
+)
 
 
 # -- finite Killing forms by matrix trace ---------------------------------
@@ -46,6 +61,18 @@ def killing_sl_family(n, x_mat, y_mat) -> Scalar:
 def killing_so_family(n, x_mat, y_mat) -> Scalar:
     """B(x, y) = (n-2) tr(xy) on so(n)."""
     return Scalar(n - 2) * _trace_of_product(x_mat, y_mat)
+
+
+# -- Scalar coordinates at the edge of the integer kernels ---------------------
+
+def scalar_bracket(g, x, y):
+    """g.bracket on Scalar coordinates: numerator vectors in and out."""
+    return vec_to_scalars(g.bracket(vec_from_scalars(x), vec_from_scalars(y)))
+
+
+def scalar_killing(g, x, y) -> Scalar:
+    """g.killing on Scalar coordinates."""
+    return g.killing(vec_from_scalars(x), vec_from_scalars(y))
 
 
 # -- the Scalar-by-Scalar finite bracket and Killing form -------------------
@@ -82,7 +109,86 @@ def killing_reference(g, x, y) -> Scalar:
     return total
 
 
+# -- the loop layer on Scalar-tuple coefficients --------------------------------
+#
+# The loop operations as they were before loop elements stored numerator
+# vectors: an element is a dict exponent -> tuple of Scalar, zero tuples
+# dropped, and every operation is Scalar arithmetic on those tuples.
+
+def _nonzero(terms):
+    return {k: v for k, v in terms.items() if any(v)}
+
+
+def dense_apply(matrix, vec, conjugate=False, power=0):
+    """i^power * M conj^conjugate(vec), every entry multiplied."""
+    if conjugate:
+        vec = [v.conjugate() for v in vec]
+    factor = Scalar(1)
+    for _ in range(power % 4):
+        factor = factor * Scalar(0, 1)
+    return tuple(
+        factor * sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in matrix
+    )
+
+
+def loop_add_reference(f, g):
+    out = dict(f)
+    for k, vec in g.items():
+        out[k] = tuple(a + b for a, b in zip(out[k], vec)) if k in out else vec
+    return _nonzero(out)
+
+
+def loop_neg_reference(f):
+    return {k: tuple(-c for c in vec) for k, vec in f.items()}
+
+
+def loop_scale_reference(f, c):
+    return _nonzero({k: tuple(c * x for x in vec) for k, vec in f.items()})
+
+
+def loop_bracket_reference(alg, f, g):
+    out = {}
+    for p, ap in f.items():
+        for q, bq in g.items():
+            val = bracket_reference(alg, ap, bq)
+            k = p + q
+            out[k] = tuple(a + b for a, b in zip(out[k], val)) if k in out else val
+    return _nonzero(out)
+
+
+def loop_derivative_reference(f, m):
+    return {k: tuple(Scalar(0, Fraction(k, m)) * c for c in vec) for k, vec in f.items() if k}
+
+
+def loop_killing_reference(alg, f, g) -> Scalar:
+    return sum((killing_reference(alg, ak, g[-k]) for k, ak in f.items() if -k in g), ZERO)
+
+
+def cocycle_reference(alg, m, f, g) -> Scalar:
+    return sum((Scalar(0, Fraction(-k, m)) * killing_reference(alg, ak, g[-k])
+                for k, ak in f.items() if k and -k in g), ZERO)
+
+
+def apply_loop_reference(phi, f):
+    s = phi.index_sign
+    return _nonzero({s * j: dense_apply(phi.matrix, vec, phi.conjugate, phi.parity * s * j)
+                     for j, vec in f.items()})
+
+
 # -- the class-by-class loop Gram matrix ---------------------------------------
+
+def dense_killing_gram(basis):
+    """killing_gram with its class blocks laid out as the dense n x n
+    matrix, zero outside the classes, beside its verdict."""
+    blocks, verdict = killing_gram(basis)
+    n = len(basis)
+    gram = [[0] * n for _ in range(n)]
+    for members, rows in blocks:
+        for i, row in zip(members, rows):
+            for j, x in zip(members, row):
+                gram[i][j] = x
+    return gram, verdict
+
 
 def killing_gram_reference(basis):
     """loop.killing_gram as it was before classes equal up to exponent
@@ -139,8 +245,8 @@ def killing_gram_reference(basis):
 def pointwise_pairing_spectrum(f, g, pairing):
     """Frequency -> coefficient of the expansion of pairing(f(t), g(t))."""
     freq = {}
-    for k, ak in f.terms.items():
-        for l, bl in g.terms.items():
+    for k, ak in f.coeffs.items():
+        for l, bl in g.coeffs.items():
             v = pairing(ak, bl)
             if v:
                 freq[k + l] = freq.get(k + l, ZERO) + v
@@ -162,7 +268,7 @@ def integrate_constant_term(spectrum, twist_order):
 
 def loop_killing_oracle(f, g) -> Scalar:
     alg = f.algebra
-    spec = pointwise_pairing_spectrum(f, g, alg.killing)
+    spec = pointwise_pairing_spectrum(f, g, lambda a, b: scalar_killing(alg, a, b))
     return integrate_constant_term(spec, f.twist.order)
 
 
@@ -171,14 +277,14 @@ def cocycle_oracle(f, g) -> Scalar:
     alg = f.algebra
     m = f.twist.order
     g_prime_terms = {
-        l: tuple(Scalar(0, Fraction(l, m)) * c for c in vec) for l, vec in g.terms.items() if l
+        l: tuple(Scalar(0, Fraction(l, m)) * c for c in vec) for l, vec in g.coeffs.items() if l
     }
 
     class _G:
-        terms = g_prime_terms
+        coeffs = g_prime_terms
         algebra = alg
 
-    spec = pointwise_pairing_spectrum(f, _G, alg.killing)
+    spec = pointwise_pairing_spectrum(f, _G, lambda a, b: scalar_killing(alg, a, b))
     return integrate_constant_term(spec, m)
 
 
@@ -275,7 +381,7 @@ def block_basis_reference(self, key):
         for k in degrees:
             sign = Scalar(1 if k % 2 == 0 else -1)
             for i in range(dim):
-                eq = [(k, j, x) for j, _, x in self.twist.sparse[i]]
+                eq = [(k, j, x) for j, x in enumerate(self.twist.matrix[i]) if x]
                 add_complex_rows(eq + [(k, i, -sign)])
     # real-structure constraints: (conj a)_k = a_k
     if self.conj is not None:
@@ -292,7 +398,9 @@ def block_basis_reference(self, key):
                 re_row = [0] * nvar
                 im_row = [0] * nvar
                 base_s = 2 * dim * pos[src]
-                for j, _, x in self.conj.sparse[i]:
+                for j, x in enumerate(self.conj.matrix[i]):
+                    if not x:
+                        continue
                     m = f * x
                     # m * conj(a_src_j): re += m.re*re_j + m.im*im_j
                     #                    im += m.im*re_j - m.re*im_j
@@ -340,3 +448,95 @@ def coords_reference(self, m):
     if sol is None:
         raise LieAlgebraError("matrix is not in the span of the basis")
     return tuple(Scalar(sol[j], sol[self.dim + j]) for j in range(self.dim))
+
+
+# -- the inverse of render_element -----------------------------------------------
+
+class ParseFailure(ValueError):
+    pass
+
+
+_TERM_RE = re.compile(r"^\((?P<body>.*)\)·z\^(?P<exp>\(?-?\d+(?:/2)?\)?)$")
+_UNIT_RE = re.compile(r"^(?P<factor>.*?)E(?P<r>\d)(?P<c>\d)$")
+
+
+def parse_element(text: str, algebra, twist) -> ExtendedElement:
+    """Inverse of serialize.render_element for the given algebra and twist."""
+    text = text.strip()
+    if text == "0":
+        return ExtendedElement(zero_loop(algebra, twist))
+    chunks = _split_top_level(text)
+    terms = {}
+    c_val = ZERO
+    d_val = ZERO
+    m = twist.order
+    for sign, chunk in chunks:
+        if chunk in ("c", "-c") or chunk.endswith("·c"):
+            c_val = c_val + sign * _parse_factor(chunk[:-1])
+            continue
+        if chunk in ("d", "-d") or chunk.endswith("·d"):
+            d_val = d_val + sign * _parse_factor(chunk[:-1])
+            continue
+        mt = _TERM_RE.match(chunk)
+        if not mt:
+            raise ParseFailure(f"cannot parse term {chunk!r}")
+        exp = mt.group("exp").strip("()")
+        if "/" in exp:
+            k = int(exp.split("/")[0])
+            if m != 2:
+                raise ParseFailure("half-integer exponent on an untwisted element")
+        else:
+            k = int(exp) * (2 if m == 2 else 1)
+        mat_val = mat_zero(algebra.matrix_size)
+        for usign, unit in _split_top_level(mt.group("body")):
+            um = _UNIT_RE.match(unit)
+            if not um:
+                raise ParseFailure(f"cannot parse matrix unit {unit!r}")
+            coeff = usign * _parse_factor(um.group("factor"))
+            r, c = int(um.group("r")) - 1, int(um.group("c")) - 1
+            mat_val = mat_add(mat_val, mat_scale(coeff, _unit(algebra.matrix_size, r, c)))
+        coords = algebra.coords(mat_val)
+        coords = tuple(sign * x for x in coords)
+        if k in terms:
+            coords = tuple(a + b for a, b in zip(terms[k], coords))
+        terms[k] = coords
+    loop = TwistedLoopElement(algebra, twist, terms)
+    return ExtendedElement(loop, c_val, d_val)
+
+
+def _parse_factor(text: str) -> Scalar:
+    text = text.strip()
+    if text.endswith("·"):
+        text = text[:-1]
+    if text in ("", "+"):
+        return Scalar(1)
+    if text == "-":
+        return Scalar(-1)
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1]
+    return parse_scalar(text)
+
+
+def _split_top_level(text: str):
+    """Split 'a + b - c' at depth zero into (sign, chunk) pairs."""
+    out = []
+    depth = 0
+    sign = Scalar(1)
+    cur = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if depth == 0 and ch in "+-" and i > 0 and text[i - 1] == " " and i + 1 < len(text) and text[i + 1] == " ":
+            out.append((sign, "".join(cur).strip()))
+            sign = Scalar(1) if ch == "+" else Scalar(-1)
+            cur = []
+            i += 2
+            continue
+        cur.append(ch)
+        i += 1
+    out.append((sign, "".join(cur).strip()))
+    return [(s, c) for s, c in out if c]

@@ -49,7 +49,7 @@ from kmalg.osaka import (
 from kmalg.rand import TrialRng, random_extended_element, random_loop_element
 from kmalg.scalars import Scalar, ZERO
 
-from oracles import leading_minors_oracle
+from oracles import dense_killing_gram, leading_minors_oracle
 
 SU2C = make_su(2).complexify()
 SL2C = make_sl(2, "C")
@@ -194,7 +194,7 @@ def test_c05_killing_signatures():
     start = time.monotonic()
     basis = _compact_su2_basis(4)
     assert len(basis) == 27
-    gram, verdict = killing_gram(basis)
+    gram, verdict = dense_killing_gram(basis)
     assert verdict == Definiteness.NEG_DEFINITE
     # independent route: Bareiss leading principal minors alternate in sign
     minors = leading_minors_oracle(gram)
@@ -204,7 +204,7 @@ def test_c05_killing_signatures():
     ab = make_abelian(1).complexify()
     twa = untwisted(ab)
     ab_basis = [loop_monomial(ab, twa, k, (Scalar(1),)) for k in range(-2, 3)]
-    gram_ab, verdict_ab = killing_gram(ab_basis)
+    gram_ab, verdict_ab = dense_killing_gram(ab_basis)
     assert verdict_ab == Definiteness.DEGENERATE
     assert all(not x for row in gram_ab for x in row)
 
@@ -235,8 +235,7 @@ def test_c06_kp_sign_split():
 # -- 7 ------------------------------------------------------------------------
 
 def _matrix_of(e, k):
-    vec = e.loop.terms.get(k)
-    return SU2C.matrix(vec) if vec is not None else SU2C.matrix(SU2C.zero_coords())
+    return SU2C.matrix(e.loop.coeff(k))
 
 
 def _neg_conj_transpose(m):

@@ -151,6 +151,17 @@ def test_realization_dims():
     assert cartan.realization_dims(cartan.validate([[2, 0], [0, 2]])) == cartan.RealizationDims(2, 2, 2)
 
 
+def test_realization_dims_of_composite_affine_matrices():
+    """Each affine block loses one from full rank, so two blocks lose two;
+    the check that once asserted rank n - 1 refused every such matrix."""
+    a1t, a2t = [[2, -2], [-2, 2]], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    two = cartan.validate([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]])
+    assert cartan.classify(two).kind == CartanKind.AFFINE
+    assert cartan.realization_dims(two) == cartan.RealizationDims(4, 2, 6)
+    mixed_sizes = cartan.validate([row + [0] * 3 for row in a1t] + [[0] * 2 + row for row in a2t])
+    assert cartan.realization_dims(mixed_sizes) == cartan.RealizationDims(5, 3, 7)
+
+
 # -- permutation invariance ------------------------------------------------------------
 
 @given(st.permutations(range(4)))

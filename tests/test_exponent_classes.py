@@ -37,7 +37,7 @@ from kmalg.osaka import (
     euclidean_osaka,
 )
 from kmalg.scalars import Scalar
-from oracles import killing_gram_reference
+from oracles import dense_killing_gram, killing_gram_reference
 
 # -- killing_gram against all pairs ---------------------------------------------
 
@@ -78,7 +78,7 @@ def _expect_same_gram(basis, reference):
             killing_gram(basis)
         assert str(got.value) == str(exc)
         return
-    assert killing_gram(basis) == expected
+    assert dense_killing_gram(basis) == expected
 
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))

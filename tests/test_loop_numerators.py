@@ -1,0 +1,161 @@
+"""Loop elements store numerator vectors: every loop operation against the
+Scalar-tuple reference in oracles, and the representation itself.
+
+Coefficients mix integers, Fractions with denominators up to 7, purely
+imaginary and zero entries; one element in a pair often repeats or negates
+terms of the other, so sums and brackets cancel to zero. The algebras are
+the registry's, in both twist orders, plus su(2) scaled by (1 + i)/3, whose
+structure constants and Killing entries are not Gaussian integers.
+"""
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from kmalg import serialize
+from kmalg.findim import FiniteLieAlgebra, make_su, mat_scale
+from kmalg.involution import CoeffMap
+from kmalg.kmext import cocycle
+from kmalg.loop import (
+    TwistedLoopElement,
+    loop_bracket,
+    loop_derivative,
+    loop_killing,
+    twist_eigenbasis,
+    untwisted,
+)
+from kmalg.scalars import Scalar, ZERO, vec_to_scalars
+from oracles import (
+    apply_loop_reference,
+    cocycle_reference,
+    loop_add_reference,
+    loop_bracket_reference,
+    loop_derivative_reference,
+    loop_killing_reference,
+    loop_neg_reference,
+    loop_scale_reference,
+)
+
+_SU2 = make_su(2)
+SCALED = FiniteLieAlgebra("(1+i)/3 su(2)", "C",
+                          [mat_scale(Scalar(Fraction(1, 3), Fraction(1, 3)), b) for b in _SU2.basis],
+                          _SU2.blocks)
+KINDS = [serialize.lookup_algebra(name, order) for name, order in (
+    ("su2c", 1), ("su2c", 2), ("sl2c", 1), ("sl2c", 2), ("su2su2c", 1), ("abelian1c", 1))]
+KINDS.append((SCALED, untwisted(SCALED)))
+
+parts = st.one_of(st.integers(-6, 6),
+                  st.builds(Fraction, st.integers(-9, 9), st.integers(3, 7)))
+scalars = st.one_of(
+    st.just(ZERO),
+    st.builds(Scalar, parts),
+    st.builds(lambda im: Scalar(0, im), parts),  # purely imaginary
+    st.builds(Scalar, parts, parts),
+)
+
+
+@st.composite
+def coefficients(draw, algebra, twist, k):
+    """A graded coefficient at exponent k: Scalar multiples of the twist
+    eigenbasis at k's parity, summed in Scalar arithmetic."""
+    out = algebra.zero_coords()
+    for b in twist_eigenbasis(algebra, twist, k % twist.order):
+        c = draw(scalars)
+        out = tuple(x + c * y for x, y in zip(out, vec_to_scalars(b)))
+    return out
+
+
+@st.composite
+def elements(draw, algebra, twist, like=None):
+    """A Scalar-tuple dict of up to 4 terms, |k| <= 4. With like, some terms
+    repeat or negate like's, so sums with it cancel there."""
+    terms = {}
+    for k in draw(st.lists(st.integers(-4, 4), max_size=4, unique=True)):
+        terms[k] = draw(coefficients(algebra, twist, k))
+    if like:
+        for k in draw(st.lists(st.sampled_from(sorted(like)), unique=True)):
+            sign = draw(st.sampled_from((1, -1)))
+            terms[k] = tuple(sign * c for c in like[k])
+    return {k: v for k, v in terms.items() if any(v)}
+
+
+@st.composite
+def pairs(draw):
+    algebra, twist = draw(st.sampled_from(KINDS))
+    f = draw(elements(algebra, twist))
+    g = draw(elements(algebra, twist, like=f))
+    return algebra, twist, f, g
+
+
+def lift(algebra, twist, terms):
+    return TwistedLoopElement(algebra, twist, terms)
+
+
+def assert_canonical(f):
+    """Every stored coefficient is a nonzero numerator vector in lowest
+    terms: int numerators over an int denominator that is positive."""
+    n = f.algebra.dim
+    for vec in f.terms.values():
+        nums, den = vec
+        assert type(nums) is tuple and len(nums) == 2 * n
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for x in nums)
+        assert any(nums) and gcd(den, *nums) == 1
+
+
+def check(result, want):
+    assert_canonical(result)
+    assert result.coeffs == want
+    assert result == lift(result.algebra, result.twist, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), scalars)
+def test_vector_space_operations_match_scalar_reference(case, c):
+    algebra, twist, fs, gs = case
+    f, g = lift(algebra, twist, fs), lift(algebra, twist, gs)
+    assert_canonical(f)
+    check(f + g, loop_add_reference(fs, gs))
+    check(f - g, loop_add_reference(fs, loop_neg_reference(gs)))
+    check(-f, loop_neg_reference(fs))
+    check(f.scale(c), loop_scale_reference(fs, c))
+    check(f - f, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs())
+def test_bracket_derivative_and_pairings_match_scalar_reference(case):
+    algebra, twist, fs, gs = case
+    f, g = lift(algebra, twist, fs), lift(algebra, twist, gs)
+    m = twist.order
+    check(loop_bracket(f, g), loop_bracket_reference(algebra, fs, gs))
+    check(loop_derivative(f), loop_derivative_reference(fs, m))
+    assert loop_killing(f, g) == loop_killing_reference(algebra, fs, gs)
+    assert cocycle(f, g) == cocycle_reference(algebra, m, fs, gs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), st.data())
+def test_apply_loop_matches_scalar_reference(case, data):
+    algebra, twist, fs, _ = case
+    n = algebra.dim
+    matrix = data.draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    phi = CoeffMap(matrix, index_sign=data.draw(st.sampled_from((1, -1))),
+                   conjugate=data.draw(st.booleans()), parity=data.draw(st.integers(0, 3)))
+    out = phi.apply_loop(lift(algebra, twist, fs))
+    assert_canonical(out)
+    assert out.coeffs == apply_loop_reference(phi, fs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), scalars.filter(bool))
+def test_equality_and_hash_follow_the_scalar_coefficients(case, c):
+    algebra, twist, fs, gs = case
+    f, g = lift(algebra, twist, fs), lift(algebra, twist, gs)
+    assert (f == g) == (fs == gs)
+    # another route to the same element: scaled there and back
+    back = f.scale(c).scale(Scalar(1) / c)
+    assert_canonical(back)
+    assert back == f and hash(back) == hash(f)
+    if f == g:
+        assert hash(f) == hash(g)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,35 @@ def test_synthetic_first_kind_not_effective():
     ce = complex_conjugation_counterexample()
     assert ce.involution.epsilon == 1
     assert effectiveness_check(ce) == Effectiveness.NOT_EFFECTIVE
+
+
+_OWN_STRUCTURE = """
+import dataclasses
+from kmalg.involution import InvolutionDescriptor
+from kmalg.osaka import EffectivenessError, catalog_record, osaka_verify
+rec = catalog_record("III[Id,Id]")
+phi = InvolutionDescriptor("own real structure", rec.real_form.conj, epsilon=-1,
+                           reflect_time=True)
+try:
+    osaka_verify(dataclasses.replace(rec, involution=phi), 1)
+except EffectivenessError as exc:
+    print("EffectivenessError:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_epsilon_minus_one_fixing_c_raises_with_and_without_O(flags):
+    """III[Id,Id] (c on the line i R) with its own conjugate-linear real
+    structure as an epsilon -1 involution: conjugation and epsilon both
+    negate c = i, so c is fixed. The check is a raise, not an assert, so
+    python -O ends in the same named error."""
+    src = str(Path(osaka.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, *flags, "-c", _OWN_STRUCTURE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == (
+        "EffectivenessError: own real structure: epsilon = -1 but c is not negated")
 
 
 # -- classification -----------------------------------------------------------

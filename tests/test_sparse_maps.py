@@ -1,5 +1,6 @@
-"""The sparse exact maps (findim.sparse_rows / sparse_apply behind CoeffMap,
-FiniteAutomorphism and mat_mul) against a dense reference written here.
+"""The sparse exact maps (findim.sparse_rows / sparse_apply behind CoeffMap
+and FiniteAutomorphism) and mat_mul against a dense reference: dense_apply
+in oracles and dense_mul here.
 
 Random maps mix zero entries, the units 1, i, -1, -i, other Gaussian
 rationals, zero rows and identity-like matrices; every product in the
@@ -13,6 +14,7 @@ from kmalg.findim import FiniteAutomorphism, make_abelian, mat_mul
 from kmalg.involution import CoeffMap
 from kmalg.loop import TwistedLoopElement, untwisted
 from kmalg.scalars import Scalar, ZERO
+from oracles import dense_apply
 
 UNITS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))
 
@@ -24,18 +26,6 @@ dims = st.integers(1, 4)
 
 
 # -- dense reference -----------------------------------------------------------
-
-def dense_apply(matrix, vec, conjugate=False, power=0):
-    """i^power * M conj^conjugate(vec), every entry multiplied."""
-    if conjugate:
-        vec = [v.conjugate() for v in vec]
-    factor = Scalar(1)
-    for _ in range(power % 4):
-        factor = factor * Scalar(0, 1)
-    return tuple(
-        factor * sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in matrix
-    )
-
 
 def dense_mul(a, b, conjugate=False):
     if conjugate:
@@ -119,7 +109,7 @@ def test_apply_loop_matches_dense(case):
     s = phi.index_sign
     want = {
         s * j: dense_apply(phi.matrix, vec, phi.conjugate, phi.parity * s * j)
-        for j, vec in f.terms.items()
+        for j, vec in f.coeffs.items()
     }
     assert phi.apply_loop(f) == TwistedLoopElement(f.algebra, f.twist, want)
 
