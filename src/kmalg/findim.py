@@ -70,10 +70,6 @@ def mat_bracket(a, b) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_transpose(a) -> Matrix:
-    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
-
-
 def mat_conj(a) -> Matrix:
     return tuple(tuple(x.conjugate() for x in row) for row in a)
 
@@ -276,9 +272,6 @@ class FiniteLieAlgebra:
                     im += p * d + q * c
         den = dx * dy * self._killing_den
         return Scalar(exact_div(re, den), exact_div(im, den))
-
-    def is_semisimple(self) -> bool:
-        return bool(linalg.determinant([list(r) for r in self.killing_matrix]))
 
     def abelian_indices(self):
         return tuple(i for b in self.blocks if b.kind == "abelian" for i in b.indices)

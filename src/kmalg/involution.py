@@ -26,7 +26,7 @@ from .findim import (
 )
 from .kmext import ExtendedElement, hat_bracket, real_coords
 from .loop import TwistedLoopElement, check_twist, zero_loop
-from .scalars import I, ONE, Scalar, ZERO, i_power, vec_from_scalars, vec_to_scalars
+from .scalars import I, ONE, Scalar, ZERO, i_power
 
 
 class InvolutionError(ValueError):
@@ -56,11 +56,6 @@ class CoeffMap:
     @classmethod
     def identity(cls, dim):
         return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
-
-    def apply_vec(self, vec, k=0):
-        """The map on Scalar coordinates landing at target degree k."""
-        return vec_to_scalars(sparse_apply(self.sparse, vec_from_scalars(vec), self.conjugate,
-                                           self.parity * k))
 
     def apply_loop(self, f: TwistedLoopElement) -> TwistedLoopElement:
         # source degree j contributes to target degree s*j
@@ -110,11 +105,6 @@ class InvolutionKind(Enum):
     SECOND = "SecondKind"
 
 
-class Admissibility(Enum):
-    ADMISSIBLE = "Admissible"
-    LOCALLY_ADMISSIBLE_ONLY = "LocallyAdmissibleOnly"
-
-
 @dataclass(frozen=True, eq=False)
 class InvolutionDescriptor:
     """Standard-form involution: loop coefficients via a CoeffMap, c and d
@@ -146,13 +136,6 @@ class InvolutionDescriptor:
 
     def kind(self) -> InvolutionKind:
         return InvolutionKind.SECOND if self.epsilon == -1 else InvolutionKind.FIRST
-
-
-def admissibility_check(per_factor) -> Admissibility:
-    """Factorwise involutions extend to one involution of the whole extension
-    iff their epsilon values agree."""
-    eps = {phi.epsilon for phi in per_factor}
-    return Admissibility.ADMISSIBLE if len(eps) <= 1 else Admissibility.LOCALLY_ADMISSIBLE_ONLY
 
 
 def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAutomorphism,
@@ -290,36 +273,79 @@ class RealFormDescriptor:
     def truncate(self, n_max: int) -> "Truncation":
         """The degree-<=n_max truncation, every block basis computed once.
 
-        The equations of block (k, -k) depend on k only through (-1)^k and
-        i^{parity k}, so they repeat with period 4: for k > 4 the basis is
-        that of block (k - 4, 4 - k) with each exponent moved 4 further from
-        0. Only blocks (0,), (1, -1) .. (4, -4) and ("cd",) are solved; a
-        shift keeps each exponent's parity, so it skips the grading check.
-        """
+        Period-4 lemma. The equations of block (k, -k) depend on k only
+        through (-1)^k and i^{parity k}, so for k > 4 the basis is that of
+        block (k - 4, 4 - k) with each exponent moved 4 further from 0: only
+        blocks (0,), (1, -1) .. (4, -4) and ("cd",) are solved, and a shift
+        skips the grading check. Shifting a c = d = 0 block changes its
+        brackets only by exponents congruent mod 4 and nonzero real factors
+        (the cocycle's k, the derivative's ik), which keep real lines and
+        eigenspaces; so closure and the Cartan relations are decided by one
+        block pair per class (`_representative_pairs`)."""
         blocks = {}
         for key in self.block_keys(n_max):
             if key[0] == "cd" or key[0] <= 4:
                 blocks[key] = self.block_basis(key)
                 continue
-            blocks[key] = [
-                ExtendedElement(e.loop._like({
-                    k + (4 if k > 0 else -4): vec for k, vec in e.loop.terms.items()}))
-                for e in blocks[(key[0] - 4, 4 - key[0])]
-            ]
+            blocks[key] = _shift4(blocks[(key[0] - 4, 4 - key[0])])
         return Truncation(self, n_max, tuple(blocks.items()))
 
     # -- closure -----------------------------------------------------------
     def verify_closed(self, truncation: "Truncation") -> bool:
         """Brackets of truncated basis elements stay in the form (membership
-        is degree-unbounded, so no truncation artifacts)."""
+        is degree-unbounded, so no truncation artifacts). By the period-4
+        lemma (`truncate`) one block pair per class is bracketed, each
+        unordered pair of its elements once: a block (k, -k), k > 4, stands
+        for block (k-4, 4-k) only when it is that block shifted, with c = d
+        = 0 (`_classes`). The verdict is that of bracketing every pair."""
         if truncation.real_form is not self:
             raise InvolutionError(f"truncation of {truncation.real_form.name}, not {self.name}")
-        flat = truncation.elements
-        for i, x in enumerate(flat):
-            for y in flat[i:]:
-                if not self.contains(hat_bracket(x, y)):
-                    return False
-        return True
+        blocks = [(key, [(e, 0) for e in elems]) for key, elems in truncation.blocks]
+        return all(self.contains(hat_bracket(x, y)) for (x, _), (y, _) in _representative_pairs(blocks))
+
+
+def _shift4(elems):
+    """The loop parts of elems with every exponent moved 4 further from 0."""
+    return [ExtendedElement(e.loop._like({k + (4 if k > 0 else -4): v for k, v in e.loop.terms.items()}))
+            for e in elems]
+
+
+def _classes(blocks):
+    """Period-4 class of each block of a list of (key, [(element, sign)])
+    pairs, by position: block (k, -k), k > 4, joins the class of block
+    (k-4, 4-k) when its items are that block's with the same signs and each
+    element shifted (`_shift4`), all with c = d = 0. Any other block is its
+    own class, as is every block if two share a key or an element has an
+    exponent outside its block (the lemma needs it)."""
+    keys, label = [key for key, _ in blocks], list(range(len(blocks)))
+    if len(set(keys)) < len(keys) or any(
+            not set(e.loop.terms) <= set(key) for key, items in blocks for e, _ in items):
+        return label
+    pos = {key: i for i, key in enumerate(keys)}
+    for i, (key, items) in enumerate(blocks):
+        j = None if key[0] == "cd" or key[0] <= 4 else pos.get((key[0] - 4, 4 - key[0]))
+        if j is None:
+            continue
+        base = blocks[j][1]
+        if all(not e.c and not e.d for e, _ in base) and list(
+                zip(_shift4([e for e, _ in base]), [s for _, s in base])) == items:
+            label[i] = label[j]
+    return label
+
+
+def _representative_pairs(blocks):
+    """Each unordered pair of items of one representative block pair per
+    class, the class of a pair being (class of a, class of b, same block?)
+    (`_classes`); this keeps (1, 5) apart from (1, 1)."""
+    label, seen = _classes(blocks), set()
+    for i, (_, xs) in enumerate(blocks):
+        for i2, (_, ys) in enumerate(blocks[i:], i):
+            cls = (frozenset((label[i], label[i2])), i == i2)
+            if cls not in seen:
+                seen.add(cls)
+                for j, x in enumerate(xs):
+                    for y in xs[j:] if i == i2 else ys:
+                        yield x, y
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,10 +415,19 @@ def _combine(elements, coeffs):
 def fixed_and_eigenspaces(phi: InvolutionDescriptor,
                           truncation: Truncation) -> CartanDecomposition:
     """Exact +1/-1 eigenspace bases of phi on a truncation of a real form;
-    phi must preserve the form."""
+    phi must preserve the form. Blocks up to (4, -4) are solved; a block in
+    the period-4 class of block (k-4, 4-k) (`_classes`, as `truncate`
+    builds them) gets that block's K and P shifted. This is exact: phi
+    commutes with the shift, as i^{pk} has period 4 and signs are kept."""
     rf = truncation.real_form
+    label = _classes([(key, [(e, 0) for e in elems]) for key, elems in truncation.blocks])
+    pos = {key: i for i, (key, _) in enumerate(truncation.blocks)}
     blocks = []
-    for key, elems in truncation.blocks:
+    for i, (key, elems) in enumerate(truncation.blocks):
+        if label[i] != i:
+            base = blocks[pos[(key[0] - 4, 4 - key[0])]]
+            blocks.append(EigenBlock(key, _shift4(base.k_basis), _shift4(base.p_basis)))
+            continue
         if not elems:
             blocks.append(EigenBlock(key, [], []))
             continue
@@ -436,19 +471,22 @@ def verify_cartan_relations(dec: CartanDecomposition) -> bool:
     bracket of x (sign s_x: +1 in K, -1 in P) and y must stay in the real
     form and be an exact s_x s_y eigenvector of the involution. Both tests
     are invariant under z -> -z and the bracket is antisymmetric, so each
-    unordered pair is bracketed once.
+    unordered pair is bracketed once, in one representative block pair per
+    period-4 class (`truncate`, `_classes`): a block stands for block
+    (k-4, 4-k) only when its K and P are that block's shifted, so a
+    hand-corrupted block is its own class and bracketed in full.
     """
     rf, phi = dec.real_form, dec.involution
-    signed = [(x, 1) for x in dec.k_basis] + [(y, -1) for y in dec.p_basis]
-    for i, (x, sx) in enumerate(signed):
-        for y, sy in signed[i:]:
-            z = hat_bracket(x, y)
-            if z.is_zero():
-                continue
-            if not rf.contains(z):
-                return False
-            if phi.apply(z) != (z if sx == sy else -z):
-                return False
+    blocks = [(b.key, [(x, 1) for x in b.k_basis] + [(y, -1) for y in b.p_basis])
+              for b in dec.blocks]
+    for (x, sx), (y, sy) in _representative_pairs(blocks):
+        z = hat_bracket(x, y)
+        if z.is_zero():
+            continue
+        if not rf.contains(z):
+            return False
+        if phi.apply(z) != (z if sx == sy else -z):
+            return False
     return True
 
 

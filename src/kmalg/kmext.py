@@ -127,9 +127,9 @@ def hat_bracket(x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
     f._require_match(g)
     loop_part = loop_bracket(f, g)
     if x.d:
-        loop_part = loop_part + loop_derivative(g).scale(x.d)
+        loop_part = loop_part + loop_derivative(g, x.d)
     if y.d:
-        loop_part = loop_part - loop_derivative(f).scale(y.d)
+        loop_part = loop_part + loop_derivative(f, -y.d)
     return ExtendedElement(loop_part, cocycle(f, g), ZERO)
 
 

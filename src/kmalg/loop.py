@@ -23,6 +23,7 @@ from enum import Enum
 from . import linalg
 from .findim import FiniteAutomorphism, FiniteLieAlgebra, identity_automorphism, sparse_apply
 from .scalars import (
+    ONE,
     Scalar,
     ZERO,
     vec_add,
@@ -183,10 +184,12 @@ def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopEle
     return f.from_vecs(f.algebra, f.twist, out)
 
 
-def loop_derivative(f: TwistedLoopElement) -> TwistedLoopElement:
-    """d/dt of sum a_k e^{ikt/m}: multiplies a_k by i k / m."""
+def loop_derivative(f: TwistedLoopElement, d=ONE) -> TwistedLoopElement:
+    """d times d/dt of sum a_k e^{ikt/m}: multiplies a_k by i k d / m, one
+    vec_mul per term."""
+    (re, im), den = vec_from_scalars((d,))
     m = f.twist.order
-    return f._like({k: vec_mul(v, ((0, k), m)) for k, v in f.terms.items() if k})
+    return f._like({k: vec_mul(v, ((-k * im, k * re), den * m)) for k, v in f.terms.items() if k})
 
 
 def loop_killing(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:

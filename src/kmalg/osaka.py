@@ -450,34 +450,40 @@ class PairingReport:
         return self.table_ok and self.double_dual_ok and all(self.matches.values())
 
 
+def _same_form(dual, rf: RealFormDescriptor, phi: InvolutionDescriptor) -> bool:
+    """Whether a DualForm has rf's conj and cd_scale and phi's loop map."""
+    return (dual.real_form.conj == rf.conj and dual.real_form.cd_scale == rf.cd_scale
+            and dual.involution.loop_map == phi.loop_map)
+
+
 def duality_pairing(catalog=None, n_max: int = 2) -> PairingReport:
-    """Dualize every record and compare with its declared partner: the
+    """Dualize every record once and compare with its declared partner: the
     coefficient conditions (conjugation map), the c/d reality scale, and the
-    involution's coefficient map must agree exactly; applying duality twice
-    must reproduce the record.
+    involution's coefficient map must agree exactly (matches). The dual of
+    (the record's dual form, the partner's involution) must reproduce the
+    record (double_dual_ok). dualize reads only the algebra, twist, conj
+    and cd_scale of a form, so when the dual has the partner's (the same
+    algebra and twist objects, equal conj and cd_scale), that double dual
+    is the partner's own dual and is not recomputed.
 
     osaka-catalog calls this with the default n_max = 2, whatever its
     --degree: duality is checked at truncation degree 2 only.
     """
     catalog = catalog or build_catalog_a1()
     by_name = {r.name: r for r in catalog}
+    duals = {rec: dualize(rec.real_form, rec.involution, n_max) for rec in catalog}
     matches = {}
     double_ok = True
-    for rec in catalog:
-        dual = dualize(rec.real_form, rec.involution, n_max)
+    for rec, dual in duals.items():
         partner = by_name[rec.dual_name]
-        same = (
-            dual.real_form.conj == partner.real_form.conj
-            and dual.real_form.cd_scale == partner.real_form.cd_scale
-            and dual.involution.loop_map == partner.involution.loop_map
-        )
-        matches[rec.name] = same
-        ddual = dualize(dual.real_form, partner.involution, n_max)
-        if not (
-            ddual.real_form.conj == rec.real_form.conj
-            and ddual.real_form.cd_scale == rec.real_form.cd_scale
-            and ddual.involution.loop_map == rec.involution.loop_map
-        ):
+        matches[rec.name] = _same_form(dual, partner.real_form, partner.involution)
+        drf, prf = dual.real_form, partner.real_form
+        if (drf.conj == prf.conj and drf.cd_scale == prf.cd_scale
+                and drf.algebra is prf.algebra and drf.twist is prf.twist):
+            ddual = duals[partner]
+        else:
+            ddual = dualize(dual.real_form, partner.involution, n_max)
+        if not _same_form(ddual, rec.real_form, rec.involution):
             double_ok = False
     table = {"I[Id,Id]": "III[Id,Id]", "I[Id,mu]": "III[Id,mu]",
              "I[mu,mu]": "III[mu,mu]", "II": "IV"}

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .kmext import ExtendedElement
 from .loop import TwistedLoopElement, twist_eigenbasis
-from .scalars import Scalar, ZERO, vec_add, vec_from_scalars, vec_mul
+from .scalars import Scalar, ZERO, vec_add, vec_mul
 
 
 class TrialRng:
@@ -49,6 +49,13 @@ class TrialRng:
         im = Fraction(0) if real_only else self.fraction(max_num, max_den)
         return Scalar(re, im)
 
+    def gaussian(self):
+        """scalar() as a numerator form ((a q, b p), p q), from the same four
+        draws a, p, b, q, building no Fraction or Scalar."""
+        a, p = self.randint(-3, 3), self.randint(1, 2)
+        b, q = self.randint(-3, 3), self.randint(1, 2)
+        return (a * q, b * p), p * q
+
 
 def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6, max_terms=4):
     """Random graded element: coefficients drawn inside twist eigenspaces,
@@ -62,9 +69,9 @@ def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6, max_terms=4
             continue
         vec = ((0,) * (2 * algebra.dim), 1)
         for b in basis:
-            c = rng.scalar()
-            if c:
-                vec = vec_add(vec, vec_mul(b, vec_from_scalars((c,))))
+            c = rng.gaussian()
+            if any(c[0]):
+                vec = vec_add(vec, vec_mul(b, c))
         terms[k] = vec_add(terms[k], vec) if k in terms else vec
     return TwistedLoopElement.from_vecs(algebra, twist, terms)
 

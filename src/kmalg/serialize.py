@@ -99,24 +99,6 @@ def algebra_name(algebra) -> str:
     raise SchemaError(f"algebra {algebra.name} is not in the registry")
 
 
-# -- finite algebra elements ---------------------------------------------------
-
-def finite_element_to_json(algebra, coords):
-    return {
-        "schema": SCHEMA,
-        "algebra": algebra_name(algebra),
-        "coords": [scalar_to_json(c) for c in coords],
-    }
-
-
-def finite_element_from_json(obj):
-    _check_schema(obj)
-    if "algebra" not in obj or "coords" not in obj:
-        raise SchemaError("finite element needs 'algebra' and 'coords'")
-    algebra, _ = lookup_algebra(obj["algebra"], 1)
-    return algebra, _coords_from_json(obj["coords"], algebra.dim, "'coords'")
-
-
 # -- loop and extended elements ----------------------------------------------
 
 def loop_to_json(f: TwistedLoopElement):

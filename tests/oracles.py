@@ -13,24 +13,49 @@ numerator vectors. The loop Gram matrix is built class by class as it was
 before classes equal up to exponent renaming shared one computation, and
 laid out densely from the class blocks the library now returns.
 parse_element, the inverse of the rendering, lives here because only the
-render round trip reads it.
+render round trip reads it, and so do the finite-element JSON schema and
+the admissibility verdict of factorwise involutions, which no command
+reads, and the transpose, semisimplicity test and Scalar-coordinate
+CoeffMap application only tests call. The closure and Cartan checks bracket every pair of basis vectors,
+and the eigenspace split solves every block, as the library did before
+the period-4 lemma let it bracket one block pair per class and shift
+blocks beyond (4, -4); the duality pairing dualizes twice per record, as
+it did before it reused the partner's dual.
 """
 from __future__ import annotations
 
 import re
+from enum import Enum
 from fractions import Fraction
 from math import gcd
 
 from kmalg import linalg
-from kmalg.findim import LieAlgebraError, _unit, mat_add, mat_flatten, mat_scale, mat_zero
-from kmalg.involution import InvolutionError
-from kmalg.kmext import ExtendedElement
+from kmalg.findim import LieAlgebraError, _unit, mat_add, mat_flatten, mat_scale, mat_zero, sparse_apply
+from kmalg.involution import (
+    CartanDecomposition,
+    EigenBlock,
+    InvolutionError,
+    PreservationError,
+    _combine,
+    dualize,
+)
+from kmalg.kmext import ExtendedElement, hat_bracket, real_coords
+from kmalg.serialize import (
+    SCHEMA,
+    SchemaError,
+    _check_schema,
+    _coords_from_json,
+    algebra_name,
+    lookup_algebra,
+    scalar_to_json,
+)
 from kmalg.loop import (
     Definiteness,
     NonRealPairingError,
     TwistedLoopElement,
     killing_gram,
     loop_killing,
+    twist_eigenbasis,
     zero_loop,
 )
 from kmalg.scalars import (
@@ -40,7 +65,9 @@ from kmalg.scalars import (
     ZERO,
     i_power,
     parse_scalar,
+    vec_add,
     vec_from_scalars,
+    vec_mul,
     vec_to_scalars,
 )
 
@@ -167,6 +194,19 @@ def loop_killing_reference(alg, f, g) -> Scalar:
 def cocycle_reference(alg, m, f, g) -> Scalar:
     return sum((Scalar(0, Fraction(-k, m)) * killing_reference(alg, ak, g[-k])
                 for k, ak in f.items() if k and -k in g), ZERO)
+
+
+def hat_bracket_reference(alg, m, x, y):
+    """kmext.hat_bracket on Scalar-tuple loops, x and y given as (terms, c,
+    d): the derivative terms are the Scalar derivative scaled by d, then
+    added (x's) or subtracted (y's), as before one multiplication by
+    i k d / m per term. Returns (terms, c, d)."""
+    (f, _, xd), (g, _, yd) = x, y
+    loop = loop_add_reference(loop_bracket_reference(alg, f, g),
+                              loop_scale_reference(loop_derivative_reference(g, m), xd))
+    loop = loop_add_reference(loop, loop_neg_reference(
+        loop_scale_reference(loop_derivative_reference(f, m), yd)))
+    return loop, cocycle_reference(alg, m, f, g), ZERO
 
 
 def apply_loop_reference(phi, f):
@@ -540,3 +580,168 @@ def _split_top_level(text: str):
         i += 1
     out.append((sign, "".join(cur).strip()))
     return [(s, c) for s, c in out if c]
+
+
+# -- finite algebra elements as JSON ---------------------------------------------
+
+def finite_element_to_json(algebra, coords):
+    return {
+        "schema": SCHEMA,
+        "algebra": algebra_name(algebra),
+        "coords": [scalar_to_json(c) for c in coords],
+    }
+
+
+def finite_element_from_json(obj):
+    _check_schema(obj)
+    if "algebra" not in obj or "coords" not in obj:
+        raise SchemaError("finite element needs 'algebra' and 'coords'")
+    algebra, _ = lookup_algebra(obj["algebra"], 1)
+    return algebra, _coords_from_json(obj["coords"], algebra.dim, "'coords'")
+
+
+# -- admissibility of factorwise involutions -----------------------------------------
+
+class Admissibility(Enum):
+    ADMISSIBLE = "Admissible"
+    LOCALLY_ADMISSIBLE_ONLY = "LocallyAdmissibleOnly"
+
+
+def admissibility_check(per_factor) -> Admissibility:
+    """Factorwise involutions extend to one involution of the whole extension
+    iff their epsilon values agree."""
+    eps = {phi.epsilon for phi in per_factor}
+    return Admissibility.ADMISSIBLE if len(eps) <= 1 else Admissibility.LOCALLY_ADMISSIBLE_ONLY
+
+
+# -- helpers only tests call ------------------------------------------------------
+
+def mat_transpose(a):
+    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
+
+
+def is_semisimple(g) -> bool:
+    """Cartan's criterion: the Killing matrix is nondegenerate."""
+    return bool(linalg.determinant([list(r) for r in g.killing_matrix]))
+
+
+def apply_vec(phi, vec, k=0):
+    """A CoeffMap on Scalar coordinates landing at target degree k."""
+    return vec_to_scalars(sparse_apply(phi.sparse, vec_from_scalars(vec), phi.conjugate, phi.parity * k))
+
+
+# -- random elements through Scalar coefficients -----------------------------------
+
+def random_loop_element_reference(algebra, twist, rng, max_degree=6, max_terms=4):
+    """rand.random_loop_element as it was before it drew coefficients in
+    numerator form: each one a Scalar from rng.scalar(), then converted.
+    The body is kept verbatim."""
+    terms = {}
+    n_terms = rng.randint(1, max_terms)
+    for _ in range(n_terms):
+        k = rng.randint(-max_degree, max_degree)
+        basis = twist_eigenbasis(algebra, twist, k % 2)
+        if not basis:
+            continue
+        vec = ((0,) * (2 * algebra.dim), 1)
+        for b in basis:
+            c = rng.scalar()
+            if c:
+                vec = vec_add(vec, vec_mul(b, vec_from_scalars((c,))))
+        terms[k] = vec_add(terms[k], vec) if k in terms else vec
+    return TwistedLoopElement.from_vecs(algebra, twist, terms)
+
+
+# -- all-pairs closure and Cartan checks; every block solved ------------------------
+
+def verify_closed_reference(rf, truncation) -> bool:
+    """RealFormDescriptor.verify_closed before the period-4 lemma: every
+    unordered pair of truncated basis elements is bracketed."""
+    flat = truncation.elements
+    return all(rf.contains(hat_bracket(x, y)) for i, x in enumerate(flat) for y in flat[i:])
+
+
+def verify_cartan_relations_reference(dec) -> bool:
+    """verify_cartan_relations before the period-4 lemma: every unordered
+    pair of K/P vectors is bracketed. The body is kept verbatim."""
+    rf, phi = dec.real_form, dec.involution
+    signed = [(x, 1) for x in dec.k_basis] + [(y, -1) for y in dec.p_basis]
+    for i, (x, sx) in enumerate(signed):
+        for y, sy in signed[i:]:
+            z = hat_bracket(x, y)
+            if z.is_zero():
+                continue
+            if not rf.contains(z):
+                return False
+            if phi.apply(z) != (z if sx == sy else -z):
+                return False
+    return True
+
+
+def fixed_and_eigenspaces_reference(phi, truncation):
+    """involution.fixed_and_eigenspaces as it was before it shifted the
+    blocks beyond (4, -4): every block is solved. The body is kept
+    verbatim."""
+    rf = truncation.real_form
+    blocks = []
+    for key, elems in truncation.blocks:
+        if not elems:
+            blocks.append(EigenBlock(key, [], []))
+            continue
+        degrees = [0] if key == ("cd",) else sorted(set(key))
+        images = []
+        for e in elems:
+            img = phi.apply(e)
+            if not rf.contains(img):
+                raise PreservationError(
+                    f"{phi.name} does not preserve real form {rf.name} on block {key}"
+                )
+            images.append(img)
+        left = PreservationError(f"image under {phi.name} left the {key} block of {rf.name}")
+        window = set(degrees)
+        if any(k not in window for img in images for k in img.loop.terms):
+            raise left
+        # one elimination on [block basis | images], real coordinates as rows
+        columns = [real_coords(x, degrees) for x in elems + images]
+        red, pivots = linalg.rref(list(zip(*columns)))
+        n = len(elems)
+        if any(c >= n for c in pivots):
+            raise left
+        # matrix of phi on the block: column j holds the coordinates of image j
+        m = [[0] * n for _ in range(n)]
+        for r, c in enumerate(pivots):
+            m[c] = red[r][n:]
+        k_vecs = linalg.nullspace([[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)])
+        p_vecs = linalg.nullspace([[m[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)])
+        if len(k_vecs) + len(p_vecs) != n:
+            raise InvolutionError(f"{phi.name} does not square to the identity on block {key}")
+        k_basis = [_combine(elems, v) for v in k_vecs]
+        p_basis = [_combine(elems, v) for v in p_vecs]
+        blocks.append(EigenBlock(key, k_basis, p_basis))
+    return CartanDecomposition(rf, phi, truncation.n_max, blocks)
+
+
+def duality_pairing_reference(catalog, n_max=2):
+    """(matches, double_dual_ok) of osaka.duality_pairing as it was before it
+    dualized each record once: every record's dual and double dual built.
+    The loop is kept verbatim."""
+    by_name = {r.name: r for r in catalog}
+    matches = {}
+    double_ok = True
+    for rec in catalog:
+        dual = dualize(rec.real_form, rec.involution, n_max)
+        partner = by_name[rec.dual_name]
+        same = (
+            dual.real_form.conj == partner.real_form.conj
+            and dual.real_form.cd_scale == partner.real_form.cd_scale
+            and dual.involution.loop_map == partner.involution.loop_map
+        )
+        matches[rec.name] = same
+        ddual = dualize(dual.real_form, partner.involution, n_max)
+        if not (
+            ddual.real_form.conj == rec.real_form.conj
+            and ddual.real_form.cd_scale == rec.real_form.cd_scale
+            and ddual.involution.loop_map == rec.involution.loop_map
+        ):
+            double_ok = False
+    return matches, double_ok

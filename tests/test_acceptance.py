@@ -13,7 +13,6 @@ from kmalg.findim import (
     make_sl,
     make_su,
     mat_conj,
-    mat_transpose,
     mat_scale,
 )
 from kmalg.involution import (
@@ -49,7 +48,7 @@ from kmalg.osaka import (
 from kmalg.rand import TrialRng, random_extended_element, random_loop_element
 from kmalg.scalars import Scalar, ZERO
 
-from oracles import dense_killing_gram, leading_minors_oracle
+from oracles import dense_killing_gram, leading_minors_oracle, mat_transpose
 
 SU2C = make_su(2).complexify()
 SL2C = make_sl(2, "C")

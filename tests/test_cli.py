@@ -15,7 +15,7 @@ from kmalg.kmext import ExtendedElement
 from kmalg.loop import loop_monomial
 from kmalg.rand import TrialRng, random_extended_element
 from kmalg.scalars import Scalar, ZERO
-from oracles import parse_element
+from oracles import finite_element_from_json, finite_element_to_json, parse_element
 
 
 def run_cli(capsys, *argv):
@@ -303,8 +303,8 @@ def test_decompose_with_non_involutive_map_exits_fail(tmp_path, capsys):
 def test_finite_element_json_round_trip():
     alg, _ = serialize.lookup_algebra("su2c", 1)
     coords = (Scalar(1, 2), ZERO, Scalar(-3))
-    obj = serialize.finite_element_to_json(alg, coords)
-    back_alg, back = serialize.finite_element_from_json(json.loads(json.dumps(obj)))
+    obj = finite_element_to_json(alg, coords)
+    back_alg, back = finite_element_from_json(json.loads(json.dumps(obj)))
     assert back_alg is alg and back == coords
 
 

@@ -11,14 +11,12 @@ from kmalg.findim import (
     mat,
 )
 from kmalg.involution import (
-    Admissibility,
     CoeffMap,
     InvolutionDescriptor,
     InvolutionError,
     InvolutionKind,
     PreservationError,
     RealFormDescriptor,
-    admissibility_check,
     dualize,
     fixed_and_eigenspaces,
     involution_from_invariants,
@@ -29,6 +27,7 @@ from kmalg.loop import Definiteness, killing_gram, loop_monomial, untwisted
 from kmalg.osaka import build_catalog_a1, catalog_record
 from kmalg.rand import TrialRng, random_extended_element
 from kmalg.scalars import I, ONE, Scalar, ZERO
+from oracles import Admissibility, admissibility_check
 
 SU2 = make_su(2)
 SU2C = SU2.complexify()

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
     RealFormDescriptor,
+    dualize,
     fixed_and_eigenspaces,
 )
 from kmalg.kmext import ExtendedElement
@@ -35,6 +38,7 @@ from kmalg.osaka import (
     second_kind_count,
 )
 from kmalg.scalars import ONE, Scalar, ZERO
+from oracles import duality_pairing_reference
 
 CHECK_KEYS = [
     "closure", "involutive", "fix_compact", "fix_abelian_zero",
@@ -211,6 +215,40 @@ def test_catalog_and_duality_take_no_eigenspace_split(monkeypatch):
     assert len(calls) == 0
     assert duality_pairing(catalog).all_passed
     assert len(calls) == 0
+
+
+def test_duality_pairing_dualizes_each_record_once(monkeypatch):
+    catalog = build_catalog_a1()
+    calls = Counter()
+
+    def counting_dualize(rf, phi, *args, **kwargs):
+        calls[rf.name] += 1
+        return dualize(rf, phi, *args, **kwargs)
+
+    monkeypatch.setattr(osaka, "dualize", counting_dualize)
+    rep = duality_pairing(catalog)
+    assert calls == Counter({rec.real_form.name: 1 for rec in catalog})
+    assert (rep.matches, rep.double_dual_ok) == duality_pairing_reference(catalog)
+    assert rep.all_passed
+
+
+@pytest.mark.parametrize("name, donor, field", [
+    ("III[Id,Id]", "III[mu,mu]", "real_form"),
+    ("III[Id,Id]", "III[mu,mu]", "involution"),
+    ("I[Id,Id]", "I[mu,mu]", "involution"),
+    ("III[Id,mu]", "I[Id,mu]", "real_form"),
+])
+def test_duality_pairing_agrees_with_two_dualizations_when_partners_differ(name, donor, field):
+    """A record given another record's form or involution: where a dual no
+    longer matches its partner, its double dual is computed, and the
+    verdicts are those of dualizing every record twice."""
+    catalog = build_catalog_a1()
+    by_name = {r.name: r for r in catalog}
+    changed = [replace(r, **{field: getattr(by_name[donor], field)}) if r.name == name else r
+               for r in catalog]
+    rep = duality_pairing(changed)
+    assert (rep.matches, rep.double_dual_ok) == duality_pairing_reference(changed)
+    assert not all(rep.matches.values())
 
 
 def test_dual_names_are_involutive():
