@@ -273,71 +273,75 @@ class RealFormDescriptor:
     def truncate(self, n_max: int) -> "Truncation":
         """The degree-<=n_max truncation, every block basis computed once.
 
-        Period-4 lemma. The equations of block (k, -k) depend on k only
-        through (-1)^k and i^{parity k}, so for k > 4 the basis is that of
-        block (k - 4, 4 - k) with each exponent moved 4 further from 0: only
-        blocks (0,), (1, -1) .. (4, -4) and ("cd",) are solved, and a shift
-        skips the grading check. Shifting a c = d = 0 block changes its
-        brackets only by exponents congruent mod 4 and nonzero real factors
-        (the cocycle's k, the derivative's ik), which keep real lines and
-        eigenspaces; so closure and the Cartan relations are decided by one
-        block pair per class (`_representative_pairs`)."""
-        blocks = {}
+        Period-P lemma. Block (k, -k) equations depend on k only through
+        (-1)^k and i^{parity k}: they repeat with period P = 2 when every
+        parity is even, else P = 4 (`_period`). For k > P the basis is block
+        (k - P, P - k)'s with each exponent moved P further from 0; only
+        blocks (0,) .. (P, -P) and ("cd",) are solved. Shifting a c = d = 0
+        block changes its brackets only by exponents congruent mod P and
+        nonzero real factors (the cocycle's k, the derivative's ik), keeping
+        real lines and eigenspaces; so closure and the Cartan relations are
+        decided by one block pair per class (`_classes`), all from degree 2P."""
+        period, blocks = _period(self.conj), {}
         for key in self.block_keys(n_max):
-            if key[0] == "cd" or key[0] <= 4:
-                blocks[key] = self.block_basis(key)
-                continue
-            blocks[key] = _shift4(blocks[(key[0] - 4, 4 - key[0])])
+            blocks[key] = (self.block_basis(key) if key[0] == "cd" or key[0] <= period
+                           else _shift(blocks[(key[0] - period, period - key[0])], period))
         return Truncation(self, n_max, tuple(blocks.items()))
 
     # -- closure -----------------------------------------------------------
     def verify_closed(self, truncation: "Truncation") -> bool:
         """Brackets of truncated basis elements stay in the form (membership
-        is degree-unbounded, so no truncation artifacts). By the period-4
-        lemma (`truncate`) one block pair per class is bracketed, each
-        unordered pair of its elements once: a block (k, -k), k > 4, stands
-        for block (k-4, 4-k) only when it is that block shifted, with c = d
-        = 0 (`_classes`). The verdict is that of bracketing every pair."""
+        is degree-unbounded, so no truncation artifacts). By the period-P
+        lemma (`truncate`, P of conj) one block pair per class is bracketed,
+        each unordered pair once: block (k, -k), k > P, stands for block
+        (k-P, P-k) only when it is that block shifted, with c = d = 0
+        (`_classes`). The verdict is that of bracketing every pair."""
         if truncation.real_form is not self:
             raise InvolutionError(f"truncation of {truncation.real_form.name}, not {self.name}")
         blocks = [(key, [(e, 0) for e in elems]) for key, elems in truncation.blocks]
-        return all(self.contains(hat_bracket(x, y)) for (x, _), (y, _) in _representative_pairs(blocks))
+        pairs = _representative_pairs(blocks, _period(self.conj))
+        return all(self.contains(hat_bracket(x, y)) for (x, _), (y, _) in pairs)
 
 
-def _shift4(elems):
-    """The loop parts of elems with every exponent moved 4 further from 0."""
-    return [ExtendedElement(e.loop._like({k + (4 if k > 0 else -4): v for k, v in e.loop.terms.items()}))
-            for e in elems]
+def _period(*maps):
+    """2 when every map's parity is even (None counts as even), else 4."""
+    return 2 if all(m is None or m.parity % 2 == 0 for m in maps) else 4
 
 
-def _classes(blocks):
-    """Period-4 class of each block of a list of (key, [(element, sign)])
-    pairs, by position: block (k, -k), k > 4, joins the class of block
-    (k-4, 4-k) when its items are that block's with the same signs and each
-    element shifted (`_shift4`), all with c = d = 0. Any other block is its
-    own class, as is every block if two share a key or an element has an
-    exponent outside its block (the lemma needs it)."""
+def _shift(elems, period):
+    """The loop parts of elems with every exponent moved period further from 0."""
+    moved = [{k + (period if k > 0 else -period): v for k, v in e.loop.terms.items()} for e in elems]
+    return [ExtendedElement(e.loop._like(terms)) for e, terms in zip(elems, moved)]
+
+
+def _classes(blocks, period):
+    """Period-P class (P = period, `truncate`) of each block of a list of
+    (key, [(element, sign)]) pairs, by position: block (k, -k), k > P, joins
+    the class of block (k-P, P-k) when its items are that block's with the
+    same signs and each element shifted (`_shift`), all with c = d = 0. Any
+    other block is its own class, as is every block if two share a key or
+    an element has an exponent outside its block (the lemma needs it)."""
     keys, label = [key for key, _ in blocks], list(range(len(blocks)))
     if len(set(keys)) < len(keys) or any(
             not set(e.loop.terms) <= set(key) for key, items in blocks for e, _ in items):
         return label
     pos = {key: i for i, key in enumerate(keys)}
     for i, (key, items) in enumerate(blocks):
-        j = None if key[0] == "cd" or key[0] <= 4 else pos.get((key[0] - 4, 4 - key[0]))
+        j = None if key[0] == "cd" or key[0] <= period else pos.get((key[0] - period, period - key[0]))
         if j is None:
             continue
         base = blocks[j][1]
         if all(not e.c and not e.d for e, _ in base) and list(
-                zip(_shift4([e for e, _ in base]), [s for _, s in base])) == items:
+                zip(_shift([e for e, _ in base], period), [s for _, s in base])) == items:
             label[i] = label[j]
     return label
 
 
-def _representative_pairs(blocks):
+def _representative_pairs(blocks, period):
     """Each unordered pair of items of one representative block pair per
     class, the class of a pair being (class of a, class of b, same block?)
-    (`_classes`); this keeps (1, 5) apart from (1, 1)."""
-    label, seen = _classes(blocks), set()
+    (`_classes`); this keeps (1, 1 + P) apart from (1, 1)."""
+    label, seen = _classes(blocks, period), set()
     for i, (_, xs) in enumerate(blocks):
         for i2, (_, ys) in enumerate(blocks[i:], i):
             cls = (frozenset((label[i], label[i2])), i == i2)
@@ -415,18 +419,20 @@ def _combine(elements, coeffs):
 def fixed_and_eigenspaces(phi: InvolutionDescriptor,
                           truncation: Truncation) -> CartanDecomposition:
     """Exact +1/-1 eigenspace bases of phi on a truncation of a real form;
-    phi must preserve the form. Blocks up to (4, -4) are solved; a block in
-    the period-4 class of block (k-4, 4-k) (`_classes`, as `truncate`
-    builds them) gets that block's K and P shifted. This is exact: phi
-    commutes with the shift, as i^{pk} has period 4 and signs are kept."""
+    phi must preserve the form. Blocks up to (P, -P) are solved, P = 2 when
+    the parities of the form's conj and phi are even, else 4 (`_period`);
+    a block in the period-P class of block (k-P, P-k) (`_classes`, as
+    `truncate` builds them) gets that block's K and P shifted. This is
+    exact: phi commutes with the shift, i^{pk} having period P."""
     rf = truncation.real_form
-    label = _classes([(key, [(e, 0) for e in elems]) for key, elems in truncation.blocks])
+    period = _period(rf.conj, phi.loop_map)
+    label = _classes([(key, [(e, 0) for e in elems]) for key, elems in truncation.blocks], period)
     pos = {key: i for i, (key, _) in enumerate(truncation.blocks)}
     blocks = []
     for i, (key, elems) in enumerate(truncation.blocks):
         if label[i] != i:
-            base = blocks[pos[(key[0] - 4, 4 - key[0])]]
-            blocks.append(EigenBlock(key, _shift4(base.k_basis), _shift4(base.p_basis)))
+            base = blocks[pos[(key[0] - period, period - key[0])]]
+            blocks.append(EigenBlock(key, _shift(base.k_basis, period), _shift(base.p_basis, period)))
             continue
         if not elems:
             blocks.append(EigenBlock(key, [], []))
@@ -472,14 +478,15 @@ def verify_cartan_relations(dec: CartanDecomposition) -> bool:
     form and be an exact s_x s_y eigenvector of the involution. Both tests
     are invariant under z -> -z and the bracket is antisymmetric, so each
     unordered pair is bracketed once, in one representative block pair per
-    period-4 class (`truncate`, `_classes`): a block stands for block
-    (k-4, 4-k) only when its K and P are that block's shifted, so a
+    period-P class (`truncate`, `_classes`; P = 2 when the parities of the
+    form's conj and phi are even, else 4): a block stands for block (k-P,
+    P-k) only when its K and P are that block's shifted, so a
     hand-corrupted block is its own class and bracketed in full.
     """
     rf, phi = dec.real_form, dec.involution
     blocks = [(b.key, [(x, 1) for x in b.k_basis] + [(y, -1) for y in b.p_basis])
               for b in dec.blocks]
-    for (x, sx), (y, sy) in _representative_pairs(blocks):
+    for (x, sx), (y, sy) in _representative_pairs(blocks, _period(rf.conj, phi.loop_map)):
         z = hat_bracket(x, y)
         if z.is_zero():
             continue
@@ -526,6 +533,8 @@ def dualize(rf: RealFormDescriptor, phi: InvolutionDescriptor, n_max: int = 1,
     """
     if rf.conj is None:
         raise InvolutionError("cannot dualize the full complex algebra")
+    if len(phi.loop_map.matrix) != rf.algebra.dim:
+        raise InvolutionError(f"{phi.name} and {rf.name} act on different algebras")
     theta = rf.conj
     phi_lin = _c_linear_on_form(phi.loop_map, theta)
     theta_star = phi_lin.compose(theta)

@@ -112,8 +112,9 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     report.checks["closure"] = CheckResult(closed, "real form closed under the bracket")
 
     basis = truncation.elements
-    preserved = all(rf.contains(phi.apply(e)) for e in basis)
-    squares = all(phi.apply(phi.apply(e)) == e for e in basis)
+    images = [phi.apply(e) for e in basis]
+    preserved = all(rf.contains(img) for img in images)
+    squares = all(phi.apply(img) == e for e, img in zip(basis, images))
     report.checks["involutive"] = CheckResult(
         preserved and squares,
         f"preserves form: {preserved}, squares to identity: {squares}",

@@ -249,7 +249,7 @@ def test_killing_gram_rejects_a_mismatch_in_another_class():
             killing_gram([f, other])
 
 
-# -- period-4 blocks ------------------------------------------------------------
+# -- period-P blocks ------------------------------------------------------------
 
 PERIOD_FORMS = [
     (alg, order, sign, parity)
@@ -270,18 +270,33 @@ def test_truncate_blocks_equal_direct_block_bases(alg, order, sign, parity):
     )
 
 
-def test_truncate_solves_only_the_first_period(monkeypatch):
-    rf = catalog_record("I[Id,mu]").real_form
-    calls = Counter()
+def _solved_keys(monkeypatch, rf, n_max):
+    """The keys truncate(n_max) solves, in order, and the truncation."""
+    calls = []
     block_basis = RealFormDescriptor.block_basis
 
     def counting_block_basis(self, key):
-        calls[key] += 1
+        calls.append(key)
         return block_basis(self, key)
 
     monkeypatch.setattr(RealFormDescriptor, "block_basis", counting_block_basis)
-    truncation = rf.truncate(60)
-    assert sum(calls.values()) == len(rf.block_keys(4))
+    return calls, rf.truncate(n_max)
+
+
+def test_truncate_solves_only_the_first_period(monkeypatch):
+    """Catalog parities are even, so the period is 2."""
+    rf = catalog_record("I[Id,mu]").real_form
+    solved, truncation = _solved_keys(monkeypatch, rf, 60)
+    assert solved == rf.block_keys(2)
+    assert [key for key, _ in truncation.blocks] == rf.block_keys(60)
+
+
+def test_truncate_solves_four_blocks_at_odd_parity(monkeypatch):
+    algebra, twist = serialize.lookup_algebra("su2c", 1)
+    conj = CoeffMap(CoeffMap.identity(algebra.dim).matrix, conjugate=True, parity=1)
+    rf = RealFormDescriptor(name="odd parity", algebra=algebra, twist=twist, conj=conj)
+    solved, truncation = _solved_keys(monkeypatch, rf, 60)
+    assert solved == rf.block_keys(4)
     assert [key for key, _ in truncation.blocks] == rf.block_keys(60)
 
 

@@ -13,6 +13,7 @@ from kmalg.findim import direct_sum, make_su
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
+    InvolutionError,
     RealFormDescriptor,
     dualize,
     fixed_and_eigenspaces,
@@ -249,6 +250,21 @@ def test_duality_pairing_agrees_with_two_dualizations_when_partners_differ(name,
     rep = duality_pairing(changed)
     assert (rep.matches, rep.double_dual_ok) == duality_pairing_reference(changed)
     assert not all(rep.matches.values())
+
+
+def test_dualize_rejects_a_form_and_an_involution_of_different_algebras():
+    """IV's involution acts on the 6-dimensional doubled algebra; given the
+    3-dimensional real form of III[Id,Id], dualizing names the mismatch
+    instead of failing inside the matrix product."""
+    catalog = build_catalog_a1()
+    by_name = {r.name: r for r in catalog}
+    changed = [replace(r, real_form=by_name["III[Id,Id]"].real_form) if r.name == "IV" else r
+               for r in catalog]
+    with pytest.raises(InvolutionError, match="different algebras"):
+        duality_pairing(changed)
+    rec = by_name["IV"]
+    with pytest.raises(InvolutionError, match="different algebras"):
+        dualize(by_name["III[Id,Id]"].real_form, rec.involution)
 
 
 def test_dual_names_are_involutive():

@@ -1,9 +1,11 @@
-"""The period-4 lemma: verify_closed and verify_cartan_relations bracket one
-representative block pair per class, and fixed_and_eigenspaces shifts the
-blocks beyond (4, -4). Each is checked against the all-pairs or
+"""The period-P lemma: block equations repeat with period P = 2 when every
+parity involved is even and P = 4 otherwise, so verify_closed and
+verify_cartan_relations bracket one representative block pair per class,
+every class occurring from degree 2P on, and fixed_and_eigenspaces shifts
+the blocks beyond (P, -P). Each is checked against the all-pairs or
 every-block reference in oracles on the diagonal and permutation real
-forms over four registered algebras, and on every catalog split, intact
-and with one block's K vectors corrupted."""
+forms over four registered algebras (both periods), and on every catalog
+split (period 2), intact and with one block's K vectors corrupted."""
 import itertools
 from collections import Counter
 
@@ -15,10 +17,12 @@ from kmalg.involution import (
     CartanDecomposition,
     CoeffMap,
     EigenBlock,
+    InvolutionDescriptor,
     RealFormDescriptor,
-    _shift4,
     _classes,
+    _period,
     _representative_pairs,
+    _shift,
     fixed_and_eigenspaces,
     verify_cartan_relations,
 )
@@ -51,15 +55,32 @@ DIAGONAL = [_form(pair, (0, 1, 2), signs, s, p, scale) for pair in PAIRS for sig
 
 
 def test_closure_matches_all_pairs_on_every_diagonal_form():
-    """All 512 diagonal forms at degree 8, the least degree at which every
-    class of block pairs occurs."""
-    verdicts = Counter()
+    """All 512 diagonal forms at degree 8 = 2P for P = 4, the least degree
+    at which every class of block pairs occurs on both periods."""
+    verdicts, periods = Counter(), Counter()
     for rf in DIAGONAL:
         truncation = rf.truncate(8)
         verdict = rf.verify_closed(truncation)
         assert verdict == verify_closed_reference(rf, truncation)
         verdicts[verdict] += 1
+        periods[_period(rf.conj)] += 1
     assert len(DIAGONAL) == 512 and verdicts[True] and verdicts[False]
+    assert periods == {2: 256, 4: 256}
+
+
+def test_period_is_2_exactly_when_every_parity_is_even():
+    algebra, _ = serialize.lookup_algebra("su2c", 1)
+    maps = {p: CoeffMap(CoeffMap.identity(algebra.dim).matrix, parity=p) for p in range(-4, 8)}
+    assert _period(None) == _period(None, None) == 2
+    for p, m in maps.items():
+        assert _period(m) == _period(None, m) == _period(m, None) == (2 if p % 2 == 0 else 4)
+        for q, n in maps.items():
+            assert _period(m, n) == (2 if p % 2 == 0 and q % 2 == 0 else 4)
+    # the form's conj and the involution's loop map: phi's parity counts
+    rec = catalog_record("IV")
+    odd_phi = CoeffMap(rec.involution.loop_map.matrix, -1, False, 1)
+    assert _period(rec.real_form.conj, rec.involution.loop_map) == 2
+    assert _period(rec.real_form.conj, odd_phi) == 4
 
 
 @settings(max_examples=300, deadline=None)
@@ -111,7 +132,35 @@ def test_shifted_eigenspace_blocks_equal_the_solved_ones(name):
         [(b.key, b.k_basis, b.p_basis) for b in want]
 
 
-def _bracket_count(monkeypatch, record, degree):
+# Period-4 splits: phi = i^{k} M a_{-k} with M = diag(1, -1, -1) (an
+# involutive automorphism of su2c), epsilon -1, on the closed odd-parity
+# diagonal form and on an even-parity one. The form's own period is 4 in the
+# first and 2 in the second; the split's is 4 in both.
+ODD_SPLITS = {
+    "odd form": _form(("su2c", 1), (0, 1, 2), (1, 1, 1), 1, 1, I),
+    "even form": _form(("su2c", 1), (0, 1, 2), (1, 1, 1), -1, 0, ONE),
+}
+ODD_PHI = InvolutionDescriptor(
+    "odd parity", CoeffMap([[Scalar(s) if i == j else ZERO for j in range(3)]
+                            for i, s in enumerate((1, -1, -1))], -1, False, 1), -1, True)
+
+
+@pytest.mark.parametrize("name", sorted(ODD_SPLITS))
+def test_period_4_splits_match_every_block_and_all_pairs(name):
+    rf = ODD_SPLITS[name]
+    assert _period(rf.conj, ODD_PHI.loop_map) == 4
+    truncation = rf.truncate(9)
+    dec = fixed_and_eigenspaces(ODD_PHI, truncation)
+    want = fixed_and_eigenspaces_reference(ODD_PHI, truncation)
+    assert [(b.key, b.k_basis, b.p_basis) for b in dec.blocks] == \
+        [(b.key, b.k_basis, b.p_basis) for b in want.blocks]
+    verdicts = [verify_cartan_relations(c) for c in _corrupted(dec)]
+    assert verdicts == [verify_cartan_relations_reference(c) for c in _corrupted(dec)]
+    assert verdicts[0] and not any(verdicts[1:])
+    assert len(verdicts) == 1 + 3 * sum(1 for b in dec.blocks if b.k_basis)
+
+
+def _counting_brackets(monkeypatch):
     calls = Counter()
 
     def counting_bracket(x, y):
@@ -119,26 +168,48 @@ def _bracket_count(monkeypatch, record, degree):
         return hat_bracket(x, y)
 
     monkeypatch.setattr(involution, "hat_bracket", counting_bracket)
+    return calls
+
+
+def _bracket_count(monkeypatch, record, degree):
+    calls = _counting_brackets(monkeypatch)
     assert osaka_verify(record, degree).all_passed
     return calls["hat_bracket"]
 
 
 @pytest.mark.parametrize("name", ["I[Id,mu]", "IV"])
 def test_osaka_verify_bracket_count_is_flat_in_degree(monkeypatch, name):
+    """Catalog parities are even, so P = 2 and every class occurs from
+    degree 4 on."""
     rec = catalog_record(name)
-    at8 = _bracket_count(monkeypatch, rec, 8)
-    assert at8 == _bracket_count(monkeypatch, rec, 16)
-    assert at8 > _bracket_count(monkeypatch, rec, 7)
+    assert _period(rec.real_form.conj, rec.involution.loop_map) == 2
+    at4 = _bracket_count(monkeypatch, rec, 4)
+    assert at4 == _bracket_count(monkeypatch, rec, 16)
+    assert at4 > _bracket_count(monkeypatch, rec, 3)
 
 
-def _shifted(blocks):
-    """Keys of the blocks in the period-4 class of a lower block."""
-    return {blocks[i][0] for i, cls in enumerate(_classes(blocks)) if cls != i}
+def test_closure_bracket_count_is_flat_from_degree_8_at_odd_parity(monkeypatch):
+    """The closed odd-parity diagonal form (su2c/1, identity conj, parity 1,
+    cd_scale i) has P = 4, so every class occurs from degree 8 on."""
+    rf = ODD_SPLITS["odd form"]
+    assert _period(rf.conj) == 4
+    counts = []
+    for degree in (7, 8, 16):
+        calls = _counting_brackets(monkeypatch)
+        assert rf.verify_closed(rf.truncate(degree))
+        counts.append(calls["hat_bracket"])
+    assert counts == [543, 579, 579]
+
+
+def _shifted(blocks, period=4):
+    """Keys of the blocks in the period-P class of a lower block."""
+    return {blocks[i][0] for i, cls in enumerate(_classes(blocks, period)) if cls != i}
 
 
 def test_a_block_stands_for_its_base_only_when_it_is_the_exact_shift():
     truncation = catalog_record("I[Id,Id]").real_form.truncate(6)
     blocks = [(key, [(e, 0) for e in elems]) for key, elems in truncation.blocks]
+    assert _shifted(blocks, 2) == {(3, -3), (4, -4), (5, -5), (6, -6)}
     assert _shifted(blocks) == {(5, -5), (6, -6)}
     items = dict(blocks)
     base, block = items[(1, -1)], items[(5, -5)]
@@ -152,7 +223,7 @@ def test_a_block_stands_for_its_base_only_when_it_is_the_exact_shift():
         ({(5, -5): block[1:]}, {(6, -6)}),
         ({(5, -5): block[1:] + block[:1]}, {(6, -6)}),
         # an exponent outside its block: no block stands for another
-        ({(1, -1): [(constant, 0)] + base[1:], (5, -5): [(_shift4([constant])[0], 0)] + block[1:]}, set()),
+        ({(1, -1): [(constant, 0)] + base[1:], (5, -5): [(_shift([constant], 4)[0], 0)] + block[1:]}, set()),
         ({(6, -6): items[(6, -6)] + [(e, 0)]}, set()),
     ]
     for change, shifted in changes:
@@ -163,4 +234,4 @@ def test_a_block_stands_for_its_base_only_when_it_is_the_exact_shift():
     twice = blocks + [((1, -1), [(x.scale(I), s) for x, s in base])]
     assert _shifted(twice) == set()
     n = sum(len(its) for _, its in twice)
-    assert len(list(_representative_pairs(twice))) == n * (n + 1) // 2
+    assert len(list(_representative_pairs(twice, 4))) == n * (n + 1) // 2
