@@ -12,6 +12,7 @@ reduced once. Automorphisms act on numerator vectors the same way.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from . import linalg
 from .scalars import ONE, ZERO, Scalar, exact_div, vec_canon, vec_from_scalars, vec_to_scalars
@@ -280,13 +281,15 @@ class FiniteLieAlgebra:
         return tuple(b for b in self.blocks if b.kind == "simple")
 
     def complexify(self) -> "FiniteLieAlgebra":
-        """Same basis viewed over C. Cached so twists can share identity."""
+        """Same basis viewed over C. Cached so twists can share identity.
+        coords already solves over C, so the structure constants, and all
+        derived from them, are this algebra's: the twin copies them."""
         if self.field == "C":
             return self
         if self._complexified is None:
-            self._complexified = FiniteLieAlgebra(
-                self.name + "_C", "C", self.basis, self.blocks, check=False
-            )
+            twin = copy.copy(self)
+            twin.name, twin.field = self.name + "_C", "C"
+            self._complexified = twin
         return self._complexified
 
     def __repr__(self):

@@ -23,10 +23,12 @@ from .involution import (
     InvolutionDescriptor,
     RealFormDescriptor,
     Truncation,
+    bracket_verdicts,
     dualize,
     fixed_and_eigenspaces,
     involution_from_invariants,
-    verify_cartan_relations,
+    involutive_verdicts,
+    representatives,
 )
 from .kmext import ExtendedElement
 from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted, zero_loop
@@ -103,18 +105,20 @@ def _restrict_to_coords(x: ExtendedElement, allowed) -> bool:
 
 def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     """All defining checks, exactly, at truncation degree n_max; every
-    check reads the one truncation of the real form built here."""
+    check reads the one truncation of the real form built here. When phi
+    is involutive on it, one walk over the brackets of its K/P split
+    decides closure and the Cartan relations (`bracket_verdicts`)."""
     report = OsakaReport(record.name)
     rf, phi = record.real_form, record.involution
     truncation = rf.truncate(n_max)
 
-    closed = rf.verify_closed(truncation)
+    preserved, squares = involutive_verdicts(phi, truncation)
+    if preserved and squares:
+        dec = fixed_and_eigenspaces(phi, truncation)
+        closed, relations = bracket_verdicts(dec, record.claimed_type == OsakaType.NON_COMPACT)
+    else:
+        closed = rf.verify_closed(truncation)
     report.checks["closure"] = CheckResult(closed, "real form closed under the bracket")
-
-    basis = truncation.elements
-    images = [phi.apply(e) for e in basis]
-    preserved = all(rf.contains(img) for img in images)
-    squares = all(phi.apply(img) == e for e, img in zip(basis, images))
     report.checks["involutive"] = CheckResult(
         preserved and squares,
         f"preserves form: {preserved}, squares to identity: {squares}",
@@ -124,8 +128,6 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
         report.checks["fix_abelian_zero"] = CheckResult(False, "prerequisites failed")
         report.checks["KP_match"] = CheckResult(False, "prerequisites failed")
         return report
-
-    dec = fixed_and_eigenspaces(phi, truncation)
 
     # (c) the fixed algebra must be a loop algebra over the semisimple part
     # with negative definite loop Killing form: no fixed c/d directions, no
@@ -169,7 +171,7 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
 
     computed = classify_type(truncation)
     report.checks["type"] = _check_type(
-        record, dec, computed, valid_so_far=report.checks["fix_compact"].passed
+        record, computed, relations, valid_so_far=report.checks["fix_compact"].passed
     )
     report.checks["effective"] = CheckResult(
         effectiveness_check(record) == Effectiveness.EFFECTIVE, f"epsilon = {phi.epsilon}"
@@ -184,9 +186,11 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
 
 def _check_expected_kp(record: OsakaRecord, dec: CartanDecomposition):
     """Exact subspace equality per block: computed eigenvectors satisfy the
-    expected coefficient condition and the frozen dimensions agree."""
+    expected coefficient condition (read on `representatives` under conj,
+    phi and the expected map) and the frozen dimensions agree."""
     exp = record.expected_kp
-    for block in dec.blocks:
+    own = set(representatives(dec.signed, dec.real_form.conj, dec.involution.loop_map, exp.map))
+    for i, block in enumerate(dec.blocks):
         want_k, want_p = exp.block_dims(block.key)
         if (len(block.k_basis), len(block.p_basis)) != (want_k, want_p):
             return False, (
@@ -197,6 +201,8 @@ def _check_expected_kp(record: OsakaRecord, dec: CartanDecomposition):
             if want_k == 0 and any(e.c or e.d for e in block.k_basis):
                 return False, "c/d directions appeared in K"
             continue
+        if i not in own:
+            continue
         for e in block.k_basis:
             if exp.map.apply_loop(e.loop) != e.loop:
                 return False, f"K vector in block {block.key} violates the expected condition"
@@ -206,11 +212,11 @@ def _check_expected_kp(record: OsakaRecord, dec: CartanDecomposition):
     return True, "eigenspaces match the expected conditions and dimensions"
 
 
-def _check_type(record: OsakaRecord, dec: CartanDecomposition, computed: OsakaType,
+def _check_type(record: OsakaRecord, computed: OsakaType, relations: bool,
                 valid_so_far: bool = True) -> CheckResult:
     ok = computed == record.claimed_type
     if ok and valid_so_far and computed == OsakaType.NON_COMPACT:
-        ok = verify_cartan_relations(dec)
+        ok = relations
         if not ok:
             return CheckResult(False, "Cartan relations failed on the split")
     return CheckResult(ok, f"computed {computed.value}, claimed {record.claimed_type.value}")
@@ -253,22 +259,10 @@ def irreducibility_check(record: OsakaRecord):
     the involution's coefficient map is a witness."""
     blocks = record.real_form.algebra.simple_blocks()
     phi_mat = record.involution.loop_map.matrix
-    nblocks = len(blocks)
-    if nblocks <= 1:
-        return "Irreducible", None
-    for mask in range(1, 2 ** nblocks - 1):
-        chosen = [b for i, b in enumerate(blocks) if mask & (1 << i)]
-        inside = {i for b in chosen for i in b.indices}
-        invariant = True
-        for j in inside:
-            for i in range(len(phi_mat)):
-                if phi_mat[i][j] and i not in inside:
-                    invariant = False
-                    break
-            if not invariant:
-                break
-        if invariant:
-            witness = tuple(i for i in range(nblocks) if mask & (1 << i))
+    for mask in range(1, 2 ** len(blocks) - 1):
+        witness = tuple(n for n in range(len(blocks)) if mask & (1 << n))
+        inside = {i for n in witness for i in blocks[n].indices}
+        if all(i in inside for j in inside for i, row in enumerate(phi_mat) if row[j]):
             return "Reducible", witness
     return "Irreducible", None
 
@@ -278,23 +272,12 @@ def irreducibility_check(record: OsakaRecord):
 _CATALOG_CACHE = {}
 
 
-def _su2_maps():
-    su2 = make_su(2)
-    a1 = su2.complexify()
-    return su2, a1
-
-
 def _compact_conj(dim):
     return CoeffMap(CoeffMap.identity(dim).matrix, index_sign=-1, conjugate=True)
 
 
 def _dims(zero, pair, cd=(0, 2), odd_pair=None):
-    return {
-        "zero": zero,
-        "even_pair": pair,
-        "odd_pair": odd_pair if odd_pair is not None else pair,
-        "cd": cd,
-    }
+    return {"zero": zero, "even_pair": pair, "odd_pair": odd_pair or pair, "cd": cd}
 
 
 def build_catalog_a1():
@@ -305,10 +288,9 @@ def build_catalog_a1():
     for coefficient condition."""
     if "catalog" in _CATALOG_CACHE:
         return _CATALOG_CACHE["catalog"]
-    su2, a1 = _su2_maps()
+    su2 = make_su(2)
     id_r = identity_automorphism(su2)
     mu_r = findim.entrywise_conjugation_automorphism(su2)
-    mu_mat = mu_r.matrix
 
     records = []
 
@@ -348,9 +330,10 @@ def build_catalog_a1():
         dual_name="IV", pair_label="[swap,swap]",
     ))
 
-    # ---- types III and IV: exact duals of the compact records.
+    # ---- types III and IV: exact duals of the compact records, in order.
     for rec in list(records):
-        dual = dualize(rec.real_form, rec.involution, 1, name=_dual_form_name(rec.name))
+        name = "doubled complex form" if rec.name == "II" else "almost split form " + rec.pair_label
+        dual = dualize(rec.real_form, rec.involution, name=name)
         records.append(OsakaRecord(
             name=rec.dual_name,
             real_form=dual.real_form,
@@ -365,21 +348,8 @@ def build_catalog_a1():
             dual_name=rec.name,
             pair_label=rec.pair_label,
         ))
-    # keep catalog order I, I, I, II, III, III, III, IV
-    order = ["I[Id,Id]", "I[Id,mu]", "I[mu,mu]", "II",
-             "III[Id,Id]", "III[Id,mu]", "III[mu,mu]", "IV"]
-    records.sort(key=lambda r: order.index(r.name))
     _CATALOG_CACHE["catalog"] = records
     return records
-
-
-def _dual_form_name(name):
-    return {
-        "I[Id,Id]": "almost split form [Id,Id]",
-        "I[Id,mu]": "almost split form [Id,mu]",
-        "I[mu,mu]": "almost split form [mu,mu]",
-        "II": "doubled complex form",
-    }[name]
 
 
 def catalog_record(name: str) -> OsakaRecord:
@@ -419,7 +389,7 @@ def complex_conjugation_counterexample() -> OsakaRecord:
     conjugation along its compact form. Not an OSAKA: the fixed algebra
     keeps the c and d lines, so it is not a loop algebra; osaka_verify
     fails the fix_compact check."""
-    _, a1 = _su2_maps()
+    a1 = make_su(2).complexify()
     twist = untwisted(a1)
     form = RealFormDescriptor(
         name="complex algebra as real", algebra=a1, twist=twist, conj=None, cd_scale=None,
@@ -451,40 +421,41 @@ class PairingReport:
         return self.table_ok and self.double_dual_ok and all(self.matches.values())
 
 
-def _same_form(dual, rf: RealFormDescriptor, phi: InvolutionDescriptor) -> bool:
-    """Whether a DualForm has rf's conj and cd_scale and phi's loop map."""
-    return (dual.real_form.conj == rf.conj and dual.real_form.cd_scale == rf.cd_scale
-            and dual.involution.loop_map == phi.loop_map)
+def _same_real_form(a: RealFormDescriptor, b: RealFormDescriptor) -> bool:
+    """Equal conj and cd_scale over the same algebra and twist objects."""
+    return (a.algebra is b.algebra and a.twist is b.twist
+            and a.conj == b.conj and a.cd_scale == b.cd_scale)
 
 
-def duality_pairing(catalog=None, n_max: int = 2) -> PairingReport:
+def _same_form(dual, rec: OsakaRecord) -> bool:
+    """Whether a DualForm has rec's real form and involution loop map."""
+    return (_same_real_form(dual.real_form, rec.real_form)
+            and dual.involution.loop_map == rec.involution.loop_map)
+
+
+def duality_pairing(catalog=None) -> PairingReport:
     """Dualize every record once and compare with its declared partner: the
-    coefficient conditions (conjugation map), the c/d reality scale, and the
-    involution's coefficient map must agree exactly (matches). The dual of
-    (the record's dual form, the partner's involution) must reproduce the
-    record (double_dual_ok). dualize reads only the algebra, twist, conj
-    and cd_scale of a form, so when the dual has the partner's (the same
-    algebra and twist objects, equal conj and cd_scale), that double dual
-    is the partner's own dual and is not recomputed.
-
-    osaka-catalog calls this with the default n_max = 2, whatever its
-    --degree: duality is checked at truncation degree 2 only.
+    algebra and twist objects, the conjugation map, the c/d reality scale
+    and the involution's coefficient map must agree exactly (matches). The
+    dual of (the record's dual form, the partner's involution) must
+    reproduce the record (double_dual_ok); when the dual has the partner's
+    real form, that is the partner's own dual, not recomputed. The pairing
+    compares maps and has no degree: a matched dual is the partner's form,
+    whose closure osaka_verify checks at its degree.
     """
     catalog = catalog or build_catalog_a1()
     by_name = {r.name: r for r in catalog}
-    duals = {rec: dualize(rec.real_form, rec.involution, n_max) for rec in catalog}
+    duals = {rec: dualize(rec.real_form, rec.involution) for rec in catalog}
     matches = {}
     double_ok = True
     for rec, dual in duals.items():
         partner = by_name[rec.dual_name]
-        matches[rec.name] = _same_form(dual, partner.real_form, partner.involution)
-        drf, prf = dual.real_form, partner.real_form
-        if (drf.conj == prf.conj and drf.cd_scale == prf.cd_scale
-                and drf.algebra is prf.algebra and drf.twist is prf.twist):
+        matches[rec.name] = _same_form(dual, partner)
+        if _same_real_form(dual.real_form, partner.real_form):
             ddual = duals[partner]
         else:
-            ddual = dualize(dual.real_form, partner.involution, n_max)
-        if not _same_form(ddual, rec.real_form, rec.involution):
+            ddual = dualize(dual.real_form, partner.involution)
+        if not _same_form(ddual, rec):
             double_ok = False
     table = {"I[Id,Id]": "III[Id,Id]", "I[Id,mu]": "III[Id,mu]",
              "I[mu,mu]": "III[mu,mu]", "II": "IV"}

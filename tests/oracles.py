@@ -20,7 +20,10 @@ CoeffMap application only tests call. The closure and Cartan checks bracket ever
 and the eigenspace split solves every block, as the library did before
 the period-4 lemma let it bracket one block pair per class and shift
 blocks beyond (4, -4); the duality pairing dualizes twice per record, as
-it did before it reused the partner's dual.
+it did before it reused the partner's dual, with dualize re-verifying each
+dual's closure as it did before the pairing lost its degree; and the
+involutive and expected K/P checks apply their maps to every element, as
+osaka_verify did before it read only one block per period class.
 """
 from __future__ import annotations
 
@@ -721,15 +724,24 @@ def fixed_and_eigenspaces_reference(phi, truncation):
     return CartanDecomposition(rf, phi, truncation.n_max, blocks)
 
 
+def dualize_reference(rf, phi, n_max=1):
+    """involution.dualize as it was when it re-verified the dual form's
+    closure on its truncation at degree max(1, n_max)."""
+    dual = dualize(rf, phi)
+    if not dual.real_form.verify_closed(dual.real_form.truncate(max(1, n_max))):
+        raise InvolutionError("dual form is not closed under the bracket")
+    return dual
+
+
 def duality_pairing_reference(catalog, n_max=2):
     """(matches, double_dual_ok) of osaka.duality_pairing as it was before it
-    dualized each record once: every record's dual and double dual built.
-    The loop is kept verbatim."""
+    dualized each record once: every record's dual and double dual built,
+    each re-verified closed at degree n_max. The loop is kept verbatim."""
     by_name = {r.name: r for r in catalog}
     matches = {}
     double_ok = True
     for rec in catalog:
-        dual = dualize(rec.real_form, rec.involution, n_max)
+        dual = dualize_reference(rec.real_form, rec.involution, n_max)
         partner = by_name[rec.dual_name]
         same = (
             dual.real_form.conj == partner.real_form.conj
@@ -737,7 +749,7 @@ def duality_pairing_reference(catalog, n_max=2):
             and dual.involution.loop_map == partner.involution.loop_map
         )
         matches[rec.name] = same
-        ddual = dualize(dual.real_form, partner.involution, n_max)
+        ddual = dualize_reference(dual.real_form, partner.involution, n_max)
         if not (
             ddual.real_form.conj == rec.real_form.conj
             and ddual.real_form.cd_scale == rec.real_form.cd_scale
@@ -745,3 +757,40 @@ def duality_pairing_reference(catalog, n_max=2):
         ):
             double_ok = False
     return matches, double_ok
+
+
+# -- involutive and expected K/P checks on every element ------------------------------
+
+def involutive_reference(rf, phi, truncation):
+    """(preserved, squares) of osaka_verify's involutive check as it was
+    before it read only the blocks that are their own period class: phi is
+    applied to every truncated basis element."""
+    basis = truncation.elements
+    images = [phi.apply(e) for e in basis]
+    preserved = all(rf.contains(img) for img in images)
+    squares = all(phi.apply(img) == e for e, img in zip(basis, images))
+    return preserved, squares
+
+
+def check_expected_kp_reference(record, dec):
+    """osaka._check_expected_kp as it was before it read only the blocks
+    that are their own period class. The body is kept verbatim."""
+    exp = record.expected_kp
+    for block in dec.blocks:
+        want_k, want_p = exp.block_dims(block.key)
+        if (len(block.k_basis), len(block.p_basis)) != (want_k, want_p):
+            return False, (
+                f"block {block.key}: dims {(len(block.k_basis), len(block.p_basis))}"
+                f" != expected {(want_k, want_p)}"
+            )
+        if block.key == ("cd",):
+            if want_k == 0 and any(e.c or e.d for e in block.k_basis):
+                return False, "c/d directions appeared in K"
+            continue
+        for e in block.k_basis:
+            if exp.map.apply_loop(e.loop) != e.loop:
+                return False, f"K vector in block {block.key} violates the expected condition"
+        for e in block.p_basis:
+            if exp.map.apply_loop(e.loop) != -e.loop:
+                return False, f"P vector in block {block.key} violates the expected condition"
+    return True, "eigenspaces match the expected conditions and dimensions"

@@ -309,7 +309,7 @@ def test_cartan_relations_for_catalog():
 def test_dualize_compact_to_almost_split():
     phi, gc, tw = involution_from_invariants(ID_R, ID_R)
     rf = _compact_form(tw)
-    dual = dualize(rf, phi, 1)
+    dual = dualize(rf, phi)
     aspl = catalog_record("III[Id,Id]").real_form
     assert dual.real_form.conj == aspl.conj
     assert dual.real_form.cd_scale == I
@@ -319,8 +319,8 @@ def test_dualize_compact_to_almost_split():
 def test_dualize_is_involutive():
     phi, gc, tw = involution_from_invariants(MU_R, MU_R)
     rf = _compact_form(tw)
-    dual = dualize(rf, phi, 1)
-    ddual = dualize(dual.real_form, dual.involution, 1)
+    dual = dualize(rf, phi)
+    ddual = dualize(dual.real_form, dual.involution)
     assert ddual.real_form.conj == rf.conj
     assert ddual.real_form.cd_scale == rf.cd_scale
     assert ddual.involution.loop_map == phi.loop_map

@@ -22,7 +22,9 @@ from kmalg.involution import (
     _classes,
     _period,
     _representative_pairs,
+    Truncation,
     _shift,
+    bracket_verdicts,
     fixed_and_eigenspaces,
     verify_cartan_relations,
 )
@@ -110,12 +112,27 @@ def _corrupted(dec):
             yield CartanDecomposition(dec.real_form, dec.involution, dec.n_max, blocks)
 
 
+def _span(dec):
+    """The truncation whose blocks are K and P of dec, block by block."""
+    return Truncation(dec.real_form, dec.n_max, tuple((b.key, b.k_basis + b.p_basis) for b in dec.blocks))
+
+
+def _check_closure_of_the_split(dec):
+    """The closure half of the walk verify_cartan_relations makes
+    (bracket_verdicts) against all pairs of K and P, on every corruption:
+    a K vector times i leaves the form, so some are not closed."""
+    closures = [bracket_verdicts(c, False) for c in _corrupted(dec)]
+    assert closures == [(verify_closed_reference(c.real_form, _span(c)), False) for c in _corrupted(dec)]
+    assert {closed for closed, _ in closures} == {True, False}
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_cartan_relations_match_all_pairs_on_corrupted_splits(name):
     rec = catalog_record(name)
     dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(6))
     verdicts = [verify_cartan_relations(c) for c in _corrupted(dec)]
     assert verdicts == [verify_cartan_relations_reference(c) for c in _corrupted(dec)]
+    _check_closure_of_the_split(dec)
     # the intact split holds; every corruption, blocks (5, -5) and (6, -6)
     # included, is caught
     assert verdicts[0] and not any(verdicts[1:])
@@ -156,6 +173,7 @@ def test_period_4_splits_match_every_block_and_all_pairs(name):
         [(b.key, b.k_basis, b.p_basis) for b in want.blocks]
     verdicts = [verify_cartan_relations(c) for c in _corrupted(dec)]
     assert verdicts == [verify_cartan_relations_reference(c) for c in _corrupted(dec)]
+    _check_closure_of_the_split(dec)
     assert verdicts[0] and not any(verdicts[1:])
     assert len(verdicts) == 1 + 3 * sum(1 for b in dec.blocks if b.k_basis)
 
