@@ -277,7 +277,12 @@ def _compact_conj(dim):
 
 
 def _dims(zero, pair, cd=(0, 2), odd_pair=None):
-    return {"zero": zero, "even_pair": pair, "odd_pair": odd_pair or pair, "cd": cd}
+    return {
+        "zero": zero,
+        "even_pair": pair,
+        "odd_pair": odd_pair if odd_pair is not None else pair,
+        "cd": cd,
+    }
 
 
 def build_catalog_a1():

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from kmalg import cli, involution, osaka, serialize
+from kmalg import cli, osaka, serialize
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
@@ -19,7 +19,6 @@ from kmalg.involution import (
     fixed_and_eigenspaces,
     involutive_verdicts,
 )
-from kmalg.kmext import hat_bracket
 from kmalg.osaka import ExpectedKP, _check_expected_kp, build_catalog_a1, catalog_record, duality_pairing
 from kmalg.scalars import Scalar, ZERO
 from oracles import (
@@ -29,7 +28,7 @@ from oracles import (
     verify_cartan_relations_reference,
     verify_closed_reference,
 )
-from test_period_classes import DIAGONAL, NAMES, PAIRS, _corrupted, _span
+from test_period_classes import DIAGONAL, NAMES, PAIRS, _corrupted, _counting_brackets, _span
 
 
 def _diag(signs):
@@ -45,8 +44,9 @@ PHIS = [InvolutionDescriptor(f"{m}/{p}/{s}", CoeffMap(_diag(m), s, False, p), -1
 @pytest.mark.parametrize("pair", PAIRS)
 def test_bracket_verdicts_match_all_pairs_on_every_diagonal_form(pair):
     """Each diagonal form of pair at degree 8 = 2P for P = 4 with two of
-    the involutions above; the form is split by the first that preserves
-    it and squares to the identity (every form has one)."""
+    the involutions above and PHIS[0] (identity matrix, parity 0, s = 1,
+    which preserves every form); the form is split by the first of them
+    that preserves it and squares to the identity."""
     involutive, verdicts = Counter(), Counter()
     forms = [(n, rf) for n, rf in enumerate(DIAGONAL) if (rf.algebra, rf.twist.order) ==
              (serialize.lookup_algebra(*pair)[0], pair[1])]
@@ -108,17 +108,6 @@ def test_involutive_and_expected_kp_match_every_element_on_corrupted_splits(name
             assert _check_expected_kp(changed, dec) == check_expected_kp_reference(changed, dec)
     # a K vector times i leaves the form
     assert verdicts[True, True] and verdicts[False, True]
-
-
-def _counting_brackets(monkeypatch):
-    calls = Counter()
-
-    def counting_bracket(x, y):
-        calls["hat_bracket"] += 1
-        return hat_bracket(x, y)
-
-    monkeypatch.setattr(involution, "hat_bracket", counting_bracket)
-    return calls
 
 
 def test_osaka_catalog_brackets_each_representative_pair_once(monkeypatch, capsys):
