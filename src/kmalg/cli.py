@@ -195,10 +195,8 @@ def cmd_decompose(args):
         dec = fixed_and_eigenspaces(inv, rec.real_form.truncate(degree))
     except InvolutionError as exc:
         raise CliError(str(exc), EXIT_FAIL) from exc
-    k_loops = dec.loop_parts("K")
-    p_loops = dec.loop_parts("P")
-    _, kv = killing_gram(k_loops)
-    _, pv = killing_gram(p_loops)
+    _, kv = killing_gram([e.loop for e in dec.k_basis if not e.loop.is_zero()])
+    _, pv = killing_gram([e.loop for e in dec.p_basis if not e.loop.is_zero()])
     report = _base_report("decompose", form=args.form, degree=degree,
                           involution=args.involution)
     report["dims"] = {str(k): list(v) for k, v in sorted(dec.dims().items(), key=str)}

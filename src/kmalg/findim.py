@@ -133,7 +133,7 @@ class FiniteLieAlgebra:
     elements are real linear combinations of the basis.
     """
 
-    def __init__(self, name, field, basis, blocks, check=True):
+    def __init__(self, name, field, basis, blocks):
         if field not in ("R", "C"):
             raise LieAlgebraError(f"field must be 'R' or 'C', got {field!r}")
         self.name = name
@@ -151,9 +151,8 @@ class FiniteLieAlgebra:
             raise LieAlgebraError("basis matrices are linearly dependent")
         self._flat_basis = [mat_flatten(b) for b in self.basis]
         self.structure = self._compute_structure()
-        if check:
-            self._check_field_reality()
-            self._check_block_orthogonality()
+        self._check_field_reality()
+        self._check_block_orthogonality()
         consts = [c for row in self.structure for es in row for _, c in es]
         nums, self._sc_den = vec_from_scalars(consts)
         parts = iter(zip(nums, nums[len(consts):]))
@@ -495,16 +494,16 @@ def check_automorphism(g, phi: FiniteAutomorphism) -> FiniteAutomorphism:
     return phi
 
 
-def automorphism_from_order(g, matrix_rows, conjugate_linear=False, max_order=8):
-    """Build an automorphism, deriving its exact order; verified."""
+def automorphism_from_order(g, matrix_rows, conjugate_linear=False):
+    """Build an automorphism, deriving its exact order (at most 8); verified."""
     phi = FiniteAutomorphism(g, matrix_rows, conjugate_linear)
     power = phi
-    for k in range(1, max_order + 1):
+    for k in range(1, 9):
         if power.is_identity():
             phi.order = k
             return check_automorphism(g, phi)
         power = phi.compose(power)
-    raise WrongOrderError(f"no order up to {max_order} found")
+    raise WrongOrderError("no order up to 8 found")
 
 
 def entrywise_conjugation_automorphism(g) -> FiniteAutomorphism:

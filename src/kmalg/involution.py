@@ -5,8 +5,9 @@ A coefficient map (Phi a)_k = i^{p k} M conj^delta(a_{s k}) captures every
 map this module needs: involutions in standard form f(t) -> rho(f(eps t)),
 real-structure conjugations, and their compositions. Real forms are fixed
 sets of conjugate-linear coefficient maps together with a reality line for
-c and d; Cartan decompositions are exact +-1 eigenspace splits on
-truncations; duality K + P -> K + iP is composition of descriptors.
+c and d. A Cartan decomposition is a truncation whose basis carries signs,
++1 on K and -1 on P; one walk over its brackets decides closure and the
+Cartan relations. Duality K + P -> K + iP is composition of descriptors.
 """
 from __future__ import annotations
 
@@ -281,25 +282,24 @@ class RealFormDescriptor:
         block changes its brackets only by exponents congruent mod P and
         nonzero real factors (the cocycle's k, the derivative's ik), keeping
         real lines and eigenspaces; so closure and the Cartan relations are
-        decided by one block pair per class (`_classes`), all from degree 2P."""
+        decided by one block pair per class (`_classes`), all from degree 2P.
+        Every element has sign 0."""
         period, blocks = _period(self.conj), {}
         for key in self.block_keys(n_max):
-            blocks[key] = (self.block_basis(key) if key[0] == "cd" or key[0] <= period
+            solved = key[0] == "cd" or key[0] <= period
+            blocks[key] = ([(e, 0) for e in self.block_basis(key)] if solved
                            else _shift(blocks[(key[0] - period, period - key[0])], period))
         return Truncation(self, n_max, tuple(blocks.items()))
 
     # -- closure -----------------------------------------------------------
     def verify_closed(self, truncation: "Truncation") -> bool:
         """Brackets of truncated basis elements stay in the form (membership
-        is degree-unbounded, so no truncation artifacts). By the period-P
-        lemma (`truncate`, P of conj) one block pair per class is bracketed,
-        each unordered pair once: block (k, -k), k > P, stands for block
-        (k-P, P-k) only when it is that block shifted, with c = d = 0
-        (`_classes`). The verdict is that of bracketing every pair."""
+        is degree-unbounded, so no truncation artifacts): the closure half
+        of `bracket_verdicts`, which brackets one block pair per period-P
+        class with the verdict of bracketing every pair."""
         if truncation.real_form is not self:
             raise InvolutionError(f"truncation of {truncation.real_form.name}, not {self.name}")
-        pairs = _representative_pairs(truncation.signed, _period(self.conj))
-        return all(self.contains(hat_bracket(x, y)) for (x, _), (y, _) in pairs)
+        return bracket_verdicts(truncation, False)[0]
 
 
 def _period(*maps):
@@ -307,10 +307,12 @@ def _period(*maps):
     return 2 if all(m is None or m.parity % 2 == 0 for m in maps) else 4
 
 
-def _shift(elems, period):
-    """The loop parts of elems with every exponent moved period further from 0."""
-    moved = [{k + (period if k > 0 else -period): v for k, v in e.loop.terms.items()} for e in elems]
-    return [ExtendedElement(e.loop._like(terms)) for e, terms in zip(elems, moved)]
+def _shift(items, period):
+    """(element, sign) items with every exponent of each element's loop part
+    moved period further from 0 (c and d dropped), signs kept."""
+    return [(ExtendedElement(e.loop._like(
+        {k + (period if k > 0 else -period): v for k, v in e.loop.terms.items()})), s)
+        for e, s in items]
 
 
 def _classes(blocks, period):
@@ -330,8 +332,7 @@ def _classes(blocks, period):
         if j is None:
             continue
         base = blocks[j][1]
-        if all(not e.c and not e.d for e, _ in base) and list(
-                zip(_shift([e for e, _ in base], period), [s for _, s in base])) == items:
+        if all(not e.c and not e.d for e, _ in base) and _shift(base, period) == items:
             label[i] = label[j]
     return label
 
@@ -347,8 +348,8 @@ def involutive_verdicts(phi: InvolutionDescriptor, truncation: "Truncation"):
     """(preserved, squares): phi maps the truncated basis into the form, and
     phi(phi(e)) = e on it; read on `representatives` under conj and phi."""
     rf = truncation.real_form
-    basis = [e for i in representatives(truncation.signed, rf.conj, phi.loop_map)
-             for e in truncation.blocks[i][1]]
+    basis = [e for i in representatives(truncation.blocks, rf.conj, phi.loop_map)
+             for e, _ in truncation.blocks[i][1]]
     images = [phi.apply(e) for e in basis]
     preserved = all(rf.contains(img) for img in images)
     return preserved, all(phi.apply(img) == e for e, img in zip(basis, images))
@@ -372,64 +373,39 @@ def _representative_pairs(blocks, period):
 @dataclass(frozen=True, eq=False)
 class Truncation:
     """A real form cut at degree n_max: the exact real basis of each block,
-    as (key, elements) pairs in block_keys order."""
+    as (key, [(element, sign), ...]) pairs in block_keys order. A plain
+    truncation (involution None) gives every element sign 0; its Cartan
+    split by an involution (`fixed_and_eigenspaces`) has the same blocks,
+    each holding its K elements (+1) and then its P elements (-1)."""
 
     real_form: RealFormDescriptor
     n_max: int
     blocks: tuple
+    involution: InvolutionDescriptor | None = None
 
     @property
     def elements(self):
-        return [e for _, elems in self.blocks for e in elems]
-
-    @property
-    def signed(self):
-        """(key, [(element, 0)]) pairs, as `_classes` reads blocks."""
-        return [(key, [(e, 0) for e in elems]) for key, elems in self.blocks]
+        return [e for _, items in self.blocks for e, _ in items]
 
     @property
     def loops(self):
         """Loop parts of the degree blocks, each nonzero."""
-        return [e.loop for key, elems in self.blocks if key != ("cd",) for e in elems]
-
-
-# -- eigenspace split ---------------------------------------------------------
-
-@dataclass
-class EigenBlock:
-    key: tuple
-    k_basis: list
-    p_basis: list
-
-
-@dataclass
-class CartanDecomposition:
-    real_form: RealFormDescriptor
-    involution: InvolutionDescriptor
-    n_max: int
-    blocks: list
+        return [e.loop for key, items in self.blocks if key != ("cd",) for e, _ in items]
 
     @property
     def k_basis(self):
-        return [e for b in self.blocks for e in b.k_basis]
+        return [e for _, items in self.blocks for e, s in items if s == 1]
 
     @property
     def p_basis(self):
-        return [e for b in self.blocks for e in b.p_basis]
-
-    @property
-    def signed(self):
-        """(key, [(k, 1)] + [(p, -1)]) pairs, as `_classes` reads blocks."""
-        return [(b.key, [(x, 1) for x in b.k_basis] + [(y, -1) for y in b.p_basis])
-                for b in self.blocks]
+        return [e for _, items in self.blocks for e, s in items if s == -1]
 
     def dims(self):
-        return {b.key: (len(b.k_basis), len(b.p_basis)) for b in self.blocks}
+        return {key: (sum(s == 1 for _, s in items), sum(s == -1 for _, s in items))
+                for key, items in self.blocks}
 
-    def loop_parts(self, side):
-        elems = self.k_basis if side == "K" else self.p_basis
-        return [e.loop for e in elems if not e.loop.is_zero()]
 
+# -- eigenspace split ---------------------------------------------------------
 
 def _combine(elements, coeffs):
     total = None
@@ -444,26 +420,27 @@ def _combine(elements, coeffs):
     return total
 
 
-def fixed_and_eigenspaces(phi: InvolutionDescriptor,
-                          truncation: Truncation) -> CartanDecomposition:
-    """Exact +1/-1 eigenspace bases of phi on a truncation of a real form;
-    phi must preserve the form. Blocks up to (P, -P) are solved, P = 2 when
-    the parities of the form's conj and phi are even, else 4 (`_period`);
-    a block in the period-P class of block (k-P, P-k) (`_classes`, as
-    `truncate` builds them) gets that block's K and P shifted. This is
-    exact: phi commutes with the shift, i^{pk} having period P."""
+def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> Truncation:
+    """The Cartan split of a truncation of a real form: the same blocks,
+    each holding the exact +1 eigenvectors of phi (K, sign +1) and then the
+    -1 eigenvectors (P, sign -1); phi must preserve the form. Blocks up to
+    (P, -P) are solved, P = 2 when the parities of the form's conj and phi
+    are even, else 4 (`_period`); a block in the period-P class of block
+    (k-P, P-k) (`_classes`, as `truncate` builds them) gets that block's
+    items shifted. This is exact: phi commutes with the shift, i^{pk}
+    having period P."""
     rf = truncation.real_form
     period = _period(rf.conj, phi.loop_map)
-    label = _classes(truncation.signed, period)
+    label = _classes(truncation.blocks, period)
     pos = {key: i for i, (key, _) in enumerate(truncation.blocks)}
     blocks = []
-    for i, (key, elems) in enumerate(truncation.blocks):
+    for i, (key, items) in enumerate(truncation.blocks):
         if label[i] != i:
-            base = blocks[pos[(key[0] - period, period - key[0])]]
-            blocks.append(EigenBlock(key, _shift(base.k_basis, period), _shift(base.p_basis, period)))
+            blocks.append((key, _shift(blocks[pos[(key[0] - period, period - key[0])]][1], period)))
             continue
+        elems = [e for e, _ in items]
         if not elems:
-            blocks.append(EigenBlock(key, [], []))
+            blocks.append((key, []))
             continue
         degrees = [0] if key == ("cd",) else sorted(set(key))
         images = []
@@ -492,26 +469,26 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor,
         p_vecs = linalg.nullspace([[m[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)])
         if len(k_vecs) + len(p_vecs) != n:
             raise InvolutionError(f"{phi.name} does not square to the identity on block {key}")
-        k_basis = [_combine(elems, v) for v in k_vecs]
-        p_basis = [_combine(elems, v) for v in p_vecs]
-        blocks.append(EigenBlock(key, k_basis, p_basis))
-    return CartanDecomposition(rf, phi, truncation.n_max, blocks)
+        blocks.append((key, [(_combine(elems, v), 1) for v in k_vecs]
+                       + [(_combine(elems, v), -1) for v in p_vecs]))
+    return Truncation(rf, truncation.n_max, tuple(blocks), phi)
 
 
-def bracket_verdicts(dec: CartanDecomposition, relations: bool):
-    """(closed, holds) from one walk over the brackets of K and P (sign
-    s_x: +1 in K, -1 in P). closed: every bracket stays in the form; as K
-    and P span each block, this is `verify_closed` on their truncation.
-    holds, only when relations is asked (else False): each bracket of x and
-    y is also an s_x s_y eigenvector of phi, i.e. [K,K] in K, [K,P] in P,
-    [P,P] in K. Each unordered pair is bracketed once (both tests are
-    invariant under z -> -z), in one representative block pair per period-P
-    class (`_classes`, P of conj and phi): a hand-corrupted block is its
-    own class. A bracket that leaves the form fails both and ends the walk.
-    """
-    rf, phi = dec.real_form, dec.involution
-    holds = relations
-    for (x, sx), (y, sy) in _representative_pairs(dec.signed, _period(rf.conj, phi.loop_map)):
+def bracket_verdicts(t: Truncation, relations: bool):
+    """(closed, holds) from one walk over the brackets of a truncation,
+    plain or split. closed: every bracket stays in the form (K and P span
+    each block, so a split and its truncation agree). holds, only when
+    relations is asked on a split (else False): each bracket of x and y is
+    also an s_x s_y eigenvector of phi (signs +1 in K, -1 in P), i.e.
+    [K,K] in K, [K,P] in P, [P,P] in K. Each unordered pair is bracketed
+    once (both tests are invariant under z -> -z), in one representative
+    block pair per period-P class (`_classes`; P of conj, and of phi on a
+    split): a hand-corrupted block is its own class. A bracket that leaves
+    the form fails both and ends the walk."""
+    rf, phi = t.real_form, t.involution
+    holds = relations and phi is not None
+    period = _period(rf.conj, None if phi is None else phi.loop_map)
+    for (x, sx), (y, sy) in _representative_pairs(t.blocks, period):
         z = hat_bracket(x, y)
         if z.is_zero():
             continue
@@ -522,9 +499,9 @@ def bracket_verdicts(dec: CartanDecomposition, relations: bool):
     return True, holds
 
 
-def verify_cartan_relations(dec: CartanDecomposition) -> bool:
-    """[K,K] in K, [K,P] in P, [P,P] in K, exactly on the truncation
-    (`bracket_verdicts`)."""
+def verify_cartan_relations(dec: Truncation) -> bool:
+    """[K,K] in K, [K,P] in P, [P,P] in K, exactly on a split truncation
+    (`bracket_verdicts`); false on a plain one."""
     return all(bracket_verdicts(dec, True))
 
 

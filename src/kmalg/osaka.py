@@ -18,7 +18,6 @@ from enum import Enum
 from . import findim
 from .findim import direct_sum, identity_automorphism, make_abelian, make_su
 from .involution import (
-    CartanDecomposition,
     CoeffMap,
     InvolutionDescriptor,
     RealFormDescriptor,
@@ -105,19 +104,16 @@ def _restrict_to_coords(x: ExtendedElement, allowed) -> bool:
 
 def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     """All defining checks, exactly, at truncation degree n_max; every
-    check reads the one truncation of the real form built here. When phi
-    is involutive on it, one walk over the brackets of its K/P split
-    decides closure and the Cartan relations (`bracket_verdicts`)."""
+    check reads the one truncation of the real form built here. One walk
+    over its brackets (`bracket_verdicts`) decides closure and, when phi is
+    involutive on it and splits it into K and P, the Cartan relations."""
     report = OsakaReport(record.name)
     rf, phi = record.real_form, record.involution
     truncation = rf.truncate(n_max)
 
     preserved, squares = involutive_verdicts(phi, truncation)
-    if preserved and squares:
-        dec = fixed_and_eigenspaces(phi, truncation)
-        closed, relations = bracket_verdicts(dec, record.claimed_type == OsakaType.NON_COMPACT)
-    else:
-        closed = rf.verify_closed(truncation)
+    dec = fixed_and_eigenspaces(phi, truncation) if preserved and squares else truncation
+    closed, relations = bracket_verdicts(dec, record.claimed_type == OsakaType.NON_COMPACT)
     report.checks["closure"] = CheckResult(closed, "real form closed under the bracket")
     report.checks["involutive"] = CheckResult(
         preserved and squares,
@@ -184,31 +180,27 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     return report
 
 
-def _check_expected_kp(record: OsakaRecord, dec: CartanDecomposition):
-    """Exact subspace equality per block: computed eigenvectors satisfy the
-    expected coefficient condition (read on `representatives` under conj,
-    phi and the expected map) and the frozen dimensions agree."""
+def _check_expected_kp(record: OsakaRecord, dec: Truncation):
+    """Exact subspace equality per block of a split: computed eigenvectors
+    satisfy the expected coefficient condition (read on `representatives`
+    under conj, phi and the expected map) and the frozen dimensions agree."""
     exp = record.expected_kp
-    own = set(representatives(dec.signed, dec.real_form.conj, dec.involution.loop_map, exp.map))
-    for i, block in enumerate(dec.blocks):
-        want_k, want_p = exp.block_dims(block.key)
-        if (len(block.k_basis), len(block.p_basis)) != (want_k, want_p):
-            return False, (
-                f"block {block.key}: dims {(len(block.k_basis), len(block.p_basis))}"
-                f" != expected {(want_k, want_p)}"
-            )
-        if block.key == ("cd",):
-            if want_k == 0 and any(e.c or e.d for e in block.k_basis):
+    own = set(representatives(dec.blocks, dec.real_form.conj, dec.involution.loop_map, exp.map))
+    dims = dec.dims()
+    for i, (key, items) in enumerate(dec.blocks):
+        want_k, want_p = exp.block_dims(key)
+        if dims[key] != (want_k, want_p):
+            return False, f"block {key}: dims {dims[key]} != expected {(want_k, want_p)}"
+        if key == ("cd",):
+            if want_k == 0 and any(e.c or e.d for e, s in items if s == 1):
                 return False, "c/d directions appeared in K"
             continue
         if i not in own:
             continue
-        for e in block.k_basis:
-            if exp.map.apply_loop(e.loop) != e.loop:
-                return False, f"K vector in block {block.key} violates the expected condition"
-        for e in block.p_basis:
-            if exp.map.apply_loop(e.loop) != -e.loop:
-                return False, f"P vector in block {block.key} violates the expected condition"
+        for e, s in items:  # K, then P
+            if exp.map.apply_loop(e.loop) != (e.loop if s == 1 else -e.loop):
+                side = "K" if s == 1 else "P"
+                return False, f"{side} vector in block {key} violates the expected condition"
     return True, "eigenspaces match the expected conditions and dimensions"
 
 

@@ -39,15 +39,12 @@ class TrialRng:
         span = b - a + 1
         return a + self.u32() % span
 
-    def fraction(self, max_num=3, max_den=2) -> Fraction:
-        num = self.randint(-max_num, max_num)
-        den = self.randint(1, max_den)
-        return Fraction(num, den)
-
-    def scalar(self, max_num=3, max_den=2, real_only=False) -> Scalar:
-        re = self.fraction(max_num, max_den)
-        im = Fraction(0) if real_only else self.fraction(max_num, max_den)
-        return Scalar(re, im)
+    def scalar(self, real_only=False) -> Scalar:
+        """a/p + i b/q from the draws of gaussian(): a, b in [-3, 3] and
+        p, q in [1, 2]; real_only draws a and p only."""
+        a, p = self.randint(-3, 3), self.randint(1, 2)
+        b, q = (0, 1) if real_only else (self.randint(-3, 3), self.randint(1, 2))
+        return Scalar(Fraction(a, p), Fraction(b, q))
 
     def gaussian(self):
         """scalar() as a numerator form ((a q, b p), p q), from the same four

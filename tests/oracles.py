@@ -23,7 +23,9 @@ blocks beyond (4, -4); the duality pairing dualizes twice per record, as
 it did before it reused the partner's dual, with dualize re-verifying each
 dual's closure as it did before the pairing lost its degree; and the
 involutive and expected K/P checks apply their maps to every element, as
-osaka_verify did before it read only one block per period class.
+osaka_verify did before it read only one block per period class. Random
+Scalars are drawn as two Fractions each, as TrialRng.scalar drew them
+before it was built from the draws of TrialRng.gaussian.
 """
 from __future__ import annotations
 
@@ -35,10 +37,9 @@ from math import gcd
 from kmalg import linalg
 from kmalg.findim import LieAlgebraError, _unit, mat_add, mat_flatten, mat_scale, mat_zero, sparse_apply
 from kmalg.involution import (
-    CartanDecomposition,
-    EigenBlock,
     InvolutionError,
     PreservationError,
+    Truncation,
     _combine,
     dualize,
 )
@@ -633,12 +634,38 @@ def apply_vec(phi, vec, k=0):
     return vec_to_scalars(sparse_apply(phi.sparse, vec_from_scalars(vec), phi.conjugate, phi.parity * k))
 
 
+def kp_blocks(dec):
+    """(key, K elements, P elements) per block of a split truncation."""
+    return [(key, [e for e, s in items if s == 1], [e for e, s in items if s == -1])
+            for key, items in dec.blocks]
+
+
+def nonzero_loops(elems):
+    """The nonzero loop parts of elems, as decompose hands them to killing_gram."""
+    return [e.loop for e in elems if not e.loop.is_zero()]
+
+
 # -- random elements through Scalar coefficients -----------------------------------
+
+def _fraction_reference(rng, max_num=3, max_den=2) -> Fraction:
+    num = rng.randint(-max_num, max_num)
+    den = rng.randint(1, max_den)
+    return Fraction(num, den)
+
+
+def scalar_reference(rng, max_num=3, max_den=2, real_only=False) -> Scalar:
+    """rand.TrialRng.scalar as it was before it was built from the draws of
+    TrialRng.gaussian: two Fractions from rng's integer draws. The bodies
+    of this and _fraction_reference are kept verbatim."""
+    re = _fraction_reference(rng, max_num, max_den)
+    im = Fraction(0) if real_only else _fraction_reference(rng, max_num, max_den)
+    return Scalar(re, im)
+
 
 def random_loop_element_reference(algebra, twist, rng, max_degree=6, max_terms=4):
     """rand.random_loop_element as it was before it drew coefficients in
-    numerator form: each one a Scalar from rng.scalar(), then converted.
-    The body is kept verbatim."""
+    numerator form: each one a Scalar from scalar_reference, then converted.
+    The body is kept verbatim apart from that call."""
     terms = {}
     n_terms = rng.randint(1, max_terms)
     for _ in range(n_terms):
@@ -648,7 +675,7 @@ def random_loop_element_reference(algebra, twist, rng, max_degree=6, max_terms=4
             continue
         vec = ((0,) * (2 * algebra.dim), 1)
         for b in basis:
-            c = rng.scalar()
+            c = scalar_reference(rng)
             if c:
                 vec = vec_add(vec, vec_mul(b, vec_from_scalars((c,))))
         terms[k] = vec_add(terms[k], vec) if k in terms else vec
@@ -684,12 +711,13 @@ def verify_cartan_relations_reference(dec) -> bool:
 def fixed_and_eigenspaces_reference(phi, truncation):
     """involution.fixed_and_eigenspaces as it was before it shifted the
     blocks beyond (4, -4): every block is solved. The body is kept
-    verbatim."""
+    verbatim apart from the containers it reads and builds."""
     rf = truncation.real_form
     blocks = []
-    for key, elems in truncation.blocks:
+    for key, items in truncation.blocks:
+        elems = [e for e, _ in items]
         if not elems:
-            blocks.append(EigenBlock(key, [], []))
+            blocks.append((key, []))
             continue
         degrees = [0] if key == ("cd",) else sorted(set(key))
         images = []
@@ -720,8 +748,8 @@ def fixed_and_eigenspaces_reference(phi, truncation):
             raise InvolutionError(f"{phi.name} does not square to the identity on block {key}")
         k_basis = [_combine(elems, v) for v in k_vecs]
         p_basis = [_combine(elems, v) for v in p_vecs]
-        blocks.append(EigenBlock(key, k_basis, p_basis))
-    return CartanDecomposition(rf, phi, truncation.n_max, blocks)
+        blocks.append((key, [(e, 1) for e in k_basis] + [(e, -1) for e in p_basis]))
+    return Truncation(rf, truncation.n_max, tuple(blocks), phi)
 
 
 def dualize_reference(rf, phi, n_max=1):
@@ -774,23 +802,24 @@ def involutive_reference(rf, phi, truncation):
 
 def check_expected_kp_reference(record, dec):
     """osaka._check_expected_kp as it was before it read only the blocks
-    that are their own period class. The body is kept verbatim."""
+    that are their own period class. The body is kept verbatim apart from
+    reading each block's K and P through kp_blocks."""
     exp = record.expected_kp
-    for block in dec.blocks:
-        want_k, want_p = exp.block_dims(block.key)
-        if (len(block.k_basis), len(block.p_basis)) != (want_k, want_p):
+    for key, k_basis, p_basis in kp_blocks(dec):
+        want_k, want_p = exp.block_dims(key)
+        if (len(k_basis), len(p_basis)) != (want_k, want_p):
             return False, (
-                f"block {block.key}: dims {(len(block.k_basis), len(block.p_basis))}"
+                f"block {key}: dims {(len(k_basis), len(p_basis))}"
                 f" != expected {(want_k, want_p)}"
             )
-        if block.key == ("cd",):
-            if want_k == 0 and any(e.c or e.d for e in block.k_basis):
+        if key == ("cd",):
+            if want_k == 0 and any(e.c or e.d for e in k_basis):
                 return False, "c/d directions appeared in K"
             continue
-        for e in block.k_basis:
+        for e in k_basis:
             if exp.map.apply_loop(e.loop) != e.loop:
-                return False, f"K vector in block {block.key} violates the expected condition"
-        for e in block.p_basis:
+                return False, f"K vector in block {key} violates the expected condition"
+        for e in p_basis:
             if exp.map.apply_loop(e.loop) != -e.loop:
-                return False, f"P vector in block {block.key} violates the expected condition"
+                return False, f"P vector in block {key} violates the expected condition"
     return True, "eigenspaces match the expected conditions and dimensions"

@@ -48,7 +48,7 @@ from kmalg.osaka import (
 from kmalg.rand import TrialRng, random_extended_element, random_loop_element
 from kmalg.scalars import Scalar, ZERO
 
-from oracles import dense_killing_gram, leading_minors_oracle, mat_transpose
+from oracles import dense_killing_gram, kp_blocks, leading_minors_oracle, mat_transpose, nonzero_loops
 
 SU2C = make_su(2).complexify()
 SL2C = make_sl(2, "C")
@@ -225,8 +225,8 @@ def test_c06_kp_sign_split():
     for name in ("III[Id,Id]", "III[Id,mu]", "III[mu,mu]"):
         rec = catalog_record(name)
         dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(3))
-        _, kv = killing_gram(dec.loop_parts("K"))
-        _, pv = killing_gram(dec.loop_parts("P"))
+        _, kv = killing_gram(nonzero_loops(dec.k_basis))
+        _, pv = killing_gram(nonzero_loops(dec.p_basis))
         assert kv == Definiteness.NEG_DEFINITE, name
         assert pv == Definiteness.POS_DEFINITE, name
 
@@ -320,22 +320,22 @@ def test_c07_kp_condition_match():
         rec = catalog_record(name)
         dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(3))
         real_entries = name == "III[mu,mu]"
-        for block in dec.blocks:
-            if block.key == ("cd",):
-                assert (len(block.k_basis), len(block.p_basis)) == (0, 2)
+        for key, k_basis, p_basis in kp_blocks(dec):
+            if key == ("cd",):
+                assert (len(k_basis), len(p_basis)) == (0, 2)
                 continue
-            k = 0 if block.key == (0,) else abs(block.key[0])
+            k = 0 if key == (0,) else abs(key[0])
             # dimensions from the independent entry-level solve
             want = (_entry_constraint_dim(name, k, 1), _entry_constraint_dim(name, k, -1))
-            assert (len(block.k_basis), len(block.p_basis)) == want, (name, block.key, want)
-            degrees = [0] if block.key == (0,) else sorted(block.key)
+            assert (len(k_basis), len(p_basis)) == want, (name, key, want)
+            degrees = [0] if key == (0,) else sorted(key)
             # inclusion: every computed eigenvector satisfies the condition
-            for e, sign in [(e, 1) for e in block.k_basis] + [(e, -1) for e in block.p_basis]:
+            for e, sign in [(e, 1) for e in k_basis] + [(e, -1) for e in p_basis]:
                 for kk in degrees:
                     u_k = _matrix_of(e, kk)
                     u_mk = _matrix_of(e, -kk)
                     target = mat_scale(Scalar(sign), psi(u_mk))
-                    assert u_k == target, (name, block.key, sign)
+                    assert u_k == target, (name, key, sign)
                     if real_entries:
                         assert all(x.is_real() for row in u_k for x in row)
 

@@ -547,6 +547,8 @@ def test_full_stdout_exits_parse_with_json_error():
 # as printed (indent 2), recorded before block_basis and coords moved onto
 # linalg.real_kernel / real_rows. The K and P lists print the basis elements,
 # so these digests also pin the order and normalisation of every block basis.
+# The degree-7 digests, recorded before the K/P split became a signed
+# truncation, pin the blocks (3, -3) .. (7, -7) that the split shifts.
 DECOMPOSE_DIGESTS = {
     "I[Id,Id]": "febce5fe8cf56e0b05b59ffcb9d8725a6d21c87d814a3942865bddb2baad16e4",
     "I[Id,mu]": "4bdf74317d30477e1dfb49422db539130c93a2a86e00b2a0eaa8397c211f1b75",
@@ -557,13 +559,24 @@ DECOMPOSE_DIGESTS = {
     "III[mu,mu]": "61a3b246f2ab2d690c93cd9b0ac85598cfb22ca09beeeb1bd7f8bfed5ccf7a11",
     "IV": "a9423831a4d4dc3191ac9bdd7b61f824fb22f81e514d87dfefe7748310544009",
 }
+DECOMPOSE_DIGESTS_7 = {
+    "I[Id,Id]": "413afbf0a319614ba8ac6736734d07bcf2990317b05106b93e404a4b39a4ecd5",
+    "I[Id,mu]": "827096dc263b502525f6e3de04f04846376e22152ec70291308aed959987e114",
+    "I[mu,mu]": "1cc2385433e7ab7c96704a72f23128b0932387ccf79829f2c1308b7b8e9e8d42",
+    "II": "19d8f38fa166cc09e8749a56b35e3cbc29e91497f9cc3f9500d53adda09d096d",
+    "III[Id,Id]": "7f87d4de28404ac190a552cc9940ac7b49ba76293f18197b8a3de47ee86ff53b",
+    "III[Id,mu]": "b588dba8a602331a298766b807f15d1d16aaf8ea24da4702ef0fc79428352799",
+    "III[mu,mu]": "d27c951d016139e0ea0babfddc8d7fb8d22badbfc8bea408317e3e2d0e579aa3",
+    "IV": "2766078d092b8004cb6a77e1b8fb7b474048e4b01cea534ae4c6a27c2ea3e5be",
+}
 
 
 @pytest.mark.parametrize("form", sorted(DECOMPOSE_DIGESTS))
 def test_decompose_report_digest(capsys, form):
-    code, out, _ = run_cli(capsys, "decompose", "--form", form, "--degree", "3")
-    assert code == cli.EXIT_OK
-    rep = json.loads(out)
-    del rep["timing_ms"]
-    text = json.dumps(rep, indent=2, ensure_ascii=False)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DECOMPOSE_DIGESTS[form]
+    for degree, digests in (("3", DECOMPOSE_DIGESTS), ("7", DECOMPOSE_DIGESTS_7)):
+        code, out, _ = run_cli(capsys, "decompose", "--form", form, "--degree", degree)
+        assert code == cli.EXIT_OK
+        rep = json.loads(out)
+        del rep["timing_ms"]
+        text = json.dumps(rep, indent=2, ensure_ascii=False)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digests[form]

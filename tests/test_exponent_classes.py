@@ -37,7 +37,7 @@ from kmalg.osaka import (
     euclidean_osaka,
 )
 from kmalg.scalars import Scalar
-from oracles import dense_killing_gram, killing_gram_reference
+from oracles import dense_killing_gram, killing_gram_reference, kp_blocks
 
 # -- killing_gram against all pairs ---------------------------------------------
 
@@ -266,7 +266,7 @@ def test_truncate_blocks_equal_direct_block_bases(alg, order, sign, parity):
                     parity=parity)
     rf = RealFormDescriptor(name="period test", algebra=algebra, twist=twist, conj=conj)
     assert rf.truncate(12).blocks == tuple(
-        (key, rf.block_basis(key)) for key in rf.block_keys(12)
+        (key, [(e, 0) for e in rf.block_basis(key)]) for key in rf.block_keys(12)
     )
 
 
@@ -308,7 +308,8 @@ def _per_image_split(phi, truncation):
     linalg.coords_in_span; returns (key, K, P) triples or the exception."""
     rf = truncation.real_form
     out = []
-    for key, elems in truncation.blocks:
+    for key, items in truncation.blocks:
+        elems = [e for e, _ in items]
         if not elems:
             out.append((key, [], []))
             continue
@@ -382,4 +383,4 @@ def test_eigen_split_matches_per_image_solves(case):
     except InvolutionError as exc:
         assert type(exc).__name__ == expected
         return
-    assert [(b.key, b.k_basis, b.p_basis) for b in dec.blocks] == expected
+    assert kp_blocks(dec) == expected

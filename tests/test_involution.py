@@ -27,7 +27,7 @@ from kmalg.loop import Definiteness, killing_gram, loop_monomial, untwisted
 from kmalg.osaka import build_catalog_a1, catalog_record
 from kmalg.rand import TrialRng, random_extended_element
 from kmalg.scalars import I, ONE, Scalar, ZERO
-from oracles import Admissibility, admissibility_check
+from oracles import Admissibility, admissibility_check, nonzero_loops
 
 SU2 = make_su(2)
 SU2C = SU2.complexify()
@@ -223,7 +223,8 @@ def test_membership_twisted_form():
     x1 = ExtendedElement(loop_monomial(SU2C, tw, 1, X))  # anti-Hermitian, not real
     assert not rf.contains(x1)
     # block dimension: 2 per odd signed degree
-    (key, elems) = rf.truncate(1).blocks[1]
+    (key, items) = rf.truncate(1).blocks[1]
+    elems = [e for e, _ in items]
     assert key == (1, -1) and len(elems) == 4
     # every member's matrix at degree 1 is real symmetric traceless
     for e in elems:
@@ -343,8 +344,8 @@ def test_duality_flips_compactness():
 def test_kp_killing_signs(name):
     rec = catalog_record(name)
     dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(2))
-    _, kv = killing_gram(dec.loop_parts("K"))
-    _, pv = killing_gram(dec.loop_parts("P"))
+    _, kv = killing_gram(nonzero_loops(dec.k_basis))
+    _, pv = killing_gram(nonzero_loops(dec.p_basis))
     assert kv == Definiteness.NEG_DEFINITE
     assert pv == Definiteness.POS_DEFINITE
 
@@ -358,8 +359,8 @@ def test_no_mixed_type():
         if v == Definiteness.NEG_DEFINITE:
             continue
         dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(2))
-        _, kv = killing_gram(dec.loop_parts("K"))
-        _, pv = killing_gram(dec.loop_parts("P"))
+        _, kv = killing_gram(nonzero_loops(dec.k_basis))
+        _, pv = killing_gram(nonzero_loops(dec.p_basis))
         assert kv == Definiteness.NEG_DEFINITE
         assert pv == Definiteness.POS_DEFINITE
 
@@ -373,8 +374,8 @@ def test_conjugation_formula_agrees_on_form():
     mu_c = entrywise_conjugation_automorphism(SU2C)
     ambient = CoeffMap(mu_c.matrix, index_sign=1, conjugate=True)
     rf = _compact_form(tw)
-    for key, elems in rf.truncate(2).blocks:
-        for e in elems:
+    for key, items in rf.truncate(2).blocks:
+        for e, _ in items:
             if e.loop.is_zero():
                 continue
             assert ambient.apply_loop(e.loop) == phi.loop_map.apply_loop(e.loop)

@@ -37,6 +37,7 @@ from oracles import (
     loop_neg_reference,
     loop_scale_reference,
     random_loop_element_reference,
+    scalar_reference,
 )
 
 _SU2 = make_su(2)
@@ -191,3 +192,15 @@ def test_random_loop_elements_match_the_scalar_path():
                 assert f == random_loop_element_reference(algebra, twist, old)
                 assert_canonical(f)
             assert new.u32() == old.u32()
+
+
+def test_trial_scalars_match_the_fraction_draws():
+    """TrialRng.scalar builds each Scalar from the draws of gaussian(); over
+    60 seeds it gives the Scalars of two Fraction draws, real_only or not,
+    leaves the stream at the same place, and agrees with gaussian()."""
+    for seed in range(60):
+        new, old = TrialRng(seed, 5), TrialRng(seed, 5)
+        for real_only in (False, True, False):
+            assert new.scalar(real_only=real_only) == scalar_reference(old, real_only=real_only)
+        assert new.u32() == old.u32()
+        assert new.scalar() == vec_to_scalars(old.gaussian())[0]

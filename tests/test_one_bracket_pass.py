@@ -46,12 +46,14 @@ def test_bracket_verdicts_match_all_pairs_on_every_diagonal_form(pair):
     """Each diagonal form of pair at degree 8 = 2P for P = 4 with two of
     the involutions above and PHIS[0] (identity matrix, parity 0, s = 1,
     which preserves every form); the form is split by the first of them
-    that preserves it and squares to the identity."""
+    that preserves it and squares to the identity. The walk on the plain
+    truncation decides closure and never the relations."""
     involutive, verdicts = Counter(), Counter()
     forms = [(n, rf) for n, rf in enumerate(DIAGONAL) if (rf.algebra, rf.twist.order) ==
              (serialize.lookup_algebra(*pair)[0], pair[1])]
     for n, rf in forms:
         truncation = rf.truncate(8)
+        assert bracket_verdicts(truncation, True) == (verify_closed_reference(rf, truncation), False)
         phis = [PHIS[(5 * n + j) % len(PHIS)] for j in range(2)] + PHIS[:1]
         got = [involutive_verdicts(phi, truncation) for phi in phis]
         assert got == [involutive_reference(rf, phi, truncation) for phi in phis]

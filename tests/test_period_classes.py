@@ -8,15 +8,14 @@ forms over four registered algebras (both periods), and on every catalog
 split (period 2), intact and with one block's K vectors corrupted."""
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmalg import involution, serialize
 from kmalg.involution import (
-    CartanDecomposition,
     CoeffMap,
-    EigenBlock,
     InvolutionDescriptor,
     RealFormDescriptor,
     _classes,
@@ -34,6 +33,7 @@ from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
 from kmalg.scalars import I, ONE, Scalar, ZERO
 from oracles import (
     fixed_and_eigenspaces_reference,
+    kp_blocks,
     verify_cartan_relations_reference,
     verify_closed_reference,
 )
@@ -101,20 +101,21 @@ def _corrupted(dec):
     moved to P (the block's vectors keep their order, only the signs
     change)."""
     yield dec
-    for i, b in enumerate(dec.blocks):
-        if not b.k_basis:
+    for i, (key, k_basis, p_basis) in enumerate(kp_blocks(dec)):
+        if not k_basis:
             continue
-        for block in (EigenBlock(b.key, b.k_basis[1:], b.p_basis + b.k_basis[:1]),
-                      EigenBlock(b.key, [b.k_basis[0].scale(I)] + b.k_basis[1:], b.p_basis),
-                      EigenBlock(b.key, [], b.k_basis + b.p_basis)):
+        for ks, ps in ((k_basis[1:], p_basis + k_basis[:1]),
+                       ([k_basis[0].scale(I)] + k_basis[1:], p_basis),
+                       ([], k_basis + p_basis)):
             blocks = list(dec.blocks)
-            blocks[i] = block
-            yield CartanDecomposition(dec.real_form, dec.involution, dec.n_max, blocks)
+            blocks[i] = (key, [(e, 1) for e in ks] + [(e, -1) for e in ps])
+            yield replace(dec, blocks=tuple(blocks))
 
 
 def _span(dec):
     """The truncation whose blocks are K and P of dec, block by block."""
-    return Truncation(dec.real_form, dec.n_max, tuple((b.key, b.k_basis + b.p_basis) for b in dec.blocks))
+    return Truncation(dec.real_form, dec.n_max,
+                      tuple((key, [(e, 0) for e, _ in items]) for key, items in dec.blocks))
 
 
 def _check_closure_of_the_split(dec):
@@ -136,17 +137,16 @@ def test_cartan_relations_match_all_pairs_on_corrupted_splits(name):
     # the intact split holds; every corruption, blocks (5, -5) and (6, -6)
     # included, is caught
     assert verdicts[0] and not any(verdicts[1:])
-    assert len(verdicts) == 1 + 3 * sum(1 for b in dec.blocks if b.k_basis)
+    assert len(verdicts) == 1 + 3 * sum(1 for _, k_basis, _ in kp_blocks(dec) if k_basis)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_shifted_eigenspace_blocks_equal_the_solved_ones(name):
     rec = catalog_record(name)
     truncation = rec.real_form.truncate(9)
-    got = fixed_and_eigenspaces(rec.involution, truncation).blocks
-    want = fixed_and_eigenspaces_reference(rec.involution, truncation).blocks
-    assert [(b.key, b.k_basis, b.p_basis) for b in got] == \
-        [(b.key, b.k_basis, b.p_basis) for b in want]
+    got = fixed_and_eigenspaces(rec.involution, truncation)
+    want = fixed_and_eigenspaces_reference(rec.involution, truncation)
+    assert kp_blocks(got) == kp_blocks(want)
 
 
 # Period-4 splits: phi = i^{k} M a_{-k} with M = diag(1, -1, -1) (an
@@ -169,13 +169,12 @@ def test_period_4_splits_match_every_block_and_all_pairs(name):
     truncation = rf.truncate(9)
     dec = fixed_and_eigenspaces(ODD_PHI, truncation)
     want = fixed_and_eigenspaces_reference(ODD_PHI, truncation)
-    assert [(b.key, b.k_basis, b.p_basis) for b in dec.blocks] == \
-        [(b.key, b.k_basis, b.p_basis) for b in want.blocks]
+    assert kp_blocks(dec) == kp_blocks(want)
     verdicts = [verify_cartan_relations(c) for c in _corrupted(dec)]
     assert verdicts == [verify_cartan_relations_reference(c) for c in _corrupted(dec)]
     _check_closure_of_the_split(dec)
     assert verdicts[0] and not any(verdicts[1:])
-    assert len(verdicts) == 1 + 3 * sum(1 for b in dec.blocks if b.k_basis)
+    assert len(verdicts) == 1 + 3 * sum(1 for _, k_basis, _ in kp_blocks(dec) if k_basis)
 
 
 def _counting_brackets(monkeypatch):
@@ -226,7 +225,7 @@ def _shifted(blocks, period=4):
 
 def test_a_block_stands_for_its_base_only_when_it_is_the_exact_shift():
     truncation = catalog_record("I[Id,Id]").real_form.truncate(6)
-    blocks = [(key, [(e, 0) for e in elems]) for key, elems in truncation.blocks]
+    blocks = list(truncation.blocks)
     assert _shifted(blocks, 2) == {(3, -3), (4, -4), (5, -5), (6, -6)}
     assert _shifted(blocks) == {(5, -5), (6, -6)}
     items = dict(blocks)
@@ -241,7 +240,7 @@ def test_a_block_stands_for_its_base_only_when_it_is_the_exact_shift():
         ({(5, -5): block[1:]}, {(6, -6)}),
         ({(5, -5): block[1:] + block[:1]}, {(6, -6)}),
         # an exponent outside its block: no block stands for another
-        ({(1, -1): [(constant, 0)] + base[1:], (5, -5): [(_shift([constant], 4)[0], 0)] + block[1:]}, set()),
+        ({(1, -1): [(constant, 0)] + base[1:], (5, -5): _shift([(constant, 0)], 4) + block[1:]}, set()),
         ({(6, -6): items[(6, -6)] + [(e, 0)]}, set()),
     ]
     for change, shifted in changes:

@@ -3,13 +3,12 @@ basis and the type verdict once, and verify_cartan_relations brackets each
 unordered pair of K/P vectors once with the same verdict as the ordered
 K x K, K x P, P x P check."""
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from kmalg import involution, osaka
 from kmalg.involution import (
-    CartanDecomposition,
-    EigenBlock,
     InvolutionError,
     RealFormDescriptor,
     fixed_and_eigenspaces,
@@ -18,6 +17,7 @@ from kmalg.involution import (
 from kmalg.kmext import hat_bracket
 from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
 from kmalg.scalars import I
+from oracles import kp_blocks
 
 NAMES = [rec.name for rec in build_catalog_a1()]
 
@@ -49,13 +49,13 @@ def _move_one(dec, from_k):
     """dec with the first vector of the first nonempty K (or P) block moved
     to the other side."""
     blocks = list(dec.blocks)
-    for i, b in enumerate(blocks):
-        source = b.k_basis if from_k else b.p_basis
+    for i, (key, k_basis, p_basis) in enumerate(kp_blocks(dec)):
+        source = k_basis if from_k else p_basis
         if source:
             moved, rest = source[0], source[1:]
-            blocks[i] = (EigenBlock(b.key, rest, b.p_basis + [moved]) if from_k
-                         else EigenBlock(b.key, b.k_basis + [moved], rest))
-            return CartanDecomposition(dec.real_form, dec.involution, dec.n_max, blocks)
+            ks, ps = (rest, p_basis + [moved]) if from_k else (k_basis + [moved], rest)
+            blocks[i] = (key, [(e, 1) for e in ks] + [(e, -1) for e in ps])
+            return replace(dec, blocks=tuple(blocks))
     raise AssertionError("no vector to move")
 
 
@@ -63,10 +63,10 @@ def _first_k_times_i(dec):
     """dec with its first K vector multiplied by i: still a +1 eigenvector
     of the (linear) involution, but outside the real form."""
     blocks = list(dec.blocks)
-    for i, b in enumerate(blocks):
-        if b.k_basis:
-            blocks[i] = EigenBlock(b.key, [b.k_basis[0].scale(I)] + b.k_basis[1:], b.p_basis)
-            return CartanDecomposition(dec.real_form, dec.involution, dec.n_max, blocks)
+    for i, (key, items) in enumerate(blocks):
+        if items and items[0][1] == 1:
+            blocks[i] = (key, [(items[0][0].scale(I), 1)] + items[1:])
+            return replace(dec, blocks=tuple(blocks))
     raise AssertionError("no K vector")
 
 
