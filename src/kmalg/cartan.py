@@ -232,12 +232,12 @@ _FAMILY_TABLE = (
 )
 
 
-def identify_2x2(a: GeneralizedCartanMatrix, extra_catalog=()) -> Family2x2:
-    """Match a against the classical 2x2 tables (plus a user catalog)."""
+def identify_2x2(a: GeneralizedCartanMatrix) -> Family2x2:
+    """Match a against the classical 2x2 tables."""
     if a.n != 2:
         raise WrongSize(f"identify_2x2 needs a 2x2 matrix, got {a.n}x{a.n}")
     key = frozenset([a[0, 1], a[1, 0]])
-    for pat, fam in tuple(_FAMILY_TABLE) + tuple(extra_catalog):
+    for pat, fam in _FAMILY_TABLE:
         if key == pat:
             return fam
     return UNKNOWN_FAMILY

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from . import linalg
-from .scalars import ONE, ZERO, Scalar, exact_div, vec_canon, vec_from_scalars, vec_to_scalars
+from .scalars import ONE, ZERO, Scalar, exact_div, vec_canon, vec_from_parts, vec_from_scalars, vec_to_scalars
 
 Matrix = tuple  # tuple of row tuples of Scalar
 
@@ -210,7 +210,7 @@ class FiniteLieAlgebra:
         sol = linalg.solve(rows, rhs)
         if sol is None:
             raise LieAlgebraError("matrix is not in the span of the basis")
-        return linalg.real_unflatten(sol)
+        return vec_to_scalars(vec_from_parts(sol))
 
     def matrix(self, coords) -> Matrix:
         out = mat_zero(self.matrix_size)
@@ -429,11 +429,6 @@ class FiniteAutomorphism:
         self.sparse = sparse_rows(self.matrix)
         self.conjugate_linear = bool(conjugate_linear)
         self.order = order
-
-    def apply(self, coords):
-        """The automorphism on Scalar coordinates."""
-        return vec_to_scalars(sparse_apply(self.sparse, vec_from_scalars(coords),
-                                           self.conjugate_linear))
 
     def compose(self, other) -> "FiniteAutomorphism":
         """self after other."""

@@ -237,7 +237,8 @@ class RealFormDescriptor:
         The coefficient vectors a_k of the block solve two kinds of equation:
         the complex-linear twist grading (sigma - (-1)^k) a_k = 0 and the
         conjugate-linear real structure i^{pk} M conj(a_{sk}) - a_k = 0. Both
-        go to `linalg.real_kernel`, with the degrees as its unknown vectors.
+        go to `linalg.real_kernel`, the degrees its unknown vectors; the first
+        kind grades the numerator vectors it returns, so they build unchecked.
         """
         if key == ("cd",):
             out = []
@@ -265,11 +266,9 @@ class RealFormDescriptor:
                 for i in range(dim):
                     eq = [(pos[s * k], j, ZERO, f * x) for j, x in enumerate(self.conj.matrix[i]) if x]
                     equations.append(eq + [(pos[k], i, -ONE, ZERO)])
-        out = []
-        for vecs in linalg.real_kernel(equations, len(degrees), dim):
-            terms = {k: vec for k, vec in zip(degrees, vecs) if any(vec)}
-            out.append(ExtendedElement(TwistedLoopElement(self.algebra, self.twist, terms)))
-        return out
+        return [ExtendedElement(TwistedLoopElement.from_vecs(self.algebra, self.twist,
+                                                             dict(zip(degrees, vecs))))
+                for vecs in linalg.real_kernel(equations, len(degrees), dim)]
 
     def truncate(self, n_max: int) -> "Truncation":
         """The degree-<=n_max truncation, every block basis computed once.

@@ -1,26 +1,28 @@
-"""Exact dense linear algebra over int, Fraction or Scalar entries.
+"""Exact dense linear algebra over rational (int or Fraction) entries.
 
 Everything here is plain Gaussian elimination with exact division, no
 fraction-free tricks. Every division goes through `scalars.exact_div`, so
 two int entries divide to an int or a Fraction, never to a float. Updates
-like a - f * b are not normalised, so a rational result may hold an
-integer as Fraction(n, 1), which equals, hashes and prints as n; Scalar
-results are canonical, since Scalar normalises its parts. Matrices
-stay small: `killing-gram` signs one Gram block per exponent class (at most
-12 x 12 on the catalog forms, 61 blocks at degree 60) rather than the whole
-726 x 726 Gram, and the eigen-split solves all images of a block in one
-`rref`. Matrices are lists of row lists; functions never mutate inputs.
+like a - f * b are not normalised, so a result may hold an integer as
+Fraction(n, 1), which equals, hashes and prints as n; the zeros and ones
+the routines make up are the ints 0 and 1. Matrices stay small:
+`killing-gram` signs one Gram block per exponent class (at most 12 x 12 on
+the catalog forms, 61 blocks at degree 60) rather than the whole 726 x 726
+Gram, and the eigen-split solves all images of a block in one `rref`.
+Matrices are lists of row lists; functions never mutate inputs.
 
-Real layout. This module alone turns Q(i) vectors into rational columns.
-A Scalar vector v becomes real_flatten(v) = [re v | im v]; several unknown
-vectors a_0 .. a_{n-1} of one width become these chunks one after another,
-[re a_0 | im a_0 | re a_1 | im a_1 | ...]. `real_rows` writes an equation
-sum alpha a_b[j] + beta conj(a_b[j]) = 0 in that layout, and `real_kernel`
-solves a list of them.
+Real layout. This module alone turns Q(i) vectors into rational columns,
+and only on the way in. A Scalar vector v becomes real_flatten(v) =
+[re v | im v]; several unknown vectors a_0 .. a_{n-1} of one width become
+these chunks one after another, [re a_0 | im a_0 | re a_1 | im a_1 | ...].
+`real_rows` writes an equation sum alpha a_b[j] + beta conj(a_b[j]) = 0 in
+that layout, and `real_kernel` solves a list of them, returning each
+solution as numerator vectors (see `scalars`), one per unknown vector.
+Nothing that leaves this module is a Scalar.
 """
 from __future__ import annotations
 
-from .scalars import Scalar, exact_div
+from .scalars import exact_div, vec_from_parts
 
 
 def _clone(rows):
@@ -58,7 +60,7 @@ def rank(rows) -> int:
 
 
 def solve(a_rows, b):
-    """One solution x of A x = b, or None if inconsistent.
+    """One rational solution x of A x = b, or None if inconsistent.
 
     Free variables are set to zero.
     """
@@ -69,55 +71,40 @@ def solve(a_rows, b):
     red, pivots = rref(aug)
     if ncols in pivots:
         return None
-    x = [_zero_like(aug[0][-1])] * ncols
+    x = [0] * ncols
     for r, c in enumerate(pivots):
         x[c] = red[r][-1]
     return x
 
 
 def nullspace(a_rows):
-    """Basis of the kernel of A, as a list of vectors."""
+    """Basis of the kernel of a rational matrix A, as a list of vectors."""
     if not a_rows:
         return []
     ncols = len(a_rows[0])
     red, pivots = rref(a_rows)
-    zero = _zero_like(a_rows[0][0])
-    one = zero + 1
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
 
 
-def coords_in_span(basis_vectors, target):
-    """Coefficients expressing target as a combination of basis_vectors.
-
-    Returns the coefficient list, or None when target is outside the span.
-    Vectors are rows; the solve runs on the transpose.
-    """
-    if not basis_vectors:
-        return [] if not any(target) else None
-    ncols = len(basis_vectors)
-    a = [[basis_vectors[j][i] for j in range(ncols)] for i in range(len(target))]
-    return solve(a, list(target))
-
-
 def determinant(rows):
-    """Exact determinant by fraction Gaussian elimination."""
+    """Exact determinant of a rational matrix by fraction Gaussian elimination."""
     n = len(rows)
     if n == 0:
         return 1
     m = _clone(rows)
-    det = _zero_like(m[0][0]) + 1
+    det = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if m[i][c]), None)
         if pivot is None:
-            return _zero_like(m[0][0])
+            return 0
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
             det = -det
@@ -177,12 +164,6 @@ def symmetric_signature(rows):
     return pos, neg, 0
 
 
-def _zero_like(x):
-    if isinstance(x, Scalar):
-        return Scalar(0)
-    return 0
-
-
 # -- real layout of complex vectors ------------------------------------
 
 def real_flatten(vec):
@@ -190,12 +171,6 @@ def real_flatten(vec):
     out = [s.re for s in vec]
     out.extend(s.im for s in vec)
     return out
-
-
-def real_unflatten(vec):
-    """Inverse of real_flatten."""
-    n = len(vec) // 2
-    return tuple(Scalar(vec[i], vec[n + i]) for i in range(n))
 
 
 def real_rows(terms, nvec, width):
@@ -217,11 +192,11 @@ def real_rows(terms, nvec, width):
 
 def real_kernel(equations, nvec, width):
     """Real solutions of the equations (each a list of real_rows terms), as
-    a basis of nvec-tuples of Scalar vectors; the standard basis when there
-    is no nonzero equation."""
+    a basis of nvec-tuples of numerator vectors; the standard basis when
+    there is no nonzero equation."""
     rows = [row for eq in equations for row in real_rows(eq, nvec, width) if any(row)]
     n = 2 * width
     return [
-        tuple(real_unflatten(v[b * n:(b + 1) * n]) for b in range(nvec))
+        tuple(vec_from_parts(v[b * n:(b + 1) * n]) for b in range(nvec))
         for v in nullspace(rows or [[0] * (n * nvec)])
     ]

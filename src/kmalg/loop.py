@@ -1,9 +1,9 @@
 """Twisted loop algebras over algebraic loops.
 
 Elements are finite expansions sum_k a_k e^{i k t / m} with coefficients in a
-complexified finite Lie algebra and twist automorphism sigma of order
-m in {1, 2}; the grading invariant sigma(a_k) = (-1)^k a_k is enforced at
-construction. The pointwise bracket becomes coefficient convolution, the
+complexified finite Lie algebra and twist automorphism sigma, a real matrix of
+order m in {1, 2}; the grading invariant sigma(a_k) = (-1)^k a_k is enforced
+at construction. The pointwise bracket becomes coefficient convolution, the
 derivative multiplies by i k / m, and the loop Killing form is the constant
 Fourier coefficient of the pointwise Killing pairing (normalized by 1/2pi).
 
@@ -27,6 +27,7 @@ from .scalars import (
     Scalar,
     ZERO,
     vec_add,
+    vec_from_parts,
     vec_from_scalars,
     vec_mul,
     vec_neg,
@@ -57,6 +58,8 @@ def check_twist(algebra: FiniteLieAlgebra, twist: FiniteAutomorphism):
         raise LoopError("twists must be linear automorphisms")
     if twist.order not in (1, 2):
         raise LoopError("only twist orders 1 and 2 are supported")
+    if any(im for row in twist.sparse[0] for _, _, im in row):
+        raise LoopError("twists must have a real matrix")
 
 
 class TwistedLoopElement:
@@ -311,9 +314,10 @@ def twist_eigenbasis(algebra, twist, parity):
 
 
 def _twist_eigenbasis(algebra, twist, parity):
-    sign = Scalar(1) if parity % 2 == 0 else Scalar(-1)
-    rows = [
-        [twist.matrix[i][j] - (sign if i == j else ZERO) for j in range(algebra.dim)]
-        for i in range(algebra.dim)
-    ]
-    return [vec_from_scalars(v) for v in linalg.nullspace(rows)]
+    """The kernel of the rational matrix M - (-1)^parity I of a twist M,
+    which `check_twist` has made sure is real."""
+    check_twist(algebra, twist)
+    sign = -1 if parity % 2 else 1
+    rows = [[x.re - (sign if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(twist.matrix)]
+    return [vec_from_parts(v + [0] * algebra.dim) for v in linalg.nullspace(rows)]

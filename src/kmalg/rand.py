@@ -54,11 +54,11 @@ class TrialRng:
         return (a * q, b * p), p * q
 
 
-def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6, max_terms=4):
-    """Random graded element: coefficients drawn inside twist eigenspaces,
-    so the grading holds by construction."""
+def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6):
+    """Random graded element of 1 to 4 drawn terms: coefficients drawn
+    inside twist eigenspaces, so the grading holds by construction."""
     terms = {}
-    n_terms = rng.randint(1, max_terms)
+    n_terms = rng.randint(1, 4)
     for _ in range(n_terms):
         k = rng.randint(-max_degree, max_degree)
         basis = twist_eigenbasis(algebra, twist, k % 2)
@@ -73,9 +73,8 @@ def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6, max_terms=4
     return TwistedLoopElement.from_vecs(algebra, twist, terms)
 
 
-def random_extended_element(algebra, twist, rng: TrialRng, max_degree=6, max_terms=4,
-                            with_cd=True):
-    loop = random_loop_element(algebra, twist, rng, max_degree, max_terms)
+def random_extended_element(algebra, twist, rng: TrialRng, max_degree=6, with_cd=True):
+    loop = random_loop_element(algebra, twist, rng, max_degree)
     c = rng.scalar() if with_cd else ZERO
     d = rng.scalar() if with_cd else ZERO
     return ExtendedElement(loop, c, d)

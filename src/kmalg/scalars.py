@@ -70,9 +70,6 @@ class Scalar:
     def is_real(self):
         return not self.im
 
-    def is_imaginary(self):
-        return not self.re
-
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
@@ -185,12 +182,16 @@ def vec_canon(nums, den):
     return tuple(nums), den
 
 
-def vec_from_scalars(coords):
-    """Scalar coordinates as a numerator vector over the least common
-    denominator of their parts, which is already in lowest terms."""
-    parts = [s.re for s in coords] + [s.im for s in coords]
+def vec_from_parts(parts):
+    """A numerator vector from its rational parts [re | im], over their
+    least common denominator, which is already in lowest terms."""
     den = lcm(*(x.denominator for x in parts if type(x) is not int))
     return tuple(x.numerator * (den // x.denominator) for x in parts), den
+
+
+def vec_from_scalars(coords):
+    """Scalar coordinates as a numerator vector."""
+    return vec_from_parts([s.re for s in coords] + [s.im for s in coords])
 
 
 def vec_to_scalars(v):

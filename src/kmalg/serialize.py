@@ -304,21 +304,15 @@ def _scalar_factor(s: Scalar) -> str:
 
 
 def _render_matrix_sum(algebra, coords) -> str:
-    m = algebra.matrix(coords)
-    parts = []
-    for r in range(len(m)):
-        for c in range(len(m[r])):
-            v = m[r][c]
-            if not v:
-                continue
-            parts.append(f"{_scalar_factor(v)}E{r + 1}{c + 1}")
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    return _join([f"{_scalar_factor(v)}E{r + 1}{c + 1}"
+                  for r, row in enumerate(algebra.matrix(coords)) for c, v in enumerate(row) if v])
+
+
+def _join(parts) -> str:
+    """Signed terms joined by " + " and " - "; "0" for no terms."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(" - " + p[1:] if p.startswith("-") else " + " + p for p in parts[1:])
 
 
 def _exp_str(k: int, m: int) -> str:
@@ -337,12 +331,4 @@ def render_element(x: ExtendedElement) -> str:
         parts.append(f"{_scalar_factor(x.c)}c")
     if x.d:
         parts.append(f"{_scalar_factor(x.d)}d")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    return _join(parts)

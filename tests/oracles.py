@@ -15,17 +15,19 @@ laid out densely from the class blocks the library now returns.
 parse_element, the inverse of the rendering, lives here because only the
 render round trip reads it, and so do the finite-element JSON schema and
 the admissibility verdict of factorwise involutions, which no command
-reads, and the transpose, semisimplicity test and Scalar-coordinate
-CoeffMap application only tests call. The closure and Cartan checks bracket every pair of basis vectors,
-and the eigenspace split solves every block, as the library did before
-the period-4 lemma let it bracket one block pair per class and shift
-blocks beyond (4, -4); the duality pairing dualizes twice per record, as
-it did before it reused the partner's dual, with dualize re-verifying each
-dual's closure as it did before the pairing lost its degree; and the
-involutive and expected K/P checks apply their maps to every element, as
-osaka_verify did before it read only one block per period class. Random
-Scalars are drawn as two Fractions each, as TrialRng.scalar drew them
-before it was built from the draws of TrialRng.gaussian.
+reads, and the transpose, semisimplicity test, span coordinates, the
+imaginary-Scalar test and the Scalar-coordinate CoeffMap and
+FiniteAutomorphism applications only tests call. The closure and Cartan
+checks bracket every pair of basis vectors, and the eigenspace split
+solves every block, as the library did before the period-4 lemma let it
+bracket one block pair per class and shift blocks beyond (4, -4); the
+duality pairing dualizes twice per record, as it did before it reused the
+partner's dual, with dualize re-verifying each dual's closure as it did
+before the pairing lost its degree; and the involutive and expected K/P
+checks apply their maps to every element, as osaka_verify did before it
+read only one block per period class. Random Scalars are drawn as two
+Fractions each, as TrialRng.scalar drew them before it was built from the
+draws of TrialRng.gaussian.
 """
 from __future__ import annotations
 
@@ -632,6 +634,28 @@ def is_semisimple(g) -> bool:
 def apply_vec(phi, vec, k=0):
     """A CoeffMap on Scalar coordinates landing at target degree k."""
     return vec_to_scalars(sparse_apply(phi.sparse, vec_from_scalars(vec), phi.conjugate, phi.parity * k))
+
+
+def automorphism_apply(phi, coords):
+    """A FiniteAutomorphism on Scalar coordinates."""
+    return vec_to_scalars(sparse_apply(phi.sparse, vec_from_scalars(coords), phi.conjugate_linear))
+
+
+def is_imaginary(s: Scalar) -> bool:
+    return not s.re
+
+
+def coords_in_span(basis_vectors, target):
+    """Coefficients expressing target as a combination of basis_vectors.
+
+    Returns the coefficient list, or None when target is outside the span.
+    Vectors are rows; the solve runs on the transpose.
+    """
+    if not basis_vectors:
+        return [] if not any(target) else None
+    ncols = len(basis_vectors)
+    a = [[basis_vectors[j][i] for j in range(ncols)] for i in range(len(target))]
+    return linalg.solve(a, list(target))
 
 
 def kp_blocks(dec):

@@ -130,12 +130,6 @@ def test_identify_unknown_and_wrong_size():
         cartan.identify_2x2(cartan.validate([[2]]))
 
 
-def test_identify_user_catalog():
-    extra = ((frozenset([-1, -5]), cartan.Family2x2("custom", None)),)
-    fam = cartan.identify_2x2(cartan.validate([[2, -5], [-1, 2]]), extra_catalog=extra)
-    assert fam.name == "custom"
-
-
 def test_identify_consistent_with_classify():
     for m in FINITE_2X2.values():
         assert cartan.classify(cartan.validate(m)).kind == CartanKind.FINITE

@@ -37,7 +37,7 @@ from kmalg.osaka import (
     euclidean_osaka,
 )
 from kmalg.scalars import Scalar
-from oracles import dense_killing_gram, killing_gram_reference, kp_blocks
+from oracles import coords_in_span, dense_killing_gram, killing_gram_reference, kp_blocks
 
 # -- killing_gram against all pairs ---------------------------------------------
 
@@ -305,7 +305,7 @@ def test_truncate_solves_four_blocks_at_odd_parity(monkeypatch):
 
 def _per_image_split(phi, truncation):
     """Reference: the eigen-split with each image solved on its own by
-    linalg.coords_in_span; returns (key, K, P) triples or the exception."""
+    coords_in_span; returns (key, K, P) triples or the exception."""
     rf = truncation.real_form
     out = []
     for key, items in truncation.blocks:
@@ -322,7 +322,7 @@ def _per_image_split(phi, truncation):
         for img in images:
             c = None
             if all(k in degrees for k in img.loop.terms):
-                c = linalg.coords_in_span(flat, real_coords(img, degrees))
+                c = coords_in_span(flat, real_coords(img, degrees))
             if c is None:
                 return "PreservationError"
             coords.append(c)
