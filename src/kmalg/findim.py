@@ -93,9 +93,10 @@ def sparse_rows(matrix):
     ), den
 
 
-def sparse_apply(sparse, vec, conjugate=False, power=0):
+def sparse_raw(sparse, vec, conjugate=False, power=0):
     """i^power * M conj^conjugate(vec) for a numerator vector vec, from the
-    sparse rows of M: products summed as ints, then one reduction."""
+    sparse rows of M: its products summed as ints, unreduced, as (nums,
+    den) with nums a tuple [re | im]."""
     rows, dm = sparse
     nums, den = vec
     n = len(nums) // 2
@@ -111,7 +112,13 @@ def sparse_apply(sparse, vec, conjugate=False, power=0):
             im += s * b + t * a
         re_out.append(re)
         im_out.append(im)
-    return vec_canon(re_out + im_out, den * dm)
+    return tuple(re_out + im_out), den * dm
+
+
+def sparse_apply(sparse, vec, conjugate=False, power=0):
+    """`sparse_raw` reduced once: the numerator vector of i^power * M
+    conj^conjugate(vec)."""
+    return vec_canon(*sparse_raw(sparse, vec, conjugate, power))
 
 
 def sparse_is_identity(sparse) -> bool:
@@ -133,7 +140,10 @@ class FiniteLieAlgebra:
     elements are real linear combinations of the basis.
     """
 
-    def __init__(self, name, field, basis, blocks):
+    def __init__(self, name, field, basis, blocks, *, _structure=None):
+        """_structure, when given, is the table `_compute_structure` would
+        solve for (`direct_sum` shifts its summands'); it is checked as a
+        solved one is."""
         if field not in ("R", "C"):
             raise LieAlgebraError(f"field must be 'R' or 'C', got {field!r}")
         self.name = name
@@ -150,14 +160,15 @@ class FiniteLieAlgebra:
         if self.dim and linalg.rank(flat) != self.dim:
             raise LieAlgebraError("basis matrices are linearly dependent")
         self._flat_basis = [mat_flatten(b) for b in self.basis]
-        self.structure = self._compute_structure()
+        self.structure = self._compute_structure() if _structure is None else _structure
         self._check_field_reality()
         self._check_block_orthogonality()
-        consts = [c for row in self.structure for es in row for _, c in es]
-        nums, self._sc_den = vec_from_scalars(consts)
-        parts = iter(zip(nums, nums[len(consts):]))
-        self._sc_num = tuple(tuple(tuple((m, *next(parts)) for m, _ in es) for es in row)
-                             for row in self.structure)
+        # the nonzero structure constants c_jk^m as (j, k, m, re, im) over _sc_den
+        entries = [(j, k, m, c) for j, row in enumerate(self.structure)
+                   for k, es in enumerate(row) for m, c in es]
+        nums, self._sc_den = vec_from_scalars([c for *_, c in entries])
+        self._sc = tuple((j, k, m, re, im) for (j, k, m, _), re, im
+                         in zip(entries, nums, nums[len(entries):]))
         self.killing_matrix = tuple(
             tuple(self._ad_trace(j, l) for l in range(self.dim)) for j in range(self.dim)
         )
@@ -224,27 +235,28 @@ class FiniteLieAlgebra:
 
     # -- bracket and Killing form ----------------------------------------
 
-    def bracket(self, x, y):
-        """[x, y] of numerator vectors x and y: their numerators times the
-        integer structure constants summed as ints over D_x D_y D_s."""
-        (xn, dx), (yn, dy) = x, y
+    def bracket_add(self, acc, x, y):
+        """Add the numerators of [x, y] into the int list acc = [re | im]:
+        for numerator lists x over D_x and y over D_y, acc gains [x, y] over
+        D_x D_y D_s, one product per nonzero structure constant whose two
+        coordinates are nonzero."""
         n = self.dim
-        ys = [(k, c, d) for k, c, d in zip(range(n), yn, yn[n:]) if c or d]
-        re, im = [0] * n, [0] * n
-        sc = self._sc_num
-        for j, a, b in zip(range(n), xn, xn[n:]):
-            if not (a or b):
-                continue
-            row = sc[j]
-            for k, c, d in ys:
-                entries = row[k]
-                if not entries:
-                    continue
-                p, q = a * c - b * d, a * d + b * c
-                for m, s, t in entries:
-                    re[m] += p * s - q * t
-                    im[m] += p * t + q * s
-        return vec_canon(re + im, dx * dy * self._sc_den)
+        for j, k, m, s, t in self._sc:
+            a, b = x[j], x[n + j]
+            if a or b:
+                c, d = y[k], y[n + k]
+                if c or d:
+                    p, q = a * c - b * d, a * d + b * c
+                    acc[m] += p * s - q * t
+                    acc[n + m] += p * t + q * s
+
+    def bracket(self, x, y):
+        """[x, y] of numerator vectors x and y: `bracket_add` and one
+        reduction."""
+        (xn, dx), (yn, dy) = x, y
+        acc = [0] * (2 * self.dim)
+        self.bracket_add(acc, xn, yn)
+        return vec_canon(acc, dx * dy * self._sc_den)
 
     def _ad_trace(self, j, l):
         """tr(ad e_j ad e_l) = sum over k, m of c_jk^m c_lm^k."""
@@ -415,7 +427,19 @@ def direct_sum(*algebras, name=None) -> FiniteLieAlgebra:
         offset_idx += g.dim
     if name is None:
         name = "+".join(g.name for g in algebras)
-    return FiniteLieAlgebra(name, field, basis, blocks)
+    return FiniteLieAlgebra(name, field, basis, blocks, _structure=_summed_structure(algebras))
+
+
+def _summed_structure(algebras):
+    """The structure constants of a direct sum: each summand's with its
+    indices shifted by the summand's offset, and none across summands."""
+    dim, offset, sc = sum(g.dim for g in algebras), 0, []
+    for g in algebras:
+        for row in g.structure:
+            sc.append([()] * offset + [tuple((offset + m, c) for m, c in es) for es in row]
+                      + [()] * (dim - offset - g.dim))
+        offset += g.dim
+    return sc
 
 
 # -- automorphisms -------------------------------------------------------

@@ -8,6 +8,10 @@ sets of conjugate-linear coefficient maps together with a reality line for
 c and d. A Cartan decomposition is a truncation whose basis carries signs,
 +1 on K and -1 on P; one walk over its brackets decides closure and the
 Cartan relations. Duality K + P -> K + iP is composition of descriptors.
+
+Membership in a real form and the eigenvector tests (the Cartan relations,
+the expected K/P conditions) build no image: `CoeffMap.fixes` compares the
+raw integer numerators of the image with those of the element.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from .findim import (
     mat_mul,
     sparse_apply,
     sparse_is_identity,
+    sparse_raw,
     sparse_rows,
 )
 from .kmext import ExtendedElement, hat_bracket, real_coords
@@ -63,6 +68,24 @@ class CoeffMap:
         s, p = self.index_sign, self.parity
         return f.from_vecs(f.algebra, f.twist, {
             s * j: sparse_apply(self.sparse, vec, self.conjugate, p * s * j) for j, vec in f.terms.items()})
+
+    def fixes(self, f: TwistedLoopElement, sign=1) -> bool:
+        """Whether apply_loop(f) == sign * f, with no image built: the image
+        at each exponent k comes from f's term at s*k (False when f has
+        none), and its raw numerators over their denominator (`sparse_raw`)
+        are cross-multiplied with those of f's term at k, with no gcd."""
+        s, p, terms = self.index_sign, self.parity, f.terms
+        for k, (nums, den) in terms.items():
+            source = terms.get(s * k)
+            if source is None:
+                return False
+            image, image_den = sparse_raw(self.sparse, source, self.conjugate, p * k)
+            scale = sign * image_den
+            if den != 1 or scale != 1:
+                image, nums = [a * den for a in image], [b * scale for b in nums]
+            if image != nums:
+                return False
+        return True
 
     def compose(self, other: "CoeffMap") -> "CoeffMap":
         """self after other, as one coefficient map."""
@@ -127,13 +150,23 @@ class InvolutionDescriptor:
     def conjugate_linear(self):
         return self.loop_map.conjugate
 
-    def apply(self, x: ExtendedElement) -> ExtendedElement:
+    def _apply_cd(self, x: ExtendedElement):
         c, d = x.c, x.d
         if self.conjugate_linear:
             c, d = c.conjugate(), d.conjugate()
         if self.epsilon == -1:
             c, d = -c, -d
-        return ExtendedElement(self.loop_map.apply_loop(x.loop), c, d)
+        return c, d
+
+    def apply(self, x: ExtendedElement) -> ExtendedElement:
+        return ExtendedElement(self.loop_map.apply_loop(x.loop), *self._apply_cd(x))
+
+    def fixes(self, x: ExtendedElement, sign=1) -> bool:
+        """Whether apply(x) == sign * x, the loop part decided image-free
+        (`CoeffMap.fixes`)."""
+        if (x.c or x.d) and self._apply_cd(x) != ((x.c, x.d) if sign == 1 else (-x.c, -x.d)):
+            return False
+        return self.loop_map.fixes(x.loop, sign)
 
     def kind(self) -> InvolutionKind:
         return InvolutionKind.SECOND if self.epsilon == -1 else InvolutionKind.FIRST
@@ -216,7 +249,7 @@ class RealFormDescriptor:
         f = x.loop
         if f.algebra is not self.algebra or f.twist != self.twist:
             return False
-        if self.conj is not None and self.conj.apply_loop(f) != f:
+        if self.conj is not None and not self.conj.fixes(f):
             return False
         if self.cd_scale is None:
             return True
@@ -493,7 +526,7 @@ def bracket_verdicts(t: Truncation, relations: bool):
             continue
         if not rf.contains(z):
             return False, False
-        if holds and phi.apply(z) != (z if sx == sy else -z):
+        if holds and not phi.fixes(z, sx * sy):
             holds = False
     return True, holds
 

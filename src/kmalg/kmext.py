@@ -19,12 +19,13 @@ from . import linalg
 from .loop import (
     MismatchError,
     TwistedLoopElement,
+    check_grading,
     loop_bracket,
     loop_derivative,
     twist_eigenbasis,
     zero_loop,
 )
-from .scalars import I, Scalar, ZERO, exact_div, vec_mul, vec_support
+from .scalars import I, Scalar, ZERO, exact_div, vec_add, vec_mul, vec_support
 
 
 class ExtendedElement:
@@ -89,11 +90,15 @@ def derivation_element(algebra, twist, value=1) -> ExtendedElement:
 # -- cocycle --------------------------------------------------------------
 
 def cocycle(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:
-    """(1/2pi) int <f, g'> dt = sum_k B(a_k, -(i k/m) b_{-k}). Antisymmetric."""
+    """(1/2pi) int <f, g'> dt = sum_k B(a_k, -(i k/m) b_{-k}). Antisymmetric.
+    Zero, with no sum formed, when no exponent of f meets its negative in g."""
     f._require_match(g)
-    killing, other, m = f.algebra.killing, g.terms, f.twist.order
-    return sum((killing(ak, vec_mul(other[-k], ((0, -k), m)))
-                for k, ak in f.terms.items() if k and -k in other), ZERO)
+    other = g.terms
+    pairs = [(k, ak) for k, ak in f.terms.items() if k and -k in other]
+    if not pairs:
+        return ZERO
+    killing, m = f.algebra.killing, f.twist.order
+    return sum((killing(ak, vec_mul(other[-k], ((0, -k), m))) for k, ak in pairs), ZERO)
 
 
 class ResidueCocycle(NamedTuple):
@@ -196,6 +201,9 @@ class SplittingHom:
 
     Loops embed blockwise; the c coefficients add up. The kernel is the
     hyperplane of pure-c tuples summing to zero, of dimension (#factors - 1).
+    A factor's terms are graded by its twist, so the image is checked
+    against the grading of an order-2 target twist only when some factor's
+    twist differs from it on the factor's block (in order or matrix rows).
     """
 
     def __init__(self, factors, target_algebra, target_twist):
@@ -206,35 +214,39 @@ class SplittingHom:
         blocks = target_algebra.blocks
         if len(blocks) != len(self.factors):
             raise MismatchError("factor count does not match target ideal blocks")
-        offset = 0
+        offset, width, agree = 0, target_algebra.dim, True
         self._offsets = []
-        for (alg, _twist), blk in zip(self.factors, blocks):
+        for (alg, twist), blk in zip(self.factors, blocks):
             if alg.dim != len(blk.indices):
                 raise MismatchError("factor dimension does not match target block")
             if tuple(blk.indices) != tuple(range(offset, offset + alg.dim)):
                 raise MismatchError("target blocks must be contiguous and ordered")
+            pad = (ZERO,) * offset, (ZERO,) * (width - offset - alg.dim)
+            agree = agree and twist.order == target_twist.order and all(
+                target_twist.matrix[offset + i] == pad[0] + row + pad[1]
+                for i, row in enumerate(twist.matrix))
             self._offsets.append(offset)
             offset += alg.dim
+        self._graded = target_twist.order == 1 or agree
 
     def apply(self, parts) -> ExtendedElement:
         """parts: one (loop, c) ExtendedElement per factor (d must be 0)."""
         if len(parts) != len(self.factors):
             raise MismatchError("wrong number of factor elements")
-        terms = {}
-        c_total = ZERO
+        width, terms, c_total = self.target_algebra.dim, {}, ZERO
         for part, off, (alg, twist) in zip(parts, self._offsets, self.factors):
             if part.d:
                 raise MismatchError("factor elements live in derived algebras: d = 0")
             if part.loop.algebra is not alg or part.loop.twist != twist:
                 raise MismatchError("factor element over the wrong algebra or twist")
-            for k, vec in part.loop.coeffs.items():
-                row = terms.setdefault(k, [ZERO] * self.target_algebra.dim)
-                for i, val in enumerate(vec):
-                    row[off + i] = row[off + i] + val
+            before, after = (0,) * off, (0,) * (width - off - alg.dim)
+            for k, (nums, den) in part.loop.terms.items():
+                vec = before + nums[:alg.dim] + after + before + nums[alg.dim:] + after, den
+                terms[k] = vec_add(terms[k], vec) if k in terms else vec
             c_total = c_total + part.c
-        loop = TwistedLoopElement(
-            self.target_algebra, self.target_twist, {k: tuple(v) for k, v in terms.items()}
-        )
+        loop = TwistedLoopElement.from_vecs(self.target_algebra, self.target_twist, terms)
+        if not self._graded:
+            check_grading(loop)
         return ExtendedElement(loop, c_total, ZERO)
 
     def kernel_dimension(self) -> int:

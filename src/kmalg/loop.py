@@ -14,11 +14,14 @@ tuples, and +, -, scale, the bracket, the derivative, the Killing form, the
 cocycle and the coefficient maps of `involution` all run on ints. Scalar is
 the type at the edge: the constructor takes Scalar coordinates, `coeff` and
 `coeffs` give them back, and c, d, real coordinates, JSON and rendering
-read Scalars or rationals.
+read Scalars or rationals. A loop bracket sums the numerators of its finite
+brackets into one int accumulator per output exponent and reduces each
+exponent once.
 """
 from __future__ import annotations
 
 from enum import Enum
+from math import lcm
 
 from . import linalg
 from .findim import FiniteAutomorphism, FiniteLieAlgebra, identity_automorphism, sparse_apply
@@ -27,6 +30,7 @@ from .scalars import (
     Scalar,
     ZERO,
     vec_add,
+    vec_canon,
     vec_from_parts,
     vec_from_scalars,
     vec_mul,
@@ -77,13 +81,8 @@ class TwistedLoopElement:
             vec = vec_from_scalars(coords)
             if any(vec[0]):
                 clean[int(k)] = vec
-        if twist.order == 2:
-            for k, vec in clean.items():
-                if sparse_apply(twist.sparse, vec) != (vec_neg(vec) if k % 2 else vec):
-                    raise GradingError(
-                        f"coefficient at exponent {k} is not in the required twist eigenspace"
-                    )
         self.algebra, self.twist, self.terms = algebra, twist, clean
+        check_grading(self)
 
     @classmethod
     def from_vecs(cls, algebra, twist, terms):
@@ -159,6 +158,17 @@ class TwistedLoopElement:
         return f"TwistedLoopElement({self.algebra.name}, m={self.twist.order}, support={self.support()})"
 
 
+def check_grading(f: TwistedLoopElement):
+    """Raise GradingError unless, for an order-2 twist sigma, every
+    coefficient of f has sigma(a_k) = (-1)^k a_k."""
+    if f.twist.order == 2:
+        for k, vec in f.terms.items():
+            if sparse_apply(f.twist.sparse, vec) != (vec_neg(vec) if k % 2 else vec):
+                raise GradingError(
+                    f"coefficient at exponent {k} is not in the required twist eigenspace"
+                )
+
+
 def zero_loop(algebra, twist) -> TwistedLoopElement:
     return TwistedLoopElement(algebra, twist, {})
 
@@ -174,17 +184,35 @@ def untwisted(algebra) -> FiniteAutomorphism:
 
 # -- operations ----------------------------------------------------------
 
+def _over_one_denominator(terms):
+    """(exponent, numerators) pairs of terms over their least common
+    denominator D, and D; free when every denominator is 1."""
+    den = 1
+    for _, d in terms.values():
+        if d != 1:
+            den = lcm(den, d)
+    if den == 1:
+        return [(k, nums) for k, (nums, _) in terms.items()], 1
+    return [(k, [x * (den // d) for x in nums]) for k, (nums, d) in terms.items()], den
+
+
 def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopElement:
-    """Pointwise bracket: coefficient convolution [f,g]_k = sum [a_p, b_q]."""
+    """Pointwise bracket: coefficient convolution [f,g]_k = sum [a_p, b_q].
+    f's terms go over one denominator and g's over another, each output
+    exponent sums its finite brackets' numerators in one int accumulator
+    (`FiniteLieAlgebra.bracket_add`), and is reduced once."""
     f._require_match(g)
-    bracket = f.algebra.bracket
-    out = {}
-    for p, ap in f.terms.items():
-        for q, bq in g.terms.items():
-            val = bracket(ap, bq)
-            k = p + q
-            out[k] = vec_add(out[k], val) if k in out else val
-    return f.from_vecs(f.algebra, f.twist, out)
+    alg = f.algebra
+    (fs, df), (gs, dg) = _over_one_denominator(f.terms), _over_one_denominator(g.terms)
+    add, width, out = alg.bracket_add, 2 * alg.dim, {}
+    for p, a in fs:
+        for q, b in gs:
+            acc = out.get(p + q)
+            if acc is None:
+                acc = out[p + q] = [0] * width
+            add(acc, a, b)
+    den = df * dg * alg._sc_den
+    return f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
 
 
 def loop_derivative(f: TwistedLoopElement, d=ONE) -> TwistedLoopElement:

@@ -198,7 +198,7 @@ def _check_expected_kp(record: OsakaRecord, dec: Truncation):
         if i not in own:
             continue
         for e, s in items:  # K, then P
-            if exp.map.apply_loop(e.loop) != (e.loop if s == 1 else -e.loop):
+            if not exp.map.fixes(e.loop, s):
                 side = "K" if s == 1 else "P"
                 return False, f"{side} vector in block {key} violates the expected condition"
     return True, "eigenspaces match the expected conditions and dimensions"

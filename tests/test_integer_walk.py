@@ -1,0 +1,187 @@
+"""The integer paths of the closure and Cartan walk against their references:
+`CoeffMap.fixes` (an image-free apply_loop(f) == +-f) against building the
+image, the per-exponent `loop_bracket` against the Scalar-tuple convolution
+in oracles, the shifted structure constants of `direct_sum` against solving
+them from the sum's basis, and the grading check of `SplittingHom.apply`.
+
+The maps are drawn as in test_sparse_maps (unit, non-unit and zero entries,
+zero rows, both conjugate values, index signs +-1 and parities 0-3), plus
+involutive maps, so that f + sign * phi(f) is a sign-eigenvector of phi and
+True verdicts are common. Loop coefficients have denominators up to 5.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kmalg import kmext
+from kmalg.findim import (
+    automorphism_from_order,
+    direct_sum,
+    make_abelian,
+    make_sl,
+    make_so,
+    make_su,
+    mat_bracket,
+    sparse_raw,
+)
+from kmalg.involution import CoeffMap
+from kmalg.kmext import ExtendedElement, SplittingHom
+from kmalg.loop import (
+    GradingError,
+    TwistedLoopElement,
+    loop_bracket,
+    loop_monomial,
+    untwisted,
+)
+from kmalg.scalars import Scalar, ZERO
+from oracles import coords_reference, loop_bracket_reference
+from test_findim import KERNEL_ALGEBRAS
+from test_sparse_maps import UNITS, coeff_maps, dims, general, loops
+
+nonzero = st.one_of(st.sampled_from(UNITS), general.filter(bool))
+
+
+@st.composite
+def involutions(draw, n):
+    """A CoeffMap phi with phi(phi(f)) = f. phi^2 a_k is i^{pk(1+s)} M^2 a_k
+    when linear and i^{pk(1-s)} M conj(M) a_k when conjugate-linear, so M
+    pairs indices (i, j) with entries u and 1/u (1/conj(u) when
+    conjugate-linear) and fixes the rest with u^2 = 1 (|u| = 1), and the
+    parity p is free when the power of i vanishes (linear with s = -1,
+    conjugate-linear with s = 1) and even otherwise."""
+    conjugate, s = draw(st.booleans()), draw(st.sampled_from((1, -1)))
+    parity = draw(st.integers(0, 3)) if conjugate == (s == 1) else 2 * draw(st.integers(0, 1))
+    order = draw(st.permutations(range(n)))
+    rows = [[ZERO] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        if i + 1 < n and draw(st.booleans()):
+            a, b, u = order[i], order[i + 1], draw(nonzero)
+            rows[a][b], rows[b][a] = u, 1 / (u.conjugate() if conjugate else u)
+            i += 2
+        else:
+            rows[order[i]][order[i]] = draw(st.sampled_from(UNITS if conjugate else UNITS[::2]))
+            i += 1
+    return CoeffMap(rows, s, conjugate, parity)
+
+
+def _eigen_reference(phi, f, sign):
+    return phi.apply_loop(f) == (f if sign == 1 else -f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fixes_matches_apply_loop(data):
+    n = data.draw(dims)
+    involutive = data.draw(st.booleans())
+    phi = data.draw(involutions(n) if involutive else coeff_maps(n))
+    f = data.draw(loops(n))
+    sign = data.draw(st.sampled_from((1, -1)))
+    built = data.draw(st.booleans())
+    if built:
+        image = phi.apply_loop(f)
+        f = f + (image if sign == 1 else -image)
+    for s in (1, -1):
+        assert phi.fixes(f, s) == _eigen_reference(phi, f, s)
+    if built and involutive:
+        assert phi.fixes(f, sign)
+
+
+def test_fixes_needs_each_mirror_exponent():
+    """Under s = -1 a term at k needs one at -k, even where phi maps it to
+    zero: the image then has no term at k, and f does."""
+    alg = make_abelian(2).complexify()
+    f = TwistedLoopElement(alg, untwisted(alg), {1: (Scalar(Fraction(1, 3)), ZERO)})
+    for matrix in ([[1, 0], [0, 1]], [[0, 0], [0, 0]]):
+        phi = CoeffMap(matrix, index_sign=-1)
+        assert not phi.fixes(f) and not _eigen_reference(phi, f, 1)
+    both = f + TwistedLoopElement(alg, untwisted(alg), {-1: (Scalar(Fraction(1, 3)), ZERO)})
+    assert CoeffMap([[1, 0], [0, 1]], index_sign=-1).fixes(both)
+    assert CoeffMap([[0, 0], [0, 0]], index_sign=-1).fixes(f - f)
+
+
+@st.composite
+def algebra_loops(draw):
+    """Two untwisted loop elements over one of the kernel algebras of
+    test_findim (dimensions 1 to 10, D_s = 2 on two of them; the registry's
+    twisted pairs are test_loop_numerators'), with denominators 1 to 5."""
+    alg = draw(st.sampled_from(KERNEL_ALGEBRAS)).complexify()
+    coords = st.lists(st.one_of(st.just(ZERO), general), min_size=alg.dim, max_size=alg.dim)
+
+    def element():
+        degrees = draw(st.lists(st.integers(-3, 3), max_size=4, unique=True))
+        return TwistedLoopElement(alg, untwisted(alg), {k: tuple(draw(coords)) for k in degrees})
+
+    return alg, element(), element()
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_loops())
+def test_loop_bracket_matches_reference_on_mixed_denominators(case):
+    alg, f, g = case
+    assert loop_bracket(f, g).coeffs == loop_bracket_reference(alg, f.coeffs, g.coeffs)
+
+
+def _ints(nums):
+    return all(type(x) is int for x in nums)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_loops(), st.data())
+def test_integer_paths_make_no_float(case, data):
+    """Both new paths on Fraction-backed input: every numerator and
+    denominator of a loop bracket, and of the raw image `fixes` compares,
+    is an int, and the verdict is a bool."""
+    alg, f, g = case
+    for nums, den in loop_bracket(f, g).terms.values():
+        assert _ints(nums) and type(den) is int and den > 0
+    phi = data.draw(coeff_maps(alg.dim))
+    for vec in f.terms.values():
+        nums, den = sparse_raw(phi.sparse, vec, phi.conjugate, data.draw(st.integers(-4, 4)))
+        assert _ints(nums) and type(den) is int and den > 0
+    assert type(phi.fixes(f)) is bool and type(phi.fixes(f, -1)) is bool
+
+
+@pytest.mark.parametrize("summands", [
+    (make_su(2), make_su(2)),
+    (make_abelian(1), make_su(2)),
+    (make_su(2), make_abelian(2), make_so(3)),
+    (make_sl(2), make_sl(3)),
+], ids=["su2+su2", "u1+su2", "su2+u2+so3", "sl2+sl3"])
+def test_direct_sum_structure_equals_the_solved_table(summands):
+    g = direct_sum(*summands)
+    for j in range(g.dim):
+        for k in range(g.dim):
+            want = coords_reference(g, mat_bracket(g.basis[j], g.basis[k]))
+            assert tuple(g.structure[j][k]) == tuple((m, c) for m, c in enumerate(want) if c)
+
+
+def test_splitting_hom_checks_the_grading_where_the_twists_differ(monkeypatch):
+    """An untwisted su(2) factor beside a twisted one, into su(2)+su(2)
+    twisted by the identity on the first block: the first block's odd terms
+    break the target grading, and its even ones keep it."""
+    su2c = make_su(2).complexify()
+    tw1 = untwisted(su2c)
+    tw2 = automorphism_from_order(su2c, [[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    target = direct_sum(make_su(2), make_su(2)).complexify()
+    diag = (1, 1, 1, -1, 1, -1)
+    ttw = automorphism_from_order(target, [[diag[i] if i == j else 0 for j in range(6)]
+                                           for i in range(6)])
+    mixed = SplittingHom([(su2c, tw1), (su2c, tw2)], target, ttw)
+    second = ExtendedElement(loop_monomial(su2c, tw2, 1, (Scalar(1), ZERO, ZERO)))
+    x = (Scalar(Fraction(1, 2)), ZERO, Scalar(3))
+    image = mixed.apply([ExtendedElement(loop_monomial(su2c, tw1, 2, x)), second])
+    assert image.loop.coeffs == {2: x + (ZERO,) * 3, 1: (ZERO,) * 3 + (Scalar(1), ZERO, ZERO)}
+    with pytest.raises(GradingError):
+        mixed.apply([ExtendedElement(loop_monomial(su2c, tw1, 1, x)), second])
+    # two factors twisted as the target is are graded by construction: no check
+    checked = []
+    monkeypatch.setattr(kmext, "check_grading", checked.append)
+    both = (-1, 1, -1, -1, 1, -1)
+    agreeing = SplittingHom([(su2c, tw2), (su2c, tw2)], target, automorphism_from_order(
+        target, [[both[i] if i == j else 0 for j in range(6)] for i in range(6)]))
+    agreeing.apply([second, second])
+    assert not checked
+    mixed.apply([ExtendedElement(loop_monomial(su2c, tw1, 2, x)), second])
+    assert len(checked) == 1

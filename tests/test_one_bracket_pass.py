@@ -10,10 +10,11 @@ from dataclasses import replace
 
 import pytest
 
-from kmalg import cli, osaka, serialize
+from kmalg import cli, involution, osaka, serialize
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
+    RealFormDescriptor,
     _period,
     bracket_verdicts,
     fixed_and_eigenspaces,
@@ -143,6 +144,43 @@ def test_osaka_catalog_brackets_each_representative_pair_once(monkeypatch, capsy
     capsys.readouterr()
     assert calls["hat_bracket"] == closure
     assert inside == {"build_catalog_a1": 0, "duality_pairing": 0}
+
+
+def test_walk_and_membership_build_no_image(monkeypatch, capsys):
+    """osaka-catalog --degree 5 still makes exactly 2662 hat_bracket calls,
+    and bracket_verdicts and RealFormDescriptor.contains decide their
+    verdicts image-free (CoeffMap.fixes): neither makes a
+    CoeffMap.apply_loop call, though both run and other checks apply maps."""
+    calls = _counting_brackets(monkeypatch)
+    apply_loop = CoeffMap.apply_loop
+
+    def counting_apply_loop(self, f):
+        calls["apply_loop"] += 1
+        return apply_loop(self, f)
+
+    monkeypatch.setattr(CoeffMap, "apply_loop", counting_apply_loop)
+    entered, inside = Counter(), Counter()
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            entered[name] += 1
+            before = calls["apply_loop"]
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[name] += calls["apply_loop"] - before
+        return wrapper
+
+    walk = counted(involution.bracket_verdicts, "bracket_verdicts")
+    monkeypatch.setattr(involution, "bracket_verdicts", walk)
+    monkeypatch.setattr(osaka, "bracket_verdicts", walk)
+    monkeypatch.setattr(RealFormDescriptor, "contains",
+                        counted(RealFormDescriptor.contains, "contains"))
+    assert cli.run(["osaka-catalog", "--degree", "5"]) == 0
+    capsys.readouterr()
+    assert calls["hat_bracket"] == 2662
+    assert inside == {"bracket_verdicts": 0, "contains": 0}
+    assert entered["bracket_verdicts"] and entered["contains"] and calls["apply_loop"]
 
 
 def test_a_partner_over_another_algebra_does_not_match():
