@@ -11,11 +11,15 @@ Cartan relations. Duality K + P -> K + iP is composition of descriptors.
 
 Membership in a real form and the eigenvector tests (the Cartan relations,
 the expected K/P conditions) build no image: `CoeffMap.fixes` compares the
-raw integer numerators of the image with those of the element.
+raw integer numerators of the image with those of the element, imaging one
+exponent of each mirror pair k, -k when the map is involutive with index
+sign -1. The walk builds no bracket either: it decides closure and the
+Cartan relations on the raw accumulators of `loop.loop_bracket_raw` and
+the cocycle, each item's terms put over one denominator once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import linalg
@@ -30,8 +34,8 @@ from .findim import (
     sparse_raw,
     sparse_rows,
 )
-from .kmext import ExtendedElement, hat_bracket, real_coords
-from .loop import TwistedLoopElement, check_twist, zero_loop
+from .kmext import ExtendedElement, cocycle, hat_bracket, real_coords
+from .loop import TwistedLoopElement, check_twist, loop_bracket_raw, over_one_denominator, zero_loop
 from .scalars import I, ONE, Scalar, ZERO, i_power
 
 
@@ -48,7 +52,7 @@ class PreservationError(InvolutionError):
 class CoeffMap:
     """(Phi a)_k = i^{parity*k} * matrix . conj^conjugate(a_{index_sign*k})."""
 
-    __slots__ = ("matrix", "sparse", "index_sign", "conjugate", "parity")
+    __slots__ = ("matrix", "sparse", "index_sign", "conjugate", "parity", "_involutive")
 
     def __init__(self, matrix, index_sign=1, conjugate=False, parity=0):
         self.matrix = mat(matrix)
@@ -58,10 +62,19 @@ class CoeffMap:
         self.index_sign = index_sign
         self.conjugate = bool(conjugate)
         self.parity = parity % 4
+        self._involutive = None
 
     @classmethod
     def identity(cls, dim):
         return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
+
+    @property
+    def involutive(self) -> bool:
+        """Whether this map squares to the identity, found on first use:
+        `compose` builds a CoeffMap, so it cannot be found in __init__."""
+        if self._involutive is None:
+            self._involutive = self.compose(self).is_identity()
+        return self._involutive
 
     def apply_loop(self, f: TwistedLoopElement) -> TwistedLoopElement:
         # source degree j contributes to target degree s*j
@@ -70,15 +83,32 @@ class CoeffMap:
             s * j: sparse_apply(self.sparse, vec, self.conjugate, p * s * j) for j, vec in f.terms.items()})
 
     def fixes(self, f: TwistedLoopElement, sign=1) -> bool:
-        """Whether apply_loop(f) == sign * f, with no image built: the image
-        at each exponent k comes from f's term at s*k (False when f has
-        none), and its raw numerators over their denominator (`sparse_raw`)
-        are cross-multiplied with those of f's term at k, with no gcd."""
-        s, p, terms = self.index_sign, self.parity, f.terms
+        """Whether apply_loop(f) == sign * f, with no image built and one
+        exponent of each mirror pair imaged when the map is involutive with
+        s = -1 (`fixes_terms` on f's terms)."""
+        return self.fixes_terms(f.terms, sign)
+
+    def fixes_terms(self, terms, sign=1) -> bool:
+        """Whether the map sends the loop with these terms (exponent ->
+        (numerators, denominator), numerators a tuple [re | im], not
+        necessarily in lowest terms) to sign times itself. The image at each
+        exponent k comes from the term at s*k (False when there is none),
+        and its raw numerators over their denominator (`sparse_raw`) are
+        cross-multiplied with those of the term at k, with no gcd.
+
+        Mirror halving: when s = -1 and the map is involutive, the condition
+        at k implies the one at -k (apply the map at -k to both sides: its
+        square is the identity, and sign is real), so only k >= 0 are
+        imaged once every mirror is known to be present. A map that is not
+        involutive is checked at every k."""
+        s, p = self.index_sign, self.parity
+        half = s == -1 and self.involutive
         for k, (nums, den) in terms.items():
             source = terms.get(s * k)
             if source is None:
                 return False
+            if half and k < 0:
+                continue
             image, image_den = sparse_raw(self.sparse, source, self.conjugate, p * k)
             scale = sign * image_den
             if den != 1 or scale != 1:
@@ -150,8 +180,7 @@ class InvolutionDescriptor:
     def conjugate_linear(self):
         return self.loop_map.conjugate
 
-    def _apply_cd(self, x: ExtendedElement):
-        c, d = x.c, x.d
+    def _apply_cd(self, c, d):
         if self.conjugate_linear:
             c, d = c.conjugate(), d.conjugate()
         if self.epsilon == -1:
@@ -159,14 +188,19 @@ class InvolutionDescriptor:
         return c, d
 
     def apply(self, x: ExtendedElement) -> ExtendedElement:
-        return ExtendedElement(self.loop_map.apply_loop(x.loop), *self._apply_cd(x))
+        return ExtendedElement(self.loop_map.apply_loop(x.loop), *self._apply_cd(x.c, x.d))
 
     def fixes(self, x: ExtendedElement, sign=1) -> bool:
         """Whether apply(x) == sign * x, the loop part decided image-free
         (`CoeffMap.fixes`)."""
-        if (x.c or x.d) and self._apply_cd(x) != ((x.c, x.d) if sign == 1 else (-x.c, -x.d)):
+        return self.fixes_parts(x.loop.terms, x.c, x.d, sign)
+
+    def fixes_parts(self, terms, c, d, sign=1) -> bool:
+        """`fixes` of the element with these loop terms (`CoeffMap.fixes_terms`)
+        and these c and d."""
+        if (c or d) and self._apply_cd(c, d) != ((c, d) if sign == 1 else (-c, -d)):
             return False
-        return self.loop_map.fixes(x.loop, sign)
+        return self.loop_map.fixes_terms(terms, sign)
 
     def kind(self) -> InvolutionKind:
         return InvolutionKind.SECOND if self.epsilon == -1 else InvolutionKind.FIRST
@@ -242,20 +276,26 @@ class RealFormDescriptor:
 
     # -- membership ------------------------------------------------------
     def contains(self, x: ExtendedElement) -> bool:
-        """Whether x lies in the form: its loop part is fixed by conj, and c
-        and d lie on the line cd_scale * R. As cd_scale is 1 or i, c / 1 is
-        real iff c.im == 0 and c / i is real iff c.re == 0, so no division
-        is needed."""
+        """Whether x lies in the form: x is over the form's algebra and
+        twist, and `contains_parts` holds on its parts."""
         f = x.loop
         if f.algebra is not self.algebra or f.twist != self.twist:
             return False
-        if self.conj is not None and not self.conj.fixes(f):
+        return self.contains_parts(f.terms, x.c, x.d)
+
+    def contains_parts(self, terms, c, d) -> bool:
+        """Whether the element with these loop terms (`CoeffMap.fixes_terms`)
+        and these c and d, over the form's algebra and twist, lies in the
+        form: its loop part is fixed by conj, and c and d lie on the line
+        cd_scale * R. As cd_scale is 1 or i, c / 1 is real iff c.im == 0 and
+        c / i is real iff c.re == 0, so no division is needed."""
+        if self.conj is not None and not self.conj.fixes_terms(terms):
             return False
         if self.cd_scale is None:
             return True
         if self.cd_scale == ONE:
-            return not x.c.im and not x.d.im
-        return not x.c.re and not x.d.re
+            return not c.im and not d.im
+        return not c.re and not d.re
 
     # -- truncated bases ---------------------------------------------------
     def block_keys(self, n_max: int):
@@ -315,13 +355,20 @@ class RealFormDescriptor:
         nonzero real factors (the cocycle's k, the derivative's ik), keeping
         real lines and eigenspaces; so closure and the Cartan relations are
         decided by one block pair per class (`_classes`), all from degree 2P.
-        Every element has sign 0."""
-        period, blocks = _period(self.conj), {}
-        for key in self.block_keys(n_max):
+        Every element has sign 0. The classes under P are known as the
+        blocks are built, and are those `_classes` finds: every element has
+        its exponents in its block's key, only the ("cd",) block has c or
+        d, and block (k, -k), k > P, at position k, is exactly the shift of
+        block (k - P, P - k)."""
+        period, blocks, label = _period(self.conj), {}, []
+        for i, key in enumerate(self.block_keys(n_max)):
             solved = key[0] == "cd" or key[0] <= period
             blocks[key] = ([(e, 0) for e in self.block_basis(key)] if solved
                            else _shift(blocks[(key[0] - period, period - key[0])], period))
-        return Truncation(self, n_max, tuple(blocks.items()))
+            label.append(i if solved else label[i - period])
+        t = Truncation(self, n_max, tuple(blocks.items()))
+        t._labels[period] = label
+        return t
 
     # -- closure -----------------------------------------------------------
     def verify_closed(self, truncation: "Truncation") -> bool:
@@ -369,29 +416,31 @@ def _classes(blocks, period):
     return label
 
 
-def representatives(blocks, *maps):
-    """Positions of the blocks that are their own class (`_classes`) under
-    the period of maps. A merged block is its base shifted, and the maps
-    commute with the shift, so maps need to be applied to these only."""
-    return [i for i, label in enumerate(_classes(blocks, _period(*maps))) if label == i]
+def representatives(t: "Truncation", *maps):
+    """Positions of the blocks of a truncation that are their own class
+    (`Truncation.classes`) under the period of maps. A merged block is its
+    base shifted, and the maps commute with the shift, so maps need to be
+    applied to these only."""
+    return [i for i, label in enumerate(t.classes(_period(*maps))) if label == i]
 
 
 def involutive_verdicts(phi: InvolutionDescriptor, truncation: "Truncation"):
     """(preserved, squares): phi maps the truncated basis into the form, and
     phi(phi(e)) = e on it; read on `representatives` under conj and phi."""
     rf = truncation.real_form
-    basis = [e for i in representatives(truncation.blocks, rf.conj, phi.loop_map)
+    basis = [e for i in representatives(truncation, rf.conj, phi.loop_map)
              for e, _ in truncation.blocks[i][1]]
     images = [phi.apply(e) for e in basis]
     preserved = all(rf.contains(img) for img in images)
     return preserved, all(phi.apply(img) == e for e, img in zip(basis, images))
 
 
-def _representative_pairs(blocks, period):
+def _representative_pairs(blocks, period, label=None):
     """Each unordered pair of items of one representative block pair per
     class, the class of a pair being (class of a, class of b, same block?)
-    (`_classes`); this keeps (1, 1 + P) apart from (1, 1)."""
-    label, seen = _classes(blocks, period), set()
+    (`_classes`, or label when the blocks' classes under period are already
+    known); this keeps (1, 1 + P) apart from (1, 1)."""
+    label, seen = _classes(blocks, period) if label is None else label, set()
     for i, (_, xs) in enumerate(blocks):
         for i2, (_, ys) in enumerate(blocks[i:], i):
             cls = (frozenset((label[i], label[i2])), i == i2)
@@ -414,6 +463,17 @@ class Truncation:
     n_max: int
     blocks: tuple
     involution: InvolutionDescriptor | None = None
+    # period -> `_classes` labels of blocks; not an init field, so a copy
+    # made by dataclasses.replace starts with none of this one's
+    _labels: dict = field(default_factory=dict, init=False, repr=False)
+
+    def classes(self, period):
+        """`_classes` of the blocks under period, found once per truncation
+        and period."""
+        label = self._labels.get(period)
+        if label is None:
+            label = self._labels[period] = _classes(self.blocks, period)
+        return label
 
     @property
     def elements(self):
@@ -460,10 +520,19 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
     are even, else 4 (`_period`); a block in the period-P class of block
     (k-P, P-k) (`_classes`, as `truncate` builds them) gets that block's
     items shifted. This is exact: phi commutes with the shift, i^{pk}
-    having period P."""
+    having period P.
+
+    The split is handed the truncation's classes under P: its block i is
+    built as exactly the shift of the block whose class i joined, and that
+    block's eigenvectors are combinations of c = d = 0 elements with
+    exponents in their key, as the truncation's were, so `_classes` on the
+    split would join every block this one joins. (It could join more only
+    if a block the truncation kept apart came out as the shift after
+    solving; a finer partition is still sound, as the walk then brackets
+    more representative pairs, each merged block being an exact shift.)"""
     rf = truncation.real_form
     period = _period(rf.conj, phi.loop_map)
-    label = _classes(truncation.blocks, period)
+    label = truncation.classes(period)
     pos = {key: i for i, (key, _) in enumerate(truncation.blocks)}
     blocks = []
     for i, (key, items) in enumerate(truncation.blocks):
@@ -503,7 +572,9 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
             raise InvolutionError(f"{phi.name} does not square to the identity on block {key}")
         blocks.append((key, [(_combine(elems, v), 1) for v in k_vecs]
                        + [(_combine(elems, v), -1) for v in p_vecs]))
-    return Truncation(rf, truncation.n_max, tuple(blocks), phi)
+    split = Truncation(rf, truncation.n_max, tuple(blocks), phi)
+    split._labels[period] = label
+    return split
 
 
 def bracket_verdicts(t: Truncation, relations: bool):
@@ -514,19 +585,48 @@ def bracket_verdicts(t: Truncation, relations: bool):
     also an s_x s_y eigenvector of phi (signs +1 in K, -1 in P), i.e.
     [K,K] in K, [K,P] in P, [P,P] in K. Each unordered pair is bracketed
     once (both tests are invariant under z -> -z), in one representative
-    block pair per period-P class (`_classes`; P of conj, and of phi on a
-    split): a hand-corrupted block is its own class. A bracket that leaves
-    the form fails both and ends the walk."""
+    block pair per period-P class (`Truncation.classes`; P of conj, and of
+    phi on a split): a hand-corrupted block is its own class. A bracket
+    that leaves the form fails both and ends the walk.
+
+    No bracket is built. Each item's loop terms are put over one
+    denominator once (`over_one_denominator`); a pair's loop bracket is
+    the raw accumulators of `loop_bracket_raw` over D_x D_y D_s, zero ones
+    dropped, and its c the cocycle. Both verdicts cross-multiply those
+    numerators (`RealFormDescriptor.contains_parts`,
+    `InvolutionDescriptor.fixes_parts`). A pair in which an item carries d
+    has derivative terms and goes through `hat_bracket`; only the d
+    elements of the ("cd",) block do. Items over another algebra or twist
+    than the form's lie outside it once their bracket is nonzero."""
     rf, phi = t.real_form, t.involution
     holds = relations and phi is not None
     period = _period(rf.conj, None if phi is None else phi.loop_map)
-    for (x, sx), (y, sy) in _representative_pairs(t.blocks, period):
-        z = hat_bracket(x, y)
-        if z.is_zero():
+    ready = {}
+
+    def prepared(item):
+        e, sign = item
+        terms, den = over_one_denominator(e.loop.terms)
+        inside = e.loop.algebra is rf.algebra and e.loop.twist == rf.twist
+        ready[id(item)] = out = (e, terms, den, sign, inside)
+        return out
+
+    for x, y in _representative_pairs(t.blocks, period, t.classes(period)):
+        ex, fs, dx, sx, inside = ready.get(id(x)) or prepared(x)
+        ey, gs, dy, sy, _ = ready.get(id(y)) or prepared(y)
+        if ex.d or ey.d:
+            z = hat_bracket(ex, ey)
+            terms, c = z.loop.terms, z.c
+        else:
+            f = ex.loop
+            c = cocycle(f, ey.loop)  # raises MismatchError as hat_bracket does
+            den = dx * dy * f.algebra._sc_den
+            terms = {k: (tuple(acc), den) for k, acc in loop_bracket_raw(f.algebra, fs, gs).items()
+                     if any(acc)}
+        if not terms and not c:
             continue
-        if not rf.contains(z):
+        if not (inside and rf.contains_parts(terms, c, ZERO)):
             return False, False
-        if holds and not phi.fixes(z, sx * sy):
+        if holds and not phi.fixes_parts(terms, c, ZERO, sx * sy):
             holds = False
     return True, holds
 

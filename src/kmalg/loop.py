@@ -15,8 +15,9 @@ cocycle and the coefficient maps of `involution` all run on ints. Scalar is
 the type at the edge: the constructor takes Scalar coordinates, `coeff` and
 `coeffs` give them back, and c, d, real coordinates, JSON and rendering
 read Scalars or rationals. A loop bracket sums the numerators of its finite
-brackets into one int accumulator per output exponent and reduces each
-exponent once.
+brackets into one int accumulator per output exponent (`loop_bracket_raw`)
+and reduces each exponent once; the closure and Cartan walk of
+`involution` decides on those accumulators unreduced.
 """
 from __future__ import annotations
 
@@ -184,7 +185,7 @@ def untwisted(algebra) -> FiniteAutomorphism:
 
 # -- operations ----------------------------------------------------------
 
-def _over_one_denominator(terms):
+def over_one_denominator(terms):
     """(exponent, numerators) pairs of terms over their least common
     denominator D, and D; free when every denominator is 1."""
     den = 1
@@ -196,14 +197,12 @@ def _over_one_denominator(terms):
     return [(k, [x * (den // d) for x in nums]) for k, (nums, d) in terms.items()], den
 
 
-def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopElement:
-    """Pointwise bracket: coefficient convolution [f,g]_k = sum [a_p, b_q].
-    f's terms go over one denominator and g's over another, each output
-    exponent sums its finite brackets' numerators in one int accumulator
-    (`FiniteLieAlgebra.bracket_add`), and is reduced once."""
-    f._require_match(g)
-    alg = f.algebra
-    (fs, df), (gs, dg) = _over_one_denominator(f.terms), _over_one_denominator(g.terms)
+def loop_bracket_raw(alg, fs, gs):
+    """The convolution of `loop_bracket` on prepared operands, unreduced:
+    for (exponent, numerators) lists fs over D_f and gs over D_g
+    (`over_one_denominator`), {p + q: acc}, each acc the int list [re | im]
+    of sum [a_p, b_q] over D_f D_g D_s (`FiniteLieAlgebra.bracket_add`).
+    An accumulator may be all zero."""
     add, width, out = alg.bracket_add, 2 * alg.dim, {}
     for p, a in fs:
         for q, b in gs:
@@ -211,7 +210,19 @@ def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopEle
             if acc is None:
                 acc = out[p + q] = [0] * width
             add(acc, a, b)
+    return out
+
+
+def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopElement:
+    """Pointwise bracket: coefficient convolution [f,g]_k = sum [a_p, b_q].
+    f's terms go over one denominator and g's over another, the raw
+    accumulators come from `loop_bracket_raw`, and each output exponent is
+    reduced once."""
+    f._require_match(g)
+    alg = f.algebra
+    (fs, df), (gs, dg) = over_one_denominator(f.terms), over_one_denominator(g.terms)
     den = df * dg * alg._sc_den
+    out = loop_bracket_raw(alg, fs, gs)
     return f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
 
 

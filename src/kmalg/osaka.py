@@ -185,7 +185,7 @@ def _check_expected_kp(record: OsakaRecord, dec: Truncation):
     satisfy the expected coefficient condition (read on `representatives`
     under conj, phi and the expected map) and the frozen dimensions agree."""
     exp = record.expected_kp
-    own = set(representatives(dec.blocks, dec.real_form.conj, dec.involution.loop_map, exp.map))
+    own = set(representatives(dec, dec.real_form.conj, dec.involution.loop_map, exp.map))
     dims = dec.dims()
     for i, (key, items) in enumerate(dec.blocks):
         want_k, want_p = exp.block_dims(key)

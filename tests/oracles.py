@@ -25,7 +25,10 @@ duality pairing dualizes twice per record, as it did before it reused the
 partner's dual, with dualize re-verifying each dual's closure as it did
 before the pairing lost its degree; and the involutive and expected K/P
 checks apply their maps to every element, as osaka_verify did before it
-read only one block per period class. Random Scalars are drawn as two
+read only one block per period class. The one walk over the brackets of a
+truncation builds each representative pair's bracket with hat_bracket and
+tests it with contains and phi.fixes, as it did before it decided on raw
+bracket numerators. Random Scalars are drawn as two
 Fractions each, as TrialRng.scalar drew them before it was built from the
 draws of TrialRng.gaussian.
 """
@@ -43,6 +46,8 @@ from kmalg.involution import (
     PreservationError,
     Truncation,
     _combine,
+    _period,
+    _representative_pairs,
     dualize,
 )
 from kmalg.kmext import ExtendedElement, hat_bracket, real_coords
@@ -713,6 +718,25 @@ def verify_closed_reference(rf, truncation) -> bool:
     unordered pair of truncated basis elements is bracketed."""
     flat = truncation.elements
     return all(rf.contains(hat_bracket(x, y)) for i, x in enumerate(flat) for y in flat[i:])
+
+
+def bracket_verdicts_reference(t, relations):
+    """involution.bracket_verdicts before it decided on raw bracket
+    numerators: each representative pair's bracket is built with
+    hat_bracket and tested with contains and phi.fixes. The body is kept
+    verbatim."""
+    rf, phi = t.real_form, t.involution
+    holds = relations and phi is not None
+    period = _period(rf.conj, None if phi is None else phi.loop_map)
+    for (x, sx), (y, sy) in _representative_pairs(t.blocks, period):
+        z = hat_bracket(x, y)
+        if z.is_zero():
+            continue
+        if not rf.contains(z):
+            return False, False
+        if holds and not phi.fixes(z, sx * sy):
+            holds = False
+    return True, holds
 
 
 def verify_cartan_relations_reference(dec) -> bool:

@@ -14,7 +14,7 @@ from kmalg.involution import (
     fixed_and_eigenspaces,
     verify_cartan_relations,
 )
-from kmalg.kmext import hat_bracket
+from kmalg.kmext import cocycle, hat_bracket
 from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
 from kmalg.scalars import I
 from oracles import kp_blocks
@@ -91,11 +91,16 @@ def test_cartan_relations_bracket_each_unordered_pair_once(monkeypatch):
     n = len(dec.k_basis) + len(dec.p_basis)
     calls = Counter()
 
-    def counting_bracket(x, y):
-        calls[x, y] += 1
-        return hat_bracket(x, y)
+    # the walk brackets a pair with a d item through hat_bracket, and any
+    # other pair through its raw kernel and the cocycle of the two loops
+    def counting(fn, pair):
+        def wrapper(x, y):
+            calls[pair(x, y)] += 1
+            return fn(x, y)
+        return wrapper
 
-    monkeypatch.setattr(involution, "hat_bracket", counting_bracket)
+    monkeypatch.setattr(involution, "hat_bracket", counting(hat_bracket, lambda x, y: (id(x.loop), id(y.loop))))
+    monkeypatch.setattr(involution, "cocycle", counting(cocycle, lambda f, g: (id(f), id(g))))
     assert verify_cartan_relations(dec)
     assert sum(calls.values()) == n * (n + 1) // 2
     assert set(calls.values()) == {1}
