@@ -190,14 +190,9 @@ class InvolutionDescriptor:
     def apply(self, x: ExtendedElement) -> ExtendedElement:
         return ExtendedElement(self.loop_map.apply_loop(x.loop), *self._apply_cd(x.c, x.d))
 
-    def fixes(self, x: ExtendedElement, sign=1) -> bool:
-        """Whether apply(x) == sign * x, the loop part decided image-free
-        (`CoeffMap.fixes`)."""
-        return self.fixes_parts(x.loop.terms, x.c, x.d, sign)
-
     def fixes_parts(self, terms, c, d, sign=1) -> bool:
-        """`fixes` of the element with these loop terms (`CoeffMap.fixes_terms`)
-        and these c and d."""
+        """Whether apply(x) == sign * x for x with these loop terms and these
+        c and d, the loop part decided image-free (`CoeffMap.fixes_terms`)."""
         if (c or d) and self._apply_cd(c, d) != ((c, d) if sign == 1 else (-c, -d)):
             return False
         return self.loop_map.fixes_terms(terms, sign)
@@ -354,20 +349,15 @@ class RealFormDescriptor:
         block changes its brackets only by exponents congruent mod P and
         nonzero real factors (the cocycle's k, the derivative's ik), keeping
         real lines and eigenspaces; so closure and the Cartan relations are
-        decided by one block pair per class (`_classes`), all from degree 2P.
-        Every element has sign 0. The classes under P are known as the
-        blocks are built, and are those `_classes` finds: every element has
-        its exponents in its block's key, only the ("cd",) block has c or
-        d, and block (k, -k), k > P, at position k, is exactly the shift of
-        block (k - P, P - k)."""
-        period, blocks, label = _period(self.conj), {}, []
-        for i, key in enumerate(self.block_keys(n_max)):
-            solved = key[0] == "cd" or key[0] <= period
-            blocks[key] = ([(e, 0) for e in self.block_basis(key)] if solved
+        decided by one block pair per class (`Truncation.classes`), all from
+        degree 2P. Every element has sign 0. The truncation records P as
+        the period its blocks were built with."""
+        period, blocks = _period(self.conj), {}
+        for key in self.block_keys(n_max):
+            blocks[key] = ([(e, 0) for e in self.block_basis(key)] if key[0] == "cd" or key[0] <= period
                            else _shift(blocks[(key[0] - period, period - key[0])], period))
-            label.append(i if solved else label[i - period])
         t = Truncation(self, n_max, tuple(blocks.items()))
-        t._labels[period] = label
+        object.__setattr__(t, "built_period", period)  # frozen, and not an init field
         return t
 
     # -- closure -----------------------------------------------------------
@@ -394,53 +384,21 @@ def _shift(items, period):
         for e, s in items]
 
 
-def _classes(blocks, period):
-    """Period-P class (P = period, `truncate`) of each block of a list of
-    (key, [(element, sign)]) pairs, by position: block (k, -k), k > P, joins
-    the class of block (k-P, P-k) when its items are that block's with the
-    same signs and each element shifted (`_shift`), all with c = d = 0. Any
-    other block is its own class, as is every block if two share a key or
-    an element has an exponent outside its block (the lemma needs it)."""
-    keys, label = [key for key, _ in blocks], list(range(len(blocks)))
-    if len(set(keys)) < len(keys) or any(
-            not set(e.loop.terms) <= set(key) for key, items in blocks for e, _ in items):
-        return label
-    pos = {key: i for i, key in enumerate(keys)}
-    for i, (key, items) in enumerate(blocks):
-        j = None if key[0] == "cd" or key[0] <= period else pos.get((key[0] - period, period - key[0]))
-        if j is None:
-            continue
-        base = blocks[j][1]
-        if all(not e.c and not e.d for e, _ in base) and _shift(base, period) == items:
-            label[i] = label[j]
-    return label
-
-
 def representatives(t: "Truncation", *maps):
     """Positions of the blocks of a truncation that are their own class
-    (`Truncation.classes`) under the period of maps. A merged block is its
-    base shifted, and the maps commute with the shift, so maps need to be
+    (`Truncation.classes`) under the period of maps: every block of a
+    truncation that records no built period. A merged block is its base
+    shifted, and the maps commute with the shift, so maps need to be
     applied to these only."""
     return [i for i, label in enumerate(t.classes(_period(*maps))) if label == i]
 
 
-def involutive_verdicts(phi: InvolutionDescriptor, truncation: "Truncation"):
-    """(preserved, squares): phi maps the truncated basis into the form, and
-    phi(phi(e)) = e on it; read on `representatives` under conj and phi."""
-    rf = truncation.real_form
-    basis = [e for i in representatives(truncation, rf.conj, phi.loop_map)
-             for e, _ in truncation.blocks[i][1]]
-    images = [phi.apply(e) for e in basis]
-    preserved = all(rf.contains(img) for img in images)
-    return preserved, all(phi.apply(img) == e for e, img in zip(basis, images))
-
-
-def _representative_pairs(blocks, period, label=None):
+def _representative_pairs(blocks, label):
     """Each unordered pair of items of one representative block pair per
-    class, the class of a pair being (class of a, class of b, same block?)
-    (`_classes`, or label when the blocks' classes under period are already
-    known); this keeps (1, 1 + P) apart from (1, 1)."""
-    label, seen = _classes(blocks, period) if label is None else label, set()
+    class, the class of a pair being (class of a, class of b, same block?),
+    label[i] the class of block i (`Truncation.classes`); this keeps
+    (1, 1 + P) apart from (1, 1)."""
+    seen = set()
     for i, (_, xs) in enumerate(blocks):
         for i2, (_, ys) in enumerate(blocks[i:], i):
             cls = (frozenset((label[i], label[i2])), i == i2)
@@ -457,23 +415,27 @@ class Truncation:
     as (key, [(element, sign), ...]) pairs in block_keys order. A plain
     truncation (involution None) gives every element sign 0; its Cartan
     split by an involution (`fixed_and_eigenspaces`) has the same blocks,
-    each holding its K elements (+1) and then its P elements (-1)."""
+    each holding its K elements (+1) and then its P elements (-1).
+    built_period is the period P0 `truncate` or the split built the blocks
+    with: block (k, -k), k > P0, is block (k - P0, P0 - k) `_shift`ed. Not
+    an init field, it is None on a dataclasses.replace copy or a truncation
+    built by hand."""
 
     real_form: RealFormDescriptor
     n_max: int
     blocks: tuple
     involution: InvolutionDescriptor | None = None
-    # period -> `_classes` labels of blocks; not an init field, so a copy
-    # made by dataclasses.replace starts with none of this one's
-    _labels: dict = field(default_factory=dict, init=False, repr=False)
+    built_period: int | None = field(default=None, init=False, repr=False)
 
     def classes(self, period):
-        """`_classes` of the blocks under period, found once per truncation
-        and period."""
-        label = self._labels.get(period)
-        if label is None:
-            label = self._labels[period] = _classes(self.blocks, period)
-        return label
+        """The period-P class (P = period) of each block, as the position of
+        the block standing for it: when built_period divides P, that of
+        block (k, -k), k > P, is block (j, -j), j in 1..P, j = k mod P, of
+        which it is the exact shift. Any other block is its own class."""
+        if self.built_period is None or period % self.built_period:
+            return list(range(len(self.blocks)))
+        return [i if key[0] == "cd" or key[0] <= period else (key[0] - 1) % period + 1
+                for i, (key, _) in enumerate(self.blocks)]
 
     @property
     def elements(self):
@@ -512,68 +474,78 @@ def _combine(elements, coeffs):
     return total
 
 
+def _matrix_on_block(phi, rf, key, elems, images):
+    """The real matrix of phi on a block, column j holding the coordinates
+    of images[j] in the basis elems. Raises PreservationError when an image
+    is not in the form or not in the block's real span (e.g. not graded by
+    the twist, which `contains` does not test)."""
+    if not all(rf.contains(img) for img in images):
+        raise PreservationError(f"{phi.name} does not preserve real form {rf.name} on block {key}")
+    left = PreservationError(f"image under {phi.name} left the {key} block of {rf.name}")
+    degrees = [0] if key == ("cd",) else sorted(set(key))
+    if any(k not in degrees for img in images for k in img.loop.terms):
+        raise left
+    # one elimination on [block basis | images], real coordinates as rows
+    columns = [real_coords(x, degrees) for x in elems + images]
+    red, pivots = linalg.rref(list(zip(*columns)))
+    n = len(elems)
+    if any(c >= n for c in pivots):
+        raise left
+    m = [[0] * n for _ in range(n)]
+    for r, c in enumerate(pivots):
+        m[c] = red[r][n:]
+    return m
+
+
 def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> Truncation:
     """The Cartan split of a truncation of a real form: the same blocks,
     each holding the exact +1 eigenvectors of phi (K, sign +1) and then the
-    -1 eigenvectors (P, sign -1); phi must preserve the form. Blocks up to
-    (P, -P) are solved, P = 2 when the parities of the form's conj and phi
-    are even, else 4 (`_period`); a block in the period-P class of block
-    (k-P, P-k) (`_classes`, as `truncate` builds them) gets that block's
-    items shifted. This is exact: phi commutes with the shift, i^{pk}
-    having period P.
+    -1 eigenvectors (P, sign -1). P = 2 when the parities of the form's
+    conj and phi are even, else 4 (`_period`); a block in the period-P
+    class of a lower one (`Truncation.classes`) gets the items of the
+    block P lower shifted, which is exact as phi commutes with the shift.
 
-    The split is handed the truncation's classes under P: its block i is
-    built as exactly the shift of the block whose class i joined, and that
-    block's eigenvectors are combinations of c = d = 0 elements with
-    exponents in their key, as the truncation's were, so `_classes` on the
-    split would join every block this one joins. (It could join more only
-    if a block the truncation kept apart came out as the shift after
-    solving; a finer partition is still sound, as the walk then brackets
-    more representative pairs, each merged block being an exact shift.)"""
+    It is the one pass over phi's images: each element of a block that is
+    its own class is imaged once. phi preserves the form when each image
+    is in the form and in its block's span (`_matrix_on_block`), and
+    squares to the identity when it maps each image back to its element,
+    tested even after a block fails. Only when both hold are K and P
+    built; else the error of the first failing block (preservation tested
+    first) raises, with verdicts = (preserved, squares)."""
     rf = truncation.real_form
     period = _period(rf.conj, phi.loop_map)
     label = truncation.classes(period)
-    pos = {key: i for i, (key, _) in enumerate(truncation.blocks)}
-    blocks = []
+    preserved = squares = True
+    error, solved = None, {}
     for i, (key, items) in enumerate(truncation.blocks):
         if label[i] != i:
-            blocks.append((key, _shift(blocks[pos[(key[0] - period, period - key[0])]][1], period)))
             continue
         elems = [e for e, _ in items]
-        if not elems:
-            blocks.append((key, []))
+        images = [phi.apply(e) for e in elems]
+        block_squares = all(phi.apply(img) == e for e, img in zip(elems, images))
+        squares = squares and block_squares
+        if not preserved:
             continue
-        degrees = [0] if key == ("cd",) else sorted(set(key))
-        images = []
-        for e in elems:
-            img = phi.apply(e)
-            if not rf.contains(img):
-                raise PreservationError(
-                    f"{phi.name} does not preserve real form {rf.name} on block {key}"
-                )
-            images.append(img)
-        left = PreservationError(f"image under {phi.name} left the {key} block of {rf.name}")
-        window = set(degrees)
-        if any(k not in window for img in images for k in img.loop.terms):
-            raise left
-        # one elimination on [block basis | images], real coordinates as rows
-        columns = [real_coords(x, degrees) for x in elems + images]
-        red, pivots = linalg.rref(list(zip(*columns)))
-        n = len(elems)
-        if any(c >= n for c in pivots):
-            raise left
-        # matrix of phi on the block: column j holds the coordinates of image j
-        m = [[0] * n for _ in range(n)]
-        for r, c in enumerate(pivots):
-            m[c] = red[r][n:]
-        k_vecs = linalg.nullspace([[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)])
-        p_vecs = linalg.nullspace([[m[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)])
-        if len(k_vecs) + len(p_vecs) != n:
-            raise InvolutionError(f"{phi.name} does not square to the identity on block {key}")
-        blocks.append((key, [(_combine(elems, v), 1) for v in k_vecs]
-                       + [(_combine(elems, v), -1) for v in p_vecs]))
+        try:
+            solved[i] = elems, _matrix_on_block(phi, rf, key, elems, images)
+        except PreservationError as fault:
+            preserved, error = False, error or fault
+        if preserved and not block_squares:
+            error = error or InvolutionError(f"{phi.name} does not square to the identity on block {key}")
+    if error is not None:
+        error.verdicts = preserved, squares
+        raise error
+    blocks = []
+    for i, (key, _) in enumerate(truncation.blocks):
+        if label[i] != i:
+            blocks.append((key, _shift(blocks[i - period][1], period)))
+            continue
+        elems, m = solved[i]  # K (+1 eigenvectors of m), then P (-1)
+        blocks.append((key, [(_combine(elems, v), sign) for sign in (1, -1) for v in linalg.nullspace(
+            [[x - (sign if r == c else 0) for c, x in enumerate(row)] for r, row in enumerate(m)])]))
     split = Truncation(rf, truncation.n_max, tuple(blocks), phi)
-    split._labels[period] = label
+    if truncation.built_period and period % truncation.built_period == 0:
+        object.__setattr__(split, "built_period", period)  # frozen, and not an init field
     return split
 
 
@@ -586,8 +558,9 @@ def bracket_verdicts(t: Truncation, relations: bool):
     [K,K] in K, [K,P] in P, [P,P] in K. Each unordered pair is bracketed
     once (both tests are invariant under z -> -z), in one representative
     block pair per period-P class (`Truncation.classes`; P of conj, and of
-    phi on a split): a hand-corrupted block is its own class. A bracket
-    that leaves the form fails both and ends the walk.
+    phi on a split): every block of a truncation built by hand or copied,
+    a corrupted one among them, is its own class. A bracket that leaves
+    the form fails both and ends the walk.
 
     No bracket is built. Each item's loop terms are put over one
     denominator once (`over_one_denominator`); a pair's loop bracket is
@@ -610,7 +583,7 @@ def bracket_verdicts(t: Truncation, relations: bool):
         ready[id(item)] = out = (e, terms, den, sign, inside)
         return out
 
-    for x, y in _representative_pairs(t.blocks, period, t.classes(period)):
+    for x, y in _representative_pairs(t.blocks, t.classes(period)):
         ex, fs, dx, sx, inside = ready.get(id(x)) or prepared(x)
         ey, gs, dy, sy, _ = ready.get(id(y)) or prepared(y)
         if ex.d or ey.d:

@@ -20,17 +20,16 @@ from .findim import direct_sum, identity_automorphism, make_abelian, make_su
 from .involution import (
     CoeffMap,
     InvolutionDescriptor,
+    InvolutionError,
     RealFormDescriptor,
     Truncation,
     bracket_verdicts,
     dualize,
     fixed_and_eigenspaces,
     involution_from_invariants,
-    involutive_verdicts,
     representatives,
 )
-from .kmext import ExtendedElement
-from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted, zero_loop
+from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted
 from .scalars import ONE, ZERO, vec_support
 
 
@@ -43,10 +42,6 @@ class OsakaType(Enum):
 class Effectiveness(Enum):
     EFFECTIVE = "Effective"
     NOT_EFFECTIVE = "NotEffective"
-
-
-class EffectivenessError(ValueError):
-    """epsilon = -1 is declared, but the involution does not negate c."""
 
 
 @dataclass(frozen=True)
@@ -98,21 +93,21 @@ class OsakaReport:
 
 # -- core checks ----------------------------------------------------------
 
-def _restrict_to_coords(x: ExtendedElement, allowed) -> bool:
-    return all(vec_support(vec) <= allowed for vec in x.loop.terms.values())
-
-
 def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     """All defining checks, exactly, at truncation degree n_max; every
-    check reads the one truncation of the real form built here. One walk
-    over its brackets (`bracket_verdicts`) decides closure and, when phi is
-    involutive on it and splits it into K and P, the Cartan relations."""
+    check reads the one truncation of the real form built here. Its split
+    (`fixed_and_eigenspaces`) decides the involutive check, and one walk
+    over the brackets of the split, or of the truncation when phi does not
+    split it, decides closure and the Cartan relations (`bracket_verdicts`)."""
     report = OsakaReport(record.name)
     rf, phi = record.real_form, record.involution
     truncation = rf.truncate(n_max)
 
-    preserved, squares = involutive_verdicts(phi, truncation)
-    dec = fixed_and_eigenspaces(phi, truncation) if preserved and squares else truncation
+    preserved = squares = True
+    try:
+        dec = fixed_and_eigenspaces(phi, truncation)
+    except InvolutionError as err:
+        dec, (preserved, squares) = truncation, err.verdicts
     closed, relations = bracket_verdicts(dec, record.claimed_type == OsakaType.NON_COMPACT)
     report.checks["closure"] = CheckResult(closed, "real form closed under the bracket")
     report.checks["involutive"] = CheckResult(
@@ -130,14 +125,13 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     # fixed abelian loop leakage into the pairing, Gram neg definite.
     fixed_cd_free = all(not e.c and not e.d for e in dec.k_basis)
     ss = {i for b in rf.algebra.simple_blocks() for i in b.indices}
-    fixed_ss_loops = [
-        e.loop for e in dec.k_basis if not e.loop.is_zero() and _restrict_to_coords(e, ss)
-    ]
-    mixed = [
-        e for e in dec.k_basis
-        if not e.loop.is_zero() and not _restrict_to_coords(e, ss)
-        and any(vec_support(vec) & ss for vec in e.loop.terms.values())
-    ]
+    fixed_ss_loops, mixed = [], False
+    for e in dec.k_basis:
+        supports = [vec_support(vec) for vec in e.loop.terms.values()]
+        if supports and all(s <= ss for s in supports):
+            fixed_ss_loops.append(e.loop)
+        elif any(s & ss for s in supports):
+            mixed = True
     if fixed_ss_loops:
         _, verdict = killing_gram(fixed_ss_loops)
         gram_ok = verdict == Definiteness.NEG_DEFINITE
@@ -170,7 +164,7 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
         record, computed, relations, valid_so_far=report.checks["fix_compact"].passed
     )
     report.checks["effective"] = CheckResult(
-        effectiveness_check(record) == Effectiveness.EFFECTIVE, f"epsilon = {phi.epsilon}"
+        effectiveness_check(record, truncation) == Effectiveness.EFFECTIVE, f"epsilon = {phi.epsilon}"
     )
     verdict, witness = irreducibility_check(record)
     report.checks["irreducible"] = CheckResult(
@@ -214,19 +208,13 @@ def _check_type(record: OsakaRecord, computed: OsakaType, relations: bool,
     return CheckResult(ok, f"computed {computed.value}, claimed {record.claimed_type.value}")
 
 
-def effectiveness_check(record: OsakaRecord) -> Effectiveness:
-    """Effective iff the involution does not fix the center line, i.e. its
-    epsilon is -1, so that it maps c to -c. An involution that declares
-    epsilon = -1 but does not negate c raises EffectivenessError."""
-    phi = record.involution
-    effective = phi.epsilon == -1
-    if effective:
-        c_el = ExtendedElement(
-            zero_loop(record.real_form.algebra, record.real_form.twist),
-            c=record.real_form.cd_scale if record.real_form.cd_scale else ONE,
-        )
-        if phi.apply(c_el) != -c_el:
-            raise EffectivenessError(f"{phi.name}: epsilon = -1 but c is not negated")
+def effectiveness_check(record: OsakaRecord, truncation: Truncation | None = None) -> Effectiveness:
+    """Effective iff the involution maps each c element of the form's
+    ("cd",) block (read from truncation when given) to its negative, read
+    from the map and not from its declared epsilon."""
+    cd = dict(truncation.blocks)[("cd",)] if truncation else [
+        (e, 0) for e in record.real_form.block_basis(("cd",))]
+    effective = all(record.involution.apply(e) == -e for e, _ in cd if e.c)
     return Effectiveness.EFFECTIVE if effective else Effectiveness.NOT_EFFECTIVE
 
 

@@ -27,8 +27,10 @@ before the pairing lost its degree; and the involutive and expected K/P
 checks apply their maps to every element, as osaka_verify did before it
 read only one block per period class. The one walk over the brackets of a
 truncation builds each representative pair's bracket with hat_bracket and
-tests it with contains and phi.fixes, as it did before it decided on raw
-bracket numerators. Random Scalars are drawn as two
+tests it with contains and descriptor_fixes, as it did before it decided on
+raw bracket numerators, on the period classes classes_reference finds on
+the blocks, as truncations did before they recorded the period their
+blocks were built with. Random Scalars are drawn as two
 Fractions each, as TrialRng.scalar drew them before it was built from the
 draws of TrialRng.gaussian.
 """
@@ -48,6 +50,7 @@ from kmalg.involution import (
     _combine,
     _period,
     _representative_pairs,
+    _shift,
     dualize,
 )
 from kmalg.kmext import ExtendedElement, hat_bracket, real_coords
@@ -720,21 +723,54 @@ def verify_closed_reference(rf, truncation) -> bool:
     return all(rf.contains(hat_bracket(x, y)) for i, x in enumerate(flat) for y in flat[i:])
 
 
+def classes_reference(blocks, period):
+    """Period-P class (P = period, `truncate`) of each block of a list of
+    (key, [(element, sign)]) pairs, by position: block (k, -k), k > P, joins
+    the class of block (k-P, P-k) when its items are that block's with the
+    same signs and each element shifted (`_shift`), all with c = d = 0. Any
+    other block is its own class, as is every block if two share a key or
+    an element has an exponent outside its block (the lemma needs it).
+    This is involution._classes, which rediscovered the classes before a
+    truncation recorded the period its blocks were built with, kept
+    verbatim."""
+    keys, label = [key for key, _ in blocks], list(range(len(blocks)))
+    if len(set(keys)) < len(keys) or any(
+            not set(e.loop.terms) <= set(key) for key, items in blocks for e, _ in items):
+        return label
+    pos = {key: i for i, key in enumerate(keys)}
+    for i, (key, items) in enumerate(blocks):
+        j = None if key[0] == "cd" or key[0] <= period else pos.get((key[0] - period, period - key[0]))
+        if j is None:
+            continue
+        base = blocks[j][1]
+        if all(not e.c and not e.d for e, _ in base) and _shift(base, period) == items:
+            label[i] = label[j]
+    return label
+
+
+def descriptor_fixes(phi, x, sign=1) -> bool:
+    """InvolutionDescriptor.fixes, whose only caller was the reference
+    walk below: whether phi.apply(x) == sign * x, the loop part decided
+    image-free."""
+    return phi.fixes_parts(x.loop.terms, x.c, x.d, sign)
+
+
 def bracket_verdicts_reference(t, relations):
     """involution.bracket_verdicts before it decided on raw bracket
     numerators: each representative pair's bracket is built with
-    hat_bracket and tested with contains and phi.fixes. The body is kept
-    verbatim."""
+    hat_bracket and tested with contains and descriptor_fixes. The body is
+    kept verbatim apart from those two names (the classes, found by
+    _representative_pairs then, are now passed in)."""
     rf, phi = t.real_form, t.involution
     holds = relations and phi is not None
     period = _period(rf.conj, None if phi is None else phi.loop_map)
-    for (x, sx), (y, sy) in _representative_pairs(t.blocks, period):
+    for (x, sx), (y, sy) in _representative_pairs(t.blocks, classes_reference(t.blocks, period)):
         z = hat_bracket(x, y)
         if z.is_zero():
             continue
         if not rf.contains(z):
             return False, False
-        if holds and not phi.fixes(z, sx * sy):
+        if holds and not descriptor_fixes(phi, z, sx * sy):
             holds = False
     return True, holds
 
@@ -837,13 +873,25 @@ def duality_pairing_reference(catalog, n_max=2):
 
 # -- involutive and expected K/P checks on every element ------------------------------
 
+def graded(f) -> bool:
+    """Whether each coefficient a_k of the loop f satisfies the twist
+    grading sigma a_k = (-1)^k a_k (always, when f is untwisted), sigma
+    applied densely."""
+    if f.twist.order == 1:
+        return True
+    return all(dense_apply(f.twist.matrix, vec) == (vec if k % 2 == 0 else tuple(-x for x in vec))
+               for k, vec in f.coeffs.items())
+
+
 def involutive_reference(rf, phi, truncation):
     """(preserved, squares) of osaka_verify's involutive check as it was
     before it read only the blocks that are their own period class: phi is
-    applied to every truncated basis element."""
+    applied to every truncated basis element. An image preserves the form
+    when it lies in the form and is twist-graded, which contains does not
+    test and the Cartan split does (as the real span of its block)."""
     basis = truncation.elements
     images = [phi.apply(e) for e in basis]
-    preserved = all(rf.contains(img) for img in images)
+    preserved = all(rf.contains(img) and graded(img.loop) for img in images)
     squares = all(phi.apply(img) == e for e, img in zip(basis, images))
     return preserved, squares
 

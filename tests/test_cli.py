@@ -364,6 +364,23 @@ def test_osaka_verify_non_involution_fails_prerequisites(tmp_path, capsys):
     assert rep["computed_type"] is None
 
 
+def test_osaka_verify_map_breaking_the_twist_grading_is_not_involutive(tmp_path, capsys):
+    """On su2c twisted by diag(-1, 1, -1), rho_plus swapping coordinates 0
+    and 1 does not commute with the twist: the images of the (0,) block are
+    fixed by the form's conj but not twist-graded, so phi does not preserve
+    the form. That is a failed verdict (exit 1), not an internal error."""
+    swap = [[["1" if j == (1, 0, 2)[i] else "0", "0"] for j in range(3)] for i in range(3)]
+    record = _su2c_record(twist_order=2, involution={**_su2c_record()["involution"],
+                                                     "rho_plus": {"matrix": swap}})
+    path = write_json(tmp_path, "record.json", record)
+    for degree in ("2", "5"):
+        code, out, err = run_cli(capsys, "osaka-verify", "--record", path, "--degree", degree)
+        assert code == cli.EXIT_FAIL and err == ""
+        rep = json.loads(out)
+        assert rep["checks"]["involutive"] is False
+        assert rep["details"]["involutive"] == "preserves form: False, squares to identity: True"
+
+
 _INVOLUTION = _su2c_record()["involution"]
 
 

@@ -1,10 +1,12 @@
 """One walk over the brackets of a K/P split decides closure and the Cartan
-relations (bracket_verdicts), the involutive and expected K/P checks apply
+relations (bracket_verdicts), the split's one pass over phi's images
+decides the involutive check, the involutive and expected K/P checks apply
 their maps to one block per period class (representatives), and dualize
 only builds the dual maps: osaka-catalog brackets each representative block
-pair once. Each fast path is checked against the all-pairs or every-element
-reference in oracles, on the 512 diagonal forms, on every catalog record at
-degrees 1 to 16, and on the corrupted splits of test_period_classes."""
+pair once and images each representative element twice. Each fast path is
+checked against the all-pairs or every-element reference in oracles, on
+the 512 diagonal forms, on every catalog record at degrees 1 to 16, and on
+the corrupted splits of test_period_classes."""
 from collections import Counter
 from dataclasses import replace
 
@@ -14,11 +16,12 @@ from kmalg import cli, involution, osaka, serialize
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
+    InvolutionError,
+    PreservationError,
     RealFormDescriptor,
     _period,
     bracket_verdicts,
     fixed_and_eigenspaces,
-    involutive_verdicts,
 )
 from kmalg.osaka import ExpectedKP, _check_expected_kp, build_catalog_a1, catalog_record, duality_pairing
 from kmalg.scalars import Scalar, ZERO
@@ -30,6 +33,16 @@ from oracles import (
     verify_closed_reference,
 )
 from test_period_classes import DIAGONAL, NAMES, PAIRS, _corrupted, _counting_brackets, _span
+
+
+def split_verdicts(phi, truncation):
+    """(preserved, squares) as osaka_verify reads them off the Cartan split
+    of truncation by phi."""
+    try:
+        fixed_and_eigenspaces(phi, truncation)
+    except InvolutionError as err:
+        return err.verdicts
+    return True, True
 
 
 def _diag(signs):
@@ -56,7 +69,7 @@ def test_bracket_verdicts_match_all_pairs_on_every_diagonal_form(pair):
         truncation = rf.truncate(8)
         assert bracket_verdicts(truncation, True) == (verify_closed_reference(rf, truncation), False)
         phis = [PHIS[(5 * n + j) % len(PHIS)] for j in range(2)] + PHIS[:1]
-        got = [involutive_verdicts(phi, truncation) for phi in phis]
+        got = [split_verdicts(phi, truncation) for phi in phis]
         assert got == [involutive_reference(rf, phi, truncation) for phi in phis]
         involutive.update(got[:2])
         phi = next(phi for phi, v in zip(phis, got) if all(v))
@@ -86,7 +99,7 @@ def test_involutive_and_expected_kp_match_every_element_on_the_catalog():
         rf, phi = rec.real_form, rec.involution
         for degree in range(1, 17):
             truncation = rf.truncate(degree)
-            assert involutive_verdicts(phi, truncation) == involutive_reference(rf, phi, truncation)
+            assert split_verdicts(phi, truncation) == involutive_reference(rf, phi, truncation)
             dec = fixed_and_eigenspaces(phi, truncation)
             for m in _expected_maps(rec):
                 changed = replace(rec, expected_kp=ExpectedKP(m, rec.expected_kp.dims))
@@ -103,7 +116,7 @@ def test_involutive_and_expected_kp_match_every_element_on_corrupted_splits(name
     verdicts = Counter()
     for dec in _corrupted(fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(6))):
         span = _span(dec)
-        got = involutive_verdicts(rec.involution, span)
+        got = split_verdicts(rec.involution, span)
         assert got == involutive_reference(rec.real_form, rec.involution, span)
         verdicts[got] += 1
         for m in _expected_maps(rec):
@@ -181,6 +194,40 @@ def test_walk_and_membership_build_no_image(monkeypatch, capsys):
     assert calls["hat_bracket"] == 2662
     assert inside == {"bracket_verdicts": 0, "contains": 0}
     assert entered["bracket_verdicts"] and entered["contains"] and calls["apply_loop"]
+
+
+def test_squares_is_decided_on_every_block_after_one_fails():
+    """phi: a_k -> i^k M a_k, M = [[0, i, 0], [-i, 0, 0], [0, 0, 1]] with
+    M^2 = 1, on the compact form of I[Id,Id]. M does not keep the real
+    constants of block (0,), on which phi squares to the identity; on
+    block (1, -1) phi^2 = (-1)^k = -1. The split raises the error of block
+    (0,) and still reads squares off the later blocks."""
+    rec = catalog_record("I[Id,Id]")
+    m = [[ZERO, Scalar(0, 1), ZERO], [Scalar(0, -1), ZERO, ZERO], [ZERO, ZERO, Scalar(1)]]
+    phi = InvolutionDescriptor("odd swap", CoeffMap(m, 1, False, 1), -1, False)
+    truncation = rec.real_form.truncate(2)
+    with pytest.raises(PreservationError, match=r"on block \(0,\)"):
+        fixed_and_eigenspaces(phi, truncation)
+    assert split_verdicts(phi, truncation) == involutive_reference(rec.real_form, phi, truncation) == (False, False)
+
+
+def test_osaka_catalog_images_each_representative_element_twice(monkeypatch, capsys):
+    """osaka-catalog --degree 5 applies each involution to the elements of
+    the blocks that are their own class once for the image and once for
+    its image (the split), and to each record's c once (effectiveness):
+    2 * 150 + 8 calls, with no image built twice."""
+    calls = Counter()
+    apply = InvolutionDescriptor.apply
+
+    def counting(self, x):
+        calls["apply"] += 1
+        return apply(self, x)
+
+    monkeypatch.setattr(osaka, "_CATALOG_CACHE", {})
+    monkeypatch.setattr(InvolutionDescriptor, "apply", counting)
+    assert cli.run(["osaka-catalog", "--degree", "5"]) == 0
+    capsys.readouterr()
+    assert calls["apply"] <= 308
 
 
 def test_a_partner_over_another_algebra_does_not_match():

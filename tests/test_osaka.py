@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -104,33 +105,41 @@ def test_synthetic_first_kind_not_effective():
     assert effectiveness_check(ce) == Effectiveness.NOT_EFFECTIVE
 
 
-_OWN_STRUCTURE = """
-import dataclasses
-from kmalg.involution import InvolutionDescriptor
-from kmalg.osaka import EffectivenessError, catalog_record, osaka_verify
-rec = catalog_record("III[Id,Id]")
-phi = InvolutionDescriptor("own real structure", rec.real_form.conj, epsilon=-1,
-                           reflect_time=True)
-try:
-    osaka_verify(dataclasses.replace(rec, involution=phi), 1)
-except EffectivenessError as exc:
-    print("EffectivenessError:", exc)
-"""
+_FIXES_C = {
+    "schema": "kmalg/1", "name": "conjugate-linear identity", "algebra": "su2c", "twist_order": 1,
+    "form": {"conj": {"matrix": [[["1" if i == j else "0", "0"] for j in range(3)] for i in range(3)],
+                      "index_sign": 1, "parity": 0}, "cd_scale": "i"},
+    "involution": {"rho_plus": {"matrix": [[["1" if i == j else "0", "0"] for j in range(3)]
+                                           for i in range(3)]},
+                   "conjugate_linear": True, "epsilon": -1},
+    "claimed_type": "Compact",
+}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_epsilon_minus_one_fixing_c_raises_with_and_without_O(flags):
-    """III[Id,Id] (c on the line i R) with its own conjugate-linear real
-    structure as an epsilon -1 involution: conjugation and epsilon both
-    negate c = i, so c is fixed. The check is a raise, not an assert, so
-    python -O ends in the same named error."""
+def test_epsilon_minus_one_fixing_c_raises_with_and_without_O(flags, tmp_path):
+    """An involution declaring epsilon -1 that fixes c: on su2c with c on
+    the line i R, the conjugate-linear identity with epsilon -1 sends c = i
+    to -conj(i) = i. effective is read from the map, so the record is not
+    effective: a failed verdict (exit 1) with no exception, also under
+    python -O. The name is kept from when this case raised. III[Id,Id]
+    with its own real structure as the involution is the same case."""
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(_FIXES_C), encoding="utf-8")
     src = str(Path(osaka.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, *flags, "-c", _OWN_STRUCTURE], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == (
-        "EffectivenessError: own real structure: epsilon = -1 but c is not negated")
+    for degree in ("2", "5"):
+        out = subprocess.run([sys.executable, *flags, "-m", "kmalg.cli", "osaka-verify",
+                              "--record", str(path), "--degree", degree],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stderr) == (1, "")
+        rep = json.loads(out.stdout)
+        assert rep["checks"]["effective"] is False and rep["details"]["effective"] == "epsilon = -1"
+    rec = catalog_record("III[Id,Id]")
+    own = replace(rec, involution=InvolutionDescriptor("own real structure", rec.real_form.conj,
+                                                       epsilon=-1, reflect_time=True))
+    assert effectiveness_check(own) == Effectiveness.NOT_EFFECTIVE
+    assert osaka_verify(own, 1).checks["effective"].passed is False
 
 
 # -- classification -----------------------------------------------------------

@@ -18,17 +18,15 @@ from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
     RealFormDescriptor,
-    _classes,
     _period,
     _representative_pairs,
     Truncation,
-    _shift,
     bracket_verdicts,
     fixed_and_eigenspaces,
     verify_cartan_relations,
 )
-from kmalg.kmext import ExtendedElement, hat_bracket
-from kmalg.loop import loop_bracket_raw, loop_monomial
+from kmalg.kmext import hat_bracket
+from kmalg.loop import loop_bracket_raw
 from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
 from kmalg.scalars import I, ONE, Scalar, ZERO
 from oracles import (
@@ -225,37 +223,14 @@ def test_closure_bracket_count_is_flat_from_degree_8_at_odd_parity(monkeypatch):
     assert counts == [543, 579, 579]
 
 
-def _shifted(blocks, period=4):
-    """Keys of the blocks in the period-P class of a lower block."""
-    return {blocks[i][0] for i, cls in enumerate(_classes(blocks, period)) if cls != i}
-
-
-def test_a_block_stands_for_its_base_only_when_it_is_the_exact_shift():
+def test_a_hand_built_truncation_brackets_every_pair():
+    """Two blocks with one key, in a truncation built by hand: it records no
+    period, so every block is its own class and the pairs across the two
+    blocks are bracketed as all others."""
     truncation = catalog_record("I[Id,Id]").real_form.truncate(6)
     blocks = list(truncation.blocks)
-    assert _shifted(blocks, 2) == {(3, -3), (4, -4), (5, -5), (6, -6)}
-    assert _shifted(blocks) == {(5, -5), (6, -6)}
-    items = dict(blocks)
-    base, block = items[(1, -1)], items[(5, -5)]
-    e = base[0][0]
-    with_c, with_d = ExtendedElement(e.loop, c=1), ExtendedElement(e.loop, d=1)
-    constant = ExtendedElement(e.loop + loop_monomial(e.loop.algebra, e.loop.twist, 0, (ONE, ZERO, ZERO)))
-    changes = [
-        ({(1, -1): [(with_c, 0)] + base[1:]}, {(6, -6)}),  # base element with c
-        ({(1, -1): [(with_d, 0)] + base[1:]}, {(6, -6)}),  # base element with d
-        ({(5, -5): [(x, 1) for x, _ in block]}, {(6, -6)}),  # same elements, other sign
-        ({(5, -5): block[1:]}, {(6, -6)}),
-        ({(5, -5): block[1:] + block[:1]}, {(6, -6)}),
-        # an exponent outside its block: no block stands for another
-        ({(1, -1): [(constant, 0)] + base[1:], (5, -5): _shift([(constant, 0)], 4) + block[1:]}, set()),
-        ({(6, -6): items[(6, -6)] + [(e, 0)]}, set()),
-    ]
-    for change, shifted in changes:
-        assert _shifted([(key, change.get(key, its)) for key, its in blocks]) == shifted
-    assert _shifted([(key, its) for key, its in blocks if key != (1, -1)]) == {(6, -6)}
-    # two blocks with one key: every block is its own class, and the pairs
-    # across the two blocks are bracketed as all others
-    twice = blocks + [((1, -1), [(x.scale(I), s) for x, s in base])]
-    assert _shifted(twice) == set()
-    n = sum(len(its) for _, its in twice)
-    assert len(list(_representative_pairs(twice, 4))) == n * (n + 1) // 2
+    twice = Truncation(truncation.real_form, 6,
+                       tuple(blocks + [((1, -1), [(x.scale(I), s) for x, s in dict(blocks)[(1, -1)]])]))
+    assert twice.classes(4) == list(range(len(twice.blocks)))
+    n = sum(len(its) for _, its in twice.blocks)
+    assert len(list(_representative_pairs(twice.blocks, twice.classes(4)))) == n * (n + 1) // 2

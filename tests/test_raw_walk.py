@@ -1,5 +1,6 @@
 """The closure and Cartan walk on raw bracket numerators, the mirror halving
-of CoeffMap.fixes and the period classes found once per truncation.
+of CoeffMap.fixes and the period classes a truncation reads off the period
+its blocks were built with.
 
 bracket_verdicts builds no bracket: it decides both verdicts on the raw
 accumulators of loop_bracket_raw and the cocycle. It is checked against
@@ -11,31 +12,29 @@ scaled to denominators other than 1 and with items over another algebra or
 twist. CoeffMap.fixes images one half of each mirror pair when its map is
 involutive and s = -1; it is checked against apply_loop on involutive maps
 and on maps that are not, whose k >= 0 half may hold while the whole does
-not."""
+not. Truncation.classes is checked against classes_reference in oracles,
+which rediscovers the classes from the blocks."""
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmalg import involution
 from kmalg.findim import make_abelian
 from kmalg.involution import (
     CoeffMap,
     Truncation,
-    _classes,
     _period,
     bracket_verdicts,
     fixed_and_eigenspaces,
-    involutive_verdicts,
 )
 from kmalg.loop import MismatchError, TwistedLoopElement, untwisted
-from kmalg.osaka import build_catalog_a1, catalog_record, complex_conjugation_counterexample, osaka_verify
+from kmalg.osaka import catalog_record, complex_conjugation_counterexample
 from kmalg.scalars import Scalar
-from oracles import bracket_verdicts_reference
+from oracles import bracket_verdicts_reference, classes_reference
 from test_integer_walk import involutions
-from test_one_bracket_pass import PHIS
-from test_period_classes import DIAGONAL, NAMES, _corrupted
+from test_one_bracket_pass import PHIS, split_verdicts
+from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS, _corrupted, _span
 from test_sparse_maps import coeff_maps, dims, loops
 
 SCALES = (Scalar(Fraction(1, 3)), Scalar(Fraction(-2, 5)), Scalar(Fraction(1, 2), Fraction(1, 2)),
@@ -78,7 +77,7 @@ def walks(draw):
         rec = catalog_record(draw(st.sampled_from(NAMES))) if kind == "catalog" else COMPLEX
         rf, phi, degree = rec.real_form, rec.involution, draw(st.integers(1, 6))
     t = _truncate(rf, degree)
-    if draw(st.booleans()) and all(involutive_verdicts(phi, t)):
+    if draw(st.booleans()) and all(split_verdicts(phi, t)):
         t = draw(st.sampled_from(list(_corrupted(fixed_and_eigenspaces(phi, t)))))
     change = draw(st.sampled_from(("none", "scaled", "foreign", "no d")))
     block = draw(st.one_of(st.none(), st.integers(0, len(t.blocks) - 1)))
@@ -206,42 +205,41 @@ def test_involutive_is_found_once_and_compose_does_not_find_it():
     assert square.involutive and not CoeffMap([[2, 0], [0, 1]], index_sign=-1).involutive
 
 
-# -- period classes found once ----------------------------------------------------
+# -- period classes from the built period --------------------------------------------
 
-@pytest.mark.parametrize("degree", [5, 16])
-def test_classes_run_at_most_twice_per_record(monkeypatch, degree):
-    """osaka_verify reads the classes of the plain truncation (the
-    involutive check and the split) and of the split (the walk and the
-    expected K/P check); each truncation finds them at most once per
-    period. On the catalog every period is 2, so truncate's classes serve
-    the first two and the split inherits them."""
-    runs = Counter()
-
-    def counting(blocks, period):
-        runs["_classes"] += 1
-        return _classes(blocks, period)
-
-    monkeypatch.setattr(involution, "_classes", counting)
-    for rec in build_catalog_a1():
-        runs.clear()
-        assert osaka_verify(rec, degree).all_passed
-        assert runs["_classes"] <= 2
+def _check_classes(t, built):
+    """t.classes(P) equals classes_reference on t's blocks for each P in
+    {2, 4} that is a multiple of the period t's blocks were built with."""
+    assert t.built_period == built
+    for period in (2, 4):
+        if period % built == 0:
+            assert t.classes(period) == classes_reference(t.blocks, period)
 
 
 def test_truncate_and_the_split_know_the_classes_that_classes_finds():
-    """The classes truncate records as it shifts, and those a split
-    inherits, are the ones _classes finds on its blocks: on every catalog
-    record at degrees 1 to 9 and 16, and on diagonal forms of both periods
-    split by a preserving involution."""
-    cases = [(catalog_record(name).real_form, catalog_record(name).involution) for name in NAMES]
-    cases += [(rf, PHIS[0]) for rf in DIAGONAL[::37]]
-    assert {_period(rf.conj) for rf, _ in cases} == {2, 4}
-    for rf, phi in cases:
+    """The classes a truncation reads off the period truncate or the split
+    built its blocks with are the ones classes_reference finds on them: on
+    every catalog truncation and split at degrees 1 to 9 and 16, on the 512
+    diagonal forms at degrees 1, 3, 5, 8 and 9, and on the period-4
+    ODD_SPLITS at degrees 1 to 11. A copy made by dataclasses.replace, and
+    a truncation built by hand from a split's blocks, record no period, so
+    every block is its own class."""
+    for name in NAMES:
+        rf, phi = catalog_record(name).real_form, catalog_record(name).involution
         for degree in list(range(1, 10)) + [16]:
             t = rf.truncate(degree)
-            period = _period(rf.conj)
-            assert t._labels == {period: _classes(t.blocks, period)}
             dec = fixed_and_eigenspaces(phi, t)
-            split_period = _period(rf.conj, phi.loop_map)
-            assert dec._labels == {split_period: t.classes(split_period)}
-            assert dec.classes(split_period) == _classes(dec.blocks, split_period)
+            _check_classes(t, _period(rf.conj))
+            _check_classes(dec, _period(rf.conj, phi.loop_map))
+            for hand_built in (replace(dec), replace(t), _span(dec)):
+                assert hand_built.built_period is None
+                assert hand_built.classes(2) == hand_built.classes(4) == list(range(len(t.blocks)))
+    assert {_period(rf.conj) for rf in DIAGONAL} == {2, 4}
+    for rf in DIAGONAL:
+        for degree in (1, 3, 5, 8, 9):
+            _check_classes(rf.truncate(degree), _period(rf.conj))
+    for rf in ODD_SPLITS.values():
+        for degree in range(1, 12):
+            t = rf.truncate(degree)
+            _check_classes(t, _period(rf.conj))
+            _check_classes(fixed_and_eigenspaces(ODD_PHI, t), 4)
