@@ -168,7 +168,6 @@ class InvolutionDescriptor:
     loop_map: CoeffMap
     epsilon: int
     reflect_time: bool
-    invariant_pair: tuple | None = None  # (rho_plus, rho_minus) real automorphisms
 
     def __post_init__(self):
         if self.epsilon not in (1, -1):
@@ -222,13 +221,7 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
     sigma_mat = mat_mul(rho_minus.matrix, rho_plus.matrix)
     gc = g.complexify()
     sigma = FiniteAutomorphism(gc, sigma_mat, conjugate_linear=False)
-    power = sigma
-    order = None
-    for k in range(1, 3):
-        if power.is_identity():
-            order = k
-            break
-        power = sigma.compose(power)
+    order = 1 if sigma.is_identity() else 2 if sigma.compose(sigma).is_identity() else None
     if order is None:
         raise InvolutionError("sigma = rho_minus . rho_plus has order > 2 (out of scope)")
     sigma.order = order
@@ -238,7 +231,6 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
         loop_map=CoeffMap(rho_plus.matrix, index_sign=-1),
         epsilon=-1,
         reflect_time=True,
-        invariant_pair=(rho_plus, rho_minus),
     )
     return desc, gc, sigma
 
@@ -462,39 +454,9 @@ class Truncation:
 # -- eigenspace split ---------------------------------------------------------
 
 def _combine(elements, coeffs):
-    total = None
-    for c, e in zip(coeffs, elements):
-        if not c:
-            continue
-        part = e.scale(Scalar(c))
-        total = part if total is None else total + part
-    if total is None:
-        alg, tw = elements[0].loop.algebra, elements[0].loop.twist
-        total = ExtendedElement(zero_loop(alg, tw))
-    return total
-
-
-def _matrix_on_block(phi, rf, key, elems, images):
-    """The real matrix of phi on a block, column j holding the coordinates
-    of images[j] in the basis elems. Raises PreservationError when an image
-    is not in the form or not in the block's real span (e.g. not graded by
-    the twist, which `contains` does not test)."""
-    if not all(rf.contains(img) for img in images):
-        raise PreservationError(f"{phi.name} does not preserve real form {rf.name} on block {key}")
-    left = PreservationError(f"image under {phi.name} left the {key} block of {rf.name}")
-    degrees = [0] if key == ("cd",) else sorted(set(key))
-    if any(k not in degrees for img in images for k in img.loop.terms):
-        raise left
-    # one elimination on [block basis | images], real coordinates as rows
-    columns = [real_coords(x, degrees) for x in elems + images]
-    red, pivots = linalg.rref(list(zip(*columns)))
-    n = len(elems)
-    if any(c >= n for c in pivots):
-        raise left
-    m = [[0] * n for _ in range(n)]
-    for r, c in enumerate(pivots):
-        m[c] = red[r][n:]
-    return m
+    """sum_j coeffs[j] elements[j], coeffs a nullspace vector (so not zero)."""
+    parts = [e.scale(Scalar(c)) for c, e in zip(coeffs, elements) if c]
+    return sum(parts[1:], parts[0])
 
 
 def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> Truncation:
@@ -507,18 +469,21 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
 
     It is the one pass over phi's images: each element of a block that is
     its own class is imaged once. phi preserves the form when each image
-    is in the form and in its block's span (`_matrix_on_block`), and
-    squares to the identity when it maps each image back to its element,
-    tested even after a block fails. Only when both hold are K and P
-    built; else the error of the first failing block (preservation tested
-    first) raises, with verdicts = (preserved, squares)."""
+    is in the form and in its block's real span (which `contains` does not
+    test: an image may break the twist grading), and squares to the
+    identity when it maps each image back to its element, tested even
+    after a block fails. The blocks are split while both hold; else the
+    error of the first failing block (preservation tested first) raises
+    after the pass, with verdicts = (preserved, squares)."""
     rf = truncation.real_form
     period = _period(rf.conj, phi.loop_map)
     label = truncation.classes(period)
     preserved = squares = True
-    error, solved = None, {}
+    error, blocks = None, []
     for i, (key, items) in enumerate(truncation.blocks):
         if label[i] != i:
+            if error is None:
+                blocks.append((key, _shift(blocks[i - period][1], period)))
             continue
         elems = [e for e, _ in items]
         images = [phi.apply(e) for e in elems]
@@ -526,23 +491,31 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
         squares = squares and block_squares
         if not preserved:
             continue
-        try:
-            solved[i] = elems, _matrix_on_block(phi, rf, key, elems, images)
-        except PreservationError as fault:
-            preserved, error = False, error or fault
-        if preserved and not block_squares:
+        if not all(rf.contains(img) for img in images):
+            fault = f"{phi.name} does not preserve real form {rf.name} on block {key}"
+        else:
+            # one elimination on [block basis | images], real coordinates as
+            # rows over the block's degrees and any other degree of an image
+            n = len(elems)
+            degrees = sorted(({0} if key == ("cd",) else set(key)).union(*(img.loop.terms for img in images)))
+            columns = [real_coords(x, degrees) for x in elems + images]
+            red, pivots = linalg.rref(list(zip(*columns)))
+            fault = f"image under {phi.name} left the {key} block of {rf.name}" if any(
+                c >= n for c in pivots) else None
+        if fault:
+            preserved, error = False, error or PreservationError(fault)
+        elif not block_squares:
             error = error or InvolutionError(f"{phi.name} does not square to the identity on block {key}")
+        if error is None:
+            # matrix of phi on the block: row c of the rref, past the basis,
+            # holds the coordinates of the images on basis element c
+            rows = dict(zip(pivots, red))
+            m = [rows[c][n:] if c in rows else [0] * n for c in range(n)]
+            blocks.append((key, [(_combine(elems, v), sign) for sign in (1, -1) for v in linalg.nullspace(
+                [[x - (sign if r == c else 0) for c, x in enumerate(row)] for r, row in enumerate(m)])]))
     if error is not None:
         error.verdicts = preserved, squares
         raise error
-    blocks = []
-    for i, (key, _) in enumerate(truncation.blocks):
-        if label[i] != i:
-            blocks.append((key, _shift(blocks[i - period][1], period)))
-            continue
-        elems, m = solved[i]  # K (+1 eigenvectors of m), then P (-1)
-        blocks.append((key, [(_combine(elems, v), sign) for sign in (1, -1) for v in linalg.nullspace(
-            [[x - (sign if r == c else 0) for c, x in enumerate(row)] for r, row in enumerate(m)])]))
     split = Truncation(rf, truncation.n_max, tuple(blocks), phi)
     if truncation.built_period and period % truncation.built_period == 0:
         object.__setattr__(split, "built_period", period)  # frozen, and not an init field

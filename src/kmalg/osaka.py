@@ -30,7 +30,7 @@ from .involution import (
     representatives,
 )
 from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted
-from .scalars import ONE, ZERO, vec_support
+from .scalars import I, ONE, ZERO, vec_support
 
 
 class OsakaType(Enum):
@@ -163,9 +163,11 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
     report.checks["type"] = _check_type(
         record, computed, relations, valid_so_far=report.checks["fix_compact"].passed
     )
-    report.checks["effective"] = CheckResult(
-        effectiveness_check(record, truncation) == Effectiveness.EFFECTIVE, f"epsilon = {phi.epsilon}"
-    )
+    # the verdict is read from phi; the detail names what phi does to c
+    # only when that contradicts the declared epsilon
+    effective = effectiveness_check(record) == Effectiveness.EFFECTIVE
+    report.checks["effective"] = CheckResult(effective, f"epsilon = {phi.epsilon}" + (
+        "" if effective == (phi.epsilon == -1) else f", but phi(c) {'=' if effective else '!='} -c"))
     verdict, witness = irreducibility_check(record)
     report.checks["irreducible"] = CheckResult(
         verdict == "Irreducible", f"witness blocks: {witness}" if witness else ""
@@ -208,13 +210,13 @@ def _check_type(record: OsakaRecord, computed: OsakaType, relations: bool,
     return CheckResult(ok, f"computed {computed.value}, claimed {record.claimed_type.value}")
 
 
-def effectiveness_check(record: OsakaRecord, truncation: Truncation | None = None) -> Effectiveness:
-    """Effective iff the involution maps each c element of the form's
-    ("cd",) block (read from truncation when given) to its negative, read
-    from the map and not from its declared epsilon."""
-    cd = dict(truncation.blocks)[("cd",)] if truncation else [
-        (e, 0) for e in record.real_form.block_basis(("cd",))]
-    effective = all(record.involution.apply(e) == -e for e, _ in cd if e.c)
+def effectiveness_check(record: OsakaRecord) -> Effectiveness:
+    """Effective iff the involution maps c to -c on the form's c line (on
+    both 1 and i when it has none), read from the map, image-free
+    (`InvolutionDescriptor.fixes_parts`), and not from its declared epsilon."""
+    rf = record.real_form
+    scales = (ONE, I) if rf.cd_scale is None else (rf.cd_scale,)
+    effective = all(record.involution.fixes_parts({}, c, ZERO, -1) for c in scales)
     return Effectiveness.EFFECTIVE if effective else Effectiveness.NOT_EFFECTIVE
 
 

@@ -381,6 +381,34 @@ def test_osaka_verify_map_breaking_the_twist_grading_is_not_involutive(tmp_path,
         assert rep["details"]["involutive"] == "preserves form: False, squares to identity: True"
 
 
+@pytest.mark.parametrize("epsilon, effective, detail", [
+    (1, True, "epsilon = 1, but phi(c) = -c"),
+    (-1, False, "epsilon = -1, but phi(c) != -c"),
+])
+def test_osaka_verify_effective_detail_names_a_contradicted_epsilon(tmp_path, capsys, epsilon,
+                                                                    effective, detail):
+    """On su2c with c on the line i R, the conjugate-linear identity sends
+    c = i to -i when it declares epsilon 1 and to i when it declares -1.
+    effective is read from the map, and its detail says what the map does
+    to c where that contradicts the declared epsilon."""
+    record = _su2c_record(
+        form={"conj": {"matrix": _scalar_matrix(1), "index_sign": 1}, "cd_scale": "i"},
+        involution={"rho_plus": {"matrix": _scalar_matrix(1)}, "reflect_time": False,
+                    "conjugate_linear": True, "epsilon": epsilon})
+    path = write_json(tmp_path, "record.json", record)
+    code, out, err = run_cli(capsys, "osaka-verify", "--record", path, "--degree", "2")
+    assert code == cli.EXIT_FAIL and err == ""
+    rep = json.loads(out)
+    assert (rep["checks"]["effective"], rep["details"]["effective"]) == (effective, detail)
+
+
+def test_osaka_verify_effective_detail_is_the_declared_epsilon_when_they_agree(capsys):
+    code, out, _ = run_cli(capsys, "osaka-catalog", "--degree", "1")
+    assert code == cli.EXIT_OK
+    for rep in json.loads(out)["records"]:
+        assert rep["details"]["effective"] == "epsilon = -1"
+
+
 _INVOLUTION = _su2c_record()["involution"]
 
 

@@ -214,8 +214,9 @@ def test_squares_is_decided_on_every_block_after_one_fails():
 def test_osaka_catalog_images_each_representative_element_twice(monkeypatch, capsys):
     """osaka-catalog --degree 5 applies each involution to the elements of
     the blocks that are their own class once for the image and once for
-    its image (the split), and to each record's c once (effectiveness):
-    2 * 150 + 8 calls, with no image built twice."""
+    its image (the split), 2 * 150 calls, with no image built twice;
+    effectiveness decides each record's c image-free. The bound allows
+    one call per record for c, as when effectiveness imaged it."""
     calls = Counter()
     apply = InvolutionDescriptor.apply
 

@@ -122,8 +122,10 @@ def test_epsilon_minus_one_fixing_c_raises_with_and_without_O(flags, tmp_path):
     the line i R, the conjugate-linear identity with epsilon -1 sends c = i
     to -conj(i) = i. effective is read from the map, so the record is not
     effective: a failed verdict (exit 1) with no exception, also under
-    python -O. The name is kept from when this case raised. III[Id,Id]
-    with its own real structure as the involution is the same case."""
+    python -O, whose detail names the contradiction with the declared
+    epsilon. The name is historical: this case raised before effective was
+    read from the map. III[Id,Id] with its own real structure as the
+    involution is the same case."""
     path = tmp_path / "record.json"
     path.write_text(json.dumps(_FIXES_C), encoding="utf-8")
     src = str(Path(osaka.__file__).parent.parent)
@@ -134,7 +136,7 @@ def test_epsilon_minus_one_fixing_c_raises_with_and_without_O(flags, tmp_path):
                              env=env, capture_output=True, text=True, timeout=120)
         assert (out.returncode, out.stderr) == (1, "")
         rep = json.loads(out.stdout)
-        assert rep["checks"]["effective"] is False and rep["details"]["effective"] == "epsilon = -1"
+        assert rep["checks"]["effective"] is False and rep["details"]["effective"] == "epsilon = -1, but phi(c) != -c"
     rec = catalog_record("III[Id,Id]")
     own = replace(rec, involution=InvolutionDescriptor("own real structure", rec.real_form.conj,
                                                        epsilon=-1, reflect_time=True))
