@@ -495,9 +495,9 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
             fault = f"{phi.name} does not preserve real form {rf.name} on block {key}"
         else:
             # one elimination on [block basis | images], real coordinates as
-            # rows over the block's degrees and any other degree of an image
+            # rows over every exponent any of them has
             n = len(elems)
-            degrees = sorted(({0} if key == ("cd",) else set(key)).union(*(img.loop.terms for img in images)))
+            degrees = sorted({k for x in elems + images for k in x.loop.terms})
             columns = [real_coords(x, degrees) for x in elems + images]
             red, pivots = linalg.rref(list(zip(*columns)))
             fault = f"image under {phi.name} left the {key} block of {rf.name}" if any(

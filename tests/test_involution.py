@@ -17,6 +17,7 @@ from kmalg.involution import (
     InvolutionKind,
     PreservationError,
     RealFormDescriptor,
+    Truncation,
     dualize,
     fixed_and_eigenspaces,
     involution_from_invariants,
@@ -284,6 +285,25 @@ def test_preservation_error():
     rf = catalog_record("III[mu,mu]").real_form
     with pytest.raises(PreservationError):
         fixed_and_eigenspaces(bad, rf.truncate(1))
+
+
+def test_an_image_outside_the_span_of_its_block_is_not_preserved():
+    """A block is tested as the real span of its elements, at every exponent
+    an element or an image has. With conj a -> conj(a) at each exponent,
+    block (1, -1) has a real basis at t^1 and one at t^-1; a hand-built
+    truncation keeping only the t^1 half gives f(t) -> f(-t) images at t^-1,
+    which are in the form but not in that span."""
+    rf = RealFormDescriptor(name="real coefficients", algebra=SU2C, twist=untwisted(SU2C),
+                            conj=CoeffMap(CoeffMap.identity(3).matrix, conjugate=True))
+    phi = InvolutionDescriptor(name="time reflection", loop_map=CoeffMap(CoeffMap.identity(3).matrix, -1),
+                               epsilon=-1, reflect_time=True)
+    t = rf.truncate(1)
+    assert fixed_and_eigenspaces(phi, t).dims()[(1, -1)] == (3, 3)
+    half = [(key, [(e, s) for e, s in items if set(e.loop.terms) == {1}] if key == (1, -1) else items)
+            for key, items in t.blocks]
+    assert len(dict(half)[(1, -1)]) == 3
+    with pytest.raises(PreservationError, match=r"left the \(1, -1\) block"):
+        fixed_and_eigenspaces(phi, Truncation(rf, 1, tuple(half)))
 
 
 def test_non_involutive_map_rejected_on_eigensplit():
