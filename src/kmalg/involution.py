@@ -19,6 +19,7 @@ the cocycle, each item's terms put over one denominator once.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -389,13 +390,25 @@ def _representative_pairs(blocks, label):
     """Each unordered pair of items of one representative block pair per
     class, the class of a pair being (class of a, class of b, same block?),
     label[i] the class of block i (`Truncation.classes`); this keeps
-    (1, 1 + P) apart from (1, 1)."""
+    (1, 1 + P) apart from (1, 1). For block i only block i itself and the
+    first block after i of each class can open a new pair class, so only
+    those are visited, in block order."""
+    at = {}
+    for i, cls in enumerate(label):
+        at.setdefault(cls, []).append(i)
     seen = set()
     for i, (_, xs) in enumerate(blocks):
-        for i2, (_, ys) in enumerate(blocks[i:], i):
-            cls = (frozenset((label[i], label[i2])), i == i2)
+        later = []
+        for pos in at.values():
+            n = bisect_right(pos, i)
+            if n < len(pos):
+                later.append(pos[n])
+        for i2 in [i] + sorted(later):
+            a, b = label[i], label[i2]
+            cls = (a, b, i == i2) if a <= b else (b, a, False)
             if cls not in seen:
                 seen.add(cls)
+                ys = blocks[i2][1]
                 for j, x in enumerate(xs):
                     for y in xs[j:] if i == i2 else ys:
                         yield x, y

@@ -17,7 +17,9 @@ the type at the edge: the constructor takes Scalar coordinates, `coeff` and
 read Scalars or rationals. A loop bracket sums the numerators of its finite
 brackets into one int accumulator per output exponent (`loop_bracket_raw`)
 and reduces each exponent once; the closure and Cartan walk of
-`involution` decides on those accumulators unreduced.
+`involution` decides on those accumulators unreduced. The derivative
+terms of the extended bracket are added to them as ints by
+`kmext.extended_bracket_raw`.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from math import lcm
 from . import linalg
 from .findim import FiniteAutomorphism, FiniteLieAlgebra, identity_automorphism, sparse_apply
 from .scalars import (
-    ONE,
     Scalar,
     ZERO,
     vec_add,
@@ -224,14 +225,6 @@ def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopEle
     den = df * dg * alg._sc_den
     out = loop_bracket_raw(alg, fs, gs)
     return f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
-
-
-def loop_derivative(f: TwistedLoopElement, d=ONE) -> TwistedLoopElement:
-    """d times d/dt of sum a_k e^{ikt/m}: multiplies a_k by i k d / m, one
-    vec_mul per term."""
-    (re, im), den = vec_from_scalars((d,))
-    m = f.twist.order
-    return f._like({k: vec_mul(v, ((-k * im, k * re), den * m)) for k, v in f.terms.items() if k})
 
 
 def loop_killing(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:

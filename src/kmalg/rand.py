@@ -7,11 +7,16 @@ byte-reproducible across platforms.
 from __future__ import annotations
 
 import hashlib
+import struct
 from fractions import Fraction
+from math import lcm
 
 from .kmext import ExtendedElement
 from .loop import TwistedLoopElement, twist_eigenbasis
-from .scalars import Scalar, ZERO, vec_add, vec_mul
+from .scalars import Scalar, ZERO, nums_add_scaled, vec_canon
+
+_U32 = struct.Struct(">I")
+GAUSSIAN_DEN = 4  # the denominator p q of every gaussian() divides it
 
 
 class TrialRng:
@@ -19,20 +24,24 @@ class TrialRng:
         self._key = f"{seed}:{index}".encode()
         self._counter = 0
         self._buf = b""
+        self._pos = 0
 
     def _refill(self):
+        """Drop the bytes read so far and append the next SHA-256 block."""
         block = hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
         self._counter += 1
-        self._buf += block
-
-    def _take(self, n) -> bytes:
-        while len(self._buf) < n:
-            self._refill()
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
+        self._buf = self._buf[self._pos:] + block
+        self._pos = 0
 
     def u32(self) -> int:
-        return int.from_bytes(self._take(4), "big")
+        """The next 4 bytes of the stream as a big-endian int, read at an
+        offset into the buffer."""
+        pos = self._pos
+        if pos + 4 > len(self._buf):
+            self._refill()
+            pos = 0
+        self._pos = pos + 4
+        return _U32.unpack_from(self._buf, pos)[0]
 
     def randint(self, a, b) -> int:
         """Uniform-ish integer in [a, b]; bias is irrelevant for fuzzing."""
@@ -56,21 +65,25 @@ class TrialRng:
 
 def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6):
     """Random graded element of 1 to 4 drawn terms: coefficients drawn
-    inside twist eigenspaces, so the grading holds by construction."""
-    terms = {}
+    inside twist eigenspaces, so the grading holds by construction. Each
+    exponent's basis combinations are summed in one int accumulator over
+    GAUSSIAN_DEN times the lcm of the basis denominators, and reduced once."""
+    accs = {}
     n_terms = rng.randint(1, 4)
     for _ in range(n_terms):
         k = rng.randint(-max_degree, max_degree)
         basis = twist_eigenbasis(algebra, twist, k % 2)
         if not basis:
             continue
-        vec = ((0,) * (2 * algebra.dim), 1)
-        for b in basis:
-            c = rng.gaussian()
-            if any(c[0]):
-                vec = vec_add(vec, vec_mul(b, c))
-        terms[k] = vec_add(terms[k], vec) if k in terms else vec
-    return TwistedLoopElement.from_vecs(algebra, twist, terms)
+        den = GAUSSIAN_DEN * lcm(*(d for _, d in basis))
+        acc = accs.setdefault(k, ([0] * (2 * algebra.dim), den))[0]
+        for nums, d in basis:
+            (p, q), e = rng.gaussian()
+            if p or q:
+                s = den // (d * e)
+                nums_add_scaled(acc, nums, p * s, q * s)
+    return TwistedLoopElement.from_vecs(
+        algebra, twist, {k: vec_canon(acc, den) for k, (acc, den) in accs.items()})
 
 
 def random_extended_element(algebra, twist, rng: TrialRng, max_degree=6, with_cd=True):

@@ -30,12 +30,20 @@ truncation builds each representative pair's bracket with hat_bracket and
 tests it with contains and descriptor_fixes, as it did before it decided on
 raw bracket numerators, on the period classes classes_reference finds on
 the blocks, as truncations did before they recorded the period their
-blocks were built with. Random Scalars are drawn as two
-Fractions each, as TrialRng.scalar drew them before it was built from the
-draws of TrialRng.gaussian.
+blocks were built with, and it visits the block pairs with the quadratic
+scan representative_pairs_reference, as _representative_pairs did before
+it visited only the first later block of each class. Random Scalars are
+drawn as two Fractions each, as TrialRng.scalar drew them before it was
+built from the draws of TrialRng.gaussian, and TrialRngReference re-slices
+its buffer on every draw, as TrialRng did before it read at an offset. The
+Jacobi residual is the sum of three nested hat_brackets, as
+jacobi_residual was before it composed the raw extended brackets
+unreduced, and the loop derivative is read off hat_bracket, whose raw
+kernel is the library's one derivative formula.
 """
 from __future__ import annotations
 
+import hashlib
 import re
 from enum import Enum
 from fractions import Fraction
@@ -49,7 +57,6 @@ from kmalg.involution import (
     Truncation,
     _combine,
     _period,
-    _representative_pairs,
     _shift,
     dualize,
 )
@@ -714,6 +721,71 @@ def random_loop_element_reference(algebra, twist, rng, max_degree=6, max_terms=4
     return TwistedLoopElement.from_vecs(algebra, twist, terms)
 
 
+class TrialRngReference:
+    """rand.TrialRng as it was before u32 read its 4 bytes at a buffer
+    offset: every draw re-slices the remaining buffer. Kept verbatim."""
+
+    def __init__(self, seed, index=0):
+        self._key = f"{seed}:{index}".encode()
+        self._counter = 0
+        self._buf = b""
+
+    def _refill(self):
+        block = hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
+        self._counter += 1
+        self._buf += block
+
+    def _take(self, n) -> bytes:
+        while len(self._buf) < n:
+            self._refill()
+        out, self._buf = self._buf[:n], self._buf[n:]
+        return out
+
+    def u32(self) -> int:
+        return int.from_bytes(self._take(4), "big")
+
+    def randint(self, a, b) -> int:
+        """Uniform-ish integer in [a, b]; bias is irrelevant for fuzzing."""
+        span = b - a + 1
+        return a + self.u32() % span
+
+    def scalar(self, real_only=False) -> Scalar:
+        """a/p + i b/q from the draws of gaussian(): a, b in [-3, 3] and
+        p, q in [1, 2]; real_only draws a and p only."""
+        a, p = self.randint(-3, 3), self.randint(1, 2)
+        b, q = (0, 1) if real_only else (self.randint(-3, 3), self.randint(1, 2))
+        return Scalar(Fraction(a, p), Fraction(b, q))
+
+    def gaussian(self):
+        """scalar() as a numerator form ((a q, b p), p q), from the same four
+        draws a, p, b, q, building no Fraction or Scalar."""
+        a, p = self.randint(-3, 3), self.randint(1, 2)
+        b, q = self.randint(-3, 3), self.randint(1, 2)
+        return (a * q, b * p), p * q
+
+
+# -- the extended bracket composed element by element ---------------------------------
+
+def jacobi_residual_reference(x, y, z):
+    """kmext.jacobi_residual as it was before it composed the raw extended
+    brackets unreduced: three nested hat_brackets, each reduced, summed as
+    elements. The body is kept verbatim."""
+    return (
+        hat_bracket(hat_bracket(x, y), z)
+        + hat_bracket(hat_bracket(y, z), x)
+        + hat_bracket(hat_bracket(z, x), y)
+    )
+
+
+def loop_derivative(f, d=ONE):
+    """d times d/dt of a loop element f, as the loop part of the extended
+    bracket [d d, f] = d f' (c and d of f zero): the derivative terms of
+    kmext.extended_bracket_raw, the library's one derivative formula, which
+    replaced loop.loop_derivative's one multiplication by i k d / m per
+    term."""
+    return hat_bracket(ExtendedElement(zero_loop(f.algebra, f.twist), d=d), ExtendedElement(f)).loop
+
+
 # -- all-pairs closure and Cartan checks; every block solved ------------------------
 
 def verify_closed_reference(rf, truncation) -> bool:
@@ -748,6 +820,21 @@ def classes_reference(blocks, period):
     return label
 
 
+def representative_pairs_reference(blocks, label):
+    """involution._representative_pairs as it was before it visited only
+    the first later block of each class: every block pair (i, i2), i <= i2,
+    is scanned and keyed on a frozenset. Kept verbatim."""
+    seen = set()
+    for i, (_, xs) in enumerate(blocks):
+        for i2, (_, ys) in enumerate(blocks[i:], i):
+            cls = (frozenset((label[i], label[i2])), i == i2)
+            if cls not in seen:
+                seen.add(cls)
+                for j, x in enumerate(xs):
+                    for y in xs[j:] if i == i2 else ys:
+                        yield x, y
+
+
 def descriptor_fixes(phi, x, sign=1) -> bool:
     """InvolutionDescriptor.fixes, whose only caller was the reference
     walk below: whether phi.apply(x) == sign * x, the loop part decided
@@ -759,12 +846,12 @@ def bracket_verdicts_reference(t, relations):
     """involution.bracket_verdicts before it decided on raw bracket
     numerators: each representative pair's bracket is built with
     hat_bracket and tested with contains and descriptor_fixes. The body is
-    kept verbatim apart from those two names (the classes, found by
-    _representative_pairs then, are now passed in)."""
+    kept verbatim apart from those two names and the pair generator (the
+    classes, found by _representative_pairs then, are now passed in)."""
     rf, phi = t.real_form, t.involution
     holds = relations and phi is not None
     period = _period(rf.conj, None if phi is None else phi.loop_map)
-    for (x, sx), (y, sy) in _representative_pairs(t.blocks, classes_reference(t.blocks, period)):
+    for (x, sx), (y, sy) in representative_pairs_reference(t.blocks, classes_reference(t.blocks, period)):
         z = hat_bracket(x, y)
         if z.is_zero():
             continue

@@ -11,7 +11,6 @@ from kmalg.loop import (
     TwistedLoopElement,
     killing_gram,
     loop_bracket,
-    loop_derivative,
     loop_killing,
     loop_monomial,
     twist_eigenbasis,
@@ -20,7 +19,7 @@ from kmalg.loop import (
 from kmalg.rand import TrialRng, random_loop_element
 from kmalg.scalars import Scalar, ZERO
 
-from oracles import loop_killing_oracle, scalar_bracket
+from oracles import loop_derivative, loop_killing_oracle, scalar_bracket
 
 SU2C = make_su(2).complexify()
 TW1 = untwisted(SU2C)

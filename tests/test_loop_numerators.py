@@ -19,7 +19,6 @@ from kmalg.kmext import ExtendedElement, cocycle, hat_bracket
 from kmalg.loop import (
     TwistedLoopElement,
     loop_bracket,
-    loop_derivative,
     loop_killing,
     twist_eigenbasis,
     untwisted,
@@ -32,6 +31,7 @@ from oracles import (
     hat_bracket_reference,
     loop_add_reference,
     loop_bracket_reference,
+    loop_derivative,
     loop_derivative_reference,
     loop_killing_reference,
     loop_neg_reference,

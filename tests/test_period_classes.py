@@ -178,7 +178,7 @@ def test_period_4_splits_match_every_block_and_all_pairs(name):
 def _counting_brackets(monkeypatch):
     """Counts, under "hat_bracket", each bracket the walk makes: through
     its raw kernel, or through hat_bracket for a pair with a d item, each
-    as bound in involution. hat_bracket reaches the kernel through loop's
+    as bound in involution. hat_bracket reaches the kernel through kmext's
     own binding, so no pair counts twice."""
     calls = Counter()
 

@@ -1,0 +1,191 @@
+"""The Jacobi residual on raw numerators, and what feeds it.
+
+jacobi_residual composes the raw extended brackets unreduced and reduces
+once; it must equal the sum of three nested hat_brackets
+(oracles.jacobi_residual_reference) exactly, on triples with nonzero,
+non-real c and d and coefficients over denominators 3 and 5, and on an
+algebra with one structure constant perturbed, where the Jacobi identity
+fails: there both residuals are nonzero, so jacobi-check reports the
+broken bracket. TrialRng reads its bytes at an offset and
+random_loop_element sums each term in one accumulator; both must give the
+draws and elements of the old code. _representative_pairs visits only the
+first later block of each class; it must yield the pairs of the quadratic
+scan, in order.
+"""
+import copy
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kmalg import cli, serialize
+from kmalg.involution import _period, _representative_pairs, fixed_and_eigenspaces
+from kmalg.kmext import ExtendedElement, jacobi_residual
+from kmalg.loop import MismatchError, TwistedLoopElement
+from kmalg.osaka import build_catalog_a1
+from kmalg.rand import TrialRng, random_extended_element, random_loop_element
+from kmalg.scalars import Scalar
+
+from oracles import (
+    TrialRngReference,
+    jacobi_residual_reference,
+    random_loop_element_reference,
+    representative_pairs_reference,
+)
+from test_period_classes import DIAGONAL
+
+REGISTERED = [("su2c", 1), ("su2c", 2), ("sl2c", 1), ("sl2c", 2), ("su2su2c", 1), ("abelian1c", 1)]
+RESIDUAL_KINDS = [("su2c", 1), ("su2c", 2), ("sl2c", 2), ("su2su2c", 1), ("abelian1c", 1)]
+
+parts = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9), st.sampled_from((3, 5))))
+scalars = st.builds(Scalar, parts, parts)
+nonreal = st.builds(Scalar, parts, parts.filter(bool))
+
+
+def _perturbed(algebra):
+    """A copy of algebra whose first structure constant has 1 added to its
+    real numerator: the bracket of the copy is no Lie bracket."""
+    broken = copy.copy(algebra)
+    j, k, m, re, im = algebra._sc[0]
+    broken._sc = ((j, k, m, re + 1, im),) + algebra._sc[1:]
+    return broken
+
+
+def _over(algebra, x):
+    """x with its loop part moved onto algebra (same terms, same twist)."""
+    return ExtendedElement(TwistedLoopElement.from_vecs(algebra, x.loop.twist, x.loop.terms), x.c, x.d)
+
+
+@st.composite
+def triples(draw):
+    """Three elements over one registered pair, drawn by TrialRng at degree
+    0 to 12, each loop scaled by a non-real Scalar over 3 or 5 and given
+    drawn c and d (nonzero for at least one element)."""
+    algebra, twist = serialize.lookup_algebra(*draw(st.sampled_from(RESIDUAL_KINDS)))
+    rng = TrialRng(draw(st.integers(0, 10**6)), draw(st.integers(0, 50)))
+    degree = draw(st.integers(0, 12))
+    out = []
+    for i in range(3):
+        x = random_extended_element(algebra, twist, rng, max_degree=degree)
+        c = draw(nonreal) if i == 0 else draw(scalars)
+        d = draw(nonreal) if i == 0 else draw(scalars)
+        out.append(ExtendedElement(x.loop.scale(draw(nonreal)), c, d))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(triples())
+def test_residual_equals_the_nested_brackets(xyz):
+    r = jacobi_residual(*xyz)
+    assert r == jacobi_residual_reference(*xyz)
+    assert r.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples())
+def test_residual_equals_the_nested_brackets_on_a_broken_bracket(xyz):
+    algebra = xyz[0].loop.algebra
+    if not algebra._sc:
+        return  # abelian: no structure constant to perturb
+    broken = _perturbed(algebra)
+    broken = [_over(broken, x) for x in xyz]
+    assert jacobi_residual(*broken) == jacobi_residual_reference(*broken)
+
+
+@pytest.mark.parametrize("kind", [k for k in RESIDUAL_KINDS if k[0] != "abelian1c"])
+def test_a_broken_bracket_gives_nonzero_residuals(kind):
+    """Twenty jacobi-check triples over the perturbed copy: both residuals
+    are equal on every triple and nonzero on all but at most one."""
+    algebra, twist = serialize.lookup_algebra(*kind)
+    broken = _perturbed(algebra)
+    nonzero = 0
+    for t in range(20):
+        rng = TrialRng("broken", t)
+        xyz = [_over(broken, random_extended_element(algebra, twist, rng, max_degree=6)) for _ in range(3)]
+        r = jacobi_residual(*xyz)
+        assert r == jacobi_residual_reference(*xyz)
+        nonzero += not r.is_zero()
+    assert nonzero >= 19
+
+
+def test_jacobi_check_fails_on_a_broken_bracket(monkeypatch, capsys):
+    """jacobi-check over su2c with the perturbed structure constants set,
+    for this test only, on the registered algebra exits 1 and lists
+    failures."""
+    algebra, _ = serialize.lookup_algebra("su2c", 1)
+    monkeypatch.setattr(algebra, "_sc", _perturbed(algebra)._sc)
+    code = cli.run(["jacobi-check", "--trials", "10", "--degree", "4", "--seed", "broken"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["passed"] is False and report["failures"]
+
+
+def test_mixed_operands_raise():
+    a, t1 = serialize.lookup_algebra("su2c", 1)
+    _, t2 = serialize.lookup_algebra("su2c", 2)
+    b, u1 = serialize.lookup_algebra("sl2c", 1)
+    rng = TrialRng("mixed")
+    x, y = (random_extended_element(a, t1, rng) for _ in range(2))
+    for other in (random_extended_element(a, t2, rng), random_extended_element(b, u1, rng)):
+        for xyz in ((other, x, y), (x, other, y), (x, y, other)):
+            with pytest.raises(MismatchError):
+                jacobi_residual(*xyz)
+            with pytest.raises(MismatchError):
+                jacobi_residual_reference(*xyz)
+
+
+# -- the random stream -----------------------------------------------------------
+
+def test_trial_rng_matches_the_slicing_reference_draw_for_draw():
+    for seed in range(40):
+        new, old = TrialRng(seed, seed % 7), TrialRngReference(seed, seed % 7)
+        for i in range(120):
+            kind = i % 4
+            if kind == 0:
+                assert new.u32() == old.u32()
+            elif kind == 1:
+                assert new.randint(-seed, 3 * seed + 1) == old.randint(-seed, 3 * seed + 1)
+            elif kind == 2:
+                assert new.scalar(real_only=i % 3 == 0) == old.scalar(real_only=i % 3 == 0)
+            else:
+                assert new.gaussian() == old.gaussian()
+
+
+@pytest.mark.parametrize("kind", REGISTERED)
+def test_random_elements_match_the_reference_at_degrees_0_to_12(kind):
+    algebra, twist = serialize.lookup_algebra(*kind)
+    for degree in range(13):
+        for seed in range(8):
+            new, old = TrialRng(seed, degree), TrialRngReference(seed, degree)
+            for _ in range(3):
+                f = random_loop_element(algebra, twist, new, max_degree=degree)
+                assert f.terms == random_loop_element_reference(algebra, twist, old, max_degree=degree).terms
+            x = random_extended_element(algebra, twist, new, max_degree=degree)
+            want = random_loop_element_reference(algebra, twist, old, max_degree=degree)
+            assert (x.loop.terms, x.c, x.d) == (want.terms, old.scalar(), old.scalar())
+            assert new.u32() == old.u32()
+
+
+# -- representative block pairs ---------------------------------------------------
+
+def _same_pairs(t, label):
+    new = [(id(x), id(y)) for x, y in _representative_pairs(t.blocks, label)]
+    assert new == [(id(x), id(y)) for x, y in representative_pairs_reference(t.blocks, label)]
+
+
+@pytest.mark.parametrize("degree", list(range(1, 10)) + [16, 128])
+def test_representative_pairs_match_the_scan_on_the_catalog(degree):
+    for rec in build_catalog_a1():
+        rf, phi = rec.real_form, rec.involution
+        truncation = rf.truncate(degree)
+        for t in (truncation, fixed_and_eigenspaces(phi, truncation)):
+            for period in {2, 4, _period(rf.conj, phi.loop_map)}:
+                _same_pairs(t, t.classes(period))
+            if degree <= 16:  # every block its own class: all pairs, quadratic in degree
+                _same_pairs(t, list(range(len(t.blocks))))
+
+
+def test_representative_pairs_match_the_scan_on_the_diagonal_forms():
+    for rf in DIAGONAL:
+        t = rf.truncate(8)
+        _same_pairs(t, t.classes(_period(rf.conj)))
