@@ -208,10 +208,12 @@ def cmd_decompose(args):
 
 def _record_report(rec, degree):
     rep = osaka.osaka_verify(rec, degree)
+    witnesses = {k: v.witness for k, v in rep.checks.items() if v.witness is not None}
     return {
         "name": rep.name,
         "checks": {k: v.passed for k, v in rep.checks.items()},
         "details": {k: v.detail for k, v in rep.checks.items() if v.detail},
+        **({"witnesses": witnesses} if witnesses else {}),
         "computed_type": rep.computed_type,
         "claimed_type": rec.claimed_type.value,
         "dual": rec.dual_name,

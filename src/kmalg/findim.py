@@ -486,19 +486,25 @@ def identity_automorphism(g) -> FiniteAutomorphism:
     return FiniteAutomorphism(g, rows, conjugate_linear=False, order=1)
 
 
-def check_automorphism(g, phi: FiniteAutomorphism) -> FiniteAutomorphism:
-    """Verify bracket preservation and the declared finite order, exactly."""
+def check_bracket(g, sparse, conjugate=False):
+    """Raise NotAutomorphismError(j, k) for the first basis pair (row-major)
+    whose bracket M conj^conjugate (M as sparse rows) does not keep."""
     n = g.dim
-    images = [sparse_apply(phi.sparse, ((0,) * j + (1,) + (0,) * (2 * n - j - 1), 1),
-                           phi.conjugate_linear) for j in range(n)]
+    images = [sparse_apply(sparse, ((0,) * j + (1,) + (0,) * (2 * n - j - 1), 1), conjugate)
+              for j in range(n)]
     for j in range(n):
         for k in range(n):
             lhs_vec = [ZERO] * n
             for m, c in g.structure[j][k]:
                 lhs_vec[m] = c
-            lhs = sparse_apply(phi.sparse, vec_from_scalars(lhs_vec), phi.conjugate_linear)
+            lhs = sparse_apply(sparse, vec_from_scalars(lhs_vec), conjugate)
             if lhs != g.bracket(images[j], images[k]):
                 raise NotAutomorphismError(j, k)
+
+
+def check_automorphism(g, phi: FiniteAutomorphism) -> FiniteAutomorphism:
+    """Verify bracket preservation and the declared finite order, exactly."""
+    check_bracket(g, phi.sparse, phi.conjugate_linear)
     if phi.order is None:
         raise WrongOrderError("automorphism must declare its order")
     if phi.order < 1:

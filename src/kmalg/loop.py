@@ -16,10 +16,8 @@ the type at the edge: the constructor takes Scalar coordinates, `coeff` and
 `coeffs` give them back, and c, d, real coordinates, JSON and rendering
 read Scalars or rationals. A loop bracket sums the numerators of its finite
 brackets into one int accumulator per output exponent (`loop_bracket_raw`)
-and reduces each exponent once; the closure and Cartan walk of
-`involution` decides on those accumulators unreduced. The derivative
-terms of the extended bracket are added to them as ints by
-`kmext.extended_bracket_raw`.
+and reduces each exponent once. The derivative terms of the extended
+bracket are added to them as ints by `kmext.extended_bracket_raw`.
 """
 from __future__ import annotations
 

@@ -23,11 +23,12 @@ from .involution import (
     InvolutionError,
     RealFormDescriptor,
     Truncation,
-    bracket_verdicts,
+    cartan_witness,
     dualize,
     fixed_and_eigenspaces,
     involution_from_invariants,
     representatives,
+    verify_cartan_relations,
 )
 from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted
 from .scalars import I, ONE, ZERO, vec_support
@@ -78,6 +79,12 @@ class OsakaRecord:
 class CheckResult:
     passed: bool
     detail: str = ""
+    witness: object = None  # of a failed closure or Cartan verdict
+
+
+def _failed(what, witness):
+    why = witness if isinstance(witness, str) else f"the bracket of basis pair {witness} is not preserved"
+    return CheckResult(False, f"{what}: {why}", witness)
 
 
 @dataclass
@@ -94,11 +101,11 @@ class OsakaReport:
 # -- core checks ----------------------------------------------------------
 
 def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
-    """All defining checks, exactly, at truncation degree n_max; every
-    check reads the one truncation of the real form built here. Its split
-    (`fixed_and_eigenspaces`) decides the involutive check, and one walk
-    over the brackets of the split, or of the truncation when phi does not
-    split it, decides closure and the Cartan relations (`bracket_verdicts`)."""
+    """All defining checks, exactly, at truncation degree n_max. Closure and
+    the Cartan relations read only the maps (the lemma in involution's
+    docstring), so they hold at every degree, and a failed one names its
+    witness; every other check reads the one truncation built here, whose
+    split (`fixed_and_eigenspaces`) decides the involutive check."""
     report = OsakaReport(record.name)
     rf, phi = record.real_form, record.involution
     truncation = rf.truncate(n_max)
@@ -108,8 +115,9 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
         dec = fixed_and_eigenspaces(phi, truncation)
     except InvolutionError as err:
         dec, (preserved, squares) = truncation, err.verdicts
-    closed, relations = bracket_verdicts(dec, record.claimed_type == OsakaType.NON_COMPACT)
-    report.checks["closure"] = CheckResult(closed, "real form closed under the bracket")
+    closed = rf.verify_closed(truncation)
+    report.checks["closure"] = (CheckResult(True, "real form closed under the bracket") if closed
+                                else _failed("real form not closed", rf.closure_witness()))
     report.checks["involutive"] = CheckResult(
         preserved and squares,
         f"preserves form: {preserved}, squares to identity: {squares}",
@@ -161,7 +169,7 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
 
     computed = classify_type(truncation)
     report.checks["type"] = _check_type(
-        record, computed, relations, valid_so_far=report.checks["fix_compact"].passed
+        record, computed, dec, valid_so_far=report.checks["fix_compact"].passed
     )
     # the verdict is read from phi; the detail names what phi does to c
     # only when that contradicts the declared epsilon
@@ -200,13 +208,11 @@ def _check_expected_kp(record: OsakaRecord, dec: Truncation):
     return True, "eigenspaces match the expected conditions and dimensions"
 
 
-def _check_type(record: OsakaRecord, computed: OsakaType, relations: bool,
+def _check_type(record: OsakaRecord, computed: OsakaType, dec: Truncation,
                 valid_so_far: bool = True) -> CheckResult:
     ok = computed == record.claimed_type
-    if ok and valid_so_far and computed == OsakaType.NON_COMPACT:
-        ok = relations
-        if not ok:
-            return CheckResult(False, "Cartan relations failed on the split")
+    if ok and valid_so_far and computed == OsakaType.NON_COMPACT and not verify_cartan_relations(dec):
+        return _failed("Cartan relations failed on the split", cartan_witness(dec.real_form, dec.involution))
     return CheckResult(ok, f"computed {computed.value}, claimed {record.claimed_type.value}")
 
 

@@ -1,9 +1,10 @@
-"""One walk over the brackets of a K/P split decides closure and the Cartan
-relations (bracket_verdicts), the split's one pass over phi's images
-decides the involutive check, the involutive and expected K/P checks apply
-their maps to one block per period class (representatives), and dualize
-only builds the dual maps: osaka-catalog brackets each representative block
-pair once and images each representative element twice. Each fast path is
+"""The oracle walk over the brackets of a K/P split (bracket_verdicts in
+oracles) decides closure and the Cartan relations as all pairs do, the
+split's one pass over phi's images decides the involutive check, the
+involutive and expected K/P checks apply their maps to one block per
+period class (representatives), and dualize only builds the dual maps:
+osaka-catalog brackets no loop (closure and the relations are read off the
+maps) and images each representative element twice. Each fast path is
 checked against the all-pairs or every-element reference in oracles, on
 the 512 diagonal forms, on every catalog record at degrees 1 to 16, and on
 the corrupted splits of test_period_classes."""
@@ -12,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from kmalg import cli, involution, osaka, serialize
+from kmalg import cli, osaka, serialize
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
@@ -20,12 +21,13 @@ from kmalg.involution import (
     PreservationError,
     RealFormDescriptor,
     _period,
-    bracket_verdicts,
     fixed_and_eigenspaces,
 )
 from kmalg.osaka import ExpectedKP, _check_expected_kp, build_catalog_a1, catalog_record, duality_pairing
 from kmalg.scalars import Scalar, ZERO
+import oracles
 from oracles import (
+    bracket_verdicts,
     check_expected_kp_reference,
     duality_pairing_reference,
     involutive_reference,
@@ -126,44 +128,57 @@ def test_involutive_and_expected_kp_match_every_element_on_corrupted_splits(name
     assert verdicts[True, True] and verdicts[False, True]
 
 
-def test_osaka_catalog_brackets_each_representative_pair_once(monkeypatch, capsys):
-    """osaka-catalog --degree 5 makes the brackets of the 8 records'
-    closure checks and no more: the Cartan relations share their walk, and
-    neither building the catalog nor pairing it brackets anything."""
+def test_osaka_catalog_makes_no_loop_bracket(monkeypatch, capsys):
+    """osaka-catalog --degree 5 brackets no loop: the 8 records' closure
+    checks and Cartan relations are read off the maps, and neither building
+    the catalog nor pairing it brackets anything. The oracle walk makes
+    2662 brackets for the same closure verdicts."""
     calls = _counting_brackets(monkeypatch)
-    closure = 0
     for rec in build_catalog_a1():
-        before = calls["hat_bracket"]
         assert rec.real_form.verify_closed(rec.real_form.truncate(5))
-        closure += calls["hat_bracket"] - before
-    assert closure == 2662
+    assert calls["loop_bracket"] == 0
 
     inside = Counter()
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            before = calls["hat_bracket"]
+            before = calls["loop_bracket"]
             try:
                 return fn(*args, **kwargs)
             finally:
-                inside[fn.__name__] += calls["hat_bracket"] - before
+                inside[fn.__name__] += calls["loop_bracket"] - before
         return wrapper
 
     monkeypatch.setattr(osaka, "_CATALOG_CACHE", {})
     monkeypatch.setattr(osaka, "build_catalog_a1", counted(osaka.build_catalog_a1))
     monkeypatch.setattr(osaka, "duality_pairing", counted(osaka.duality_pairing))
-    calls.clear()
     assert cli.run(["osaka-catalog", "--degree", "5"]) == 0
     capsys.readouterr()
-    assert calls["hat_bracket"] == closure
+    assert calls["loop_bracket"] == 0
     assert inside == {"build_catalog_a1": 0, "duality_pairing": 0}
+    # the oracle walk: its pairs with a d item go through hat_bracket, the
+    # others through its own binding of the raw kernel
+    walk = Counter()
+    monkeypatch.setattr(oracles, "loop_bracket_raw", counting_calls(oracles.loop_bracket_raw, walk))
+    monkeypatch.setattr(oracles, "hat_bracket", counting_calls(oracles.hat_bracket, walk))
+    assert all(oracles.verify_closed_walk(rec.real_form, rec.real_form.truncate(5)) for rec in build_catalog_a1())
+    assert sum(walk.values()) == 2662
+
+
+def counting_calls(fn, calls):
+    """fn, counting its calls under its name in calls."""
+    def wrapper(*args):
+        calls[fn.__name__] += 1
+        return fn(*args)
+    return wrapper
 
 
 def test_walk_and_membership_build_no_image(monkeypatch, capsys):
-    """osaka-catalog --degree 5 still makes exactly 2662 hat_bracket calls,
-    and bracket_verdicts and RealFormDescriptor.contains decide their
-    verdicts image-free (CoeffMap.fixes): neither makes a
-    CoeffMap.apply_loop call, though both run and other checks apply maps."""
+    """osaka-catalog --degree 5 brackets no loop, and
+    RealFormDescriptor.contains decides its verdicts image-free
+    (CoeffMap.fixes), as does the oracle walk (bracket_verdicts) over each
+    catalog split at degree 5: neither makes a CoeffMap.apply_loop call,
+    though both run and other checks apply maps."""
     calls = _counting_brackets(monkeypatch)
     apply_loop = CoeffMap.apply_loop
 
@@ -184,16 +199,16 @@ def test_walk_and_membership_build_no_image(monkeypatch, capsys):
                 inside[name] += calls["apply_loop"] - before
         return wrapper
 
-    walk = counted(involution.bracket_verdicts, "bracket_verdicts")
-    monkeypatch.setattr(involution, "bracket_verdicts", walk)
-    monkeypatch.setattr(osaka, "bracket_verdicts", walk)
     monkeypatch.setattr(RealFormDescriptor, "contains",
                         counted(RealFormDescriptor.contains, "contains"))
     assert cli.run(["osaka-catalog", "--degree", "5"]) == 0
     capsys.readouterr()
-    assert calls["hat_bracket"] == 2662
+    assert calls["loop_bracket"] == 0 and calls["apply_loop"]
+    splits = [fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(5)) for rec in build_catalog_a1()]
+    walk = counted(bracket_verdicts, "bracket_verdicts")
+    assert all(walk(dec, True)[0] for dec in splits)
     assert inside == {"bracket_verdicts": 0, "contains": 0}
-    assert entered["bracket_verdicts"] and entered["contains"] and calls["apply_loop"]
+    assert entered["bracket_verdicts"] == 8 and entered["contains"]
 
 
 def test_squares_is_decided_on_every_block_after_one_fails():

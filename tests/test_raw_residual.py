@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmalg import cli, serialize
-from kmalg.involution import _period, _representative_pairs, fixed_and_eigenspaces
+from kmalg.involution import _period, fixed_and_eigenspaces
 from kmalg.kmext import ExtendedElement, jacobi_residual
 from kmalg.loop import MismatchError, TwistedLoopElement
 from kmalg.osaka import build_catalog_a1
@@ -29,6 +29,7 @@ from kmalg.scalars import Scalar
 
 from oracles import (
     TrialRngReference,
+    _representative_pairs,
     jacobi_residual_reference,
     random_loop_element_reference,
     representative_pairs_reference,

@@ -25,13 +25,12 @@ from kmalg.involution import (
     CoeffMap,
     Truncation,
     _period,
-    bracket_verdicts,
     fixed_and_eigenspaces,
 )
 from kmalg.loop import MismatchError, TwistedLoopElement, untwisted
 from kmalg.osaka import catalog_record, complex_conjugation_counterexample
 from kmalg.scalars import Scalar
-from oracles import bracket_verdicts_reference, classes_reference
+from oracles import bracket_verdicts, bracket_verdicts_reference, classes_reference
 from test_integer_walk import involutions
 from test_one_bracket_pass import PHIS, split_verdicts
 from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS, _corrupted, _span

@@ -1,23 +1,24 @@
 """One truncation per real form and degree: osaka_verify builds each block
-basis and the type verdict once, and verify_cartan_relations brackets each
-unordered pair of K/P vectors once with the same verdict as the ordered
-K x K, K x P, P x P check."""
+basis and the type verdict once, and the oracle walk's Cartan verdict
+(verify_cartan_relations_walk in oracles) brackets each unordered pair of
+K/P vectors once with the same verdict as the ordered K x K, K x P, P x P
+check."""
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from kmalg import involution, osaka
+import oracles
+from kmalg import osaka
 from kmalg.involution import (
     InvolutionError,
     RealFormDescriptor,
     fixed_and_eigenspaces,
-    verify_cartan_relations,
 )
 from kmalg.kmext import cocycle, hat_bracket
 from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
 from kmalg.scalars import I
-from oracles import kp_blocks
+from oracles import kp_blocks, verify_cartan_relations_walk as verify_cartan_relations
 
 NAMES = [rec.name for rec in build_catalog_a1()]
 
@@ -99,8 +100,8 @@ def test_cartan_relations_bracket_each_unordered_pair_once(monkeypatch):
             return fn(x, y)
         return wrapper
 
-    monkeypatch.setattr(involution, "hat_bracket", counting(hat_bracket, lambda x, y: (id(x.loop), id(y.loop))))
-    monkeypatch.setattr(involution, "cocycle", counting(cocycle, lambda f, g: (id(f), id(g))))
+    monkeypatch.setattr(oracles, "hat_bracket", counting(hat_bracket, lambda x, y: (id(x.loop), id(y.loop))))
+    monkeypatch.setattr(oracles, "cocycle", counting(cocycle, lambda f, g: (id(f), id(g))))
     assert verify_cartan_relations(dec)
     assert sum(calls.values()) == n * (n + 1) // 2
     assert set(calls.values()) == {1}
