@@ -76,6 +76,19 @@ class PreservationError(InvolutionError):
     """Map does not preserve the real form it was asked to act on."""
 
 
+class Verdict:
+    """A decided check: true when it holds, else false with the witness of
+    its failure (a reason string or a basis pair)."""
+
+    __slots__ = ("witness",)
+
+    def __init__(self, witness=None):
+        self.witness = witness
+
+    def __bool__(self):
+        return self.witness is None
+
+
 # -- coefficient maps -----------------------------------------------------
 
 class CoeffMap:
@@ -380,28 +393,24 @@ class RealFormDescriptor:
         return t
 
     # -- closure -----------------------------------------------------------
-    def closure_witness(self):
-        """None when the form is closed (the lemma in the module docstring),
-        else the witness of the first failing condition: the basis pair
-        (j, k) for (c), a reason string for any other."""
+    def verify_closed(self, truncation: "Truncation") -> Verdict:
+        """Whether the form is closed (the lemma in the module docstring):
+        the same verdict at every degree, reported at that of truncation,
+        one of this form's. A failed one names the first failing condition:
+        the basis pair (j, k) for (c), a reason string for any other."""
+        if truncation.real_form is not self:
+            raise InvolutionError(f"truncation of {truncation.real_form.name}, not {self.name}")
         tau, alg, twist = self.conj, self.algebra, self.twist
         if tau is None:  # the cocycle stays on a c/d line only when the Killing form is 0
             flat = self.cd_scale is None or not any(map(any, alg.killing_matrix))
-            return None if flat else "cocycle leaves the c/d line"
+            return Verdict(None if flat else "cocycle leaves the c/d line")
         if twist.order == 2 and mat_mul(tau.matrix, twist.matrix) != mat_mul(twist.matrix, tau.matrix):
-            return "grading broken"
+            return Verdict("grading broken")
         square = tau.compose(tau)  # s = 1, linear, parity 0 or 2: acts on degree k as on k mod 2
         if not all(sparse_apply(square.sparse, v, False, square.parity * k) == v
                    for k in (0, 1) for v in twist_eigenbasis(alg, twist, k % twist.order)):
-            return "tau^2 != 1 on the loop algebra"
-        return _automorphism_witness(alg, tau, _line_signs(self.cd_scale))
-
-    def verify_closed(self, truncation: "Truncation") -> bool:
-        """Whether `closure_witness` is None: the same verdict at every
-        degree, reported at that of truncation, one of this form's."""
-        if truncation.real_form is not self:
-            raise InvolutionError(f"truncation of {truncation.real_form.name}, not {self.name}")
-        return self.closure_witness() is None
+            return Verdict("tau^2 != 1 on the loop algebra")
+        return _automorphism_verdict(alg, tau, _line_signs(self.cd_scale))
 
 
 def _line_signs(cd_scale):
@@ -409,17 +418,18 @@ def _line_signs(cd_scale):
     return (1, -1) if cd_scale is None else (1 if cd_scale == ONE else -1,)
 
 
-def _automorphism_witness(algebra, cmap, factors):
-    """None when cmap, scaling c by each of factors (one per c/d line),
-    keeps the extended bracket, else the basis pair (j, k) on which its
-    matrix breaks that of g, or "c/d line sign" when a factor is not the
-    one the derivative picks up: s, or -s for a conjugate-linear map."""
+def _automorphism_verdict(algebra, cmap, factors):
+    """Whether cmap, scaling c by each of factors (one per c/d line),
+    keeps the extended bracket; if not, the witness is the basis pair
+    (j, k) on which its matrix breaks that of g, or "c/d line sign" when a
+    factor is not the one the derivative picks up: s, or -s for a
+    conjugate-linear map."""
     try:
         check_bracket(algebra, cmap.sparse, cmap.conjugate)
     except NotAutomorphismError as err:
-        return err.pair
+        return Verdict(err.pair)
     want = -cmap.index_sign if cmap.conjugate else cmap.index_sign
-    return None if all(f == want for f in factors) else "c/d line sign"
+    return Verdict(None if all(f == want for f in factors) else "c/d line sign")
 
 
 def _period(*maps):
@@ -565,21 +575,19 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
     return split
 
 
-def cartan_witness(rf: RealFormDescriptor, phi: InvolutionDescriptor):
-    """None when phi's split of rf satisfies the Cartan relations (module
-    docstring), else the witness of `_automorphism_witness` for psi = phi,
-    or phi tau when phi is conjugate-linear and rf has a tau."""
+def verify_cartan_relations(dec: Truncation) -> Verdict:
+    """[K,K] in K, [K,P] in P, [P,P] in K on a split truncation (module
+    docstring), with the witness of `_automorphism_verdict` for psi = phi,
+    or phi tau when phi is conjugate-linear and the form has a tau; false
+    on a plain truncation."""
+    rf, phi = dec.real_form, dec.involution
+    if phi is None:
+        return Verdict("not split")
     psi, factors = phi.loop_map, (phi.epsilon,)
     if psi.conjugate and rf.conj is not None:
         psi = psi.compose(rf.conj)
         factors = tuple(phi.epsilon * sign for sign in _line_signs(rf.cd_scale))
-    return _automorphism_witness(rf.algebra, psi, factors)
-
-
-def verify_cartan_relations(dec: Truncation) -> bool:
-    """[K,K] in K, [K,P] in P, [P,P] in K on a split truncation
-    (`cartan_witness` is None); false on a plain one."""
-    return dec.involution is not None and cartan_witness(dec.real_form, dec.involution) is None
+    return _automorphism_verdict(rf.algebra, psi, factors)
 
 
 # -- duality -------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .involution import (
     InvolutionError,
     RealFormDescriptor,
     Truncation,
-    cartan_witness,
     dualize,
     fixed_and_eigenspaces,
     involution_from_invariants,
@@ -82,11 +81,6 @@ class CheckResult:
     witness: object = None  # of a failed closure or Cartan verdict
 
 
-def _failed(what, witness):
-    why = witness if isinstance(witness, str) else f"the bracket of basis pair {witness} is not preserved"
-    return CheckResult(False, f"{what}: {why}", witness)
-
-
 @dataclass
 class OsakaReport:
     name: str
@@ -117,7 +111,7 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
         dec, (preserved, squares) = truncation, err.verdicts
     closed = rf.verify_closed(truncation)
     report.checks["closure"] = (CheckResult(True, "real form closed under the bracket") if closed
-                                else _failed("real form not closed", rf.closure_witness()))
+                                else CheckResult(False, "real form not closed", closed.witness))
     report.checks["involutive"] = CheckResult(
         preserved and squares,
         f"preserves form: {preserved}, squares to identity: {squares}",
@@ -211,8 +205,10 @@ def _check_expected_kp(record: OsakaRecord, dec: Truncation):
 def _check_type(record: OsakaRecord, computed: OsakaType, dec: Truncation,
                 valid_so_far: bool = True) -> CheckResult:
     ok = computed == record.claimed_type
-    if ok and valid_so_far and computed == OsakaType.NON_COMPACT and not verify_cartan_relations(dec):
-        return _failed("Cartan relations failed on the split", cartan_witness(dec.real_form, dec.involution))
+    if ok and valid_so_far and computed == OsakaType.NON_COMPACT:
+        relations = verify_cartan_relations(dec)
+        if not relations:
+            return CheckResult(False, "Cartan relations failed on the split", relations.witness)
     return CheckResult(ok, f"computed {computed.value}, claimed {record.claimed_type.value}")
 
 

@@ -26,7 +26,6 @@ from kmalg.involution import (
     InvolutionError,
     RealFormDescriptor,
     _period,
-    cartan_witness,
     fixed_and_eigenspaces,
     verify_cartan_relations,
 )
@@ -96,15 +95,13 @@ def test_map_verdicts_match_the_walk_wherever_tau_is_a_real_structure(rf, data):
     truncation = rf.truncate(2 * _period(rf.conj, phi.loop_map))
     closed = rf.verify_closed(truncation)
     if reason is not None:
-        assert not closed and rf.closure_witness() == reason
+        assert not closed and closed.witness == reason
         return
-    assert closed == verify_closed_walk(rf, truncation)
-    assert closed == (rf.closure_witness() is None)
+    assert bool(closed) == verify_closed_walk(rf, truncation)
     dec = _split(phi, truncation)
     if closed and dec is not None:
         relations = verify_cartan_relations(dec)
-        assert relations == verify_cartan_relations_walk(dec)
-        assert relations == (cartan_witness(rf, phi) is None)
+        assert bool(relations) == verify_cartan_relations_walk(dec)
 
 
 def test_cartan_verdicts_match_the_walk_on_the_catalog_forms():
@@ -118,9 +115,8 @@ def test_cartan_verdicts_match_the_walk_on_the_catalog_forms():
             if dec is None:
                 continue
             relations = verify_cartan_relations(dec)
-            assert relations == verify_cartan_relations_walk(dec)
-            witness = cartan_witness(rf, phi)
-            outcomes[relations, type(witness).__name__] += 1
+            assert bool(relations) == verify_cartan_relations_walk(dec)
+            outcomes[bool(relations), type(relations.witness).__name__] += 1
     assert set(outcomes) == {(True, "NoneType"), (False, "tuple"), (False, "str")}
 
 
@@ -214,12 +210,12 @@ def test_a_failed_closure_names_a_witness_that_rechecks(row, degree, tmp_path, c
     rep = json.loads(out)
     assert code == cli.EXIT_FAIL and err == ""
     assert rep["checks"]["closure"] is False
-    witness = rep["witnesses"]["closure"]
-    assert witness == want
-    assert rep["details"]["closure"].startswith("real form not closed: ")
+    assert rep["witnesses"] == {"closure": want}
+    assert rep["details"]["closure"] == "real form not closed"
     rf = serialize.record_from_json(spec).real_form
-    assert rf.closure_witness() == (tuple(want) if row == "pair" else want)
-    assert recheck(rf, rf.closure_witness())
+    witness = rf.verify_closed(rf.truncate(degree)).witness
+    assert witness == (tuple(want) if row == "pair" else want)
+    assert recheck(rf, witness)
 
 
 def test_catalog_record_as_a_file_passes_closure_with_its_own_cd_scale(tmp_path, capsys):
@@ -247,8 +243,9 @@ def test_a_failed_cartan_verdict_names_a_witness_that_rechecks(row):
                             -1 if row == "pair" else 1)
     dec = fixed_and_eigenspaces(phi, rf.truncate(4))
     assert rf.verify_closed(dec)
-    assert not verify_cartan_relations(dec) and not verify_cartan_relations_walk(dec)
-    witness = cartan_witness(rf, phi)
+    relations = verify_cartan_relations(dec)
+    assert not relations and not verify_cartan_relations_walk(dec)
+    witness = relations.witness
     if row == "pair":
         assert witness == (0, 1) and _breaks_bracket(rf.algebra, phi.loop_map, witness)
     else:

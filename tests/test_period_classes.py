@@ -59,7 +59,7 @@ DIAGONAL = [_form(pair, (0, 1, 2), signs, s, p, scale) for pair in PAIRS for sig
 
 def real_structure_failure(rf):
     """None when the form's tau is a real structure, else the reason
-    closure_witness must name, found by imaging rather than from the
+    a failed verify_closed must name, found by imaging rather than from the
     lemma's matrix conditions: "grading broken" when tau sends a basis
     vector of a twist piece at degree 0 or 1 out of the piece, "tau^2 != 1
     on the loop algebra" when tau applied twice does not return it."""
@@ -85,11 +85,11 @@ def test_closure_matches_all_pairs_on_every_diagonal_form():
         verdict = rf.verify_closed(truncation)
         reason = real_structure_failure(rf)
         if reason is None:
-            assert verdict == verify_closed_reference(rf, truncation)
+            assert bool(verdict) == verify_closed_reference(rf, truncation)
         else:
-            assert not verdict and rf.closure_witness() == reason
+            assert not verdict and verdict.witness == reason
         reasons[reason] += 1
-        verdicts[verdict] += 1
+        verdicts[bool(verdict)] += 1
         periods[_period(rf.conj)] += 1
     assert len(DIAGONAL) == 512 and verdicts[True] and verdicts[False]
     assert periods == {2: 256, 4: 256}
@@ -121,10 +121,11 @@ def test_closure_matches_all_pairs_on_permutation_forms(pair, perm, signs, s, pa
     rf = _form(pair, perm, signs, s, parity, scale)
     truncation = rf.truncate(degree)
     reason = real_structure_failure(rf)
+    verdict = rf.verify_closed(truncation)
     if reason is None:
-        assert rf.verify_closed(truncation) == verify_closed_reference(rf, truncation)
+        assert bool(verdict) == verify_closed_reference(rf, truncation)
     else:
-        assert not rf.verify_closed(truncation) and rf.closure_witness() == reason
+        assert not verdict and verdict.witness == reason
 
 
 def _corrupted(dec):
