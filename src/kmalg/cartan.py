@@ -64,9 +64,6 @@ class GeneralizedCartanMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def rows(self):
-        return [list(r) for r in self.entries]
-
 
 def validate(entries) -> GeneralizedCartanMatrix:
     """Check the generalized-Cartan-matrix axioms and freeze the matrix."""

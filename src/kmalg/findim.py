@@ -93,10 +93,9 @@ def sparse_rows(matrix):
     ), den
 
 
-def sparse_raw(sparse, vec, conjugate=False, power=0):
-    """i^power * M conj^conjugate(vec) for a numerator vector vec, from the
-    sparse rows of M: its products summed as ints, unreduced, as (nums,
-    den) with nums a tuple [re | im]."""
+def sparse_apply(sparse, vec, conjugate=False, power=0):
+    """The numerator vector of i^power * M conj^conjugate(vec), from the
+    sparse rows of M: its products summed as ints and reduced once."""
     rows, dm = sparse
     nums, den = vec
     n = len(nums) // 2
@@ -112,13 +111,7 @@ def sparse_raw(sparse, vec, conjugate=False, power=0):
             im += s * b + t * a
         re_out.append(re)
         im_out.append(im)
-    return tuple(re_out + im_out), den * dm
-
-
-def sparse_apply(sparse, vec, conjugate=False, power=0):
-    """`sparse_raw` reduced once: the numerator vector of i^power * M
-    conj^conjugate(vec)."""
-    return vec_canon(*sparse_raw(sparse, vec, conjugate, power))
+    return vec_canon(re_out + im_out, den * dm)
 
 
 def sparse_is_identity(sparse) -> bool:

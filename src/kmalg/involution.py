@@ -40,9 +40,8 @@ factor on c (epsilon, or epsilon l^2) is its index sign. On a form with no
 tau, psi = phi, and a conjugate-linear psi needs minus its index sign.
 
 Membership in a real form and the eigenvector tests (the expected K/P
-conditions) build no image: `CoeffMap.fixes` compares the raw integer
-numerators of the image with those of the element, imaging one exponent of
-each mirror pair k, -k when the map is involutive with index sign -1.
+conditions) build no image: `CoeffMap.fixes` images each term of the
+element from its mirror exponent and compares it with the term there.
 """
 from __future__ import annotations
 
@@ -60,12 +59,11 @@ from .findim import (
     mat_mul,
     sparse_apply,
     sparse_is_identity,
-    sparse_raw,
     sparse_rows,
 )
 from .kmext import ExtendedElement, hat_bracket, real_coords  # hat_bracket: perfbench/selftest.py wraps it here
 from .loop import TwistedLoopElement, check_twist, twist_eigenbasis, zero_loop
-from .scalars import I, ONE, Scalar, ZERO, i_power
+from .scalars import I, ONE, Scalar, ZERO, i_power, vec_neg
 
 
 class InvolutionError(ValueError):
@@ -94,7 +92,7 @@ class Verdict:
 class CoeffMap:
     """(Phi a)_k = i^{parity*k} * matrix . conj^conjugate(a_{index_sign*k})."""
 
-    __slots__ = ("matrix", "sparse", "index_sign", "conjugate", "parity", "_involutive")
+    __slots__ = ("matrix", "sparse", "index_sign", "conjugate", "parity")
 
     def __init__(self, matrix, index_sign=1, conjugate=False, parity=0):
         self.matrix = mat(matrix)
@@ -104,19 +102,10 @@ class CoeffMap:
         self.index_sign = index_sign
         self.conjugate = bool(conjugate)
         self.parity = parity % 4
-        self._involutive = None
 
     @classmethod
     def identity(cls, dim):
         return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
-
-    @property
-    def involutive(self) -> bool:
-        """Whether this map squares to the identity, found on first use:
-        `compose` builds a CoeffMap, so it cannot be found in __init__."""
-        if self._involutive is None:
-            self._involutive = self.compose(self).is_identity()
-        return self._involutive
 
     def apply_loop(self, f: TwistedLoopElement) -> TwistedLoopElement:
         # source degree j contributes to target degree s*j
@@ -125,37 +114,14 @@ class CoeffMap:
             s * j: sparse_apply(self.sparse, vec, self.conjugate, p * s * j) for j, vec in f.terms.items()})
 
     def fixes(self, f: TwistedLoopElement, sign=1) -> bool:
-        """Whether apply_loop(f) == sign * f, with no image built and one
-        exponent of each mirror pair imaged when the map is involutive with
-        s = -1 (`fixes_terms` on f's terms)."""
-        return self.fixes_terms(f.terms, sign)
-
-    def fixes_terms(self, terms, sign=1) -> bool:
-        """Whether the map sends the loop with these terms (exponent ->
-        (numerators, denominator), numerators a tuple [re | im], not
-        necessarily in lowest terms) to sign times itself. The image at each
-        exponent k comes from the term at s*k (False when there is none),
-        and its raw numerators over their denominator (`sparse_raw`) are
-        cross-multiplied with those of the term at k, with no gcd.
-
-        Mirror halving: when s = -1 and the map is involutive, the condition
-        at k implies the one at -k (apply the map at -k to both sides: its
-        square is the identity, and sign is real), so only k >= 0 are
-        imaged once every mirror is known to be present. A map that is not
-        involutive is checked at every k."""
-        s, p = self.index_sign, self.parity
-        half = s == -1 and self.involutive
-        for k, (nums, den) in terms.items():
-            source = terms.get(s * k)
-            if source is None:
-                return False
-            if half and k < 0:
-                continue
-            image, image_den = sparse_raw(self.sparse, source, self.conjugate, p * k)
-            scale = sign * image_den
-            if den != 1 or scale != 1:
-                image, nums = [a * den for a in image], [b * scale for b in nums]
-            if image != nums:
+        """Whether apply_loop(f) == sign * f, with no image built: the image
+        at each exponent k of f comes from the term at s*k (False when there
+        is none) and must equal the term at k, negated when sign is -1. Terms
+        are in lowest terms, so tuple equality is value equality."""
+        s, p, terms = self.index_sign, self.parity, f.terms
+        for k, vec in terms.items():
+            source, want = terms.get(s * k), vec if sign == 1 else vec_neg(vec)
+            if source is None or sparse_apply(self.sparse, source, self.conjugate, p * k) != want:
                 return False
         return True
 
@@ -221,22 +187,13 @@ class InvolutionDescriptor:
     def conjugate_linear(self):
         return self.loop_map.conjugate
 
-    def _apply_cd(self, c, d):
+    def apply(self, x: ExtendedElement) -> ExtendedElement:
+        c, d = x.c, x.d
         if self.conjugate_linear:
             c, d = c.conjugate(), d.conjugate()
         if self.epsilon == -1:
             c, d = -c, -d
-        return c, d
-
-    def apply(self, x: ExtendedElement) -> ExtendedElement:
-        return ExtendedElement(self.loop_map.apply_loop(x.loop), *self._apply_cd(x.c, x.d))
-
-    def fixes_parts(self, terms, c, d, sign=1) -> bool:
-        """Whether apply(x) == sign * x for x with these loop terms and these
-        c and d, the loop part decided image-free (`CoeffMap.fixes_terms`)."""
-        if (c or d) and self._apply_cd(c, d) != ((c, d) if sign == 1 else (-c, -d)):
-            return False
-        return self.loop_map.fixes_terms(terms, sign)
+        return ExtendedElement(self.loop_map.apply_loop(x.loop), c, d)
 
     def kind(self) -> InvolutionKind:
         return InvolutionKind.SECOND if self.epsilon == -1 else InvolutionKind.FIRST
@@ -306,19 +263,14 @@ class RealFormDescriptor:
     # -- membership ------------------------------------------------------
     def contains(self, x: ExtendedElement) -> bool:
         """Whether x lies in the form: x is over the form's algebra and
-        twist, and `contains_parts` holds on its parts."""
-        f = x.loop
+        twist, its loop part is fixed by conj (`CoeffMap.fixes`), and c and d
+        lie on the line cd_scale * R. As cd_scale is 1 or i, c / 1 is real
+        iff c.im == 0 and c / i is real iff c.re == 0, so no division is
+        needed."""
+        f, c, d = x.loop, x.c, x.d
         if f.algebra is not self.algebra or f.twist != self.twist:
             return False
-        return self.contains_parts(f.terms, x.c, x.d)
-
-    def contains_parts(self, terms, c, d) -> bool:
-        """Whether the element with these loop terms (`CoeffMap.fixes_terms`)
-        and these c and d, over the form's algebra and twist, lies in the
-        form: its loop part is fixed by conj, and c and d lie on the line
-        cd_scale * R. As cd_scale is 1 or i, c / 1 is real iff c.im == 0 and
-        c / i is real iff c.re == 0, so no division is needed."""
-        if self.conj is not None and not self.conj.fixes_terms(terms):
+        if self.conj is not None and not self.conj.fixes(f):
             return False
         if self.cd_scale is None:
             return True
@@ -481,10 +433,6 @@ class Truncation:
             return list(range(len(self.blocks)))
         return [i if key[0] == "cd" or key[0] <= period else (key[0] - 1) % period + 1
                 for i, (key, _) in enumerate(self.blocks)]
-
-    @property
-    def elements(self):
-        return [e for _, items in self.blocks for e, _ in items]
 
     @property
     def loops(self):

@@ -29,6 +29,7 @@ from .involution import (
     representatives,
     verify_cartan_relations,
 )
+from .kmext import central_element
 from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted
 from .scalars import I, ONE, ZERO, vec_support
 
@@ -135,9 +136,12 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
         elif any(s & ss for s in supports):
             mixed = True
     if fixed_ss_loops:
-        _, verdict = killing_gram(fixed_ss_loops)
-        gram_ok = verdict == Definiteness.NEG_DEFINITE
-        detail = f"verdict {verdict.value} on {len(fixed_ss_loops)} fixed loop directions"
+        try:
+            verdict = killing_gram(fixed_ss_loops)[1].value
+        except NonRealPairingError as err:  # not real, so not negative definite
+            verdict = f"non-real ({err})"
+        gram_ok = verdict == Definiteness.NEG_DEFINITE.value
+        detail = f"verdict {verdict} on {len(fixed_ss_loops)} fixed loop directions"
     else:
         gram_ok = True
         detail = "no fixed semisimple loop directions"
@@ -214,11 +218,11 @@ def _check_type(record: OsakaRecord, computed: OsakaType, dec: Truncation,
 
 def effectiveness_check(record: OsakaRecord) -> Effectiveness:
     """Effective iff the involution maps c to -c on the form's c line (on
-    both 1 and i when it has none), read from the map, image-free
-    (`InvolutionDescriptor.fixes_parts`), and not from its declared epsilon."""
-    rf = record.real_form
+    both 1 and i when it has none), read from its image, and not from its
+    declared epsilon."""
+    rf, phi = record.real_form, record.involution
     scales = (ONE, I) if rf.cd_scale is None else (rf.cd_scale,)
-    effective = all(record.involution.fixes_parts({}, c, ZERO, -1) for c in scales)
+    effective = all(phi.apply(central_element(rf.algebra, rf.twist, c)).c == -c for c in scales)
     return Effectiveness.EFFECTIVE if effective else Effectiveness.NOT_EFFECTIVE
 
 

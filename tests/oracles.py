@@ -31,26 +31,24 @@ tests it with contains and descriptor_fixes, as it did before it decided on
 raw bracket numerators, on the period classes classes_reference finds on
 the blocks, as truncations did before they recorded the period their
 blocks were built with, and it visits the block pairs with the quadratic
-scan representative_pairs_reference, as _representative_pairs did before
-it visited only the first later block of each class. Random Scalars are
+scan representative_pairs_reference, as its pair generator did before it
+visited only the first later block of each class. Random Scalars are
 drawn as two Fractions each, as TrialRng.scalar drew them before it was
 built from the draws of TrialRng.gaussian, and TrialRngReference re-slices
 its buffer on every draw, as TrialRng did before it read at an offset. The
 Jacobi residual is the sum of three nested hat_brackets, as
 jacobi_residual was before it composed the raw extended brackets
 unreduced, and the loop derivative is read off hat_bracket, whose raw
-kernel is the library's one derivative formula. The walk over one
-representative block pair per period class, bracket_verdicts with its pair
-generator _representative_pairs, decided closure (verify_closed_walk) and
-the Cartan relations (verify_cartan_relations_walk) on raw bracket
-numerators before both were read off the coefficient maps; the three are
-kept verbatim as the oracle the map verdicts are checked against.
+kernel is the library's one derivative formula. The walk over the
+brackets, bracket_verdicts_reference, decided closure (verify_closed_walk) and the
+Cartan relations (verify_cartan_relations_walk) before both were read off
+the coefficient maps; it is the oracle the map verdicts are checked
+against.
 """
 from __future__ import annotations
 
 import hashlib
 import re
-from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -66,7 +64,7 @@ from kmalg.involution import (
     _shift,
     dualize,
 )
-from kmalg.kmext import ExtendedElement, cocycle, hat_bracket, real_coords
+from kmalg.kmext import ExtendedElement, hat_bracket, real_coords
 from kmalg.serialize import (
     SCHEMA,
     SchemaError,
@@ -81,9 +79,7 @@ from kmalg.loop import (
     NonRealPairingError,
     TwistedLoopElement,
     killing_gram,
-    loop_bracket_raw,
     loop_killing,
-    over_one_denominator,
     twist_eigenbasis,
     zero_loop,
 )
@@ -796,10 +792,15 @@ def loop_derivative(f, d=ONE):
 
 # -- all-pairs closure and Cartan checks; every block solved ------------------------
 
+def truncation_elements(truncation):
+    """Every element of a truncation, block by block."""
+    return [e for _, items in truncation.blocks for e, _ in items]
+
+
 def verify_closed_reference(rf, truncation) -> bool:
     """RealFormDescriptor.verify_closed before the period-4 lemma: every
     unordered pair of truncated basis elements is bracketed."""
-    flat = truncation.elements
+    flat = truncation_elements(truncation)
     return all(rf.contains(hat_bracket(x, y)) for i, x in enumerate(flat) for y in flat[i:])
 
 
@@ -844,10 +845,8 @@ def representative_pairs_reference(blocks, label):
 
 
 def descriptor_fixes(phi, x, sign=1) -> bool:
-    """InvolutionDescriptor.fixes, whose only caller was the reference
-    walk below: whether phi.apply(x) == sign * x, the loop part decided
-    image-free."""
-    return phi.fixes_parts(x.loop.terms, x.c, x.d, sign)
+    """Whether phi.apply(x) == sign * x."""
+    return phi.apply(x) == (x if sign == 1 else -x)
 
 
 def bracket_verdicts_reference(t, relations):
@@ -968,104 +967,21 @@ def duality_pairing_reference(catalog, n_max=2):
 
 # -- the closure and Cartan walk ----------------------------------------------------
 
-def _representative_pairs(blocks, label):
-    """Each unordered pair of items of one representative block pair per
-    class, the class of a pair being (class of a, class of b, same block?),
-    label[i] the class of block i (`Truncation.classes`); this keeps
-    (1, 1 + P) apart from (1, 1). For block i only block i itself and the
-    first block after i of each class can open a new pair class, so only
-    those are visited, in block order."""
-    at = {}
-    for i, cls in enumerate(label):
-        at.setdefault(cls, []).append(i)
-    seen = set()
-    for i, (_, xs) in enumerate(blocks):
-        later = []
-        for pos in at.values():
-            n = bisect_right(pos, i)
-            if n < len(pos):
-                later.append(pos[n])
-        for i2 in [i] + sorted(later):
-            a, b = label[i], label[i2]
-            cls = (a, b, i == i2) if a <= b else (b, a, False)
-            if cls not in seen:
-                seen.add(cls)
-                ys = blocks[i2][1]
-                for j, x in enumerate(xs):
-                    for y in xs[j:] if i == i2 else ys:
-                        yield x, y
-
-
-def bracket_verdicts(t: Truncation, relations: bool):
-    """(closed, holds) from one walk over the brackets of a truncation,
-    plain or split. closed: every bracket stays in the form (K and P span
-    each block, so a split and its truncation agree). holds, only when
-    relations is asked on a split (else False): each bracket of x and y is
-    also an s_x s_y eigenvector of phi (signs +1 in K, -1 in P), i.e.
-    [K,K] in K, [K,P] in P, [P,P] in K. Each unordered pair is bracketed
-    once (both tests are invariant under z -> -z), in one representative
-    block pair per period-P class (`Truncation.classes`; P of conj, and of
-    phi on a split): every block of a truncation built by hand or copied,
-    a corrupted one among them, is its own class. A bracket that leaves
-    the form fails both and ends the walk.
-
-    No bracket is built. Each item's loop terms are put over one
-    denominator once (`over_one_denominator`); a pair's loop bracket is
-    the raw accumulators of `loop_bracket_raw` over D_x D_y D_s, zero ones
-    dropped, and its c the cocycle. Both verdicts cross-multiply those
-    numerators (`RealFormDescriptor.contains_parts`,
-    `InvolutionDescriptor.fixes_parts`). A pair in which an item carries d
-    has derivative terms and goes through `hat_bracket`; only the d
-    elements of the ("cd",) block do. Items over another algebra or twist
-    than the form's lie outside it once their bracket is nonzero."""
-    rf, phi = t.real_form, t.involution
-    holds = relations and phi is not None
-    period = _period(rf.conj, None if phi is None else phi.loop_map)
-    ready = {}
-
-    def prepared(item):
-        e, sign = item
-        terms, den = over_one_denominator(e.loop.terms)
-        inside = e.loop.algebra is rf.algebra and e.loop.twist == rf.twist
-        ready[id(item)] = out = (e, terms, den, sign, inside)
-        return out
-
-    for x, y in _representative_pairs(t.blocks, t.classes(period)):
-        ex, fs, dx, sx, inside = ready.get(id(x)) or prepared(x)
-        ey, gs, dy, sy, _ = ready.get(id(y)) or prepared(y)
-        if ex.d or ey.d:
-            z = hat_bracket(ex, ey)
-            terms, c = z.loop.terms, z.c
-        else:
-            f = ex.loop
-            c = cocycle(f, ey.loop)  # raises MismatchError as hat_bracket does
-            den = dx * dy * f.algebra._sc_den
-            terms = {k: (tuple(acc), den) for k, acc in loop_bracket_raw(f.algebra, fs, gs).items()
-                     if any(acc)}
-        if not terms and not c:
-            continue
-        if not (inside and rf.contains_parts(terms, c, ZERO)):
-            return False, False
-        if holds and not phi.fixes_parts(terms, c, ZERO, sx * sy):
-            holds = False
-    return True, holds
-
-
 def verify_closed_walk(rf, truncation) -> bool:
     """RealFormDescriptor.verify_closed as it was before closure was read
-    off the maps: the closure half of the walk. The body is kept verbatim
-    apart from self becoming rf."""
+    off the maps: the closure half of the walk over one representative
+    block pair per period class (bracket_verdicts_reference)."""
     if truncation.real_form is not rf:
         raise InvolutionError(f"truncation of {truncation.real_form.name}, not {rf.name}")
-    return bracket_verdicts(truncation, False)[0]
+    return bracket_verdicts_reference(truncation, False)[0]
 
 
 def verify_cartan_relations_walk(dec) -> bool:
     """involution.verify_cartan_relations as it was before the relations
     were read off the maps: [K,K] in K, [K,P] in P, [P,P] in K, exactly on
-    a split truncation (bracket_verdicts); false on a plain one. The body
-    is kept verbatim."""
-    return all(bracket_verdicts(dec, True))
+    a split truncation (bracket_verdicts_reference); false on a plain
+    one."""
+    return all(bracket_verdicts_reference(dec, True))
 
 
 # -- involutive and expected K/P checks on every element ------------------------------
@@ -1086,7 +1002,7 @@ def involutive_reference(rf, phi, truncation):
     applied to every truncated basis element. An image preserves the form
     when it lies in the form and is twist-graded, which contains does not
     test and the Cartan split does (as the real span of its block)."""
-    basis = truncation.elements
+    basis = truncation_elements(truncation)
     images = [phi.apply(e) for e in basis]
     preserved = all(rf.contains(img) and graded(img.loop) for img in images)
     squares = all(phi.apply(img) == e for e, img in zip(basis, images))

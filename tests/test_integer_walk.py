@@ -1,13 +1,17 @@
-"""The integer paths of the closure and Cartan walk against their references:
-`CoeffMap.fixes` (an image-free apply_loop(f) == +-f) against building the
-image, the per-exponent `loop_bracket` against the Scalar-tuple convolution
-in oracles, the shifted structure constants of `direct_sum` against solving
-them from the sum's basis, and the grading check of `SplittingHom.apply`.
+"""The integer paths against their references: `CoeffMap.fixes` (an
+image-free apply_loop(f) == +-f) and `RealFormDescriptor.contains` against
+building the image, the per-exponent `loop_bracket` against the
+Scalar-tuple convolution in oracles, the shifted structure constants of
+`direct_sum` against solving them from the sum's basis, and the grading
+check of `SplittingHom.apply`.
 
 The maps are drawn as in test_sparse_maps (unit, non-unit and zero entries,
-zero rows, both conjugate values, index signs +-1 and parities 0-3), plus
-involutive maps, so that f + sign * phi(f) is a sign-eigenvector of phi and
-True verdicts are common. Loop coefficients have denominators up to 5.
+zero rows, singular matrices, both conjugate values, index signs +-1 and
+parities 0-3), plus involutive maps, so that f + sign * phi(f) is a
+sign-eigenvector of phi and True verdicts are common. Loop coefficients
+have denominators up to 5, and some elements lack the mirror exponent of a
+term, or hold the terms at k > 0 that the ones at -k force under s = -1,
+so that only the terms at negative k decide.
 """
 from fractions import Fraction
 
@@ -23,9 +27,9 @@ from kmalg.findim import (
     make_so,
     make_su,
     mat_bracket,
-    sparse_raw,
+    sparse_apply,
 )
-from kmalg.involution import CoeffMap
+from kmalg.involution import CoeffMap, RealFormDescriptor
 from kmalg.kmext import ExtendedElement, SplittingHom
 from kmalg.loop import (
     GradingError,
@@ -34,12 +38,14 @@ from kmalg.loop import (
     loop_monomial,
     untwisted,
 )
-from kmalg.scalars import Scalar, ZERO
+from kmalg.scalars import I, ONE, Scalar, ZERO
 from oracles import coords_reference, loop_bracket_reference
 from test_findim import KERNEL_ALGEBRAS
-from test_sparse_maps import UNITS, coeff_maps, dims, general, loops
+from test_sparse_maps import UNITS, coeff_maps, dims, general, loops, rationals
 
 nonzero = st.one_of(st.sampled_from(UNITS), general.filter(bool))
+# c and d: zero, real, imaginary or general, so that each c/d line holds some
+line_scalars = st.one_of(st.just(ZERO), rationals.map(Scalar), rationals.map(lambda r: Scalar(0, r)), general)
 
 
 @st.composite
@@ -70,22 +76,52 @@ def _eigen_reference(phi, f, sign):
     return phi.apply_loop(f) == (f if sign == 1 else -f)
 
 
+def _on_line(x, scale):
+    """Whether the Scalar x lies on the line scale * R (on any line when
+    scale is None), read off x * conj(scale)."""
+    return scale is None or not (x * scale.conjugate()).im
+
+
+def _half_built(phi, g, sign):
+    """g's terms at negative exponents plus sign * phi of them: under s = -1
+    the condition at each k > 0 holds by construction, and the one at -k
+    holds exactly when phi is involutive there."""
+    neg = TwistedLoopElement.from_vecs(g.algebra, g.twist, {k: v for k, v in g.terms.items() if k < 0})
+    image = phi.apply_loop(neg)
+    return neg + (image if sign == 1 else -image)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_fixes_matches_apply_loop(data):
+    """fixes against the image, on drawn elements (a term's mirror exponent
+    often missing), on f + sign * phi(f) and on half-built elements; and
+    contains, on the form whose real structure is phi (made conjugate-linear
+    when it is not) with each c/d line and none, against the image plus the
+    c/d line test."""
     n = data.draw(dims)
     involutive = data.draw(st.booleans())
     phi = data.draw(involutions(n) if involutive else coeff_maps(n))
     f = data.draw(loops(n))
     sign = data.draw(st.sampled_from((1, -1)))
-    built = data.draw(st.booleans())
-    if built:
+    how = data.draw(st.sampled_from(("drawn", "eigen", "half")))
+    if how == "eigen":
         image = phi.apply_loop(f)
         f = f + (image if sign == 1 else -image)
+    elif how == "half" and phi.index_sign == -1:
+        f = _half_built(phi, f, sign)
+    else:
+        how = "drawn"
     for s in (1, -1):
         assert phi.fixes(f, s) == _eigen_reference(phi, f, s)
-    if built and involutive:
+    if how != "drawn" and involutive:
         assert phi.fixes(f, sign)
+    tau = phi if phi.conjugate else CoeffMap(phi.matrix, phi.index_sign, True, phi.parity)
+    x = ExtendedElement(f, data.draw(line_scalars), data.draw(line_scalars))
+    for scale in (ONE, I, None):
+        rf = RealFormDescriptor("drawn", f.algebra, f.twist, tau, scale)
+        want = _eigen_reference(tau, f, 1) and _on_line(x.c, scale) and _on_line(x.d, scale)
+        assert rf.contains(x) == want
 
 
 def test_fixes_needs_each_mirror_exponent():
@@ -130,15 +166,15 @@ def _ints(nums):
 @settings(max_examples=100, deadline=None)
 @given(algebra_loops(), st.data())
 def test_integer_paths_make_no_float(case, data):
-    """Both new paths on Fraction-backed input: every numerator and
-    denominator of a loop bracket, and of the raw image `fixes` compares,
-    is an int, and the verdict is a bool."""
+    """Both integer paths on Fraction-backed input: every numerator and
+    denominator of a loop bracket, and of the image `fixes` compares
+    (`sparse_apply`), is an int, and the verdict is a bool."""
     alg, f, g = case
     for nums, den in loop_bracket(f, g).terms.values():
         assert _ints(nums) and type(den) is int and den > 0
     phi = data.draw(coeff_maps(alg.dim))
     for vec in f.terms.values():
-        nums, den = sparse_raw(phi.sparse, vec, phi.conjugate, data.draw(st.integers(-4, 4)))
+        nums, den = sparse_apply(phi.sparse, vec, phi.conjugate, data.draw(st.integers(-4, 4)))
         assert _ints(nums) and type(den) is int and den > 0
     assert type(phi.fixes(f)) is bool and type(phi.fixes(f, -1)) is bool
 

@@ -1,7 +1,7 @@
 """Closure and the Cartan relations read off the coefficient maps (the lemma
 in involution's docstring), against the oracle walk over the brackets of a
-truncation (bracket_verdicts in oracles) at degree 2P, where every class of
-block pairs occurs.
+truncation (bracket_verdicts_reference in oracles) at degree 2P, where
+every class of block pairs occurs.
 
 Wherever the form's tau is a real structure (it keeps the twist grading and
 squares to the identity on the loop algebra), the verdicts must be the
@@ -9,7 +9,9 @@ walk's: on diagonal, signed-permutation and catalog forms, with each c/d
 line and with none (cd_scale None), and on forms with no real structure
 (conj None). Elsewhere closure fails and names why. A failed verdict
 names a witness, which each row below re-checks by another route, and
-osaka_verify decides both verdicts without bracketing a loop.
+osaka_verify decides both verdicts without bracketing a loop. A record
+file with no real structure is the complex algebra viewed as a real
+algebra only with "cd_scale": null; with the default "1" it fails closure.
 """
 import itertools
 import json
@@ -29,7 +31,7 @@ from kmalg.involution import (
     fixed_and_eigenspaces,
     verify_cartan_relations,
 )
-from kmalg.kmext import ExtendedElement, cocycle, hat_bracket
+from kmalg.kmext import ExtendedElement, central_element, cocycle, hat_bracket
 from kmalg.loop import TwistedLoopElement, twist_eigenbasis, untwisted, zero_loop
 from kmalg.osaka import build_catalog_a1, catalog_record, complex_conjugation_counterexample, euclidean_osaka
 from kmalg.scalars import I, ONE, Scalar, ZERO, vec_from_scalars
@@ -184,7 +186,7 @@ def _cocycle_leaves(rf, witness):
     i e_0, is not on the c line."""
     f, g = (TwistedLoopElement(rf.algebra, rf.twist, {k: (I, ZERO, ZERO)}) for k in (1, -1))
     c = cocycle(f, g)
-    return c and not rf.contains_parts({}, c, ZERO)
+    return c and not rf.contains(central_element(rf.algebra, rf.twist, c))
 
 
 CATALOG_SWAPPED = _record("swapped cd", 1, (IDENT, -1, 0), "i")  # I[Id,Id] with cd_scale i
@@ -216,6 +218,27 @@ def test_a_failed_closure_names_a_witness_that_rechecks(row, degree, tmp_path, c
     witness = rf.verify_closed(rf.truncate(degree)).witness
     assert witness == (tuple(want) if row == "pair" else want)
     assert recheck(rf, witness)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 9])
+def test_a_record_with_no_real_structure_and_no_cd_line_passes_closure(degree, tmp_path, capsys):
+    """The cocycle row's record with "cd_scale": null is the complex
+    algebra viewed as a real algebra: it holds both c/d lines, so the
+    cocycle stays in it, and closure holds with no witness. Its fixed
+    loops pair to non-real Killing values, which fix_compact reports as a
+    failed verdict (exit 1), not an internal error."""
+    spec = _record("complex", 1, None, None)
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(spec))
+    code = cli.run(["osaka-verify", "--record", str(path), "--degree", str(degree)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == cli.EXIT_FAIL and err == ""
+    assert rep["checks"]["closure"] is True and "closure" not in rep.get("witnesses", {})
+    assert rep["checks"]["fix_compact"] is False and "non-real" in rep["details"]["fix_compact"]
+    rf = serialize.record_from_json(spec).real_form
+    assert rf.conj is None and rf.cd_scale is None and rf.verify_closed(rf.truncate(degree))
+    assert not _cocycle_leaves(rf, None)
 
 
 def test_catalog_record_as_a_file_passes_closure_with_its_own_cd_scale(tmp_path, capsys):

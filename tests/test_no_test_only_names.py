@@ -1,9 +1,12 @@
 """No public function in the library exists only for the tests: each one
 defined in src/kmalg is referenced from src/kmalg or perfbench/, or is on
 ALLOWED, the documented API that nothing in the package calls. A helper
-only tests call belongs in tests/oracles.py. References are names,
-attributes, imported names and the dotted parts of string constants (how
-perfbench's tracer names what it wraps)."""
+only tests call belongs in tests/oracles.py. A method is read only through
+an attribute access or the dotted parts of a string constant (how
+perfbench's tracer names what it wraps). A module function is read
+through a loaded name, an attribute access (module.function), an imported
+name or such a string; a parameter or local of the same name does not
+read it."""
 import ast
 from pathlib import Path
 
@@ -20,56 +23,89 @@ ALLOWED = {
     ("kmext.py", "kernel_dimension"),
     ("kmext.py", "is_homomorphism_on"),
     # element constructors
-    ("kmext.py", "central_element"),
     ("kmext.py", "derivation_element"),
     ("loop.py", "loop_monomial"),
     # the so(n) family of the README's findim bullet
     ("findim.py", "make_so"),
+    # the Scalar edge of loop elements (README "Coefficients")
+    ("loop.py", "coeffs"),
 }
 
 
 def _public_defs(tree):
-    """Name of every public function or method a module defines."""
-    return [node.name for node in ast.walk(tree)
+    """(name, is_method) of every public function or method a module
+    defines; a method is a def directly in a class body."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+    return [(node.name, id(node) in methods) for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not node.name.startswith("_")]
 
 
 def _references(tree):
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
+    """(names, attributes): the names loaded outside the scope of a
+    parameter or local of that name and the imported names, and the
+    attribute names, each with the dotted parts of every string constant."""
+    names, attrs = set(), set()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            local = local | {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                             + [args.vararg, args.kwarg] if a}
+            local |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
+            names.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(node.value.split("."))
-    return out
+            parts = node.value.split(".")
+            names.update(parts)
+            attrs.update(parts)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return names, attrs
+
+
+def _unread(defs, names, attrs):
+    """The defs no reference reads: a method only through attrs, a
+    function through names or attrs."""
+    return [name for name, is_method in defs if name not in attrs and (is_method or name not in names)]
 
 
 def test_every_public_name_has_a_reader():
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
-    refs = set().union(*(_references(tree) for tree in trees.values()))
+    refs = [_references(tree) for tree in trees.values()]
+    names, attrs = set().union(*(n for n, _ in refs)), set().union(*(a for _, a in refs))
     unread = [f"{path.name}:{name}" for path, tree in trees.items() if path.parent == SRC
-              for name in _public_defs(tree)
-              if name not in refs and (path.name, name) not in ALLOWED]
+              for name in _unread(_public_defs(tree), names, attrs)
+              if (path.name, name) not in ALLOWED]
     assert not unread, "public names only tests call: " + ", ".join(unread)
 
 
 def test_allowlist_names_exist():
     defined = {(path.name, name) for path in SRC.glob("*.py")
-               for name in _public_defs(ast.parse(path.read_text(encoding="utf-8")))}
+               for name, _ in _public_defs(ast.parse(path.read_text(encoding="utf-8")))}
     assert ALLOWED <= defined, sorted(ALLOWED - defined)
 
 
 def test_scan_finds_unread_names():
     tree = ast.parse("def used():\n    pass\ndef unused():\n    used()\n"
                      "class C:\n    def m(self):\n        pass\n    def _p(self):\n        pass\n"
+                     "    def attr(self):\n        pass\n"
+                     "def shadowed():\n    pass\ndef local():\n    pass\n"
+                     "def g(shadowed, m):\n    local = m\n    return local, shadowed\n"
+                     "def f(x):\n    return x.attr\n"
                      "SPANS = ('mod', 'C.traced')\n")
-    assert _public_defs(tree) == ["used", "unused", "m"]
-    refs = _references(tree)
-    assert "used" in refs and "traced" in refs
-    assert "unused" not in refs and "m" not in refs
+    defs = _public_defs(tree)
+    assert defs == [("used", False), ("unused", False), ("shadowed", False), ("local", False), ("g", False),
+                    ("f", False), ("m", True), ("attr", True)]
+    names, attrs = _references(tree)
+    assert "used" in names and "traced" in names and "traced" in attrs
+    # a parameter or local of a def's name reads neither a function nor a
+    # method, and a loaded name does not read a method
+    assert _unread(defs, names, attrs) == ["unused", "shadowed", "local", "g", "f", "m"]

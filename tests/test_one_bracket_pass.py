@@ -1,10 +1,11 @@
-"""The oracle walk over the brackets of a K/P split (bracket_verdicts in
-oracles) decides closure and the Cartan relations as all pairs do, the
-split's one pass over phi's images decides the involutive check, the
-involutive and expected K/P checks apply their maps to one block per
-period class (representatives), and dualize only builds the dual maps:
-osaka-catalog brackets no loop (closure and the relations are read off the
-maps) and images each representative element twice. Each fast path is
+"""The oracle walk over the brackets of a K/P split
+(bracket_verdicts_reference in oracles) decides closure and the Cartan
+relations as all pairs do, the split's one pass over phi's images decides
+the involutive check, the involutive and expected K/P checks apply their
+maps to one block per period class (representatives), and dualize only
+builds the dual maps: osaka-catalog brackets no loop (closure and the
+relations are read off the maps), images each representative element
+twice, and decides membership with no image built. Each fast path is
 checked against the all-pairs or every-element reference in oracles, on
 the 512 diagonal forms, on every catalog record at degrees 1 to 16, and on
 the corrupted splits of test_period_classes."""
@@ -27,7 +28,7 @@ from kmalg.osaka import ExpectedKP, _check_expected_kp, build_catalog_a1, catalo
 from kmalg.scalars import Scalar, ZERO
 import oracles
 from oracles import (
-    bracket_verdicts,
+    bracket_verdicts_reference,
     check_expected_kp_reference,
     duality_pairing_reference,
     involutive_reference,
@@ -69,17 +70,17 @@ def test_bracket_verdicts_match_all_pairs_on_every_diagonal_form(pair):
              (serialize.lookup_algebra(*pair)[0], pair[1])]
     for n, rf in forms:
         truncation = rf.truncate(8)
-        assert bracket_verdicts(truncation, True) == (verify_closed_reference(rf, truncation), False)
+        assert bracket_verdicts_reference(truncation, True) == (verify_closed_reference(rf, truncation), False)
         phis = [PHIS[(5 * n + j) % len(PHIS)] for j in range(2)] + PHIS[:1]
         got = [split_verdicts(phi, truncation) for phi in phis]
         assert got == [involutive_reference(rf, phi, truncation) for phi in phis]
         involutive.update(got[:2])
         phi = next(phi for phi, v in zip(phis, got) if all(v))
         dec = fixed_and_eigenspaces(phi, truncation)
-        closed, holds = bracket_verdicts(dec, True)
+        closed, holds = bracket_verdicts_reference(dec, True)
         assert closed == verify_closed_reference(rf, truncation)
         assert (closed and holds) == verify_cartan_relations_reference(dec)
-        assert bracket_verdicts(dec, False) == (closed, False)
+        assert bracket_verdicts_reference(dec, False) == (closed, False)
         verdicts[(closed, holds), _period(rf.conj, phi.loop_map)] += 1
     assert len(forms) == 128 and {all(v) for v in involutive} == {True, False}
     # closed and not, relations holding and not, at both periods
@@ -156,10 +157,8 @@ def test_osaka_catalog_makes_no_loop_bracket(monkeypatch, capsys):
     capsys.readouterr()
     assert calls["loop_bracket"] == 0
     assert inside == {"build_catalog_a1": 0, "duality_pairing": 0}
-    # the oracle walk: its pairs with a d item go through hat_bracket, the
-    # others through its own binding of the raw kernel
+    # the oracle walk brackets each of its pairs with hat_bracket
     walk = Counter()
-    monkeypatch.setattr(oracles, "loop_bracket_raw", counting_calls(oracles.loop_bracket_raw, walk))
     monkeypatch.setattr(oracles, "hat_bracket", counting_calls(oracles.hat_bracket, walk))
     assert all(oracles.verify_closed_walk(rec.real_form, rec.real_form.truncate(5)) for rec in build_catalog_a1())
     assert sum(walk.values()) == 2662
@@ -176,9 +175,8 @@ def counting_calls(fn, calls):
 def test_walk_and_membership_build_no_image(monkeypatch, capsys):
     """osaka-catalog --degree 5 brackets no loop, and
     RealFormDescriptor.contains decides its verdicts image-free
-    (CoeffMap.fixes), as does the oracle walk (bracket_verdicts) over each
-    catalog split at degree 5: neither makes a CoeffMap.apply_loop call,
-    though both run and other checks apply maps."""
+    (CoeffMap.fixes): it makes no CoeffMap.apply_loop call, though it runs
+    and other checks apply maps."""
     calls = _counting_brackets(monkeypatch)
     apply_loop = CoeffMap.apply_loop
 
@@ -204,11 +202,7 @@ def test_walk_and_membership_build_no_image(monkeypatch, capsys):
     assert cli.run(["osaka-catalog", "--degree", "5"]) == 0
     capsys.readouterr()
     assert calls["loop_bracket"] == 0 and calls["apply_loop"]
-    splits = [fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(5)) for rec in build_catalog_a1()]
-    walk = counted(bracket_verdicts, "bracket_verdicts")
-    assert all(walk(dec, True)[0] for dec in splits)
-    assert inside == {"bracket_verdicts": 0, "contains": 0}
-    assert entered["bracket_verdicts"] == 8 and entered["contains"]
+    assert inside == {"contains": 0} and entered["contains"]
 
 
 def test_squares_is_decided_on_every_block_after_one_fails():
@@ -229,9 +223,8 @@ def test_squares_is_decided_on_every_block_after_one_fails():
 def test_osaka_catalog_images_each_representative_element_twice(monkeypatch, capsys):
     """osaka-catalog --degree 5 applies each involution to the elements of
     the blocks that are their own class once for the image and once for
-    its image (the split), 2 * 150 calls, with no image built twice;
-    effectiveness decides each record's c image-free. The bound allows
-    one call per record for c, as when effectiveness imaged it."""
+    its image (the split), 2 * 150 calls, with no image built twice, and
+    effectiveness images each record's c once: 308 calls."""
     calls = Counter()
     apply = InvolutionDescriptor.apply
 

@@ -1,7 +1,7 @@
 """The period-P lemma: block equations repeat with period P = 2 when every
 parity involved is even and P = 4 otherwise, so the oracle walk
-(bracket_verdicts in oracles) brackets one representative block pair per
-class, every class occurring from degree 2P on, and fixed_and_eigenspaces
+(bracket_verdicts_reference in oracles) brackets one representative block
+pair per class, every class occurring from degree 2P on, and fixed_and_eigenspaces
 shifts the blocks beyond (P, -P). Each is checked against the all-pairs or
 every-block reference in oracles on the diagonal and permutation real
 forms over four registered algebras (both periods), and on every catalog
@@ -29,11 +29,11 @@ from kmalg.loop import TwistedLoopElement, twist_eigenbasis
 from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
 from kmalg.scalars import I, ONE, Scalar, ZERO
 from oracles import (
-    _representative_pairs,
-    bracket_verdicts,
+    bracket_verdicts_reference,
     fixed_and_eigenspaces_reference,
     graded,
     kp_blocks,
+    representative_pairs_reference,
     verify_cartan_relations_reference,
     verify_cartan_relations_walk as verify_cartan_relations,
     verify_closed_reference,
@@ -153,9 +153,10 @@ def _span(dec):
 
 def _check_closure_of_the_split(dec):
     """The closure half of the walk verify_cartan_relations makes
-    (bracket_verdicts) against all pairs of K and P, on every corruption:
-    a K vector times i leaves the form, so some are not closed."""
-    closures = [bracket_verdicts(c, False) for c in _corrupted(dec)]
+    (bracket_verdicts_reference) against all pairs of K and P, on every
+    corruption: a K vector times i leaves the form, so some are not
+    closed."""
+    closures = [bracket_verdicts_reference(c, False) for c in _corrupted(dec)]
     assert closures == [(verify_closed_reference(c.real_form, _span(c)), False) for c in _corrupted(dec)]
     assert {closed for closed, _ in closures} == {True, False}
 
@@ -267,4 +268,4 @@ def test_a_hand_built_truncation_brackets_every_pair():
                        tuple(blocks + [((1, -1), [(x.scale(I), s) for x, s in dict(blocks)[(1, -1)]])]))
     assert twice.classes(4) == list(range(len(twice.blocks)))
     n = sum(len(its) for _, its in twice.blocks)
-    assert len(list(_representative_pairs(twice.blocks, twice.classes(4)))) == n * (n + 1) // 2
+    assert len(list(representative_pairs_reference(twice.blocks, twice.classes(4)))) == n * (n + 1) // 2

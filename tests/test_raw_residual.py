@@ -8,12 +8,14 @@ algebra with one structure constant perturbed, where the Jacobi identity
 fails: there both residuals are nonzero, so jacobi-check reports the
 broken bracket. TrialRng reads its bytes at an offset and
 random_loop_element sums each term in one accumulator; both must give the
-draws and elements of the old code. _representative_pairs visits only the
-first later block of each class; it must yield the pairs of the quadratic
-scan, in order.
+draws and elements of the old code. The pair scan of the oracle walk
+(representative_pairs_reference), on which the map verdicts are checked,
+must yield every item pair of exactly one block pair per class of block
+pairs, and a block pair of every class.
 """
 import copy
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,6 @@ from kmalg.scalars import Scalar
 
 from oracles import (
     TrialRngReference,
-    _representative_pairs,
     jacobi_residual_reference,
     random_loop_element_reference,
     representative_pairs_reference,
@@ -170,8 +171,24 @@ def test_random_elements_match_the_reference_at_degrees_0_to_12(kind):
 # -- representative block pairs ---------------------------------------------------
 
 def _same_pairs(t, label):
-    new = [(id(x), id(y)) for x, y in _representative_pairs(t.blocks, label)]
-    assert new == [(id(x), id(y)) for x, y in representative_pairs_reference(t.blocks, label)]
+    """The scan's pairs, counted per block pair (i, i2), i <= i2: each
+    block pair it visits gives all its unordered item pairs, no two
+    visited block pairs share a class (label[i] and label[i2] unordered,
+    and whether i == i2), and every block pair with items on both sides
+    has the class of a visited one."""
+    sizes = [len(items) for _, items in t.blocks]
+    where = {id(item): i for i, (_, items) in enumerate(t.blocks) for item in items}
+    got = Counter((where[id(x)], where[id(y)]) for x, y in representative_pairs_reference(t.blocks, label))
+
+    def cls(i, i2):
+        return frozenset((label[i], label[i2])), i == i2
+
+    assert all(i <= i2 and n == (sizes[i] * (sizes[i] + 1) // 2 if i == i2 else sizes[i] * sizes[i2])
+               for (i, i2), n in got.items())
+    visited = {cls(i, i2) for i, i2 in got}
+    assert len(visited) == len(got)
+    assert all(cls(i, i2) in visited for i in range(len(sizes)) for i2 in range(i, len(sizes))
+               if sizes[i] and sizes[i2])
 
 
 @pytest.mark.parametrize("degree", list(range(1, 10)) + [16, 128])

@@ -1,24 +1,18 @@
-"""The closure and Cartan walk on raw bracket numerators, the mirror halving
-of CoeffMap.fixes and the period classes a truncation reads off the period
-its blocks were built with.
+"""The oracle walk over the brackets of a truncation on items over another
+algebra, CoeffMap.fixes on a map that is not involutive, and the period
+classes a truncation reads off the period its blocks were built with.
 
-bracket_verdicts builds no bracket: it decides both verdicts on the raw
-accumulators of loop_bracket_raw and the cocycle. It is checked against
-bracket_verdicts_reference in oracles (hat_bracket, contains, phi.fixes on
-each representative pair) on plain truncations and splits of the diagonal
-forms (both periods), of the catalog and of the complex algebra with
-conj=None, intact and corrupted as in test_period_classes, with blocks
-scaled to denominators other than 1 and with items over another algebra or
-twist. CoeffMap.fixes images one half of each mirror pair when its map is
-involutive and s = -1; it is checked against apply_loop on involutive maps
-and on maps that are not, whose k >= 0 half may hold while the whole does
-not. Truncation.classes is checked against classes_reference in oracles,
-which rediscovers the classes from the blocks."""
-from collections import Counter
+bracket_verdicts_reference in oracles (hat_bracket, contains and
+descriptor_fixes on each representative pair), the oracle the map
+verdicts are checked against, must find a truncation whose items come
+from a form over another algebra not closed once a bracket is nonzero,
+closed where every bracket is zero, and raise as hat_bracket does on a
+pair across algebras. CoeffMap.fixes tests every exponent of its element:
+on a map that is not involutive the k >= 0 half of the condition may hold
+while the whole does not. Truncation.classes is checked against
+classes_reference in oracles, which rediscovers the classes from the
+blocks."""
 from dataclasses import replace
-from fractions import Fraction
-
-from hypothesis import given, settings, strategies as st
 
 from kmalg.findim import make_abelian
 from kmalg.involution import (
@@ -28,17 +22,11 @@ from kmalg.involution import (
     fixed_and_eigenspaces,
 )
 from kmalg.loop import MismatchError, TwistedLoopElement, untwisted
-from kmalg.osaka import catalog_record, complex_conjugation_counterexample
+from kmalg.osaka import catalog_record
 from kmalg.scalars import Scalar
-from oracles import bracket_verdicts, bracket_verdicts_reference, classes_reference
-from test_integer_walk import involutions
-from test_one_bracket_pass import PHIS, split_verdicts
-from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS, _corrupted, _span
-from test_sparse_maps import coeff_maps, dims, loops
+from oracles import bracket_verdicts_reference, classes_reference
+from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS, _span
 
-SCALES = (Scalar(Fraction(1, 3)), Scalar(Fraction(-2, 5)), Scalar(Fraction(1, 2), Fraction(1, 2)),
-          Scalar(0, Fraction(1, 3)))
-COMPLEX = complex_conjugation_counterexample()
 _TRUNCATIONS = {}
 
 
@@ -50,45 +38,11 @@ def _truncate(rf, degree):
     return _TRUNCATIONS[key]
 
 
-def _scaled(t, i, scale):
-    """t with every item of block i (every block when i is None) scaled."""
-    blocks = [(key, [(e.scale(scale), s) for e, s in items]) if i in (None, n) else (key, items)
-              for n, (key, items) in enumerate(t.blocks)]
-    return Truncation(t.real_form, t.n_max, tuple(blocks), t.involution)
-
-
 def _foreign(t, other, i):
     """t with its blocks taken from the truncation other, of a form over
     another algebra or twist: every block when i is None, else block i."""
     blocks = [o if i in (None, n) else b for n, (b, o) in enumerate(zip(t.blocks, other.blocks))]
     return Truncation(t.real_form, t.n_max, tuple(blocks), t.involution)
-
-
-@st.composite
-def walks(draw):
-    """(truncation, relations): a plain truncation or a split, maybe
-    corrupted, then maybe scaled, given foreign items or stripped of its d
-    items."""
-    kind = draw(st.sampled_from(("diagonal", "catalog", "complex")))
-    if kind == "diagonal":
-        rf, phi, degree = draw(st.sampled_from(DIAGONAL)), draw(st.sampled_from(PHIS)), draw(st.integers(1, 9))
-    else:
-        rec = catalog_record(draw(st.sampled_from(NAMES))) if kind == "catalog" else COMPLEX
-        rf, phi, degree = rec.real_form, rec.involution, draw(st.integers(1, 6))
-    t = _truncate(rf, degree)
-    if draw(st.booleans()) and all(split_verdicts(phi, t)):
-        t = draw(st.sampled_from(list(_corrupted(fixed_and_eigenspaces(phi, t)))))
-    change = draw(st.sampled_from(("none", "scaled", "foreign", "no d")))
-    block = draw(st.one_of(st.none(), st.integers(0, len(t.blocks) - 1)))
-    if change == "no d":  # c then decides the cd line alone, as d's derivatives no longer do
-        blocks = [(key, [(e, s) for e, s in items if not e.d]) for key, items in t.blocks]
-        t = Truncation(t.real_form, t.n_max, tuple(blocks), t.involution)
-    elif change == "scaled":
-        t = _scaled(t, block, draw(st.sampled_from(SCALES)))
-    elif change == "foreign" and kind == "diagonal":
-        other = draw(st.sampled_from([o for o in DIAGONAL if (o.algebra, o.twist) != (rf.algebra, rf.twist)]))
-        t = _foreign(t, _truncate(other, degree), block)
-    return t, draw(st.booleans())
 
 
 def _outcome(walk, t, relations):
@@ -98,89 +52,29 @@ def _outcome(walk, t, relations):
         return type(err)
 
 
-@settings(max_examples=250, deadline=None)
-@given(walks())
-def test_raw_walk_matches_the_hat_bracket_walk(case):
-    t, relations = case
-    assert _outcome(bracket_verdicts, t, relations) == _outcome(bracket_verdicts_reference, t, relations)
-
-
-def test_raw_walk_matches_on_every_corrupted_catalog_split():
-    """Every corruption of every catalog split at degree 6, and the complex
-    algebra's split (conj=None, cd_scale=None) at degrees 3 and 8."""
-    verdicts = Counter()
-    for name in NAMES:
-        rec = catalog_record(name)
-        for dec in _corrupted(fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(6))):
-            got = bracket_verdicts(dec, True)
-            assert got == bracket_verdicts_reference(dec, True)
-            verdicts[got] += 1
-    assert set(verdicts) == {(True, True), (True, False), (False, False)}
-    for degree in (3, 8):
-        dec = fixed_and_eigenspaces(COMPLEX.involution, COMPLEX.real_form.truncate(degree))
-        assert bracket_verdicts(dec, True) == bracket_verdicts_reference(dec, True) == (True, True)
-
-
 def test_items_over_another_algebra_leave_the_form_only_when_their_bracket_is_nonzero():
     """The same closed diagonal form (real coordinates, cd_scale i) over
     su2c/1 and sl2c/1: both conj matrices are the identity, so only the
     algebra tells the sl2c items apart."""
     su2c, sl2c = DIAGONAL[1], DIAGONAL[257]
     assert su2c.algebra is not sl2c.algebra and su2c.conj == sl2c.conj and su2c.cd_scale == sl2c.cd_scale
-    assert all(bracket_verdicts(_truncate(rf, 3), False) == (True, False) for rf in (su2c, sl2c))
+    assert all(bracket_verdicts_reference(_truncate(rf, 3), False) == (True, False) for rf in (su2c, sl2c))
     t = _foreign(_truncate(su2c, 3), _truncate(sl2c, 3), None)
-    assert bracket_verdicts(t, False) == bracket_verdicts_reference(t, False) == (False, False)
+    assert bracket_verdicts_reference(t, False) == (False, False)
     # brackets that are zero: the c and d items of the cd block (a
-    # derivative of nothing), and one element with itself, whose
-    # accumulators are all zero
+    # derivative of nothing), and one element with itself
     cd = Truncation(su2c, 3, (t.blocks[-1],))
     (key, items), x = cd.blocks[0], t.blocks[1][1][0]
     alone = Truncation(su2c, 3, (((1, -1), [x]),))
     assert key == ("cd",) and x[0].loop.terms
     for zero in (cd, alone):
-        assert bracket_verdicts(zero, False) == bracket_verdicts_reference(zero, False) == (True, False)
+        assert bracket_verdicts_reference(zero, False) == (True, False)
     # one block over sl2c: the pairs across algebras raise, as hat_bracket does
     mixed = _foreign(_truncate(su2c, 3), _truncate(sl2c, 3), 1)
-    assert _outcome(bracket_verdicts, mixed, False) is _outcome(bracket_verdicts_reference, mixed, False)
-    assert _outcome(bracket_verdicts, mixed, False) is MismatchError
+    assert _outcome(bracket_verdicts_reference, mixed, False) is MismatchError
 
 
-# -- the mirror halving ----------------------------------------------------------
-
-def _half_built(phi, g, sign):
-    """g's terms at negative exponents plus sign * phi of them: under s = -1
-    the condition at each k > 0 holds by construction, and the one at -k
-    holds exactly when phi is involutive there."""
-    neg = TwistedLoopElement.from_vecs(g.algebra, g.twist, {k: v for k, v in g.terms.items() if k < 0})
-    image = phi.apply_loop(neg)
-    return neg + (image if sign == 1 else -image)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_fixes_matches_apply_loop_on_involutive_and_other_maps(data):
-    n = data.draw(dims)
-    involutive = data.draw(st.booleans())
-    if involutive:
-        phi = data.draw(involutions(n))
-    else:
-        phi = data.draw(coeff_maps(n).filter(lambda m: not m.involutive).map(
-            lambda m: CoeffMap(m.matrix, -1, m.conjugate, m.parity)).filter(lambda m: not m.involutive))
-    assert phi.involutive == involutive
-    f, sign = data.draw(loops(n)), data.draw(st.sampled_from((1, -1)))
-    how = data.draw(st.sampled_from(("drawn", "eigen", "half")))
-    if how == "eigen":
-        image = phi.apply_loop(f)
-        f = f + (image if sign == 1 else -image)
-    elif how == "half" and phi.index_sign == -1:
-        f = _half_built(phi, f, sign)
-    else:
-        how = "drawn"
-    for s in (1, -1):
-        assert phi.fixes(f, s) == (phi.apply_loop(f) == (f if s == 1 else -f))
-    if involutive and how != "drawn":
-        assert phi.fixes(f, sign)
-
+# -- a map that is not involutive ------------------------------------------------
 
 def test_a_map_that_is_not_involutive_is_checked_at_every_exponent():
     """2 Id, conjugate-linear with s = -1, squares to 4 Id. On
@@ -189,19 +83,9 @@ def test_a_map_that_is_not_involutive_is_checked_at_every_exponent():
     alg = make_abelian(1).complexify()
     f = TwistedLoopElement(alg, untwisted(alg), {1: (Scalar(2),), -1: (Scalar(1),)})
     phi = CoeffMap([[2]], index_sign=-1, conjugate=True)
-    assert not phi.involutive
     image = phi.apply_loop(f)
     assert image.terms[1] == f.terms[1] and image.terms[-1] != f.terms[-1]
     assert not phi.fixes(f) and image != f
-
-
-def test_involutive_is_found_once_and_compose_does_not_find_it():
-    phi = CoeffMap([[0, 1], [1, 0]], index_sign=-1, conjugate=True, parity=2)
-    assert phi._involutive is None
-    square = phi.compose(phi)
-    assert square._involutive is None and phi._involutive is None
-    assert square.is_identity() and phi.involutive and phi._involutive is True
-    assert square.involutive and not CoeffMap([[2, 0], [0, 1]], index_sign=-1).involutive
 
 
 # -- period classes from the built period --------------------------------------------

@@ -15,7 +15,7 @@ from kmalg.involution import (
     RealFormDescriptor,
     fixed_and_eigenspaces,
 )
-from kmalg.kmext import cocycle, hat_bracket
+from kmalg.kmext import hat_bracket
 from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
 from kmalg.scalars import I
 from oracles import kp_blocks, verify_cartan_relations_walk as verify_cartan_relations
@@ -92,8 +92,7 @@ def test_cartan_relations_bracket_each_unordered_pair_once(monkeypatch):
     n = len(dec.k_basis) + len(dec.p_basis)
     calls = Counter()
 
-    # the walk brackets a pair with a d item through hat_bracket, and any
-    # other pair through its raw kernel and the cocycle of the two loops
+    # the walk brackets each pair through hat_bracket
     def counting(fn, pair):
         def wrapper(x, y):
             calls[pair(x, y)] += 1
@@ -101,7 +100,6 @@ def test_cartan_relations_bracket_each_unordered_pair_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(oracles, "hat_bracket", counting(hat_bracket, lambda x, y: (id(x.loop), id(y.loop))))
-    monkeypatch.setattr(oracles, "cocycle", counting(cocycle, lambda f, g: (id(f), id(g))))
     assert verify_cartan_relations(dec)
     assert sum(calls.values()) == n * (n + 1) // 2
     assert set(calls.values()) == {1}
