@@ -9,10 +9,14 @@ from a form over another algebra not closed once a bracket is nonzero,
 closed where every bracket is zero, and raise as hat_bracket does on a
 pair across algebras. CoeffMap.fixes tests every exponent of its element:
 on a map that is not involutive the k >= 0 half of the condition may hold
-while the whole does not. Truncation.classes is checked against
+while the whole does not, so it is checked against apply_loop on involutive
+maps and on maps that are not, with s = -1 and half-built elements among
+them. Truncation.classes is checked against
 classes_reference in oracles, which rediscovers the classes from the
 blocks."""
 from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
 
 from kmalg.findim import make_abelian
 from kmalg.involution import (
@@ -25,7 +29,9 @@ from kmalg.loop import MismatchError, TwistedLoopElement, untwisted
 from kmalg.osaka import catalog_record
 from kmalg.scalars import Scalar
 from oracles import bracket_verdicts_reference, classes_reference
+from test_integer_walk import _half_built, involutions
 from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS, _span
+from test_sparse_maps import coeff_maps, dims, loops
 
 _TRUNCATIONS = {}
 
@@ -75,6 +81,36 @@ def test_items_over_another_algebra_leave_the_form_only_when_their_bracket_is_no
 
 
 # -- a map that is not involutive ------------------------------------------------
+
+def _involutive(phi):
+    return phi.compose(phi).is_identity()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fixes_matches_apply_loop_on_involutive_and_other_maps(data):
+    n = data.draw(dims)
+    involutive = data.draw(st.booleans())
+    if involutive:
+        phi = data.draw(involutions(n))
+    else:
+        phi = data.draw(coeff_maps(n).filter(lambda m: not _involutive(m)).map(
+            lambda m: CoeffMap(m.matrix, -1, m.conjugate, m.parity)).filter(lambda m: not _involutive(m)))
+    assert _involutive(phi) == involutive
+    f, sign = data.draw(loops(n)), data.draw(st.sampled_from((1, -1)))
+    how = data.draw(st.sampled_from(("drawn", "eigen", "half")))
+    if how == "eigen":
+        image = phi.apply_loop(f)
+        f = f + (image if sign == 1 else -image)
+    elif how == "half" and phi.index_sign == -1:
+        f = _half_built(phi, f, sign)
+    else:
+        how = "drawn"
+    for s in (1, -1):
+        assert phi.fixes(f, s) == (phi.apply_loop(f) == (f if s == 1 else -f))
+    if involutive and how != "drawn":
+        assert phi.fixes(f, sign)
+
 
 def test_a_map_that_is_not_involutive_is_checked_at_every_exponent():
     """2 Id, conjugate-linear with s = -1, squares to 4 Id. On
