@@ -310,34 +310,27 @@ def build_parser():
     d.add_argument("--out")
     d.set_defaults(func=cmd_decompose)
 
-    oc = sub.add_parser("osaka-catalog", help="verify the full rank-one catalog")
-    oc.add_argument("--degree", type=int)
-    oc.add_argument("--out")
-    oc.set_defaults(func=cmd_osaka_catalog)
-
-    ov = sub.add_parser("osaka-verify", help="verify one record")
-    ov.add_argument("--record", required=True)
-    ov.add_argument("--degree", type=int)
-    ov.add_argument("--out")
-    ov.set_defaults(func=cmd_osaka_verify)
+    osaka_parsers = [
+        (sub.add_parser("osaka-catalog", help="verify the full rank-one catalog"), cmd_osaka_catalog),
+        (sub.add_parser("osaka-verify", help="verify one record"), cmd_osaka_verify),
+    ]
 
     cn = sub.add_parser("counts", help="second-kind involution count table")
     cn.add_argument("--family")
     cn.add_argument("--out")
     cn.set_defaults(func=cmd_counts)
 
-    # nested alias: kmalg osaka catalog / kmalg osaka verify
+    # nested alias: kmalg osaka catalog / kmalg osaka verify, with the same arguments
     grp = sub.add_parser("osaka", help="osaka subcommands")
     gsub = grp.add_subparsers(dest="subcommand", required=True)
-    gc = gsub.add_parser("catalog")
-    gc.add_argument("--degree", type=int)
-    gc.add_argument("--out")
-    gc.set_defaults(func=cmd_osaka_catalog)
-    gv = gsub.add_parser("verify")
-    gv.add_argument("--record", required=True)
-    gv.add_argument("--degree", type=int)
-    gv.add_argument("--out")
-    gv.set_defaults(func=cmd_osaka_verify)
+    osaka_parsers += [(gsub.add_parser("catalog"), cmd_osaka_catalog),
+                      (gsub.add_parser("verify"), cmd_osaka_verify)]
+    for o, func in osaka_parsers:
+        if func is cmd_osaka_verify:
+            o.add_argument("--record", required=True)
+        o.add_argument("--degree", type=int)
+        o.add_argument("--out")
+        o.set_defaults(func=func)
 
     return p
 

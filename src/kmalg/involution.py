@@ -331,11 +331,10 @@ class RealFormDescriptor:
         (-1)^k and i^{parity k}: they repeat with period P = 2 when every
         parity is even, else P = 4 (`_period`). For k > P the basis is block
         (k - P, P - k)'s with each exponent moved P further from 0; only
-        blocks (0,) .. (P, -P) and ("cd",) are solved, and every class
-        occurs from degree 2P on. The split and the K/P checks read one
-        block per class (`Truncation.classes`); closure and the Cartan
-        relations read only the maps. Every element has sign 0, and the
-        truncation records P as the period its blocks were built with."""
+        blocks (0,) .. (P, -P) and ("cd",) are solved. Every element has
+        sign 0, and the truncation records P as its built_period: the split
+        and the K/P check read blocks (0,) .. (P, -P) only, as any map that
+        commutes with the shift acts on the later blocks as on those."""
         period, blocks = _period(self.conj), {}
         for key in self.block_keys(n_max):
             blocks[key] = ([(e, 0) for e in self.block_basis(key)] if key[0] == "cd" or key[0] <= period
@@ -345,13 +344,10 @@ class RealFormDescriptor:
         return t
 
     # -- closure -----------------------------------------------------------
-    def verify_closed(self, truncation: "Truncation") -> Verdict:
-        """Whether the form is closed (the lemma in the module docstring):
-        the same verdict at every degree, reported at that of truncation,
-        one of this form's. A failed one names the first failing condition:
+    def verify_closed(self) -> Verdict:
+        """Whether the form is closed (the lemma in the module docstring),
+        at every degree. A failed verdict names the first failing condition:
         the basis pair (j, k) for (c), a reason string for any other."""
-        if truncation.real_form is not self:
-            raise InvolutionError(f"truncation of {truncation.real_form.name}, not {self.name}")
         tau, alg, twist = self.conj, self.algebra, self.twist
         if tau is None:  # the cocycle stays on a c/d line only when the Killing form is 0
             flat = self.cd_scale is None or not any(map(any, alg.killing_matrix))
@@ -392,18 +388,9 @@ def _period(*maps):
 def _shift(items, period):
     """(element, sign) items with every exponent of each element's loop part
     moved period further from 0 (c and d dropped), signs kept."""
-    return [(ExtendedElement(e.loop._like(
-        {k + (period if k > 0 else -period): v for k, v in e.loop.terms.items()})), s)
+    return [(ExtendedElement(e.loop.from_vecs(e.loop.algebra, e.loop.twist, {
+        k + (period if k > 0 else -period): v for k, v in e.loop.terms.items()})), s)
         for e, s in items]
-
-
-def representatives(t: "Truncation", *maps):
-    """Positions of the blocks of a truncation that are their own class
-    (`Truncation.classes`) under the period of maps: every block of a
-    truncation that records no built period. A merged block is its base
-    shifted, and the maps commute with the shift, so maps need to be
-    applied to these only."""
-    return [i for i, label in enumerate(t.classes(_period(*maps))) if label == i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,23 +403,13 @@ class Truncation:
     built_period is the period P0 `truncate` or the split built the blocks
     with: block (k, -k), k > P0, is block (k - P0, P0 - k) `_shift`ed. Not
     an init field, it is None on a dataclasses.replace copy or a truncation
-    built by hand."""
+    built by hand, whose every block is then split and checked."""
 
     real_form: RealFormDescriptor
     n_max: int
     blocks: tuple
     involution: InvolutionDescriptor | None = None
     built_period: int | None = field(default=None, init=False, repr=False)
-
-    def classes(self, period):
-        """The period-P class (P = period) of each block, as the position of
-        the block standing for it: when built_period divides P, that of
-        block (k, -k), k > P, is block (j, -j), j in 1..P, j = k mod P, of
-        which it is the exact shift. Any other block is its own class."""
-        if self.built_period is None or period % self.built_period:
-            return list(range(len(self.blocks)))
-        return [i if key[0] == "cd" or key[0] <= period else (key[0] - 1) % period + 1
-                for i, (key, _) in enumerate(self.blocks)]
 
     @property
     def loops(self):
@@ -464,25 +441,26 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
     """The Cartan split of a truncation of a real form: the same blocks,
     each holding the exact +1 eigenvectors of phi (K, sign +1) and then the
     -1 eigenvectors (P, sign -1). P = 2 when the parities of the form's
-    conj and phi are even, else 4 (`_period`); a block in the period-P
-    class of a lower one (`Truncation.classes`) gets the items of the
-    block P lower shifted, which is exact as phi commutes with the shift.
+    conj and phi are even, else 4 (`_period`). When the truncation's
+    built_period divides P, block (k, -k), k > P, gets the items of the
+    block P lower shifted, which is exact as phi commutes with the shift,
+    and the split records P as its built_period.
 
     It is the one pass over phi's images: each element of a block that is
-    its own class is imaged once. phi preserves the form when each image
+    not shifted is imaged once. phi preserves the form when each image
     is in the form and in its block's real span (which `contains` does not
     test: an image may break the twist grading), and squares to the
     identity when it maps each image back to its element, tested even
     after a block fails. The blocks are split while both hold; else the
     error of the first failing block (preservation tested first) raises
     after the pass, with verdicts = (preserved, squares)."""
-    rf = truncation.real_form
+    rf, built = truncation.real_form, truncation.built_period
     period = _period(rf.conj, phi.loop_map)
-    label = truncation.classes(period)
+    shifted = built is not None and period % built == 0
     preserved = squares = True
     error, blocks = None, []
     for i, (key, items) in enumerate(truncation.blocks):
-        if label[i] != i:
+        if shifted and key[0] != "cd" and key[0] > period:
             if error is None:
                 blocks.append((key, _shift(blocks[i - period][1], period)))
             continue
@@ -518,19 +496,16 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
         error.verdicts = preserved, squares
         raise error
     split = Truncation(rf, truncation.n_max, tuple(blocks), phi)
-    if truncation.built_period and period % truncation.built_period == 0:
+    if shifted:
         object.__setattr__(split, "built_period", period)  # frozen, and not an init field
     return split
 
 
-def verify_cartan_relations(dec: Truncation) -> Verdict:
-    """[K,K] in K, [K,P] in P, [P,P] in K on a split truncation (module
-    docstring), with the witness of `_automorphism_verdict` for psi = phi,
-    or phi tau when phi is conjugate-linear and the form has a tau; false
-    on a plain truncation."""
-    rf, phi = dec.real_form, dec.involution
-    if phi is None:
-        return Verdict("not split")
+def verify_cartan_relations(rf: RealFormDescriptor, phi: InvolutionDescriptor) -> Verdict:
+    """[K,K] in K, [K,P] in P, [P,P] in K for the split of rf by phi (module
+    docstring), at every degree, with the witness of `_automorphism_verdict`
+    for psi = phi, or phi tau when phi is conjugate-linear and the form has
+    a tau."""
     psi, factors = phi.loop_map, (phi.epsilon,)
     if psi.conjugate and rf.conj is not None:
         psi = psi.compose(rf.conj)

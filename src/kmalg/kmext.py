@@ -212,7 +212,7 @@ def hat_bracket(x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
     f, g = x.loop, y.loop
     f._require_match(g)
     out, den = extended_bracket_raw(f.algebra, f.twist.order, *_prepared(x), *_prepared(y))
-    loop = f._like({k: vec_canon(acc, den) for k, acc in out.items() if any(acc)})
+    loop = f.from_vecs(f.algebra, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
     return ExtendedElement(loop, cocycle(f, g), ZERO)
 
 
@@ -249,7 +249,8 @@ def jacobi_residual(x: ExtendedElement, y: ExtendedElement, z: ExtendedElement) 
             else:
                 for j, v in enumerate(acc):
                     t[j] += v * s
-    loop = f._like({k: vec_canon(acc, den) for k, acc in total.items() if any(acc)})
+    # the Jacobi identity makes every accumulator zero: skip reducing them
+    loop = f.from_vecs(f.algebra, f.twist, {k: vec_canon(acc, den) for k, acc in total.items() if any(acc)})
     return ExtendedElement(loop, c, ZERO)
 
 
@@ -307,9 +308,7 @@ class SplittingHom:
 
     Loops embed blockwise; the c coefficients add up. The kernel is the
     hyperplane of pure-c tuples summing to zero, of dimension (#factors - 1).
-    A factor's terms are graded by its twist, so the image is checked
-    against the grading of an order-2 target twist only when some factor's
-    twist differs from it on the factor's block (in order or matrix rows).
+    Every image is checked against the grading of the target twist.
     """
 
     def __init__(self, factors, target_algebra, target_twist):
@@ -320,20 +319,15 @@ class SplittingHom:
         blocks = target_algebra.blocks
         if len(blocks) != len(self.factors):
             raise MismatchError("factor count does not match target ideal blocks")
-        offset, width, agree = 0, target_algebra.dim, True
+        offset = 0
         self._offsets = []
-        for (alg, twist), blk in zip(self.factors, blocks):
+        for (alg, _), blk in zip(self.factors, blocks):
             if alg.dim != len(blk.indices):
                 raise MismatchError("factor dimension does not match target block")
             if tuple(blk.indices) != tuple(range(offset, offset + alg.dim)):
                 raise MismatchError("target blocks must be contiguous and ordered")
-            pad = (ZERO,) * offset, (ZERO,) * (width - offset - alg.dim)
-            agree = agree and twist.order == target_twist.order and all(
-                target_twist.matrix[offset + i] == pad[0] + row + pad[1]
-                for i, row in enumerate(twist.matrix))
             self._offsets.append(offset)
             offset += alg.dim
-        self._graded = target_twist.order == 1 or agree
 
     def apply(self, parts) -> ExtendedElement:
         """parts: one (loop, c) ExtendedElement per factor (d must be 0)."""
@@ -351,8 +345,7 @@ class SplittingHom:
                 terms[k] = vec_add(terms[k], vec) if k in terms else vec
             c_total = c_total + part.c
         loop = TwistedLoopElement.from_vecs(self.target_algebra, self.target_twist, terms)
-        if not self._graded:
-            check_grading(loop)
+        check_grading(loop)
         return ExtendedElement(loop, c_total, ZERO)
 
     def kernel_dimension(self) -> int:

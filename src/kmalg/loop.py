@@ -86,18 +86,15 @@ class TwistedLoopElement:
 
     @classmethod
     def from_vecs(cls, algebra, twist, terms):
-        """An element from graded numerator vectors, unchecked; zero vectors
-        are dropped."""
+        """An element from graded numerator vectors, unchecked: the one
+        constructor that checks nothing. Zero vectors are dropped; terms is
+        copied only when it holds one, so it must not change afterwards."""
+        for nums, _ in terms.values():
+            if not any(nums):
+                terms = {k: vec for k, vec in terms.items() if any(vec[0])}
+                break
         f = object.__new__(cls)
-        f.algebra, f.twist = algebra, twist
-        f.terms = {k: vec for k, vec in terms.items() if any(vec[0])}
-        return f
-
-    def _like(self, terms):
-        """An element over this one's algebra and twist, from nonzero graded
-        numerator vectors."""
-        f = object.__new__(TwistedLoopElement)
-        f.algebra, f.twist, f.terms = self.algebra, self.twist, terms
+        f.algebra, f.twist, f.terms = algebra, twist, terms
         return f
 
     # -- vector-space structure ----------------------------------------
@@ -112,14 +109,12 @@ class TwistedLoopElement:
         return self + (-other)
 
     def __neg__(self):
-        return self._like({k: vec_neg(v) for k, v in self.terms.items()})
+        return self.from_vecs(self.algebra, self.twist, {k: vec_neg(v) for k, v in self.terms.items()})
 
     def scale(self, c):
         c = c if isinstance(c, Scalar) else Scalar(c)
-        if not c:
-            return self._like({})
         c = vec_from_scalars((c,))
-        return self._like({k: vec_mul(v, c) for k, v in self.terms.items()})
+        return self.from_vecs(self.algebra, self.twist, {k: vec_mul(v, c) for k, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, TwistedLoopElement):

@@ -48,11 +48,11 @@ class TrialRng:
         span = b - a + 1
         return a + self.u32() % span
 
-    def scalar(self, real_only=False) -> Scalar:
+    def scalar(self) -> Scalar:
         """a/p + i b/q from the draws of gaussian(): a, b in [-3, 3] and
-        p, q in [1, 2]; real_only draws a and p only."""
+        p, q in [1, 2]."""
         a, p = self.randint(-3, 3), self.randint(1, 2)
-        b, q = (0, 1) if real_only else (self.randint(-3, 3), self.randint(1, 2))
+        b, q = self.randint(-3, 3), self.randint(1, 2)
         return Scalar(Fraction(a, p), Fraction(b, q))
 
     def gaussian(self):

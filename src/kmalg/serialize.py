@@ -267,7 +267,7 @@ def record_from_json(obj):
     return OsakaRecord(
         name=name, real_form=form, involution=inv,
         claimed_type=claimed,
-        expected_kp=ExpectedKP(inv.loop_map, dims),
+        expected_kp=ExpectedKP(dims),
         dual_name=dual,
     )
 

@@ -930,24 +930,26 @@ def fixed_and_eigenspaces_reference(phi, truncation):
     return Truncation(rf, truncation.n_max, tuple(blocks), phi)
 
 
-def dualize_reference(rf, phi, n_max=1):
+def dualize_reference(rf, phi):
     """involution.dualize as it was when it re-verified the dual form's
-    closure on its truncation at degree max(1, n_max)."""
+    closure, which was decided on a truncation then and is read off the
+    maps now."""
     dual = dualize(rf, phi)
-    if not dual.real_form.verify_closed(dual.real_form.truncate(max(1, n_max))):
+    if not dual.real_form.verify_closed():
         raise InvolutionError("dual form is not closed under the bracket")
     return dual
 
 
-def duality_pairing_reference(catalog, n_max=2):
+def duality_pairing_reference(catalog):
     """(matches, double_dual_ok) of osaka.duality_pairing as it was before it
     dualized each record once: every record's dual and double dual built,
-    each re-verified closed at degree n_max. The loop is kept verbatim."""
+    each re-verified closed. The loop is kept verbatim apart from the
+    degree it passed to dualize_reference."""
     by_name = {r.name: r for r in catalog}
     matches = {}
     double_ok = True
     for rec in catalog:
-        dual = dualize_reference(rec.real_form, rec.involution, n_max)
+        dual = dualize_reference(rec.real_form, rec.involution)
         partner = by_name[rec.dual_name]
         same = (
             dual.real_form.conj == partner.real_form.conj
@@ -955,7 +957,7 @@ def duality_pairing_reference(catalog, n_max=2):
             and dual.involution.loop_map == partner.involution.loop_map
         )
         matches[rec.name] = same
-        ddual = dualize_reference(dual.real_form, partner.involution, n_max)
+        ddual = dualize_reference(dual.real_form, partner.involution)
         if not (
             ddual.real_form.conj == rec.real_form.conj
             and ddual.real_form.cd_scale == rec.real_form.cd_scale
@@ -1010,10 +1012,11 @@ def involutive_reference(rf, phi, truncation):
 
 
 def check_expected_kp_reference(record, dec):
-    """osaka._check_expected_kp as it was before it read only the blocks
-    that are their own period class. The body is kept verbatim apart from
-    reading each block's K and P through kp_blocks."""
-    exp = record.expected_kp
+    """osaka._check_expected_kp as it was before it skipped the blocks
+    past the split's built period. The body is kept verbatim apart from
+    reading each block's K and P through kp_blocks, and the expected map
+    from the split's involution, as ExpectedKP no longer holds one."""
+    exp, expected_map = record.expected_kp, dec.involution.loop_map
     for key, k_basis, p_basis in kp_blocks(dec):
         want_k, want_p = exp.block_dims(key)
         if (len(k_basis), len(p_basis)) != (want_k, want_p):
@@ -1026,9 +1029,9 @@ def check_expected_kp_reference(record, dec):
                 return False, "c/d directions appeared in K"
             continue
         for e in k_basis:
-            if exp.map.apply_loop(e.loop) != e.loop:
+            if expected_map.apply_loop(e.loop) != e.loop:
                 return False, f"K vector in block {key} violates the expected condition"
         for e in p_basis:
-            if exp.map.apply_loop(e.loop) != -e.loop:
+            if expected_map.apply_loop(e.loop) != -e.loop:
                 return False, f"P vector in block {key} violates the expected condition"
     return True, "eigenspaces match the expected conditions and dimensions"

@@ -30,6 +30,7 @@ from oracles import (
     killing_so_family,
     scalar_bracket,
     scalar_killing,
+    scalar_reference,
 )
 
 E1 = (Scalar(1), ZERO, ZERO)
@@ -126,8 +127,8 @@ def test_killing_su2_against_trace_oracle():
     assert scalar_killing(su2, E1, E1) == Scalar(-8)
     rng = TrialRng("killing-su2")
     for _ in range(20):
-        x = tuple(rng.scalar(real_only=True) for _ in range(3))
-        y = tuple(rng.scalar(real_only=True) for _ in range(3))
+        x = tuple(scalar_reference(rng, real_only=True) for _ in range(3))
+        y = tuple(scalar_reference(rng, real_only=True) for _ in range(3))
         assert scalar_killing(su2, x, y) == killing_sl_family(2, su2.matrix(x), su2.matrix(y))
 
 
@@ -150,7 +151,7 @@ def test_killing_so_oracle():
 def test_killing_abelian_vanishes():
     ab = make_abelian(3)
     rng = TrialRng("killing-ab")
-    x = tuple(rng.scalar(real_only=True) for _ in range(3))
+    x = tuple(scalar_reference(rng, real_only=True) for _ in range(3))
     assert scalar_killing(ab, x, x) == ZERO
 
 

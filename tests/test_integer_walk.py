@@ -196,7 +196,8 @@ def test_direct_sum_structure_equals_the_solved_table(summands):
 def test_splitting_hom_checks_the_grading_where_the_twists_differ(monkeypatch):
     """An untwisted su(2) factor beside a twisted one, into su(2)+su(2)
     twisted by the identity on the first block: the first block's odd terms
-    break the target grading, and its even ones keep it."""
+    break the target grading, and its even ones keep it. Every image is
+    checked, also one graded by construction."""
     su2c = make_su(2).complexify()
     tw1 = untwisted(su2c)
     tw2 = automorphism_from_order(su2c, [[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
@@ -211,13 +212,13 @@ def test_splitting_hom_checks_the_grading_where_the_twists_differ(monkeypatch):
     assert image.loop.coeffs == {2: x + (ZERO,) * 3, 1: (ZERO,) * 3 + (Scalar(1), ZERO, ZERO)}
     with pytest.raises(GradingError):
         mixed.apply([ExtendedElement(loop_monomial(su2c, tw1, 1, x)), second])
-    # two factors twisted as the target is are graded by construction: no check
-    checked = []
-    monkeypatch.setattr(kmext, "check_grading", checked.append)
+    # every image is checked, also where each factor is twisted as the
+    # target is on its block, so that the image is graded by construction
     both = (-1, 1, -1, -1, 1, -1)
     agreeing = SplittingHom([(su2c, tw2), (su2c, tw2)], target, automorphism_from_order(
         target, [[both[i] if i == j else 0 for j in range(6)] for i in range(6)]))
-    agreeing.apply([second, second])
-    assert not checked
-    mixed.apply([ExtendedElement(loop_monomial(su2c, tw1, 2, x)), second])
-    assert len(checked) == 1
+    checked = []
+    monkeypatch.setattr(kmext, "check_grading", checked.append)
+    images = [agreeing.apply([second, second]),
+              mixed.apply([ExtendedElement(loop_monomial(su2c, tw1, 2, x)), second])]
+    assert checked == [y.loop for y in images]

@@ -19,7 +19,7 @@ from kmalg.loop import (
 from kmalg.rand import TrialRng, random_loop_element
 from kmalg.scalars import Scalar, ZERO
 
-from oracles import loop_derivative, loop_killing_oracle, scalar_bracket
+from oracles import loop_derivative, loop_killing_oracle, scalar_bracket, scalar_reference
 
 SU2C = make_su(2).complexify()
 TW1 = untwisted(SU2C)
@@ -177,7 +177,7 @@ def test_pointwise_compact_elements_pair_negatively():
         terms = {}
         for _ in range(rng.randint(1, 3)):
             k = rng.randint(0, 4)
-            vec = tuple(rng.scalar() if k else rng.scalar(real_only=True) for _ in range(3))
+            vec = tuple(rng.scalar() if k else scalar_reference(rng, real_only=True) for _ in range(3))
             terms[k] = vec
             if k:
                 terms[-k] = tuple(c.conjugate() for c in vec)

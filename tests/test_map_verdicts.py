@@ -95,14 +95,14 @@ def test_map_verdicts_match_the_walk_wherever_tau_is_a_real_structure(rf, data):
     reason = None if rf.conj is None else real_structure_failure(rf)
     phi = data.draw(st.sampled_from(_involutions(rf)))
     truncation = rf.truncate(2 * _period(rf.conj, phi.loop_map))
-    closed = rf.verify_closed(truncation)
+    closed = rf.verify_closed()
     if reason is not None:
         assert not closed and closed.witness == reason
         return
     assert bool(closed) == verify_closed_walk(rf, truncation)
     dec = _split(phi, truncation)
     if closed and dec is not None:
-        relations = verify_cartan_relations(dec)
+        relations = verify_cartan_relations(rf, phi)
         assert bool(relations) == verify_cartan_relations_walk(dec)
 
 
@@ -116,16 +116,10 @@ def test_cartan_verdicts_match_the_walk_on_the_catalog_forms():
             dec = _split(phi, rf.truncate(2 * _period(rf.conj, phi.loop_map)))
             if dec is None:
                 continue
-            relations = verify_cartan_relations(dec)
+            relations = verify_cartan_relations(rf, phi)
             assert bool(relations) == verify_cartan_relations_walk(dec)
             outcomes[bool(relations), type(relations.witness).__name__] += 1
     assert set(outcomes) == {(True, "NoneType"), (False, "tuple"), (False, "str")}
-
-
-def test_plain_truncation_has_no_cartan_relations():
-    rf = catalog_record("IV").real_form
-    assert not verify_cartan_relations(rf.truncate(2))
-    assert not verify_cartan_relations_walk(rf.truncate(2))
 
 
 # -- witnesses -----------------------------------------------------------------------
@@ -215,7 +209,7 @@ def test_a_failed_closure_names_a_witness_that_rechecks(row, degree, tmp_path, c
     assert rep["witnesses"] == {"closure": want}
     assert rep["details"]["closure"] == "real form not closed"
     rf = serialize.record_from_json(spec).real_form
-    witness = rf.verify_closed(rf.truncate(degree)).witness
+    witness = rf.verify_closed().witness
     assert witness == (tuple(want) if row == "pair" else want)
     assert recheck(rf, witness)
 
@@ -237,7 +231,7 @@ def test_a_record_with_no_real_structure_and_no_cd_line_passes_closure(degree, t
     assert rep["checks"]["closure"] is True and "closure" not in rep.get("witnesses", {})
     assert rep["checks"]["fix_compact"] is False and "non-real" in rep["details"]["fix_compact"]
     rf = serialize.record_from_json(spec).real_form
-    assert rf.conj is None and rf.cd_scale is None and rf.verify_closed(rf.truncate(degree))
+    assert rf.conj is None and rf.cd_scale is None and rf.verify_closed()
     assert not _cocycle_leaves(rf, None)
 
 
@@ -265,8 +259,8 @@ def test_a_failed_cartan_verdict_names_a_witness_that_rechecks(row):
     rf, phi = _almost_split([[1, 0, 0], [0, 1, 0], [0, 0, -1]] if row == "pair" else IDENT,
                             -1 if row == "pair" else 1)
     dec = fixed_and_eigenspaces(phi, rf.truncate(4))
-    assert rf.verify_closed(dec)
-    relations = verify_cartan_relations(dec)
+    assert rf.verify_closed()
+    relations = verify_cartan_relations(rf, phi)
     assert not relations and not verify_cartan_relations_walk(dec)
     witness = relations.witness
     if row == "pair":

@@ -2,13 +2,15 @@
 (bracket_verdicts_reference in oracles) decides closure and the Cartan
 relations as all pairs do, the split's one pass over phi's images decides
 the involutive check, the involutive and expected K/P checks apply their
-maps to one block per period class (representatives), and dualize only
+maps to the blocks up to the split's built period only, and dualize only
 builds the dual maps: osaka-catalog brackets no loop (closure and the
-relations are read off the maps), images each representative element
+relations are read off the maps), images each element of those blocks
 twice, and decides membership with no image built. Each fast path is
 checked against the all-pairs or every-element reference in oracles, on
 the 512 diagonal forms, on every catalog record at degrees 1 to 16, and on
-the corrupted splits of test_period_classes."""
+the corrupted splits of test_period_classes, the period-4 ones at degrees
+1 to 11."""
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -24,7 +26,15 @@ from kmalg.involution import (
     _period,
     fixed_and_eigenspaces,
 )
-from kmalg.osaka import ExpectedKP, _check_expected_kp, build_catalog_a1, catalog_record, duality_pairing
+from kmalg.osaka import (
+    ExpectedKP,
+    OsakaRecord,
+    OsakaType,
+    _check_expected_kp,
+    build_catalog_a1,
+    catalog_record,
+    duality_pairing,
+)
 from kmalg.scalars import Scalar, ZERO
 import oracles
 from oracles import (
@@ -32,10 +42,11 @@ from oracles import (
     check_expected_kp_reference,
     duality_pairing_reference,
     involutive_reference,
+    kp_blocks,
     verify_cartan_relations_reference,
     verify_closed_reference,
 )
-from test_period_classes import DIAGONAL, NAMES, PAIRS, _corrupted, _counting_brackets, _span
+from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS, PAIRS, _corrupted, _counting_brackets, _span
 
 
 def split_verdicts(phi, truncation):
@@ -88,12 +99,44 @@ def test_bracket_verdicts_match_all_pairs_on_every_diagonal_form(pair):
     assert {p for _, p in verdicts} == {2, 4}
 
 
-def _expected_maps(rec):
-    """The record's expected map, its parity-1 and parity-2 variants, and
-    the identity (which fixes K but not P)."""
-    m = rec.expected_kp.map
-    return [m, CoeffMap.identity(len(m.matrix))] + [
-        CoeffMap(m.matrix, m.index_sign, m.conjugate, p) for p in (1, 2)]
+def _with_maps(dec):
+    """dec with its involution's map m (which the K/P check reads) replaced
+    by m, its parity-1 and parity-2 variants, and the identity (which fixes
+    K but not P). Each keeps dec's built period where the map commutes
+    with the shift by it, so the check skips the blocks past it; elsewhere
+    every block is checked."""
+    phi = dec.involution
+    m = phi.loop_map
+    for other in [m, CoeffMap.identity(len(m.matrix))] + [
+            CoeffMap(m.matrix, m.index_sign, m.conjugate, p) for p in (1, 2)]:
+        changed = replace(dec, involution=replace(phi, loop_map=other))
+        if dec.built_period and dec.built_period % _period(other) == 0:
+            object.__setattr__(changed, "built_period", dec.built_period)
+        yield changed
+
+
+def _checked_copies(dec):
+    """The splits whose K/P check is compared with the reference: dec and
+    its corruptions (_corrupted, then dec with the K and P vectors of one
+    block swapped, for each block with both), each with the maps of
+    _with_maps. A corruption is a dataclasses.replace copy with no built
+    period, so every block of it is checked. Then each corruption of the
+    c/d block or of one of (0,) .. (P, -P) again, with dec's built period
+    back and dec's own map: the check skips the blocks past P, shifts of
+    intact blocks that the map passes, and reads the changed one."""
+    swapped = []
+    for i, (key, k_basis, p_basis) in enumerate(kp_blocks(dec)):
+        if k_basis and p_basis:
+            blocks = list(dec.blocks)
+            blocks[i] = (key, [(e, 1) for e in p_basis] + [(e, -1) for e in k_basis])
+            swapped.append(replace(dec, blocks=tuple(blocks)))
+    for corrupted in itertools.chain(_corrupted(dec), swapped):
+        yield from _with_maps(corrupted)
+        changed = [key for (key, items), (_, old) in zip(corrupted.blocks, dec.blocks) if items is not old]
+        if changed and dec.built_period and all(key[0] == "cd" or key[0] <= dec.built_period for key in changed):
+            kept = replace(corrupted)
+            object.__setattr__(kept, "built_period", dec.built_period)
+            yield kept
 
 
 def test_involutive_and_expected_kp_match_every_element_on_the_catalog():
@@ -103,11 +146,9 @@ def test_involutive_and_expected_kp_match_every_element_on_the_catalog():
         for degree in range(1, 17):
             truncation = rf.truncate(degree)
             assert split_verdicts(phi, truncation) == involutive_reference(rf, phi, truncation)
-            dec = fixed_and_eigenspaces(phi, truncation)
-            for m in _expected_maps(rec):
-                changed = replace(rec, expected_kp=ExpectedKP(m, rec.expected_kp.dims))
-                got = _check_expected_kp(changed, dec)
-                assert got == check_expected_kp_reference(changed, dec)
+            for changed in _with_maps(fixed_and_eigenspaces(phi, truncation)):
+                got = _check_expected_kp(rec, changed)
+                assert got == check_expected_kp_reference(rec, changed)
                 details.add(got[1].split(" in block")[0])
     assert details == {"eigenspaces match the expected conditions and dimensions",
                        "K vector", "P vector"}
@@ -117,16 +158,36 @@ def test_involutive_and_expected_kp_match_every_element_on_the_catalog():
 def test_involutive_and_expected_kp_match_every_element_on_corrupted_splits(name):
     rec = catalog_record(name)
     verdicts = Counter()
-    for dec in _corrupted(fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(6))):
+    split = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(6))
+    for dec in _corrupted(split):
         span = _span(dec)
         got = split_verdicts(rec.involution, span)
         assert got == involutive_reference(rec.real_form, rec.involution, span)
         verdicts[got] += 1
-        for m in _expected_maps(rec):
-            changed = replace(rec, expected_kp=ExpectedKP(m, rec.expected_kp.dims))
-            assert _check_expected_kp(changed, dec) == check_expected_kp_reference(changed, dec)
+    for changed in _checked_copies(split):
+        assert _check_expected_kp(rec, changed) == check_expected_kp_reference(rec, changed)
     # a K vector times i leaves the form
     assert verdicts[True, True] and verdicts[False, True]
+
+
+@pytest.mark.parametrize("name", sorted(ODD_SPLITS))
+def test_expected_kp_matches_every_element_on_corrupted_period_4_splits(name):
+    """The period-4 ODD_SPLITS at degrees 1 to 11 (_checked_copies): each
+    intact split records P = 4, so its K/P check skips the blocks past
+    (4, -4). Dimensions are those of every intact split."""
+    rf = ODD_SPLITS[name]
+    rec = OsakaRecord(name, rf, ODD_PHI, OsakaType.COMPACT, ExpectedKP(
+        {"zero": (1, 2), "even_pair": (3, 3), "odd_pair": (3, 3), "cd": (0, 2)}))
+    outcomes = Counter()
+    for degree in range(1, 12):
+        dec = fixed_and_eigenspaces(ODD_PHI, rf.truncate(degree))
+        assert dec.built_period == 4
+        for changed in _checked_copies(dec):
+            got = _check_expected_kp(rec, changed)
+            assert got == check_expected_kp_reference(rec, changed)
+            outcomes[changed.built_period, got[1].split(" ")[0]] += 1
+    # with the skip and without it, checks pass and fail on dims and on K and P vectors
+    assert set(outcomes) == {(p, d) for p in (4, None) for d in ("eigenspaces", "block", "K", "P")}
 
 
 def test_osaka_catalog_makes_no_loop_bracket(monkeypatch, capsys):
@@ -136,7 +197,7 @@ def test_osaka_catalog_makes_no_loop_bracket(monkeypatch, capsys):
     2662 brackets for the same closure verdicts."""
     calls = _counting_brackets(monkeypatch)
     for rec in build_catalog_a1():
-        assert rec.real_form.verify_closed(rec.real_form.truncate(5))
+        assert rec.real_form.verify_closed()
     assert calls["loop_bracket"] == 0
 
     inside = Counter()
@@ -222,9 +283,10 @@ def test_squares_is_decided_on_every_block_after_one_fails():
 
 def test_osaka_catalog_images_each_representative_element_twice(monkeypatch, capsys):
     """osaka-catalog --degree 5 applies each involution to the elements of
-    the blocks that are their own class once for the image and once for
-    its image (the split), 2 * 150 calls, with no image built twice, and
-    effectiveness images each record's c once: 308 calls."""
+    the blocks the split solves (up to its built period) once for the
+    image and once for its image (the split), 2 * 150 calls, with no
+    image built twice, and effectiveness images each record's c once: 308
+    calls."""
     calls = Counter()
     apply = InvolutionDescriptor.apply
 

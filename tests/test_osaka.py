@@ -314,7 +314,7 @@ def test_product_record_is_reducible():
     rec = OsakaRecord(
         name="product", real_form=form, involution=phi,
         claimed_type=OsakaType.COMPACT,
-        expected_kp=ExpectedKP(phi.loop_map, {
+        expected_kp=ExpectedKP({
             "zero": (4, 2), "even_pair": (6, 6), "odd_pair": (6, 6), "cd": (0, 2),
         }),
     )

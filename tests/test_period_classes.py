@@ -30,6 +30,7 @@ from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
 from kmalg.scalars import I, ONE, Scalar, ZERO
 from oracles import (
     bracket_verdicts_reference,
+    classes_reference,
     fixed_and_eigenspaces_reference,
     graded,
     kp_blocks,
@@ -82,7 +83,7 @@ def test_closure_matches_all_pairs_on_every_diagonal_form():
     verdicts, periods, reasons = Counter(), Counter(), Counter()
     for rf in DIAGONAL:
         truncation = rf.truncate(8)
-        verdict = rf.verify_closed(truncation)
+        verdict = rf.verify_closed()
         reason = real_structure_failure(rf)
         if reason is None:
             assert bool(verdict) == verify_closed_reference(rf, truncation)
@@ -121,7 +122,7 @@ def test_closure_matches_all_pairs_on_permutation_forms(pair, perm, signs, s, pa
     rf = _form(pair, perm, signs, s, parity, scale)
     truncation = rf.truncate(degree)
     reason = real_structure_failure(rf)
-    verdict = rf.verify_closed(truncation)
+    verdict = rf.verify_closed()
     if reason is None:
         assert bool(verdict) == verify_closed_reference(rf, truncation)
     else:
@@ -246,26 +247,30 @@ def test_osaka_verify_bracket_count_is_flat_in_degree(monkeypatch, name):
 
 def test_closure_bracket_count_is_flat_from_degree_8_at_odd_parity(monkeypatch):
     """The closed odd-parity diagonal form (su2c/1, identity conj, parity 1,
-    cd_scale i) has P = 4; its closure verdict brackets no loop at any
-    degree, below 2P = 8 or above it."""
+    cd_scale i) has P = 4; its truncation at any degree, below 2P = 8 or
+    above it, and its closure verdict, which has no degree, bracket no
+    loop."""
     rf = ODD_SPLITS["odd form"]
     assert _period(rf.conj) == 4
     counts = []
     for degree in (1, 7, 8, 16):
         calls = _counting_brackets(monkeypatch)
-        assert rf.verify_closed(rf.truncate(degree))
+        rf.truncate(degree)
+        assert rf.verify_closed()
         counts.append(calls["loop_bracket"])
     assert counts == [0, 0, 0, 0]
 
 
 def test_a_hand_built_truncation_brackets_every_pair():
     """Two blocks with one key, in a truncation built by hand: it records no
-    period, so every block is its own class and the pairs across the two
-    blocks are bracketed as all others."""
+    period, classes_reference finds every block its own class, and the
+    pairs across the two blocks are bracketed as all others."""
     truncation = catalog_record("I[Id,Id]").real_form.truncate(6)
     blocks = list(truncation.blocks)
     twice = Truncation(truncation.real_form, 6,
                        tuple(blocks + [((1, -1), [(x.scale(I), s) for x, s in dict(blocks)[(1, -1)]])]))
-    assert twice.classes(4) == list(range(len(twice.blocks)))
+    assert twice.built_period is None
+    label = classes_reference(twice.blocks, 4)
+    assert label == list(range(len(twice.blocks)))
     n = sum(len(its) for _, its in twice.blocks)
-    assert len(list(representative_pairs_reference(twice.blocks, twice.classes(4)))) == n * (n + 1) // 2
+    assert len(list(representative_pairs_reference(twice.blocks, label))) == n * (n + 1) // 2

@@ -11,7 +11,8 @@ pair across algebras. CoeffMap.fixes tests every exponent of its element:
 on a map that is not involutive the k >= 0 half of the condition may hold
 while the whole does not, so it is checked against apply_loop on involutive
 maps and on maps that are not, with s = -1 and half-built elements among
-them. Truncation.classes is checked against
+them. The period classes a truncation's built_period gives (block
+(k, -k), k > P, the shift of block (k - P, P - k)) are checked against
 classes_reference in oracles, which rediscovers the classes from the
 blocks."""
 from dataclasses import replace
@@ -127,22 +128,25 @@ def test_a_map_that_is_not_involutive_is_checked_at_every_exponent():
 # -- period classes from the built period --------------------------------------------
 
 def _check_classes(t, built):
-    """t.classes(P) equals classes_reference on t's blocks for each P in
-    {2, 4} that is a multiple of the period t's blocks were built with."""
+    """t records the period built, and for each P in {2, 4} that is a
+    multiple of it, classes_reference finds on t's blocks the classes it
+    gives: block (k, -k), k > P, in the class of block (j, -j), j in 1..P,
+    j = k mod P; every other block its own."""
     assert t.built_period == built
     for period in (2, 4):
         if period % built == 0:
-            assert t.classes(period) == classes_reference(t.blocks, period)
+            assert classes_reference(t.blocks, period) == [
+                i if key[0] == "cd" or key[0] <= period else (key[0] - 1) % period + 1
+                for i, (key, _) in enumerate(t.blocks)]
 
 
 def test_truncate_and_the_split_know_the_classes_that_classes_finds():
-    """The classes a truncation reads off the period truncate or the split
-    built its blocks with are the ones classes_reference finds on them: on
+    """The classes the period truncate or the split built a truncation's
+    blocks with gives are the ones classes_reference finds on them: on
     every catalog truncation and split at degrees 1 to 9 and 16, on the 512
     diagonal forms at degrees 1, 3, 5, 8 and 9, and on the period-4
     ODD_SPLITS at degrees 1 to 11. A copy made by dataclasses.replace, and
-    a truncation built by hand from a split's blocks, record no period, so
-    every block is its own class."""
+    a truncation built by hand from a split's blocks, record no period."""
     for name in NAMES:
         rf, phi = catalog_record(name).real_form, catalog_record(name).involution
         for degree in list(range(1, 10)) + [16]:
@@ -152,7 +156,6 @@ def test_truncate_and_the_split_know_the_classes_that_classes_finds():
             _check_classes(dec, _period(rf.conj, phi.loop_map))
             for hand_built in (replace(dec), replace(t), _span(dec)):
                 assert hand_built.built_period is None
-                assert hand_built.classes(2) == hand_built.classes(4) == list(range(len(t.blocks)))
     assert {_period(rf.conj) for rf in DIAGONAL} == {2, 4}
     for rf in DIAGONAL:
         for degree in (1, 3, 5, 8, 9):

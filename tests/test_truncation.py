@@ -10,11 +10,7 @@ import pytest
 
 import oracles
 from kmalg import osaka
-from kmalg.involution import (
-    InvolutionError,
-    RealFormDescriptor,
-    fixed_and_eigenspaces,
-)
+from kmalg.involution import RealFormDescriptor, fixed_and_eigenspaces
 from kmalg.kmext import hat_bracket
 from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
 from kmalg.scalars import I
@@ -125,10 +121,3 @@ def test_osaka_verify_builds_each_block_and_the_type_once(monkeypatch):
     # the catalog's parities are even: blocks up to (2, -2) are solved and
     # (3, -3) is shifted from (1, -1)
     assert calls == {"block_basis": len(rec.real_form.block_keys(2)), "classify_type": 1}
-
-
-def test_verify_closed_rejects_another_forms_truncation():
-    a, b = catalog_record("I[mu,mu]").real_form, catalog_record("III[mu,mu]").real_form
-    assert a.verify_closed(a.truncate(1))
-    with pytest.raises(InvolutionError):
-        a.verify_closed(b.truncate(1))
