@@ -145,14 +145,17 @@ def cmd_bracket(args):
 def cmd_killing_gram(args):
     degree = _default_degree(args.degree, fallback=4)
     rec = _catalog_record(args.form)
-    basis = rec.real_form.truncate(degree).loops
-    blocks, verdict = killing_gram(basis)
-    diagonal = [None] * len(basis)
-    for members, rows in blocks:
-        for a, i in enumerate(members):
-            diagonal[i] = str(rows[a][a])
+    truncation = rec.real_form.truncate(degree)
+    blocks, verdict = killing_gram(truncation.loops)  # the base blocks' loops, in order
+    entry = {i: str(rows[a][a]) for members, rows in blocks for a, i in enumerate(members)}
+    # each block repeats its base block's entries (killing_gram's docstring)
+    start = [0]
+    for _, items in truncation.blocks:
+        start.append(start[-1] + len(items))
+    diagonal = [entry[i] for key, b in truncation.layout() if key != ("cd",)
+                for i in range(start[b], start[b + 1])]
     report = _base_report("killing-gram", form=args.form, degree=degree)
-    report["size"] = len(basis)
+    report["size"] = len(diagonal)
     report["verdict"] = verdict.value
     report["gram_diagonal"] = diagonal
     return report, True
@@ -200,8 +203,13 @@ def cmd_decompose(args):
     report = _base_report("decompose", form=args.form, degree=degree,
                           involution=args.involution)
     report["dims"] = {str(k): list(v) for k, v in sorted(dec.dims().items(), key=str)}
-    report["K"] = [serialize.render_element(e) for e in dec.k_basis]
-    report["P"] = [serialize.render_element(e) for e in dec.p_basis]
+    # every block, one past the split's built_period rendered as a shift
+    report["K"], report["P"] = [], []
+    for key, b in dec.layout():
+        base, items = dec.blocks[b]
+        shift = 0 if key == base else key[0] - base[0]
+        for e, s in items:
+            report["K" if s == 1 else "P"].append(serialize.render_element(e, shift))
     report["gram"] = {"K_loops": kv.value, "P_loops": pv.value}
     return report, True
 

@@ -325,21 +325,20 @@ class RealFormDescriptor:
                 for vecs in linalg.real_kernel(equations, len(degrees), dim)]
 
     def truncate(self, n_max: int) -> "Truncation":
-        """The degree-<=n_max truncation, every block basis computed once.
+        """The degree-n_max truncation by its base blocks: (0,) .. (P, -P)
+        (fewer when n_max < P) and ("cd",), each solved once.
 
         Period-P lemma. Block (k, -k) equations depend on k only through
         (-1)^k and i^{parity k}: they repeat with period P = 2 when every
-        parity is even, else P = 4 (`_period`). For k > P the basis is block
-        (k - P, P - k)'s with each exponent moved P further from 0; only
-        blocks (0,) .. (P, -P) and ("cd",) are solved. Every element has
-        sign 0, and the truncation records P as its built_period: the split
-        and the K/P check read blocks (0,) .. (P, -P) only, as any map that
-        commutes with the shift acts on the later blocks as on those."""
-        period, blocks = _period(self.conj), {}
-        for key in self.block_keys(n_max):
-            blocks[key] = ([(e, 0) for e in self.block_basis(key)] if key[0] == "cd" or key[0] <= period
-                           else _shift(blocks[(key[0] - period, period - key[0])], period))
-        t = Truncation(self, n_max, tuple(blocks.items()))
+        parity is even, else P = 4 (`_period`). So for k > P the basis of
+        block (k, -k) is that of its base block (b, -b), b = (k - 1) mod P
+        + 1, with each exponent moved k - b further from 0. Blocks past P
+        are never built: the truncation records P as its built_period and
+        n_max as its degree, and `Truncation.layout` and `counts` name each
+        block past P by its base block."""
+        period = _period(self.conj)
+        t = Truncation(self, n_max, tuple((key, [(e, 0) for e in self.block_basis(key)])
+                                          for key in self.block_keys(min(n_max, period))))
         object.__setattr__(t, "built_period", period)  # frozen, and not an init field
         return t
 
@@ -385,25 +384,22 @@ def _period(*maps):
     return 2 if all(m is None or m.parity % 2 == 0 for m in maps) else 4
 
 
-def _shift(items, period):
-    """(element, sign) items with every exponent of each element's loop part
-    moved period further from 0 (c and d dropped), signs kept."""
-    return [(ExtendedElement(e.loop.from_vecs(e.loop.algebra, e.loop.twist, {
-        k + (period if k > 0 else -period): v for k, v in e.loop.terms.items()})), s)
-        for e, s in items]
-
-
 @dataclass(frozen=True, eq=False)
 class Truncation:
-    """A real form cut at degree n_max: the exact real basis of each block,
-    as (key, [(element, sign), ...]) pairs in block_keys order. A plain
-    truncation (involution None) gives every element sign 0; its Cartan
-    split by an involution (`fixed_and_eigenspaces`) has the same blocks,
-    each holding its K elements (+1) and then its P elements (-1).
-    built_period is the period P0 `truncate` or the split built the blocks
-    with: block (k, -k), k > P0, is block (k - P0, P0 - k) `_shift`ed. Not
-    an init field, it is None on a dataclasses.replace copy or a truncation
-    built by hand, whose every block is then split and checked."""
+    """A real form cut at degree n_max, as (key, [(element, sign), ...])
+    blocks in block_keys order. A plain truncation (involution None) gives
+    every element sign 0; its Cartan split by an involution
+    (`fixed_and_eigenspaces`) holds in each block its K elements (+1) and
+    then its P elements (-1).
+
+    built_period is the period P `truncate` or the split built with. blocks
+    then holds only the base blocks, (0,) .. (P, -P) and ("cd",): block
+    (k, -k), k > P, of the degree-n_max truncation is base block (b, -b),
+    b = (k - 1) mod P + 1, with every exponent moved k - b further from 0,
+    and is never built; `layout` names it and `counts` counts it. Not an
+    init field, built_period is None on a dataclasses.replace copy or a
+    truncation built by hand: every block of it is in blocks, and is split
+    and checked."""
 
     real_form: RealFormDescriptor
     n_max: int
@@ -413,7 +409,7 @@ class Truncation:
 
     @property
     def loops(self):
-        """Loop parts of the degree blocks, each nonzero."""
+        """Loop parts of the degree blocks in blocks, each nonzero."""
         return [e.loop for key, items in self.blocks if key != ("cd",) for e, _ in items]
 
     @property
@@ -424,9 +420,31 @@ class Truncation:
     def p_basis(self):
         return [e for _, items in self.blocks for e, s in items if s == -1]
 
+    def layout(self):
+        """(key, b) for each block of the degree-n_max truncation, in
+        block_keys order: blocks[b] is that block or, past built_period, the
+        base block it is a shift of. Linear in n_max, so only the readers
+        that print every block call it."""
+        period = self.built_period
+        if period is None:
+            return [(key, b) for b, (key, _) in enumerate(self.blocks)]
+        cd = len(self.blocks) - 1
+        return [(key, cd if key == ("cd",) else key[0] if key[0] <= period else (key[0] - 1) % period + 1)
+                for key in self.real_form.block_keys(self.n_max)]
+
+    def counts(self):
+        """How many blocks of the degree-n_max truncation each of blocks
+        stands for: itself and its shifts, (n_max - b) // P + 1 for base
+        block (b, -b), b >= 1, P the built_period."""
+        period, n = self.built_period, self.n_max
+        return [1 if period is None or key[0] in ("cd", 0) else (n - key[0]) // period + 1
+                for key, _ in self.blocks]
+
     def dims(self):
-        return {key: (sum(s == 1 for _, s in items), sum(s == -1 for _, s in items))
-                for key, items in self.blocks}
+        """(K, P) dimensions of each block of the degree-n_max truncation,
+        read off the block it repeats."""
+        dims = [(sum(s == 1 for _, s in items), sum(s == -1 for _, s in items)) for _, items in self.blocks]
+        return {key: dims[b] for key, b in self.layout()}
 
 
 # -- eigenspace split ---------------------------------------------------------
@@ -440,30 +458,31 @@ def _combine(elements, coeffs):
 def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> Truncation:
     """The Cartan split of a truncation of a real form: the same blocks,
     each holding the exact +1 eigenvectors of phi (K, sign +1) and then the
-    -1 eigenvectors (P, sign -1). P = 2 when the parities of the form's
-    conj and phi are even, else 4 (`_period`). When the truncation's
-    built_period divides P, block (k, -k), k > P, gets the items of the
-    block P lower shifted, which is exact as phi commutes with the shift,
-    and the split records P as its built_period.
+    -1 eigenvectors (P, sign -1). A truncation with a built_period P0 (the
+    period of the form's conj) is split by its base blocks up to (P, -P),
+    P the period of the conj and phi (`_period`), a multiple of P0: the
+    blocks P0 < k <= P (only when phi's parity is odd and the form's even)
+    are solved with `block_basis`, and the split records P as its
+    built_period. A later block is a shift of one of them, and phi
+    commutes with the shift.
 
-    It is the one pass over phi's images: each element of a block that is
-    not shifted is imaged once. phi preserves the form when each image
+    It is the one pass over phi's images: each element of a block in the
+    split is imaged once. phi preserves the form when each image
     is in the form and in its block's real span (which `contains` does not
     test: an image may break the twist grading), and squares to the
     identity when it maps each image back to its element, tested even
     after a block fails. The blocks are split while both hold; else the
     error of the first failing block (preservation tested first) raises
     after the pass, with verdicts = (preserved, squares)."""
-    rf, built = truncation.real_form, truncation.built_period
-    period = _period(rf.conj, phi.loop_map)
-    shifted = built is not None and period % built == 0
+    rf, n_max, built = truncation.real_form, truncation.n_max, truncation.built_period
+    period = None if built is None else _period(rf.conj, phi.loop_map)
+    base = truncation.blocks
+    if period is not None and min(n_max, period) > built:
+        keys = rf.block_keys(min(n_max, period))[built + 1:-1]
+        base = base[:-1] + tuple((key, [(e, 0) for e in rf.block_basis(key)]) for key in keys) + base[-1:]
     preserved = squares = True
     error, blocks = None, []
-    for i, (key, items) in enumerate(truncation.blocks):
-        if shifted and key[0] != "cd" and key[0] > period:
-            if error is None:
-                blocks.append((key, _shift(blocks[i - period][1], period)))
-            continue
+    for key, items in base:
         elems = [e for e, _ in items]
         images = [phi.apply(e) for e in elems]
         block_squares = all(phi.apply(img) == e for e, img in zip(elems, images))
@@ -495,8 +514,8 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
     if error is not None:
         error.verdicts = preserved, squares
         raise error
-    split = Truncation(rf, truncation.n_max, tuple(blocks), phi)
-    if shifted:
+    split = Truncation(rf, n_max, tuple(blocks), phi)
+    if period is not None:
         object.__setattr__(split, "built_period", period)  # frozen, and not an init field
     return split
 

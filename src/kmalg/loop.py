@@ -261,6 +261,17 @@ def killing_gram(basis):
     span a real subspace and raises NonRealPairingError for the first such
     (i, j), i <= j, in row-major order. Degenerate (nonzero radical) takes
     precedence in the verdict; an empty basis is NegDefinite.
+
+    Truncations pass their base blocks only. A block (k, -k) past a
+    truncation's period is its base block with each exponent moved a
+    multiple of P further from 0 (`RealFormDescriptor.truncate`), and each
+    block is one class, so by the renaming lemma it has its base class's
+    key and sub-matrix. Repeating a class c >= 1 times multiplies its
+    signature by c, which changes no verdict, and its copies come after
+    the base blocks, so the first non-real pair is the same. The size and
+    the diagonal at the degree are the base blocks' read with their
+    multiplicities (`Truncation.counts`, `layout`); no shifted block is
+    built or walked.
     """
     for f in basis:
         basis[0]._require_match(f)

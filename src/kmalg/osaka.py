@@ -44,31 +44,13 @@ class Effectiveness(Enum):
     NOT_EFFECTIVE = "NotEffective"
 
 
-@dataclass(frozen=True)
-class ExpectedKP:
-    """Frozen oracle data for the eigenspace split: per-block dimensions
-    keyed 'zero', 'even_pair', 'odd_pair', 'cd' (untwisted records use the
-    same value for both pair parities). K/P must also be the +1/-1 sets of
-    the involution's coefficient map inside the form."""
-
-    dims: dict
-
-    def block_dims(self, key):
-        if key == ("cd",):
-            return self.dims["cd"]
-        if key == (0,):
-            return self.dims["zero"]
-        k = key[0]
-        return self.dims["even_pair" if k % 2 == 0 else "odd_pair"]
-
-
 @dataclass(frozen=True, eq=False)
 class OsakaRecord:
     name: str
     real_form: RealFormDescriptor
     involution: InvolutionDescriptor
     claimed_type: OsakaType
-    expected_kp: ExpectedKP
+    expected_kp: dict  # (K, P) dims of blocks 'zero', 'even_pair', 'odd_pair' and 'cd'
     dual_name: str | None = None
     pair_label: str | None = None
 
@@ -123,23 +105,30 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
 
     # (c) the fixed algebra must be a loop algebra over the semisimple part
     # with negative definite loop Killing form: no fixed c/d directions, no
-    # fixed abelian loop leakage into the pairing, Gram neg definite.
+    # fixed abelian loop leakage into the pairing, Gram neg definite. The
+    # split holds its base blocks, each counted with its shifts
+    # (`Truncation.counts`); killing_gram's verdict on them is the verdict
+    # at the degree (its docstring).
     fixed_cd_free = all(not e.c and not e.d for e in dec.k_basis)
     ss = {i for b in rf.algebra.simple_blocks() for i in b.indices}
-    fixed_ss_loops, mixed = [], False
-    for e in dec.k_basis:
-        supports = [vec_support(vec) for vec in e.loop.terms.values()]
-        if supports and all(s <= ss for s in supports):
-            fixed_ss_loops.append(e.loop)
-        elif any(s & ss for s in supports):
-            mixed = True
+    fixed_ss_loops, directions, mixed = [], 0, False
+    for (_, items), count in zip(dec.blocks, dec.counts()):
+        for e, sign in items:
+            supports = [vec_support(vec) for vec in e.loop.terms.values()]
+            if sign != 1 or not supports:
+                continue
+            if all(s <= ss for s in supports):
+                fixed_ss_loops.append(e.loop)
+                directions += count
+            elif any(s & ss for s in supports):
+                mixed = True
     if fixed_ss_loops:
         try:
             verdict = killing_gram(fixed_ss_loops)[1].value
         except NonRealPairingError as err:  # not real, so not negative definite
             verdict = f"non-real ({err})"
         gram_ok = verdict == Definiteness.NEG_DEFINITE.value
-        detail = f"verdict {verdict} on {len(fixed_ss_loops)} fixed loop directions"
+        detail = f"verdict {verdict} on {directions} fixed loop directions"
     else:
         gram_ok = True
         detail = "no fixed semisimple loop directions"
@@ -179,21 +168,24 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
 
 
 def _check_expected_kp(record: OsakaRecord, dec: Truncation):
-    """Exact subspace equality per block of a split: the frozen dimensions
-    agree, and the K (P) vectors are fixed (negated) by the split's
-    involution map. Blocks past dec.built_period are skipped: each is a
-    block built_period lower shifted, and the map commutes with the shift."""
-    exp, phi_map, period = record.expected_kp, dec.involution.loop_map, dec.built_period
-    dims = dec.dims()
+    """Exact subspace equality per block of a split: the dims agree with
+    the record's, and the K (P) vectors are fixed (negated) by the split's
+    involution map. A split with a built_period holds its base blocks only:
+    a block past them is a shift of one by a multiple of P, so it has the
+    same dims and parity of k, and the map, which commutes with the shift,
+    fixes and negates its vectors exactly when those of its base block.
+    The first failing base block is thus the first failing block at the
+    degree."""
+    exp, phi_map = record.expected_kp, dec.involution.loop_map
     for key, items in dec.blocks:
-        want_k, want_p = exp.block_dims(key)
-        if dims[key] != (want_k, want_p):
-            return False, f"block {key}: dims {dims[key]} != expected {(want_k, want_p)}"
+        got = (sum(s == 1 for _, s in items), sum(s == -1 for _, s in items))
+        want_k, want_p = exp["cd" if key == ("cd",) else "zero" if key == (0,) else
+                             "odd_pair" if key[0] % 2 else "even_pair"]
+        if got != (want_k, want_p):
+            return False, f"block {key}: dims {got} != expected {(want_k, want_p)}"
         if key == ("cd",):
             if want_k == 0 and any(e.c or e.d for e, s in items if s == 1):
                 return False, "c/d directions appeared in K"
-            continue
-        if period and key[0] > period:
             continue
         for e, s in items:  # K, then P
             if not phi_map.fixes(e.loop, s):
@@ -223,7 +215,10 @@ def effectiveness_check(record: OsakaRecord) -> Effectiveness:
 
 def classify_type(truncation: Truncation) -> OsakaType:
     """Euclidean iff the loop part is abelian; else compact iff the loop
-    Killing Gram of the real form is negative definite at the truncation."""
+    Killing Gram of the real form is negative definite at the truncation.
+    It is read off the truncation's loops, those of its base blocks: a
+    block past its built_period repeats its base block's Gram block, which
+    changes no verdict (`killing_gram`)."""
     if not truncation.real_form.algebra.simple_blocks():
         return OsakaType.EUCLIDEAN
     try:
@@ -298,7 +293,7 @@ def build_catalog_a1():
         records.append(OsakaRecord(
             name=name, real_form=form, involution=desc,
             claimed_type=OsakaType.COMPACT,
-            expected_kp=ExpectedKP(dims),
+            expected_kp=dims,
             dual_name="III" + name[1:], pair_label=label,
         ))
 
@@ -314,7 +309,7 @@ def build_catalog_a1():
     records.append(OsakaRecord(
         name="II", real_form=form2, involution=desc2,
         claimed_type=OsakaType.COMPACT,
-        expected_kp=ExpectedKP(_dims((3, 3), (6, 6))),
+        expected_kp=_dims((3, 3), (6, 6)),
         dual_name="IV", pair_label="[swap,swap]",
     ))
 
@@ -367,7 +362,7 @@ def euclidean_osaka(k: int = 1) -> OsakaRecord:
     return OsakaRecord(
         name=f"Euclidean({k})", real_form=form, involution=desc,
         claimed_type=OsakaType.EUCLIDEAN,
-        expected_kp=ExpectedKP(_dims((0, k), (k, k))),
+        expected_kp=_dims((0, k), (k, k)),
         dual_name=None, pair_label=None,
     )
 
@@ -391,7 +386,7 @@ def complex_conjugation_counterexample() -> OsakaRecord:
     return OsakaRecord(
         name="complex+compact-conjugation", real_form=form, involution=desc,
         claimed_type=OsakaType.NON_COMPACT,
-        expected_kp=ExpectedKP(_dims((3, 3), (6, 6), cd=(2, 2))),
+        expected_kp=_dims((3, 3), (6, 6), cd=(2, 2)),
         dual_name=None, pair_label=None,
     )
 

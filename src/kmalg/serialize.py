@@ -212,7 +212,7 @@ def _check_schema(obj):
 
 def record_from_json(obj):
     """Custom OSAKA record: algebra + twist + form + involution + claims."""
-    from .osaka import ExpectedKP, OsakaRecord, OsakaType
+    from .osaka import OsakaRecord, OsakaType
 
     _check_schema(obj)
     for key in ("name", "algebra", "twist_order", "form", "involution", "claimed_type"):
@@ -267,7 +267,7 @@ def record_from_json(obj):
     return OsakaRecord(
         name=name, real_form=form, involution=inv,
         claimed_type=claimed,
-        expected_kp=ExpectedKP(dims),
+        expected_kp=dims,
         dual_name=dual,
     )
 
@@ -321,12 +321,16 @@ def _exp_str(k: int, m: int) -> str:
     return f"({k}/2)"
 
 
-def render_element(x: ExtendedElement) -> str:
-    """Deterministic text form, ordered by degree then c then d."""
+def render_element(x: ExtendedElement, shift: int = 0) -> str:
+    """Deterministic text form, ordered by degree then c then d. shift
+    moves every nonzero exponent that far further from 0, so a block past
+    a truncation's built_period renders as the shift of its base block
+    without being built."""
     m = x.loop.twist.order
     parts = []
     for k in sorted(x.loop.terms):
-        parts.append(f"({_render_matrix_sum(x.loop.algebra, x.loop.coeff(k))})·z^{_exp_str(k, m)}")
+        e = k + shift if k > 0 else k - shift if k < 0 else k
+        parts.append(f"({_render_matrix_sum(x.loop.algebra, x.loop.coeff(k))})·z^{_exp_str(e, m)}")
     if x.c:
         parts.append(f"{_scalar_factor(x.c)}c")
     if x.d:

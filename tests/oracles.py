@@ -43,7 +43,12 @@ kernel is the library's one derivative formula. The walk over the
 brackets, bracket_verdicts_reference, decided closure (verify_closed_walk) and the
 Cartan relations (verify_cartan_relations_walk) before both were read off
 the coefficient maps; it is the oracle the map verdicts are checked
-against.
+against. A truncation holds only its blocks up to its period;
+materialize builds every block of its degree by _shift, as truncate did
+(truncate_eager) before it left the later blocks unbuilt, and every
+oracle that reads a truncation's blocks reads them materialized.
+expected_block_dims reads a record's expected dims as ExpectedKP did
+before the K/P check read the dims dict itself.
 """
 from __future__ import annotations
 
@@ -61,7 +66,6 @@ from kmalg.involution import (
     Truncation,
     _combine,
     _period,
-    _shift,
     dualize,
 )
 from kmalg.kmext import ExtendedElement, hat_bracket, real_coords
@@ -678,9 +682,10 @@ def coords_in_span(basis_vectors, target):
 
 
 def kp_blocks(dec):
-    """(key, K elements, P elements) per block of a split truncation."""
+    """(key, K elements, P elements) per block of a split truncation, every
+    block of its degree (`materialize`)."""
     return [(key, [e for e, s in items if s == 1], [e for e, s in items if s == -1])
-            for key, items in dec.blocks]
+            for key, items in materialize(dec).blocks]
 
 
 def nonzero_loops(elems):
@@ -793,8 +798,9 @@ def loop_derivative(f, d=ONE):
 # -- all-pairs closure and Cartan checks; every block solved ------------------------
 
 def truncation_elements(truncation):
-    """Every element of a truncation, block by block."""
-    return [e for _, items in truncation.blocks for e, _ in items]
+    """Every element of a truncation, block by block, every block of its
+    degree (`materialize`)."""
+    return [e for _, items in materialize(truncation).blocks for e, _ in items]
 
 
 def verify_closed_reference(rf, truncation) -> bool:
@@ -855,6 +861,7 @@ def bracket_verdicts_reference(t, relations):
     hat_bracket and tested with contains and descriptor_fixes. The body is
     kept verbatim apart from those two names and the pair generator (the
     classes, found by _representative_pairs then, are now passed in)."""
+    t = materialize(t)
     rf, phi = t.real_form, t.involution
     holds = relations and phi is not None
     period = _period(rf.conj, None if phi is None else phi.loop_map)
@@ -871,7 +878,9 @@ def bracket_verdicts_reference(t, relations):
 
 def verify_cartan_relations_reference(dec) -> bool:
     """verify_cartan_relations before the period-4 lemma: every unordered
-    pair of K/P vectors is bracketed. The body is kept verbatim."""
+    pair of K/P vectors is bracketed, on every block of the degree
+    (`materialize`). The body is kept verbatim apart from that."""
+    dec = materialize(dec)
     rf, phi = dec.real_form, dec.involution
     signed = [(x, 1) for x in dec.k_basis] + [(y, -1) for y in dec.p_basis]
     for i, (x, sx) in enumerate(signed):
@@ -888,8 +897,10 @@ def verify_cartan_relations_reference(dec) -> bool:
 
 def fixed_and_eigenspaces_reference(phi, truncation):
     """involution.fixed_and_eigenspaces as it was before it shifted the
-    blocks beyond (4, -4): every block is solved. The body is kept
-    verbatim apart from the containers it reads and builds."""
+    blocks beyond (4, -4): every block of the degree (`materialize`) is
+    solved. The body is kept verbatim apart from the containers it reads
+    and builds."""
+    truncation = materialize(truncation)
     rf = truncation.real_form
     blocks = []
     for key, items in truncation.blocks:
@@ -1014,11 +1025,12 @@ def involutive_reference(rf, phi, truncation):
 def check_expected_kp_reference(record, dec):
     """osaka._check_expected_kp as it was before it skipped the blocks
     past the split's built period. The body is kept verbatim apart from
-    reading each block's K and P through kp_blocks, and the expected map
-    from the split's involution, as ExpectedKP no longer holds one."""
+    reading each block's K and P through kp_blocks, every block of the
+    degree, the expected map from the split's involution, as the record no
+    longer holds one, and the expected dims through expected_block_dims."""
     exp, expected_map = record.expected_kp, dec.involution.loop_map
     for key, k_basis, p_basis in kp_blocks(dec):
-        want_k, want_p = exp.block_dims(key)
+        want_k, want_p = expected_block_dims(exp, key)
         if (len(k_basis), len(p_basis)) != (want_k, want_p):
             return False, (
                 f"block {key}: dims {(len(k_basis), len(p_basis))}"
@@ -1035,3 +1047,53 @@ def check_expected_kp_reference(record, dec):
             if expected_map.apply_loop(e.loop) != -e.loop:
                 return False, f"P vector in block {key} violates the expected condition"
     return True, "eigenspaces match the expected conditions and dimensions"
+
+
+def expected_block_dims(dims, key):
+    """The (K, P) dims a record's expected_kp dict gives block key: this is
+    ExpectedKP.block_dims, kept verbatim apart from reading the dict, from
+    before the K/P check read the dict itself."""
+    if key == ("cd",):
+        return dims["cd"]
+    if key == (0,):
+        return dims["zero"]
+    k = key[0]
+    return dims["even_pair" if k % 2 == 0 else "odd_pair"]
+
+
+# -- the explicit blocks of a truncation --------------------------------------------
+
+def _shift(items, period):
+    """(element, sign) items with every exponent of each element's loop part
+    moved period further from 0 (c and d dropped), signs kept. This is
+    involution._shift, which built the blocks past a truncation's period
+    before they were left unbuilt, kept verbatim."""
+    return [(ExtendedElement(e.loop.from_vecs(e.loop.algebra, e.loop.twist, {
+        k + (period if k > 0 else -period): v for k, v in e.loop.terms.items()})), s)
+        for e, s in items]
+
+
+def materialize(truncation):
+    """The truncation with every block of its degree explicit: each block
+    past its built_period is built as the `_shift` of the base block it
+    repeats (`Truncation.layout`). The copy records no built_period, as one
+    built by hand; a truncation with none is returned as it is."""
+    if truncation.built_period is None:
+        return truncation
+    blocks = []
+    for key, b in truncation.layout():
+        base, items = truncation.blocks[b]
+        blocks.append((key, items if key == base else _shift(items, key[0] - base[0])))
+    return Truncation(truncation.real_form, truncation.n_max, tuple(blocks), truncation.involution)
+
+
+def truncate_eager(rf, n_max):
+    """RealFormDescriptor.truncate as it was before it left the blocks past
+    its period unbuilt: block (k, -k), k > P, is built as block
+    (k - P, P - k) `_shift`ed. The body is kept verbatim apart from the
+    built_period it no longer records, as every block is explicit."""
+    period, blocks = _period(rf.conj), {}
+    for key in rf.block_keys(n_max):
+        blocks[key] = ([(e, 0) for e in rf.block_basis(key)] if key[0] == "cd" or key[0] <= period
+                       else _shift(blocks[(key[0] - period, period - key[0])], period))
+    return Truncation(rf, n_max, tuple(blocks.items()))

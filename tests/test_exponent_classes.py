@@ -37,7 +37,7 @@ from kmalg.osaka import (
     euclidean_osaka,
 )
 from kmalg.scalars import Scalar
-from oracles import coords_in_span, dense_killing_gram, killing_gram_reference, kp_blocks
+from oracles import coords_in_span, dense_killing_gram, killing_gram_reference, kp_blocks, materialize
 
 # -- killing_gram against all pairs ---------------------------------------------
 
@@ -183,7 +183,7 @@ GRAM_RECORDS = build_catalog_a1() + [euclidean_osaka(), complex_conjugation_coun
 
 @pytest.mark.parametrize("rec", GRAM_RECORDS, ids=lambda rec: rec.name)
 def test_killing_gram_matches_class_by_class_reference(rec):
-    basis = rec.real_form.truncate(24).loops
+    basis = materialize(rec.real_form.truncate(24)).loops
     _expect_same_gram(basis, killing_gram_reference)
 
 
@@ -214,7 +214,7 @@ def test_killing_gram_pairs_only_within_classes(monkeypatch):
     for rec in build_catalog_a1():
         name = rec.name
         for degree in (4, 60):
-            basis = rec.real_form.truncate(degree).loops
+            basis = materialize(rec.real_form.truncate(degree)).loops
             _, expected = killing_gram_reference(basis)
             with monkeypatch.context() as patch:
                 patch.setattr(loop, "loop_killing", counting_loop_killing)
@@ -265,7 +265,7 @@ def test_truncate_blocks_equal_direct_block_bases(alg, order, sign, parity):
     conj = CoeffMap(CoeffMap.identity(algebra.dim).matrix, index_sign=sign, conjugate=True,
                     parity=parity)
     rf = RealFormDescriptor(name="period test", algebra=algebra, twist=twist, conj=conj)
-    assert rf.truncate(12).blocks == tuple(
+    assert materialize(rf.truncate(12)).blocks == tuple(
         (key, [(e, 0) for e in rf.block_basis(key)]) for key in rf.block_keys(12)
     )
 
@@ -284,11 +284,12 @@ def _solved_keys(monkeypatch, rf, n_max):
 
 
 def test_truncate_solves_only_the_first_period(monkeypatch):
-    """Catalog parities are even, so the period is 2."""
+    """Catalog parities are even, so the period is 2: the truncation holds
+    the blocks up to (2, -2) and names the later ones by them."""
     rf = catalog_record("I[Id,mu]").real_form
     solved, truncation = _solved_keys(monkeypatch, rf, 60)
-    assert solved == rf.block_keys(2)
-    assert [key for key, _ in truncation.blocks] == rf.block_keys(60)
+    assert solved == rf.block_keys(2) == [key for key, _ in truncation.blocks]
+    assert [key for key, _ in truncation.layout()] == rf.block_keys(60)
 
 
 def test_truncate_solves_four_blocks_at_odd_parity(monkeypatch):
@@ -296,8 +297,8 @@ def test_truncate_solves_four_blocks_at_odd_parity(monkeypatch):
     conj = CoeffMap(CoeffMap.identity(algebra.dim).matrix, conjugate=True, parity=1)
     rf = RealFormDescriptor(name="odd parity", algebra=algebra, twist=twist, conj=conj)
     solved, truncation = _solved_keys(monkeypatch, rf, 60)
-    assert solved == rf.block_keys(4)
-    assert [key for key, _ in truncation.blocks] == rf.block_keys(60)
+    assert solved == rf.block_keys(4) == [key for key, _ in truncation.blocks]
+    assert [key for key, _ in truncation.layout()] == rf.block_keys(60)
 
 
 # -- one elimination per eigen-split block ----------------------------------------
@@ -308,7 +309,7 @@ def _per_image_split(phi, truncation):
     coords_in_span; returns (key, K, P) triples or the exception."""
     rf = truncation.real_form
     out = []
-    for key, items in truncation.blocks:
+    for key, items in materialize(truncation).blocks:
         elems = [e for e, _ in items]
         if not elems:
             out.append((key, [], []))

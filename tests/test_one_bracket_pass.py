@@ -27,7 +27,6 @@ from kmalg.involution import (
     fixed_and_eigenspaces,
 )
 from kmalg.osaka import (
-    ExpectedKP,
     OsakaRecord,
     OsakaType,
     _check_expected_kp,
@@ -43,6 +42,7 @@ from oracles import (
     duality_pairing_reference,
     involutive_reference,
     kp_blocks,
+    materialize,
     verify_cartan_relations_reference,
     verify_closed_reference,
 )
@@ -109,8 +109,9 @@ def _with_maps(dec):
     m = phi.loop_map
     for other in [m, CoeffMap.identity(len(m.matrix))] + [
             CoeffMap(m.matrix, m.index_sign, m.conjugate, p) for p in (1, 2)]:
-        changed = replace(dec, involution=replace(phi, loop_map=other))
-        if dec.built_period and dec.built_period % _period(other) == 0:
+        keep = dec.built_period and dec.built_period % _period(other) == 0
+        changed = replace(dec if keep else materialize(dec), involution=replace(phi, loop_map=other))
+        if keep:
             object.__setattr__(changed, "built_period", dec.built_period)
         yield changed
 
@@ -119,23 +120,27 @@ def _checked_copies(dec):
     """The splits whose K/P check is compared with the reference: dec and
     its corruptions (_corrupted, then dec with the K and P vectors of one
     block swapped, for each block with both), each with the maps of
-    _with_maps. A corruption is a dataclasses.replace copy with no built
-    period, so every block of it is checked. Then each corruption of the
-    c/d block or of one of (0,) .. (P, -P) again, with dec's built period
-    back and dec's own map: the check skips the blocks past P, shifts of
-    intact blocks that the map passes, and reads the changed one."""
-    swapped = []
-    for i, (key, k_basis, p_basis) in enumerate(kp_blocks(dec)):
+    _with_maps. A corruption is a dataclasses.replace copy of dec with
+    every block explicit (`materialize`) and no built period, so every
+    block of it is checked. Then each corruption of the c/d block or of one
+    of (0,) .. (P, -P) again, cut to those base blocks with dec's built
+    period back and dec's own map: the check reads the changed block, and
+    the reference its shifts too."""
+    full, period, swapped = materialize(dec), dec.built_period, []
+    for i, (key, k_basis, p_basis) in enumerate(kp_blocks(full)):
         if k_basis and p_basis:
-            blocks = list(dec.blocks)
+            blocks = list(full.blocks)
             blocks[i] = (key, [(e, 1) for e in p_basis] + [(e, -1) for e in k_basis])
-            swapped.append(replace(dec, blocks=tuple(blocks)))
+            swapped.append(replace(full, blocks=tuple(blocks)))
     for corrupted in itertools.chain(_corrupted(dec), swapped):
         yield from _with_maps(corrupted)
-        changed = [key for (key, items), (_, old) in zip(corrupted.blocks, dec.blocks) if items is not old]
-        if changed and dec.built_period and all(key[0] == "cd" or key[0] <= dec.built_period for key in changed):
-            kept = replace(corrupted)
-            object.__setattr__(kept, "built_period", dec.built_period)
+        if corrupted is dec:
+            continue
+        changed = [key for (key, items), (_, old) in zip(corrupted.blocks, full.blocks) if items is not old]
+        if changed and period and all(key[0] == "cd" or key[0] <= period for key in changed):
+            kept = replace(corrupted, blocks=tuple(
+                (key, items) for key, items in corrupted.blocks if key[0] == "cd" or key[0] <= period))
+            object.__setattr__(kept, "built_period", period)
             yield kept
 
 
@@ -173,11 +178,12 @@ def test_involutive_and_expected_kp_match_every_element_on_corrupted_splits(name
 @pytest.mark.parametrize("name", sorted(ODD_SPLITS))
 def test_expected_kp_matches_every_element_on_corrupted_period_4_splits(name):
     """The period-4 ODD_SPLITS at degrees 1 to 11 (_checked_copies): each
-    intact split records P = 4, so its K/P check skips the blocks past
-    (4, -4). Dimensions are those of every intact split."""
+    intact split records P = 4 and holds no block past (4, -4), which its
+    K/P check therefore skips. Dimensions are those of every intact
+    split."""
     rf = ODD_SPLITS[name]
-    rec = OsakaRecord(name, rf, ODD_PHI, OsakaType.COMPACT, ExpectedKP(
-        {"zero": (1, 2), "even_pair": (3, 3), "odd_pair": (3, 3), "cd": (0, 2)}))
+    rec = OsakaRecord(name, rf, ODD_PHI, OsakaType.COMPACT,
+                      {"zero": (1, 2), "even_pair": (3, 3), "odd_pair": (3, 3), "cd": (0, 2)})
     outcomes = Counter()
     for degree in range(1, 12):
         dec = fixed_and_eigenspaces(ODD_PHI, rf.truncate(degree))

@@ -1,10 +1,11 @@
 """The period-P lemma: block equations repeat with period P = 2 when every
 parity involved is even and P = 4 otherwise, so the oracle walk
 (bracket_verdicts_reference in oracles) brackets one representative block
-pair per class, every class occurring from degree 2P on, and fixed_and_eigenspaces
-shifts the blocks beyond (P, -P). Each is checked against the all-pairs or
-every-block reference in oracles on the diagonal and permutation real
-forms over four registered algebras (both periods), and on every catalog
+pair per class, every class occurring from degree 2P on, and
+fixed_and_eigenspaces splits no block beyond (P, -P), which the split
+names as shifts. Each is checked against the all-pairs or every-block
+reference in oracles on the diagonal and permutation real forms over four
+registered algebras (both periods), and on every catalog
 split (period 2), intact and with one block's K vectors corrupted. The
 closure verdict, read off the maps, is checked against all pairs wherever
 the form's tau is a real structure, and names its failure elsewhere; it
@@ -34,6 +35,7 @@ from oracles import (
     fixed_and_eigenspaces_reference,
     graded,
     kp_blocks,
+    materialize,
     representative_pairs_reference,
     verify_cartan_relations_reference,
     verify_cartan_relations_walk as verify_cartan_relations,
@@ -130,26 +132,28 @@ def test_closure_matches_all_pairs_on_permutation_forms(pair, perm, signs, s, pa
 
 
 def _corrupted(dec):
-    """dec, then for each block with K vectors: dec with that block's first
-    K vector moved to P, with it multiplied by i, and with every K vector
-    moved to P (the block's vectors keep their order, only the signs
-    change)."""
+    """dec, then for each block of its degree with K vectors: dec with every
+    block explicit (`materialize`) and that block's first K vector moved to
+    P, with it multiplied by i, and with every K vector moved to P (the
+    block's vectors keep their order, only the signs change)."""
     yield dec
-    for i, (key, k_basis, p_basis) in enumerate(kp_blocks(dec)):
+    full = materialize(dec)
+    for i, (key, k_basis, p_basis) in enumerate(kp_blocks(full)):
         if not k_basis:
             continue
         for ks, ps in ((k_basis[1:], p_basis + k_basis[:1]),
                        ([k_basis[0].scale(I)] + k_basis[1:], p_basis),
                        ([], k_basis + p_basis)):
-            blocks = list(dec.blocks)
+            blocks = list(full.blocks)
             blocks[i] = (key, [(e, 1) for e in ks] + [(e, -1) for e in ps])
-            yield replace(dec, blocks=tuple(blocks))
+            yield replace(full, blocks=tuple(blocks))
 
 
 def _span(dec):
-    """The truncation whose blocks are K and P of dec, block by block."""
+    """The truncation whose blocks are K and P of dec, every block of its
+    degree."""
     return Truncation(dec.real_form, dec.n_max,
-                      tuple((key, [(e, 0) for e, _ in items]) for key, items in dec.blocks))
+                      tuple((key, [(e, 0) for e, _ in items]) for key, items in materialize(dec).blocks))
 
 
 def _check_closure_of_the_split(dec):

@@ -29,7 +29,7 @@ from kmalg.involution import (
 from kmalg.loop import MismatchError, TwistedLoopElement, untwisted
 from kmalg.osaka import catalog_record
 from kmalg.scalars import Scalar
-from oracles import bracket_verdicts_reference, classes_reference
+from oracles import bracket_verdicts_reference, classes_reference, materialize
 from test_integer_walk import _half_built, involutions
 from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS, _span
 from test_sparse_maps import coeff_maps, dims, loops
@@ -38,10 +38,11 @@ _TRUNCATIONS = {}
 
 
 def _truncate(rf, degree):
-    """rf.truncate(degree), built once per form and degree for the run."""
+    """rf.truncate(degree) with every block explicit (`materialize`), built
+    once per form and degree for the run."""
     key = (rf, degree)  # forms hash by identity, and the key keeps rf alive
     if key not in _TRUNCATIONS:
-        _TRUNCATIONS[key] = rf.truncate(degree)
+        _TRUNCATIONS[key] = materialize(rf.truncate(degree))
     return _TRUNCATIONS[key]
 
 
@@ -129,15 +130,17 @@ def test_a_map_that_is_not_involutive_is_checked_at_every_exponent():
 
 def _check_classes(t, built):
     """t records the period built, and for each P in {2, 4} that is a
-    multiple of it, classes_reference finds on t's blocks the classes it
-    gives: block (k, -k), k > P, in the class of block (j, -j), j in 1..P,
-    j = k mod P; every other block its own."""
+    multiple of it, classes_reference finds on t's blocks, every block of
+    its degree built (`materialize`), the classes it gives: block (k, -k),
+    k > P, in the class of block (j, -j), j in 1..P, j = k mod P; every
+    other block its own."""
     assert t.built_period == built
+    blocks = materialize(t).blocks
     for period in (2, 4):
         if period % built == 0:
-            assert classes_reference(t.blocks, period) == [
+            assert classes_reference(blocks, period) == [
                 i if key[0] == "cd" or key[0] <= period else (key[0] - 1) % period + 1
-                for i, (key, _) in enumerate(t.blocks)]
+                for i, (key, _) in enumerate(blocks)]
 
 
 def test_truncate_and_the_split_know_the_classes_that_classes_finds():

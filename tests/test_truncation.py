@@ -119,5 +119,5 @@ def test_osaka_verify_builds_each_block_and_the_type_once(monkeypatch):
     report = osaka_verify(rec, 3)
     assert report.all_passed
     # the catalog's parities are even: blocks up to (2, -2) are solved and
-    # (3, -3) is shifted from (1, -1)
+    # (3, -3), the shift of (1, -1), is never built
     assert calls == {"block_basis": len(rec.real_form.block_keys(2)), "classify_type": 1}
