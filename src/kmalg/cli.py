@@ -2,6 +2,12 @@
 identity checks, Cartan decompositions and the OSAKA catalog, all emitting
 versioned JSON reports with exact scalar strings.
 
+One table, COMMANDS, names each command's handler, help string and options;
+`run` builds the parser of the command it runs and no other. With no command,
+an unknown one or a top-level -h it builds only the listing of the table's
+names. `kmalg osaka catalog|verify ...` is rewritten to
+`kmalg osaka-catalog|osaka-verify ...` before parsing.
+
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad parameters
 (unknown record or form, negative degree or trial count, degree 0 for
 OSAKA verification), 3 input file could not be parsed or the report could
@@ -18,7 +24,7 @@ import time
 
 from . import cartan, kmext, osaka, rand, serialize
 from .involution import InvolutionError, fixed_and_eigenspaces
-from .loop import killing_gram
+from .loop import MismatchError, killing_gram
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -134,7 +140,7 @@ def cmd_bracket(args):
     y = serialize.extended_from_json(_read_json(args.rhs))
     try:
         z = kmext.hat_bracket(x, y)
-    except Exception as exc:
+    except MismatchError as exc:  # operands over different algebras or twists
         raise CliError(str(exc), EXIT_SCHEMA) from exc
     report = _base_report("bracket", lhs=args.lhs, rhs=args.rhs)
     report["result"] = serialize.extended_to_json(z)
@@ -278,82 +284,63 @@ def cmd_counts(args):
 
 # -- driver ----------------------------------------------------------------------
 
-def build_parser():
+_REQUIRED = {"required": True}
+_DEGREE = ("--degree", {"type": int})
+
+# name -> (handler, help, option specs); every command also takes --out, last
+COMMANDS = {
+    "classify": (cmd_classify, "classify a generalized Cartan matrix",
+                 [("--in", {"dest": "infile", "required": True})]),
+    "bracket": (cmd_bracket, "bracket of two extended elements",
+                [("--lhs", _REQUIRED), ("--rhs", _REQUIRED)]),
+    "killing-gram": (cmd_killing_gram, "loop Killing Gram of a catalog form",
+                     [("--form", _REQUIRED), _DEGREE]),
+    "jacobi-check": (cmd_jacobi_check, "randomized Jacobi identity check",
+                     [("--trials", {"type": int, "required": True}), _DEGREE, ("--seed", _REQUIRED),
+                      ("--twist", {"type": int, "default": 1, "choices": (1, 2)}),
+                      ("--algebra", {"default": "su2c"})]),
+    "decompose": (cmd_decompose, "Cartan decomposition of a catalog form",
+                  [("--form", _REQUIRED),
+                   ("--involution", {"help": "JSON file overriding the record's involution"}),
+                   _DEGREE]),
+    "osaka-catalog": (cmd_osaka_catalog, "verify the full rank-one catalog", [_DEGREE]),
+    "osaka-verify": (cmd_osaka_verify, "verify one record", [("--record", _REQUIRED), _DEGREE]),
+    "counts": (cmd_counts, "second-kind involution count table", [("--family", {})]),
+}
+
+
+def _listing():
+    """The top-level parser: the table's names and help strings, no options.
+    Parsing with it prints the listing (-h) or a usage error, and exits."""
     p = argparse.ArgumentParser(
         prog="kmalg",
         description="exact computer algebra for geometric affine Kac-Moody algebras",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("classify", help="classify a generalized Cartan matrix")
-    c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--out")
-    c.set_defaults(func=cmd_classify)
-
-    b = sub.add_parser("bracket", help="bracket of two extended elements")
-    b.add_argument("--lhs", required=True)
-    b.add_argument("--rhs", required=True)
-    b.add_argument("--out")
-    b.set_defaults(func=cmd_bracket)
-
-    kg = sub.add_parser("killing-gram", help="loop Killing Gram of a catalog form")
-    kg.add_argument("--form", required=True)
-    kg.add_argument("--degree", type=int)
-    kg.add_argument("--out")
-    kg.set_defaults(func=cmd_killing_gram)
-
-    j = sub.add_parser("jacobi-check", help="randomized Jacobi identity check")
-    j.add_argument("--trials", type=int, required=True)
-    j.add_argument("--degree", type=int)
-    j.add_argument("--seed", required=True)
-    j.add_argument("--twist", type=int, default=1, choices=(1, 2))
-    j.add_argument("--algebra", default="su2c")
-    j.add_argument("--out")
-    j.set_defaults(func=cmd_jacobi_check)
-
-    d = sub.add_parser("decompose", help="Cartan decomposition of a catalog form")
-    d.add_argument("--form", required=True)
-    d.add_argument("--involution", help="JSON file overriding the record's involution")
-    d.add_argument("--degree", type=int)
-    d.add_argument("--out")
-    d.set_defaults(func=cmd_decompose)
-
-    osaka_parsers = [
-        (sub.add_parser("osaka-catalog", help="verify the full rank-one catalog"), cmd_osaka_catalog),
-        (sub.add_parser("osaka-verify", help="verify one record"), cmd_osaka_verify),
-    ]
-
-    cn = sub.add_parser("counts", help="second-kind involution count table")
-    cn.add_argument("--family")
-    cn.add_argument("--out")
-    cn.set_defaults(func=cmd_counts)
-
-    # nested alias: kmalg osaka catalog / kmalg osaka verify, with the same arguments
-    grp = sub.add_parser("osaka", help="osaka subcommands")
-    gsub = grp.add_subparsers(dest="subcommand", required=True)
-    osaka_parsers += [(gsub.add_parser("catalog"), cmd_osaka_catalog),
-                      (gsub.add_parser("verify"), cmd_osaka_verify)]
-    for o, func in osaka_parsers:
-        if func is cmd_osaka_verify:
-            o.add_argument("--record", required=True)
-        o.add_argument("--degree", type=int)
-        o.add_argument("--out")
-        o.set_defaults(func=func)
-
+    for name, (_, help_, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_)
     return p
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:2] in (["osaka", "catalog"], ["osaka", "verify"]):
+        argv[:2] = ["osaka-" + argv[1]]
     try:
-        args = parser.parse_args(argv)
+        if not argv or argv[0] not in COMMANDS:
+            _listing().parse_args(argv)  # exits with the listing or a usage error
+        func, _, options = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"kmalg {argv[0]}")
+        for flag, spec in (*options, ("--out", {})):
+            parser.add_argument(flag, **spec)
+        args = parser.parse_args(argv[1:])
     except SystemExit as exc:
         return EXIT_PARAM if exc.code not in (0, None) else 0
     start = time.monotonic()
     try:
-        report, ok = args.func(args)
+        report, ok = func(args)
         report["timing_ms"] = round(1000 * (time.monotonic() - start), 3)
-        written = _emit(report, getattr(args, "out", None))
+        written = _emit(report, args.out)
     except (CliError, serialize.SchemaError) as exc:
         print(json.dumps({"schema": serialize.SCHEMA, "error": str(exc)}), file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else EXIT_SCHEMA

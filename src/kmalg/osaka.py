@@ -422,7 +422,8 @@ def duality_pairing(catalog=None) -> PairingReport:
     and the involution's coefficient map must agree exactly (matches). The
     dual of (the record's dual form, the partner's involution) must
     reproduce the record (double_dual_ok); when the dual has the partner's
-    real form, that is the partner's own dual, not recomputed. The pairing
+    real form, that is the partner's own dual, not recomputed. Each
+    partner must name its record back as its dual (table_ok). The pairing
     compares maps and has no degree: a matched dual is the partner's form,
     whose closure osaka_verify checks at its degree.
     """
@@ -440,11 +441,7 @@ def duality_pairing(catalog=None) -> PairingReport:
             ddual = dualize(dual.real_form, partner.involution)
         if not _same_form(ddual, rec):
             double_ok = False
-    table = {"I[Id,Id]": "III[Id,Id]", "I[Id,mu]": "III[Id,mu]",
-             "I[mu,mu]": "III[mu,mu]", "II": "IV"}
-    table_ok = all(
-        by_name[a].dual_name == b and by_name[b].dual_name == a for a, b in table.items()
-    )
+    table_ok = all(by_name[rec.dual_name].dual_name == rec.name for rec in catalog)
     return PairingReport(matches, double_ok, table_ok)
 
 

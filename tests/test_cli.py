@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -101,6 +102,32 @@ def test_bracket_command(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["result"]["c"] == ["0", "8"]
     assert rep["result"]["loop"]["terms"] == []
+
+
+def _element_file(tmp_path, name, algebra):
+    alg, tw = serialize.lookup_algebra(algebra, 1)
+    x = ExtendedElement(loop_monomial(alg, tw, 1, (Scalar(1), ZERO, ZERO)))
+    return write_json(tmp_path, name, serialize.extended_to_json(x))
+
+
+def test_bracket_over_different_algebras_exits_schema(tmp_path, capsys):
+    lhs = _element_file(tmp_path, "x.json", "su2c")
+    rhs = _element_file(tmp_path, "y.json", "sl2c")
+    code, out, err = run_cli(capsys, "bracket", "--lhs", lhs, "--rhs", rhs)
+    assert_schema_exit(code, out, err)
+    assert "different algebras" in _param_error(err)
+
+
+def test_bracket_fault_exits_internal(tmp_path, capsys, monkeypatch):
+    def broken(x, y):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli.kmext, "hat_bracket", broken)
+    path = _element_file(tmp_path, "x.json", "su2c")
+    code, out, err = run_cli(capsys, "bracket", "--lhs", path, "--rhs", path)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert json.loads(err)["error"].startswith("internal error: RuntimeError: injected fault")
 
 
 E1_JSON = [["1", "0"], ["0", "0"], ["0", "0"]]
@@ -254,6 +281,83 @@ def test_osaka_verify_nested_alias(capsys):
     assert code == cli.EXIT_OK
     rep = json.loads(out)
     assert rep["all_passed"] is True
+
+
+COMMAND_NAMES = ["classify", "bracket", "killing-gram", "jacobi-check", "decompose",
+                 "osaka-catalog", "osaka-verify", "counts"]
+
+
+def _small_argv(tmp_path, name):
+    """A cheap invocation of each command that exits 0."""
+    matrix = write_json(tmp_path, "m.json", {"matrix": [[2, -2], [-2, 2]]})
+    element = _element_file(tmp_path, "x.json", "su2c")
+    return [name, *{
+        "classify": ["--in", matrix],
+        "bracket": ["--lhs", element, "--rhs", element],
+        "killing-gram": ["--form", "II", "--degree", "1"],
+        "jacobi-check": ["--trials", "1", "--seed", "s", "--degree", "1"],
+        "decompose": ["--form", "II", "--degree", "1"],
+        "osaka-catalog": ["--degree", "1"],
+        "osaka-verify": ["--record", "II", "--degree", "1"],
+        "counts": [],
+    }[name]]
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES + ["osaka catalog", "osaka verify"])
+def test_run_builds_only_the_parser_of_its_command(tmp_path, capsys, monkeypatch, name):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    alias = name.split()
+    argv = _small_argv(tmp_path, "-".join(alias))
+    code, _, _ = run_cli(capsys, *alias, *argv[1:])
+    assert code == cli.EXIT_OK
+    assert built == [f"kmalg {argv[0]}"]
+
+
+SURFACE = [
+    *[([name, "-h"], cli.EXIT_OK, "out", f"usage: kmalg {name} ") for name in COMMAND_NAMES],
+    # a missing required option, or one the command does not take, prints its usage
+    *[(argv, cli.EXIT_PARAM, "err", f"usage: kmalg {argv[0]} ") for argv in (
+        ["classify", "--out", "x"], ["bracket", "--lhs", "x"], ["killing-gram", "--degree", "2"],
+        ["jacobi-check", "--trials", "5"], ["decompose", "--degree", "1"],
+        ["osaka-verify", "--degree", "1"], ["osaka-catalog", "--form", "II"],
+        ["counts", "--degree", "1"],
+    )],
+    ([], cli.EXIT_PARAM, "err", "the following arguments are required: command"),
+    (["nope"], cli.EXIT_PARAM, "err", "invalid choice: 'nope'"),
+    (["osaka"], cli.EXIT_PARAM, "err", "invalid choice: 'osaka'"),
+    (["--help"], cli.EXIT_OK, "out", "{" + ",".join(COMMAND_NAMES) + "}"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, text", SURFACE,
+                         ids=[" ".join(row[0]) or "no-command" for row in SURFACE])
+def test_command_line_surface(capsys, argv, code, stream, text):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert text in (out if stream == "out" else err)
+    if code == cli.EXIT_PARAM:
+        assert out == "" and err.startswith("usage: kmalg")
+
+
+@pytest.mark.parametrize("argv", [["--degree", "2"], ["--record", "I[Id,Id]", "--degree", "2"]],
+                         ids=["catalog", "verify"])
+def test_osaka_alias_gives_the_hyphenated_report(capsys, argv):
+    sub = "catalog" if argv[0] == "--degree" else "verify"
+    reports = []
+    for command in (["osaka", sub], [f"osaka-{sub}"]):
+        code, out, _ = run_cli(capsys, *command, *argv)
+        assert code == cli.EXIT_OK
+        rep = json.loads(out)
+        del rep["timing_ms"]
+        reports.append(rep)
+    assert reports[0] == reports[1]
 
 
 def test_osaka_verify_counterexample_fails(capsys):

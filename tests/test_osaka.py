@@ -211,6 +211,19 @@ def test_duality_pairing_table():
     assert rep.all_passed
 
 
+def test_duality_table_is_read_off_the_records():
+    """table_ok holds when every record's partner names it back: on the
+    catalog, and on a catalog of one pair; it fails when one record names
+    another record's partner."""
+    catalog = build_catalog_a1()
+    pair = [r for r in catalog if r.name in ("II", "IV")]
+    assert duality_pairing(pair).table_ok
+    swapped = [replace(r, dual_name="III[Id,mu]") if r.name == "I[Id,Id]" else r
+               for r in catalog]
+    rep = duality_pairing(swapped)
+    assert not rep.table_ok and not rep.all_passed
+
+
 def test_catalog_and_duality_take_no_eigenspace_split(monkeypatch):
     """Dualizing reads the form and the involution only: building the
     catalog and pairing it never split a truncation into K and P."""
