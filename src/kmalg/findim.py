@@ -1,19 +1,21 @@
 """Exact matrix realizations of finite-dimensional reductive Lie algebras.
 
 An algebra is a basis of square matrices over Gaussian rationals together
-with its structure constants (computed and verified at construction), an
+with its structure constants (solved and verified at construction), an
 ideal split into abelian and simple blocks, the Killing form via adjoint
 traces, and finite-order automorphisms checked against the bracket.
 
-The bracket and the Killing form run on ints: they take numerator vectors
-(see `scalars`), the structure constants and the Killing matrix are kept as
-Gaussian-integer numerators over one denominator each, and a result is
-reduced once. Automorphisms act on numerator vectors the same way.
+The structure constants and the Killing matrix are held once, on ints:
+Gaussian-integer numerators over one denominator each, with no Scalar
+copy. The bracket and the Killing form take numerator vectors (see
+`scalars`) and reduce a result once; automorphisms act on them the same way.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from math import lcm
+
 from . import linalg
 from .scalars import ONE, ZERO, Scalar, exact_div, vec_canon, vec_from_parts, vec_from_scalars, vec_to_scalars
 
@@ -134,9 +136,9 @@ class FiniteLieAlgebra:
     """
 
     def __init__(self, name, field, basis, blocks, *, _structure=None):
-        """_structure, when given, is the table `_compute_structure` would
-        solve for (`direct_sum` shifts its summands'); it is checked as a
-        solved one is."""
+        """_structure, when given, is the (_sc, _sc_den) `_compute_structure`
+        would solve for (`direct_sum` shifts its summands'); it is checked
+        as a solved one is."""
         if field not in ("R", "C"):
             raise LieAlgebraError(f"field must be 'R' or 'C', got {field!r}")
         self.name = name
@@ -149,61 +151,56 @@ class FiniteLieAlgebra:
         covered = sorted(i for b in self.blocks for i in b.indices)
         if covered != list(range(self.dim)):
             raise LieAlgebraError("ideal blocks must partition the basis indices")
-        flat = [linalg.real_flatten(mat_flatten(b)) for b in self.basis]
-        if self.dim and linalg.rank(flat) != self.dim:
-            raise LieAlgebraError("basis matrices are linearly dependent")
         self._flat_basis = [mat_flatten(b) for b in self.basis]
-        self.structure = self._compute_structure() if _structure is None else _structure
+        if self.dim and linalg.rank([linalg.real_flatten(b) for b in self._flat_basis]) != self.dim:
+            raise LieAlgebraError("basis matrices are linearly dependent")
+        # the nonzero structure constants c_jk^m as (j, k, m, re, im) over _sc_den
+        self._sc, self._sc_den = self._compute_structure() if _structure is None else _structure
         self._check_field_reality()
         self._check_block_orthogonality()
-        # the nonzero structure constants c_jk^m as (j, k, m, re, im) over _sc_den
-        entries = [(j, k, m, c) for j, row in enumerate(self.structure)
-                   for k, es in enumerate(row) for m, c in es]
-        nums, self._sc_den = vec_from_scalars([c for *_, c in entries])
-        self._sc = tuple((j, k, m, re, im) for (j, k, m, _), re, im
-                         in zip(entries, nums, nums[len(entries):]))
-        self.killing_matrix = tuple(
-            tuple(self._ad_trace(j, l) for l in range(self.dim)) for j in range(self.dim)
-        )
-        self._killing_rows, self._killing_den = sparse_rows(self.killing_matrix)
+        self._killing_rows, self._killing_den = self._killing_table()
 
     # -- construction-time verification ---------------------------------
 
     def _compute_structure(self):
-        sc = []
-        for j in range(self.dim):
-            row = []
-            for k in range(self.dim):
-                br = mat_bracket(self.basis[j], self.basis[k])
-                coords = self.coords(br)
-                row.append(tuple((m, c) for m, c in enumerate(coords) if c))
-            sc.append(row)
-        return sc
+        """(_sc, _sc_den) from the coordinates of each [e_j, e_k], in
+        row-major order over the lcm of their denominators."""
+        sols = [(j, k, self._solve(mat_bracket(a, b)))
+                for j, a in enumerate(self.basis) for k, b in enumerate(self.basis)]
+        den = lcm(*(d for *_, (_, d) in sols))
+        n = self.dim
+        return tuple((j, k, m, re * (den // d), im * (den // d)) for j, k, (nums, d) in sols
+                     for m, re, im in zip(range(n), nums, nums[n:]) if re or im), den
 
     def _check_field_reality(self):
-        if self.field == "R":
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    for _, c in self.structure[j][k]:
-                        if not c.is_real():
-                            raise LieAlgebraError(
-                                f"{self.name}: non-real structure constant on a real algebra"
-                            )
+        if self.field == "R" and any(t for *_, t in self._sc):
+            raise LieAlgebraError(f"{self.name}: non-real structure constant on a real algebra")
 
     def _check_block_orthogonality(self):
-        for a in range(len(self.blocks)):
-            for b in range(a + 1, len(self.blocks)):
-                for j in self.blocks[a].indices:
-                    for k in self.blocks[b].indices:
-                        if self.structure[j][k]:
-                            raise LieAlgebraError(
-                                f"{self.name}: blocks {a} and {b} are not bracket-orthogonal"
-                            )
+        block = {i: a for a, b in enumerate(self.blocks) for i in b.indices}
+        crossing = [(block[j], block[k]) for j, k, *_ in self._sc if block[j] < block[k]]
+        if crossing:
+            a, b = min(crossing)
+            raise LieAlgebraError(f"{self.name}: blocks {a} and {b} are not bracket-orthogonal")
+
+    def _killing_table(self):
+        """tr(ad e_j ad e_l) = sum over k, m of c_jk^m c_lm^k, summed on the
+        numerators of _sc, as sparse rows over one denominator."""
+        n, sc = self.dim, {(j, k, m): (a, b) for j, k, m, a, b in self._sc}
+        re, im = [0] * (n * n), [0] * (n * n)
+        for (j, k, m), (a, b) in sc.items():
+            for l in range(n):
+                s, t = sc.get((l, m, k), (0, 0))
+                re[j * n + l] += a * s - b * t
+                im[j * n + l] += a * t + b * s
+        nums, den = vec_canon(re + im, self._sc_den ** 2)
+        return tuple(tuple((l, nums[j * n + l], nums[n * n + j * n + l]) for l in range(n)
+                           if nums[j * n + l] or nums[n * n + j * n + l]) for j in range(n)), den
 
     # -- coordinates -----------------------------------------------------
 
-    def coords(self, m: Matrix):
-        """Coordinates of a matrix in the basis; raises if outside the span."""
+    def _solve(self, m: Matrix):
+        """`coords` as a numerator vector."""
         target = mat_flatten(m)
         # complex coordinates found by a real 2x-blown-up solve
         rows, rhs = [], []
@@ -214,7 +211,11 @@ class FiniteLieAlgebra:
         sol = linalg.solve(rows, rhs)
         if sol is None:
             raise LieAlgebraError("matrix is not in the span of the basis")
-        return vec_to_scalars(vec_from_parts(sol))
+        return vec_from_parts(sol)
+
+    def coords(self, m: Matrix):
+        """Coordinates of a matrix in the basis; raises if outside the span."""
+        return vec_to_scalars(self._solve(m))
 
     def matrix(self, coords) -> Matrix:
         out = mat_zero(self.matrix_size)
@@ -250,12 +251,6 @@ class FiniteLieAlgebra:
         acc = [0] * (2 * self.dim)
         self.bracket_add(acc, xn, yn)
         return vec_canon(acc, dx * dy * self._sc_den)
-
-    def _ad_trace(self, j, l):
-        """tr(ad e_j ad e_l) = sum over k, m of c_jk^m c_lm^k."""
-        sc = self.structure
-        return sum((c * d for k in range(self.dim) for m, c in sc[j][k]
-                    for k2, d in sc[l][m] if k2 == k), ZERO)
 
     def killing(self, x, y) -> Scalar:
         """Trace of ad(x) ad(y) for numerator vectors x and y: their
@@ -396,15 +391,17 @@ def make_abelian(k: int, field="R") -> FiniteLieAlgebra:
 
 
 def direct_sum(*algebras, name=None) -> FiniteLieAlgebra:
-    """Block-diagonal direct sum; blocks concatenate with shifted indices."""
+    """Block-diagonal direct sum; blocks and structure constants
+    concatenate with shifted indices, the constants over the lcm of the
+    summands' denominators, and none cross summands."""
     if not algebras:
         raise LieAlgebraError("direct_sum of nothing")
     field = algebras[0].field
     if any(g.field != field for g in algebras):
         raise LieAlgebraError("direct_sum requires a common field")
     total = sum(g.matrix_size for g in algebras)
-    basis = []
-    blocks = []
+    den = lcm(*(g._sc_den for g in algebras))
+    basis, blocks, sc = [], [], []
     offset_mat = 0
     offset_idx = 0
     for g in algebras:
@@ -416,23 +413,13 @@ def direct_sum(*algebras, name=None) -> FiniteLieAlgebra:
             basis.append(tuple(tuple(r) for r in rows))
         for blk in g.blocks:
             blocks.append(IdealBlock(blk.kind, tuple(offset_idx + i for i in blk.indices)))
+        f, o = den // g._sc_den, offset_idx
+        sc.extend((o + j, o + k, o + m, s * f, t * f) for j, k, m, s, t in g._sc)
         offset_mat += g.matrix_size
         offset_idx += g.dim
     if name is None:
         name = "+".join(g.name for g in algebras)
-    return FiniteLieAlgebra(name, field, basis, blocks, _structure=_summed_structure(algebras))
-
-
-def _summed_structure(algebras):
-    """The structure constants of a direct sum: each summand's with its
-    indices shifted by the summand's offset, and none across summands."""
-    dim, offset, sc = sum(g.dim for g in algebras), 0, []
-    for g in algebras:
-        for row in g.structure:
-            sc.append([()] * offset + [tuple((offset + m, c) for m, c in es) for es in row]
-                      + [()] * (dim - offset - g.dim))
-        offset += g.dim
-    return sc
+    return FiniteLieAlgebra(name, field, basis, blocks, _structure=(tuple(sc), den))
 
 
 # -- automorphisms -------------------------------------------------------
@@ -481,16 +468,14 @@ def identity_automorphism(g) -> FiniteAutomorphism:
 
 def check_bracket(g, sparse, conjugate=False):
     """Raise NotAutomorphismError(j, k) for the first basis pair (row-major)
-    whose bracket M conj^conjugate (M as sparse rows) does not keep."""
+    whose bracket M conj^conjugate (M as sparse rows) does not keep:
+    M [e_j, e_k] != [M e_j, M e_k]."""
     n = g.dim
-    images = [sparse_apply(sparse, ((0,) * j + (1,) + (0,) * (2 * n - j - 1), 1), conjugate)
-              for j in range(n)]
+    units = [((0,) * j + (1,) + (0,) * (2 * n - j - 1), 1) for j in range(n)]
+    images = [sparse_apply(sparse, e, conjugate) for e in units]
     for j in range(n):
         for k in range(n):
-            lhs_vec = [ZERO] * n
-            for m, c in g.structure[j][k]:
-                lhs_vec[m] = c
-            lhs = sparse_apply(sparse, vec_from_scalars(lhs_vec), conjugate)
+            lhs = sparse_apply(sparse, g.bracket(units[j], units[k]), conjugate)
             if lhs != g.bracket(images[j], images[k]):
                 raise NotAutomorphismError(j, k)
 
@@ -498,10 +483,8 @@ def check_bracket(g, sparse, conjugate=False):
 def check_automorphism(g, phi: FiniteAutomorphism) -> FiniteAutomorphism:
     """Verify bracket preservation and the declared finite order, exactly."""
     check_bracket(g, phi.sparse, phi.conjugate_linear)
-    if phi.order is None:
-        raise WrongOrderError("automorphism must declare its order")
-    if phi.order < 1:
-        raise WrongOrderError("order must be positive")
+    if phi.order is None or phi.order < 1:
+        raise WrongOrderError("automorphism must declare a positive order")
     power = phi
     for k in range(1, phi.order):
         if power.is_identity():
@@ -513,13 +496,15 @@ def check_automorphism(g, phi: FiniteAutomorphism) -> FiniteAutomorphism:
 
 
 def automorphism_from_order(g, matrix_rows, conjugate_linear=False):
-    """Build an automorphism, deriving its exact order (at most 8); verified."""
+    """Build an automorphism, deriving its exact order (at most 8) from its
+    powers, and check that it keeps the bracket."""
     phi = FiniteAutomorphism(g, matrix_rows, conjugate_linear)
     power = phi
     for k in range(1, 9):
         if power.is_identity():
             phi.order = k
-            return check_automorphism(g, phi)
+            check_bracket(g, phi.sparse, conjugate_linear)
+            return phi
         power = phi.compose(power)
     raise WrongOrderError("no order up to 8 found")
 

@@ -220,11 +220,10 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
     sigma_mat = mat_mul(rho_minus.matrix, rho_plus.matrix)
     gc = g.complexify()
     sigma = FiniteAutomorphism(gc, sigma_mat, conjugate_linear=False)
-    order = 1 if sigma.is_identity() else 2 if sigma.compose(sigma).is_identity() else None
-    if order is None:
+    sigma.order = 1 if sigma.is_identity() else 2 if sigma.compose(sigma).is_identity() else None
+    if sigma.order is None:
         raise InvolutionError("sigma = rho_minus . rho_plus has order > 2 (out of scope)")
-    sigma.order = order
-    check_automorphism(gc, sigma)
+    check_bracket(gc, sigma.sparse)
     desc = InvolutionDescriptor(
         name=name or "second-kind involution",
         loop_map=CoeffMap(rho_plus.matrix, index_sign=-1),
@@ -349,7 +348,7 @@ class RealFormDescriptor:
         the basis pair (j, k) for (c), a reason string for any other."""
         tau, alg, twist = self.conj, self.algebra, self.twist
         if tau is None:  # the cocycle stays on a c/d line only when the Killing form is 0
-            flat = self.cd_scale is None or not any(map(any, alg.killing_matrix))
+            flat = self.cd_scale is None or not any(alg._killing_rows)
             return Verdict(None if flat else "cocycle leaves the c/d line")
         if twist.order == 2 and mat_mul(tau.matrix, twist.matrix) != mat_mul(twist.matrix, tau.matrix):
             return Verdict("grading broken")

@@ -6,10 +6,10 @@ two int entries divide to an int or a Fraction, never to a float. Updates
 like a - f * b are not normalised, so a result may hold an integer as
 Fraction(n, 1), which equals, hashes and prints as n; the zeros and ones
 the routines make up are the ints 0 and 1. Matrices stay small:
-`killing-gram` signs one Gram block per exponent class (at most 12 x 12 on
-the catalog forms, 61 blocks at degree 60) rather than the whole 726 x 726
-Gram, and the eigen-split solves all images of a block in one `rref`.
-Matrices are lists of row lists; functions never mutate inputs.
+`killing-gram` signs a truncation's base blocks only, one Gram block per
+exponent class up to renaming (2 or 3 of at most 12 x 12 per catalog form,
+at any degree), and the eigen-split solves all images of a block in one
+`rref`. Matrices are lists of row lists; functions never mutate inputs.
 
 Real layout. This module alone turns Q(i) vectors into rational columns,
 and only on the way in. A Scalar vector v becomes real_flatten(v) =

@@ -423,25 +423,29 @@ def duality_pairing(catalog=None) -> PairingReport:
     dual of (the record's dual form, the partner's involution) must
     reproduce the record (double_dual_ok); when the dual has the partner's
     real form, that is the partner's own dual, not recomputed. Each
-    partner must name its record back as its dual (table_ok). The pairing
+    partner must name its record back as its dual (table_ok); a record
+    whose dual_name names no record fails its match and table_ok. The pairing
     compares maps and has no degree: a matched dual is the partner's form,
     whose closure osaka_verify checks at its degree.
     """
-    catalog = catalog or build_catalog_a1()
+    catalog = build_catalog_a1() if catalog is None else catalog
     by_name = {r.name: r for r in catalog}
     duals = {rec: dualize(rec.real_form, rec.involution) for rec in catalog}
     matches = {}
     double_ok = True
     for rec, dual in duals.items():
-        partner = by_name[rec.dual_name]
-        matches[rec.name] = _same_form(dual, partner)
+        partner = by_name.get(rec.dual_name)
+        matches[rec.name] = partner is not None and _same_form(dual, partner)
+        if partner is None:
+            continue
         if _same_real_form(dual.real_form, partner.real_form):
             ddual = duals[partner]
         else:
             ddual = dualize(dual.real_form, partner.involution)
         if not _same_form(ddual, rec):
             double_ok = False
-    table_ok = all(by_name[rec.dual_name].dual_name == rec.name for rec in catalog)
+    table_ok = all(rec.dual_name in by_name and by_name[rec.dual_name].dual_name == rec.name
+                   for rec in catalog)
     return PairingReport(matches, double_ok, table_ok)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .findim import direct_sum, make_abelian, make_sl, make_su
+from .findim import automorphism_from_order, direct_sum, make_abelian, make_sl, make_su
 from .involution import CoeffMap, InvolutionDescriptor, InvolutionError, RealFormDescriptor
 from .kmext import ExtendedElement
 from .loop import GradingError, TwistedLoopElement, untwisted
@@ -54,18 +54,14 @@ def _registry():
     double = direct_sum(su2, su2, name="su(2)+su(2)").complexify()
     sl2c = make_sl(2, "C")
     ab1 = make_abelian(1, "R").complexify()
-    entries = {}
-
-    def twist2(alg, rows):
-        from .findim import automorphism_from_order
-
-        return automorphism_from_order(alg, rows)
-
-    entries["su2c"] = (a1, {1: untwisted(a1), 2: twist2(a1, [[-1, 0, 0], [0, 1, 0], [0, 0, -1]])})
-    entries["sl2c"] = (sl2c, {1: untwisted(sl2c), 2: twist2(sl2c, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])})
-    entries["su2su2c"] = (double, {1: untwisted(double)})
-    entries["abelian1c"] = (ab1, {1: untwisted(ab1)})
-    return entries
+    tw_su2 = automorphism_from_order(a1, [[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    tw_sl2 = automorphism_from_order(sl2c, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    return {
+        "su2c": (a1, {1: untwisted(a1), 2: tw_su2}),
+        "sl2c": (sl2c, {1: untwisted(sl2c), 2: tw_sl2}),
+        "su2su2c": (double, {1: untwisted(double)}),
+        "abelian1c": (ab1, {1: untwisted(ab1)}),
+    }
 
 
 _REGISTRY = None

@@ -7,11 +7,16 @@ of the convolution rule, determinants via the Bareiss fraction-free scheme
 instead of divide-and-eliminate. The real-form block bases and finite
 coordinates are the hand-written real blow-ups the library used before one
 equation builder in linalg served them both. The finite bracket and Killing
-form are the Scalar loops the library ran before its integer-numerator
-kernel, and the loop operations those it ran before loop elements stored
-numerator vectors. The loop Gram matrix is built class by class as it was
-before classes equal up to exponent renaming shared one computation, and
-laid out densely from the class blocks the library now returns.
+form are Scalar loops over tables solved from the basis matrices alone
+(solved_tables): structure constants from coords_reference of each matrix
+commutator, and Killing values from traces of the ad matrices those
+constants give, never the algebra's own integer tables;
+construction_error_reference reads from them why an algebra must be
+refused. The loop operations are those the library ran before loop
+elements stored numerator vectors. The loop Gram matrix is built class by
+class as it was before classes equal up to exponent renaming shared one
+computation, and laid out densely from the class blocks the library now
+returns.
 parse_element, the inverse of the rendering, lives here because only the
 render round trip reads it, and so do the finite-element JSON schema and
 the admissibility verdict of factorwise involutions, which no command
@@ -57,9 +62,19 @@ import re
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from kmalg import linalg
-from kmalg.findim import LieAlgebraError, _unit, mat_add, mat_flatten, mat_scale, mat_zero, sparse_apply
+from kmalg.findim import (
+    LieAlgebraError,
+    _unit,
+    mat_add,
+    mat_bracket,
+    mat_flatten,
+    mat_scale,
+    mat_zero,
+    sparse_apply,
+)
 from kmalg.involution import (
     InvolutionError,
     PreservationError,
@@ -131,38 +146,66 @@ def scalar_killing(g, x, y) -> Scalar:
     return g.killing(vec_from_scalars(x), vec_from_scalars(y))
 
 
-# -- the Scalar-by-Scalar finite bracket and Killing form -------------------
+# -- the finite bracket and Killing form from the basis matrices ----------------
+
+_SOLVED = {}
+
+
+def solved_tables(basis):
+    """(c, K) from the basis matrices alone, never from an algebra's own
+    tables: c[j][k] the Scalar coordinates of the matrix commutator
+    [e_j, e_k] (coords_reference), and K[j][l] = tr(ad e_j ad e_l), the
+    trace of the product of the ad matrices (ad e_j)[m][k] = c[j][k][m].
+    Cached per basis."""
+    basis = tuple(basis)
+    if basis not in _SOLVED:
+        n = len(basis)
+        span = SimpleNamespace(_flat_basis=[mat_flatten(b) for b in basis], dim=n)
+        c = [[coords_reference(span, mat_bracket(a, b)) for b in basis] for a in basis]
+        ad = [[[c[j][k][m] for k in range(n)] for m in range(n)] for j in range(n)]
+        _SOLVED[basis] = c, [[_trace_of_product(ad[j], ad[l]) for l in range(n)] for j in range(n)]
+    return _SOLVED[basis]
+
+
+def construction_error_reference(field, basis, blocks):
+    """The reason FiniteLieAlgebra refuses (field, basis, blocks), in the
+    order it checks them, or None: a basis whose real Gram determinant
+    (Bareiss) is zero is dependent; then the solved constants must be real
+    on a real algebra, and the lowest block pair (a, b) whose basis
+    vectors bracket to nonzero is not orthogonal."""
+    flat = [[x for s in mat_flatten(b) for x in (s.re, s.im)] for b in basis]
+    if not bareiss_determinant([[sum(x * y for x, y in zip(u, v)) for v in flat] for u in flat]):
+        return "linearly dependent"
+    c, _ = solved_tables(basis)
+    if field == "R" and any(x.im for row in c for coords in row for x in coords):
+        return "non-real structure constant"
+    for a in range(len(blocks)):
+        for b in range(a + 1, len(blocks)):
+            if any(any(c[j][k]) for j in blocks[a].indices for k in blocks[b].indices):
+                return f"blocks {a} and {b} are not bracket-orthogonal"
+    return None
+
 
 def bracket_reference(g, x, y):
-    """FiniteLieAlgebra.bracket as it was before its integer-numerator
-    kernel: one Scalar product and sum per structure-constant term."""
+    """[x, y] on Scalar coordinates: one Scalar product and sum per term
+    x_j y_k c_jk^m of the solved constants."""
     out = [ZERO] * g.dim
-    sc = g.structure
+    c, _ = solved_tables(g.basis)
     for j, xj in enumerate(x):
-        if not xj:
-            continue
-        row = sc[j]
         for k, yk in enumerate(y):
-            if not yk:
-                continue
-            f = xj * yk
-            for m, c in row[k]:
-                out[m] = out[m] + f * c
+            if xj and yk:
+                for m, cm in enumerate(c[j][k]):
+                    if cm:
+                        out[m] = out[m] + xj * yk * cm
     return tuple(out)
 
 
 def killing_reference(g, x, y) -> Scalar:
-    """FiniteLieAlgebra.killing as it was before it summed raw parts: a
-    Scalar product and sum per nonzero term of the Killing matrix."""
-    total = ZERO
-    km = g.killing_matrix
-    for j, xj in enumerate(x):
-        if not xj:
-            continue
-        for l, yl in enumerate(y):
-            if yl and km[j][l]:
-                total = total + xj * yl * km[j][l]
-    return total
+    """B(x, y) on Scalar coordinates: a Scalar product and sum per nonzero
+    entry of the Killing matrix of solved_tables."""
+    _, km = solved_tables(g.basis)
+    return sum((xj * yl * km[j][l] for j, xj in enumerate(x) for l, yl in enumerate(y)
+                if xj and yl and km[j][l]), ZERO)
 
 
 # -- the loop layer on Scalar-tuple coefficients --------------------------------
@@ -650,8 +693,10 @@ def mat_transpose(a):
 
 
 def is_semisimple(g) -> bool:
-    """Cartan's criterion: the Killing matrix is nondegenerate."""
-    return bool(linalg.determinant([list(r) for r in g.killing_matrix]))
+    """Cartan's criterion: the Killing matrix g.killing gives on the basis
+    is nondegenerate."""
+    units = [tuple(ONE if i == j else ZERO for i in range(g.dim)) for j in range(g.dim)]
+    return bool(linalg.determinant([[scalar_killing(g, x, y) for y in units] for x in units]))
 
 
 def apply_vec(phi, vec, k=0):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from kmalg import findim, serialize
 from kmalg.findim import (
     FiniteAutomorphism,
+    IdealBlock,
     automorphism_from_order,
     check_automorphism,
     direct_sum,
@@ -19,11 +20,12 @@ from kmalg.findim import (
     mat_scale,
 )
 from kmalg.rand import TrialRng
-from kmalg.scalars import Scalar, ZERO
+from kmalg.scalars import I, Scalar, ZERO, vec_from_scalars
 
 from oracles import (
     automorphism_apply,
     bracket_reference,
+    construction_error_reference,
     is_semisimple,
     killing_reference,
     killing_sl_family,
@@ -31,6 +33,7 @@ from oracles import (
     scalar_bracket,
     scalar_killing,
     scalar_reference,
+    solved_tables,
 )
 
 E1 = (Scalar(1), ZERO, ZERO)
@@ -61,11 +64,11 @@ def test_su2_basis_is_standard():
 
 
 def test_su_closure_is_rational():
-    su2 = make_su(2)
+    c, _ = solved_tables(make_su(2).basis)
     for j in range(3):
         for k in range(3):
-            for _m, c in su2.structure[j][k]:
-                assert c.is_real()
+            for x in c[j][k]:
+                assert x.is_real()
 
 
 def test_su2_complexification_matches_sl2():
@@ -90,15 +93,17 @@ def test_su2_complexification_matches_sl2():
 
 
 def assert_declared_blocks_are_ideals(g):
-    """Each declared block is an ideal read from the structure constants:
-    [block, g] lies in the block, and [block, block] = 0 when abelian."""
+    """Each declared block is an ideal read from the solved structure
+    constants: [block, g] lies in the block, and [block, block] = 0 when
+    abelian."""
+    c, _ = solved_tables(g.basis)
     for block in g.blocks:
         inside = set(block.indices)
         for j in block.indices:
             for k in range(g.dim):
-                assert {m for m, _ in g.structure[j][k]} <= inside
+                assert {m for m, x in enumerate(c[j][k]) if x} <= inside
                 if block.kind == "abelian" and k in inside:
-                    assert not g.structure[j][k]
+                    assert not any(c[j][k])
 
 
 def test_so_dimensions_and_split():
@@ -112,7 +117,7 @@ def test_so_dimensions_and_split():
 
 def test_abelian():
     ab = make_abelian(1)
-    assert all(not ab.structure[j][k] for j in range(1) for k in range(1))
+    assert all(not any(solved_tables(ab.basis)[0][j][k]) for j in range(1) for k in range(1))
     assert scalar_killing(ab, (Scalar(1),), (Scalar(1),)) == ZERO
     g = direct_sum(make_abelian(1), make_su(2))
     assert [(b.kind, len(b.indices)) for b in g.blocks] == [("abelian", 1), ("simple", 3)]
@@ -240,8 +245,8 @@ def _assert_exact(values):
 
 def test_kernel_algebras_need_division():
     assert QUARTER_SU2._sc_den == 2 and HALF_I_SL2._sc_den == 2
-    assert QUARTER_SU2.killing_matrix[0][0] == Scalar(Fraction(-1, 2))
-    assert not HALF_I_SL2.killing_matrix[0][0].re and HALF_I_SL2.killing_matrix[0][0]
+    assert scalar_killing(QUARTER_SU2, E1, E1) == Scalar(Fraction(-1, 2))
+    assert not scalar_killing(HALF_I_SL2, E1, E1).re and scalar_killing(HALF_I_SL2, E1, E1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -254,6 +259,57 @@ def test_bracket_and_killing_match_reference(case):
     b = scalar_killing(g, x, y)
     assert b == killing_reference(g, x, y)
     _assert_exact((b,))
+
+
+# -- the integer tables against the solved reference -------------------------------
+
+THIRD_SO3 = _scaled_algebra(make_so(3), Scalar(Fraction(1, 3)), "R")  # D_s = 3
+_SU2, _SL2 = make_su(2), make_sl(2)
+_U1_SU2 = direct_sum(make_abelian(1), _SU2)
+TABLE_CASES = {
+    "sl2": _SL2, "sl3": make_sl(3), "su2": _SU2, "su3": make_su(3),
+    "so3": make_so(3), "so4": make_so(4), "so5": make_so(5), "so5C": make_so(5, "C"),
+    "abelian0": make_abelian(0), "abelian1": make_abelian(1), "abelian2": make_abelian(2),
+    "su2_C": _SU2.complexify(), "so4_C": make_so(4).complexify(), "abelian1_C": make_abelian(1).complexify(),
+    "quarter-su2": QUARTER_SU2, "half-i-sl2": HALF_I_SL2, "third-so3": THIRD_SO3,
+    "su2+su2": direct_sum(_SU2, _SU2), "u1+su2": _U1_SU2, "sl2+sl3": direct_sum(_SL2, make_sl(3)),
+    "quarter-su2+third-so3": direct_sum(QUARTER_SU2, THIRD_SO3),  # D_s = lcm(2, 3)
+    "half-i-sl2+sl2": direct_sum(HALF_I_SL2, _SL2),
+    # refused inputs: (field, basis, blocks, the reason)
+    "non-real": ("R", [mat_scale(Scalar(0, 1), _SL2.basis[0]), *_SL2.basis[1:]], _SL2.blocks,
+                 "non-real structure constant"),
+    "non-orthogonal": ("R", _U1_SU2.basis,
+                       [IdealBlock("abelian", (0,)), *(IdealBlock("simple", (i,)) for i in (1, 2, 3))],
+                       "blocks 1 and 2 are not bracket-orthogonal"),  # (1, 3) and (2, 3) fail too
+    "dependent": ("R", [*_SU2.basis, _SU2.basis[0]], [IdealBlock("simple", (0, 1, 2, 3))],
+                  "linearly dependent"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_CASES))
+def test_integer_tables_match_the_solved_reference(label):
+    """_sc, _sc_den and the Killing form on every unit pair equal the
+    tables solved from the basis matrices alone (solved_tables); an input
+    the reference refuses is refused for its reason, a non-orthogonal
+    split naming its lowest block pair."""
+    case = TABLE_CASES[label]
+    if isinstance(case, tuple):
+        field, basis, blocks, reason = case
+        assert construction_error_reference(field, basis, blocks) == reason
+        with pytest.raises(findim.LieAlgebraError, match=reason):
+            findim.FiniteLieAlgebra(label, field, basis, blocks)
+        return
+    g = case
+    assert construction_error_reference(g.field, g.basis, g.blocks) is None
+    c, killing = solved_tables(g.basis)
+    entries = [(j, k, m, x) for j in range(g.dim) for k in range(g.dim) for m, x in enumerate(c[j][k]) if x]
+    nums, den = vec_from_scalars([x for *_, x in entries])
+    assert g._sc_den == den
+    assert g._sc == tuple((j, k, m, re, im) for (j, k, m, _), re, im in zip(entries, nums, nums[len(entries):]))
+    units = [tuple(Scalar(1) if i == n else ZERO for i in range(g.dim)) for n in range(g.dim)]
+    for j in range(g.dim):
+        for l in range(g.dim):
+            assert scalar_killing(g, units[j], units[l]) == killing[j][l]
 
 
 # -- automorphisms -----------------------------------------------------------------
@@ -276,6 +332,38 @@ def test_not_automorphism_rejected():
     bogus = FiniteAutomorphism(su2, mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), order=1)
     with pytest.raises(findim.NotAutomorphismError):
         check_automorphism(su2, bogus)
+
+
+@pytest.mark.parametrize("diag, pair", [((1, 1, -1), (0, 1)), ((1, I, I), (1, 2))])
+def test_automorphism_from_order_names_the_first_broken_pair(diag, pair):
+    """A finite-order map that breaks the bracket raises
+    NotAutomorphismError on the first basis pair (row-major) the Scalar
+    reference finds broken."""
+    su2 = make_su(2).complexify()
+    rows = [[diag[i] if i == j else 0 for j in range(3)] for i in range(3)]
+    phi = FiniteAutomorphism(su2, mat(rows))
+    units = (E1, E2, E3)
+    broken = [(j, k) for j in range(3) for k in range(3)
+              if automorphism_apply(phi, bracket_reference(su2, units[j], units[k]))
+              != bracket_reference(su2, automorphism_apply(phi, units[j]), automorphism_apply(phi, units[k]))]
+    assert broken[0] == pair
+    with pytest.raises(findim.NotAutomorphismError) as err:
+        automorphism_from_order(su2, rows)
+    assert err.value.pair == pair
+
+
+def test_automorphism_from_order_composes_each_power_once(monkeypatch):
+    """The order is found once, from the powers: an order-k map costs
+    k - 1 compositions, with no second pass over its powers."""
+    calls = []
+    compose = FiniteAutomorphism.compose
+    monkeypatch.setattr(FiniteAutomorphism, "compose", lambda a, b: calls.append(1) or compose(a, b))
+    su2c = make_su(2).complexify()
+    assert automorphism_from_order(su2c, [[1, 0, 0], [0, -1, 0], [0, 0, -1]]).order == 2
+    assert len(calls) == 1
+    calls.clear()
+    assert automorphism_from_order(make_su(2), [[0, -1, 0], [1, 0, 0], [0, 0, 1]]).order == 4
+    assert len(calls) == 3
 
 
 def test_wrong_order_rejected():

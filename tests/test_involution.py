@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kmalg import involution
 from kmalg.findim import (
     automorphism_from_order,
     entrywise_conjugation_automorphism,
@@ -112,6 +113,16 @@ def test_invariant_pairs():
     assert tw3.order == 1
     for d in (d1, d2, d3):
         assert d.epsilon == -1 and d.reflect_time
+
+
+def test_invariant_pair_decides_the_order_of_sigma_once(monkeypatch):
+    """sigma's order is read off its square once, and then only its
+    bracket is checked: check_automorphism runs on the two invariants
+    alone."""
+    checked = []
+    monkeypatch.setattr(involution, "check_automorphism", lambda g, phi: checked.append(phi) or phi)
+    _, _, tw = involution_from_invariants(ID_R, MU_R)
+    assert checked == [ID_R, MU_R] and tw.order == 2
 
 
 def test_invariant_pair_rejects_non_involution():

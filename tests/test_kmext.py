@@ -165,11 +165,11 @@ def test_jacobi_on_doubled_algebra():
 
 def test_doubled_killing_is_block_diagonal():
     double = direct_sum(make_su(2), make_su(2)).complexify()
+    units = [tuple(Scalar(1) if i == n else ZERO for i in range(6)) for n in range(6)]
     for i in range(3):
         for j in range(3, 6):
-            assert double.killing_matrix[i][j] == ZERO
-    x1_first = tuple(Scalar(1) if i == 0 else ZERO for i in range(6))
-    assert scalar_killing(double, x1_first, x1_first) == Scalar(-8)
+            assert scalar_killing(double, units[i], units[j]) == ZERO
+    assert scalar_killing(double, units[0], units[0]) == Scalar(-8)
 
 
 # -- derived algebra ----------------------------------------------------------------

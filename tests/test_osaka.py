@@ -224,6 +224,26 @@ def test_duality_table_is_read_off_the_records():
     assert not rep.table_ok and not rep.all_passed
 
 
+@pytest.mark.parametrize("dual_name", [None, "nowhere"])
+def test_a_record_without_a_partner_fails_its_match_and_the_table(dual_name):
+    """A record whose dual_name is None or names no record of the catalog
+    fails its match and table_ok, where the pairing raised KeyError; the
+    other records keep their matches."""
+    changed = [replace(r, dual_name=dual_name) if r.name == "II" else r for r in build_catalog_a1()]
+    rep = duality_pairing(changed)
+    assert rep.matches["II"] is False and not rep.table_ok and not rep.all_passed
+    assert all(v for name, v in rep.matches.items() if name != "II")
+    alone = duality_pairing([catalog_record("II")])
+    assert (alone.matches, alone.table_ok, alone.all_passed) == ({"II": False}, False, False)
+
+
+def test_an_empty_catalog_pairs_nothing(monkeypatch):
+    """duality_pairing([]) pairs no record; only None means the catalog."""
+    monkeypatch.setattr(osaka, "build_catalog_a1", lambda: pytest.fail("built the catalog"))
+    rep = duality_pairing([])
+    assert (rep.matches, rep.double_dual_ok, rep.table_ok) == ({}, True, True)
+
+
 def test_catalog_and_duality_take_no_eigenspace_split(monkeypatch):
     """Dualizing reads the form and the involution only: building the
     catalog and pairing it never split a truncation into K and P."""
