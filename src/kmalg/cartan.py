@@ -8,11 +8,11 @@ re-verified entrywise, so a Finite/Affine verdict always ships its own proof.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import linalg
+from .value import Value
 
 
 class CartanMatrixError(ValueError):
@@ -49,12 +49,14 @@ class ClassificationError(ArithmeticError):
     """An exact classification step contradicted another: a library fault."""
 
 
-@dataclass(frozen=True)
-class GeneralizedCartanMatrix:
+class GeneralizedCartanMatrix(Value):
     """Validated integer matrix with 2s on the diagonal, non-positive
     off-diagonal entries and a symmetric zero pattern."""
 
-    entries: tuple
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        self.entries = entries
 
     @property
     def n(self) -> int:
@@ -100,20 +102,25 @@ class CartanKind(Enum):
     MIXED = "Mixed"  # composite matrices only; not a notion for blocks
 
 
-@dataclass(frozen=True)
-class CartanClass:
-    kind: CartanKind
-    witness: tuple | None  # positive rational v with Av>0 (Finite) or Av=0 (Affine)
-    components: tuple  # index blocks, each a tuple of indices
-    block_kinds: tuple  # CartanKind per block
-    synthetic_composite: bool  # True when the whole-matrix kind merges >1 block
+class CartanClass(Value):
+    __slots__ = ("kind", "witness", "components", "block_kinds", "synthetic_composite")
+
+    def __init__(self, kind: CartanKind, witness: tuple | None, components: tuple, block_kinds: tuple,
+                 synthetic_composite: bool):
+        self.kind = kind
+        self.witness = witness  # positive rational v with Av>0 (Finite) or Av=0 (Affine)
+        self.components = components  # index blocks, each a tuple of indices
+        self.block_kinds = block_kinds  # CartanKind per block
+        self.synthetic_composite = synthetic_composite  # True when the whole-matrix kind merges >1 block
 
 
-@dataclass(frozen=True)
-class RealizationDims:
-    n: int
-    l: int
-    dim_h: int
+class RealizationDims(Value):
+    __slots__ = ("n", "l", "dim_h")
+
+    def __init__(self, n: int, l: int, dim_h: int):
+        self.n = n
+        self.l = l
+        self.dim_h = dim_h
 
 
 def decompose(a: GeneralizedCartanMatrix):
@@ -209,10 +216,12 @@ def classify(a: GeneralizedCartanMatrix) -> CartanClass:
     )
 
 
-@dataclass(frozen=True)
-class Family2x2:
-    name: str
-    dimension: int | None  # None for the infinite-dimensional affine families
+class Family2x2(Value):
+    __slots__ = ("name", "dimension")
+
+    def __init__(self, name: str, dimension: int | None):
+        self.name = name
+        self.dimension = dimension  # None for the infinite-dimensional affine families
 
 
 UNKNOWN_FAMILY = Family2x2("Unknown", None)

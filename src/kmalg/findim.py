@@ -13,11 +13,11 @@ copy. The bracket and the Killing form take numerator vectors (see
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from math import lcm
 
 from . import linalg
 from .scalars import ONE, ZERO, Scalar, exact_div, vec_canon, vec_from_parts, vec_from_scalars, vec_to_scalars
+from .value import Value
 
 Matrix = tuple  # tuple of row tuples of Scalar
 
@@ -121,10 +121,12 @@ def sparse_is_identity(sparse) -> bool:
     return den == 1 and all(row == ((i, 1, 0),) for i, row in enumerate(rows))
 
 
-@dataclass(frozen=True)
-class IdealBlock:
-    kind: str  # "abelian" | "simple"
-    indices: tuple
+class IdealBlock(Value):
+    __slots__ = ("kind", "indices")
+
+    def __init__(self, kind: str, indices: tuple):
+        self.kind = kind  # "abelian" | "simple"
+        self.indices = indices
 
 
 class FiniteLieAlgebra:

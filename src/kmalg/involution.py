@@ -45,7 +45,6 @@ element from its mirror exponent and compares it with the term there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from . import linalg
@@ -167,21 +166,21 @@ class InvolutionKind(Enum):
     SECOND = "SecondKind"
 
 
-@dataclass(frozen=True, eq=False)
 class InvolutionDescriptor:
     """Standard-form involution: loop coefficients via a CoeffMap, c and d
     scaled by epsilon."""
 
-    name: str
-    loop_map: CoeffMap
-    epsilon: int
-    reflect_time: bool
+    __slots__ = ("name", "loop_map", "epsilon", "reflect_time")
 
-    def __post_init__(self):
-        if self.epsilon not in (1, -1):
+    def __init__(self, name: str, loop_map: CoeffMap, epsilon: int, reflect_time: bool):
+        if epsilon not in (1, -1):
             raise InvolutionError("epsilon must be +-1")
-        if self.reflect_time and self.epsilon != -1:
+        if reflect_time and epsilon != -1:
             raise InvolutionError("time reflection forces epsilon = -1")
+        self.name = name
+        self.loop_map = loop_map
+        self.epsilon = epsilon
+        self.reflect_time = reflect_time
 
     @property
     def conjugate_linear(self):
@@ -211,19 +210,20 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
     g = rho_plus.algebra
     if rho_minus.algebra is not g:
         raise InvolutionError("the two invariants act on different algebras")
-    for rho in (rho_plus, rho_minus):
+    for rho in (rho_plus,) if rho_minus is rho_plus else (rho_plus, rho_minus):
         if rho.conjugate_linear:
             raise InvolutionError("invariants are automorphisms of the real algebra")
         if rho.order not in (1, 2):
             raise InvolutionError("invariants must be involutive or the identity")
         check_automorphism(g, rho)
+    # sigma's bracket is not checked: it is a product of two checked linear
+    # automorphisms of g, and gc has g's structure constants
     sigma_mat = mat_mul(rho_minus.matrix, rho_plus.matrix)
     gc = g.complexify()
     sigma = FiniteAutomorphism(gc, sigma_mat, conjugate_linear=False)
     sigma.order = 1 if sigma.is_identity() else 2 if sigma.compose(sigma).is_identity() else None
     if sigma.order is None:
         raise InvolutionError("sigma = rho_minus . rho_plus has order > 2 (out of scope)")
-    check_bracket(gc, sigma.sparse)
     desc = InvolutionDescriptor(
         name=name or "second-kind involution",
         loop_map=CoeffMap(rho_plus.matrix, index_sign=-1),
@@ -235,7 +235,6 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
 
 # -- real forms --------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class RealFormDescriptor:
     """Real subalgebra of the extended complex loop algebra, carved out by a
     conjugate-linear coefficient involution (the loop part is its fixed set)
@@ -246,18 +245,20 @@ class RealFormDescriptor:
     compact conjugation).
     """
 
-    name: str
-    algebra: FiniteLieAlgebra
-    twist: FiniteAutomorphism
-    conj: CoeffMap | None
-    cd_scale: Scalar | None = ONE
+    __slots__ = ("name", "algebra", "twist", "conj", "cd_scale")
 
-    def __post_init__(self):
-        check_twist(self.algebra, self.twist)
-        if self.conj is not None and not self.conj.conjugate:
+    def __init__(self, name: str, algebra: FiniteLieAlgebra, twist: FiniteAutomorphism,
+                 conj: CoeffMap | None, cd_scale: Scalar | None = ONE):
+        check_twist(algebra, twist)
+        if conj is not None and not conj.conjugate:
             raise InvolutionError("a real structure must be conjugate-linear")
-        if self.cd_scale is not None and self.cd_scale not in (ONE, I):
+        if cd_scale is not None and cd_scale not in (ONE, I):
             raise InvolutionError("cd_scale must be 1 or i")
+        self.name = name
+        self.algebra = algebra
+        self.twist = twist
+        self.conj = conj
+        self.cd_scale = cd_scale
 
     # -- membership ------------------------------------------------------
     def contains(self, x: ExtendedElement) -> bool:
@@ -338,7 +339,7 @@ class RealFormDescriptor:
         period = _period(self.conj)
         t = Truncation(self, n_max, tuple((key, [(e, 0) for e in self.block_basis(key)])
                                           for key in self.block_keys(min(n_max, period))))
-        object.__setattr__(t, "built_period", period)  # frozen, and not an init field
+        t.built_period = period
         return t
 
     # -- closure -----------------------------------------------------------
@@ -383,7 +384,6 @@ def _period(*maps):
     return 2 if all(m is None or m.parity % 2 == 0 for m in maps) else 4
 
 
-@dataclass(frozen=True, eq=False)
 class Truncation:
     """A real form cut at degree n_max, as (key, [(element, sign), ...])
     blocks in block_keys order. A plain truncation (involution None) gives
@@ -395,16 +395,20 @@ class Truncation:
     then holds only the base blocks, (0,) .. (P, -P) and ("cd",): block
     (k, -k), k > P, of the degree-n_max truncation is base block (b, -b),
     b = (k - 1) mod P + 1, with every exponent moved k - b further from 0,
-    and is never built; `layout` names it and `counts` counts it. Not an
-    init field, built_period is None on a dataclasses.replace copy or a
-    truncation built by hand: every block of it is in blocks, and is split
-    and checked."""
+    and is never built; `layout` names it and `counts` counts it. Not a
+    constructor parameter, built_period is None on a truncation built by
+    the constructor alone, a copy rebuilt through it included: every block
+    of it is in blocks, and is split and checked."""
 
-    real_form: RealFormDescriptor
-    n_max: int
-    blocks: tuple
-    involution: InvolutionDescriptor | None = None
-    built_period: int | None = field(default=None, init=False, repr=False)
+    __slots__ = ("real_form", "n_max", "blocks", "involution", "built_period")
+
+    def __init__(self, real_form: RealFormDescriptor, n_max: int, blocks: tuple,
+                 involution: InvolutionDescriptor | None = None):
+        self.real_form = real_form
+        self.n_max = n_max
+        self.blocks = blocks
+        self.involution = involution
+        self.built_period = None
 
     @property
     def loops(self):
@@ -514,8 +518,7 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
         error.verdicts = preserved, squares
         raise error
     split = Truncation(rf, n_max, tuple(blocks), phi)
-    if period is not None:
-        object.__setattr__(split, "built_period", period)  # frozen, and not an init field
+    split.built_period = period
     return split
 
 
@@ -533,10 +536,12 @@ def verify_cartan_relations(rf: RealFormDescriptor, phi: InvolutionDescriptor) -
 
 # -- duality -------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class DualForm:
-    real_form: RealFormDescriptor
-    involution: InvolutionDescriptor
+    __slots__ = ("real_form", "involution")
+
+    def __init__(self, real_form: RealFormDescriptor, involution: InvolutionDescriptor):
+        self.real_form = real_form
+        self.involution = involution
 
 
 def dualize(rf: RealFormDescriptor, phi: InvolutionDescriptor, name=None) -> DualForm:

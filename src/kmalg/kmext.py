@@ -24,8 +24,8 @@ residual.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from math import lcm
-from typing import NamedTuple
 
 from . import linalg
 from .loop import (
@@ -130,9 +130,8 @@ def _cocycle_sum(killing, m, fterms, other):
     return sum((killing(ak, vec_mul(other[-k], ((0, -k), m))) for k, ak in pairs), ZERO)
 
 
-class ResidueCocycle(NamedTuple):
-    value: Scalar
-    integral_factor: Scalar  # integral form = integral_factor * residue form
+# integral form = integral_factor * residue form, both Scalars
+ResidueCocycle = namedtuple("ResidueCocycle", ["value", "integral_factor"])
 
 
 INTEGRAL_OVER_RESIDUE = I

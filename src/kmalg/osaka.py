@@ -12,7 +12,6 @@ with their Cartan involutions, and the doubled record dual to the swap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from . import findim
@@ -31,6 +30,7 @@ from .involution import (
 from .kmext import central_element
 from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted
 from .scalars import I, ONE, ZERO, vec_support
+from .value import Value
 
 
 class OsakaType(Enum):
@@ -44,29 +44,39 @@ class Effectiveness(Enum):
     NOT_EFFECTIVE = "NotEffective"
 
 
-@dataclass(frozen=True, eq=False)
 class OsakaRecord:
-    name: str
-    real_form: RealFormDescriptor
-    involution: InvolutionDescriptor
-    claimed_type: OsakaType
-    expected_kp: dict  # (K, P) dims of blocks 'zero', 'even_pair', 'odd_pair' and 'cd'
-    dual_name: str | None = None
-    pair_label: str | None = None
+    __slots__ = ("name", "real_form", "involution", "claimed_type", "expected_kp", "dual_name", "pair_label")
+
+    def __init__(self, name: str, real_form: RealFormDescriptor, involution: InvolutionDescriptor,
+                 claimed_type: OsakaType, expected_kp: dict, dual_name: str | None = None,
+                 pair_label: str | None = None):
+        self.name = name
+        self.real_form = real_form
+        self.involution = involution
+        self.claimed_type = claimed_type
+        self.expected_kp = expected_kp  # (K, P) dims of blocks 'zero', 'even_pair', 'odd_pair' and 'cd'
+        self.dual_name = dual_name
+        self.pair_label = pair_label
 
 
-@dataclass
-class CheckResult:
-    passed: bool
-    detail: str = ""
-    witness: object = None  # of a failed closure or Cartan verdict
+class CheckResult(Value):
+    __slots__ = ("passed", "detail", "witness")
+    __hash__ = None
+
+    def __init__(self, passed: bool, detail: str = "", witness=None):
+        self.passed = passed
+        self.detail = detail
+        self.witness = witness  # of a failed closure or Cartan verdict
 
 
-@dataclass
-class OsakaReport:
-    name: str
-    checks: dict = field(default_factory=dict)
-    computed_type: str | None = None
+class OsakaReport(Value):
+    __slots__ = ("name", "checks", "computed_type")
+    __hash__ = None
+
+    def __init__(self, name: str, checks: dict | None = None, computed_type: str | None = None):
+        self.name = name
+        self.checks = {} if checks is None else checks
+        self.computed_type = computed_type
 
     @property
     def all_passed(self):
@@ -393,11 +403,14 @@ def complex_conjugation_counterexample() -> OsakaRecord:
 
 # -- duality pairing -----------------------------------------------------------
 
-@dataclass
-class PairingReport:
-    matches: dict
-    double_dual_ok: bool
-    table_ok: bool
+class PairingReport(Value):
+    __slots__ = ("matches", "double_dual_ok", "table_ok")
+    __hash__ = None
+
+    def __init__(self, matches: dict, double_dual_ok: bool, table_ok: bool):
+        self.matches = matches
+        self.double_dual_ok = double_dual_ok
+        self.table_ok = table_ok
 
     @property
     def all_passed(self):

@@ -53,11 +53,14 @@ materialize builds every block of its degree by _shift, as truncate did
 (truncate_eager) before it left the later blocks unbuilt, and every
 oracle that reads a truncation's blocks reads them materialized.
 expected_block_dims reads a record's expected dims as ExpectedKP did
-before the K/P check read the dims dict itself.
+before the K/P check read the dims dict itself. replace copies a library
+object through its constructor, as dataclasses.replace did before the
+library's classes stopped being dataclasses.
 """
 from __future__ import annotations
 
 import hashlib
+import inspect
 import re
 from enum import Enum
 from fractions import Fraction
@@ -114,6 +117,16 @@ from kmalg.scalars import (
     vec_mul,
     vec_to_scalars,
 )
+
+
+def replace(obj, **changes):
+    """A copy of obj built by its class's constructor, each __init__
+    parameter read off obj unless changes names it; an unknown name raises
+    TypeError there. A slot the constructor does not take gets its default
+    again: a Truncation copy has built_period None."""
+    cls = type(obj)
+    kept = {name: getattr(obj, name) for name in inspect.signature(cls).parameters}
+    return cls(**{**kept, **changes})
 
 
 # -- finite Killing forms by matrix trace ---------------------------------

@@ -8,14 +8,13 @@ size and verdict, classify_type and the whole osaka_verify report, on the
 8 catalog forms (with their killing-gram and decompose reports), on
 hypothesis-drawn diagonal forms and on the period-4 ODD_SPLITS at degrees
 1 to 20, and the killing-gram reports at degrees 60 and 200. A split
-copied by dataclasses.replace keeps every block explicit, so a corruption
-past the period still fails the K/P check."""
+copied through its constructor (oracles.replace) keeps every block
+explicit, so a corruption past the period still fails the K/P check."""
 import contextlib
 import io
 import json
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +30,7 @@ from kmalg.osaka import (
     classify_type,
     osaka_verify,
 )
-from oracles import materialize, truncate_eager
+from oracles import materialize, replace, truncate_eager
 from test_one_bracket_pass import PHIS
 from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS
 
@@ -204,9 +203,10 @@ def test_the_null_record_names_the_same_first_non_real_pair():
 
 
 def test_a_replaced_split_corrupted_past_the_period_fails_kp_match():
-    """A dataclasses.replace copy of a split keeps every block explicit
-    (materialize), so a block past the period is checked: with its K and P
-    signs swapped, or one K vector dropped, the K/P check fails there."""
+    """A copy of a split through its constructor (oracles.replace) keeps
+    every block explicit (materialize), so a block past the period is
+    checked: with its K and P signs swapped, or one K vector dropped, the
+    K/P check fails there."""
     rec = catalog_record("I[Id,Id]")
     dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(6))
     assert dec.built_period == 2 and len(dec.blocks) == 4 and _check_expected_kp(rec, dec)[0]

@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from kmalg import involution
 from kmalg.findim import (
+    FiniteAutomorphism,
+    NotAutomorphismError,
     automorphism_from_order,
+    check_automorphism,
     entrywise_conjugation_automorphism,
     identity_automorphism,
     make_su,
@@ -29,7 +32,14 @@ from kmalg.loop import Definiteness, killing_gram, loop_monomial, untwisted
 from kmalg.osaka import build_catalog_a1, catalog_record
 from kmalg.rand import TrialRng, random_extended_element
 from kmalg.scalars import I, ONE, Scalar, ZERO
-from oracles import Admissibility, admissibility_check, nonzero_loops, truncation_elements
+from oracles import (
+    Admissibility,
+    admissibility_check,
+    automorphism_apply,
+    bracket_reference,
+    nonzero_loops,
+    truncation_elements,
+)
 
 SU2 = make_su(2)
 SU2C = SU2.complexify()
@@ -116,13 +126,47 @@ def test_invariant_pairs():
 
 
 def test_invariant_pair_decides_the_order_of_sigma_once(monkeypatch):
-    """sigma's order is read off its square once, and then only its
-    bracket is checked: check_automorphism runs on the two invariants
-    alone."""
+    """sigma's order is read off its square once, and its bracket is not
+    checked: check_automorphism runs on the two invariants alone, and once
+    on an invariant given twice."""
     checked = []
     monkeypatch.setattr(involution, "check_automorphism", lambda g, phi: checked.append(phi) or phi)
+    monkeypatch.setattr(involution, "check_bracket", lambda *args: checked.append(args))
     _, _, tw = involution_from_invariants(ID_R, MU_R)
     assert checked == [ID_R, MU_R] and tw.order == 2
+    checked.clear()
+    _, _, tw = involution_from_invariants(MU_R, MU_R)
+    assert checked == [MU_R] and tw.order == 1
+
+
+def test_catalog_twists_keep_the_reference_bracket():
+    """involution_from_invariants does not check that sigma = rho_minus .
+    rho_plus keeps the bracket, a product of two checked linear
+    automorphisms: every catalog twist keeps the Scalar reference bracket
+    of its algebra on every basis pair."""
+    twists = {id(rec.real_form.twist): rec.real_form for rec in build_catalog_a1()}
+    assert len(twists) == 4
+    for rf in twists.values():
+        g, sigma = rf.algebra, rf.twist
+        units = [tuple(ONE if i == j else ZERO for i in range(g.dim)) for j in range(g.dim)]
+        for x in units:
+            for y in units:
+                assert automorphism_apply(sigma, bracket_reference(g, x, y)) == bracket_reference(
+                    g, automorphism_apply(sigma, x), automorphism_apply(sigma, y))
+
+
+@pytest.mark.parametrize("which", ["rho_plus", "rho_minus", "both"])
+def test_a_non_automorphism_invariant_raises_its_broken_pair(which):
+    """An involutive map that breaks the bracket, given as either invariant
+    or as both, raises NotAutomorphismError on the pair check_automorphism
+    names."""
+    bogus = FiniteAutomorphism(SU2, mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), order=2)
+    with pytest.raises(NotAutomorphismError) as direct:
+        check_automorphism(SU2, bogus)
+    pair = {"rho_plus": (bogus, ID_R), "rho_minus": (ID_R, bogus), "both": (bogus, bogus)}[which]
+    with pytest.raises(NotAutomorphismError) as err:
+        involution_from_invariants(*pair)
+    assert err.value.pair == direct.value.pair == (0, 1)
 
 
 def test_invariant_pair_rejects_non_involution():

@@ -12,7 +12,6 @@ the corrupted splits of test_period_classes, the period-4 ones at degrees
 1 to 11."""
 import itertools
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -43,6 +42,7 @@ from oracles import (
     involutive_reference,
     kp_blocks,
     materialize,
+    replace,
     verify_cartan_relations_reference,
     verify_closed_reference,
 )
@@ -112,7 +112,7 @@ def _with_maps(dec):
         keep = dec.built_period and dec.built_period % _period(other) == 0
         changed = replace(dec if keep else materialize(dec), involution=replace(phi, loop_map=other))
         if keep:
-            object.__setattr__(changed, "built_period", dec.built_period)
+            changed.built_period = dec.built_period
         yield changed
 
 
@@ -120,12 +120,12 @@ def _checked_copies(dec):
     """The splits whose K/P check is compared with the reference: dec and
     its corruptions (_corrupted, then dec with the K and P vectors of one
     block swapped, for each block with both), each with the maps of
-    _with_maps. A corruption is a dataclasses.replace copy of dec with
-    every block explicit (`materialize`) and no built period, so every
-    block of it is checked. Then each corruption of the c/d block or of one
-    of (0,) .. (P, -P) again, cut to those base blocks with dec's built
-    period back and dec's own map: the check reads the changed block, and
-    the reference its shifts too."""
+    _with_maps. A corruption is a copy of dec through its constructor
+    (`replace`) with every block explicit (`materialize`) and no built
+    period, so every block of it is checked. Then each corruption of the
+    c/d block or of one of (0,) .. (P, -P) again, cut to those base blocks
+    with dec's built period back and dec's own map: the check reads the
+    changed block, and the reference its shifts too."""
     full, period, swapped = materialize(dec), dec.built_period, []
     for i, (key, k_basis, p_basis) in enumerate(kp_blocks(full)):
         if k_basis and p_basis:
@@ -140,7 +140,7 @@ def _checked_copies(dec):
         if changed and period and all(key[0] == "cd" or key[0] <= period for key in changed):
             kept = replace(corrupted, blocks=tuple(
                 (key, items) for key, items in corrupted.blocks if key[0] == "cd" or key[0] <= period))
-            object.__setattr__(kept, "built_period", period)
+            kept.built_period = period
             yield kept
 
 

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from kmalg.osaka import (
     second_kind_count,
 )
 from kmalg.scalars import ONE, Scalar, ZERO
-from oracles import duality_pairing_reference, materialize
+from oracles import duality_pairing_reference, materialize, replace
 
 CHECK_KEYS = [
     "closure", "involutive", "fix_compact", "fix_abelian_zero",

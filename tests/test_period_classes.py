@@ -12,7 +12,6 @@ the form's tau is a real structure, and names its failure elsewhere; it
 and osaka_verify make no loop bracket at any degree."""
 import itertools
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +35,7 @@ from oracles import (
     graded,
     kp_blocks,
     materialize,
+    replace,
     representative_pairs_reference,
     verify_cartan_relations_reference,
     verify_cartan_relations_walk as verify_cartan_relations,

@@ -15,8 +15,6 @@ them. The period classes a truncation's built_period gives (block
 (k, -k), k > P, the shift of block (k - P, P - k)) are checked against
 classes_reference in oracles, which rediscovers the classes from the
 blocks."""
-from dataclasses import replace
-
 from hypothesis import given, settings, strategies as st
 
 from kmalg.findim import make_abelian
@@ -29,7 +27,7 @@ from kmalg.involution import (
 from kmalg.loop import MismatchError, TwistedLoopElement, untwisted
 from kmalg.osaka import catalog_record
 from kmalg.scalars import Scalar
-from oracles import bracket_verdicts_reference, classes_reference, materialize
+from oracles import bracket_verdicts_reference, classes_reference, materialize, replace
 from test_integer_walk import _half_built, involutions
 from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS, _span
 from test_sparse_maps import coeff_maps, dims, loops
@@ -148,7 +146,7 @@ def test_truncate_and_the_split_know_the_classes_that_classes_finds():
     blocks with gives are the ones classes_reference finds on them: on
     every catalog truncation and split at degrees 1 to 9 and 16, on the 512
     diagonal forms at degrees 1, 3, 5, 8 and 9, and on the period-4
-    ODD_SPLITS at degrees 1 to 11. A copy made by dataclasses.replace, and
+    ODD_SPLITS at degrees 1 to 11. A copy made through the constructor (oracles.replace), and
     a truncation built by hand from a split's blocks, record no period."""
     for name in NAMES:
         rf, phi = catalog_record(name).real_form, catalog_record(name).involution

@@ -4,7 +4,6 @@ basis and the type verdict once, and the oracle walk's Cartan verdict
 K/P vectors once with the same verdict as the ordered K x K, K x P, P x P
 check."""
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -14,7 +13,7 @@ from kmalg.involution import RealFormDescriptor, fixed_and_eigenspaces
 from kmalg.kmext import hat_bracket
 from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
 from kmalg.scalars import I
-from oracles import kp_blocks, verify_cartan_relations_walk as verify_cartan_relations
+from oracles import kp_blocks, replace, verify_cartan_relations_walk as verify_cartan_relations
 
 NAMES = [rec.name for rec in build_catalog_a1()]
 
