@@ -255,13 +255,22 @@ class FiniteLieAlgebra:
         return vec_canon(acc, dx * dy * self._sc_den)
 
     def killing(self, x, y) -> Scalar:
-        """Trace of ad(x) ad(y) for numerator vectors x and y: their
-        numerators summed as ints over the nonzero entries of the basis Gram
-        matrix, one Scalar."""
+        """Trace of ad(x) ad(y) for numerator vectors x and y: one Scalar of
+        `killing_raw` on their numerators."""
         (xn, dx), (yn, dy) = x, y
         n = self.dim
         if len(xn) != 2 * n or len(yn) != 2 * n:
             raise LieAlgebraError("coordinate vector has the wrong dimension")
+        re, im = self.killing_raw(xn, yn)
+        den = dx * dy * self._killing_den
+        return Scalar(exact_div(re, den), exact_div(im, den))
+
+    def killing_raw(self, xn, yn):
+        """The Killing form unreduced: for numerator lists xn over D_x and
+        yn over D_y, the int pair (re, im) of B(x, y) over D_x D_y D_K
+        (D_K = _killing_den), summed over the nonzero entries of the basis
+        Gram matrix."""
+        n = self.dim
         re = im = 0
         for j, a, b in zip(range(n), xn, xn[n:]):
             if not (a or b):
@@ -272,8 +281,7 @@ class FiniteLieAlgebra:
                     p, q = a * e - b * f, a * f + b * e
                     re += p * c - q * d
                     im += p * d + q * c
-        den = dx * dy * self._killing_den
-        return Scalar(exact_div(re, den), exact_div(im, den))
+        return re, im
 
     def abelian_indices(self):
         return tuple(i for b in self.blocks if b.kind == "abelian" for i in b.indices)

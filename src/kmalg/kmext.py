@@ -18,14 +18,22 @@ as ints, to the convolution accumulators of `loop.loop_bracket_raw`, over
 one common denominator, with no gcd and no element built. `hat_bracket`
 reduces each output exponent of it once; `jacobi_residual` feeds each
 inner bracket's accumulators straight into the outer one and reduces only
-the sum of the three. The cocycle has one body, `_cocycle_sum`, which reads
-reduced terms for `cocycle` and the inner brackets' unreduced ones for the
-residual.
+the sum of the three.
+
+The cocycle has one body, `_cocycle_sum`: it sums k B(a_k, b_{-k}) as ints
+over one common denominator, each term from the raw Killing form
+(`FiniteLieAlgebra.killing_raw`), and the cocycle is -i/m times it, built
+as one Scalar (`_cocycle_value`). `cocycle` and `hat_bracket` read their
+operands' terms over one denominator each; `jacobi_residual` reads each
+inner bracket's unreduced accumulators and sums the three outer cocycles
+as ints before building its one Scalar; `residue_cocycle` is -1 times the
+sum.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from math import lcm
+from operator import add
 
 from . import linalg
 from .loop import (
@@ -47,8 +55,8 @@ from .scalars import (
     vec_add,
     vec_canon,
     vec_from_scalars,
-    vec_mul,
     vec_support,
+    vec_to_scalars,
 )
 
 
@@ -115,19 +123,36 @@ def derivation_element(algebra, twist, value=1) -> ExtendedElement:
 
 def cocycle(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:
     """(1/2pi) int <f, g'> dt = sum_k B(a_k, -(i k/m) b_{-k}). Antisymmetric.
-    Zero, with no sum formed, when no exponent of f meets its negative in g."""
+    One Scalar of `_cocycle_sum` on f's and g's terms, each over one
+    denominator."""
     f._require_match(g)
-    return _cocycle_sum(f.algebra.killing, f.twist.order, f.terms.items(), g.terms)
+    (fs, df), (gs, dg) = over_one_denominator(f.terms), over_one_denominator(g.terms)
+    return _cocycle_value(f.algebra, f.twist.order, _cocycle_sum(f.algebra, dict(fs), gs), df * dg)
 
 
-def _cocycle_sum(killing, m, fterms, other):
-    """The body of `cocycle`: sum_k B(a_k, -(i k/m) b_{-k}) over the (k, a_k)
-    of fterms whose -k is a key of other, a_k a numerator vector that need
-    not be in lowest terms and other the terms of g; ZERO when none is."""
-    pairs = [(k, ak) for k, ak in fterms if k and -k in other]
-    if not pairs:
-        return ZERO
-    return sum((killing(ak, vec_mul(other[-k], ((0, -k), m))) for k, ak in pairs), ZERO)
+def _cocycle_sum(alg, fs, gs):
+    """The body of the cocycle, unreduced: for fs a map {k: a_k} of
+    numerator lists over D_f and gs (exponent, numerators) pairs over D_g,
+    the int pair (re, im) of sum_k k B(a_k, b_{-k}) over D_f D_g D_K
+    (D_K = alg._killing_den), each term from `killing_raw`. The cocycle is
+    -i/m times it, and the residue form -1 times it."""
+    killing_raw = alg.killing_raw
+    re = im = 0
+    for q, b in gs:  # b_q pairs with a_k for k = -q
+        if q:
+            a = fs.get(-q)
+            if a is not None:
+                s, t = killing_raw(a, b)
+                re -= q * s
+                im -= q * t
+    return re, im
+
+
+def _cocycle_value(alg, m, nums, den):
+    """The cocycle as one Scalar, from the numerators (re, im) of a
+    `_cocycle_sum` over den D_K: -i/m times that sum."""
+    re, im = nums
+    return vec_to_scalars(((im, -re), m * den * alg._killing_den))[0]
 
 
 # integral form = integral_factor * residue form, both Scalars
@@ -139,17 +164,15 @@ INTEGRAL_OVER_RESIDUE = I
 
 def residue_cocycle(f: TwistedLoopElement, g: TwistedLoopElement) -> ResidueCocycle:
     """Res_z <f, dg/dz> = sum_k (-k) B(a_k, b_{-k}) for untwisted z-Laurent
-    loops, along with the factor i converting to the integral convention."""
+    loops (-1 times `_cocycle_sum`), along with the factor i converting to
+    the integral convention."""
     f._require_match(g)
     if f.twist.order != 1:
         raise MismatchError("the residue form is defined for untwisted loops")
-    alg = f.algebra
-    total = ZERO
-    for k, ak in f.terms.items():
-        bmk = g.terms.get(-k)
-        if bmk is not None and k:
-            total = total + Scalar(-k) * alg.killing(ak, bmk)
-    return ResidueCocycle(total, INTEGRAL_OVER_RESIDUE)
+    (fs, df), (gs, dg) = over_one_denominator(f.terms), over_one_denominator(g.terms)
+    re, im = _cocycle_sum(f.algebra, dict(fs), gs)
+    return ResidueCocycle(vec_to_scalars(((-re, -im), df * dg * f.algebra._killing_den))[0],
+                          INTEGRAL_OVER_RESIDUE)
 
 
 # -- bracket --------------------------------------------------------------
@@ -221,36 +244,38 @@ def jacobi_residual(x: ExtendedElement, y: ExtendedElement, z: ExtendedElement) 
     x, y and z are prepared once (`_prepared`). Each inner bracket's raw
     accumulators from `extended_bracket_raw` go straight into the outer one
     as its left operand (an inner bracket has no d, and its c is central,
-    so it drops out), and each outer cocycle is read off those unreduced
-    numerators by the body `cocycle` uses. The three outer accumulators
-    are summed over the lcm of their denominators and each exponent is
-    reduced once. Raises MismatchError on operands over different algebras
-    or twists."""
+    so it drops out), and each outer cocycle sum (`_cocycle_sum`) is read
+    off those unreduced numerators. The three outer accumulators are summed
+    over the lcm of their denominators and each exponent is reduced once;
+    the three cocycle sums are summed the same way and c is one Scalar.
+    Raises MismatchError on operands over different algebras or twists."""
     f = x.loop
     f._require_match(y.loop)
     f._require_match(z.loop)
-    alg, m, elems = f.algebra, f.twist.order, (x, y, z)
-    ready = [_prepared(e) for e in elems]
-    parts, c = [], ZERO
+    alg, m = f.algebra, f.twist.order
+    ready = [_prepared(e) for e in (x, y, z)]
+    parts, cocycles = [], []
     for a, b, h in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         inner, dw = extended_bracket_raw(alg, m, *ready[a], *ready[b])
         ws = [(k, acc) for k, acc in inner.items() if any(acc)]
-        parts.append(extended_bracket_raw(alg, m, ws, dw, None, *ready[h]))
-        c = c + _cocycle_sum(alg.killing, m, ((k, (acc, dw)) for k, acc in ws), elems[h].loop.terms)
+        hs, dh, hd = ready[h]
+        parts.append(extended_bracket_raw(alg, m, ws, dw, None, hs, dh, hd))
+        cocycles.append((_cocycle_sum(alg, inner, hs), dw * dh))
+    cden = lcm(*(d for _, d in cocycles))
+    re = sum(r * (cden // d) for (r, _), d in cocycles)
+    im = sum(i * (cden // d) for (_, i), d in cocycles)
     den = lcm(*(d for _, d in parts))
     total = {}
     for out, d in parts:
         s = den // d
         for k, acc in out.items():
+            if s != 1:
+                acc = [v * s for v in acc]
             t = total.get(k)
-            if t is None:
-                total[k] = [v * s for v in acc]
-            else:
-                for j, v in enumerate(acc):
-                    t[j] += v * s
+            total[k] = acc if t is None else list(map(add, t, acc))
     # the Jacobi identity makes every accumulator zero: skip reducing them
     loop = f.from_vecs(f.algebra, f.twist, {k: vec_canon(acc, den) for k, acc in total.items() if any(acc)})
-    return ExtendedElement(loop, c, ZERO)
+    return ExtendedElement(loop, _cocycle_value(alg, m, (re, im), cden), ZERO)
 
 
 def in_derived_algebra(x: ExtendedElement) -> bool:

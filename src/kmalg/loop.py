@@ -343,10 +343,24 @@ _EIGENBASIS_CACHE = {}
 def twist_eigenbasis(algebra, twist, parity):
     """Basis of the twist eigenspace with eigenvalue (-1)^parity, as
     numerator vectors."""
+    return twist_eigenspace(algebra, twist, parity)[0]
+
+
+def twist_eigenspace(algebra, twist, parity):
+    """The twist eigenspace with eigenvalue (-1)^parity, computed once per
+    algebra, twist and parity, as (basis, D, vectors): its basis as
+    numerator vectors (`_twist_eigenbasis`), and the same basis over their
+    least common denominator D, each vector the (j, numerator) pairs of its
+    nonzero coordinates. The basis is real, as the twist is."""
     key = (id(algebra), twist.sparse, parity % 2)  # sparse names a linear twist exactly
-    if key not in _EIGENBASIS_CACHE:
-        _EIGENBASIS_CACHE[key] = _twist_eigenbasis(algebra, twist, parity)
-    return _EIGENBASIS_CACHE[key]
+    space = _EIGENBASIS_CACHE.get(key)
+    if space is None:
+        basis = _twist_eigenbasis(algebra, twist, parity)
+        den = lcm(*(d for _, d in basis))
+        vectors = tuple(tuple((j, x * (den // d)) for j, x in enumerate(nums[:algebra.dim]) if x)
+                        for nums, d in basis)
+        space = _EIGENBASIS_CACHE[key] = basis, den, vectors
+    return space
 
 
 def _twist_eigenbasis(algebra, twist, parity):

@@ -29,6 +29,8 @@ ALLOWED = {
     ("findim.py", "make_so"),
     # the Scalar edge of loop elements (README "Coefficients")
     ("loop.py", "coeffs"),
+    # the numerator form of a coefficient draw (the rand docstring's stream)
+    ("rand.py", "gaussian"),
 }
 
 

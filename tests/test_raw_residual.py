@@ -6,9 +6,9 @@ once; it must equal the sum of three nested hat_brackets
 non-real c and d and coefficients over denominators 3 and 5, and on an
 algebra with one structure constant perturbed, where the Jacobi identity
 fails: there both residuals are nonzero, so jacobi-check reports the
-broken bracket. TrialRng reads its bytes at an offset and
+broken bracket. TrialRng reads its stream as words and
 random_loop_element sums each term in one accumulator; both must give the
-draws and elements of the old code. The pair scan of the oracle walk
+draws and elements of the old code, on int and str seeds. The pair scan of the oracle walk
 (representative_pairs_reference), on which the map verdicts are checked,
 must yield every item pair of exactly one block pair per class of block
 pairs, and a block pair of every class.
@@ -159,7 +159,7 @@ def test_trial_rng_matches_the_slicing_reference_draw_for_draw():
 def test_random_elements_match_the_reference_at_degrees_0_to_12(kind):
     algebra, twist = serialize.lookup_algebra(*kind)
     for degree in range(13):
-        for seed in range(8):
+        for seed in [*range(8), "ci"]:
             new, old = TrialRng(seed, degree), TrialRngReference(seed, degree)
             for _ in range(3):
                 f = random_loop_element(algebra, twist, new, max_degree=degree)
