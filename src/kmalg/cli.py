@@ -71,7 +71,7 @@ def _catalog_record(name):
     try:
         return osaka.catalog_record(name)
     except KeyError as exc:
-        raise CliError(str(exc), EXIT_PARAM) from exc
+        raise CliError(exc.args[0], EXIT_PARAM) from exc
 
 
 def _emit(report, out_path):

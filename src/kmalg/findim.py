@@ -5,6 +5,11 @@ with its structure constants (solved and verified at construction), an
 ideal split into abelian and simple blocks, the Killing form via adjoint
 traces, and finite-order automorphisms checked against the bracket.
 
+Every map of the package is one `CoeffMap`, a_k -> i^{pk} M conj^d(a_{sk}):
+twists, invariants and sigma, and the real structures and involutions of
+`involution`. A `FiniteAutomorphism` is one with s = 1 and p = 0 that
+also holds its algebra and its order.
+
 The structure constants and the Killing matrix are held once, on ints:
 Gaussian-integer numerators over one denominator each, with no Scalar
 copy. The bracket and the Killing form take numerator vectors (see
@@ -16,7 +21,7 @@ import copy
 from math import lcm
 
 from . import linalg
-from .scalars import ONE, ZERO, Scalar, exact_div, vec_canon, vec_from_parts, vec_from_scalars, vec_to_scalars
+from .scalars import ONE, ZERO, Scalar, exact_div, vec_canon, vec_from_parts, vec_from_scalars, vec_neg, vec_to_scalars
 from .value import Value
 
 Matrix = tuple  # tuple of row tuples of Scalar
@@ -114,11 +119,6 @@ def sparse_apply(sparse, vec, conjugate=False, power=0):
         re_out.append(re)
         im_out.append(im)
     return vec_canon(re_out + im_out, den * dm)
-
-
-def sparse_is_identity(sparse) -> bool:
-    rows, den = sparse
-    return den == 1 and all(row == ((i, 1, 0),) for i, row in enumerate(rows))
 
 
 class IdealBlock(Value):
@@ -432,55 +432,111 @@ def direct_sum(*algebras, name=None) -> FiniteLieAlgebra:
     return FiniteLieAlgebra(name, field, basis, blocks, _structure=(tuple(sc), den))
 
 
-# -- automorphisms -------------------------------------------------------
+# -- coefficient maps and automorphisms ---------------------------------------
 
-class FiniteAutomorphism:
-    """Linear or conjugate-linear automorphism in basis coordinates."""
+class InvolutionError(ValueError):
+    pass
 
-    def __init__(self, algebra, matrix_rows, conjugate_linear=False, order=None):
-        self.algebra = algebra
-        self.matrix = mat(matrix_rows)
+
+class CoeffMap:
+    """(Phi a)_k = i^{parity*k} * matrix . conj^conjugate(a_{index_sign*k}),
+    every map of the package (module docstring)."""
+
+    __slots__ = ("matrix", "sparse", "index_sign", "conjugate", "parity")
+
+    def __init__(self, matrix, index_sign=1, conjugate=False, parity=0):
+        self.matrix = mat(matrix)
         self.sparse = sparse_rows(self.matrix)
-        self.conjugate_linear = bool(conjugate_linear)
-        self.order = order
+        if index_sign not in (1, -1):
+            raise InvolutionError("index_sign must be +-1")
+        self.index_sign = index_sign
+        self.conjugate = bool(conjugate)
+        self.parity = parity % 4
 
-    def compose(self, other) -> "FiniteAutomorphism":
-        """self after other."""
-        prod = mat_mul(self.matrix, other.matrix, self.conjugate_linear)
-        return FiniteAutomorphism(
-            self.algebra, prod, self.conjugate_linear != other.conjugate_linear
-        )
+    @classmethod
+    def identity(cls, dim):
+        return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
 
-    def is_identity(self) -> bool:
-        return not self.conjugate_linear and sparse_is_identity(self.sparse)
+    def apply_loop(self, f):
+        # source degree j contributes to target degree s*j
+        s, p = self.index_sign, self.parity
+        return f.from_vecs(f.algebra, f.twist, {
+            s * j: sparse_apply(self.sparse, vec, self.conjugate, p * s * j) for j, vec in f.terms.items()})
+
+    def fixes(self, f, sign=1) -> bool:
+        """Whether apply_loop(f) == sign * f, with no image built: the image
+        at each exponent k of f comes from the term at s*k (False when there
+        is none) and must equal the term at k, negated when sign is -1. Terms
+        are in lowest terms, so tuple equality is value equality."""
+        s, p, terms = self.index_sign, self.parity, f.terms
+        for k, vec in terms.items():
+            source, want = terms.get(s * k), vec if sign == 1 else vec_neg(vec)
+            if source is None or sparse_apply(self.sparse, source, self.conjugate, p * k) != want:
+                return False
+        return True
+
+    def compose(self, other) -> "CoeffMap":
+        """self after other, as one coefficient map."""
+        s1, d1 = self.index_sign, self.conjugate
+        matrix = mat_mul(self.matrix, other.matrix, d1)
+        parity = (self.parity + other.parity * s1 * (-1 if d1 else 1)) % 4
+        return CoeffMap(matrix, s1 * other.index_sign, d1 != other.conjugate, parity)
 
     def __eq__(self, other):
-        if not isinstance(other, FiniteAutomorphism):
+        if not isinstance(other, CoeffMap):
             return NotImplemented
         return self is other or (
-            self.algebra is other.algebra
-            and self.conjugate_linear == other.conjugate_linear
-            and self.matrix == other.matrix
+            self.matrix == other.matrix
+            and self.index_sign == other.index_sign
+            and self.conjugate == other.conjugate
+            and self.parity == other.parity
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.conjugate_linear, self.matrix))
+        return hash((self.matrix, self.index_sign, self.conjugate, self.parity))
+
+    def is_identity(self):
+        rows, den = self.sparse
+        return (self.index_sign == 1 and not self.conjugate and self.parity == 0 and den == 1
+                and all(row == ((i, 1, 0),) for i, row in enumerate(rows)))
 
     def __repr__(self):
-        kind = "conjugate-linear" if self.conjugate_linear else "linear"
-        return f"FiniteAutomorphism({self.algebra.name}, {kind}, order={self.order})"
+        return f"CoeffMap(s={self.index_sign}, conj={self.conjugate}, parity={self.parity})"
+
+
+class FiniteAutomorphism(CoeffMap):
+    """Linear or conjugate-linear automorphism of algebra in basis
+    coordinates: a CoeffMap with index sign 1 and parity 0, and its order."""
+
+    __slots__ = ("algebra", "order")
+
+    def __init__(self, algebra, matrix_rows, conjugate=False, order=None):
+        super().__init__(matrix_rows, conjugate=conjugate)
+        self.algebra = algebra
+        self.order = order
 
 
 def identity_automorphism(g) -> FiniteAutomorphism:
-    rows = [[ONE if i == j else ZERO for j in range(g.dim)] for i in range(g.dim)]
-    return FiniteAutomorphism(g, rows, conjugate_linear=False, order=1)
+    return FiniteAutomorphism(g, CoeffMap.identity(g.dim).matrix, order=1)
 
 
-def check_bracket(g, sparse, conjugate=False):
+def least_order(phi, limit):
+    """The least k <= limit with phi^k the identity, or None: k - 1
+    compositions phi . phi^(k-1)."""
+    power = phi
+    for k in range(1, limit + 1):
+        if power.is_identity():
+            return k
+        if k < limit:
+            power = phi.compose(power)
+    return None
+
+
+def check_bracket(g, cmap):
     """Raise NotAutomorphismError(j, k) for the first basis pair (row-major)
-    whose bracket M conj^conjugate (M as sparse rows) does not keep:
+    whose bracket cmap's matrix M conj^conjugate does not keep:
     M [e_j, e_k] != [M e_j, M e_k]."""
-    n = g.dim
+    n, sparse, conjugate = g.dim, cmap.sparse, cmap.conjugate
     units = [((0,) * j + (1,) + (0,) * (2 * n - j - 1), 1) for j in range(n)]
     images = [sparse_apply(sparse, e, conjugate) for e in units]
     for j in range(n):
@@ -492,31 +548,26 @@ def check_bracket(g, sparse, conjugate=False):
 
 def check_automorphism(g, phi: FiniteAutomorphism) -> FiniteAutomorphism:
     """Verify bracket preservation and the declared finite order, exactly."""
-    check_bracket(g, phi.sparse, phi.conjugate_linear)
+    check_bracket(g, phi)
     if phi.order is None or phi.order < 1:
         raise WrongOrderError("automorphism must declare a positive order")
-    power = phi
-    for k in range(1, phi.order):
-        if power.is_identity():
-            raise WrongOrderError(f"order {phi.order} declared but {k} suffices")
-        power = phi.compose(power)
-    if not power.is_identity():
+    k = least_order(phi, phi.order)
+    if k is None:
         raise WrongOrderError(f"phi**{phi.order} is not the identity")
+    if k < phi.order:
+        raise WrongOrderError(f"order {phi.order} declared but {k} suffices")
     return phi
 
 
-def automorphism_from_order(g, matrix_rows, conjugate_linear=False):
+def automorphism_from_order(g, matrix_rows, conjugate=False):
     """Build an automorphism, deriving its exact order (at most 8) from its
     powers, and check that it keeps the bracket."""
-    phi = FiniteAutomorphism(g, matrix_rows, conjugate_linear)
-    power = phi
-    for k in range(1, 9):
-        if power.is_identity():
-            phi.order = k
-            check_bracket(g, phi.sparse, conjugate_linear)
-            return phi
-        power = phi.compose(power)
-    raise WrongOrderError("no order up to 8 found")
+    phi = FiniteAutomorphism(g, matrix_rows, conjugate)
+    phi.order = least_order(phi, 8)
+    if phi.order is None:
+        raise WrongOrderError("no order up to 8 found")
+    check_bracket(g, phi)
+    return phi
 
 
 def entrywise_conjugation_automorphism(g) -> FiniteAutomorphism:
@@ -524,5 +575,5 @@ def entrywise_conjugation_automorphism(g) -> FiniteAutomorphism:
     involution of the basis; on a complex algebra it is conjugate-linear."""
     rows_t = [g.coords(mat_conj(b)) for b in g.basis]
     rows = [[rows_t[j][i] for j in range(g.dim)] for i in range(g.dim)]
-    return automorphism_from_order(g, rows, conjugate_linear=(g.field == "C"))
+    return automorphism_from_order(g, rows, conjugate=(g.field == "C"))
 

@@ -1,13 +1,14 @@
 """Involutions, real forms, Cartan decompositions and duality for the
 extended twisted loop algebras.
 
-A coefficient map (Phi a)_k = i^{p k} M conj^delta(a_{s k}) captures every
-map this module needs: involutions in standard form f(t) -> rho(f(eps t)),
-real-structure conjugations, and their compositions. Real forms are fixed
-sets of conjugate-linear coefficient maps together with a reality line for
-c and d. A Cartan decomposition is a truncation whose basis carries signs,
-+1 on K and -1 on P. Duality K + P -> K + iP is composition of
-descriptors.
+A coefficient map (Phi a)_k = i^{p k} M conj^delta(a_{s k}), one
+`findim.CoeffMap`, is every map this module needs: the twist sigma and the
+invariants rho_+- (`FiniteAutomorphism`s, s = 1 and p = 0), involutions in
+standard form f(t) -> rho(f(eps t)), real-structure conjugations, and their
+compositions. Real forms are fixed sets of conjugate-linear coefficient
+maps together with a reality line for c and d. A Cartan decomposition is a
+truncation whose basis carries signs, +1 on K and -1 on P. Duality
+K + P -> K + iP is composition of descriptors.
 
 Closure and the Cartan relations are read off the maps, with no loop
 bracket and no degree. Let tau be the form's real structure: (tau a)_k =
@@ -49,24 +50,19 @@ from enum import Enum
 
 from . import linalg
 from .findim import (
+    CoeffMap,
     FiniteAutomorphism,
     FiniteLieAlgebra,
+    InvolutionError,
     NotAutomorphismError,
     check_automorphism,
     check_bracket,
-    mat,
-    mat_mul,
+    least_order,
     sparse_apply,
-    sparse_is_identity,
-    sparse_rows,
 )
 from .kmext import ExtendedElement, hat_bracket, real_coords  # hat_bracket: perfbench/selftest.py wraps it here
 from .loop import TwistedLoopElement, check_twist, twist_eigenbasis, zero_loop
-from .scalars import I, ONE, Scalar, ZERO, i_power, vec_neg
-
-
-class InvolutionError(ValueError):
-    pass
+from .scalars import I, ONE, Scalar, ZERO, i_power
 
 
 class PreservationError(InvolutionError):
@@ -84,79 +80,6 @@ class Verdict:
 
     def __bool__(self):
         return self.witness is None
-
-
-# -- coefficient maps -----------------------------------------------------
-
-class CoeffMap:
-    """(Phi a)_k = i^{parity*k} * matrix . conj^conjugate(a_{index_sign*k})."""
-
-    __slots__ = ("matrix", "sparse", "index_sign", "conjugate", "parity")
-
-    def __init__(self, matrix, index_sign=1, conjugate=False, parity=0):
-        self.matrix = mat(matrix)
-        self.sparse = sparse_rows(self.matrix)
-        if index_sign not in (1, -1):
-            raise InvolutionError("index_sign must be +-1")
-        self.index_sign = index_sign
-        self.conjugate = bool(conjugate)
-        self.parity = parity % 4
-
-    @classmethod
-    def identity(cls, dim):
-        return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
-
-    def apply_loop(self, f: TwistedLoopElement) -> TwistedLoopElement:
-        # source degree j contributes to target degree s*j
-        s, p = self.index_sign, self.parity
-        return f.from_vecs(f.algebra, f.twist, {
-            s * j: sparse_apply(self.sparse, vec, self.conjugate, p * s * j) for j, vec in f.terms.items()})
-
-    def fixes(self, f: TwistedLoopElement, sign=1) -> bool:
-        """Whether apply_loop(f) == sign * f, with no image built: the image
-        at each exponent k of f comes from the term at s*k (False when there
-        is none) and must equal the term at k, negated when sign is -1. Terms
-        are in lowest terms, so tuple equality is value equality."""
-        s, p, terms = self.index_sign, self.parity, f.terms
-        for k, vec in terms.items():
-            source, want = terms.get(s * k), vec if sign == 1 else vec_neg(vec)
-            if source is None or sparse_apply(self.sparse, source, self.conjugate, p * k) != want:
-                return False
-        return True
-
-    def compose(self, other: "CoeffMap") -> "CoeffMap":
-        """self after other, as one coefficient map."""
-        s1, s2 = self.index_sign, other.index_sign
-        d1 = self.conjugate
-        matrix = mat_mul(self.matrix, other.matrix, d1)
-        parity = (self.parity + other.parity * s1 * (-1 if d1 else 1)) % 4
-        return CoeffMap(matrix, s1 * s2, d1 != other.conjugate, parity)
-
-    def __eq__(self, other):
-        if not isinstance(other, CoeffMap):
-            return NotImplemented
-        return (
-            self.matrix == other.matrix
-            and self.index_sign == other.index_sign
-            and self.conjugate == other.conjugate
-            and self.parity == other.parity
-        )
-
-    def __hash__(self):
-        return hash((self.matrix, self.index_sign, self.conjugate, self.parity))
-
-    def is_identity(self):
-        return (
-            self.index_sign == 1
-            and not self.conjugate
-            and self.parity == 0
-            and sparse_is_identity(self.sparse)
-        )
-
-    def __repr__(self):
-        return (
-            f"CoeffMap(s={self.index_sign}, conj={self.conjugate}, parity={self.parity})"
-        )
 
 
 # -- involutions -----------------------------------------------------------
@@ -182,13 +105,9 @@ class InvolutionDescriptor:
         self.epsilon = epsilon
         self.reflect_time = reflect_time
 
-    @property
-    def conjugate_linear(self):
-        return self.loop_map.conjugate
-
     def apply(self, x: ExtendedElement) -> ExtendedElement:
         c, d = x.c, x.d
-        if self.conjugate_linear:
+        if self.loop_map.conjugate:
             c, d = c.conjugate(), d.conjugate()
         if self.epsilon == -1:
             c, d = -c, -d
@@ -211,17 +130,15 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
     if rho_minus.algebra is not g:
         raise InvolutionError("the two invariants act on different algebras")
     for rho in (rho_plus,) if rho_minus is rho_plus else (rho_plus, rho_minus):
-        if rho.conjugate_linear:
+        if rho.conjugate:
             raise InvolutionError("invariants are automorphisms of the real algebra")
         if rho.order not in (1, 2):
             raise InvolutionError("invariants must be involutive or the identity")
         check_automorphism(g, rho)
     # sigma's bracket is not checked: it is a product of two checked linear
-    # automorphisms of g, and gc has g's structure constants
-    sigma_mat = mat_mul(rho_minus.matrix, rho_plus.matrix)
-    gc = g.complexify()
-    sigma = FiniteAutomorphism(gc, sigma_mat, conjugate_linear=False)
-    sigma.order = 1 if sigma.is_identity() else 2 if sigma.compose(sigma).is_identity() else None
+    # automorphisms of g, and g's complexification has g's structure constants
+    sigma = FiniteAutomorphism(g.complexify(), rho_minus.compose(rho_plus).matrix)
+    sigma.order = least_order(sigma, 2)
     if sigma.order is None:
         raise InvolutionError("sigma = rho_minus . rho_plus has order > 2 (out of scope)")
     desc = InvolutionDescriptor(
@@ -230,7 +147,7 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
         epsilon=-1,
         reflect_time=True,
     )
-    return desc, gc, sigma
+    return desc, sigma.algebra, sigma
 
 
 # -- real forms --------------------------------------------------------------
@@ -351,7 +268,7 @@ class RealFormDescriptor:
         if tau is None:  # the cocycle stays on a c/d line only when the Killing form is 0
             flat = self.cd_scale is None or not any(alg._killing_rows)
             return Verdict(None if flat else "cocycle leaves the c/d line")
-        if twist.order == 2 and mat_mul(tau.matrix, twist.matrix) != mat_mul(twist.matrix, tau.matrix):
+        if twist.order == 2 and tau.compose(twist) != twist.compose(tau):
             return Verdict("grading broken")
         square = tau.compose(tau)  # s = 1, linear, parity 0 or 2: acts on degree k as on k mod 2
         if not all(sparse_apply(square.sparse, v, False, square.parity * k) == v
@@ -372,7 +289,7 @@ def _automorphism_verdict(algebra, cmap, factors):
     factor is not the one the derivative picks up: s, or -s for a
     conjugate-linear map."""
     try:
-        check_bracket(algebra, cmap.sparse, cmap.conjugate)
+        check_bracket(algebra, cmap)
     except NotAutomorphismError as err:
         return Verdict(err.pair)
     want = -cmap.index_sign if cmap.conjugate else cmap.index_sign

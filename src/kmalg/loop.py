@@ -58,7 +58,7 @@ class NonRealPairingError(LoopError):
 def check_twist(algebra: FiniteLieAlgebra, twist: FiniteAutomorphism):
     if twist.algebra is not algebra:
         raise MismatchError("twist is defined on a different algebra")
-    if twist.conjugate_linear:
+    if twist.conjugate:
         raise LoopError("twists must be linear automorphisms")
     if twist.order not in (1, 2):
         raise LoopError("only twist orders 1 and 2 are supported")

@@ -194,8 +194,6 @@ def _check_expected_kp(record: OsakaRecord, dec: Truncation):
         if got != (want_k, want_p):
             return False, f"block {key}: dims {got} != expected {(want_k, want_p)}"
         if key == ("cd",):
-            if want_k == 0 and any(e.c or e.d for e, s in items if s == 1):
-                return False, "c/d directions appeared in K"
             continue
         for e, s in items:  # K, then P
             if not phi_map.fixes(e.loop, s):

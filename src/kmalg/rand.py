@@ -30,7 +30,7 @@ import struct
 
 from .kmext import ExtendedElement
 from .loop import TwistedLoopElement, twist_eigenspace
-from .scalars import Scalar, ZERO, exact_div, vec_canon
+from .scalars import Scalar, exact_div, vec_canon
 
 _BLOCK = struct.Struct(">8I")
 GAUSSIAN_DEN = 4  # the denominator p q of every coefficient divides it
@@ -99,8 +99,6 @@ def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6):
         algebra, twist, {k: vec_canon(acc, den) for k, (acc, den) in accs.items()})
 
 
-def random_extended_element(algebra, twist, rng: TrialRng, max_degree=6, with_cd=True):
+def random_extended_element(algebra, twist, rng: TrialRng, max_degree=6):
     loop = random_loop_element(algebra, twist, rng, max_degree)
-    c = rng.scalar() if with_cd else ZERO
-    d = rng.scalar() if with_cd else ZERO
-    return ExtendedElement(loop, c, d)
+    return ExtendedElement(loop, rng.scalar(), rng.scalar())

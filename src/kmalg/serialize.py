@@ -123,6 +123,8 @@ def loop_from_json(obj) -> TwistedLoopElement:
         k = t["k"]
         if type(k) is not int:
             raise SchemaError(f"term exponent 'k' must be an integer, got {k!r}")
+        if k in terms:
+            raise SchemaError(f"two terms at exponent k={k}")
         terms[k] = _coords_from_json(t["coords"], algebra.dim, f"'coords' of the term at k={k}")
     try:
         return TwistedLoopElement(algebra, twist, terms)

@@ -718,8 +718,8 @@ def apply_vec(phi, vec, k=0):
 
 
 def automorphism_apply(phi, coords):
-    """A FiniteAutomorphism on Scalar coordinates."""
-    return vec_to_scalars(sparse_apply(phi.sparse, vec_from_scalars(coords), phi.conjugate_linear))
+    """A FiniteAutomorphism, or a product of two, on Scalar coordinates."""
+    return vec_to_scalars(sparse_apply(phi.sparse, vec_from_scalars(coords), phi.conjugate))
 
 
 def is_imaginary(s: Scalar) -> bool:

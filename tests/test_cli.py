@@ -131,6 +131,7 @@ def test_bracket_fault_exits_internal(tmp_path, capsys, monkeypatch):
 
 
 E1_JSON = [["1", "0"], ["0", "0"], ["0", "0"]]
+E2_JSON = [["0", "0"], ["1", "0"], ["0", "0"]]
 
 
 def _su2c_element(twist_order=1, **loop_overrides):
@@ -151,13 +152,23 @@ def _su2c_element(twist_order=1, **loop_overrides):
     _su2c_element(terms=[{"k": True, "coords": E1_JSON}]),
     # twist 2 negates E1, so E1 may only sit at odd exponents
     _su2c_element(twist_order=2, terms=[{"k": 0, "coords": E1_JSON}]),
+    _su2c_element(terms=[{"k": 0, "coords": E1_JSON}, {"k": 0, "coords": E2_JSON}]),
 ], ids=["algebra-list", "terms-int", "term-int", "coords-int", "k-string", "k-float",
-        "k-bool", "outside-twist-eigenspace"])
+        "k-bool", "outside-twist-eigenspace", "k-repeated"])
 def test_malformed_bracket_element_exits_schema(tmp_path, capsys, element):
     bad = write_json(tmp_path, "bad.json", element)
     good = write_json(tmp_path, "good.json", _su2c_element())
     code, out, err = run_cli(capsys, "bracket", "--lhs", good, "--rhs", bad)
     assert_schema_exit(code, out, err)
+
+
+def test_repeated_exponent_names_it(tmp_path, capsys):
+    """A second term at one exponent is refused, not read over the first."""
+    bad = write_json(tmp_path, "bad.json", _su2c_element(
+        terms=[{"k": 0, "coords": E1_JSON}, {"k": 0, "coords": E2_JSON}]))
+    code, out, err = run_cli(capsys, "bracket", "--lhs", bad, "--rhs", bad)
+    assert_schema_exit(code, out, err)
+    assert _param_error(err) == "two terms at exponent k=0"
 
 
 @pytest.mark.parametrize("part", [0.1, 1, True, None], ids=["float", "int", "bool", "null"])
@@ -565,12 +576,15 @@ def _param_error(err):
     return json.loads(err)["error"]
 
 
-@pytest.mark.parametrize("command", ["killing-gram", "decompose"])
-def test_unknown_form_exits_param(capsys, command):
-    code, out, err = run_cli(capsys, command, "--form", "nope", "--degree", "1")
+@pytest.mark.parametrize("argv", [["killing-gram", "--form", "nope"], ["decompose", "--form", "nope"],
+                                  ["osaka-verify", "--record", "nope"]],
+                         ids=["killing-gram", "decompose", "osaka-verify"])
+def test_unknown_form_exits_param(capsys, argv):
+    """The message is the KeyError's own, quoted once."""
+    code, out, err = run_cli(capsys, *argv, "--degree", "1")
     assert code == cli.EXIT_PARAM
     assert out == ""
-    assert "nope" in _param_error(err)
+    assert err == '{"schema": "kmalg/1", "error": "no catalog record named \'nope\'"}\n'
 
 
 @pytest.mark.parametrize("argv", [

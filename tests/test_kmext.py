@@ -135,8 +135,8 @@ def test_jacobi_special_triples():
     d = derivation_element(SU2C, TW1)
     rng = TrialRng("jacobi-special")
     for _ in range(10):
-        f = random_extended_element(SU2C, TW1, rng, with_cd=False)
-        g = random_extended_element(SU2C, TW1, rng, with_cd=False)
+        f = ExtendedElement(random_loop_element(SU2C, TW1, rng))
+        g = ExtendedElement(random_loop_element(SU2C, TW1, rng))
         assert jacobi_residual(c, f, g).is_zero()
         # (d, f, g) reduces to omega(f', g) + omega(f, g') = 0
         assert jacobi_residual(d, f, g).is_zero()

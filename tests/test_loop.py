@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kmalg.findim import automorphism_from_order, make_abelian, make_sl, make_su
+from kmalg.kmext import ExtendedElement, hat_bracket
 from kmalg.loop import (
     Definiteness,
     GradingError,
@@ -60,6 +61,19 @@ def test_mismatch_rejected():
     g = loop_monomial(SU2C, TW2, 0, Y)
     with pytest.raises(MismatchError):
         loop_bracket(f, g)
+
+
+def test_equal_twists_over_different_algebras_do_not_match():
+    """Twists compare as coefficient maps, whatever their algebra: the
+    untwisted su2c and sl2c are equal maps. Elements over them still
+    differ, and their bracket raises."""
+    sl2c = make_sl(2, "C")
+    tw_sl = untwisted(sl2c)
+    assert TW1 == tw_sl and hash(TW1) == hash(tw_sl)
+    f, g = loop_monomial(SU2C, TW1, 0, X), loop_monomial(sl2c, tw_sl, 0, X)
+    assert f != g
+    with pytest.raises(MismatchError):
+        hat_bracket(ExtendedElement(f), ExtendedElement(g))
 
 
 def test_normal_form_drops_zeros():

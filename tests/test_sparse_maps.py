@@ -149,12 +149,12 @@ def test_finite_automorphism_matches_dense(data):
     a = FiniteAutomorphism(alg, data.draw(matrices(n)), data.draw(st.booleans()))
     b = FiniteAutomorphism(alg, data.draw(matrices(n)), data.draw(st.booleans()))
     vec = data.draw(vectors(n))
-    assert automorphism_apply(a, vec) == dense_apply(a.matrix, vec, a.conjugate_linear)
+    assert automorphism_apply(a, vec) == dense_apply(a.matrix, vec, a.conjugate)
     ab = a.compose(b)
-    assert ab.matrix == dense_mul(a.matrix, b.matrix, a.conjugate_linear)
-    assert ab.conjugate_linear == (a.conjugate_linear != b.conjugate_linear)
+    assert ab.matrix == dense_mul(a.matrix, b.matrix, a.conjugate)
+    assert ab.conjugate == (a.conjugate != b.conjugate)
     assert automorphism_apply(ab, vec) == automorphism_apply(a, automorphism_apply(b, vec))
-    assert a.is_identity() == (not a.conjugate_linear and dense_is_identity(a.matrix))
+    assert a.is_identity() == (not a.conjugate and dense_is_identity(a.matrix))
 
 
 @settings(deadline=None)
