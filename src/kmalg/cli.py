@@ -40,14 +40,27 @@ class CliError(Exception):
         self.code = code
 
 
+def _unique_keys(pairs):
+    """A JSON object from its (key, value) pairs; a key given twice is a
+    schema error, where json would keep only the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise serialize.SchemaError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", EXIT_PARSE) from exc
+    except serialize.SchemaError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_SCHEMA) from exc
 
 
 def _default_degree(value, fallback=3, minimum=0):

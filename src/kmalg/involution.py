@@ -47,6 +47,7 @@ element from its mirror exponent and compares it with the term there.
 from __future__ import annotations
 
 from enum import Enum
+from math import lcm
 
 from . import linalg
 from .findim import (
@@ -62,7 +63,7 @@ from .findim import (
 )
 from .kmext import ExtendedElement, hat_bracket, real_coords  # hat_bracket: perfbench/selftest.py wraps it here
 from .loop import TwistedLoopElement, check_twist, twist_eigenbasis, zero_loop
-from .scalars import I, ONE, Scalar, ZERO, i_power
+from .scalars import I, ONE, Scalar, ZERO, vec_canon, vec_from_parts
 
 
 class PreservationError(InvolutionError):
@@ -107,10 +108,11 @@ class InvolutionDescriptor:
 
     def apply(self, x: ExtendedElement) -> ExtendedElement:
         c, d = x.c, x.d
-        if self.loop_map.conjugate:
-            c, d = c.conjugate(), d.conjugate()
-        if self.epsilon == -1:
-            c, d = -c, -d
+        if c or d:
+            if self.loop_map.conjugate:
+                c, d = c.conjugate(), d.conjugate()
+            if self.epsilon == -1:
+                c, d = -c, -d
         return ExtendedElement(self.loop_map.apply_loop(x.loop), c, d)
 
     def kind(self) -> InvolutionKind:
@@ -207,9 +209,13 @@ class RealFormDescriptor:
 
         The coefficient vectors a_k of the block solve two kinds of equation:
         the complex-linear twist grading (sigma - (-1)^k) a_k = 0 and the
-        conjugate-linear real structure i^{pk} M conj(a_{sk}) - a_k = 0. Both
-        go to `linalg.real_kernel`, the degrees its unknown vectors; the first
-        kind grades the numerator vectors it returns, so they build unchecked.
+        conjugate-linear real structure i^{pk} M conj(a_{sk}) - a_k = 0. Each
+        is written over its map's denominator D (`CoeffMap.sparse`), as the
+        integer rows of its real and imaginary part in the real layout of
+        `linalg`, the degrees its unknown vectors, and the block's basis is
+        the kernel of all of them, each solution split into one numerator
+        vector per degree. The twist equations grade those vectors, so the
+        elements build unchecked.
         """
         if key == ("cd",):
             out = []
@@ -220,26 +226,47 @@ class RealFormDescriptor:
             return out
         degrees = tuple(key)
         dim = self.algebra.dim
-        pos = {k: b for b, k in enumerate(degrees)}
-        equations = []
+        n = 2 * dim
+        width = n * len(degrees)
+        pos = {k: n * b for b, k in enumerate(degrees)}  # column of re a_k[0]
+        rows = []
+
+        def equation(terms, k, i, den):
+            """Rows of sum (p + q i) x - den a_k[i] = 0, one term (column of
+            re a[j], p, q, conjugate) each, x being a[j] or conj(a[j])."""
+            re_row, im_row = [0] * width, [0] * width
+            for x, p, q, conjugate in terms:
+                re_row[x] += p
+                im_row[x] += q
+                re_row[x + dim] += q if conjugate else -q
+                im_row[x + dim] += -p if conjugate else p
+            re_row[pos[k] + i] -= den
+            im_row[pos[k] + dim + i] -= den
+            rows.extend(row for row in (re_row, im_row) if any(row))
+
         if self.twist.order == 2:
+            twist_rows, den = self.twist.sparse
             for k in degrees:
-                sign = ONE if k % 2 == 0 else -ONE
-                for i in range(dim):
-                    eq = [(pos[k], j, x, ZERO) for j, x in enumerate(self.twist.matrix[i]) if x]
-                    equations.append(eq + [(pos[k], i, -sign, ZERO)])
+                sign = den if k % 2 == 0 else -den
+                for i, row in enumerate(twist_rows):
+                    equation([(pos[k] + j, p, q, False) for j, p, q in row], k, i, sign)
         if self.conj is not None:
             s = self.conj.index_sign
+            conj_rows, den = self.conj.sparse
             for k in degrees:
                 if s * k not in pos:
                     raise InvolutionError("block is not closed under the real structure")
-                f = i_power(self.conj.parity * k)
-                for i in range(dim):
-                    eq = [(pos[s * k], j, ZERO, f * x) for j, x in enumerate(self.conj.matrix[i]) if x]
-                    equations.append(eq + [(pos[k], i, -ONE, ZERO)])
-        return [ExtendedElement(TwistedLoopElement.from_vecs(self.algebra, self.twist,
-                                                             dict(zip(degrees, vecs))))
-                for vecs in linalg.real_kernel(equations, len(degrees), dim)]
+                power = self.conj.parity * k % 4
+                for i, row in enumerate(conj_rows):
+                    terms = []
+                    for j, p, q in row:
+                        for _ in range(power):  # times i
+                            p, q = -q, p
+                        terms.append((pos[s * k] + j, p, q, True))
+                    equation(terms, k, i, den)
+        return [ExtendedElement(TwistedLoopElement.from_vecs(self.algebra, self.twist, {
+                    k: vec_from_parts(v[pos[k]:pos[k] + n]) for k in degrees}))
+                for v in linalg.nullspace(rows or [[0] * width])]
 
     def truncate(self, n_max: int) -> "Truncation":
         """The degree-n_max truncation by its base blocks: (0,) .. (P, -P)
@@ -370,9 +397,35 @@ class Truncation:
 # -- eigenspace split ---------------------------------------------------------
 
 def _combine(elements, coeffs):
-    """sum_j coeffs[j] elements[j], coeffs a nullspace vector (so not zero)."""
-    parts = [e.scale(Scalar(c)) for c, e in zip(coeffs, elements) if c]
-    return sum(parts[1:], parts[0])
+    """sum_j coeffs[j] elements[j], coeffs a nullspace vector of rationals
+    (so not zero): the element itself when coeffs is a unit vector, else,
+    over the lcm L of the coefficients' denominators and the lcm D of the
+    elements' term denominators, each exponent's numerators as one int
+    sum, reduced once over L D, and c and d as one rational sum per part."""
+    pairs = [(x, e) for x, e in zip(coeffs, elements) if x]
+    if len(pairs) == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
+    scale = lcm(*(x.denominator for x, _ in pairs))
+    den = lcm(*(dk for _, e in pairs for _, dk in e.loop.terms.values()))
+    sums, c, d = {}, [0, 0], [0, 0]
+    for x, e in pairs:
+        w = x.numerator * (scale // x.denominator)
+        for k, (nums, dk) in e.loop.terms.items():
+            factor = w * (den // dk)
+            acc = sums.get(k)
+            if acc is None:
+                sums[k] = [factor * a for a in nums]
+            else:
+                for j, a in enumerate(nums):
+                    if a:
+                        acc[j] += factor * a
+        for total, z in ((c, e.c), (d, e.d)):
+            if z:
+                total[0] += x * z.re
+                total[1] += x * z.im
+    f = elements[0].loop
+    loop = f.from_vecs(f.algebra, f.twist, {k: vec_canon(acc, scale * den) for k, acc in sums.items()})
+    return ExtendedElement(loop, *(Scalar(*z) if any(z) else ZERO for z in (c, d)))
 
 
 def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> Truncation:
@@ -393,7 +446,12 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
     identity when it maps each image back to its element, tested even
     after a block fails. The blocks are split while both hold; else the
     error of the first failing block (preservation tested first) raises
-    after the pass, with verdicts = (preserved, squares)."""
+    after the pass, with verdicts = (preserved, squares).
+
+    A block's elimination runs on the numerator columns of `real_coords`,
+    and each K or P vector, a kernel vector of phi's matrix on the block
+    minus or plus 1, is built by `_combine` as one int sum per exponent,
+    with no Scalar arithmetic."""
     rf, n_max, built = truncation.real_form, truncation.n_max, truncation.built_period
     period = None if built is None else _period(rf.conj, phi.loop_map)
     base = truncation.blocks

@@ -101,12 +101,14 @@ class ExtendedElement:
 def real_coords(x: ExtendedElement, degrees) -> list:
     """x as one rational vector in the real layout of the `linalg`
     docstring: one [re | im] chunk of loop coordinates per given degree
-    (zero where x has no term), then c.re, c.im, d.re, d.im."""
+    (zero where x has no term), then c.re, c.im, d.re, d.im. A chunk is
+    its term's int numerators when their denominator is 1, and is divided
+    only otherwise."""
     zero = ((0,) * (2 * x.loop.algebra.dim), 1)
     out = []
     for k in degrees:
         nums, den = x.loop.terms.get(k, zero)
-        out.extend(exact_div(a, den) for a in nums)
+        out.extend(nums if den == 1 else (exact_div(a, den) for a in nums))
     out.extend((x.c.re, x.c.im, x.d.re, x.d.im))
     return out
 

@@ -11,18 +11,22 @@ exponent class up to renaming (2 or 3 of at most 12 x 12 per catalog form,
 at any degree), and the eigen-split solves all images of a block in one
 `rref`. Matrices are lists of row lists; functions never mutate inputs.
 
-Real layout. This module alone turns Q(i) vectors into rational columns,
-and only on the way in. A Scalar vector v becomes real_flatten(v) =
-[re v | im v]; several unknown vectors a_0 .. a_{n-1} of one width become
-these chunks one after another, [re a_0 | im a_0 | re a_1 | im a_1 | ...].
-`real_rows` writes an equation sum alpha a_b[j] + beta conj(a_b[j]) = 0 in
-that layout, and `real_kernel` solves a list of them, returning each
-solution as numerator vectors (see `scalars`), one per unknown vector.
-Nothing that leaves this module is a Scalar.
+Real layout. A Q(i) vector v becomes the rational vector [re v | im v]
+(`real_flatten` for a Scalar vector; a numerator vector of `scalars` is
+already its numerators in this layout), and several unknown vectors
+a_0 .. a_{n-1} of one width become these chunks one after another,
+[re a_0 | im a_0 | re a_1 | im a_1 | ...]. `real_rows` writes an equation
+sum alpha a_b[j] + beta conj(a_b[j]) = 0 with Scalar alpha and beta in that
+layout (`FiniteLieAlgebra.coords` solves with it);
+`RealFormDescriptor.block_basis` writes its equations there as integer
+rows itself. The rows fed to `rref` may be integer numerators: scaling a
+row by a nonzero integer changes neither its kernel nor its pivots, and
+the reduced form of a row space is unique. Nothing that leaves this
+module is a Scalar.
 """
 from __future__ import annotations
 
-from .scalars import exact_div, vec_from_parts
+from .scalars import exact_div
 
 
 def _clone(rows):
@@ -30,7 +34,11 @@ def _clone(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns)."""
+    """Reduced row echelon form. Returns (new_rows, pivot_columns).
+
+    Only the nonzero entries of a pivot row are divided by its pivot, and
+    only when the pivot is not 1 (negated when it is -1); each elimination
+    step updates only those columns, the only ones a - f * b changes."""
     m = _clone(rows)
     if not m:
         return m, []
@@ -42,12 +50,19 @@ def rref(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [exact_div(x, pv) for x in m[r]]
+        pivot_row = m[r]
+        pv = pivot_row[c]
+        nonzero = [(j, x) for j, x in enumerate(pivot_row) if x]
+        if pv != 1:
+            nonzero = [(j, -x if pv == -1 else exact_div(x, pv)) for j, x in nonzero]
+            for j, x in nonzero:
+                pivot_row[j] = x
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                for j, x in nonzero:
+                    row[j] -= f * x
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -188,15 +203,3 @@ def real_rows(terms, nvec, width):
         im_row[x] += alpha.im + beta.im
         im_row[y] += alpha.re - beta.re
     return re_row, im_row
-
-
-def real_kernel(equations, nvec, width):
-    """Real solutions of the equations (each a list of real_rows terms), as
-    a basis of nvec-tuples of numerator vectors; the standard basis when
-    there is no nonzero equation."""
-    rows = [row for eq in equations for row in real_rows(eq, nvec, width) if any(row)]
-    n = 2 * width
-    return [
-        tuple(vec_from_parts(v[b * n:(b + 1) * n]) for b in range(nvec))
-        for v in nullspace(rows or [[0] * (n * nvec)])
-    ]

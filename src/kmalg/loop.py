@@ -28,7 +28,7 @@ from . import linalg
 from .findim import FiniteAutomorphism, FiniteLieAlgebra, identity_automorphism, sparse_apply
 from .scalars import (
     Scalar,
-    ZERO,
+    exact_div,
     vec_add,
     vec_canon,
     vec_from_parts,
@@ -222,10 +222,26 @@ def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopEle
 
 def loop_killing(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:
     """(1/2pi) integral of B(f(t), g(t)): the constant Fourier coefficient,
-    sum_k B(a_k, b_{-k}). Exact."""
+    sum_k B(a_k, b_{-k}). Exact: the int pairs of `killing_raw` are summed
+    over the lcm of their denominators and reduced once, into one Scalar."""
     f._require_match(g)
-    killing, other = f.algebra.killing, g.terms
-    return sum((killing(ak, other[-k]) for k, ak in f.terms.items() if -k in other), ZERO)
+    alg, other = f.algebra, g.terms
+    re = im = 0
+    den = 1
+    for k, (a, da) in f.terms.items():
+        pair = other.get(-k)
+        if pair is not None:
+            b, db = pair
+            s, t = alg.killing_raw(a, b)
+            d = da * db
+            if d != den:
+                common = lcm(den, d)
+                re, im = re * (common // den), im * (common // den)
+                s, t, den = s * (common // d), t * (common // d), common
+            re += s
+            im += t
+    den *= alg._killing_den
+    return Scalar(exact_div(re, den), exact_div(im, den))
 
 
 class Definiteness(Enum):

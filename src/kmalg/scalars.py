@@ -163,14 +163,6 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 
-# i**k for k mod 4; used by coefficient maps with parity factors.
-I_POWERS = (ONE, I, Scalar(-1), Scalar(0, -1))
-
-
-def i_power(k: int) -> Scalar:
-    return I_POWERS[k % 4]
-
-
 # -- numerator vectors -------------------------------------------------------
 
 def vec_canon(nums, den):
@@ -184,8 +176,12 @@ def vec_canon(nums, den):
 
 def vec_from_parts(parts):
     """A numerator vector from its rational parts [re | im], over their
-    least common denominator, which is already in lowest terms."""
-    den = lcm(*(x.denominator for x in parts if type(x) is not int))
+    least common denominator, which is already in lowest terms; the parts
+    themselves when they are all ints."""
+    dens = [x.denominator for x in parts if type(x) is not int]
+    if not dens:
+        return tuple(parts), 1
+    den = lcm(*dens)
     return tuple(x.numerator * (den // x.denominator) for x in parts), den
 
 

@@ -1,8 +1,10 @@
 """JSON schemas (kmalg/1) and the deterministic text rendering of elements.
 
 Exact scalars travel as "p/q" strings (never floats); a scalar is a
-[re, im] pair of such strings. Loop elements reference algebras through a
-small registry of named built-ins and carry their twist order.
+[re, im] pair of such strings, each an optional minus sign, ASCII digits
+and an optional "/" with more digits, at most MAX_DIGITS digits on either
+side. Loop elements reference algebras through a small registry of named
+built-ins and carry their twist order.
 """
 from __future__ import annotations
 
@@ -27,15 +29,30 @@ def scalar_to_json(s: Scalar):
     return [str(s.re), str(s.im)]
 
 
+MAX_DIGITS = 1000
+
+
+def _is_rational(part):
+    """Whether part is -?digits(/digits)? in ASCII digits, with at most
+    MAX_DIGITS digits on either side."""
+    sides = part.removeprefix("-").split("/")
+    return len(sides) <= 2 and all(s.isascii() and s.isdigit() and len(s) <= MAX_DIGITS for s in sides)
+
+
 def scalar_from_json(obj) -> Scalar:
-    """A [re, im] pair of exact "p/q" strings; a JSON number is refused."""
+    """A [re, im] pair of exact "p/q" strings in the grammar of the module
+    docstring; a JSON number is refused, and so is any other spelling
+    Fraction would read ("1e3", "1_000", " 3 ", "1.5", "+3")."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise SchemaError(f"scalar must be a [re, im] pair, got {obj!r}")
     if not all(isinstance(part, str) for part in obj):
         raise SchemaError(f"scalar parts must be \"p/q\" strings, got {obj!r}")
+    if not all(_is_rational(part) for part in obj):
+        raise SchemaError(f"bad rational in scalar: {obj!r} (each part is -?digits or -?digits/digits, "
+                          f"at most {MAX_DIGITS} digits on either side)")
     try:
         return Scalar(Fraction(obj[0]), Fraction(obj[1]))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise SchemaError(f"bad rational in scalar: {obj!r}") from exc
 
 

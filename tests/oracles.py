@@ -55,7 +55,15 @@ oracle that reads a truncation's blocks reads them materialized.
 expected_block_dims reads a record's expected dims as ExpectedKP did
 before the K/P check read the dims dict itself. replace copies a library
 object through its constructor, as dataclasses.replace did before the
-library's classes stopped being dataclasses.
+library's classes stopped being dataclasses. real_kernel solves Scalar
+equations written by linalg.real_rows, and block_basis_real_kernel is the
+block basis built on it, as linalg and RealFormDescriptor.block_basis did
+before the block equations became integer rows read off CoeffMap.sparse;
+rref_reference divides every pivot row and updates every entry, as
+linalg.rref did before it skipped pivots of 1 and zero columns; and
+combine_reference sums scaled elements as Scalars, as the eigen-split did
+before it summed each exponent's numerators as ints. i_power gives the
+Scalar powers of i that the block-basis references multiply by.
 """
 from __future__ import annotations
 
@@ -82,7 +90,6 @@ from kmalg.involution import (
     InvolutionError,
     PreservationError,
     Truncation,
-    _combine,
     _period,
     dualize,
 )
@@ -110,13 +117,20 @@ from kmalg.scalars import (
     ONE,
     Scalar,
     ZERO,
-    i_power,
+    exact_div,
     parse_scalar,
     vec_add,
+    vec_from_parts,
     vec_from_scalars,
     vec_mul,
     vec_to_scalars,
 )
+
+
+def i_power(k: int) -> Scalar:
+    """i**k, as the coefficient maps' parity factors were read before
+    RealFormDescriptor.block_basis turned its numerators by i itself."""
+    return (ONE, I, Scalar(-1), Scalar(0, -1))[k % 4]
 
 
 def replace(obj, **changes):
@@ -575,6 +589,92 @@ def coords_reference(self, m):
     return tuple(Scalar(sol[j], sol[self.dim + j]) for j in range(self.dim))
 
 
+# -- the Scalar equation builder and elimination -------------------------------------
+
+def real_kernel(equations, nvec, width):
+    """Real solutions of the equations (each a list of real_rows terms), as
+    a basis of nvec-tuples of numerator vectors; the standard basis when
+    there is no nonzero equation."""
+    rows = [row for eq in equations for row in linalg.real_rows(eq, nvec, width) if any(row)]
+    n = 2 * width
+    return [
+        tuple(vec_from_parts(v[b * n:(b + 1) * n]) for b in range(nvec))
+        for v in linalg.nullspace(rows or [[0] * (n * nvec)])
+    ]
+
+
+def block_basis_real_kernel(self, key):
+    """RealFormDescriptor.block_basis as it was before it wrote its
+    equations as integer rows from CoeffMap.sparse: Scalar terms for
+    linalg.real_rows, solved by real_kernel. `self` is the real form; the
+    body is kept verbatim."""
+    if key == ("cd",):
+        out = []
+        scales = (self.cd_scale,) if self.cd_scale is not None else (ONE, I)
+        for scale in scales:
+            out.append(ExtendedElement(zero_loop(self.algebra, self.twist), c=scale))
+            out.append(ExtendedElement(zero_loop(self.algebra, self.twist), d=scale))
+        return out
+    degrees = tuple(key)
+    dim = self.algebra.dim
+    pos = {k: b for b, k in enumerate(degrees)}
+    equations = []
+    if self.twist.order == 2:
+        for k in degrees:
+            sign = ONE if k % 2 == 0 else -ONE
+            for i in range(dim):
+                eq = [(pos[k], j, x, ZERO) for j, x in enumerate(self.twist.matrix[i]) if x]
+                equations.append(eq + [(pos[k], i, -sign, ZERO)])
+    if self.conj is not None:
+        s = self.conj.index_sign
+        for k in degrees:
+            if s * k not in pos:
+                raise InvolutionError("block is not closed under the real structure")
+            f = i_power(self.conj.parity * k)
+            for i in range(dim):
+                eq = [(pos[s * k], j, ZERO, f * x) for j, x in enumerate(self.conj.matrix[i]) if x]
+                equations.append(eq + [(pos[k], i, -ONE, ZERO)])
+    return [ExtendedElement(TwistedLoopElement.from_vecs(self.algebra, self.twist,
+                                                         dict(zip(degrees, vecs))))
+            for vecs in real_kernel(equations, len(degrees), dim)]
+
+
+def rref_reference(rows):
+    """linalg.rref as it was before it skipped dividing by a pivot of 1 and
+    updated only the pivot row's nonzero columns: every row divided, every
+    entry updated. Returns (new_rows, pivot_columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [exact_div(x, pv) for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def combine_reference(elements, coeffs):
+    """involution._combine as it was before it summed numerators as ints:
+    sum_j coeffs[j] elements[j] as a chain of Scalar scalings and sums,
+    coeffs a nullspace vector (so not zero)."""
+    parts = [e.scale(Scalar(c)) for c, e in zip(coeffs, elements) if c]
+    return sum(parts[1:], parts[0])
+
+
 # -- the inverse of render_element -----------------------------------------------
 
 class ParseFailure(ValueError):
@@ -981,7 +1081,7 @@ def fixed_and_eigenspaces_reference(phi, truncation):
             raise left
         # one elimination on [block basis | images], real coordinates as rows
         columns = [real_coords(x, degrees) for x in elems + images]
-        red, pivots = linalg.rref(list(zip(*columns)))
+        red, pivots = rref_reference(list(zip(*columns)))
         n = len(elems)
         if any(c >= n for c in pivots):
             raise left
@@ -993,8 +1093,8 @@ def fixed_and_eigenspaces_reference(phi, truncation):
         p_vecs = linalg.nullspace([[m[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)])
         if len(k_vecs) + len(p_vecs) != n:
             raise InvolutionError(f"{phi.name} does not square to the identity on block {key}")
-        k_basis = [_combine(elems, v) for v in k_vecs]
-        p_basis = [_combine(elems, v) for v in p_vecs]
+        k_basis = [combine_reference(elems, v) for v in k_vecs]
+        p_basis = [combine_reference(elems, v) for v in p_vecs]
         blocks.append((key, [(e, 1) for e in k_basis] + [(e, -1) for e in p_basis]))
     return Truncation(rf, truncation.n_max, tuple(blocks), phi)
 

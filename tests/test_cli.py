@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +182,51 @@ def test_non_string_scalar_part_exits_schema(tmp_path, capsys, part):
     code, out, err = run_cli(capsys, "bracket", "--lhs", good, "--rhs", bad)
     assert_schema_exit(code, out, err)
     assert '"p/q" strings' in _param_error(err)
+
+
+REFUSED_PARTS = ["1e3", "1_000", " 3 ", "3 ", "-1.5e-2", "1.5", ".5", "5.", "+3", "1/-2", "-1/-2", "1 / 2",
+                 "", "-", "1/", "/2", "nan", "inf", "١٢", "1" * (serialize.MAX_DIGITS + 1),
+                 "1/" + "1" * (serialize.MAX_DIGITS + 1)]
+
+
+@pytest.mark.parametrize("part", REFUSED_PARTS, ids=range(len(REFUSED_PARTS)))
+def test_scalar_part_outside_the_grammar_exits_schema(tmp_path, capsys, part):
+    """A part is -?digits or -?digits/digits in ASCII, at most MAX_DIGITS
+    digits on either side; every other spelling Fraction reads is refused."""
+    el = _su2c_element()
+    el["c"] = [part, "0"]
+    bad = write_json(tmp_path, "bad.json", el)
+    code, out, err = run_cli(capsys, "bracket", "--lhs", bad, "--rhs", bad)
+    assert_schema_exit(code, out, err)
+    assert _param_error(err).startswith("bad rational in scalar: ")
+
+
+@pytest.mark.parametrize("part,value", [("0", 0), ("-0", 0), ("007", 7), ("-12/8", Fraction(-3, 2)),
+                                        ("1" * serialize.MAX_DIGITS, int("1" * serialize.MAX_DIGITS)),
+                                        ("1/" + "2" * serialize.MAX_DIGITS,
+                                         Fraction(1, int("2" * serialize.MAX_DIGITS)))])
+def test_scalar_parts_in_the_grammar_are_read(part, value):
+    assert serialize.scalar_from_json([part, part]) == Scalar(value, value)
+
+
+_LOOP = json.dumps(_su2c_element()["loop"])
+REPEATED_KEYS = {
+    "c": '{"schema": "kmalg/1", "loop": %s, "c": ["1", "0"], "c": ["0", "0"]}' % _LOOP,
+    "loop": '{"schema": "kmalg/1", "loop": %s, "loop": %s}' % (_LOOP, _LOOP),
+    "k": '{"schema": "kmalg/1", "loop": {"schema": "kmalg/1", "algebra": "su2c", "twist_order": 1, '
+         '"terms": [{"k": 1, "k": 2, "coords": %s}]}}' % json.dumps(E1_JSON),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPEATED_KEYS))
+def test_repeated_json_key_exits_schema_and_names_it(tmp_path, capsys, key):
+    """json keeps the last of two equal keys; the CLI refuses the file."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(REPEATED_KEYS[key], encoding="utf-8")
+    good = write_json(tmp_path, "good.json", _su2c_element())
+    code, out, err = run_cli(capsys, "bracket", "--lhs", good, "--rhs", str(bad))
+    assert_schema_exit(code, out, err)
+    assert _param_error(err) == f"{bad}: repeated key '{key}' in a JSON object"
 
 
 def test_command_exception_exits_internal_without_traceback(capsys, monkeypatch):

@@ -1,9 +1,10 @@
 """One builder for Q(i) equations: linalg.real_rows writes an equation
-sum alpha a + beta conj(a) = 0 as two rational rows, and linalg.real_kernel
-solves a list of them. RealFormDescriptor.block_basis and
-FiniteLieAlgebra.coords both go through it; each is checked here against the
-hand-written real blow-up it replaced (tests/oracles.py), element for
-element and in the same order."""
+sum alpha a + beta conj(a) = 0 as two rational rows, and real_kernel (kept
+in tests/oracles.py since RealFormDescriptor.block_basis writes integer
+rows itself) solves a list of them. RealFormDescriptor.block_basis and
+FiniteLieAlgebra.coords are each checked here against the hand-written
+real blow-up they replaced (tests/oracles.py), element for element and in
+the same order."""
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from kmalg.findim import LieAlgebraError
 from kmalg.involution import CoeffMap, RealFormDescriptor
 from kmalg.scalars import I, ONE, Scalar, ZERO, vec_to_scalars
 
-from oracles import block_basis_reference, coords_reference
+from oracles import block_basis_reference, coords_reference, real_kernel
 
 parts = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
 gaussians = st.builds(Scalar, parts, parts)
@@ -45,9 +46,9 @@ def test_real_rows_encode_the_mixed_linear_value(case):
 
 
 def scalar_kernel(equations, nvec, width):
-    """linalg.real_kernel with its numerator vectors read as Scalar vectors."""
+    """real_kernel with its numerator vectors read as Scalar vectors."""
     return [tuple(vec_to_scalars(v) for v in vecs)
-            for vecs in linalg.real_kernel(equations, nvec, width)]
+            for vecs in real_kernel(equations, nvec, width)]
 
 
 @settings(max_examples=200, deadline=None)
