@@ -2,9 +2,10 @@
 decomposability, the 2x2 family tables and realization dimension bookkeeping.
 
 Classification per indecomposable block is decided exactly: finite type via
-positive leading principal minors, affine type via rank n-1 together with a
-strictly positive rational null vector. Witness vectors are reconstructed and
-re-verified entrywise, so a Finite/Affine verdict always ships its own proof.
+positive leading principal minors (read off the pivots of one elimination),
+affine type via rank n-1 together with a strictly positive rational null
+vector. Witness vectors are reconstructed and re-verified entrywise, so a
+Finite/Affine verdict always ships its own proof.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import linalg
+from .scalars import exact_div
 from .value import Value
 
 
@@ -152,8 +154,7 @@ def _classify_block(a: GeneralizedCartanMatrix, idx):
     """(kind, witness) for one indecomposable block."""
     sub = _submatrix(a, idx)
     k = len(idx)
-    minors = linalg.leading_principal_minors(sub)
-    if all(m > 0 for m in minors):
+    if _positive_leading_minors(sub):
         ones = [Fraction(1)] * k
         v = linalg.solve(sub, ones)
         _check_witness(sub, v, strict=True)
@@ -167,6 +168,24 @@ def _classify_block(a: GeneralizedCartanMatrix, idx):
                 _check_witness(sub, v, strict=False)
                 return CartanKind.AFFINE, tuple(v)
     return CartanKind.NEITHER, None
+
+
+def _positive_leading_minors(sub):
+    """Whether every leading principal minor D_1, ..., D_k of sub is
+    positive, from one elimination without row exchanges: while D_1, ...,
+    D_{c-1} are nonzero the c-th pivot is D_c / D_{c-1}, so the minors are
+    all positive exactly when every pivot is, and the first pivot that is
+    not stops the elimination."""
+    m = [list(row) for row in sub]
+    for c, pivot_row in enumerate(m):
+        pv = pivot_row[c]
+        if pv <= 0:
+            return False
+        for row in m[c + 1:]:
+            f = exact_div(row[c], pv)
+            if f:
+                row[c:] = [a - f * b for a, b in zip(row[c:], pivot_row[c:])]
+    return True
 
 
 def _check_witness(sub, v, strict):

@@ -139,8 +139,9 @@ class FiniteLieAlgebra:
 
     def __init__(self, name, field, basis, blocks, *, _structure=None):
         """_structure, when given, is the (_sc, _sc_den) `_compute_structure`
-        would solve for (`direct_sum` shifts its summands'); it is checked
-        as a solved one is."""
+        would solve for (`direct_sum` shifts its summands'); its reality and
+        block orthogonality are checked as a solved one's are, and the
+        basis's independence is the caller's to guarantee."""
         if field not in ("R", "C"):
             raise LieAlgebraError(f"field must be 'R' or 'C', got {field!r}")
         self.name = name
@@ -154,8 +155,6 @@ class FiniteLieAlgebra:
         if covered != list(range(self.dim)):
             raise LieAlgebraError("ideal blocks must partition the basis indices")
         self._flat_basis = [mat_flatten(b) for b in self.basis]
-        if self.dim and linalg.rank([linalg.real_flatten(b) for b in self._flat_basis]) != self.dim:
-            raise LieAlgebraError("basis matrices are linearly dependent")
         # the nonzero structure constants c_jk^m as (j, k, m, re, im) over _sc_den
         self._sc, self._sc_den = self._compute_structure() if _structure is None else _structure
         self._check_field_reality()
@@ -166,12 +165,16 @@ class FiniteLieAlgebra:
 
     def _compute_structure(self):
         """(_sc, _sc_den) from the coordinates of each [e_j, e_k], in
-        row-major order over the lcm of their denominators."""
-        sols = [(j, k, self._solve(mat_bracket(a, b)))
-                for j, a in enumerate(self.basis) for k, b in enumerate(self.basis)]
-        den = lcm(*(d for *_, (_, d) in sols))
+        row-major order over the lcm of their denominators. One `_solve`
+        of the commutators with j < k gives them all, and so checks the
+        basis's independence: [e_k, e_j] is the negated [e_j, e_k], and
+        [e_j, e_j] = 0."""
         n = self.dim
-        return tuple((j, k, m, re * (den // d), im * (den // d)) for j, k, (nums, d) in sols
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        sols = dict(zip(pairs, self._solve([mat_bracket(self.basis[j], self.basis[k]) for j, k in pairs])))
+        sols.update({(k, j): vec_neg(v) for (j, k), v in sols.items()})
+        den = lcm(*(d for _, d in sols.values()))
+        return tuple((j, k, m, re * (den // d), im * (den // d)) for (j, k), (nums, d) in sorted(sols.items())
                      for m, re, im in zip(range(n), nums, nums[n:]) if re or im), den
 
     def _check_field_reality(self):
@@ -201,23 +204,39 @@ class FiniteLieAlgebra:
 
     # -- coordinates -----------------------------------------------------
 
-    def _solve(self, m: Matrix):
-        """`coords` as a numerator vector."""
-        target = mat_flatten(m)
-        # complex coordinates found by a real 2x-blown-up solve
-        rows, rhs = [], []
-        for i, t in enumerate(target):
-            rows.extend(linalg.real_rows(
-                [(0, j, b[i], ZERO) for j, b in enumerate(self._flat_basis)], 1, self.dim))
-            rhs.extend(linalg.real_flatten((t,)))
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
+    def _solve(self, mats):
+        """The coordinates of each matrix of mats, as numerator vectors, from
+        one `linalg.rref`: the basis's real blow-up (two rows per matrix
+        entry, its real and imaginary part, and columns re c_j, then im c_j)
+        with one column per target beside it. Every re c_j column is a
+        pivot exactly when the basis is independent over R, and a pivot past
+        the basis columns marks a target outside the span; either raises.
+        Free variables are 0, as in `linalg.solve`. The reduction of the
+        basis columns does not depend on the targets beside them, so each
+        target gets the solution a solve of it alone would give."""
+        n, targets, size = self.dim, [mat_flatten(m) for m in mats], self.matrix_size ** 2
+        if any(len(t) != size for t in targets):
+            raise LieAlgebraError(f"matrix is not {self.matrix_size} x {self.matrix_size}")
+        rows = []
+        for i in range(size):
+            entries = [b[i] for b in self._flat_basis]
+            rows.append([x.re for x in entries] + [-x.im for x in entries] + [t[i].re for t in targets])
+            rows.append([x.im for x in entries] + [x.re for x in entries] + [t[i].im for t in targets])
+        red, pivots = linalg.rref(rows)
+        if pivots[:n] != list(range(n)):
+            raise LieAlgebraError("basis matrices are linearly dependent")
+        if pivots and pivots[-1] >= 2 * n:
             raise LieAlgebraError("matrix is not in the span of the basis")
-        return vec_from_parts(sol)
+        sols = [[0] * (2 * n) for _ in targets]
+        for r, c in enumerate(pivots):
+            for sol, x in zip(sols, red[r][2 * n:]):
+                sol[c] = x
+        return [vec_from_parts(sol) for sol in sols]
 
     def coords(self, m: Matrix):
-        """Coordinates of a matrix in the basis; raises if outside the span."""
-        return vec_to_scalars(self._solve(m))
+        """Coordinates of a matrix in the basis; raises if outside the span:
+        `_solve` of m alone."""
+        return vec_to_scalars(self._solve([m])[0])
 
     def matrix(self, coords) -> Matrix:
         out = mat_zero(self.matrix_size)
@@ -403,7 +422,9 @@ def make_abelian(k: int, field="R") -> FiniteLieAlgebra:
 def direct_sum(*algebras, name=None) -> FiniteLieAlgebra:
     """Block-diagonal direct sum; blocks and structure constants
     concatenate with shifted indices, the constants over the lcm of the
-    summands' denominators, and none cross summands."""
+    summands' denominators, and none cross summands. They are passed in,
+    not solved for: a block-diagonal sum of independent bases is
+    independent, so there is nothing the solve could refuse."""
     if not algebras:
         raise LieAlgebraError("direct_sum of nothing")
     field = algebras[0].field
@@ -573,7 +594,7 @@ def automorphism_from_order(g, matrix_rows, conjugate=False):
 def entrywise_conjugation_automorphism(g) -> FiniteAutomorphism:
     """x -> conj(x) entrywise on matrices. On a real algebra this is a linear
     involution of the basis; on a complex algebra it is conjugate-linear."""
-    rows_t = [g.coords(mat_conj(b)) for b in g.basis]
+    rows_t = [vec_to_scalars(v) for v in g._solve([mat_conj(b) for b in g.basis])]
     rows = [[rows_t[j][i] for j in range(g.dim)] for i in range(g.dim)]
     return automorphism_from_order(g, rows, conjugate=(g.field == "C"))
 

@@ -8,21 +8,18 @@ Fraction(n, 1), which equals, hashes and prints as n; the zeros and ones
 the routines make up are the ints 0 and 1. Matrices stay small:
 `killing-gram` signs a truncation's base blocks only, one Gram block per
 exponent class up to renaming (2 or 3 of at most 12 x 12 per catalog form,
-at any degree), and the eigen-split solves all images of a block in one
-`rref`. Matrices are lists of row lists; functions never mutate inputs.
+at any degree), the eigen-split solves all images of a block in one
+`rref`, and an algebra's construction solves every commutator of its
+basis in one (98 x 252 for so(7)). Matrices are lists of row lists; functions never mutate inputs.
 
-Real layout. A Q(i) vector v becomes the rational vector [re v | im v]
-(`real_flatten` for a Scalar vector; a numerator vector of `scalars` is
-already its numerators in this layout), and several unknown vectors
-a_0 .. a_{n-1} of one width become these chunks one after another,
-[re a_0 | im a_0 | re a_1 | im a_1 | ...]. `real_rows` writes an equation
-sum alpha a_b[j] + beta conj(a_b[j]) = 0 with Scalar alpha and beta in that
-layout (`FiniteLieAlgebra.coords` solves with it);
-`RealFormDescriptor.block_basis` writes its equations there as integer
-rows itself. The rows fed to `rref` may be integer numerators: scaling a
-row by a nonzero integer changes neither its kernel nor its pivots, and
-the reduced form of a row space is unique. Nothing that leaves this
-module is a Scalar.
+The module holds no Scalar code: its callers write Q(i) equations as rational
+rows themselves. A Q(i) vector v becomes the rational vector [re v | im v],
+which a numerator vector of `scalars` already is;
+`RealFormDescriptor.block_basis` writes its equations in that layout as
+integer rows, and `FiniteLieAlgebra` row-reduces the real blow-up of its
+basis. The rows fed to `rref` may be integer numerators: scaling a row by a
+nonzero integer changes neither its kernel nor its pivots, and the reduced
+form of a row space is unique.
 """
 from __future__ import annotations
 
@@ -109,36 +106,6 @@ def nullspace(a_rows):
     return basis
 
 
-def determinant(rows):
-    """Exact determinant of a rational matrix by fraction Gaussian elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = _clone(rows)
-    det = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv_rows = m[c]
-        pv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = exact_div(m[i][c], pv)
-                m[i] = [a - f * b for a, b in zip(m[i], inv_rows)]
-    return det
-
-
-def leading_principal_minors(rows):
-    """List [det(A_1), ..., det(A_n)] of leading principal minors."""
-    n = len(rows)
-    return [determinant([row[: k + 1] for row in rows[: k + 1]]) for k in range(n)]
-
-
 def symmetric_signature(rows):
     """Signature (n_plus, n_minus, n_zero) of a symmetric rational matrix.
 
@@ -177,29 +144,3 @@ def symmetric_signature(rows):
                 f = exact_div(f, d)
                 row[:] = [a - f * b for a, b in zip(row, pivot_row)]
     return pos, neg, 0
-
-
-# -- real layout of complex vectors ------------------------------------
-
-def real_flatten(vec):
-    """Scalar vector -> rational vector [re | im] (the layout above)."""
-    out = [s.re for s in vec]
-    out.extend(s.im for s in vec)
-    return out
-
-
-def real_rows(terms, nvec, width):
-    """The real and imaginary part of sum alpha a_b[j] + beta conj(a_b[j]),
-    one term (b, j, alpha, beta) each, as two rational rows over nvec unknown
-    vectors of the given width; alpha and beta are Scalars, and beta = 0 in
-    a complex-linear equation."""
-    re_row = [0] * (2 * nvec * width)
-    im_row = [0] * (2 * nvec * width)
-    for b, j, alpha, beta in terms:
-        x = 2 * width * b + j  # column of re a_b[j]; im a_b[j] is width further
-        y = x + width
-        re_row[x] += alpha.re + beta.re
-        re_row[y] += beta.im - alpha.im
-        im_row[x] += alpha.im + beta.im
-        im_row[y] += alpha.re - beta.re
-    return re_row, im_row

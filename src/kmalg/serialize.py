@@ -39,6 +39,16 @@ def _is_rational(part):
     return len(sides) <= 2 and all(s.isascii() and s.isdigit() and len(s) <= MAX_DIGITS for s in sides)
 
 
+ECHO_CHARS = 40
+
+
+def _echo(pair):
+    """The pair for an error message, each part longer than ECHO_CHARS
+    characters cut to that many and followed by its length."""
+    return "[" + ", ".join(f"{p[:ECHO_CHARS]!r}... ({len(p)} characters)"
+                           if isinstance(p, str) and len(p) > ECHO_CHARS else repr(p) for p in pair) + "]"
+
+
 def scalar_from_json(obj) -> Scalar:
     """A [re, im] pair of exact "p/q" strings in the grammar of the module
     docstring; a JSON number is refused, and so is any other spelling
@@ -46,14 +56,14 @@ def scalar_from_json(obj) -> Scalar:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise SchemaError(f"scalar must be a [re, im] pair, got {obj!r}")
     if not all(isinstance(part, str) for part in obj):
-        raise SchemaError(f"scalar parts must be \"p/q\" strings, got {obj!r}")
+        raise SchemaError(f"scalar parts must be \"p/q\" strings, got {_echo(obj)}")
     if not all(_is_rational(part) for part in obj):
-        raise SchemaError(f"bad rational in scalar: {obj!r} (each part is -?digits or -?digits/digits, "
+        raise SchemaError(f"bad rational in scalar: {_echo(obj)} (each part is -?digits or -?digits/digits, "
                           f"at most {MAX_DIGITS} digits on either side)")
     try:
         return Scalar(Fraction(obj[0]), Fraction(obj[1]))
     except ZeroDivisionError as exc:
-        raise SchemaError(f"bad rational in scalar: {obj!r}") from exc
+        raise SchemaError(f"bad rational in scalar: {_echo(obj)}") from exc
 
 
 def _coords_from_json(obj, dim, what):

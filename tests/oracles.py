@@ -55,10 +55,12 @@ oracle that reads a truncation's blocks reads them materialized.
 expected_block_dims reads a record's expected dims as ExpectedKP did
 before the K/P check read the dims dict itself. replace copies a library
 object through its constructor, as dataclasses.replace did before the
-library's classes stopped being dataclasses. real_kernel solves Scalar
-equations written by linalg.real_rows, and block_basis_real_kernel is the
-block basis built on it, as linalg and RealFormDescriptor.block_basis did
-before the block equations became integer rows read off CoeffMap.sparse;
+library's classes stopped being dataclasses. real_rows writes a Scalar
+equation as two rational rows in the real layout of real_flatten, as linalg
+did before FiniteLieAlgebra solved its coordinates on its basis's own
+blow-up; real_kernel solves such equations, and block_basis_real_kernel is
+the block basis built on it, as linalg and RealFormDescriptor.block_basis
+did before the block equations became integer rows read off CoeffMap.sparse;
 rref_reference divides every pivot row and updates every entry, as
 linalg.rref did before it skipped pivots of 1 and zero columns; and
 combine_reference sums scaled elements as Scalars, as the eigen-split did
@@ -570,9 +572,9 @@ def block_basis_reference(self, key):
 
 
 def coords_reference(self, m):
-    """FiniteLieAlgebra.coords as it was before it moved onto
-    linalg.real_rows: the real blow-up written by hand. `self` is the
-    algebra; the body is kept verbatim."""
+    """FiniteLieAlgebra.coords as it was before it moved onto real_rows
+    (then in linalg): the real blow-up written by hand, one solve per
+    matrix. `self` is the algebra; the body is kept verbatim."""
     target = mat_flatten(m)
     # complex coordinates found by a real 2x-blown-up solve
     flat = [[self._flat_basis[j][i] for j in range(self.dim)] for i in range(len(target))]
@@ -590,12 +592,40 @@ def coords_reference(self, m):
 
 
 # -- the Scalar equation builder and elimination -------------------------------------
+#
+# Real layout. A Q(i) vector v becomes the rational vector [re v | im v],
+# and several unknown vectors a_0 .. a_{n-1} of one width become these
+# chunks one after another, [re a_0 | im a_0 | re a_1 | im a_1 | ...].
+
+def real_flatten(vec):
+    """Scalar vector -> rational vector [re | im] (the layout above)."""
+    out = [s.re for s in vec]
+    out.extend(s.im for s in vec)
+    return out
+
+
+def real_rows(terms, nvec, width):
+    """The real and imaginary part of sum alpha a_b[j] + beta conj(a_b[j]),
+    one term (b, j, alpha, beta) each, as two rational rows over nvec unknown
+    vectors of the given width; alpha and beta are Scalars, and beta = 0 in
+    a complex-linear equation."""
+    re_row = [0] * (2 * nvec * width)
+    im_row = [0] * (2 * nvec * width)
+    for b, j, alpha, beta in terms:
+        x = 2 * width * b + j  # column of re a_b[j]; im a_b[j] is width further
+        y = x + width
+        re_row[x] += alpha.re + beta.re
+        re_row[y] += beta.im - alpha.im
+        im_row[x] += alpha.im + beta.im
+        im_row[y] += alpha.re - beta.re
+    return re_row, im_row
+
 
 def real_kernel(equations, nvec, width):
     """Real solutions of the equations (each a list of real_rows terms), as
     a basis of nvec-tuples of numerator vectors; the standard basis when
     there is no nonzero equation."""
-    rows = [row for eq in equations for row in linalg.real_rows(eq, nvec, width) if any(row)]
+    rows = [row for eq in equations for row in real_rows(eq, nvec, width) if any(row)]
     n = 2 * width
     return [
         tuple(vec_from_parts(v[b * n:(b + 1) * n]) for b in range(nvec))
@@ -606,7 +636,7 @@ def real_kernel(equations, nvec, width):
 def block_basis_real_kernel(self, key):
     """RealFormDescriptor.block_basis as it was before it wrote its
     equations as integer rows from CoeffMap.sparse: Scalar terms for
-    linalg.real_rows, solved by real_kernel. `self` is the real form; the
+    real_rows, solved by real_kernel. `self` is the real form; the
     body is kept verbatim."""
     if key == ("cd",):
         out = []
@@ -806,10 +836,14 @@ def mat_transpose(a):
 
 
 def is_semisimple(g) -> bool:
-    """Cartan's criterion: the Killing matrix g.killing gives on the basis
-    is nondegenerate."""
+    """Cartan's criterion: the Killing matrix K = A + iB that g.killing
+    gives on the basis is nondegenerate. Its real blow-up [[A, -B], [B, A]]
+    has the determinant |det K|^2, which Bareiss computes on rationals."""
     units = [tuple(ONE if i == j else ZERO for i in range(g.dim)) for j in range(g.dim)]
-    return bool(linalg.determinant([[scalar_killing(g, x, y) for y in units] for x in units]))
+    km = [[scalar_killing(g, x, y) for y in units] for x in units]
+    blow_up = ([[s.re for s in row] + [-s.im for s in row] for row in km]
+               + [[s.im for s in row] + [s.re for s in row] for row in km])
+    return bool(bareiss_determinant(blow_up))
 
 
 def apply_vec(phi, vec, k=0):

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kmalg import cartan, linalg
 from kmalg.cartan import CartanKind
+
+from oracles import bareiss_determinant, leading_minors_oracle
 
 
 FINITE_2X2 = {
@@ -66,9 +68,34 @@ def test_classify_affine_twisted():
 def test_classify_neither_by_minor_oracle():
     m = [[2, -3], [-3, 2]]
     # oracle: det = -5 < 0 rules out finite; full rank rules out affine
-    assert linalg.determinant([[Fraction(x) for x in row] for row in m]) == -5
+    assert bareiss_determinant([[Fraction(x) for x in row] for row in m]) == -5
     assert linalg.rank([[Fraction(x) for x in row] for row in m]) == 2
     assert cartan.classify(cartan.validate(m)).kind == CartanKind.NEITHER
+
+
+@st.composite
+def minor_sign_matrices(draw):
+    """A k x k integer matrix L D U, L and U unit triangular and D diagonal
+    in -2..2, so its leading minors d_1 ... d_c take every sign and are zero
+    from the first zero d_c on; or, as often, plain small entries."""
+    k = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        return [[draw(entry) for _ in range(k)] for _ in range(k)]
+    d = [draw(st.integers(-2, 2)) for _ in range(k)]
+    low = [[1 if i == j else draw(entry) if j < i else 0 for j in range(k)] for i in range(k)]
+    up = [[1 if i == j else draw(entry) if j > i else 0 for j in range(k)] for i in range(k)]
+    return [[sum(low[i][t] * d[t] * up[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(minor_sign_matrices())
+def test_positive_pivots_match_bareiss_leading_minors(m):
+    """The finite-type test's one elimination agrees with the Bareiss
+    leading principal minors, on ints and on Fractions."""
+    expected = all(x > 0 for x in leading_minors_oracle(m))
+    assert cartan._positive_leading_minors(m) is expected
+    assert cartan._positive_leading_minors([[Fraction(x) for x in row] for row in m]) is expected
 
 
 def _apply(m, v):

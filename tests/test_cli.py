@@ -201,6 +201,19 @@ def test_scalar_part_outside_the_grammar_exits_schema(tmp_path, capsys, part):
     assert _param_error(err).startswith("bad rational in scalar: ")
 
 
+def test_long_refused_part_is_cut_in_the_message(tmp_path, capsys):
+    """A refused part is echoed as its first ECHO_CHARS characters and its
+    length: a 200000-digit part gives one short stderr line, not 200 kB."""
+    el = _su2c_element()
+    el["c"] = ["1" * 200000, "0"]
+    bad = write_json(tmp_path, "bad.json", el)
+    code, out, err = run_cli(capsys, "bracket", "--lhs", bad, "--rhs", bad)
+    assert_schema_exit(code, out, err)
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1000
+    shown = "['" + "1" * serialize.ECHO_CHARS + "'... (200000 characters), '0']"
+    assert _param_error(err).startswith(f"bad rational in scalar: {shown} (each part is ")
+
+
 @pytest.mark.parametrize("part,value", [("0", 0), ("-0", 0), ("007", 7), ("-12/8", Fraction(-3, 2)),
                                         ("1" * serialize.MAX_DIGITS, int("1" * serialize.MAX_DIGITS)),
                                         ("1/" + "2" * serialize.MAX_DIGITS,

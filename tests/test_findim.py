@@ -7,6 +7,7 @@ from kmalg import findim, serialize
 from kmalg.findim import (
     FiniteAutomorphism,
     IdealBlock,
+    _unit,
     automorphism_from_order,
     check_automorphism,
     direct_sum,
@@ -17,6 +18,7 @@ from kmalg.findim import (
     make_so,
     make_su,
     mat,
+    mat_add,
     mat_scale,
 )
 from kmalg.rand import TrialRng
@@ -26,6 +28,7 @@ from oracles import (
     automorphism_apply,
     bracket_reference,
     construction_error_reference,
+    coords_reference,
     is_semisimple,
     killing_reference,
     killing_sl_family,
@@ -266,6 +269,9 @@ def test_bracket_and_killing_match_reference(case):
 THIRD_SO3 = _scaled_algebra(make_so(3), Scalar(Fraction(1, 3)), "R")  # D_s = 3
 _SU2, _SL2 = make_su(2), make_sl(2)
 _U1_SU2 = direct_sum(make_abelian(1), _SU2)
+# {E11, i E11}: independent over R, dependent over C; a real algebra may hold it
+R_NOT_C = findim.FiniteLieAlgebra("E11,iE11", "R", [mat([[1, 0], [0, 0]]), mat([[I, 0], [0, 0]])],
+                                  [IdealBlock("abelian", (0, 1))])
 TABLE_CASES = {
     "sl2": _SL2, "sl3": make_sl(3), "su2": _SU2, "su3": make_su(3),
     "so3": make_so(3), "so4": make_so(4), "so5": make_so(5), "so5C": make_so(5, "C"),
@@ -275,6 +281,7 @@ TABLE_CASES = {
     "su2+su2": direct_sum(_SU2, _SU2), "u1+su2": _U1_SU2, "sl2+sl3": direct_sum(_SL2, make_sl(3)),
     "quarter-su2+third-so3": direct_sum(QUARTER_SU2, THIRD_SO3),  # D_s = lcm(2, 3)
     "half-i-sl2+sl2": direct_sum(HALF_I_SL2, _SL2),
+    "su4": make_su(4), "so7": make_so(7), "E11,iE11": R_NOT_C,
     # refused inputs: (field, basis, blocks, the reason)
     "non-real": ("R", [mat_scale(Scalar(0, 1), _SL2.basis[0]), *_SL2.basis[1:]], _SL2.blocks,
                  "non-real structure constant"),
@@ -310,6 +317,80 @@ def test_integer_tables_match_the_solved_reference(label):
     for j in range(g.dim):
         for l in range(g.dim):
             assert scalar_killing(g, units[j], units[l]) == killing[j][l]
+
+
+# -- one elimination per algebra -----------------------------------------------------
+
+def test_real_but_not_complex_independence_builds():
+    """The independence check is over R: z E11 has the coordinates
+    (re z, im z), as the per-matrix reference finds them."""
+    assert R_NOT_C._sc == () and R_NOT_C._sc_den == 1
+    m = mat([[Scalar(Fraction(2, 3), -5), 0], [0, 0]])
+    assert R_NOT_C.coords(m) == coords_reference(R_NOT_C, m) == (Scalar(Fraction(2, 3)), Scalar(-5))
+    off = mat([[1, 0], [0, 1]])
+    with pytest.raises(findim.LieAlgebraError, match="not in the span"):
+        R_NOT_C.coords(off)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_coords_refuse_a_matrix_of_another_size(size):
+    """A matrix is read entry by entry against the basis's entries, so one
+    of another size is refused, not truncated or solved on fewer equations."""
+    with pytest.raises(findim.LieAlgebraError, match="is not 2 x 2"):
+        _SU2.coords(mat([[1] * size] * size))
+
+
+SPAN_ALGEBRAS = {"su2": _SU2, "su3": make_su(3), "sl3": make_sl(3), "so4": make_so(4),
+                 **{f"abelian{k}": make_abelian(k) for k in range(3)}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SPAN_ALGEBRAS)), st.data())
+def test_coords_match_the_per_matrix_reference(label, data):
+    """coords of a Q(i) combination of the basis is the combination's
+    coefficients, as the per-matrix reference finds them; the combination
+    plus a multiple of a matrix unit is solved or refused as the reference
+    solves or refuses it, with the same message."""
+    g = SPAN_ALGEBRAS[label]
+    c = tuple(data.draw(_scalars) for _ in range(g.dim))
+    m = g.matrix(c)
+    assert g.coords(m) == coords_reference(g, m) == c
+    n = g.matrix_size
+    p, q = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    off = mat_add(m, mat_scale(data.draw(_scalars), _unit(n, p, q)))
+    try:
+        expected = coords_reference(g, off)
+    except findim.LieAlgebraError as exc:
+        with pytest.raises(findim.LieAlgebraError) as got:
+            g.coords(off)
+        assert str(got.value) == str(exc)
+    else:
+        assert g.coords(off) == expected
+
+
+def test_construction_is_one_elimination(monkeypatch):
+    """A solved construction row-reduces once, whatever its dimension, and
+    neither solves nor ranks on the side; so does one coords call."""
+    calls = []
+    rref = findim.linalg.rref
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    def refused(*args):
+        raise AssertionError("findim must not call linalg.solve or linalg.rank")
+
+    monkeypatch.setattr(findim.linalg, "rref", counted)
+    monkeypatch.setattr(findim.linalg, "solve", refused)
+    monkeypatch.setattr(findim.linalg, "rank", refused)
+    for g in (_SU2, make_su(3), make_so(4), make_abelian(0), R_NOT_C):
+        calls.clear()
+        h = findim.FiniteLieAlgebra(g.name, g.field, g.basis, g.blocks)
+        assert len(calls) == 1 and h._sc == g._sc
+        calls.clear()
+        h.coords(g.basis[-1] if g.dim else mat([[0]]))
+        assert len(calls) == 1
 
 
 # -- automorphisms -----------------------------------------------------------------

@@ -1,21 +1,22 @@
-"""One builder for Q(i) equations: linalg.real_rows writes an equation
-sum alpha a + beta conj(a) = 0 as two rational rows, and real_kernel (kept
-in tests/oracles.py since RealFormDescriptor.block_basis writes integer
-rows itself) solves a list of them. RealFormDescriptor.block_basis and
-FiniteLieAlgebra.coords are each checked here against the hand-written
-real blow-up they replaced (tests/oracles.py), element for element and in
-the same order."""
+"""One builder for Q(i) equations: real_rows writes an equation
+sum alpha a + beta conj(a) = 0 as two rational rows, and real_kernel solves
+a list of them (both kept in tests/oracles.py since
+RealFormDescriptor.block_basis writes integer rows itself and
+FiniteLieAlgebra row-reduces its basis's own blow-up).
+RealFormDescriptor.block_basis and FiniteLieAlgebra.coords are each checked
+here against the hand-written real blow-up they replaced
+(tests/oracles.py), element for element and in the same order."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmalg import linalg, serialize
+from kmalg import serialize
 from kmalg.findim import LieAlgebraError
 from kmalg.involution import CoeffMap, RealFormDescriptor
 from kmalg.scalars import I, ONE, Scalar, ZERO, vec_to_scalars
 
-from oracles import block_basis_reference, coords_reference, real_kernel
+from oracles import block_basis_reference, coords_reference, real_flatten, real_kernel, real_rows
 
 parts = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
 gaussians = st.builds(Scalar, parts, parts)
@@ -38,9 +39,9 @@ def test_real_rows_encode_the_mixed_linear_value(case):
     nvec, width, unknowns, terms = case
     value = sum((alpha * unknowns[b][j] + beta * unknowns[b][j].conjugate()
                  for b, j, alpha, beta in terms), ZERO)
-    # the layout of the linalg docstring: [re a_0 | im a_0 | re a_1 | ...]
-    layout = [x for a in unknowns for x in linalg.real_flatten(a)]
-    re_row, im_row = linalg.real_rows(terms, nvec, width)
+    # the real layout of tests/oracles.py: [re a_0 | im a_0 | re a_1 | ...]
+    layout = [x for a in unknowns for x in real_flatten(a)]
+    re_row, im_row = real_rows(terms, nvec, width)
     assert sum(r * x for r, x in zip(re_row, layout)) == value.re
     assert sum(r * x for r, x in zip(im_row, layout)) == value.im
 
