@@ -159,14 +159,13 @@ def _classify_block(a: GeneralizedCartanMatrix, idx):
         v = linalg.solve(sub, ones)
         _check_witness(sub, v, strict=True)
         return CartanKind.FINITE, tuple(v)
-    if linalg.rank(sub) == k - 1:
-        null = linalg.nullspace(sub)
-        if len(null) == 1:
-            v = null[0]
-            if all(x > 0 for x in v) or all(x < 0 for x in v):
-                v = [abs(x) for x in v]
-                _check_witness(sub, v, strict=False)
-                return CartanKind.AFFINE, tuple(v)
+    null = linalg.nullspace(sub)  # rank k - 1 exactly when the kernel is a line
+    if len(null) == 1:
+        v = null[0]
+        if all(x > 0 for x in v) or all(x < 0 for x in v):
+            v = [abs(x) for x in v]
+            _check_witness(sub, v, strict=False)
+            return CartanKind.AFFINE, tuple(v)
     return CartanKind.NEITHER, None
 
 
@@ -272,7 +271,7 @@ def realization_dims(a: GeneralizedCartanMatrix) -> RealizationDims:
     """(n, rank, 2n - rank). An affine matrix of b indecomposable blocks
     must have rank n - b, one less than full in each block."""
     n = a.n
-    l = linalg.rank(_submatrix(a, range(n)))
+    l = n - len(linalg.nullspace(_submatrix(a, range(n))))
     cls = classify(a)
     if cls.kind == CartanKind.AFFINE and l != n - len(cls.components):
         raise ClassificationError(f"affine matrix of {len(cls.components)} blocks has rank {l}")

@@ -46,7 +46,7 @@ def _unique_keys(pairs):
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise serialize.SchemaError(f"repeated key {key!r} in a JSON object")
+            raise serialize.SchemaError(f"repeated key {serialize.echo(key)} in a JSON object")
         obj[key] = value
     return obj
 

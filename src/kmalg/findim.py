@@ -527,18 +527,19 @@ class CoeffMap:
 
 class FiniteAutomorphism(CoeffMap):
     """Linear or conjugate-linear automorphism of algebra in basis
-    coordinates: a CoeffMap with index sign 1 and parity 0, and its order."""
+    coordinates: a CoeffMap with index sign 1 and parity 0, and its order,
+    read off its powers (`least_order` up to 8; None past 8)."""
 
     __slots__ = ("algebra", "order")
 
-    def __init__(self, algebra, matrix_rows, conjugate=False, order=None):
+    def __init__(self, algebra, matrix_rows, conjugate=False):
         super().__init__(matrix_rows, conjugate=conjugate)
         self.algebra = algebra
-        self.order = order
+        self.order = least_order(self, 8)
 
 
 def identity_automorphism(g) -> FiniteAutomorphism:
-    return FiniteAutomorphism(g, CoeffMap.identity(g.dim).matrix, order=1)
+    return FiniteAutomorphism(g, CoeffMap.identity(g.dim).matrix)
 
 
 def least_order(phi, limit):
@@ -567,24 +568,10 @@ def check_bracket(g, cmap):
                 raise NotAutomorphismError(j, k)
 
 
-def check_automorphism(g, phi: FiniteAutomorphism) -> FiniteAutomorphism:
-    """Verify bracket preservation and the declared finite order, exactly."""
-    check_bracket(g, phi)
-    if phi.order is None or phi.order < 1:
-        raise WrongOrderError("automorphism must declare a positive order")
-    k = least_order(phi, phi.order)
-    if k is None:
-        raise WrongOrderError(f"phi**{phi.order} is not the identity")
-    if k < phi.order:
-        raise WrongOrderError(f"order {phi.order} declared but {k} suffices")
-    return phi
-
-
 def automorphism_from_order(g, matrix_rows, conjugate=False):
-    """Build an automorphism, deriving its exact order (at most 8) from its
-    powers, and check that it keeps the bracket."""
+    """Build an automorphism, refusing one whose order (read off its
+    powers) is past 8, and check that it keeps the bracket."""
     phi = FiniteAutomorphism(g, matrix_rows, conjugate)
-    phi.order = least_order(phi, 8)
     if phi.order is None:
         raise WrongOrderError("no order up to 8 found")
     check_bracket(g, phi)

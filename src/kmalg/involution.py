@@ -56,9 +56,7 @@ from .findim import (
     FiniteLieAlgebra,
     InvolutionError,
     NotAutomorphismError,
-    check_automorphism,
     check_bracket,
-    least_order,
     sparse_apply,
 )
 from .kmext import ExtendedElement, hat_bracket, real_coords  # hat_bracket: perfbench/selftest.py wraps it here
@@ -92,19 +90,18 @@ class InvolutionKind(Enum):
 
 class InvolutionDescriptor:
     """Standard-form involution: loop coefficients via a CoeffMap, c and d
-    scaled by epsilon."""
+    scaled by epsilon = +-1. A map that reflects time (index sign -1, or +1
+    when conjugate-linear) with epsilon +1 fails `effective` or the Cartan
+    relations' c/d line sign."""
 
-    __slots__ = ("name", "loop_map", "epsilon", "reflect_time")
+    __slots__ = ("name", "loop_map", "epsilon")
 
-    def __init__(self, name: str, loop_map: CoeffMap, epsilon: int, reflect_time: bool):
+    def __init__(self, name: str, loop_map: CoeffMap, epsilon: int):
         if epsilon not in (1, -1):
             raise InvolutionError("epsilon must be +-1")
-        if reflect_time and epsilon != -1:
-            raise InvolutionError("time reflection forces epsilon = -1")
         self.name = name
         self.loop_map = loop_map
         self.epsilon = epsilon
-        self.reflect_time = reflect_time
 
     def apply(self, x: ExtendedElement) -> ExtendedElement:
         c, d = x.c, x.d
@@ -136,18 +133,16 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
             raise InvolutionError("invariants are automorphisms of the real algebra")
         if rho.order not in (1, 2):
             raise InvolutionError("invariants must be involutive or the identity")
-        check_automorphism(g, rho)
+        check_bracket(g, rho)
     # sigma's bracket is not checked: it is a product of two checked linear
     # automorphisms of g, and g's complexification has g's structure constants
     sigma = FiniteAutomorphism(g.complexify(), rho_minus.compose(rho_plus).matrix)
-    sigma.order = least_order(sigma, 2)
-    if sigma.order is None:
+    if sigma.order not in (1, 2):
         raise InvolutionError("sigma = rho_minus . rho_plus has order > 2 (out of scope)")
     desc = InvolutionDescriptor(
         name=name or "second-kind involution",
         loop_map=CoeffMap(rho_plus.matrix, index_sign=-1),
         epsilon=-1,
-        reflect_time=True,
     )
     return desc, sigma.algebra, sigma
 
@@ -550,6 +545,5 @@ def dualize(rf: RealFormDescriptor, phi: InvolutionDescriptor, name=None) -> Dua
         name=phi.name + "*",
         loop_map=theta.compose(theta_star),
         epsilon=-1,
-        reflect_time=True,
     )
     return DualForm(dual_rf, rho_star)

@@ -67,10 +67,6 @@ def rref(rows):
     return m, pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
 def solve(a_rows, b):
     """One rational solution x of A x = b, or None if inconsistent.
 

@@ -282,44 +282,34 @@ def build_catalog_a1():
     su2 = make_su(2)
     id_r = identity_automorphism(su2)
     mu_r = findim.entrywise_conjugation_automorphism(su2)
+    double = direct_sum(su2, su2, name="su(2)+su(2)")
+    swap_rows = [[ONE if (i + 3) % 6 == j else ZERO for j in range(6)] for i in range(6)]
+    swap_r = findim.automorphism_from_order(double, swap_rows)
 
     records = []
 
     # ---- type I: compact form of L(su(2)) with the three second-kind
-    # involutions from the invariant pairs.
+    # involutions from the invariant pairs; type II: compact form of the
+    # doubled algebra with the factor swap.
     specs = [
-        ("I[Id,Id]", id_r, id_r, "[Id,Id]", _dims((3, 0), (3, 3))),
-        ("I[Id,mu]", mu_r, id_r, "[Id,mu]", _dims((1, 0), (1, 1), odd_pair=(2, 2))),
-        ("I[mu,mu]", mu_r, mu_r, "[mu,mu]", _dims((1, 2), (3, 3))),
+        ("I[Id,Id]", id_r, id_r, "[Id,Id]", "compact form [Id,Id]", "III[Id,Id]", _dims((3, 0), (3, 3))),
+        ("I[Id,mu]", mu_r, id_r, "[Id,mu]", "compact form [Id,mu]", "III[Id,mu]",
+         _dims((1, 0), (1, 1), odd_pair=(2, 2))),
+        ("I[mu,mu]", mu_r, mu_r, "[mu,mu]", "compact form [mu,mu]", "III[mu,mu]", _dims((1, 2), (3, 3))),
+        ("II", swap_r, swap_r, "[swap,swap]", "compact form of the doubled algebra", "IV", _dims((3, 3), (6, 6))),
     ]
-    for name, rp, rm, label, dims in specs:
+    for name, rp, rm, label, form_name, dual_name, dims in specs:
         desc, gc, twist = involution_from_invariants(rp, rm, name)
         form = RealFormDescriptor(
-            name=f"compact form {label}", algebra=gc, twist=twist,
+            name=form_name, algebra=gc, twist=twist,
             conj=_compact_conj(gc.dim), cd_scale=ONE,
         )
         records.append(OsakaRecord(
             name=name, real_form=form, involution=desc,
             claimed_type=OsakaType.COMPACT,
             expected_kp=dims,
-            dual_name="III" + name[1:], pair_label=label,
+            dual_name=dual_name, pair_label=label,
         ))
-
-    # ---- type II: compact form of the doubled algebra with the factor swap.
-    double = direct_sum(su2, su2, name="su(2)+su(2)")
-    swap_rows = [[ONE if (i + 3) % 6 == j else ZERO for j in range(6)] for i in range(6)]
-    swap_r = findim.automorphism_from_order(double, swap_rows)
-    desc2, gc2, twist2 = involution_from_invariants(swap_r, swap_r, "II")
-    form2 = RealFormDescriptor(
-        name="compact form of the doubled algebra", algebra=gc2, twist=twist2,
-        conj=_compact_conj(6), cd_scale=ONE,
-    )
-    records.append(OsakaRecord(
-        name="II", real_form=form2, involution=desc2,
-        claimed_type=OsakaType.COMPACT,
-        expected_kp=_dims((3, 3), (6, 6)),
-        dual_name="IV", pair_label="[swap,swap]",
-    ))
 
     # ---- types III and IV: exact duals of the compact records, in order.
     for rec in list(records):
@@ -332,7 +322,6 @@ def build_catalog_a1():
                 name=f"Cartan involution of {dual.real_form.name}",
                 loop_map=dual.involution.loop_map,
                 epsilon=-1,
-                reflect_time=True,
             ),
             claimed_type=OsakaType.NON_COMPACT,
             expected_kp=rec.expected_kp,
@@ -365,7 +354,7 @@ def euclidean_osaka(k: int = 1) -> OsakaRecord:
         index_sign=-1,
     )
     desc = InvolutionDescriptor(
-        name="negation with time reflection", loop_map=neg, epsilon=-1, reflect_time=True,
+        name="negation with time reflection", loop_map=neg, epsilon=-1,
     )
     return OsakaRecord(
         name=f"Euclidean({k})", real_form=form, involution=desc,
@@ -389,7 +378,6 @@ def complex_conjugation_counterexample() -> OsakaRecord:
         name="conjugation along the compact form",
         loop_map=_compact_conj(3),
         epsilon=1,
-        reflect_time=False,
     )
     return OsakaRecord(
         name="complex+compact-conjugation", real_form=form, involution=desc,

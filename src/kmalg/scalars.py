@@ -99,14 +99,6 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
-        # A real factor skips the cross terms, which would multiply by an
-        # exact zero. One factor is real in 84-85 % of the products of
-        # perfbench's catalog and gram streams and 49 % of jacobi's; only
-        # jacobi's Fraction parts make the skip pay (its run_s 15 % lower).
-        if not d:
-            return Scalar(a * c, b * c)
-        if not b:
-            return Scalar(a * c, a * d)
         return Scalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__

@@ -40,13 +40,27 @@ def _is_rational(part):
 
 
 ECHO_CHARS = 40
+ECHO_ITEMS = 3
 
 
-def _echo(pair):
-    """The pair for an error message, each part longer than ECHO_CHARS
-    characters cut to that many and followed by its length."""
-    return "[" + ", ".join(f"{p[:ECHO_CHARS]!r}... ({len(p)} characters)"
-                           if isinstance(p, str) and len(p) > ECHO_CHARS else repr(p) for p in pair) + "]"
+def echo(value, depth=3):
+    """repr(value) for an error message, cut so that no input makes it
+    long: a string (or repr) past ECHO_CHARS characters shows that many and
+    its length, a list or object its first ECHO_ITEMS entries and its
+    length, and one nested deeper than depth [...] or {...}."""
+    if isinstance(value, (dict, list, tuple)):
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        if not depth:
+            return brackets[0] + "..." + brackets[1]
+        shown = ([f"{echo(k, depth - 1)}: {echo(v, depth - 1)}" for k, v in list(value.items())[:ECHO_ITEMS]]
+                 if isinstance(value, dict) else [echo(x, depth - 1) for x in value[:ECHO_ITEMS]])
+        if len(value) > ECHO_ITEMS:
+            shown.append(f"... ({len(value)} entries)")
+        return brackets[0] + ", ".join(shown) + brackets[1]
+    if isinstance(value, str) and len(value) > ECHO_CHARS:
+        return f"{value[:ECHO_CHARS]!r}... ({len(value)} characters)"
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
 def scalar_from_json(obj) -> Scalar:
@@ -54,22 +68,22 @@ def scalar_from_json(obj) -> Scalar:
     docstring; a JSON number is refused, and so is any other spelling
     Fraction would read ("1e3", "1_000", " 3 ", "1.5", "+3")."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise SchemaError(f"scalar must be a [re, im] pair, got {obj!r}")
+        raise SchemaError(f"scalar must be a [re, im] pair, got {echo(obj)}")
     if not all(isinstance(part, str) for part in obj):
-        raise SchemaError(f"scalar parts must be \"p/q\" strings, got {_echo(obj)}")
+        raise SchemaError(f"scalar parts must be \"p/q\" strings, got {echo(obj)}")
     if not all(_is_rational(part) for part in obj):
-        raise SchemaError(f"bad rational in scalar: {_echo(obj)} (each part is -?digits or -?digits/digits, "
+        raise SchemaError(f"bad rational in scalar: {echo(obj)} (each part is -?digits or -?digits/digits, "
                           f"at most {MAX_DIGITS} digits on either side)")
     try:
         return Scalar(Fraction(obj[0]), Fraction(obj[1]))
     except ZeroDivisionError as exc:
-        raise SchemaError(f"bad rational in scalar: {_echo(obj)}") from exc
+        raise SchemaError(f"bad rational in scalar: {echo(obj)}") from exc
 
 
 def _coords_from_json(obj, dim, what):
     """A list of dim scalars; what names it in the error."""
     if not isinstance(obj, list) or len(obj) != dim:
-        raise SchemaError(f"{what} must be a list of {dim} scalars, got {obj!r}")
+        raise SchemaError(f"{what} must be a list of {dim} scalars, got {echo(obj)}")
     return tuple(scalar_from_json(c) for c in obj)
 
 
@@ -104,14 +118,14 @@ def registry():
 def lookup_algebra(name: str, twist_order: int):
     reg = registry()
     if not isinstance(name, str):
-        raise SchemaError(f"algebra must be a name string, got {name!r}")
+        raise SchemaError(f"algebra must be a name string, got {echo(name)}")
     if type(twist_order) is not int:
-        raise SchemaError(f"twist order must be an integer, got {twist_order!r}")
+        raise SchemaError(f"twist order must be an integer, got {echo(twist_order)}")
     if name not in reg:
-        raise SchemaError(f"unknown algebra {name!r}; known: {sorted(reg)}")
+        raise SchemaError(f"unknown algebra {echo(name)}; known: {sorted(reg)}")
     algebra, twists = reg[name]
     if twist_order not in twists:
-        raise SchemaError(f"algebra {name!r} has no canonical twist of order {twist_order}")
+        raise SchemaError(f"algebra {echo(name)} has no canonical twist of order {echo(twist_order)}")
     return algebra, twists[twist_order]
 
 
@@ -142,17 +156,17 @@ def loop_from_json(obj) -> TwistedLoopElement:
             raise SchemaError(f"loop element missing {key!r}")
     algebra, twist = lookup_algebra(obj["algebra"], obj["twist_order"])
     if not isinstance(obj["terms"], list):
-        raise SchemaError(f"loop 'terms' must be a list, got {obj['terms']!r}")
+        raise SchemaError(f"loop 'terms' must be a list, got {echo(obj['terms'])}")
     terms = {}
     for t in obj["terms"]:
         if not isinstance(t, dict) or "k" not in t or "coords" not in t:
-            raise SchemaError(f"each term needs 'k' and 'coords', got {t!r}")
+            raise SchemaError(f"each term needs 'k' and 'coords', got {echo(t)}")
         k = t["k"]
         if type(k) is not int:
-            raise SchemaError(f"term exponent 'k' must be an integer, got {k!r}")
+            raise SchemaError(f"term exponent 'k' must be an integer, got {echo(k)}")
         if k in terms:
-            raise SchemaError(f"two terms at exponent k={k}")
-        terms[k] = _coords_from_json(t["coords"], algebra.dim, f"'coords' of the term at k={k}")
+            raise SchemaError(f"two terms at exponent k={echo(k)}")
+        terms[k] = _coords_from_json(t["coords"], algebra.dim, f"'coords' of the term at k={echo(k)}")
     try:
         return TwistedLoopElement(algebra, twist, terms)
     except GradingError as exc:
@@ -191,21 +205,21 @@ def _square_matrix(spec, what, dim):
 def _int_field(obj, key, default, allowed):
     value = obj.get(key, default)
     if type(value) is not int or value not in allowed:
-        raise SchemaError(f"{key!r} must be one of {list(allowed)}, got {value!r}")
+        raise SchemaError(f"{key!r} must be one of {list(allowed)}, got {echo(value)}")
     return value
 
 
 def _bool_field(obj, key, default):
     value = obj.get(key, default)
     if type(value) is not bool:
-        raise SchemaError(f"{key!r} must be true or false, got {value!r}")
+        raise SchemaError(f"{key!r} must be true or false, got {echo(value)}")
     return value
 
 
 def _str_field(obj, key, default):
     value = obj.get(key, default)
     if not isinstance(value, str):
-        raise SchemaError(f"{key!r} must be a string, got {value!r}")
+        raise SchemaError(f"{key!r} must be a string, got {echo(value)}")
     return value
 
 
@@ -216,23 +230,17 @@ def involution_from_json(obj, algebra) -> InvolutionDescriptor:
     reflect = _bool_field(obj, "reflect_time", True)
     eps = _int_field(obj, "epsilon", -1, (1, -1))
     name = _str_field(obj, "name", "custom involution")
+    if reflect and eps != -1:
+        raise SchemaError("invalid involution: time reflection forces epsilon = -1")
     s = (-1 if reflect else 1) * (-1 if conj else 1)
-    try:
-        return InvolutionDescriptor(
-            name=name,
-            loop_map=CoeffMap(rows, index_sign=s, conjugate=conj),
-            epsilon=eps,
-            reflect_time=reflect,
-        )
-    except InvolutionError as exc:
-        raise SchemaError(f"invalid involution: {exc}") from exc
+    return InvolutionDescriptor(name=name, loop_map=CoeffMap(rows, index_sign=s, conjugate=conj), epsilon=eps)
 
 
 def _check_schema(obj):
     if not isinstance(obj, dict):
         raise SchemaError("expected a JSON object")
     if obj.get("schema", SCHEMA) != SCHEMA:
-        raise SchemaError(f"unsupported schema {obj.get('schema')!r}")
+        raise SchemaError(f"unsupported schema {echo(obj.get('schema'))}")
 
 
 def record_from_json(obj):
@@ -247,7 +255,7 @@ def record_from_json(obj):
     algebra, twist = lookup_algebra(obj["algebra"], obj["twist_order"])
     form_spec = obj["form"]
     if not isinstance(form_spec, dict):
-        raise SchemaError(f"record 'form' must be an object, got {form_spec!r}")
+        raise SchemaError(f"record 'form' must be an object, got {echo(form_spec)}")
     form_name = _str_field(form_spec, "name", name + " form")
     conj = None
     if form_spec.get("conj") is not None:
@@ -265,11 +273,11 @@ def record_from_json(obj):
         from .scalars import parse_scalar
 
         if not isinstance(scale_text, str):
-            raise SchemaError(f"form 'cd_scale' must be a scalar string, got {scale_text!r}")
+            raise SchemaError(f"form 'cd_scale' must be a scalar string, got {echo(scale_text)}")
         try:
             cd_scale = parse_scalar(scale_text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad form 'cd_scale' {scale_text!r}: {exc}") from exc
+            raise SchemaError(f"bad form 'cd_scale' {echo(scale_text)}: {exc}") from exc
     try:
         form = RealFormDescriptor(
             name=form_name,
@@ -282,13 +290,13 @@ def record_from_json(obj):
     inv = involution_from_json({"schema": SCHEMA, **obj["involution"]}, algebra)
     try:
         claimed = OsakaType(obj["claimed_type"])
-    except ValueError as exc:
-        raise SchemaError(f"bad 'claimed_type': {exc}") from exc
+    except ValueError as exc:  # its message would echo the value whole
+        raise SchemaError(f"bad 'claimed_type': {echo(obj['claimed_type'])} is not a valid OsakaType") from exc
     dims = _expected_dims(obj.get(
         "expected_dims", {"zero": [0, 0], "even_pair": [0, 0], "odd_pair": [0, 0], "cd": [0, 2]}))
     dual = obj.get("dual")
     if dual is not None and not isinstance(dual, str):
-        raise SchemaError(f"'dual' must be a string, got {dual!r}")
+        raise SchemaError(f"'dual' must be a string, got {echo(dual)}")
     return OsakaRecord(
         name=name, real_form=form, involution=inv,
         claimed_type=claimed,
@@ -301,14 +309,14 @@ def _expected_dims(spec):
     """Per-block (K, P) dimensions of a record; every key a pair of
     non-negative integers."""
     if not isinstance(spec, dict):
-        raise SchemaError(f"'expected_dims' must be an object, got {spec!r}")
+        raise SchemaError(f"'expected_dims' must be an object, got {echo(spec)}")
     dims = {}
     for key in ("zero", "even_pair", "odd_pair", "cd"):
         pair = spec.get(key)
         if not isinstance(pair, list) or len(pair) != 2 or any(
                 type(n) is not int or n < 0 for n in pair):
             raise SchemaError(
-                f"'expected_dims' needs {key!r} as a pair of non-negative integers, got {pair!r}"
+                f"'expected_dims' needs {key!r} as a pair of non-negative integers, got {echo(pair)}"
             )
         dims[key] = tuple(pair)
     return dims

@@ -259,6 +259,21 @@ def dense_apply(matrix, vec, conjugate=False, power=0):
     )
 
 
+def order_reference(matrix, conjugate, limit=8):
+    """The least k <= limit with phi^k the identity, or None, for phi = M
+    conj^conjugate: a power walk of `dense_apply` on each unit vector and on
+    i times it (a conjugate-linear power moves i e_j to -i M e_j), with no
+    map composed."""
+    n = len(matrix)
+    starts = [tuple(unit if i == j else ZERO for i in range(n)) for j in range(n) for unit in (ONE, I)]
+    vecs = starts
+    for k in range(1, limit + 1):
+        vecs = [dense_apply(matrix, v, conjugate) for v in vecs]
+        if vecs == starts:
+            return k
+    return None
+
+
 def loop_add_reference(f, g):
     out = dict(f)
     for k, vec in g.items():

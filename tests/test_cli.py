@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -240,6 +241,43 @@ def test_repeated_json_key_exits_schema_and_names_it(tmp_path, capsys, key):
     code, out, err = run_cli(capsys, "bracket", "--lhs", good, "--rhs", str(bad))
     assert_schema_exit(code, out, err)
     assert _param_error(err) == f"{bad}: repeated key '{key}' in a JSON object"
+
+
+_LONG = "1" * 200000
+_LONG_SHOWN = "'" + "1" * serialize.ECHO_CHARS + "'... (200000 characters)"
+LONG_INPUTS = {
+    "c-not-a-pair": json.dumps({**_su2c_element(), "c": [_LONG]}),
+    "coords-entry": json.dumps(_su2c_element(terms=[{"k": 1, "coords": [_LONG]}])),
+    "algebra-name": json.dumps(_su2c_element(algebra=_LONG)),
+    "terms-string": json.dumps(_su2c_element(terms=_LONG)),
+    "k-string": json.dumps(_su2c_element(terms=[{"k": _LONG, "coords": E1_JSON}])),
+    "repeated-key": '{"schema": "kmalg/1", "loop": %s, "%s": 1, "%s": 2}' % (_LOOP, _LONG, _LONG),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LONG_INPUTS))
+def test_long_input_value_is_cut_in_the_message(tmp_path, capsys, site):
+    """Every error that echoes a value read from a file cuts a 200000-character
+    string to its first ECHO_CHARS characters and its length: one short
+    stderr line, with the exit code and wording of a short value."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(LONG_INPUTS[site], encoding="utf-8")
+    code, out, err = run_cli(capsys, "bracket", "--lhs", str(bad), "--rhs", str(bad))
+    assert_schema_exit(code, out, err)
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1000
+    assert _LONG_SHOWN in _param_error(err)
+
+
+@pytest.mark.parametrize("value", [None, 7, "su2c", ["1", "0"], {"k": 1, "coords": [["1", "0"]]}, [[[1]]]])
+def test_echo_of_a_short_value_is_its_repr(value):
+    assert serialize.echo(value) == repr(value)
+
+
+def test_echo_cuts_long_lists_deep_nesting_and_long_ints():
+    assert serialize.echo(list(range(10 ** 5))) == "[0, 1, 2, ... (100000 entries)]"
+    assert serialize.echo({str(k): k for k in range(5)}) == "{'0': 0, '1': 1, '2': 2, ... (5 entries)}"
+    assert serialize.echo([[[[[1]]]]]) == "[[[[...]]]]"
+    assert serialize.echo(10 ** 100) == "1" + "0" * (serialize.ECHO_CHARS - 1) + "... (101 characters)"
 
 
 def test_command_exception_exits_internal_without_traceback(capsys, monkeypatch):
@@ -614,6 +652,31 @@ def test_malformed_record_file_exits_schema(tmp_path, capsys, overrides):
     path = write_json(tmp_path, "record.json", _su2c_record(**overrides))
     code, out, err = run_cli(capsys, "osaka-verify", "--record", path, "--degree", "1")
     assert_schema_exit(code, out, err)
+
+
+@pytest.mark.parametrize("reflect_time, conjugate_linear, epsilon",
+                         list(itertools.product((True, False), (True, False), (1, -1))))
+def test_involution_file_time_reflection_forces_epsilon(tmp_path, capsys, reflect_time, conjugate_linear,
+                                                        epsilon):
+    """An involution file that reflects time with epsilon 1 is a schema
+    error (exit 4), linear or conjugate-linear; every other combination
+    builds the descriptor it names, with index sign -1 exactly when the
+    map reflects time and is linear or keeps time and is conjugate-linear."""
+    spec = {"schema": "kmalg/1", "rho_plus": {"matrix": _scalar_matrix(1)}, "reflect_time": reflect_time,
+            "conjugate_linear": conjugate_linear, "epsilon": epsilon}
+    algebra, _ = serialize.lookup_algebra("su2c", 1)
+    if reflect_time and epsilon == 1:
+        with pytest.raises(serialize.SchemaError) as err:
+            serialize.involution_from_json(spec, algebra)
+        assert str(err.value) == "invalid involution: time reflection forces epsilon = -1"
+        path = write_json(tmp_path, "inv.json", spec)
+        code, out, err = run_cli(capsys, "decompose", "--form", "I[Id,Id]", "--involution", path, "--degree", "2")
+        assert_schema_exit(code, out, err)
+        assert _param_error(err) == "invalid involution: time reflection forces epsilon = -1"
+        return
+    phi = serialize.involution_from_json(spec, algebra)
+    assert phi.epsilon == epsilon and phi.loop_map.conjugate == conjugate_linear
+    assert phi.loop_map.index_sign == (-1 if reflect_time != conjugate_linear else 1)
 
 
 def test_counts_command(capsys):

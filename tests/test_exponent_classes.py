@@ -369,8 +369,7 @@ def split_cases(draw):
     g, g_inv = ([[Scalar(1 if i == j else c if (i, j) == (a, b) else 0) for j in range(dim)]
                  for i in range(dim)] for c in (t, -t))
     loop_map = CoeffMap(g).compose(loop_map).compose(CoeffMap(g_inv))
-    phi = InvolutionDescriptor(name="candidate", loop_map=loop_map, epsilon=epsilon,
-                               reflect_time=epsilon == -1)
+    phi = InvolutionDescriptor(name="candidate", loop_map=loop_map, epsilon=epsilon)
     return phi, rf.truncate(draw(st.integers(1, 3)))
 
 

@@ -9,7 +9,7 @@ from kmalg.findim import (
     IdealBlock,
     _unit,
     automorphism_from_order,
-    check_automorphism,
+    check_bracket,
     direct_sum,
     entrywise_conjugation_automorphism,
     identity_automorphism,
@@ -33,6 +33,7 @@ from oracles import (
     killing_reference,
     killing_sl_family,
     killing_so_family,
+    order_reference,
     scalar_bracket,
     scalar_killing,
     scalar_reference,
@@ -370,7 +371,7 @@ def test_coords_match_the_per_matrix_reference(label, data):
 
 def test_construction_is_one_elimination(monkeypatch):
     """A solved construction row-reduces once, whatever its dimension, and
-    neither solves nor ranks on the side; so does one coords call."""
+    does not solve on the side; so does one coords call."""
     calls = []
     rref = findim.linalg.rref
 
@@ -379,11 +380,10 @@ def test_construction_is_one_elimination(monkeypatch):
         return rref(rows)
 
     def refused(*args):
-        raise AssertionError("findim must not call linalg.solve or linalg.rank")
+        raise AssertionError("findim must not call linalg.solve")
 
     monkeypatch.setattr(findim.linalg, "rref", counted)
     monkeypatch.setattr(findim.linalg, "solve", refused)
-    monkeypatch.setattr(findim.linalg, "rank", refused)
     for g in (_SU2, make_su(3), make_so(4), make_abelian(0), R_NOT_C):
         calls.clear()
         h = findim.FiniteLieAlgebra(g.name, g.field, g.basis, g.blocks)
@@ -405,14 +405,14 @@ def test_entrywise_conjugation_on_su2():
 def test_identity_order_one():
     ident = identity_automorphism(make_su(2))
     assert ident.order == 1
-    check_automorphism(make_su(2), ident)
+    check_bracket(make_su(2), ident)
 
 
 def test_not_automorphism_rejected():
     su2 = make_su(2)
-    bogus = FiniteAutomorphism(su2, mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), order=1)
+    bogus = FiniteAutomorphism(su2, mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(findim.NotAutomorphismError):
-        check_automorphism(su2, bogus)
+        check_bracket(su2, bogus)
 
 
 @pytest.mark.parametrize("diag, pair", [((1, 1, -1), (0, 1)), ((1, I, I), (1, 2))])
@@ -447,12 +447,38 @@ def test_automorphism_from_order_composes_each_power_once(monkeypatch):
     assert len(calls) == 3
 
 
-def test_wrong_order_rejected():
-    su2 = make_su(2)
-    mu = entrywise_conjugation_automorphism(su2)
-    wrong = FiniteAutomorphism(su2, mu.matrix, order=3)
-    with pytest.raises(findim.WrongOrderError):
-        check_automorphism(su2, wrong)
+_SU2_SU2 = direct_sum(_SU2, _SU2)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_order_is_read_off_the_powers(data):
+    """A FiniteAutomorphism's order is the least k <= 8 with phi^k the
+    identity, or None: on signed permutations of the basis of su(2) and
+    su(2)+su(2), linear or conjugate-linear, it equals a dense power walk
+    that composes no map."""
+    g = data.draw(st.sampled_from([_SU2.complexify(), _SU2_SU2.complexify()]))
+    perm = data.draw(st.permutations(range(g.dim)))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=g.dim, max_size=g.dim))
+    rows = mat([[signs[i] if j == perm[i] else 0 for j in range(g.dim)] for i in range(g.dim)])
+    conjugate = data.draw(st.booleans())
+    assert FiniteAutomorphism(g, rows, conjugate).order == order_reference(rows, conjugate)
+
+
+@pytest.mark.parametrize("rows, order", [
+    ([[0, -1, 0], [1, 0, 0], [0, 0, 1]], 4),  # a quarter turn about E3
+    ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], None),  # unipotent: no power is the identity
+], ids=["rotation", "unipotent"])
+def test_order_of_a_rotation_and_a_unipotent_map(rows, order):
+    """The order is the power walk's, and automorphism_from_order refuses a
+    map with none up to 8."""
+    phi = FiniteAutomorphism(_SU2, mat(rows))
+    assert phi.order == order_reference(phi.matrix, False) == order
+    if order is None:
+        with pytest.raises(findim.WrongOrderError):
+            automorphism_from_order(_SU2, rows)
+    else:
+        assert automorphism_from_order(_SU2, rows).order == order
 
 
 def test_killing_invariance_under_automorphisms():

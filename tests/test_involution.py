@@ -8,7 +8,7 @@ from kmalg.findim import (
     FiniteAutomorphism,
     NotAutomorphismError,
     automorphism_from_order,
-    check_automorphism,
+    check_bracket,
     entrywise_conjugation_automorphism,
     identity_automorphism,
     make_su,
@@ -121,17 +121,16 @@ def test_invariant_pairs():
     assert tw2.matrix == mat([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
     d3, _, tw3 = involution_from_invariants(MU_R, MU_R)
     assert tw3.order == 1
-    for d in (d1, d2, d3):
-        assert d.epsilon == -1 and d.reflect_time
+    for d in (d1, d2, d3):  # time reflection: a linear map with index sign -1
+        assert d.epsilon == -1 and d.loop_map.index_sign == -1 and not d.loop_map.conjugate
 
 
 def test_invariant_pair_decides_the_order_of_sigma_once(monkeypatch):
-    """sigma's order is read off its square once, and its bracket is not
-    checked: check_automorphism runs on the two invariants alone, and once
-    on an invariant given twice."""
+    """sigma's order is read off its powers, and its bracket is not
+    checked: check_bracket runs on the two invariants alone, and once on an
+    invariant given twice."""
     checked = []
-    monkeypatch.setattr(involution, "check_automorphism", lambda g, phi: checked.append(phi) or phi)
-    monkeypatch.setattr(involution, "check_bracket", lambda *args: checked.append(args))
+    monkeypatch.setattr(involution, "check_bracket", lambda g, phi: checked.append(phi))
     _, _, tw = involution_from_invariants(ID_R, MU_R)
     assert checked == [ID_R, MU_R] and tw.order == 2
     checked.clear()
@@ -158,11 +157,12 @@ def test_catalog_twists_keep_the_reference_bracket():
 @pytest.mark.parametrize("which", ["rho_plus", "rho_minus", "both"])
 def test_a_non_automorphism_invariant_raises_its_broken_pair(which):
     """An involutive map that breaks the bracket, given as either invariant
-    or as both, raises NotAutomorphismError on the pair check_automorphism
+    or as both, raises NotAutomorphismError on the pair check_bracket
     names."""
-    bogus = FiniteAutomorphism(SU2, mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), order=2)
+    bogus = FiniteAutomorphism(SU2, mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+    assert bogus.order == 2
     with pytest.raises(NotAutomorphismError) as direct:
-        check_automorphism(SU2, bogus)
+        check_bracket(SU2, bogus)
     pair = {"rho_plus": (bogus, ID_R), "rho_minus": (ID_R, bogus), "both": (bogus, bogus)}[which]
     with pytest.raises(NotAutomorphismError) as err:
         involution_from_invariants(*pair)
@@ -205,13 +205,9 @@ def test_involution_squares_and_is_homomorphism():
 def test_epsilon_forced_on_c():
     """A time reflection with epsilon = +1 would not be a homomorphism: the
     cocycle changes sign under reflection, so the c image must carry -1.
-    The descriptor refuses the inconsistent combination, and the sign flip
-    itself is witnessed on random pairs."""
-    with pytest.raises(InvolutionError):
-        InvolutionDescriptor(
-            name="bad", loop_map=CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1),
-            epsilon=1, reflect_time=True,
-        )
+    The sign flip is witnessed on random pairs; an involution file that
+    asks for the inconsistent combination is refused by
+    `serialize.involution_from_json` (test_cli)."""
     from kmalg.kmext import cocycle
     from kmalg.rand import random_loop_element
 
@@ -231,13 +227,12 @@ def test_check_kind():
     assert phi.kind() == InvolutionKind.SECOND
     first = InvolutionDescriptor(
         name="rotation", loop_map=CoeffMap(CoeffMap.identity(3).matrix), epsilon=1,
-        reflect_time=False,
     )
     assert first.kind() == InvolutionKind.FIRST
     compact_conj = InvolutionDescriptor(
         name="conjugation along the compact form",
         loop_map=CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1, conjugate=True),
-        epsilon=1, reflect_time=False,
+        epsilon=1,
     )
     assert compact_conj.kind() == InvolutionKind.FIRST
 
@@ -246,7 +241,6 @@ def test_admissibility():
     phi, _, _ = involution_from_invariants(ID_R, ID_R)
     first = InvolutionDescriptor(
         name="first", loop_map=CoeffMap(CoeffMap.identity(3).matrix), epsilon=1,
-        reflect_time=False,
     )
     assert admissibility_check([phi, phi]) == Admissibility.ADMISSIBLE
     assert admissibility_check([first, phi]) == Admissibility.LOCALLY_ADMISSIBLE_ONLY
@@ -335,7 +329,7 @@ def test_preservation_error():
         name="i-scaling",
         loop_map=CoeffMap([[I if i == j else ZERO for j in range(3)] for i in range(3)],
                           index_sign=-1),
-        epsilon=-1, reflect_time=True,
+        epsilon=-1,
     )
     rf = catalog_record("III[mu,mu]").real_form
     with pytest.raises(PreservationError):
@@ -351,7 +345,7 @@ def test_an_image_outside_the_span_of_its_block_is_not_preserved():
     rf = RealFormDescriptor(name="real coefficients", algebra=SU2C, twist=untwisted(SU2C),
                             conj=CoeffMap(CoeffMap.identity(3).matrix, conjugate=True))
     phi = InvolutionDescriptor(name="time reflection", loop_map=CoeffMap(CoeffMap.identity(3).matrix, -1),
-                               epsilon=-1, reflect_time=True)
+                               epsilon=-1)
     t = rf.truncate(1)
     assert fixed_and_eigenspaces(phi, t).dims()[(1, -1)] == (3, 3)
     half = [(key, [(e, s) for e, s in items if set(e.loop.terms) == {1}] if key == (1, -1) else items)
@@ -366,7 +360,7 @@ def test_non_involutive_map_rejected_on_eigensplit():
     rot = InvolutionDescriptor(
         name="quarter turn",
         loop_map=CoeffMap(mat([[1, 0, 0], [0, 0, -1], [0, 1, 0]]), index_sign=-1),
-        epsilon=-1, reflect_time=True,
+        epsilon=-1,
     )
     rf = _compact_form(untwisted(SU2C))
     with pytest.raises(InvolutionError):

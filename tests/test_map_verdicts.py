@@ -79,7 +79,7 @@ def _involutions(rf):
     maps += [rec.involution.loop_map for rec in CATALOG if len(rec.involution.loop_map.matrix) == dim]
     maps += [m.compose(rf.conj) if rf.conj is not None else CoeffMap(m.matrix, m.index_sign, True, m.parity)
              for m in maps]
-    return [InvolutionDescriptor("phi", m, eps, eps == -1) for m in maps for eps in (-1, 1)]
+    return [InvolutionDescriptor("phi", m, eps) for m in maps for eps in (-1, 1)]
 
 
 def _split(phi, truncation):
@@ -248,7 +248,7 @@ def _almost_split(matrix, index_sign):
     """III[Id,Id]'s form with the linear involution a_k -> matrix a_{s k}."""
     rf = catalog_record("III[Id,Id]").real_form
     rows = [[Scalar(x) for x in row] for row in matrix]
-    return rf, InvolutionDescriptor("psi", CoeffMap(rows, index_sign), -1, index_sign == -1)
+    return rf, InvolutionDescriptor("psi", CoeffMap(rows, index_sign), -1)
 
 
 @pytest.mark.parametrize("row", ["pair", "cd_sign"])

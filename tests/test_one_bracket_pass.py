@@ -65,7 +65,7 @@ def _diag(signs):
 
 # Linear diagonal involutions a_k -> i^{p k} M a_{s k}, every sign pattern,
 # parity and index sign; time reflection exactly when s = -1.
-PHIS = [InvolutionDescriptor(f"{m}/{p}/{s}", CoeffMap(_diag(m), s, False, p), -1, s == -1)
+PHIS = [InvolutionDescriptor(f"{m}/{p}/{s}", CoeffMap(_diag(m), s, False, p), -1)
         for m in [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)] for p in range(4) for s in (1, -1)]
 
 
@@ -280,7 +280,7 @@ def test_squares_is_decided_on_every_block_after_one_fails():
     (0,) and still reads squares off the later blocks."""
     rec = catalog_record("I[Id,Id]")
     m = [[ZERO, Scalar(0, 1), ZERO], [Scalar(0, -1), ZERO, ZERO], [ZERO, ZERO, Scalar(1)]]
-    phi = InvolutionDescriptor("odd swap", CoeffMap(m, 1, False, 1), -1, False)
+    phi = InvolutionDescriptor("odd swap", CoeffMap(m, 1, False, 1), -1)
     truncation = rec.real_form.truncate(2)
     with pytest.raises(PreservationError, match=r"on block \(0,\)"):
         fixed_and_eigenspaces(phi, truncation)

@@ -137,7 +137,7 @@ def test_epsilon_minus_one_fixing_c_raises_with_and_without_O(flags, tmp_path):
         assert rep["checks"]["effective"] is False and rep["details"]["effective"] == "epsilon = -1, but phi(c) != -c"
     rec = catalog_record("III[Id,Id]")
     own = replace(rec, involution=InvolutionDescriptor("own real structure", rec.real_form.conj,
-                                                       epsilon=-1, reflect_time=True))
+                                                       epsilon=-1))
     assert effectiveness_check(own) == Effectiveness.NOT_EFFECTIVE
     assert osaka_verify(own, 1).checks["effective"].passed is False
 
@@ -340,7 +340,7 @@ def test_product_record_is_reducible():
         mu_block[i][i] = v
     phi = InvolutionDescriptor(
         name="blockwise", loop_map=CoeffMap(mu_block, index_sign=-1),
-        epsilon=-1, reflect_time=True,
+        epsilon=-1,
     )
     rec = OsakaRecord(
         name="product", real_form=form, involution=phi,

@@ -198,7 +198,7 @@ ODD_SPLITS = {
 }
 ODD_PHI = InvolutionDescriptor(
     "odd parity", CoeffMap([[Scalar(s) if i == j else ZERO for j in range(3)]
-                            for i, s in enumerate((1, -1, -1))], -1, False, 1), -1, True)
+                            for i, s in enumerate((1, -1, -1))], -1, False, 1), -1)
 
 
 @pytest.mark.parametrize("name", sorted(ODD_SPLITS))
