@@ -61,22 +61,13 @@ def _read_json(path):
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", EXIT_PARSE) from exc
     except serialize.SchemaError as exc:
         raise CliError(f"{path}: {exc}", EXIT_SCHEMA) from exc
+    except ValueError as exc:  # an integer past Python's int-string limit, or bytes not UTF-8
+        raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 
-def _default_degree(value, fallback=3, minimum=0):
-    # fallback 3 for catalog verification, 4 for definiteness checks
-    source = "--degree"
-    if value is None:
-        value = fallback
-        env = os.environ.get("KMALG_DEFAULT_DEGREE")
-        if env is not None:
-            source = "KMALG_DEFAULT_DEGREE"
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise CliError(f"bad KMALG_DEFAULT_DEGREE={env!r}", EXIT_PARAM) from exc
+def _check_degree(value, minimum=0):
     if value < minimum:
-        raise CliError(f"{source} must be at least {minimum}, got {value}", EXIT_PARAM)
+        raise CliError(f"--degree must be at least {minimum}, got {value}", EXIT_PARAM)
     return value
 
 
@@ -162,7 +153,7 @@ def cmd_bracket(args):
 
 
 def cmd_killing_gram(args):
-    degree = _default_degree(args.degree, fallback=4)
+    degree = _check_degree(args.degree)
     rec = _catalog_record(args.form)
     truncation = rec.real_form.truncate(degree)
     blocks, verdict = killing_gram(truncation.loops)  # the base blocks' loops, in order
@@ -181,7 +172,7 @@ def cmd_killing_gram(args):
 
 
 def cmd_jacobi_check(args):
-    degree = _default_degree(args.degree)
+    degree = _check_degree(args.degree)
     if args.trials < 0:
         raise CliError(f"--trials must be at least 0, got {args.trials}", EXIT_PARAM)
     try:
@@ -208,7 +199,7 @@ def cmd_jacobi_check(args):
 
 
 def cmd_decompose(args):
-    degree = _default_degree(args.degree)
+    degree = _check_degree(args.degree)
     rec = _catalog_record(args.form)
     inv = rec.involution
     if args.involution:
@@ -249,7 +240,7 @@ def _record_report(rec, degree):
 
 
 def cmd_osaka_catalog(args):
-    degree = _default_degree(args.degree, minimum=1)
+    degree = _check_degree(args.degree, minimum=1)
     records = [_record_report(rec, degree) for rec in osaka.build_catalog_a1()]
     pairing = osaka.duality_pairing()
     report = _base_report("osaka-catalog", degree=degree)
@@ -265,17 +256,18 @@ def cmd_osaka_catalog(args):
 
 
 def cmd_osaka_verify(args):
-    degree = _default_degree(args.degree, minimum=1)
+    degree = _check_degree(args.degree, minimum=1)
     name = args.record
     specials = {
         "euclidean": osaka.euclidean_osaka,
         "complex+compact-conjugation": osaka.complex_conjugation_counterexample,
     }
-    if os.path.exists(name):
+    # a special record, then a catalog name, then a record file
+    if name in specials:
+        rec = specials[name]()
+    elif os.path.exists(name) and name not in {r.name for r in osaka.build_catalog_a1()}:
         rec = serialize.record_from_json(_read_json(name))
         name = rec.name
-    elif name in specials:
-        rec = specials[name]()
     else:
         rec = _catalog_record(name)
     entry = _record_report(rec, degree)
@@ -298,7 +290,7 @@ def cmd_counts(args):
 # -- driver ----------------------------------------------------------------------
 
 _REQUIRED = {"required": True}
-_DEGREE = ("--degree", {"type": int})
+_DEGREE = ("--degree", {"type": int, "default": 3})  # 4 for the definiteness check of killing-gram
 
 # name -> (handler, help, option specs); every command also takes --out, last
 COMMANDS = {
@@ -307,7 +299,7 @@ COMMANDS = {
     "bracket": (cmd_bracket, "bracket of two extended elements",
                 [("--lhs", _REQUIRED), ("--rhs", _REQUIRED)]),
     "killing-gram": (cmd_killing_gram, "loop Killing Gram of a catalog form",
-                     [("--form", _REQUIRED), _DEGREE]),
+                     [("--form", _REQUIRED), ("--degree", {"type": int, "default": 4})]),
     "jacobi-check": (cmd_jacobi_check, "randomized Jacobi identity check",
                      [("--trials", {"type": int, "required": True}), _DEGREE, ("--seed", _REQUIRED),
                       ("--twist", {"type": int, "default": 1, "choices": (1, 2)}),

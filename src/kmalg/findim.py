@@ -233,11 +233,6 @@ class FiniteLieAlgebra:
                 sol[c] = x
         return [vec_from_parts(sol) for sol in sols]
 
-    def coords(self, m: Matrix):
-        """Coordinates of a matrix in the basis; raises if outside the span:
-        `_solve` of m alone."""
-        return vec_to_scalars(self._solve([m])[0])
-
     def matrix(self, coords) -> Matrix:
         out = mat_zero(self.matrix_size)
         for c, b in zip(coords, self.basis):
@@ -310,7 +305,7 @@ class FiniteLieAlgebra:
 
     def complexify(self) -> "FiniteLieAlgebra":
         """Same basis viewed over C. Cached so twists can share identity.
-        coords already solves over C, so the structure constants, and all
+        `_solve` already solves over C, so the structure constants, and all
         derived from them, are this algebra's: the twin copies them."""
         if self.field == "C":
             return self

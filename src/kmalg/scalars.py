@@ -244,32 +244,3 @@ def render_scalar(s: Scalar) -> str:
     im_mag = "i" if mag == 1 else f"{mag}·i"
     return f"{s.re}{sign}{im_mag}"
 
-
-def parse_scalar(text: str) -> Scalar:
-    """Inverse of render_scalar."""
-    t = text.strip().replace(" ", "")
-    if not t:
-        raise ValueError("empty scalar")
-    # Split an interior +/- separating real and imaginary parts.
-    for pos in range(len(t) - 1, 0, -1):
-        if t[pos] in "+-" and t[pos - 1] not in "+-/·":
-            re_part, im_part = t[:pos], t[pos:]
-            if "i" in im_part and "i" not in re_part:
-                return Scalar(Fraction(re_part), _parse_im(im_part))
-            break
-    if "i" in t:
-        return Scalar(0, _parse_im(t))
-    return Scalar(Fraction(t))
-
-
-def _parse_im(t: str) -> Fraction:
-    sign = 1
-    while t and t[0] in "+-":
-        if t[0] == "-":
-            sign = -sign
-        t = t[1:]
-    if t == "i":
-        return Fraction(sign)
-    if not t.endswith("·i"):
-        raise ValueError(f"bad imaginary part {t!r}")
-    return sign * Fraction(t[:-2])

@@ -4,17 +4,18 @@ Exact scalars travel as "p/q" strings (never floats); a scalar is a
 [re, im] pair of such strings, each an optional minus sign, ASCII digits
 and an optional "/" with more digits, at most MAX_DIGITS digits on either
 side. Loop elements reference algebras through a small registry of named
-built-ins and carry their twist order.
+built-ins and carry their twist order. A record's form.cd_scale, its c/d
+reality line, is "1" (the default), "i" or null (both lines).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .findim import automorphism_from_order, direct_sum, make_abelian, make_sl, make_su
-from .involution import CoeffMap, InvolutionDescriptor, InvolutionError, RealFormDescriptor
+from .involution import CoeffMap, InvolutionDescriptor, RealFormDescriptor
 from .kmext import ExtendedElement
 from .loop import GradingError, TwistedLoopElement, untwisted
-from .scalars import Scalar
+from .scalars import I, ONE, Scalar
 
 SCHEMA = "kmalg/1"
 
@@ -266,25 +267,17 @@ def record_from_json(obj):
             conjugate=True,
             parity=_int_field(cs, "parity", 0, range(4)),
         )
-    scale_text = form_spec.get("cd_scale", "1")
-    if scale_text is None:
+    scale = form_spec.get("cd_scale", "1")
+    # == and not a dict lookup: the value may be an unhashable list
+    if scale == "1":
+        cd_scale = ONE
+    elif scale == "i":
+        cd_scale = I
+    elif scale is None:
         cd_scale = None
     else:
-        from .scalars import parse_scalar
-
-        if not isinstance(scale_text, str):
-            raise SchemaError(f"form 'cd_scale' must be a scalar string, got {echo(scale_text)}")
-        try:
-            cd_scale = parse_scalar(scale_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad form 'cd_scale' {echo(scale_text)}: {exc}") from exc
-    try:
-        form = RealFormDescriptor(
-            name=form_name,
-            algebra=algebra, twist=twist, conj=conj, cd_scale=cd_scale,
-        )
-    except InvolutionError as exc:
-        raise SchemaError(f"invalid real form: {exc}") from exc
+        raise SchemaError(f"form 'cd_scale' must be \"1\", \"i\" or null, got {echo(scale)}")
+    form = RealFormDescriptor(name=form_name, algebra=algebra, twist=twist, conj=conj, cd_scale=cd_scale)
     if not isinstance(obj["involution"], dict):
         raise SchemaError("record 'involution' must be an object")
     inv = involution_from_json({"schema": SCHEMA, **obj["involution"]}, algebra)

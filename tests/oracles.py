@@ -17,11 +17,12 @@ elements stored numerator vectors. The loop Gram matrix is built class by
 class as it was before classes equal up to exponent renaming shared one
 computation, and laid out densely from the class blocks the library now
 returns.
-parse_element, the inverse of the rendering, lives here because only the
-render round trip reads it, and so do the finite-element JSON schema and
-the admissibility verdict of factorwise involutions, which no command
-reads, and the transpose, semisimplicity test, span coordinates, the
-imaginary-Scalar test and the Scalar-coordinate CoeffMap and
+parse_element, the inverse of the rendering, and parse_scalar, the inverse
+of render_scalar, live here because only the render round trips read them,
+and so do the finite-element JSON schema and the admissibility verdict of
+factorwise involutions, which no command reads, and the transpose,
+semisimplicity test, span coordinates, the imaginary-Scalar test, the
+coordinates of one matrix (coords) and the Scalar-coordinate CoeffMap and
 FiniteAutomorphism applications only tests call. The closure and Cartan
 checks bracket every pair of basis vectors, and the eigenspace split
 solves every block, as the library did before the period-4 lemma let it
@@ -120,7 +121,6 @@ from kmalg.scalars import (
     Scalar,
     ZERO,
     exact_div,
-    parse_scalar,
     vec_add,
     vec_from_parts,
     vec_from_scalars,
@@ -587,9 +587,9 @@ def block_basis_reference(self, key):
 
 
 def coords_reference(self, m):
-    """FiniteLieAlgebra.coords as it was before it moved onto real_rows
-    (then in linalg): the real blow-up written by hand, one solve per
-    matrix. `self` is the algebra; the body is kept verbatim."""
+    """coords as it was, a FiniteLieAlgebra method, before it moved onto
+    real_rows (then in linalg): the real blow-up written by hand, one solve
+    per matrix. `self` is the algebra; the body is kept verbatim."""
     target = mat_flatten(m)
     # complex coordinates found by a real 2x-blown-up solve
     flat = [[self._flat_basis[j][i] for j in range(self.dim)] for i in range(len(target))]
@@ -765,11 +765,10 @@ def parse_element(text: str, algebra, twist) -> ExtendedElement:
             coeff = usign * _parse_factor(um.group("factor"))
             r, c = int(um.group("r")) - 1, int(um.group("c")) - 1
             mat_val = mat_add(mat_val, mat_scale(coeff, _unit(algebra.matrix_size, r, c)))
-        coords = algebra.coords(mat_val)
-        coords = tuple(sign * x for x in coords)
+        vec = tuple(sign * x for x in coords(algebra, mat_val))
         if k in terms:
-            coords = tuple(a + b for a, b in zip(terms[k], coords))
-        terms[k] = coords
+            vec = tuple(a + b for a, b in zip(terms[k], vec))
+        terms[k] = vec
     loop = TwistedLoopElement(algebra, twist, terms)
     return ExtendedElement(loop, c_val, d_val)
 
@@ -785,6 +784,36 @@ def _parse_factor(text: str) -> Scalar:
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
     return parse_scalar(text)
+
+
+def parse_scalar(text: str) -> Scalar:
+    """Inverse of render_scalar."""
+    t = text.strip().replace(" ", "")
+    if not t:
+        raise ValueError("empty scalar")
+    # Split an interior +/- separating real and imaginary parts.
+    for pos in range(len(t) - 1, 0, -1):
+        if t[pos] in "+-" and t[pos - 1] not in "+-/·":
+            re_part, im_part = t[:pos], t[pos:]
+            if "i" in im_part and "i" not in re_part:
+                return Scalar(Fraction(re_part), _parse_im(im_part))
+            break
+    if "i" in t:
+        return Scalar(0, _parse_im(t))
+    return Scalar(Fraction(t))
+
+
+def _parse_im(t: str) -> Fraction:
+    sign = 1
+    while t and t[0] in "+-":
+        if t[0] == "-":
+            sign = -sign
+        t = t[1:]
+    if t == "i":
+        return Fraction(sign)
+    if not t.endswith("·i"):
+        raise ValueError(f"bad imaginary part {t!r}")
+    return sign * Fraction(t[:-2])
 
 
 def _split_top_level(text: str):
@@ -860,6 +889,11 @@ def is_semisimple(g) -> bool:
                + [[s.im for s in row] + [s.re for s in row] for row in km])
     return bool(bareiss_determinant(blow_up))
 
+
+def coords(algebra, m):
+    """Coordinates of a matrix in the algebra's basis; raises if outside the
+    span: `_solve` of m alone."""
+    return vec_to_scalars(algebra._solve([m])[0])
 
 def apply_vec(phi, vec, k=0):
     """A CoeffMap on Scalar coordinates landing at target degree k."""

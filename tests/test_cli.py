@@ -17,7 +17,7 @@ from kmalg import cli, serialize
 from kmalg.kmext import ExtendedElement
 from kmalg.loop import loop_monomial
 from kmalg.rand import TrialRng, random_extended_element
-from kmalg.scalars import Scalar, ZERO
+from kmalg.scalars import I, ONE, Scalar, ZERO
 from oracles import finite_element_from_json, finite_element_to_json, parse_element
 
 
@@ -86,6 +86,24 @@ def test_classify_parse_error(tmp_path, capsys):
     p.write_text("{not json", encoding="utf-8")
     code, _, err = run_cli(capsys, "classify", "--in", str(p))
     assert code == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("data", [
+    b'{"schema": "kmalg/1", "loop": {"schema": "kmalg/1", "algebra": "su2c", "twist_order": %s, '
+    b'"terms": []}}' % (b"1" * 5000),
+    b'\xff\xfe{}',
+], ids=["5000-digit-int", "not-utf-8"])
+def test_unparsable_file_beyond_json_syntax_exits_parse(tmp_path, capsys, data):
+    """json.load raises a plain ValueError, not a JSONDecodeError, on an
+    integer literal past Python's 4300-digit limit and on bytes that are not
+    UTF-8: the file cannot be parsed, exit 3 with one short JSON line."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run_cli(capsys, "bracket", "--lhs", str(bad), "--rhs", str(bad))
+    assert code == cli.EXIT_PARSE and out == ""
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1000 and "Traceback" not in err
+    error = json.loads(err)
+    assert set(error) == {"schema", "error"} and error["error"].startswith(f"{bad}: ")
 
 
 def test_missing_required_param(capsys):
@@ -187,13 +205,14 @@ def test_non_string_scalar_part_exits_schema(tmp_path, capsys, part):
 
 REFUSED_PARTS = ["1e3", "1_000", " 3 ", "3 ", "-1.5e-2", "1.5", ".5", "5.", "+3", "1/-2", "-1/-2", "1 / 2",
                  "", "-", "1/", "/2", "nan", "inf", "١٢", "1" * (serialize.MAX_DIGITS + 1),
-                 "1/" + "1" * (serialize.MAX_DIGITS + 1)]
+                 "1/" + "1" * (serialize.MAX_DIGITS + 1), "1/0"]
 
 
 @pytest.mark.parametrize("part", REFUSED_PARTS, ids=range(len(REFUSED_PARTS)))
 def test_scalar_part_outside_the_grammar_exits_schema(tmp_path, capsys, part):
     """A part is -?digits or -?digits/digits in ASCII, at most MAX_DIGITS
-    digits on either side; every other spelling Fraction reads is refused."""
+    digits on either side, with a nonzero denominator; every other spelling
+    Fraction reads is refused."""
     el = _su2c_element()
     el["c"] = [part, "0"]
     bad = write_json(tmp_path, "bad.json", el)
@@ -576,6 +595,26 @@ def test_osaka_verify_non_involution_fails_prerequisites(tmp_path, capsys):
     assert rep["computed_type"] is None
 
 
+def test_osaka_verify_abelian_fixed_part_fails_only_fix_abelian_zero(tmp_path, capsys):
+    """On abelian1c, rho_plus = 1 with time reflection fixes the constant
+    loops of the abelian algebra: every check holds but fix_abelian_zero."""
+    one = [[["1", "0"]]]
+    record = {
+        "schema": "kmalg/1", "name": "abelian fixed", "algebra": "abelian1c", "twist_order": 1,
+        "form": {"conj": {"matrix": one, "index_sign": -1}},
+        "involution": {"rho_plus": {"matrix": one}},
+        "claimed_type": "Euclidean",
+        "expected_dims": {"zero": [1, 0], "even_pair": [1, 1], "odd_pair": [1, 1], "cd": [0, 2]},
+    }
+    path = write_json(tmp_path, "record.json", record)
+    code, out, err = run_cli(capsys, "osaka-verify", "--record", path, "--degree", "2")
+    assert (code, err) == (cli.EXIT_FAIL, "")
+    rep = json.loads(out)
+    assert len(rep["checks"]) == 8
+    assert [name for name, passed in rep["checks"].items() if not passed] == ["fix_abelian_zero"]
+    assert rep["details"]["fix_abelian_zero"] == "1 fixed constant abelian directions"
+
+
 def test_osaka_verify_map_breaking_the_twist_grading_is_not_involutive(tmp_path, capsys):
     """On su2c twisted by diag(-1, 1, -1), rho_plus swapping coordinates 0
     and 1 does not commute with the twist: the images of the (0,) block are
@@ -643,15 +682,40 @@ _INVOLUTION = _su2c_record()["involution"]
     {"involution": {**_INVOLUTION, "rho_plus": {"matrix": [
         [[0.5, "0"] if i == j == 0 else ["1" if i == j else "0", "0"] for j in range(3)]
         for i in range(3)]}}},
+    *({"form": {**_su2c_record()["form"], "cd_scale": scale}}
+      for scale in ("1.0", "1e0", "2/2", "0+i", "-i", ["1", "0"], "1" * 200000)),
 ], ids=["form-not-object", "epsilon-not-int", "epsilon-zero", "conj-1x1",
         "claimed-type-unknown", "cd-scale-not-scalar", "expected-dims-incomplete",
         "twist-order-list", "name-not-string", "form-name-not-string",
         "involution-name-not-string", "dual-not-string", "reflect-time-string",
-        "conjugate-linear-int", "algebra-list", "rho-plus-float-part"])
+        "conjugate-linear-int", "algebra-list", "rho-plus-float-part",
+        "cd-scale-decimal", "cd-scale-exponent", "cd-scale-fraction", "cd-scale-sum",
+        "cd-scale-minus-i", "cd-scale-pair", "cd-scale-long"])
 def test_malformed_record_file_exits_schema(tmp_path, capsys, overrides):
     path = write_json(tmp_path, "record.json", _su2c_record(**overrides))
     code, out, err = run_cli(capsys, "osaka-verify", "--record", path, "--degree", "1")
     assert_schema_exit(code, out, err)
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1000
+
+
+# every other spelling of 1 or i that the general scalar grammar once read
+REFUSED_CD_SCALES = ["1/1", "2/2", "+1", " 1 ", "01", "1.0", "1e0", "+i", "i ", "0+i", "1·i", "0+1·i",
+                     "3/3·i", "-i", "-1", "0", "", "x", 1, True, ["1", "0"], {"re": "1"}, "1" * 200000]
+
+
+@pytest.mark.parametrize("scale", REFUSED_CD_SCALES, ids=range(len(REFUSED_CD_SCALES)))
+def test_cd_scale_outside_one_i_or_null_is_refused(scale):
+    """Any cd_scale but "1", "i" or null is refused with a short echo of it."""
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.record_from_json(_su2c_record(form={"cd_scale": scale}))
+    assert str(err.value) == f'form \'cd_scale\' must be "1", "i" or null, got {serialize.echo(scale)}'
+
+
+@pytest.mark.parametrize("form,line", [({}, ONE), ({"cd_scale": "1"}, ONE), ({"cd_scale": "i"}, I),
+                                       ({"cd_scale": None}, None)], ids=["default", "one", "i", "null"])
+def test_cd_scale_is_one_i_or_null(form, line):
+    """A form's c/d line is R ("1", the default), iR ("i") or both (null)."""
+    assert serialize.record_from_json(_su2c_record(form=form)).real_form.cd_scale == line
 
 
 @pytest.mark.parametrize("reflect_time, conjugate_linear, epsilon",
@@ -687,11 +751,19 @@ def test_counts_command(capsys):
     assert rep["lookup"] == {"a2(1)": "NotTabulated"}
 
 
-def test_env_default_degree(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KMALG_DEFAULT_DEGREE", "1")
+@pytest.mark.parametrize("env", [None, "1"], ids=["plain", "env-ignored"])
+def test_default_degree_is_the_option_default(capsys, monkeypatch, env):
+    """With no --degree, killing-gram runs at degree 4 and osaka-verify at
+    3; KMALG_DEFAULT_DEGREE, once read, changes nothing."""
+    if env is not None:
+        monkeypatch.setenv("KMALG_DEFAULT_DEGREE", env)
     code, out, _ = run_cli(capsys, "killing-gram", "--form", "I[Id,Id]")
     assert code == cli.EXIT_OK
-    assert json.loads(out)["size"] == 9  # 3 * (2*1 + 1)
+    rep = json.loads(out)
+    assert (rep["params"]["degree"], rep["size"]) == (4, 27)  # 3 * (2*4 + 1)
+    code, out, _ = run_cli(capsys, "osaka-verify", "--record", "I[Id,Id]")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["params"]["degree"] == 3
 
 
 def _param_error(err):
@@ -707,6 +779,22 @@ def test_unknown_form_exits_param(capsys, argv):
     assert code == cli.EXIT_PARAM
     assert out == ""
     assert err == '{"schema": "kmalg/1", "error": "no catalog record named \'nope\'"}\n'
+
+
+def test_osaka_verify_looks_up_names_before_paths(tmp_path, capsys, monkeypatch):
+    """A catalog or special record name is read as that record even where a
+    file of that name exists; an unknown name that is a file is read as a
+    record file."""
+    monkeypatch.chdir(tmp_path)
+    for name, record in (("IV", "IV"), ("euclidean", "Euclidean(1)")):
+        (tmp_path / name).write_text("not json", encoding="utf-8")
+        code, out, err = run_cli(capsys, "osaka-verify", "--record", name, "--degree", "1")
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["name"] == record
+    (tmp_path / "nope").write_text("not json", encoding="utf-8")
+    code, out, err = run_cli(capsys, "osaka-verify", "--record", "nope", "--degree", "1")
+    assert code == cli.EXIT_PARSE and out == ""
+    assert _param_error(err) == "nope:1:1: Expecting value"
 
 
 @pytest.mark.parametrize("argv", [
@@ -747,18 +835,6 @@ def test_jacobi_check_unknown_algebra_or_twist_exits_param(capsys, argv, message
     assert out == ""
     assert message in _param_error(err)
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("value,argv", [
-    ("-2", ["killing-gram", "--form", "II"]),
-    ("0", ["osaka-verify", "--record", "II"]),
-])
-def test_env_default_degree_is_validated(capsys, monkeypatch, value, argv):
-    monkeypatch.setenv("KMALG_DEFAULT_DEGREE", value)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == cli.EXIT_PARAM
-    assert out == ""
-    assert "KMALG_DEFAULT_DEGREE must be at least" in _param_error(err)
 
 
 def test_out_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ from kmalg.findim import (
     check_bracket,
     entrywise_conjugation_automorphism,
     identity_automorphism,
+    make_sl,
     make_su,
     mat,
 )
@@ -29,7 +30,7 @@ from kmalg.involution import (
 )
 from kmalg.kmext import ExtendedElement, central_element, derivation_element, hat_bracket
 from kmalg.loop import Definiteness, killing_gram, loop_monomial, untwisted
-from kmalg.osaka import build_catalog_a1, catalog_record
+from kmalg.osaka import build_catalog_a1, catalog_record, complex_conjugation_counterexample
 from kmalg.rand import TrialRng, random_extended_element
 from kmalg.scalars import I, ONE, Scalar, ZERO
 from oracles import (
@@ -174,6 +175,21 @@ def test_invariant_pair_rejects_non_involution():
     assert rot.order == 4
     with pytest.raises(InvolutionError):
         involution_from_invariants(rot, rot)
+
+
+@pytest.mark.parametrize("pair,message", [
+    ((ID_R, identity_automorphism(make_sl(2))), "the two invariants act on different algebras"),
+    ((FiniteAutomorphism(SU2, ID_R.matrix, conjugate=True), ID_R),
+     "invariants are automorphisms of the real algebra"),
+    ((MU_R, FiniteAutomorphism(SU2, [[-1, 0, 0], [0, 0, 1], [0, 1, 0]])),
+     "sigma = rho_minus . rho_plus has order > 2 (out of scope)"),
+], ids=["two-algebras", "conjugate-linear", "sigma-order-4"])
+def test_invariant_pair_refusals(pair, message):
+    """Invariants on two algebras, a conjugate-linear invariant, and two
+    involutive automorphisms whose product sigma has order 4 are refused."""
+    with pytest.raises(InvolutionError) as err:
+        involution_from_invariants(*pair)
+    assert str(err.value) == message
 
 
 # -- applying involutions ----------------------------------------------------------
@@ -383,6 +399,13 @@ def test_dualize_compact_to_almost_split():
     assert dual.real_form.conj == aspl.conj
     assert dual.real_form.cd_scale == I
     assert dual.involution.loop_map == catalog_record("III[Id,Id]").involution.loop_map
+
+
+def test_dualize_refuses_the_full_complex_algebra():
+    rec = complex_conjugation_counterexample()
+    assert rec.real_form.conj is None
+    with pytest.raises(InvolutionError, match="cannot dualize the full complex algebra"):
+        dualize(rec.real_form, rec.involution)
 
 
 def test_dualize_is_involutive():

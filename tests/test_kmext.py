@@ -219,6 +219,17 @@ def test_block_without_center_not_ideal():
     assert not is_ideal(gens, _ambient_sample(), desc)
 
 
+def test_bracket_onto_c_not_ideal_without_c():
+    """[X z, X z^-1] is a pure multiple of c: the loops of su2c are not an
+    ideal of the extension unless the subspace holds c."""
+    gens = [ExtendedElement(loop_monomial(SU2C, TW1, 1, X))]
+    sample = [ExtendedElement(loop_monomial(SU2C, TW1, -1, X))]
+    bracket = hat_bracket(gens[0], sample[0])
+    assert bracket.c and not bracket.loop.terms
+    assert not is_ideal(gens, sample, GradedSubspace(SU2C, [0], include_c=False))
+    assert is_ideal(gens, sample, GradedSubspace(SU2C, [0], include_c=True))
+
+
 def test_d_line_not_ideal():
     gens = [derivation_element(DOUBLE, DTW)]
     desc = GradedSubspace(DOUBLE, [], include_d=True)

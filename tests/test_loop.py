@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from kmalg.findim import automorphism_from_order, make_abelian, make_sl, make_su
+from kmalg.findim import FiniteAutomorphism, automorphism_from_order, make_abelian, make_sl, make_su
 from kmalg.kmext import ExtendedElement, hat_bracket
 from kmalg.loop import (
     Definiteness,
     GradingError,
+    LoopError,
     MismatchError,
     NonRealPairingError,
     TwistedLoopElement,
+    check_twist,
     killing_gram,
     loop_bracket,
     loop_killing,
@@ -54,6 +56,19 @@ def test_grading_enforced():
         loop_monomial(SU2C, TW2, 1, Y)
     loop_monomial(SU2C, TW2, 1, X)  # fine
     loop_monomial(SU2C, TW2, 2, Y)  # fine
+
+
+@pytest.mark.parametrize("twist,error,message", [
+    (untwisted(make_sl(2, "C")), MismatchError, "twist is defined on a different algebra"),
+    (FiniteAutomorphism(SU2C, untwisted(SU2C).matrix, conjugate=True), LoopError,
+     "twists must be linear automorphisms"),
+    (automorphism_from_order(SU2C, [[0, -1, 0], [1, 0, 0], [0, 0, 1]]), LoopError,
+     "only twist orders 1 and 2 are supported"),
+], ids=["other-algebra", "conjugate-linear", "order-4"])
+def test_check_twist_refusals(twist, error, message):
+    with pytest.raises(error) as err:
+        check_twist(SU2C, twist)
+    assert str(err.value) == message
 
 
 def test_mismatch_rejected():

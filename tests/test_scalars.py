@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from kmalg.scalars import I, ONE, Scalar, ZERO, parse_scalar, render_scalar
-from oracles import fraction_backed, i_power, is_imaginary
+from kmalg.scalars import I, ONE, Scalar, ZERO, render_scalar
+from oracles import fraction_backed, i_power, is_imaginary, parse_scalar
 
 rationals = st.builds(
     Fraction, st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=9)
