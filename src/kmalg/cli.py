@@ -278,12 +278,9 @@ def cmd_osaka_verify(args):
 
 def cmd_counts(args):
     report = _base_report("counts")
-    report["second_kind_involutions"] = osaka.involution_counts()
+    counts = report["second_kind_involutions"] = osaka.involution_counts()
     if args.family:
-        try:
-            report["lookup"] = {args.family: osaka.second_kind_count(args.family)}
-        except osaka.NotTabulatedError:
-            report["lookup"] = {args.family: "NotTabulated"}
+        report["lookup"] = {args.family: counts.get(args.family, "NotTabulated")}
     return report, True
 
 

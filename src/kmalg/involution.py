@@ -249,8 +249,6 @@ class RealFormDescriptor:
             s = self.conj.index_sign
             conj_rows, den = self.conj.sparse
             for k in degrees:
-                if s * k not in pos:
-                    raise InvolutionError("block is not closed under the real structure")
                 power = self.conj.parity * k % 4
                 for i, row in enumerate(conj_rows):
                     terms = []

@@ -8,8 +8,8 @@ Extended elements are triples (loop, c, d). The bracket is
 
 with the integral cocycle omega(f,g) = (1/2pi) int <f, g'> dt, <,> the
 finite Killing form. The z-residue form of the cocycle differs from the
-integral form by a factor of i (d/dt = i z d/dz); both are exposed and the
-integral form is the one used by the bracket.
+integral form by a factor of i (d/dt = i z d/dz): the integral form, the
+one the bracket uses, is i times the residue form.
 
 The loop part of a bracket comes from one raw kernel,
 `extended_bracket_raw`: on operands whose terms are over one denominator
@@ -31,7 +31,6 @@ sum.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from math import lcm
 from operator import add
 
@@ -47,7 +46,6 @@ from .loop import (
     zero_loop,
 )
 from .scalars import (
-    I,
     Scalar,
     ZERO,
     exact_div,
@@ -157,24 +155,16 @@ def _cocycle_value(alg, m, nums, den):
     return vec_to_scalars(((im, -re), m * den * alg._killing_den))[0]
 
 
-# integral form = integral_factor * residue form, both Scalars
-ResidueCocycle = namedtuple("ResidueCocycle", ["value", "integral_factor"])
-
-
-INTEGRAL_OVER_RESIDUE = I
-
-
-def residue_cocycle(f: TwistedLoopElement, g: TwistedLoopElement) -> ResidueCocycle:
+def residue_cocycle(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:
     """Res_z <f, dg/dz> = sum_k (-k) B(a_k, b_{-k}) for untwisted z-Laurent
-    loops (-1 times `_cocycle_sum`), along with the factor i converting to
-    the integral convention."""
+    loops (-1 times `_cocycle_sum`). The integral form, `cocycle`, is i
+    times it."""
     f._require_match(g)
     if f.twist.order != 1:
         raise MismatchError("the residue form is defined for untwisted loops")
     (fs, df), (gs, dg) = over_one_denominator(f.terms), over_one_denominator(g.terms)
     re, im = _cocycle_sum(f.algebra, dict(fs), gs)
-    return ResidueCocycle(vec_to_scalars(((-re, -im), df * dg * f.algebra._killing_den))[0],
-                          INTEGRAL_OVER_RESIDUE)
+    return vec_to_scalars(((-re, -im), df * dg * f.algebra._killing_den))[0]
 
 
 # -- bracket --------------------------------------------------------------
@@ -294,15 +284,10 @@ class GradedSubspace:
     component allowed iff include_c, d component allowed iff include_d.
     """
 
-    def __init__(self, algebra, block_ids, include_c=False, include_d=False):
-        self.algebra = algebra
-        self.block_ids = tuple(block_ids)
+    def __init__(self, algebra, blocks, include_c=False, include_d=False):
         self.include_c = include_c
         self.include_d = include_d
-        allowed = set()
-        for b in block_ids:
-            allowed.update(algebra.blocks[b].indices)
-        self._allowed = allowed
+        self._allowed = {i for b in blocks for i in algebra.blocks[b].indices}
 
     def contains(self, x: ExtendedElement) -> bool:
         if x.c and not self.include_c:
@@ -320,9 +305,9 @@ def is_ideal(generators, ambient_sample, description: GradedSubspace) -> bool:
             raise ValueError("a generator lies outside the described subspace")
     for gen in generators:
         for amb in ambient_sample:
+            # [amb, gen] = -[gen, amb], and contains reads only which parts
+            # are nonzero: one bracket decides both
             if not description.contains(hat_bracket(gen, amb)):
-                return False
-            if not description.contains(hat_bracket(amb, gen)):
                 return False
     return True
 
@@ -394,14 +379,10 @@ class SplittingHom:
         flat = [real_coords(y, degrees) for y in images]
         return len(linalg.nullspace([list(row) for row in zip(*flat)]))
 
-    def bracket_in_factors(self, xs, ys):
-        """Componentwise derived-algebra bracket of two factor tuples."""
-        return [hat_bracket(x, y) for x, y in zip(xs, ys)]
-
     def is_homomorphism_on(self, pairs) -> bool:
         """Exact check of phi[x, y] = [phi x, phi y] on supplied tuples."""
         for xs, ys in pairs:
-            lhs = self.apply(self.bracket_in_factors(xs, ys))
+            lhs = self.apply([hat_bracket(x, y) for x, y in zip(xs, ys)])
             rhs = hat_bracket(self.apply(xs), self.apply(ys))
             if lhs != rhs:
                 return False

@@ -131,9 +131,6 @@ class TwistedLoopElement:
     def is_zero(self):
         return not self.terms
 
-    def support(self):
-        return sorted(self.terms)
-
     def coeff(self, k):
         """Scalar coordinates of a_k."""
         vec = self.terms.get(k)
@@ -150,7 +147,7 @@ class TwistedLoopElement:
             raise MismatchError("loop elements live over different algebras or twists")
 
     def __repr__(self):
-        return f"TwistedLoopElement({self.algebra.name}, m={self.twist.order}, support={self.support()})"
+        return f"TwistedLoopElement({self.algebra.name}, m={self.twist.order}, support={sorted(self.terms)})"
 
 
 def check_grading(f: TwistedLoopElement):

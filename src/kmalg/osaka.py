@@ -45,18 +45,16 @@ class Effectiveness(Enum):
 
 
 class OsakaRecord:
-    __slots__ = ("name", "real_form", "involution", "claimed_type", "expected_kp", "dual_name", "pair_label")
+    __slots__ = ("name", "real_form", "involution", "claimed_type", "expected_kp", "dual_name")
 
     def __init__(self, name: str, real_form: RealFormDescriptor, involution: InvolutionDescriptor,
-                 claimed_type: OsakaType, expected_kp: dict, dual_name: str | None = None,
-                 pair_label: str | None = None):
+                 claimed_type: OsakaType, expected_kp: dict, dual_name: str | None = None):
         self.name = name
         self.real_form = real_form
         self.involution = involution
         self.claimed_type = claimed_type
         self.expected_kp = expected_kp  # (K, P) dims of blocks 'zero', 'even_pair', 'odd_pair' and 'cd'
         self.dual_name = dual_name
-        self.pair_label = pair_label
 
 
 class CheckResult(Value):
@@ -144,7 +142,8 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
         detail = "no fixed semisimple loop directions"
     report.checks["fix_compact"] = CheckResult(
         fixed_cd_free and gram_ok and not mixed,
-        detail + ("" if fixed_cd_free else "; fixed c/d directions present"),
+        detail + ("" if fixed_cd_free else "; fixed c/d directions present")
+        + ("; fixed vectors mix the simple and abelian blocks" if mixed else ""),
     )
 
     # (d) Fix meets the abelian part (constant loops in the abelian block)
@@ -286,37 +285,36 @@ def build_catalog_a1():
     swap_rows = [[ONE if (i + 3) % 6 == j else ZERO for j in range(6)] for i in range(6)]
     swap_r = findim.automorphism_from_order(double, swap_rows)
 
-    records = []
-
     # ---- type I: compact form of L(su(2)) with the three second-kind
     # involutions from the invariant pairs; type II: compact form of the
-    # doubled algebra with the factor swap.
+    # doubled algebra with the factor swap. Types III and IV: their exact
+    # duals, in the same order, each form named in its spec.
     specs = [
-        ("I[Id,Id]", id_r, id_r, "[Id,Id]", "compact form [Id,Id]", "III[Id,Id]", _dims((3, 0), (3, 3))),
-        ("I[Id,mu]", mu_r, id_r, "[Id,mu]", "compact form [Id,mu]", "III[Id,mu]",
+        ("I[Id,Id]", id_r, id_r, "compact form [Id,Id]", "III[Id,Id]", "almost split form [Id,Id]",
+         _dims((3, 0), (3, 3))),
+        ("I[Id,mu]", mu_r, id_r, "compact form [Id,mu]", "III[Id,mu]", "almost split form [Id,mu]",
          _dims((1, 0), (1, 1), odd_pair=(2, 2))),
-        ("I[mu,mu]", mu_r, mu_r, "[mu,mu]", "compact form [mu,mu]", "III[mu,mu]", _dims((1, 2), (3, 3))),
-        ("II", swap_r, swap_r, "[swap,swap]", "compact form of the doubled algebra", "IV", _dims((3, 3), (6, 6))),
+        ("I[mu,mu]", mu_r, mu_r, "compact form [mu,mu]", "III[mu,mu]", "almost split form [mu,mu]",
+         _dims((1, 2), (3, 3))),
+        ("II", swap_r, swap_r, "compact form of the doubled algebra", "IV", "doubled complex form",
+         _dims((3, 3), (6, 6))),
     ]
-    for name, rp, rm, label, form_name, dual_name, dims in specs:
+    compact, duals = [], []
+    for name, rp, rm, form_name, dual_name, dual_form_name, dims in specs:
         desc, gc, twist = involution_from_invariants(rp, rm, name)
         form = RealFormDescriptor(
             name=form_name, algebra=gc, twist=twist,
             conj=_compact_conj(gc.dim), cd_scale=ONE,
         )
-        records.append(OsakaRecord(
+        compact.append(OsakaRecord(
             name=name, real_form=form, involution=desc,
             claimed_type=OsakaType.COMPACT,
             expected_kp=dims,
-            dual_name=dual_name, pair_label=label,
+            dual_name=dual_name,
         ))
-
-    # ---- types III and IV: exact duals of the compact records, in order.
-    for rec in list(records):
-        name = "doubled complex form" if rec.name == "II" else "almost split form " + rec.pair_label
-        dual = dualize(rec.real_form, rec.involution, name=name)
-        records.append(OsakaRecord(
-            name=rec.dual_name,
+        dual = dualize(form, desc, name=dual_form_name)
+        duals.append(OsakaRecord(
+            name=dual_name,
             real_form=dual.real_form,
             involution=InvolutionDescriptor(
                 name=f"Cartan involution of {dual.real_form.name}",
@@ -324,10 +322,10 @@ def build_catalog_a1():
                 epsilon=-1,
             ),
             claimed_type=OsakaType.NON_COMPACT,
-            expected_kp=rec.expected_kp,
-            dual_name=rec.name,
-            pair_label=rec.pair_label,
+            expected_kp=dims,
+            dual_name=name,
         ))
+    records = compact + duals
     _CATALOG_CACHE["catalog"] = records
     return records
 
@@ -360,7 +358,7 @@ def euclidean_osaka(k: int = 1) -> OsakaRecord:
         name=f"Euclidean({k})", real_form=form, involution=desc,
         claimed_type=OsakaType.EUCLIDEAN,
         expected_kp=_dims((0, k), (k, k)),
-        dual_name=None, pair_label=None,
+        dual_name=None,
     )
 
 
@@ -383,7 +381,7 @@ def complex_conjugation_counterexample() -> OsakaRecord:
         name="complex+compact-conjugation", real_form=form, involution=desc,
         claimed_type=OsakaType.NON_COMPACT,
         expected_kp=_dims((3, 3), (6, 6), cd=(2, 2)),
-        dual_name=None, pair_label=None,
+        dual_name=None,
     )
 
 
@@ -450,10 +448,6 @@ def duality_pairing(catalog=None) -> PairingReport:
 
 # -- static metadata -------------------------------------------------------------
 
-class NotTabulatedError(KeyError):
-    pass
-
-
 _SECOND_KIND_COUNTS = {
     "e6(1)": 9,
     "e7(1)": 10,
@@ -466,12 +460,3 @@ _SECOND_KIND_COUNTS = {
 def involution_counts() -> dict:
     """Second-kind involution counts for the exceptional untwisted families."""
     return dict(_SECOND_KIND_COUNTS)
-
-
-def second_kind_count(family: str) -> int:
-    try:
-        return _SECOND_KIND_COUNTS[family]
-    except KeyError:
-        raise NotTabulatedError(
-            f"{family}: no tabulated count (series counts grow with rank)"
-        ) from None

@@ -4,8 +4,11 @@ Exact scalars travel as "p/q" strings (never floats); a scalar is a
 [re, im] pair of such strings, each an optional minus sign, ASCII digits
 and an optional "/" with more digits, at most MAX_DIGITS digits on either
 side. Loop elements reference algebras through a small registry of named
-built-ins and carry their twist order. A record's form.cd_scale, its c/d
-reality line, is "1" (the default), "i" or null (both lines).
+built-ins and carry their twist order. A term's exponent k is a JSON
+integer of at most MAX_DIGITS digits, so a bracket's exponent, the sum of
+two, renders far under Python's int-string limit. A record's
+form.cd_scale, its c/d reality line, is "1" (the default), "i" or null
+(both lines).
 """
 from __future__ import annotations
 
@@ -165,6 +168,8 @@ def loop_from_json(obj) -> TwistedLoopElement:
         k = t["k"]
         if type(k) is not int:
             raise SchemaError(f"term exponent 'k' must be an integer, got {echo(k)}")
+        if abs(k) >= 10 ** MAX_DIGITS:
+            raise SchemaError(f"term exponent 'k' has more than {MAX_DIGITS} digits, got {echo(k)}")
         if k in terms:
             raise SchemaError(f"two terms at exponent k={echo(k)}")
         terms[k] = _coords_from_json(t["coords"], algebra.dim, f"'coords' of the term at k={echo(k)}")

@@ -191,6 +191,27 @@ def test_repeated_exponent_names_it(tmp_path, capsys):
     assert _param_error(err) == "two terms at exponent k=0"
 
 
+@pytest.mark.parametrize("k, code", [(9 * 10 ** 4299, cli.EXIT_SCHEMA), (10 ** 1000, cli.EXIT_SCHEMA),
+                                     (-10 ** 1000, cli.EXIT_SCHEMA), (10 ** 1000 - 1, cli.EXIT_OK)],
+                         ids=["4300-digits", "1001-digits", "minus-1001-digits", "1000-digits"])
+def test_exponent_digits_are_bounded(tmp_path, capsys, k, code):
+    """An exponent k has at most serialize.MAX_DIGITS digits. At 4300, the
+    most json reads, the sum of two exponents once passed Python's
+    int-string limit when the bracket was rendered (exit 5); at 1000 the
+    bracket's exponent 2k renders."""
+    lhs = write_json(tmp_path, "x.json", _su2c_element(terms=[{"k": k, "coords": E1_JSON}]))
+    rhs = write_json(tmp_path, "y.json", _su2c_element(terms=[{"k": k, "coords": E2_JSON}]))
+    got, out, err = run_cli(capsys, "bracket", "--lhs", lhs, "--rhs", rhs)
+    if code == cli.EXIT_OK:
+        assert got == code and err == ""
+        assert [t["k"] for t in json.loads(out)["result"]["loop"]["terms"]] == [2 * k]
+        return
+    assert_schema_exit(got, out, err)
+    assert len(err.encode("utf-8")) < 1000
+    assert _param_error(err) == (f"term exponent 'k' has more than {serialize.MAX_DIGITS} digits, "
+                                 f"got {serialize.echo(k)}")
+
+
 @pytest.mark.parametrize("part", [0.1, 1, True, None], ids=["float", "int", "bool", "null"])
 def test_non_string_scalar_part_exits_schema(tmp_path, capsys, part):
     """Scalar parts are exact "p/q" strings; a JSON number would be read as
@@ -744,11 +765,14 @@ def test_involution_file_time_reflection_forces_epsilon(tmp_path, capsys, reflec
 
 
 def test_counts_command(capsys):
-    code, out, _ = run_cli(capsys, "counts", "--family", "a2(1)")
-    assert code == cli.EXIT_OK
-    rep = json.loads(out)
-    assert rep["second_kind_involutions"]["e7(1)"] == 10
-    assert rep["lookup"] == {"a2(1)": "NotTabulated"}
+    """--family looks the family up in the table the report prints; a
+    family not on it is "NotTabulated"."""
+    for family, count in [("a2(1)", "NotTabulated"), ("e8(1)", 6), ("g2(1)", 3)]:
+        code, out, _ = run_cli(capsys, "counts", "--family", family)
+        assert code == cli.EXIT_OK
+        rep = json.loads(out)
+        assert rep["second_kind_involutions"]["e7(1)"] == 10
+        assert rep["lookup"] == {family: count}
 
 
 @pytest.mark.parametrize("env", [None, "1"], ids=["plain", "env-ignored"])
@@ -898,8 +922,48 @@ def test_full_stdout_exits_parse_with_json_error():
         proc = _cli_subprocess(full, "counts")
     assert proc.returncode == cli.EXIT_PARSE
     err = proc.stderr.decode("utf-8")
-    assert "Traceback" not in err
-    assert set(json.loads(err)) == {"schema", "error"}
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert json.loads(err) == {"schema": "kmalg/1", "error": "cannot write stdout: [Errno 28] No space left on device"}
+
+
+class _FailingStdout:
+    """A stdout whose writes raise exc, over a file descriptor of its own,
+    so that the CLI's redirect of stdout to devnull lands on it."""
+
+    def __init__(self, exc, fd):
+        self.exc, self.fd = exc, fd
+
+    def write(self, text):
+        raise self.exc
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("exc, message", [
+    (BrokenPipeError(32, "Broken pipe"), None),
+    (OSError(28, "No space left on device"), "cannot write stdout: [Errno 28] No space left on device"),
+], ids=["closed-pipe", "full"])
+def test_failing_stdout_exits_parse_in_process(tmp_path, capsys, monkeypatch, exc, message):
+    """The in-process side of the two tests above: a reader gone is exit 3
+    with nothing on stderr, and any other write error is exit 3 with one
+    JSON line naming it."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(exc, fd))
+        code = cli.run(["counts"])
+        monkeypatch.undo()
+    finally:
+        os.close(fd)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    if message is None:
+        assert err == ""
+    else:
+        assert json.loads(err) == {"schema": "kmalg/1", "error": message}
 
 
 # -- decompose reports pinned --------------------------------------------------

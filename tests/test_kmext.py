@@ -1,6 +1,6 @@
 import pytest
 
-from kmalg import linalg
+from kmalg import kmext, linalg
 from kmalg.findim import automorphism_from_order, direct_sum, make_abelian, make_su
 from kmalg.kmext import (
     ExtendedElement,
@@ -71,17 +71,17 @@ def test_residue_form():
     f = loop_monomial(SU2C, TW1, 1, X)
     g = loop_monomial(SU2C, TW1, -1, Y)
     res = residue_cocycle(f, g)
-    assert res.value == -scalar_killing(SU2C, X, Y)
+    assert res == -scalar_killing(SU2C, X, Y)
     consts = residue_cocycle(
         loop_monomial(SU2C, TW1, 0, X), loop_monomial(SU2C, TW1, 0, Y)
     )
-    assert consts.value == ZERO
+    assert consts == ZERO
     rng = TrialRng("residue")
     for _ in range(40):
         a = random_loop_element(SU2C, TW1, rng)
         b = random_loop_element(SU2C, TW1, rng)
         r = residue_cocycle(a, b)
-        assert r.integral_factor * r.value == cocycle(a, b)
+        assert I * r == cocycle(a, b)
     twisted = loop_monomial(SU2C, TW2, 1, X)
     with pytest.raises(Exception):
         residue_cocycle(twisted, twisted)
@@ -211,6 +211,38 @@ def test_block_with_center_is_ideal():
     gens.append(central_element(DOUBLE, DTW))
     desc = GradedSubspace(DOUBLE, [0], include_c=True)
     assert is_ideal(gens, _ambient_sample(), desc)
+
+
+def test_is_ideal_brackets_each_pair_once(monkeypatch):
+    """On an ideal, is_ideal brackets each generator with each ambient
+    element once: [amb, gen] = -[gen, amb] has the same nonzero parts, so
+    contains gives it the same verdict, which is checked here on every
+    pair and subspace of the sample."""
+    gens = [_double_monomial(k, 0, j) for k in (-1, 0, 1) for j in range(3)]
+    gens.append(central_element(DOUBLE, DTW))
+    sample = _ambient_sample()
+    descriptions = [GradedSubspace(DOUBLE, blocks, include_c=c, include_d=d)
+                    for blocks in ([], [0], [1], [0, 1]) for c in (False, True) for d in (False, True)]
+    for gen in gens:
+        for amb in sample:
+            ga, ag = hat_bracket(gen, amb), hat_bracket(amb, gen)
+            assert ag == -ga
+            assert all(desc.contains(ga) == desc.contains(ag) for desc in descriptions)
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return hat_bracket(x, y)
+
+    monkeypatch.setattr(kmext, "hat_bracket", counting)
+    assert is_ideal(gens, sample, GradedSubspace(DOUBLE, [0], include_c=True))
+    assert len(calls) == len(gens) * len(sample)
+
+
+def test_subspace_without_d_refuses_a_d_component():
+    d = derivation_element(DOUBLE, DTW)
+    assert not GradedSubspace(DOUBLE, [0, 1], include_c=True).contains(d)
+    assert GradedSubspace(DOUBLE, [], include_d=True).contains(d)
 
 
 def test_block_without_center_not_ideal():

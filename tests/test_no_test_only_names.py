@@ -2,11 +2,11 @@
 defined in src/kmalg is referenced from src/kmalg or perfbench/, or is on
 ALLOWED, the documented API that nothing in the package calls. A helper
 only tests call belongs in tests/oracles.py. A method is read only through
-an attribute access or the dotted parts of a string constant in
-perfbench/ (how its tracer names what it wraps); a string in src/kmalg,
-such as a JSON key, reads nothing. A module function is read through a
-loaded name, an attribute access (module.function), an imported name or
-such a string; a parameter or local of the same name does not read it."""
+an attribute access. A module function is read through a loaded name, an
+attribute access (module.function) or an imported name; a parameter or
+local of the same name does not read it. A string constant reads nothing:
+not a JSON key in src/kmalg, and not a span name in perfbench/, where the
+tracer names what it wraps, so a name only the tracer keeps is on ALLOWED."""
 import ast
 from pathlib import Path
 
@@ -31,6 +31,8 @@ ALLOWED = {
     ("loop.py", "coeffs"),
     # the numerator form of a coefficient draw (the rand docstring's stream)
     ("rand.py", "gaussian"),
+    # perfbench span (ROADMAP item 1)
+    ("findim.py", "killing"),
 }
 
 
@@ -43,11 +45,10 @@ def _public_defs(tree):
             and not node.name.startswith("_")]
 
 
-def _references(tree, strings=False):
+def _references(tree):
     """(names, attributes): the names loaded outside the scope of a
     parameter or local of that name and the imported names, and the
-    attribute names, each with the dotted parts of every string constant
-    when strings is true."""
+    attribute names."""
     names, attrs = set(), set()
 
     def visit(node, local):
@@ -62,10 +63,6 @@ def _references(tree, strings=False):
             attrs.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            parts = node.value.split(".")
-            names.update(parts)
-            attrs.update(parts)
         for child in ast.iter_child_nodes(node):
             visit(child, local)
 
@@ -82,7 +79,7 @@ def _unread(defs, names, attrs):
 def test_every_public_name_has_a_reader():
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
-    refs = [_references(tree, strings=path.parent == PERFBENCH) for path, tree in trees.items()]
+    refs = [_references(tree) for tree in trees.values()]
     names, attrs = set().union(*(n for n, _ in refs)), set().union(*(a for _, a in refs))
     unread = [f"{path.name}:{name}" for path, tree in trees.items() if path.parent == SRC
               for name in _unread(_public_defs(tree), names, attrs)
@@ -109,13 +106,10 @@ def test_scan_finds_unread_names():
     defs = _public_defs(tree)
     assert defs == [("used", False), ("unused", False), ("shadowed", False), ("local", False), ("g", False),
                     ("f", False), ("to_json", False), ("m", True), ("attr", True), ("key", True)]
-    names, attrs = _references(tree, strings=True)
-    assert "used" in names and "traced" in names and "traced" in attrs and "key" in attrs
+    names, attrs = _references(tree)
+    # a string constant, a span name such as 'C.traced' or a JSON key such
+    # as 'key', reads nothing
+    assert "used" in names and "traced" not in names | attrs and "key" not in attrs
     # a parameter or local of a def's name reads neither a function nor a
     # method, and a loaded name does not read a method
-    assert _unread(defs, names, attrs) == ["unused", "shadowed", "local", "g", "f", "to_json", "m"]
-    # outside perfbench/ a string constant, such as the JSON key 'key',
-    # reads nothing
-    names, attrs = _references(tree)
-    assert "used" in names and "traced" not in names | attrs and "key" not in attrs
     assert _unread(defs, names, attrs) == ["unused", "shadowed", "local", "g", "f", "to_json", "m", "key"]

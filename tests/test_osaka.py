@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kmalg import osaka
-from kmalg.findim import direct_sum, make_su
+from kmalg.findim import direct_sum, make_abelian, make_su
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
@@ -22,7 +22,6 @@ from kmalg.kmext import ExtendedElement
 from kmalg.loop import TwistedLoopElement, untwisted
 from kmalg.osaka import (
     Effectiveness,
-    NotTabulatedError,
     OsakaRecord,
     OsakaType,
     build_catalog_a1,
@@ -35,7 +34,6 @@ from kmalg.osaka import (
     involution_counts,
     irreducibility_check,
     osaka_verify,
-    second_kind_count,
 )
 from kmalg.scalars import ONE, Scalar, ZERO
 from oracles import duality_pairing_reference, materialize, replace
@@ -81,6 +79,44 @@ def test_euclidean_example():
     assert rep.all_passed
     assert classify_type(eu.real_form.truncate(3)) == OsakaType.EUCLIDEAN
     assert effectiveness_check(eu) == Effectiveness.EFFECTIVE
+
+
+def test_fixed_vectors_mixing_simple_and_abelian_blocks_fail_fix_compact():
+    """On su(2) + R, an involution swapping basis vectors 0 (simple) and 3
+    (abelian) fixes loops with coefficients on both blocks, such as the
+    constant e_0 + e_3, so fix_compact fails whatever the Gram verdict on
+    the purely simple fixed loops reads, and its detail says why."""
+    g = direct_sum(make_su(2), make_abelian(1)).complexify()
+    form = RealFormDescriptor("compact", g, untwisted(g),
+                              CoeffMap(CoeffMap.identity(4).matrix, index_sign=-1, conjugate=True), ONE)
+    swap = [[1 if j == {0: 3, 3: 0}.get(i, i) else 0 for j in range(4)] for i in range(4)]
+    phi = InvolutionDescriptor("swap of e0 and e3", CoeffMap(swap, index_sign=-1), -1)
+    rec = OsakaRecord("mixed", form, phi, OsakaType.COMPACT,
+                      {"zero": (3, 1), "even_pair": (4, 4), "odd_pair": (4, 4), "cd": (0, 2)})
+    rep = osaka_verify(rec, 2)
+    assert {k: v.passed for k, v in rep.checks.items()} == {
+        "closure": True, "involutive": True, "fix_compact": False, "fix_abelian_zero": False,
+        "KP_match": True, "type": False, "effective": True, "irreducible": True}
+    assert rep.checks["fix_compact"].detail == (
+        "verdict NegDefinite on 6 fixed loop directions; fixed vectors mix the simple and abelian blocks")
+
+
+def test_type_fails_through_the_cartan_relations():
+    """III[Id,Id] with the linear negation as its involution: every check
+    before type passes but KP_match, the computed type is the claimed
+    NonCompact, and type fails only because the Cartan relations fail on
+    the split, naming their witness."""
+    rec = replace(catalog_record("III[Id,Id]"), involution=InvolutionDescriptor(
+        "negation", CoeffMap([[-1 if i == j else 0 for j in range(3)] for i in range(3)]), -1))
+    assert (rec.involution.loop_map.index_sign, rec.involution.loop_map.conjugate,
+            rec.involution.loop_map.parity) == (1, False, 0)
+    rep = osaka_verify(rec, 2)
+    assert {k: v.passed for k, v in rep.checks.items()} == {
+        "closure": True, "involutive": True, "fix_compact": True, "fix_abelian_zero": True,
+        "KP_match": False, "type": False, "effective": True, "irreducible": True}
+    assert rep.computed_type == "NonCompact"
+    assert rep.checks["type"].detail == "Cartan relations failed on the split"
+    assert rep.checks["type"].witness == (0, 1)
 
 
 # -- effectiveness ------------------------------------------------------------
@@ -361,7 +397,3 @@ def test_involution_counts_table():
     assert involution_counts() == {
         "e6(1)": 9, "e7(1)": 10, "e8(1)": 6, "f4(1)": 6, "g2(1)": 3,
     }
-    assert second_kind_count("e8(1)") == 6
-    assert second_kind_count("g2(1)") == 3
-    with pytest.raises(NotTabulatedError):
-        second_kind_count("a2(1)")

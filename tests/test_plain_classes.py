@@ -83,12 +83,12 @@ def test_former_dataclass_keeps_its_semantics(cls, required, changed, semantics)
 
 def test_defaults_are_those_of_the_dataclasses():
     """cd_scale 1, no involution and no built period on a truncation, no
-    dual or pair label on a record, and a fresh checks dict per report."""
+    dual on a record, and a fresh checks dict per report."""
     assert RealFormDescriptor("form", SU2C, RF.twist, THETA).cd_scale == ONE
     t = Truncation(RF, 1, ())
     assert t.involution is None and t.built_period is None
     rec = OsakaRecord("rec", RF, PHI, OsakaType.COMPACT, {})
-    assert rec.dual_name is None and rec.pair_label is None
+    assert rec.dual_name is None
     assert CheckResult(False) == CheckResult(False, "", None)
     one, two = OsakaReport("r"), OsakaReport("r")
     one.checks["closure"] = CheckResult(True)
