@@ -2,10 +2,13 @@
 identity checks, Cartan decompositions and the OSAKA catalog, all emitting
 versioned JSON reports with exact scalar strings.
 
-One table, COMMANDS, names each command's handler, help string and options;
-`run` builds the parser of the command it runs and no other. With no command,
-an unknown one or a top-level -h it builds only the listing of the table's
-names. `kmalg osaka catalog|verify ...` is rewritten to
+One table, COMMANDS, names each command's handler, help string and options.
+`run` reads `--flag value` pairs of the command's own flags off that table
+(`_scan`) and builds no parser. Any other argv (help, abbreviations,
+`--flag=value`, repeats, values starting with "-", usage errors) imports
+argparse and builds the parser of that one command.
+With no command, an unknown one or a top-level -h it builds only the
+listing of the table's names. `kmalg osaka catalog|verify ...` is rewritten to
 `kmalg osaka-catalog|osaka-verify ...` before parsing.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad parameters
@@ -16,11 +19,11 @@ not be written (an unwritable --out or a closed stdout), 4 schema violation,
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+import types
 
 from . import cartan, kmext, osaka, rand, serialize
 from .involution import InvolutionError, fixed_and_eigenspaces
@@ -94,11 +97,6 @@ def _emit(report, out_path):
         print(text)
         sys.stdout.flush()
     except OSError as exc:
-        # Point stdout at devnull so the flush at interpreter exit cannot
-        # raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return False
         raise CliError(f"cannot write stdout: {exc}", EXIT_PARSE) from exc
@@ -314,6 +312,7 @@ COMMANDS = {
 def _listing():
     """The top-level parser: the table's names and help strings, no options.
     Parsing with it prints the listing (-h) or a usage error, and exits."""
+    import argparse
     p = argparse.ArgumentParser(
         prog="kmalg",
         description="exact computer algebra for geometric affine Kac-Moody algebras",
@@ -324,6 +323,43 @@ def _listing():
     return p
 
 
+def _parser(name):
+    """The argparse parser of one command: its options and --out."""
+    import argparse
+    parser = argparse.ArgumentParser(prog=f"kmalg {name}")
+    for flag, spec in (*COMMANDS[name][2], ("--out", {})):
+        parser.add_argument(flag, **spec)
+    return parser
+
+
+def _scan(name, tokens):
+    """What _parser(name) would parse tokens to, when they are only
+    `--flag value` pairs of the command's flags: each flag once, no value
+    starting with "-", each value of its type and in its choices, and every
+    required flag given. None for any other tokens, which argparse parses."""
+    given = dict(zip(tokens[::2], tokens[1::2]))
+    if len(tokens) != 2 * len(given):  # an odd count or a repeated flag
+        return None
+    args = types.SimpleNamespace()
+    for flag, spec in (*COMMANDS[name][2], ("--out", {})):
+        value = given.pop(flag, None)
+        if value is None:
+            if spec.get("required"):
+                return None
+            value = spec.get("default")
+        elif value.startswith("-"):
+            return None
+        else:
+            try:
+                value = spec.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        setattr(args, spec.get("dest", flag.lstrip("-").replace("-", "_")), value)
+    return None if given else args  # a flag left over is not the command's
+
+
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:2] in (["osaka", "catalog"], ["osaka", "verify"]):
@@ -331,13 +367,10 @@ def run(argv=None) -> int:
     try:
         if not argv or argv[0] not in COMMANDS:
             _listing().parse_args(argv)  # exits with the listing or a usage error
-        func, _, options = COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"kmalg {argv[0]}")
-        for flag, spec in (*options, ("--out", {})):
-            parser.add_argument(flag, **spec)
-        args = parser.parse_args(argv[1:])
+        args = _scan(argv[0], argv[1:]) or _parser(argv[0]).parse_args(argv[1:])
     except SystemExit as exc:
         return EXIT_PARAM if exc.code not in (0, None) else 0
+    func = COMMANDS[argv[0]][0]
     start = time.monotonic()
     try:
         report, ok = func(args)
@@ -359,8 +392,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
-
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:  # run has reported it; keep the flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 if __name__ == "__main__":
     main()

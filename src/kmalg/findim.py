@@ -552,12 +552,14 @@ def least_order(phi, limit):
 def check_bracket(g, cmap):
     """Raise NotAutomorphismError(j, k) for the first basis pair (row-major)
     whose bracket cmap's matrix M conj^conjugate does not keep:
-    M [e_j, e_k] != [M e_j, M e_k]."""
+    M [e_j, e_k] != [M e_j, M e_k]. Only pairs j < k are bracketed: both
+    sides vanish at j = k, and by antisymmetry (k, j) fails exactly when
+    (j, k) does, which comes first in row-major order."""
     n, sparse, conjugate = g.dim, cmap.sparse, cmap.conjugate
     units = [((0,) * j + (1,) + (0,) * (2 * n - j - 1), 1) for j in range(n)]
     images = [sparse_apply(sparse, e, conjugate) for e in units]
     for j in range(n):
-        for k in range(n):
+        for k in range(j + 1, n):
             lhs = sparse_apply(sparse, g.bracket(units[j], units[k]), conjugate)
             if lhs != g.bracket(images[j], images[k]):
                 raise NotAutomorphismError(j, k)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmalg import cli, serialize
+from kmalg import cli, osaka, serialize
 from kmalg.kmext import ExtendedElement
 from kmalg.loop import loop_monomial
 from kmalg.rand import TrialRng, random_extended_element
@@ -453,6 +454,9 @@ def _small_argv(tmp_path, name):
 
 @pytest.mark.parametrize("name", COMMAND_NAMES + ["osaka catalog", "osaka verify"])
 def test_run_builds_only_the_parser_of_its_command(tmp_path, capsys, monkeypatch, name):
+    """The small argv builds no parser: the scan reads it off COMMANDS.
+    With its first flag abbreviated it builds its command's parser and no
+    other."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -463,9 +467,71 @@ def test_run_builds_only_the_parser_of_its_command(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     alias = name.split()
     argv = _small_argv(tmp_path, "-".join(alias))
-    code, _, _ = run_cli(capsys, *alias, *argv[1:])
-    assert code == cli.EXIT_OK
-    assert built == [f"kmalg {argv[0]}"]
+    flags = argv[1:] or ["--family", "a2(1)"]  # counts' small argv has no flag
+    for tokens, parsers in ((argv[1:], []), ([flags[0][:-1], *flags[1:]], [f"kmalg {argv[0]}"])):
+        built.clear()
+        code, _, _ = run_cli(capsys, *alias, *tokens)
+        assert code == cli.EXIT_OK
+        assert built == parsers
+
+
+_FLAGS_ELSEWHERE = ["-h", "--help", "--", "--nope", "-x"]
+_HOSTILE_VALUES = st.one_of(
+    st.sampled_from(["", " 3", "3 ", "\u0663", "\uff13", "+2", "1_0", "0x10", "1" * 4301, "-", "-x",
+                     "--", "-1", "--degree", "-h"]),
+    st.text(alphabet="012 -+=x\u0663", max_size=4),
+)
+
+
+def _value(spec):
+    """Mostly a value the flag takes (for --twist, in its choices or not),
+    else one from _HOSTILE_VALUES."""
+    plain = (st.integers(-1, 5).map(str) if spec.get("type") is int
+             else st.sampled_from(["II", "IV", "s", "su2c", "e8(1)", "r.json", "3"]))
+    return st.one_of(plain, plain, plain, _HOSTILE_VALUES)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_scan_agrees_with_argparse(data):
+    """Whenever the scan takes an argv, argparse parses it to the same
+    attributes. The argv gives the command's required flags and some of its
+    others, --out included, and may add abbreviations, --flag=value, help,
+    "--", unknown and repeated flags and lone values."""
+    name = data.draw(st.sampled_from(COMMAND_NAMES))
+    options = [*cli.COMMANDS[name][2], ("--out", {})]
+    flags = [flag for flag, _ in options]
+    flag = st.one_of(st.sampled_from(flags), st.sampled_from(flags).map(lambda f: f[:-1]),
+                     st.sampled_from(_FLAGS_ELSEWHERE))
+    pair = st.tuples(flag, _value({})).map(list)
+    extra = st.one_of(pair, pair.map(lambda p: [f"{p[0]}={p[1]}"]), _HOSTILE_VALUES.map(lambda v: [v]))
+    items = [[f, data.draw(_value(spec))] for f, spec in options
+             if spec.get("required") or data.draw(st.booleans())]
+    items += data.draw(st.lists(extra, max_size=2))
+    tokens = [t for item in data.draw(st.permutations(items)) for t in item]
+    scanned = cli._scan(name, tokens)
+    if scanned is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parsed = cli._parser(name).parse_args(tokens)
+    except SystemExit:
+        pytest.fail(f"the scan takes {tokens!r}, which argparse refuses")
+    assert vars(scanned) == vars(parsed)
+
+
+def test_scan_takes_the_small_and_the_benchmark_argv(tmp_path, monkeypatch):
+    """Every small argv and every argv the benchmark runs is read by the
+    scan, so none of them builds a parser."""
+    monkeypatch.setattr(sys, "path", sys.path[:])  # child.py puts src on the path
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_child", os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "child.py"))
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    argvs = [_small_argv(tmp_path, name) for name in COMMAND_NAMES]
+    argvs += [child.CATALOG_ARGV] + [child.gram_argv(rec.name) for rec in osaka.build_catalog_a1()]
+    for argv in argvs:
+        assert cli._scan(argv[0], argv[1:]) is not None, argv
 
 
 SURFACE = [
@@ -928,7 +994,8 @@ def test_full_stdout_exits_parse_with_json_error():
 
 class _FailingStdout:
     """A stdout whose writes raise exc, over a file descriptor of its own,
-    so that the CLI's redirect of stdout to devnull lands on it."""
+    so that a redirect of stdout to devnull would land on it, not on the
+    test process's stdout."""
 
     def __init__(self, exc, fd):
         self.exc, self.fd = exc, fd
@@ -964,6 +1031,25 @@ def test_failing_stdout_exits_parse_in_process(tmp_path, capsys, monkeypatch, ex
         assert err == ""
     else:
         assert json.loads(err) == {"schema": "kmalg/1", "error": message}
+
+
+def test_failing_stdout_leaves_the_process_stdout_alone(tmp_path, capsys, monkeypatch):
+    """A full stdout exits 3 and leaves the file under it open: run points
+    no file descriptor at devnull (only main does, for its own process), so
+    the next run on a working stdout prints its report."""
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(OSError(28, "No space left on device"), fd))
+        assert cli.run(["counts"]) == cli.EXIT_PARSE
+        monkeypatch.undo()
+        assert os.fstat(fd).st_ino == os.stat(path).st_ino
+    finally:
+        os.close(fd)
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "counts")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out)["command"] == "counts"
 
 
 # -- decompose reports pinned --------------------------------------------------

@@ -129,3 +129,19 @@ def test_a_cold_start_loads_no_dataclasses_inspect_or_typing():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stderr, out.stdout) == (0, "", "[]\n")
+
+
+def test_a_cold_start_command_loads_no_argparse():
+    """In a fresh interpreter, import kmalg.cli and a killing-gram run load
+    none of argparse, gettext and locale: the scan reads the argv. Asking
+    the same process for the command's help builds its parser."""
+    code = ("import contextlib, io, sys\nfrom kmalg import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    gram = cli.run(['killing-gram', '--form', 'IV', '--degree', '3'])\n"
+            "loaded = sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as usage:\n"
+            "    help_ = cli.run(['killing-gram', '-h'])\n"
+            "print(gram, loaded, help_, usage.getvalue().startswith('usage: kmalg killing-gram '))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", "0 [] 0 True\n")
