@@ -54,17 +54,27 @@ def _unique_keys(pairs):
     return obj
 
 
+def _parse_int(literal):
+    """A JSON integer as an int. One past Python's int-string limit (4300
+    digits by default) is far over serialize.MAX_DIGITS: a schema error."""
+    try:
+        return int(literal)
+    except ValueError:
+        raise serialize.SchemaError(f"an integer has more than {serialize.MAX_DIGITS} digits, "
+                                    f"got {serialize.echo(literal)}") from None
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_int=_parse_int)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", EXIT_PARSE) from exc
     except serialize.SchemaError as exc:
         raise CliError(f"{path}: {exc}", EXIT_SCHEMA) from exc
-    except ValueError as exc:  # an integer past Python's int-string limit, or bytes not UTF-8
+    except ValueError as exc:  # bytes that are not UTF-8 (a UnicodeDecodeError)
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 

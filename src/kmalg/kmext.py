@@ -12,27 +12,23 @@ integral form by a factor of i (d/dt = i z d/dz): the integral form, the
 one the bracket uses, is i times the residue form.
 
 The loop part of a bracket comes from one raw kernel,
-`extended_bracket_raw`: on operands whose terms are over one denominator
-(`loop.over_one_denominator`) it adds the derivative terms rd g' - sd f',
-as ints, to the convolution accumulators of `loop.loop_bracket_raw`, over
-one common denominator, with no gcd and no element built. `hat_bracket`
-reduces each output exponent of it once; `jacobi_residual` feeds each
-inner bracket's accumulators straight into the outer one and reduces only
-the sum of the three.
+`extended_bracket_raw`: it adds the convolution (`loop.loop_bracket_raw`)
+and the derivative terms rd g' - sd f' of two operands, each over one
+denominator of its own, into int accumulators over m D_x D_y D_s, with no
+gcd and no element built. `hat_bracket` reduces each output exponent once;
+`jacobi_residual` puts x, y and z over one denominator, adds its three
+outer brackets into one set of accumulators and reduces only the sum.
 
 The cocycle has one body, `_cocycle_sum`: it sums k B(a_k, b_{-k}) as ints
 over one common denominator, each term from the raw Killing form
 (`FiniteLieAlgebra.killing_raw`), and the cocycle is -i/m times it, built
-as one Scalar (`_cocycle_value`). `cocycle` and `hat_bracket` read their
-operands' terms over one denominator each; `jacobi_residual` reads each
-inner bracket's unreduced accumulators and sums the three outer cocycles
-as ints before building its one Scalar; `residue_cocycle` is -1 times the
-sum.
+as one Scalar (`_cocycle_value`). `cocycle` reads its operands' terms over
+one denominator each; `jacobi_residual` sums its three outer cocycles, all
+over one denominator, as plain ints; `residue_cocycle` is -1 times the sum.
 """
 from __future__ import annotations
 
 from math import lcm
-from operator import add
 
 from . import linalg
 from .loop import (
@@ -41,6 +37,7 @@ from .loop import (
     check_grading,
     loop_bracket,  # unused here; perfbench/selftest.py checks the tracer wraps this binding
     loop_bracket_raw,
+    over_denominator,
     over_one_denominator,
     twist_eigenbasis,
     zero_loop,
@@ -52,7 +49,6 @@ from .scalars import (
     nums_add_scaled,
     vec_add,
     vec_canon,
-    vec_from_scalars,
     vec_support,
     vec_to_scalars,
 )
@@ -169,43 +165,40 @@ def residue_cocycle(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:
 
 # -- bracket --------------------------------------------------------------
 
-def _prepared(x: ExtendedElement):
-    """x's loop terms over one denominator (`over_one_denominator`), that
-    denominator, and x.d as a numerator form ((re, im), e), None when zero:
-    the operand arguments of `extended_bracket_raw`."""
-    terms, den = over_one_denominator(x.loop.terms)
-    return terms, den, vec_from_scalars((x.d,)) if x.d else None
+def _denominator(*xs):
+    """The least common denominator of every loop term and every d part of
+    the elements xs."""
+    return lcm(*(den for x in xs for _, den in x.loop.terms.values()),
+               *(p.denominator for x in xs for p in (x.d.re, x.d.im)))
 
 
-def extended_bracket_raw(alg, m, fs, df, rd, gs, dg, sd):
-    """The loop part of [x, y] unreduced. For x's terms fs over D_f and y's
-    gs over D_g as (exponent, numerators) lists, rd and sd the d
-    coefficients of x and y as numerator forms ((re, im), e) or None when
-    zero (`_prepared`), and m the twist order: ({k: acc}, D), the
-    accumulators of `loop_bracket_raw` with the derivative terms
-    rd g' - sd f' added as ints, over D = D_f D_g D_s E, where E = m e_r e_s
-    when x or y carries d (e is 1 for a zero d) and 1 otherwise. No gcd is
-    taken and an accumulator may be all zero."""
-    out = loop_bracket_raw(alg, fs, gs)
-    den = df * dg * alg._sc_den
-    if rd is None and sd is None:
-        return out, den
-    er, es = rd[1] if rd else 1, sd[1] if sd else 1
-    scale = m * er * es
-    if scale != 1:
-        for k, acc in out.items():
-            out[k] = [v * scale for v in acc]
+def _numerators(x, den):
+    """x's loop terms as (exponent, numerators) pairs, and x.d as an int pair
+    (re, im) or None for zero, over den, a multiple of `_denominator(x)`."""
+    re, im = x.d.re, x.d.im
+    rd = (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)) if re or im else None
+    return over_denominator(x.loop.terms, den), rd
+
+
+def extended_bracket_raw(alg, m, fs, rd, gs, sd, out):
+    """Add the loop part of [x, y] unreduced into out, and return out. x is
+    its loop terms fs, (exponent, numerators) pairs, and its d coefficient
+    rd, an int pair (re, im) or None for zero, all over one denominator D_x
+    (`_numerators`); y is gs and sd over D_y; m is the twist order. out
+    gains [f, g] + rd g' - sd f' over m D_x D_y D_s: the convolution of
+    `loop_bracket_raw` with g's numerators times m, and the derivative
+    terms times D_s. No gcd is taken; an accumulator may be all zero."""
+    loop_bracket_raw(alg, fs, gs if m == 1 else [(q, [v * m for v in b]) for q, b in gs], out)
+    sc = alg._sc_den
     if rd:
-        # rd g'_q = q i rd b_q / m = q (-s + i r) b_q / (e_r m D_g): times D_f D_s e_s over D
-        (r, s), _ = rd
-        u = df * alg._sc_den * es
-        _add_derivative(out, gs, -s * u, r * u)
+        # rd g'_q = q i rd b_q / m = q (-s + i r) b_q / (m D_x D_y)
+        r, s = rd
+        _add_derivative(out, gs, -s * sc, r * sc)
     if sd:
-        # -sd f'_p = p (s - i r) a_p / (e_s m D_f): times D_g D_s e_r over D
-        (r, s), _ = sd
-        u = dg * alg._sc_den * er
-        _add_derivative(out, fs, s * u, -r * u)
-    return out, den * scale
+        # -sd f'_p = p (s - i r) a_p / (m D_x D_y)
+        r, s = sd
+        _add_derivative(out, fs, s * sc, -r * sc)
+    return out
 
 
 def _add_derivative(out, terms, u, v):
@@ -221,53 +214,44 @@ def _add_derivative(out, terms, u, v):
 
 def hat_bracket(x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
     """Bracket of the extended algebra; c is central, d acts by d/dt. The
-    loop part is `extended_bracket_raw` with each output exponent reduced
-    once, and c the cocycle."""
+    loop part is `extended_bracket_raw`, each output exponent reduced once,
+    and c the cocycle."""
     f, g = x.loop, y.loop
     f._require_match(g)
-    out, den = extended_bracket_raw(f.algebra, f.twist.order, *_prepared(x), *_prepared(y))
-    loop = f.from_vecs(f.algebra, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
+    alg, m = f.algebra, f.twist.order
+    dx, dy = _denominator(x), _denominator(y)
+    out = extended_bracket_raw(alg, m, *_numerators(x, dx), *_numerators(y, dy), {})
+    den = m * dx * dy * alg._sc_den
+    loop = f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
     return ExtendedElement(loop, cocycle(f, g), ZERO)
 
 
 def jacobi_residual(x: ExtendedElement, y: ExtendedElement, z: ExtendedElement) -> ExtendedElement:
     """[[x,y],z] + [[y,z],x] + [[z,x],y]; contract: exactly zero.
 
-    x, y and z are prepared once (`_prepared`). Each inner bracket's raw
-    accumulators from `extended_bracket_raw` go straight into the outer one
-    as its left operand (an inner bracket has no d, and its c is central,
-    so it drops out), and each outer cocycle sum (`_cocycle_sum`) is read
-    off those unreduced numerators. The three outer accumulators are summed
-    over the lcm of their denominators and each exponent is reduced once;
-    the three cocycle sums are summed the same way and c is one Scalar.
-    Raises MismatchError on operands over different algebras or twists."""
+    x, y and z go over one denominator E once (`_numerators`). Every inner
+    bracket is over m E^2 D_s and goes unreduced into the outer one (it has
+    no d, and its c is central and drops out). Every outer bracket is over
+    m^2 E^3 D_s^2 and every outer cocycle sum over m E^3 D_s D_K, so the
+    three add as ints, and each exponent and c is reduced once. Raises
+    MismatchError on operands over different algebras or twists."""
     f = x.loop
     f._require_match(y.loop)
     f._require_match(z.loop)
     alg, m = f.algebra, f.twist.order
-    ready = [_prepared(e) for e in (x, y, z)]
-    parts, cocycles = [], []
+    e = _denominator(x, y, z)
+    ready = [_numerators(w, e) for w in (x, y, z)]
+    total, cocycles = {}, []
     for a, b, h in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        inner, dw = extended_bracket_raw(alg, m, *ready[a], *ready[b])
-        ws = [(k, acc) for k, acc in inner.items() if any(acc)]
-        hs, dh, hd = ready[h]
-        parts.append(extended_bracket_raw(alg, m, ws, dw, None, hs, dh, hd))
-        cocycles.append((_cocycle_sum(alg, inner, hs), dw * dh))
-    cden = lcm(*(d for _, d in cocycles))
-    re = sum(r * (cden // d) for (r, _), d in cocycles)
-    im = sum(i * (cden // d) for (_, i), d in cocycles)
-    den = lcm(*(d for _, d in parts))
-    total = {}
-    for out, d in parts:
-        s = den // d
-        for k, acc in out.items():
-            if s != 1:
-                acc = [v * s for v in acc]
-            t = total.get(k)
-            total[k] = acc if t is None else list(map(add, t, acc))
+        inner = extended_bracket_raw(alg, m, *ready[a], *ready[b], {})
+        hs, hd = ready[h]
+        extended_bracket_raw(alg, m, [(k, acc) for k, acc in inner.items() if any(acc)], None, hs, hd, total)
+        cocycles.append(_cocycle_sum(alg, inner, hs))
+    dc = m * e ** 3 * alg._sc_den  # of the outer cocycle sums, times D_K
+    den = m * dc * alg._sc_den  # of the outer brackets
     # the Jacobi identity makes every accumulator zero: skip reducing them
-    loop = f.from_vecs(f.algebra, f.twist, {k: vec_canon(acc, den) for k, acc in total.items() if any(acc)})
-    return ExtendedElement(loop, _cocycle_value(alg, m, (re, im), cden), ZERO)
+    loop = f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in total.items() if any(acc)})
+    return ExtendedElement(loop, _cocycle_value(alg, m, tuple(map(sum, zip(*cocycles))), dc), ZERO)
 
 
 def in_derived_algebra(x: ExtendedElement) -> bool:

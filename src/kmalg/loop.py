@@ -178,23 +178,24 @@ def untwisted(algebra) -> FiniteAutomorphism:
 
 def over_one_denominator(terms):
     """(exponent, numerators) pairs of terms over their least common
-    denominator D, and D; free when every denominator is 1."""
-    den = 1
-    for _, d in terms.values():
-        if d != 1:
-            den = lcm(den, d)
-    if den == 1:
-        return [(k, nums) for k, (nums, _) in terms.items()], 1
-    return [(k, [x * (den // d) for x in nums]) for k, (nums, d) in terms.items()], den
+    denominator D, and D."""
+    den = lcm(*(d for _, d in terms.values()))
+    return over_denominator(terms, den), den
 
 
-def loop_bracket_raw(alg, fs, gs):
-    """The convolution of `loop_bracket` on prepared operands, unreduced:
-    for (exponent, numerators) lists fs over D_f and gs over D_g
-    (`over_one_denominator`), {p + q: acc}, each acc the int list [re | im]
-    of sum [a_p, b_q] over D_f D_g D_s (`FiniteLieAlgebra.bracket_add`).
-    An accumulator may be all zero."""
-    add, width, out = alg.bracket_add, 2 * alg.dim, {}
+def over_denominator(terms, den):
+    """(exponent, numerators) pairs of terms over den, a multiple of every
+    denominator of terms; a term already over den is not copied."""
+    return [(k, nums if d == den else [x * (den // d) for x in nums]) for k, (nums, d) in terms.items()]
+
+
+def loop_bracket_raw(alg, fs, gs, out):
+    """The convolution of `loop_bracket` on prepared operands, unreduced,
+    added into out and returned: for (exponent, numerators) lists fs over
+    D_f and gs over D_g (`over_one_denominator`), out[p + q] gains the int
+    list [re | im] of sum [a_p, b_q] over D_f D_g D_s
+    (`FiniteLieAlgebra.bracket_add`). An accumulator may be all zero."""
+    add, width = alg.bracket_add, 2 * alg.dim
     for p, a in fs:
         for q, b in gs:
             acc = out.get(p + q)
@@ -213,7 +214,7 @@ def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopEle
     alg = f.algebra
     (fs, df), (gs, dg) = over_one_denominator(f.terms), over_one_denominator(g.terms)
     den = df * dg * alg._sc_den
-    out = loop_bracket_raw(alg, fs, gs)
+    out = loop_bracket_raw(alg, fs, gs, {})
     return f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
 
 

@@ -89,15 +89,11 @@ def test_classify_parse_error(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
 
 
-@pytest.mark.parametrize("data", [
-    b'{"schema": "kmalg/1", "loop": {"schema": "kmalg/1", "algebra": "su2c", "twist_order": %s, '
-    b'"terms": []}}' % (b"1" * 5000),
-    b'\xff\xfe{}',
-], ids=["5000-digit-int", "not-utf-8"])
+@pytest.mark.parametrize("data", [b'\xff\xfe{}'], ids=["not-utf-8"])
 def test_unparsable_file_beyond_json_syntax_exits_parse(tmp_path, capsys, data):
-    """json.load raises a plain ValueError, not a JSONDecodeError, on an
-    integer literal past Python's 4300-digit limit and on bytes that are not
-    UTF-8: the file cannot be parsed, exit 3 with one short JSON line."""
+    """json.load raises a plain ValueError, not a JSONDecodeError, on bytes
+    that are not UTF-8: the file cannot be parsed, exit 3 with one short
+    JSON line."""
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)
     code, out, err = run_cli(capsys, "bracket", "--lhs", str(bad), "--rhs", str(bad))
@@ -105,6 +101,24 @@ def test_unparsable_file_beyond_json_syntax_exits_parse(tmp_path, capsys, data):
     assert len(err.splitlines()) == 1 and len(err.encode()) < 1000 and "Traceback" not in err
     error = json.loads(err)
     assert set(error) == {"schema", "error"} and error["error"].startswith(f"{bad}: ")
+
+
+@pytest.mark.parametrize("data", [
+    b'{"schema": "kmalg/1", "loop": {"schema": "kmalg/1", "algebra": "su2c", "twist_order": %s, '
+    b'"terms": []}}' % (b"1" * 5000),
+], ids=["5000-digit-int"])
+def test_integer_past_the_int_string_limit_exits_schema(tmp_path, capsys, data):
+    """An integer literal past Python's 4300-digit limit, which int refuses,
+    is over serialize.MAX_DIGITS like every other over-long integer: exit 4
+    with one short JSON line, as for the 1001-digit exponent of
+    test_exponent_digits_are_bounded."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run_cli(capsys, "bracket", "--lhs", str(bad), "--rhs", str(bad))
+    assert_schema_exit(code, out, err)
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1000
+    assert _param_error(err) == (f"{bad}: an integer has more than {serialize.MAX_DIGITS} digits, "
+                                 f"got {serialize.echo('1' * 5000)}")
 
 
 def test_missing_required_param(capsys):

@@ -10,7 +10,7 @@ structure constants and Killing entries are not Gaussian integers.
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kmalg import serialize
 from kmalg.findim import FiniteLieAlgebra, make_su, mat_scale
@@ -56,6 +56,19 @@ scalars = st.one_of(
     st.builds(lambda im: Scalar(0, im), parts),  # purely imaginary
     st.builds(Scalar, parts, parts),
 )
+# Loop terms whose every coefficient is over 3, graded for both twists of
+# su2c (even exponents on e2, odd ones on e1 and e3). With a d over 5, or a
+# non-real d, they pin the denominators that putting an operand's loop
+# terms and d over one denominator can get wrong.
+THIRD = Fraction(1, 3)
+OVER_3 = (
+    {0: (ZERO, Scalar(THIRD), ZERO), 1: (Scalar(2 * THIRD, THIRD), ZERO, Scalar(-THIRD))},
+    {-1: (Scalar(THIRD), ZERO, Scalar(0, THIRD)), 2: (ZERO, Scalar(-2 * THIRD), ZERO)},
+    {1: (Scalar(-THIRD), ZERO, Scalar(2 * THIRD)), -2: (ZERO, Scalar(THIRD, -THIRD), ZERO)},
+)
+D_OVER_5 = Scalar(Fraction(2, 5))
+NONREAL_D = Scalar(Fraction(1, 5), Fraction(-2, 3))
+SU2C = [serialize.lookup_algebra("su2c", order) for order in (1, 2)]
 
 
 @st.composite
@@ -167,9 +180,15 @@ def test_equality_and_hash_follow_the_scalar_coefficients(case, c):
 
 @settings(max_examples=200, deadline=None)
 @given(pairs(), scalars, scalars, scalars, scalars)
+@example((*SU2C[0], *OVER_3[:2]), ZERO, D_OVER_5, ZERO, ZERO)
+@example((*SU2C[0], *OVER_3[:2]), ZERO, ZERO, ZERO, NONREAL_D)
+@example((*SU2C[1], *OVER_3[:2]), ZERO, D_OVER_5, ZERO, ZERO)
+@example((*SU2C[1], *OVER_3[:2]), ZERO, ZERO, ZERO, NONREAL_D)
 def test_hat_bracket_matches_scalar_reference(case, xc, xd, yc, yd):
     """The derivative terms are scaled by i k d / m in one step; d ranges
-    over zero, integral, non-integral and purely imaginary values."""
+    over zero, integral, non-integral and purely imaginary values. The
+    examples put a d over 5, or a non-real d on y only, beside loop terms
+    over 3, on both twists of su2c."""
     algebra, twist, fs, gs = case
     x = ExtendedElement(lift(algebra, twist, fs), xc, xd)
     y = ExtendedElement(lift(algebra, twist, gs), yc, yd)

@@ -6,7 +6,10 @@ once; it must equal the sum of three nested hat_brackets
 non-real c and d and coefficients over denominators 3 and 5, and on an
 algebra with one structure constant perturbed, where the Jacobi identity
 fails: there both residuals are nonzero, so jacobi-check reports the
-broken bracket. TrialRng reads its stream as words and
+broken bracket. Pinned examples put a d over 5, or a non-real d on z
+only, beside loop terms over 3, where one common denominator for x, y
+and z must take in the d parts; and every accumulator and denominator
+the bracket kernel returns must be an int. TrialRng reads its stream as words and
 random_loop_element sums each term in one accumulator; both must give the
 draws and elements of the old code, on int and str seeds. The pair scan of the oracle walk
 (representative_pairs_reference), on which the map verdicts are checked,
@@ -17,17 +20,18 @@ import copy
 import json
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from kmalg import cli, serialize
+from kmalg import cli, kmext, serialize
 from kmalg.involution import _period, fixed_and_eigenspaces
 from kmalg.kmext import ExtendedElement, jacobi_residual
 from kmalg.loop import MismatchError, TwistedLoopElement
 from kmalg.osaka import build_catalog_a1
 from kmalg.rand import TrialRng, random_extended_element, random_loop_element
-from kmalg.scalars import Scalar
+from kmalg.scalars import Scalar, ZERO
 
 from oracles import (
     TrialRngReference,
@@ -37,6 +41,7 @@ from oracles import (
     random_loop_element_reference,
     representative_pairs_reference,
 )
+from test_loop_numerators import D_OVER_5, NONREAL_D, OVER_3, SU2C
 from test_period_classes import DIAGONAL
 
 REGISTERED = [("su2c", 1), ("su2c", 2), ("sl2c", 1), ("sl2c", 2), ("su2su2c", 1), ("abelian1c", 1)]
@@ -78,17 +83,53 @@ def triples(draw):
     return out
 
 
+def _over_3(kind, dx=ZERO, dz=ZERO):
+    """The OVER_3 loops over kind, an (algebra, twist) pair of SU2C, as x,
+    y and z with d coefficients dx, 0 and dz."""
+    return [ExtendedElement(TwistedLoopElement(*kind, terms), ZERO, d) for terms, d in zip(OVER_3, (dx, ZERO, dz))]
+
+
+def _ints_only(fn, values):
+    """fn, failing any call where an item of values(its result) is not of
+    type int."""
+    def checked(*args):
+        out = fn(*args)
+        bad = [v for v in values(out) if type(v) is not int]
+        assert not bad, f"{fn.__name__} returned {bad[:3]}"
+        return out
+    return checked
+
+
 @settings(max_examples=150, deadline=None)
 @given(triples())
+@example(_over_3(SU2C[0], dx=D_OVER_5))
+@example(_over_3(SU2C[0], dz=NONREAL_D))
+@example(_over_3(SU2C[1], dx=D_OVER_5))
+@example(_over_3(SU2C[1], dz=NONREAL_D))
 def test_residual_equals_the_nested_brackets(xyz):
-    r = jacobi_residual(*xyz)
-    assert r == jacobi_residual_reference(*xyz)
+    """Also: every accumulator of extended_bracket_raw and every
+    denominator of _denominator, under jacobi_residual and under the
+    hat_brackets of the reference, holds ints only. The examples put a d
+    over 5 on x, or a non-real d on z only, beside loop terms over 3, on
+    both twists of su2c."""
+    kernel = _ints_only(kmext.extended_bracket_raw, lambda out: [v for acc in out.values() for v in acc])
+    denominator = _ints_only(kmext._denominator, lambda den: [den])
+    with patch.object(kmext, "extended_bracket_raw", kernel), patch.object(kmext, "_denominator", denominator):
+        r = jacobi_residual(*xyz)
+        assert r == jacobi_residual_reference(*xyz)
     assert r.is_zero()
 
 
 @settings(max_examples=100, deadline=None)
 @given(triples())
+@example(_over_3(SU2C[0], dx=D_OVER_5))
+@example(_over_3(SU2C[0], dz=NONREAL_D))
+@example(_over_3(SU2C[1], dx=D_OVER_5))
+@example(_over_3(SU2C[1], dz=NONREAL_D))
 def test_residual_equals_the_nested_brackets_on_a_broken_bracket(xyz):
+    """On a Lie bracket both residuals are zero even where a d was dropped
+    on the way: the examples of test_residual_equals_the_nested_brackets
+    pin its denominators here, where the residual is not zero."""
     algebra = xyz[0].loop.algebra
     if not algebra._sc:
         return  # abelian: no structure constant to perturb
