@@ -131,6 +131,11 @@ def cmd_classify(args):
         a = cartan.validate(obj["matrix"])
     except cartan.CartanMatrixError as exc:
         raise CliError(f"not a generalized Cartan matrix: {exc}", EXIT_SCHEMA) from exc
+    for i, row in enumerate(a.entries):
+        for j, v in enumerate(row):
+            if abs(v) >= 10 ** serialize.MAX_DIGITS:
+                raise CliError(f"entry a[{i}][{j}] has more than {serialize.MAX_DIGITS} digits, "
+                               f"got {serialize.echo(v)}", EXIT_SCHEMA)
     cls = cartan.classify(a)
     report = _base_report("classify", infile=args.infile)
     report["kind"] = cls.kind.value

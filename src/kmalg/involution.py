@@ -47,7 +47,7 @@ element from its mirror exponent and compares it with the term there.
 from __future__ import annotations
 
 from enum import Enum
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .findim import (
@@ -266,14 +266,15 @@ class RealFormDescriptor:
         (fewer when n_max < P) and ("cd",), each solved once.
 
         Period-P lemma. Block (k, -k) equations depend on k only through
-        (-1)^k and i^{parity k}: they repeat with period P = 2 when every
-        parity is even, else P = 4 (`_period`). So for k > P the basis of
-        block (k, -k) is that of its base block (b, -b), b = (k - 1) mod P
-        + 1, with each exponent moved k - b further from 0. Blocks past P
-        are never built: the truncation records P as its built_period and
-        n_max as its degree, and `Truncation.layout` and `counts` name each
-        block past P by its base block."""
-        period = _period(self.conj)
+        (-1)^k when the twist has order 2 and through i^{parity k}: they
+        repeat with the period P = `_period(twist, conj)`, 1 on an
+        untwisted form of parity 0. So for k > P the basis of block (k, -k)
+        is that of its base block (b, -b), b = (k - 1) mod P + 1, with each
+        exponent moved k - b further from 0. Blocks past P are never built:
+        the truncation records P as its built_period and n_max as its
+        degree, and `Truncation.layout` and `counts` name each block past P
+        by its base block."""
+        period = _period(self.twist, self.conj)
         t = Truncation(self, n_max, tuple((key, [(e, 0) for e in self.block_basis(key)])
                                           for key in self.block_keys(min(n_max, period))))
         t.built_period = period
@@ -316,9 +317,13 @@ def _automorphism_verdict(algebra, cmap, factors):
     return Verdict(None if all(f == want for f in factors) else "c/d line sign")
 
 
-def _period(*maps):
-    """2 when every map's parity is even (None counts as even), else 4."""
-    return 2 if all(m is None or m.parity % 2 == 0 for m in maps) else 4
+def _period(twist, *maps):
+    """The period of the block equations of a form with this twist and
+    these maps: the lcm of the twist's order and, for each map, 4 /
+    gcd(4, parity) (a None map counts as parity 0). It is 1 for an
+    identity twist with every parity 0, 2 for an order-2 twist or an even
+    nonzero parity, and 4 for an odd parity."""
+    return lcm(twist.order, *(4 // gcd(4, m.parity) for m in maps if m is not None))
 
 
 class Truncation:
@@ -328,11 +333,13 @@ class Truncation:
     (`fixed_and_eigenspaces`) holds in each block its K elements (+1) and
     then its P elements (-1).
 
-    built_period is the period P `truncate` or the split built with. blocks
-    then holds only the base blocks, (0,) .. (P, -P) and ("cd",): block
-    (k, -k), k > P, of the degree-n_max truncation is base block (b, -b),
-    b = (k - 1) mod P + 1, with every exponent moved k - b further from 0,
-    and is never built; `layout` names it and `counts` counts it. Not a
+    built_period is the period P (1, 2 or 4, `_period`) `truncate` or the
+    split built with. blocks then holds only the base blocks, (0,) ..
+    (P, -P) and ("cd",): block (k, -k), k > P, of the degree-n_max
+    truncation is base block (b, -b), b = (k - 1) mod P + 1, with every
+    exponent moved k - b further from 0, and is never built; `layout`
+    names it and `counts` counts it. At P = 1, (1, -1) stands for every
+    block (k, -k), odd and even k alike. Not a
     constructor parameter, built_period is None on a truncation built by
     the constructor alone, a copy rebuilt through it included: every block
     of it is in blocks, and is split and checked."""
@@ -360,17 +367,19 @@ class Truncation:
     def p_basis(self):
         return [e for _, items in self.blocks for e, s in items if s == -1]
 
-    def layout(self):
+    def layout(self, upto=None):
         """(key, b) for each block of the degree-n_max truncation, in
         block_keys order: blocks[b] is that block or, past built_period, the
-        base block it is a shift of. Linear in n_max, so only the readers
-        that print every block call it."""
+        base block it is a shift of. With upto, only the blocks (k, -k),
+        k <= upto, and ("cd",) of a truncation with a built_period. Linear
+        in the degree, so only the readers that print every block call it
+        without upto."""
         period = self.built_period
         if period is None:
             return [(key, b) for b, (key, _) in enumerate(self.blocks)]
         cd = len(self.blocks) - 1
         return [(key, cd if key == ("cd",) else key[0] if key[0] <= period else (key[0] - 1) % period + 1)
-                for key in self.real_form.block_keys(self.n_max)]
+                for key in self.real_form.block_keys(self.n_max if upto is None else min(upto, self.n_max))]
 
     def counts(self):
         """How many blocks of the degree-n_max truncation each of blocks
@@ -425,12 +434,12 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
     """The Cartan split of a truncation of a real form: the same blocks,
     each holding the exact +1 eigenvectors of phi (K, sign +1) and then the
     -1 eigenvectors (P, sign -1). A truncation with a built_period P0 (the
-    period of the form's conj) is split by its base blocks up to (P, -P),
-    P the period of the conj and phi (`_period`), a multiple of P0: the
-    blocks P0 < k <= P (only when phi's parity is odd and the form's even)
-    are solved with `block_basis`, and the split records P as its
-    built_period. A later block is a shift of one of them, and phi
-    commutes with the shift.
+    period of the form's twist and conj) is split by its base blocks up to
+    (P, -P), P = `_period(twist, conj, phi's map)`, a multiple of P0: the
+    blocks P0 < k <= P (only when phi's parity asks for a longer period
+    than the form's) are solved with `block_basis`, and the split records
+    P as its built_period. A later block is a shift of one of them, and
+    phi commutes with the shift.
 
     It is the one pass over phi's images: each element of a block in the
     split is imaged once. phi preserves the form when each image
@@ -446,7 +455,7 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
     minus or plus 1, is built by `_combine` as one int sum per exponent,
     with no Scalar arithmetic."""
     rf, n_max, built = truncation.real_form, truncation.n_max, truncation.built_period
-    period = None if built is None else _period(rf.conj, phi.loop_map)
+    period = None if built is None else _period(rf.twist, rf.conj, phi.loop_map)
     base = truncation.blocks
     if period is not None and min(n_max, period) > built:
         keys = rf.block_keys(min(n_max, period))[built + 1:-1]

@@ -7,8 +7,8 @@ like a - f * b are not normalised, so a result may hold an integer as
 Fraction(n, 1), which equals, hashes and prints as n; the zeros and ones
 the routines make up are the ints 0 and 1. Matrices stay small:
 `killing-gram` signs a truncation's base blocks only, one Gram block per
-exponent class up to renaming (2 or 3 of at most 12 x 12 per catalog form,
-at any degree), the eigen-split solves all images of a block in one
+connected component of the nonzero entries (5 to 18 per catalog form, each
+1 x 1 or 2 x 2, at any degree), the eigen-split solves all images of a block in one
 `rref`, and an algebra's construction solves every commutator of its
 basis in one (98 x 252 for so(7)). Matrices are lists of row lists; functions never mutate inputs.
 

@@ -251,25 +251,20 @@ class Definiteness(Enum):
 
 def killing_gram(basis):
     """Exact Gram matrix of loop_killing on a list of loop elements, by
-    class blocks, plus a definiteness verdict from the exact signature.
+    connected components, plus a definiteness verdict from the exact
+    signature.
 
-    A degree-k coefficient pairs only with a degree -k one, so two elements
-    can pair nonzero only inside one exponent class: a class of the
-    union-find that joins the |k| of each element's support (elements with
-    no terms form one class). Only pairs inside a class are computed, and
-    the Gram matrix is returned as a list of (members, sub-matrix) pairs,
-    one per class, members its basis indices in order; every other entry
-    of the matrix is zero. The signature is the sum of the
-    signatures of the class sub-matrices: grouping the basis by class is a
-    congruence, so by Sylvester's law of inertia the sum is the signature of
-    the whole matrix.
-
-    Renaming lemma: as k pairs only with -k, renaming each exponent k of a
-    class to sign(k) r(|k|), r injective with r(0) = 0, changes no in-class
-    entry. So a class is keyed on its members in basis order with r ranking
-    its distinct nonzero |k| from 1 (rank 0 would merge k with -k), and a
-    memo local to the call builds each key's sub-matrix and signature once;
-    classes with one key share the sub-matrix.
+    A degree-k coefficient pairs only with a degree -k one, so an entry
+    (i, j) can be nonzero only when a term at k of one element meets a term
+    at -k of the other. The basis is indexed by exponent, and loop_killing
+    runs only on the pairs i <= j that meet. The nonzero off-diagonal
+    entries join their two elements, and the Gram matrix is returned as a
+    list of (members, sub-matrix) pairs, one per connected component,
+    members its basis indices in order; every other entry of the matrix is
+    zero. The signature is the sum of the signatures of the components'
+    sub-matrices: grouping the basis by component is a permutation
+    congruence, so by Sylvester's law of inertia the sum is the signature
+    of the whole matrix.
 
     Entries must come out real; a non-real value means the basis does not
     span a real subspace and raises NonRealPairingError for the first such
@@ -278,54 +273,48 @@ def killing_gram(basis):
 
     Truncations pass their base blocks only. A block (k, -k) past a
     truncation's period is its base block with each exponent moved a
-    multiple of P further from 0 (`RealFormDescriptor.truncate`), and each
-    block is one class, so by the renaming lemma it has its base class's
-    key and sub-matrix. Repeating a class c >= 1 times multiplies its
-    signature by c, which changes no verdict, and its copies come after
-    the base blocks, so the first non-real pair is the same. The size and
-    the diagonal at the degree are the base blocks' read with their
-    multiplicities (`Truncation.counts`, `layout`); no shifted block is
-    built or walked.
+    multiple of P further from 0 (`RealFormDescriptor.truncate`), so it
+    repeats its base block's entries. Repeating a block c >= 1 times
+    multiplies its signature by c, which changes no verdict, and its copies
+    come after the base blocks, so the first non-real pair is the same. The
+    size and the diagonal at the degree are the base blocks' read with
+    their multiplicities (`Truncation.counts`, `layout`); no shifted block
+    is built or walked.
     """
     for f in basis:
         basis[0]._require_match(f)
-    parent = {}
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for f in basis:
-        roots = [find(parent.setdefault(abs(k), abs(k))) for k in f.terms]
-        for r in roots:
-            parent[r] = roots[0]
-    label = [find(abs(next(iter(f.terms)))) if f.terms else None for f in basis]
-    classes = {}
-    for i, cls in enumerate(label):
-        classes.setdefault(cls, []).append(i)
+    at = {}  # exponent -> indices of the elements with a term there
+    for i, f in enumerate(basis):
+        for k in f.terms:
+            at.setdefault(k, []).append(i)
     n = len(basis)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    entries = {}
+    for i, f in enumerate(basis):
+        for j in sorted({j for k in f.terms for j in at.get(-k, ()) if j >= i}):
+            v = loop_killing(f, basis[j])
+            if not v.is_real():
+                raise NonRealPairingError(f"pairing ({i},{j}) has value {v}")
+            if v.re:
+                entries[i, j] = entries[j, i] = v.re
+                parent[find(j)] = find(i)
+    components = {}
+    for i in range(n):
+        components.setdefault(find(i), []).append(i)
     blocks = []
-    memo = {}
     pos = neg = zero = 0
-    bad = []
-    for members in classes.values():
-        ranks = sorted({abs(k) for i in members for k in basis[i].terms})
-        rank = {k: r for r, k in enumerate(ranks, 0 if 0 in ranks else 1)}
-        key = tuple(tuple(sorted((rank[k] if k >= 0 else -rank[-k], v) for k, v in basis[i].terms.items()))
-                    for i in members)
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = _class_gram([basis[i] for i in members])
-        block, sig = entry
-        if block is None:
-            bad.append((members[sig[0]], members[sig[1]], sig[2]))
-            continue
-        blocks.append((members, block))
-        pos, neg, zero = pos + sig[0], neg + sig[1], zero + sig[2]
-    if bad:
-        raise NonRealPairingError("pairing ({},{}) has value {}".format(*min(bad)))
+    for members in components.values():
+        rows = [[entries.get((i, j), 0) for j in members] for i in members]
+        blocks.append((members, rows))
+        p, q, z = linalg.symmetric_signature(rows)
+        pos, neg, zero = pos + p, neg + q, zero + z
     if zero:
         verdict = Definiteness.DEGENERATE
     elif neg == n:
@@ -335,20 +324,6 @@ def killing_gram(basis):
     else:
         verdict = Definiteness.INDEFINITE
     return blocks, verdict
-
-
-def _class_gram(elems):
-    """Gram block of one exponent class and its signature, or (None, (a, b,
-    value)) for its first non-real pair a <= b in row-major order."""
-    s = len(elems)
-    block = [[0] * s for _ in range(s)]
-    for a in range(s):
-        for b in range(a, s):
-            v = loop_killing(elems[a], elems[b])
-            if not v.is_real():
-                return None, (a, b, v)
-            block[a][b] = block[b][a] = v.re
-    return block, linalg.symmetric_signature(block)
 
 
 _EIGENBASIS_CACHE = {}

@@ -179,20 +179,25 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
 def _check_expected_kp(record: OsakaRecord, dec: Truncation):
     """Exact subspace equality per block of a split: the dims agree with
     the record's, and the K (P) vectors are fixed (negated) by the split's
-    involution map. A split with a built_period holds its base blocks only:
-    a block past them is a shift of one by a multiple of P, so it has the
-    same dims and parity of k, and the map, which commutes with the shift,
-    fixes and negates its vectors exactly when those of its base block.
-    The first failing base block is thus the first failing block at the
-    degree."""
+    involution map. A split with a built_period P holds its base blocks
+    only: a block past them is a shift of one by a multiple of P, so it
+    has the same dims, and the map, which commutes with the shift, fixes
+    and negates its vectors exactly when those of its base block. So the
+    walk over the blocks (`Truncation.layout`) runs `CoeffMap.fixes` on
+    each base block once, and reads dims up to (max(P, 2), -max(P, 2)):
+    past that, k has the parity of a block already read. At P = 1 the even
+    blocks repeat (1, -1), so "even_pair" is read at (2, -2). The first
+    failing key is thus the first failing block at the degree."""
     exp, phi_map = record.expected_kp, dec.involution.loop_map
-    for key, items in dec.blocks:
+    period = dec.built_period
+    for key, b in dec.layout(None if period is None else max(period, 2)):
+        base, items = dec.blocks[b]
         got = (sum(s == 1 for _, s in items), sum(s == -1 for _, s in items))
         want_k, want_p = exp["cd" if key == ("cd",) else "zero" if key == (0,) else
                              "odd_pair" if key[0] % 2 else "even_pair"]
         if got != (want_k, want_p):
             return False, f"block {key}: dims {got} != expected {(want_k, want_p)}"
-        if key == ("cd",):
+        if key == ("cd",) or key != base:
             continue
         for e, s in items:  # K, then P
             if not phi_map.fixes(e.loop, s):
@@ -224,8 +229,8 @@ def classify_type(truncation: Truncation) -> OsakaType:
     """Euclidean iff the loop part is abelian; else compact iff the loop
     Killing Gram of the real form is negative definite at the truncation.
     It is read off the truncation's loops, those of its base blocks: a
-    block past its built_period repeats its base block's Gram block, which
-    changes no verdict (`killing_gram`)."""
+    block past its built_period repeats its base block's Gram entries,
+    which changes no verdict (`killing_gram`)."""
     if not truncation.real_form.algebra.simple_blocks():
         return OsakaType.EUCLIDEAN
     try:

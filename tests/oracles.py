@@ -44,7 +44,9 @@ built from the draws of TrialRng.gaussian, and TrialRngReference re-slices
 its buffer on every draw, as TrialRng did before it read at an offset. The
 Jacobi residual is the sum of three nested hat_brackets, as
 jacobi_residual was before it composed the raw extended brackets
-unreduced, and the loop derivative is read off hat_bracket, whose raw
+unreduced; jacobi_terms_reference gives its three nested brackets on the
+Scalar path (nested hat_bracket_references), so that a kernel fault that
+keeps a Lie bracket shows; and the loop derivative is read off hat_bracket, whose raw
 kernel is the library's one derivative formula. The walk over the
 brackets, bracket_verdicts_reference, decided closure (verify_closed_walk) and the
 Cartan relations (verify_cartan_relations_walk) before both were read off
@@ -1027,6 +1029,19 @@ def jacobi_residual_reference(x, y, z):
     )
 
 
+def jacobi_terms_reference(x, y, z):
+    """[[x,y],z], [[y,z],x] and [[z,x],y] on the Scalar path, each a nested
+    hat_bracket_reference on the structure constants solved from the
+    basis matrices, as (terms, c, d). No integer kernel of the library
+    runs here. A kernel fault that still leaves a Lie bracket (a d part
+    left out of a common denominator, say) gives a zero residual on every
+    path, jacobi_residual_reference included, but shows in these terms."""
+    alg, m = x.loop.algebra, x.loop.twist.order
+    x, y, z = ((w.loop.coeffs, w.c, w.d) for w in (x, y, z))
+    return [hat_bracket_reference(alg, m, hat_bracket_reference(alg, m, a, b), w)
+            for a, b, w in ((x, y, z), (y, z, x), (z, x, y))]
+
+
 def loop_derivative(f, d=ONE):
     """d times d/dt of a loop element f, as the loop part of the extended
     bracket [d d, f] = d f' (c and d of f zero): the derivative terms of
@@ -1105,7 +1120,7 @@ def bracket_verdicts_reference(t, relations):
     t = materialize(t)
     rf, phi = t.real_form, t.involution
     holds = relations and phi is not None
-    period = _period(rf.conj, None if phi is None else phi.loop_map)
+    period = _period(rf.twist, rf.conj, None if phi is None else phi.loop_map)
     for (x, sx), (y, sy) in representative_pairs_reference(t.blocks, classes_reference(t.blocks, period)):
         z = hat_bracket(x, y)
         if z.is_zero():
@@ -1332,8 +1347,9 @@ def truncate_eager(rf, n_max):
     """RealFormDescriptor.truncate as it was before it left the blocks past
     its period unbuilt: block (k, -k), k > P, is built as block
     (k - P, P - k) `_shift`ed. The body is kept verbatim apart from the
-    built_period it no longer records, as every block is explicit."""
-    period, blocks = _period(rf.conj), {}
+    built_period it no longer records, as every block is explicit, and the
+    twist the period now reads."""
+    period, blocks = _period(rf.twist, rf.conj), {}
     for key in rf.block_keys(n_max):
         blocks[key] = ([(e, 0) for e in rf.block_basis(key)] if key[0] == "cd" or key[0] <= period
                        else _shift(blocks[(key[0] - period, period - key[0])], period))

@@ -82,6 +82,25 @@ def test_classify_empty_or_boolean_matrix_exits_schema(tmp_path, capsys, matrix,
     assert message in _param_error(err)
 
 
+@pytest.mark.parametrize("entry, code", [(-int("9" * 2000), cli.EXIT_SCHEMA), (-10 ** 1000, cli.EXIT_SCHEMA),
+                                         (1 - 10 ** 1000, cli.EXIT_OK)],
+                         ids=["2000-digits", "1001-digits", "1000-digits"])
+def test_cartan_entry_digits_are_bounded(tmp_path, capsys, entry, code):
+    """A Cartan matrix entry has at most serialize.MAX_DIGITS digits, like
+    a loop exponent: past that classify exits 4 with one short JSON line
+    that echoes the entry cut."""
+    path = write_json(tmp_path, "m.json", {"schema": "kmalg/1", "matrix": [[2, entry], [-1, 2]]})
+    got, out, err = run_cli(capsys, "classify", "--in", path)
+    if code == cli.EXIT_OK:
+        assert got == code and err == ""
+        assert json.loads(out)["kind"] == "Neither"
+        return
+    assert_schema_exit(got, out, err)
+    assert len(err.encode("utf-8")) < 1000
+    assert _param_error(err) == (f"entry a[0][1] has more than {serialize.MAX_DIGITS} digits, "
+                                 f"got {serialize.echo(entry)}")
+
+
 def test_classify_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json", encoding="utf-8")
@@ -681,6 +700,24 @@ def _su2c_record(rho_scale=1, **overrides):
     }
     record.update(overrides)
     return record
+
+
+@pytest.mark.parametrize("degree, code", [(1, cli.EXIT_OK), (2, cli.EXIT_FAIL), (9, cli.EXIT_FAIL)])
+def test_an_untwisted_record_reads_its_even_block_expectation_at_2(tmp_path, capsys, degree, code):
+    """On an untwisted su2c form of parity 0 every block (k, -k) repeats
+    (1, -1), so the truncation builds no even block; the K/P check must
+    still compare the split's (3, 3) with the record's even_pair (4, 2) at
+    (2, -2), the first even block, from degree 2 on."""
+    record = _su2c_record(expected_dims={"zero": [3, 0], "even_pair": [4, 2], "odd_pair": [3, 3],
+                                         "cd": [0, 2]})
+    path = write_json(tmp_path, "record.json", record)
+    got, out, _ = run_cli(capsys, "osaka-verify", "--record", path, "--degree", str(degree))
+    assert got == code
+    rep = json.loads(out)
+    assert {name for name, passed in rep["checks"].items() if not passed} == (
+        set() if degree == 1 else {"KP_match"})
+    if degree > 1:
+        assert rep["details"]["KP_match"] == "block (2, -2): dims (3, 3) != expected (4, 2)"
 
 
 def test_osaka_verify_non_involution_fails_prerequisites(tmp_path, capsys):

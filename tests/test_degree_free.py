@@ -94,7 +94,7 @@ def _check_degree_free(rec, degree):
     rf, phi = rec.real_form, rec.involution
     t = rf.truncate(degree)
     full = materialize(t)
-    assert [key for key, _ in t.blocks] == rf.block_keys(min(degree, _period(rf.conj)))
+    assert [key for key, _ in t.blocks] == rf.block_keys(min(degree, _period(rf.twist, rf.conj)))
     assert [key for key, _ in t.layout()] == rf.block_keys(degree)
     assert full.blocks == truncate_eager(rf, degree).blocks
     assert _gram(t) == _gram(full) and _gram(full)[0] == len(full.loops)
@@ -103,7 +103,7 @@ def _check_degree_free(rec, degree):
     if isinstance(explicit, tuple):
         assert dec == explicit
     else:
-        assert dec.built_period == _period(rf.conj, phi.loop_map)
+        assert dec.built_period == _period(rf.twist, rf.conj, phi.loop_map)
         assert len(dec.blocks) == min(degree, dec.built_period) + 2
         assert materialize(dec).blocks == explicit.blocks
         assert dec.dims() == explicit.dims()
@@ -158,24 +158,24 @@ def test_diagonal_forms_match_the_materialized_path(rf, phi, degree, claimed, pe
 def test_diagonal_forms_reach_every_check():
     """The drawn records are not all failures: with every one of PHIS that
     splits a closed form of DIAGONAL[::7] at degree 2, at degree 7 the
-    fix_compact and K/P checks both pass and fail, at both periods."""
+    fix_compact and K/P checks both pass and fail, at all three periods."""
     outcomes = Counter()
     for rf in DIAGONAL[::7]:
         for phi in PHIS if rf.verify_closed() else ():
             if not isinstance(_split(phi, rf.truncate(2)), tuple):
                 perturb = sum(outcomes.values()) % 4 == 0
                 _, checks = _check_degree_free(_diagonal_record(rf, phi, OsakaType.COMPACT, perturb), 7)
-                period = _period(rf.conj, phi.loop_map)
+                period = _period(rf.twist, rf.conj, phi.loop_map)
                 outcomes.update((key, checks[key][0], period) for key in ("fix_compact", "KP_match"))
     assert set(outcomes) == {(key, ok, period) for key in ("fix_compact", "KP_match")
-                             for ok in (True, False) for period in (2, 4)}
+                             for ok in (True, False) for period in (1, 2, 4)}
 
 
 @pytest.mark.parametrize("name", sorted(ODD_SPLITS))
 def test_period_4_splits_match_the_materialized_path(name):
     """ODD_PHI has odd parity: the split's period is 4 on both forms, so on
-    the even form, built with period 2, the split solves blocks (3, -3) and
-    (4, -4) itself."""
+    the even form, untwisted and built with period 1, the split solves
+    blocks (2, -2) to (4, -4) itself."""
     rf = ODD_SPLITS[name]
     rec = OsakaRecord(name, rf, ODD_PHI, OsakaType.COMPACT,
                       {"zero": (1, 2), "even_pair": (3, 3), "odd_pair": (3, 3), "cd": (0, 2)})
@@ -206,8 +206,9 @@ def test_a_replaced_split_corrupted_past_the_period_fails_kp_match():
     """A copy of a split through its constructor (oracles.replace) keeps
     every block explicit (materialize), so a block past the period is
     checked: with its K and P signs swapped, or one K vector dropped, the
-    K/P check fails there."""
-    rec = catalog_record("I[Id,Id]")
+    K/P check fails there. I[Id,mu] is twisted, so its period is 2 and
+    block (5, -5) lies past it."""
+    rec = catalog_record("I[Id,mu]")
     dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(6))
     assert dec.built_period == 2 and len(dec.blocks) == 4 and _check_expected_kp(rec, dec)[0]
     full = materialize(dec)
@@ -217,7 +218,7 @@ def test_a_replaced_split_corrupted_past_the_period_fails_kp_match():
     for corrupt, detail in (
             ([(e, 1) for e, s in items if s == -1] + [(e, -1) for e, s in items if s == 1],
              "K vector in block (5, -5) violates the expected condition"),
-            (items[1:], "block (5, -5): dims (2, 3) != expected (3, 3)")):
+            (items[1:], "block (5, -5): dims (1, 2) != expected (2, 2)")):
         blocks = list(full.blocks)
         blocks[i] = ((5, -5), corrupt)
         corrupted = replace(full, blocks=tuple(blocks))
@@ -227,8 +228,8 @@ def test_a_replaced_split_corrupted_past_the_period_fails_kp_match():
 
 def test_osaka_verify_is_flat_in_degree(monkeypatch):
     """At degree 100000 osaka_verify solves the base blocks and nothing
-    more, and reads the fix_compact count off their multiplicities:
-    3 + 3n on I[Id,Id]."""
+    more, (0,), (1, -1) and ("cd",) as I[Id,Id] has period 1, and reads
+    the fix_compact count off their multiplicities: 3 + 3n on I[Id,Id]."""
     calls = Counter()
     block_basis = RealFormDescriptor.block_basis
 
@@ -241,4 +242,4 @@ def test_osaka_verify_is_flat_in_degree(monkeypatch):
     report = osaka_verify(rec, 100000)
     assert report.all_passed
     assert report.checks["fix_compact"].detail == "verdict NegDefinite on 300003 fixed loop directions"
-    assert calls == Counter(rec.real_form.block_keys(2))
+    assert calls == Counter(rec.real_form.block_keys(1))

@@ -1,9 +1,11 @@
 """Work proportional to what differs: killing_gram pairs only elements whose
-exponents meet and computes each exponent class once up to renaming,
-truncate solves each period-4 block class once, and fixed_and_eigenspaces
-reads the matrix of an involution off one elimination per block. Each is
-checked against a reference written here or kept in oracles."""
-from collections import Counter
+terms meet and signs each connected component of the nonzero entries on
+its own, truncate solves each block of its period once, and
+fixed_and_eigenspaces reads the matrix of an involution off one
+elimination per block. Each is checked against a reference written here
+or kept in oracles: the Gram against all pairs (on drawn bases, some
+whose exponent classes repeat up to renaming) and against the
+class-by-class reference on materialized truncations."""
 from fractions import Fraction
 
 import pytest
@@ -187,41 +189,36 @@ def test_killing_gram_matches_class_by_class_reference(rec):
     _expect_same_gram(basis, killing_gram_reference)
 
 
-def _distinct_class_pairs(basis):
-    """In-class pairs of each distinct class once its exponents are
-    renamed: on a truncation each class is one block (k, -k), whose
-    nonzero |k| is renamed 1."""
-    classes = {}
-    for f in basis:
-        classes.setdefault(frozenset(abs(k) for k in f.terms), []).append(f)
-    distinct = {}
-    for members in classes.values():
-        key = tuple(tuple(sorted(((k > 0) - (k < 0), vec) for k, vec in f.terms.items()))
-                    for f in members)
-        distinct[key] = len(members)
-    return sum(s * (s + 1) // 2 for s in distinct.values())
+def _meeting_pairs(basis):
+    """The pairs i <= j in which a term at k of one element meets a term at
+    -k of the other, found by scanning every pair."""
+    return sorted((i, j) for i, f in enumerate(basis) for j in range(i, len(basis))
+                  if any(-k in basis[j].terms for k in f.terms))
 
 
-def test_killing_gram_pairs_only_within_classes(monkeypatch):
-    """Each distinct class up to renaming is paired once, so on every
-    catalog form the pairings at degree 60 are those at degree 4."""
-    calls = Counter()
-
-    def counting_loop_killing(f, g):
-        calls[name, degree] += 1
-        return loop_killing(f, g)
-
+def test_killing_gram_pairs_only_terms_that_meet(monkeypatch):
+    """loop_killing runs once on each pair i <= j whose terms meet and on no
+    other, on every catalog form; a truncation passes its base blocks
+    only, so the pairings at degree 60 are those at degree 4."""
+    counts = {}
     for rec in build_catalog_a1():
-        name = rec.name
         for degree in (4, 60):
-            basis = materialize(rec.real_form.truncate(degree)).loops
-            _, expected = killing_gram_reference(basis)
+            basis = rec.real_form.truncate(degree).loops
+            index = {id(f): i for i, f in enumerate(basis)}
+            assert len(index) == len(basis)
+            called = []
+
+            def counting_loop_killing(f, g):
+                called.append((index[id(f)], index[id(g)]))
+                return loop_killing(f, g)
+
             with monkeypatch.context() as patch:
                 patch.setattr(loop, "loop_killing", counting_loop_killing)
                 _, verdict = killing_gram(basis)
-            assert verdict == expected
-            assert calls[name, degree] == _distinct_class_pairs(basis)
-        assert calls[name, 60] == calls[name, 4]
+            assert verdict == killing_gram_reference(basis)[1]
+            assert sorted(called) == _meeting_pairs(basis)
+            counts[rec.name, degree] = len(called)
+        assert counts[rec.name, 60] == counts[rec.name, 4] > 0
 
 
 def test_killing_gram_names_the_first_non_real_pair_in_row_major_order():
@@ -284,8 +281,9 @@ def _solved_keys(monkeypatch, rf, n_max):
 
 
 def test_truncate_solves_only_the_first_period(monkeypatch):
-    """Catalog parities are even, so the period is 2: the truncation holds
-    the blocks up to (2, -2) and names the later ones by them."""
+    """I[Id,mu] is twisted and its parity is 0, so the period is 2: the
+    truncation holds the blocks up to (2, -2) and names the later ones by
+    them."""
     rf = catalog_record("I[Id,mu]").real_form
     solved, truncation = _solved_keys(monkeypatch, rf, 60)
     assert solved == rf.block_keys(2) == [key for key, _ in truncation.blocks]

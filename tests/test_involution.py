@@ -38,6 +38,7 @@ from oracles import (
     admissibility_check,
     automorphism_apply,
     bracket_reference,
+    materialize,
     nonzero_loops,
     truncation_elements,
 )
@@ -334,7 +335,7 @@ def test_fixed_and_eigenspaces_dims():
 def test_dimension_count_matches_form():
     for name in ("I[Id,Id]", "I[Id,mu]", "I[mu,mu]", "II"):
         rec = catalog_record(name)
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(2))
+        dec = materialize(fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(2)))
         total = len(truncation_elements(rec.real_form.truncate(2)))
         assert len(dec.k_basis) + len(dec.p_basis) == total
 

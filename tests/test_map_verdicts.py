@@ -94,7 +94,7 @@ def _split(phi, truncation):
 def test_map_verdicts_match_the_walk_wherever_tau_is_a_real_structure(rf, data):
     reason = None if rf.conj is None else real_structure_failure(rf)
     phi = data.draw(st.sampled_from(_involutions(rf)))
-    truncation = rf.truncate(2 * _period(rf.conj, phi.loop_map))
+    truncation = rf.truncate(2 * _period(rf.twist, rf.conj, phi.loop_map))
     closed = rf.verify_closed()
     if reason is not None:
         assert not closed and closed.witness == reason
@@ -113,7 +113,7 @@ def test_cartan_verdicts_match_the_walk_on_the_catalog_forms():
     for rec in CATALOG:
         rf = rec.real_form
         for phi in _involutions(rf):
-            dec = _split(phi, rf.truncate(2 * _period(rf.conj, phi.loop_map)))
+            dec = _split(phi, rf.truncate(2 * _period(rf.twist, rf.conj, phi.loop_map)))
             if dec is None:
                 continue
             relations = verify_cartan_relations(rf, phi)

@@ -92,11 +92,12 @@ def test_bracket_verdicts_match_all_pairs_on_every_diagonal_form(pair):
         assert closed == verify_closed_reference(rf, truncation)
         assert (closed and holds) == verify_cartan_relations_reference(dec)
         assert bracket_verdicts_reference(dec, False) == (closed, False)
-        verdicts[(closed, holds), _period(rf.conj, phi.loop_map)] += 1
+        verdicts[(closed, holds), _period(rf.twist, rf.conj, phi.loop_map)] += 1
     assert len(forms) == 128 and {all(v) for v in involutive} == {True, False}
-    # closed and not, relations holding and not, at both periods
+    # closed and not, relations holding and not, at every period the twist
+    # allows: 1 too when untwisted
     assert {v for v, _ in verdicts} == {(False, False), (True, False), (True, True)}
-    assert {p for _, p in verdicts} == {2, 4}
+    assert {p for _, p in verdicts} == ({1, 2, 4} if pair[1] == 1 else {2, 4})
 
 
 def _with_maps(dec):
@@ -109,7 +110,7 @@ def _with_maps(dec):
     m = phi.loop_map
     for other in [m, CoeffMap.identity(len(m.matrix))] + [
             CoeffMap(m.matrix, m.index_sign, m.conjugate, p) for p in (1, 2)]:
-        keep = dec.built_period and dec.built_period % _period(other) == 0
+        keep = dec.built_period and dec.built_period % _period(dec.real_form.twist, other) == 0
         changed = replace(dec if keep else materialize(dec), involution=replace(phi, loop_map=other))
         if keep:
             changed.built_period = dec.built_period
@@ -200,7 +201,7 @@ def test_osaka_catalog_makes_no_loop_bracket(monkeypatch, capsys):
     """osaka-catalog --degree 5 brackets no loop: the 8 records' closure
     checks and Cartan relations are read off the maps, and neither building
     the catalog nor pairing it brackets anything. The oracle walk makes
-    2662 brackets for the same closure verdicts."""
+    1246 brackets for the same closure verdicts."""
     calls = _counting_brackets(monkeypatch)
     for rec in build_catalog_a1():
         assert rec.real_form.verify_closed()
@@ -228,7 +229,7 @@ def test_osaka_catalog_makes_no_loop_bracket(monkeypatch, capsys):
     walk = Counter()
     monkeypatch.setattr(oracles, "hat_bracket", counting_calls(oracles.hat_bracket, walk))
     assert all(oracles.verify_closed_walk(rec.real_form, rec.real_form.truncate(5)) for rec in build_catalog_a1())
-    assert sum(walk.values()) == 2662
+    assert sum(walk.values()) == 1246
 
 
 def counting_calls(fn, calls):
@@ -290,8 +291,8 @@ def test_squares_is_decided_on_every_block_after_one_fails():
 def test_osaka_catalog_images_each_representative_element_twice(monkeypatch, capsys):
     """osaka-catalog --degree 5 applies each involution to the elements of
     the blocks the split solves (up to its built period) once for the
-    image and once for its image (the split), 2 * 150 calls, with no
-    image built twice, and effectiveness images each record's c once: 308
+    image and once for its image (the split), 2 * 102 calls, with no
+    image built twice, and effectiveness images each record's c once: 212
     calls."""
     calls = Counter()
     apply = InvolutionDescriptor.apply
@@ -304,7 +305,7 @@ def test_osaka_catalog_images_each_representative_element_twice(monkeypatch, cap
     monkeypatch.setattr(InvolutionDescriptor, "apply", counting)
     assert cli.run(["osaka-catalog", "--degree", "5"]) == 0
     capsys.readouterr()
-    assert calls["apply"] <= 308
+    assert calls["apply"] <= 212
 
 
 def test_a_partner_over_another_algebra_does_not_match():

@@ -230,7 +230,7 @@ def test_type_ii_fixed_dimension():
 def test_type_iv_k_is_compact_loop():
     rec = catalog_record("IV")
     for n in (1, 2):
-        dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(n))
+        dec = materialize(fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(n)))
         assert len(dec.k_basis) == 3 * (2 * n + 1)
         for e in dec.k_basis:
             assert not e.c and not e.d

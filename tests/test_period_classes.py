@@ -1,15 +1,18 @@
-"""The period-P lemma: block equations repeat with period P = 2 when every
-parity involved is even and P = 4 otherwise, so the oracle walk
+"""The period-P lemma: block equations repeat with period P, the lcm of the
+twist's order and 4 / gcd(4, parity) for each map involved (1 on an
+untwisted form of parity 0, 2 for an order-2 twist or an even nonzero
+parity, 4 for an odd parity), so the oracle walk
 (bracket_verdicts_reference in oracles) brackets one representative block
 pair per class, every class occurring from degree 2P on, and
 fixed_and_eigenspaces splits no block beyond (P, -P), which the split
 names as shifts. Each is checked against the all-pairs or every-block
 reference in oracles on the diagonal and permutation real forms over four
-registered algebras (both periods), and on every catalog
-split (period 2), intact and with one block's K vectors corrupted. The
-closure verdict, read off the maps, is checked against all pairs wherever
-the form's tau is a real structure, and names its failure elsewhere; it
-and osaka_verify make no loop bracket at any degree."""
+registered algebras (all three periods), and on every catalog split
+(period 1, or 2 when twisted), intact and with one block's K vectors
+corrupted. The closure verdict, read off the maps, is checked against
+all pairs wherever the form's tau is a real structure, and names its
+failure elsewhere; it and osaka_verify make no loop bracket at any
+degree."""
 import itertools
 from collections import Counter
 
@@ -79,7 +82,7 @@ def real_structure_failure(rf):
 
 def test_closure_matches_all_pairs_on_every_diagonal_form():
     """All 512 diagonal forms at degree 8 = 2P for P = 4, the least degree
-    at which every class of block pairs occurs on both periods. Where tau
+    at which every class of block pairs occurs on every period. Where tau
     squares to -1 on odd degrees (s = -1, odd parity) closure fails naming
     that, whatever the pairs give."""
     verdicts, periods, reasons = Counter(), Counter(), Counter()
@@ -93,25 +96,34 @@ def test_closure_matches_all_pairs_on_every_diagonal_form():
             assert not verdict and verdict.witness == reason
         reasons[reason] += 1
         verdicts[bool(verdict)] += 1
-        periods[_period(rf.conj)] += 1
+        periods[_period(rf.twist, rf.conj)] += 1
     assert len(DIAGONAL) == 512 and verdicts[True] and verdicts[False]
-    assert periods == {2: 256, 4: 256}
+    assert periods == {1: 64, 2: 192, 4: 256}
     assert reasons == {None: 384, "tau^2 != 1 on the loop algebra": 128}
 
 
-def test_period_is_2_exactly_when_every_parity_is_even():
-    algebra, _ = serialize.lookup_algebra("su2c", 1)
-    maps = {p: CoeffMap(CoeffMap.identity(algebra.dim).matrix, parity=p) for p in range(-4, 8)}
-    assert _period(None) == _period(None, None) == 2
-    for p, m in maps.items():
-        assert _period(m) == _period(None, m) == _period(m, None) == (2 if p % 2 == 0 else 4)
-        for q, n in maps.items():
-            assert _period(m, n) == (2 if p % 2 == 0 and q % 2 == 0 else 4)
-    # the form's conj and the involution's loop map: phi's parity counts
+def test_period_is_the_lcm_of_the_twist_order_and_each_parity_period():
+    """A parity p alone repeats with period 1, 4, 2, 4 for p = 0, 1, 2, 3
+    mod 4 and the twist with its order, so, as every one is a power of 2,
+    the period is the largest of them."""
+    own = {0: 1, 1: 4, 2: 2, 3: 4}
+    for order in (1, 2):
+        algebra, twist = serialize.lookup_algebra("su2c", order)
+        maps = {p: CoeffMap(CoeffMap.identity(algebra.dim).matrix, parity=p) for p in range(-4, 8)}
+        assert _period(twist) == _period(twist, None) == _period(twist, None, None) == order
+        for p, m in maps.items():
+            assert _period(twist, m) == _period(twist, None, m) == _period(twist, m, None) == max(order, own[p % 4])
+            for q, n in maps.items():
+                assert _period(twist, m, n) == max(order, own[p % 4], own[q % 4])
+    # the form's twist and conj and the involution's loop map: phi's parity
+    # counts, and the untwisted catalog form IV has period 1
     rec = catalog_record("IV")
-    odd_phi = CoeffMap(rec.involution.loop_map.matrix, -1, False, 1)
-    assert _period(rec.real_form.conj, rec.involution.loop_map) == 2
-    assert _period(rec.real_form.conj, odd_phi) == 4
+    rf, matrix = rec.real_form, rec.involution.loop_map.matrix
+    assert _period(rf.twist, rf.conj, rec.involution.loop_map) == 1
+    assert _period(rf.twist, rf.conj, CoeffMap(matrix, -1, False, 2)) == 2
+    assert _period(rf.twist, rf.conj, CoeffMap(matrix, -1, False, 1)) == 4
+    twisted = catalog_record("III[Id,mu]")
+    assert _period(twisted.real_form.twist, twisted.real_form.conj, twisted.involution.loop_map) == 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,8 +202,8 @@ def test_shifted_eigenspace_blocks_equal_the_solved_ones(name):
 
 # Period-4 splits: phi = i^{k} M a_{-k} with M = diag(1, -1, -1) (an
 # involutive automorphism of su2c), epsilon -1, on the closed odd-parity
-# diagonal form and on an even-parity one. The form's own period is 4 in the
-# first and 2 in the second; the split's is 4 in both.
+# diagonal form and on an untwisted parity-0 one. The form's own period is
+# 4 in the first and 1 in the second; the split's is 4 in both.
 ODD_SPLITS = {
     "odd form": _form(("su2c", 1), (0, 1, 2), (1, 1, 1), 1, 1, I),
     "even form": _form(("su2c", 1), (0, 1, 2), (1, 1, 1), -1, 0, ONE),
@@ -204,7 +216,7 @@ ODD_PHI = InvolutionDescriptor(
 @pytest.mark.parametrize("name", sorted(ODD_SPLITS))
 def test_period_4_splits_match_every_block_and_all_pairs(name):
     rf = ODD_SPLITS[name]
-    assert _period(rf.conj, ODD_PHI.loop_map) == 4
+    assert _period(rf.twist, rf.conj, ODD_PHI.loop_map) == 4
     truncation = rf.truncate(9)
     dec = fixed_and_eigenspaces(ODD_PHI, truncation)
     want = fixed_and_eigenspaces_reference(ODD_PHI, truncation)
@@ -245,7 +257,7 @@ def test_osaka_verify_bracket_count_is_flat_in_degree(monkeypatch, name):
     """Closure and the Cartan relations are read off the maps, so
     osaka_verify brackets no loop at any degree."""
     rec = catalog_record(name)
-    assert _period(rec.real_form.conj, rec.involution.loop_map) == 2
+    assert _period(rec.real_form.twist, rec.real_form.conj, rec.involution.loop_map) == {"I[Id,mu]": 2, "IV": 1}[name]
     assert [_bracket_count(monkeypatch, rec, degree) for degree in (1, 3, 4, 16)] == [0, 0, 0, 0]
 
 
@@ -255,7 +267,7 @@ def test_closure_bracket_count_is_flat_from_degree_8_at_odd_parity(monkeypatch):
     above it, and its closure verdict, which has no degree, bracket no
     loop."""
     rf = ODD_SPLITS["odd form"]
-    assert _period(rf.conj) == 4
+    assert _period(rf.twist, rf.conj) == 4
     counts = []
     for degree in (1, 7, 8, 16):
         calls = _counting_brackets(monkeypatch)

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kmalg import cli, kmext, serialize
 from kmalg.involution import _period, fixed_and_eigenspaces
-from kmalg.kmext import ExtendedElement, jacobi_residual
+from kmalg.kmext import ExtendedElement, hat_bracket, jacobi_residual
 from kmalg.loop import MismatchError, TwistedLoopElement
 from kmalg.osaka import build_catalog_a1
 from kmalg.rand import TrialRng, random_extended_element, random_loop_element
@@ -37,6 +37,7 @@ from oracles import (
     TrialRngReference,
     classes_reference,
     jacobi_residual_reference,
+    jacobi_terms_reference,
     materialize,
     random_loop_element_reference,
     representative_pairs_reference,
@@ -109,14 +110,20 @@ def _ints_only(fn, values):
 def test_residual_equals_the_nested_brackets(xyz):
     """Also: every accumulator of extended_bracket_raw and every
     denominator of _denominator, under jacobi_residual and under the
-    hat_brackets of the reference, holds ints only. The examples put a d
-    over 5 on x, or a non-real d on z only, beside loop terms over 3, on
-    both twists of su2c."""
+    hat_brackets of the reference, holds ints only. The residual is zero
+    on any Lie bracket, so the three nested brackets it sums are checked on
+    the Scalar path (jacobi_terms_reference), where a kernel fault that
+    keeps a Lie bracket shows. The examples put a d over 5 on x, or a
+    non-real d on z only, beside loop terms over 3, on both twists of
+    su2c."""
     kernel = _ints_only(kmext.extended_bracket_raw, lambda out: [v for acc in out.values() for v in acc])
     denominator = _ints_only(kmext._denominator, lambda den: [den])
+    x, y, z = xyz
     with patch.object(kmext, "extended_bracket_raw", kernel), patch.object(kmext, "_denominator", denominator):
         r = jacobi_residual(*xyz)
         assert r == jacobi_residual_reference(*xyz)
+        terms = [hat_bracket(hat_bracket(a, b), w) for a, b, w in ((x, y, z), (y, z, x), (z, x, y))]
+    assert [(t.loop.coeffs, t.c, t.d) for t in terms] == jacobi_terms_reference(*xyz)
     assert r.is_zero()
 
 
@@ -240,7 +247,7 @@ def test_representative_pairs_match_the_scan_on_the_catalog(degree):
         rf, phi = rec.real_form, rec.involution
         truncation = rf.truncate(degree)
         for t in map(materialize, (truncation, fixed_and_eigenspaces(phi, truncation))):
-            for period in {2, 4, _period(rf.conj, phi.loop_map)}:
+            for period in {2, 4, _period(rf.twist, rf.conj, phi.loop_map)}:
                 _same_pairs(t, classes_reference(t.blocks, period))
             if degree <= 16:  # every block its own class: all pairs, quadratic in degree
                 _same_pairs(t, list(range(len(t.blocks))))
@@ -249,4 +256,4 @@ def test_representative_pairs_match_the_scan_on_the_catalog(degree):
 def test_representative_pairs_match_the_scan_on_the_diagonal_forms():
     for rf in DIAGONAL:
         t = materialize(rf.truncate(8))
-        _same_pairs(t, classes_reference(t.blocks, _period(rf.conj)))
+        _same_pairs(t, classes_reference(t.blocks, _period(rf.twist, rf.conj)))

@@ -127,14 +127,14 @@ def test_a_map_that_is_not_involutive_is_checked_at_every_exponent():
 # -- period classes from the built period --------------------------------------------
 
 def _check_classes(t, built):
-    """t records the period built, and for each P in {2, 4} that is a
+    """t records the period built, and for each P in {1, 2, 4} that is a
     multiple of it, classes_reference finds on t's blocks, every block of
     its degree built (`materialize`), the classes it gives: block (k, -k),
     k > P, in the class of block (j, -j), j in 1..P, j = k mod P; every
     other block its own."""
     assert t.built_period == built
     blocks = materialize(t).blocks
-    for period in (2, 4):
+    for period in (1, 2, 4):
         if period % built == 0:
             assert classes_reference(blocks, period) == [
                 i if key[0] == "cd" or key[0] <= period else (key[0] - 1) % period + 1
@@ -153,16 +153,16 @@ def test_truncate_and_the_split_know_the_classes_that_classes_finds():
         for degree in list(range(1, 10)) + [16]:
             t = rf.truncate(degree)
             dec = fixed_and_eigenspaces(phi, t)
-            _check_classes(t, _period(rf.conj))
-            _check_classes(dec, _period(rf.conj, phi.loop_map))
+            _check_classes(t, _period(rf.twist, rf.conj))
+            _check_classes(dec, _period(rf.twist, rf.conj, phi.loop_map))
             for hand_built in (replace(dec), replace(t), _span(dec)):
                 assert hand_built.built_period is None
-    assert {_period(rf.conj) for rf in DIAGONAL} == {2, 4}
+    assert {_period(rf.twist, rf.conj) for rf in DIAGONAL} == {1, 2, 4}
     for rf in DIAGONAL:
         for degree in (1, 3, 5, 8, 9):
-            _check_classes(rf.truncate(degree), _period(rf.conj))
+            _check_classes(rf.truncate(degree), _period(rf.twist, rf.conj))
     for rf in ODD_SPLITS.values():
         for degree in range(1, 12):
             t = rf.truncate(degree)
-            _check_classes(t, _period(rf.conj))
+            _check_classes(t, _period(rf.twist, rf.conj))
             _check_classes(fixed_and_eigenspaces(ODD_PHI, t), 4)

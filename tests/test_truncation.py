@@ -117,6 +117,7 @@ def test_osaka_verify_builds_each_block_and_the_type_once(monkeypatch):
     monkeypatch.setattr(osaka, "classify_type", counting_classify_type)
     report = osaka_verify(rec, 3)
     assert report.all_passed
-    # the catalog's parities are even: blocks up to (2, -2) are solved and
-    # (3, -3), the shift of (1, -1), is never built
-    assert calls == {"block_basis": len(rec.real_form.block_keys(2)), "classify_type": 1}
+    # the form is untwisted with parity 0, so its period is 1: (0,), (1, -1)
+    # and ("cd",) are solved, and (2, -2) and (3, -3), shifts of (1, -1),
+    # are never built
+    assert calls == {"block_basis": len(rec.real_form.block_keys(1)), "classify_type": 1}
