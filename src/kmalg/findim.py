@@ -8,7 +8,10 @@ traces, and finite-order automorphisms checked against the bracket.
 Every map of the package is one `CoeffMap`, a_k -> i^{pk} M conj^d(a_{sk}):
 twists, invariants and sigma, and the real structures and involutions of
 `involution`. A `FiniteAutomorphism` is one with s = 1 and p = 0 that
-also holds its algebra and its order.
+also holds its algebra and its order. A map holds M once, as sparse
+Gaussian-integer rows over one denominator in lowest terms (`sparse_rows`,
+the one reader of Scalar or int rows); it composes, compares and hashes on
+those ints, and its `matrix` is a Scalar view built on demand.
 
 The structure constants and the Killing matrix are held once, on ints:
 Gaussian-integer numerators over one denominator each, with no Scalar
@@ -21,7 +24,7 @@ import copy
 from math import lcm
 
 from . import linalg
-from .scalars import ONE, ZERO, Scalar, exact_div, vec_canon, vec_from_parts, vec_from_scalars, vec_neg, vec_to_scalars
+from .scalars import ZERO, Scalar, exact_div, vec_canon, vec_from_parts, vec_from_scalars, vec_neg, vec_to_scalars
 from .value import Value
 
 Matrix = tuple  # tuple of row tuples of Scalar
@@ -43,13 +46,6 @@ class WrongOrderError(LieAlgebraError):
 
 # -- small exact matrix helpers ----------------------------------------
 
-def mat(rows) -> Matrix:
-    out = []
-    for row in rows:
-        out.append(tuple(x if isinstance(x, Scalar) else Scalar(x) for x in row))
-    return tuple(out)
-
-
 def mat_zero(n) -> Matrix:
     return tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
 
@@ -66,10 +62,10 @@ def mat_scale(c, a) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_mul(a, b, conjugate=False) -> Matrix:
-    """a . conj^conjugate(b), over the nonzero entries of a."""
+def mat_mul(a, b) -> Matrix:
+    """a . b, over the nonzero entries of a."""
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-    cols = tuple(zip(*(mat_conj(b) if conjugate else b)))
+    cols = tuple(zip(*b))
     return tuple(tuple(sum((x * col[j] for j, x in row if col[j]), ZERO) for col in cols)
                  for row in rows)
 
@@ -88,16 +84,20 @@ def mat_flatten(a):
 
 # -- sparse exact linear maps ----------------------------------------------
 
-def sparse_rows(matrix):
-    """M as (rows, D): per row the (j, re, im) integer numerators of its
-    nonzero entries over one common denominator D."""
-    width = len(matrix[0]) if matrix else 0
-    nums, den = vec_from_scalars([x for row in matrix for x in row])
-    half = len(nums) // 2
-    return tuple(
-        tuple((j, nums[i * width + j], nums[half + i * width + j]) for j, x in enumerate(row) if x)
-        for i, row in enumerate(matrix)
-    ), den
+def sparse_rows(rows):
+    """M as (rows, D) from rows of Scalars or rationals: per row the
+    (j, re, im) integer numerators of its nonzero entries, ascending in j,
+    over one denominator D, in lowest terms."""
+    flat = [x if isinstance(x, Scalar) else Scalar(x) for row in rows for x in row]
+    return _sparse_from_vec(vec_from_scalars(flat), len(rows))
+
+
+def _sparse_from_vec(vec, n):
+    """The sparse rows of the n-row matrix given row-major by vec, as
+    `sparse_rows` gives them when vec is in lowest terms."""
+    (nums, den), w = vec, len(vec[0]) // (2 * n) if n else 0
+    return tuple(tuple((j, a, b) for j, a, b in zip(range(w), nums[i * w:], nums[n * w + i * w:]) if a or b)
+                 for i in range(n)), den
 
 
 def sparse_apply(sparse, vec, conjugate=False, power=0):
@@ -198,9 +198,7 @@ class FiniteLieAlgebra:
                 s, t = sc.get((l, m, k), (0, 0))
                 re[j * n + l] += a * s - b * t
                 im[j * n + l] += a * t + b * s
-        nums, den = vec_canon(re + im, self._sc_den ** 2)
-        return tuple(tuple((l, nums[j * n + l], nums[n * n + j * n + l]) for l in range(n)
-                           if nums[j * n + l] or nums[n * n + j * n + l]) for j in range(n)), den
+        return _sparse_from_vec(vec_canon(re + im, self._sc_den ** 2), n)
 
     # -- coordinates -----------------------------------------------------
 
@@ -455,14 +453,15 @@ class InvolutionError(ValueError):
 
 
 class CoeffMap:
-    """(Phi a)_k = i^{parity*k} * matrix . conj^conjugate(a_{index_sign*k}),
-    every map of the package (module docstring)."""
+    """(Phi a)_k = i^{parity*k} * M . conj^conjugate(a_{index_sign*k}),
+    every map of the package (module docstring). M is held once, as
+    `sparse`: the (rows, D) that `sparse_rows` gives, so equal matrices
+    have equal tuples; `matrix` is a Scalar view of it."""
 
-    __slots__ = ("matrix", "sparse", "index_sign", "conjugate", "parity")
+    __slots__ = ("sparse", "index_sign", "conjugate", "parity")
 
-    def __init__(self, matrix, index_sign=1, conjugate=False, parity=0):
-        self.matrix = mat(matrix)
-        self.sparse = sparse_rows(self.matrix)
+    def __init__(self, sparse, index_sign=1, conjugate=False, parity=0):
+        self.sparse = sparse
         if index_sign not in (1, -1):
             raise InvolutionError("index_sign must be +-1")
         self.index_sign = index_sign
@@ -471,7 +470,13 @@ class CoeffMap:
 
     @classmethod
     def identity(cls, dim):
-        return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
+        return cls((tuple(((i, 1, 0),) for i in range(dim)), 1))
+
+    @property
+    def matrix(self) -> Matrix:
+        rows, den = self.sparse
+        cells = [{j: Scalar(exact_div(a, den), exact_div(b, den)) for j, a, b in row} for row in rows]
+        return tuple(tuple(c.get(j, ZERO) for j in range(len(rows))) for c in cells)
 
     def apply_loop(self, f):
         # source degree j contributes to target degree s*j
@@ -492,29 +497,36 @@ class CoeffMap:
         return True
 
     def compose(self, other) -> "CoeffMap":
-        """self after other, as one coefficient map."""
+        """self after other, as one coefficient map: M_1 conj^d_1(M_2) on
+        the sparse rows' ints, over D_1 D_2, in `sparse_rows` form."""
         s1, d1 = self.index_sign, self.conjugate
-        matrix = mat_mul(self.matrix, other.matrix, d1)
-        parity = (self.parity + other.parity * s1 * (-1 if d1 else 1)) % 4
-        return CoeffMap(matrix, s1 * other.index_sign, d1 != other.conjugate, parity)
+        (rows1, den1), (rows2, den2), flip = self.sparse, other.sparse, -1 if d1 else 1
+        n = len(rows1)
+        acc = [0] * (2 * n * n)
+        for i, row in enumerate(rows1):
+            for j, a, b in row:
+                for k, c, d in rows2[j]:
+                    acc[i * n + k] += a * c - flip * b * d
+                    acc[n * n + i * n + k] += flip * a * d + b * c
+        sparse = _sparse_from_vec(vec_canon(acc, den1 * den2), n)
+        parity = (self.parity + other.parity * s1 * flip) % 4
+        return CoeffMap(sparse, s1 * other.index_sign, d1 != other.conjugate, parity)
 
     def __eq__(self, other):
         if not isinstance(other, CoeffMap):
             return NotImplemented
         return self is other or (
-            self.matrix == other.matrix
+            self.sparse == other.sparse
             and self.index_sign == other.index_sign
             and self.conjugate == other.conjugate
             and self.parity == other.parity
         )
 
     def __hash__(self):
-        return hash((self.matrix, self.index_sign, self.conjugate, self.parity))
+        return hash((self.sparse, self.index_sign, self.conjugate, self.parity))
 
     def is_identity(self):
-        rows, den = self.sparse
-        return (self.index_sign == 1 and not self.conjugate and self.parity == 0 and den == 1
-                and all(row == ((i, 1, 0),) for i, row in enumerate(rows)))
+        return self == CoeffMap.identity(len(self.sparse[0]))
 
     def __repr__(self):
         return f"CoeffMap(s={self.index_sign}, conj={self.conjugate}, parity={self.parity})"
@@ -527,14 +539,10 @@ class FiniteAutomorphism(CoeffMap):
 
     __slots__ = ("algebra", "order")
 
-    def __init__(self, algebra, matrix_rows, conjugate=False):
-        super().__init__(matrix_rows, conjugate=conjugate)
+    def __init__(self, algebra, sparse, conjugate=False):
+        super().__init__(sparse, conjugate=conjugate)
         self.algebra = algebra
         self.order = least_order(self, 8)
-
-
-def identity_automorphism(g) -> FiniteAutomorphism:
-    return FiniteAutomorphism(g, CoeffMap.identity(g.dim).matrix)
 
 
 def least_order(phi, limit):
@@ -568,7 +576,7 @@ def check_bracket(g, cmap):
 def automorphism_from_order(g, matrix_rows, conjugate=False):
     """Build an automorphism, refusing one whose order (read off its
     powers) is past 8, and check that it keeps the bracket."""
-    phi = FiniteAutomorphism(g, matrix_rows, conjugate)
+    phi = FiniteAutomorphism(g, sparse_rows(matrix_rows), conjugate)
     if phi.order is None:
         raise WrongOrderError("no order up to 8 found")
     check_bracket(g, phi)

@@ -46,7 +46,6 @@ element from its mirror exponent and compares it with the term there.
 """
 from __future__ import annotations
 
-from enum import Enum
 from math import gcd, lcm
 
 from . import linalg
@@ -83,11 +82,6 @@ class Verdict:
 
 # -- involutions -----------------------------------------------------------
 
-class InvolutionKind(Enum):
-    FIRST = "FirstKind"
-    SECOND = "SecondKind"
-
-
 class InvolutionDescriptor:
     """Standard-form involution: loop coefficients via a CoeffMap, c and d
     scaled by epsilon = +-1. A map that reflects time (index sign -1, or +1
@@ -112,9 +106,6 @@ class InvolutionDescriptor:
                 c, d = -c, -d
         return ExtendedElement(self.loop_map.apply_loop(x.loop), c, d)
 
-    def kind(self) -> InvolutionKind:
-        return InvolutionKind.SECOND if self.epsilon == -1 else InvolutionKind.FIRST
-
 
 def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAutomorphism,
                                name=None):
@@ -136,12 +127,12 @@ def involution_from_invariants(rho_plus: FiniteAutomorphism, rho_minus: FiniteAu
         check_bracket(g, rho)
     # sigma's bracket is not checked: it is a product of two checked linear
     # automorphisms of g, and g's complexification has g's structure constants
-    sigma = FiniteAutomorphism(g.complexify(), rho_minus.compose(rho_plus).matrix)
+    sigma = FiniteAutomorphism(g.complexify(), rho_minus.compose(rho_plus).sparse)
     if sigma.order not in (1, 2):
         raise InvolutionError("sigma = rho_minus . rho_plus has order > 2 (out of scope)")
     desc = InvolutionDescriptor(
         name=name or "second-kind involution",
-        loop_map=CoeffMap(rho_plus.matrix, index_sign=-1),
+        loop_map=CoeffMap(rho_plus.sparse, index_sign=-1),
         epsilon=-1,
     )
     return desc, sigma.algebra, sigma
@@ -533,7 +524,7 @@ def dualize(rf: RealFormDescriptor, phi: InvolutionDescriptor, name=None) -> Dua
     """
     if rf.conj is None:
         raise InvolutionError("cannot dualize the full complex algebra")
-    if len(phi.loop_map.matrix) != rf.algebra.dim:
+    if len(phi.loop_map.sparse[0]) != rf.algebra.dim:
         raise InvolutionError(f"{phi.name} and {rf.name} act on different algebras")
     theta, phi_map = rf.conj, phi.loop_map
     # the linear map agreeing with phi on the fixed set of theta

@@ -25,7 +25,7 @@ from enum import Enum
 from math import lcm
 
 from . import linalg
-from .findim import FiniteAutomorphism, FiniteLieAlgebra, identity_automorphism, sparse_apply
+from .findim import CoeffMap, FiniteAutomorphism, FiniteLieAlgebra, sparse_apply
 from .scalars import (
     Scalar,
     exact_div,
@@ -171,7 +171,8 @@ def loop_monomial(algebra, twist, k, coords) -> TwistedLoopElement:
 
 
 def untwisted(algebra) -> FiniteAutomorphism:
-    return identity_automorphism(algebra)
+    """The identity automorphism: the twist of an untwisted loop algebra."""
+    return FiniteAutomorphism(algebra, CoeffMap.identity(algebra.dim).sparse)
 
 
 # -- operations ----------------------------------------------------------
@@ -354,9 +355,10 @@ def twist_eigenspace(algebra, twist, parity):
 
 def _twist_eigenbasis(algebra, twist, parity):
     """The kernel of the rational matrix M - (-1)^parity I of a twist M,
-    which `check_twist` has made sure is real."""
+    which `check_twist` has made sure is real: that of D M - (-1)^parity D I,
+    read off M's sparse numerators over D."""
     check_twist(algebra, twist)
-    sign = -1 if parity % 2 else 1
-    rows = [[x.re - (sign if i == j else 0) for j, x in enumerate(row)]
-            for i, row in enumerate(twist.matrix)]
+    (sparse, den), sign = twist.sparse, -1 if parity % 2 else 1
+    cells = [{j: re for j, re, _ in entries} for entries in sparse]
+    rows = [[c.get(j, 0) - (sign * den if i == j else 0) for j in range(algebra.dim)] for i, c in enumerate(cells)]
     return [vec_from_parts(v + [0] * algebra.dim) for v in linalg.nullspace(rows)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import findim
-from .findim import direct_sum, identity_automorphism, make_abelian, make_su
+from .findim import direct_sum, make_abelian, make_su
 from .involution import (
     CoeffMap,
     InvolutionDescriptor,
@@ -29,7 +29,7 @@ from .involution import (
 )
 from .kmext import central_element
 from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted
-from .scalars import I, ONE, ZERO, vec_support
+from .scalars import I, ONE, vec_support
 from .value import Value
 
 
@@ -248,11 +248,11 @@ def irreducibility_check(record: OsakaRecord):
     subcollection of simple blocks whose loop subspace is invariant under
     the involution's coefficient map is a witness."""
     blocks = record.real_form.algebra.simple_blocks()
-    phi_mat = record.involution.loop_map.matrix
+    phi_rows = record.involution.loop_map.sparse[0]
     for mask in range(1, 2 ** len(blocks) - 1):
         witness = tuple(n for n in range(len(blocks)) if mask & (1 << n))
         inside = {i for n in witness for i in blocks[n].indices}
-        if all(i in inside for j in inside for i, row in enumerate(phi_mat) if row[j]):
+        if all(i in inside for i, row in enumerate(phi_rows) for j, _, _ in row if j in inside):
             return "Reducible", witness
     return "Irreducible", None
 
@@ -263,7 +263,7 @@ _CATALOG_CACHE = {}
 
 
 def _compact_conj(dim):
-    return CoeffMap(CoeffMap.identity(dim).matrix, index_sign=-1, conjugate=True)
+    return CoeffMap(CoeffMap.identity(dim).sparse, index_sign=-1, conjugate=True)
 
 
 def _dims(zero, pair, cd=(0, 2), odd_pair=None):
@@ -284,10 +284,10 @@ def build_catalog_a1():
     if "catalog" in _CATALOG_CACHE:
         return _CATALOG_CACHE["catalog"]
     su2 = make_su(2)
-    id_r = identity_automorphism(su2)
+    id_r = untwisted(su2)
     mu_r = findim.entrywise_conjugation_automorphism(su2)
     double = direct_sum(su2, su2, name="su(2)+su(2)")
-    swap_rows = [[ONE if (i + 3) % 6 == j else ZERO for j in range(6)] for i in range(6)]
+    swap_rows = [[1 if (i + 3) % 6 == j else 0 for j in range(6)] for i in range(6)]
     swap_r = findim.automorphism_from_order(double, swap_rows)
 
     # ---- type I: compact form of L(su(2)) with the three second-kind
@@ -352,10 +352,7 @@ def euclidean_osaka(k: int = 1) -> OsakaRecord:
         name=f"abelian loop form ({k})", algebra=gc, twist=twist,
         conj=_compact_conj(gc.dim), cd_scale=ONE,
     )
-    neg = CoeffMap(
-        [[-ONE if i == j else ZERO for j in range(gc.dim)] for i in range(gc.dim)],
-        index_sign=-1,
-    )
+    neg = CoeffMap((tuple(((i, -1, 0),) for i in range(gc.dim)), 1), index_sign=-1)
     desc = InvolutionDescriptor(
         name="negation with time reflection", loop_map=neg, epsilon=-1,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .findim import automorphism_from_order, direct_sum, make_abelian, make_sl, make_su
+from .findim import automorphism_from_order, direct_sum, make_abelian, make_sl, make_su, sparse_rows
 from .involution import CoeffMap, InvolutionDescriptor, RealFormDescriptor
 from .kmext import ExtendedElement
 from .loop import GradingError, TwistedLoopElement, untwisted
@@ -200,12 +200,12 @@ def extended_from_json(obj) -> ExtendedElement:
 
 
 def _square_matrix(spec, what, dim):
-    """Scalar rows of spec["matrix"], which must be dim x dim."""
+    """The `sparse_rows` of spec["matrix"], which must be dim x dim."""
     rows = spec.get("matrix") if isinstance(spec, dict) else None
     if not isinstance(rows, list) or len(rows) != dim or any(
             not isinstance(r, list) or len(r) != dim for r in rows):
         raise SchemaError(f"{what} needs a {dim} x {dim} 'matrix'")
-    return [[scalar_from_json(x) for x in row] for row in rows]
+    return sparse_rows([[scalar_from_json(x) for x in row] for row in rows])
 
 
 def _int_field(obj, key, default, allowed):
@@ -231,7 +231,7 @@ def _str_field(obj, key, default):
 
 def involution_from_json(obj, algebra) -> InvolutionDescriptor:
     _check_schema(obj)
-    rows = _square_matrix(obj.get("rho_plus"), "involution rho_plus", algebra.dim)
+    rho_plus = _square_matrix(obj.get("rho_plus"), "involution rho_plus", algebra.dim)
     conj = _bool_field(obj, "conjugate_linear", False)
     reflect = _bool_field(obj, "reflect_time", True)
     eps = _int_field(obj, "epsilon", -1, (1, -1))
@@ -239,7 +239,7 @@ def involution_from_json(obj, algebra) -> InvolutionDescriptor:
     if reflect and eps != -1:
         raise SchemaError("invalid involution: time reflection forces epsilon = -1")
     s = (-1 if reflect else 1) * (-1 if conj else 1)
-    return InvolutionDescriptor(name=name, loop_map=CoeffMap(rows, index_sign=s, conjugate=conj), epsilon=eps)
+    return InvolutionDescriptor(name=name, loop_map=CoeffMap(rho_plus, index_sign=s, conjugate=conj), epsilon=eps)
 
 
 def _check_schema(obj):

@@ -131,6 +131,11 @@ from kmalg.scalars import (
 )
 
 
+def mat(rows):
+    """Rows of Scalars or rationals as a tuple of Scalar row tuples."""
+    return tuple(tuple(x if isinstance(x, Scalar) else Scalar(x) for x in row) for row in rows)
+
+
 def i_power(k: int) -> Scalar:
     """i**k, as the coefficient maps' parity factors were read before
     RealFormDescriptor.block_basis turned its numerators by i itself."""

@@ -16,7 +16,6 @@ from kmalg.findim import (
     mat_scale,
 )
 from kmalg.involution import (
-    InvolutionKind,
     dualize,
     fixed_and_eigenspaces,
 )
@@ -404,14 +403,13 @@ def test_c11_effectiveness():
 
     for rec in build_catalog_a1():
         assert effectiveness_check(rec) == Effectiveness.EFFECTIVE
-        assert rec.involution.kind() == InvolutionKind.SECOND
+        assert rec.involution.epsilon == -1
         scale = rec.real_form.cd_scale
         c_el = central_element(rec.real_form.algebra, rec.real_form.twist, scale)
         assert rec.involution.apply(c_el) == -c_el
     ce = complex_conjugation_counterexample()
     assert ce.involution.epsilon == 1
     assert effectiveness_check(ce) == Effectiveness.NOT_EFFECTIVE
-    assert ce.involution.kind() == InvolutionKind.FIRST
 
 
 # -- 12 -----------------------------------------------------------------------

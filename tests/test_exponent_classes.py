@@ -20,6 +20,7 @@ from kmalg.involution import (
     _combine,
     fixed_and_eigenspaces,
 )
+from kmalg.findim import sparse_rows
 from kmalg.kmext import real_coords
 from kmalg.loop import (
     Definiteness,
@@ -259,7 +260,7 @@ PERIOD_FORMS = [
 @pytest.mark.parametrize("alg,order,sign,parity", PERIOD_FORMS)
 def test_truncate_blocks_equal_direct_block_bases(alg, order, sign, parity):
     algebra, twist = serialize.lookup_algebra(alg, order)
-    conj = CoeffMap(CoeffMap.identity(algebra.dim).matrix, index_sign=sign, conjugate=True,
+    conj = CoeffMap(CoeffMap.identity(algebra.dim).sparse, index_sign=sign, conjugate=True,
                     parity=parity)
     rf = RealFormDescriptor(name="period test", algebra=algebra, twist=twist, conj=conj)
     assert materialize(rf.truncate(12)).blocks == tuple(
@@ -292,7 +293,7 @@ def test_truncate_solves_only_the_first_period(monkeypatch):
 
 def test_truncate_solves_four_blocks_at_odd_parity(monkeypatch):
     algebra, twist = serialize.lookup_algebra("su2c", 1)
-    conj = CoeffMap(CoeffMap.identity(algebra.dim).matrix, conjugate=True, parity=1)
+    conj = CoeffMap(CoeffMap.identity(algebra.dim).sparse, conjugate=True, parity=1)
     rf = RealFormDescriptor(name="odd parity", algebra=algebra, twist=twist, conj=conj)
     solved, truncation = _solved_keys(monkeypatch, rf, 60)
     assert solved == rf.block_keys(4) == [key for key, _ in truncation.blocks]
@@ -359,14 +360,14 @@ def split_cases(draw):
         loop_map = loop_map.compose(phi.loop_map)
         epsilon *= phi.epsilon
     scale = draw(st.sampled_from([1, -1, 2, Scalar(0, 1)]))
-    loop_map = CoeffMap([[x * scale for x in row] for row in loop_map.matrix],
+    loop_map = CoeffMap(sparse_rows([[x * scale for x in row] for row in loop_map.matrix]),
                         loop_map.index_sign, loop_map.conjugate, loop_map.parity)
     dim = rf.algebra.dim
     a, b = draw(st.permutations(range(dim)))[:2] if dim > 1 else (0, 0)
     t = draw(st.sampled_from([0, 1, -2])) if dim > 1 else 0
     g, g_inv = ([[Scalar(1 if i == j else c if (i, j) == (a, b) else 0) for j in range(dim)]
                  for i in range(dim)] for c in (t, -t))
-    loop_map = CoeffMap(g).compose(loop_map).compose(CoeffMap(g_inv))
+    loop_map = CoeffMap(sparse_rows(g)).compose(loop_map).compose(CoeffMap(sparse_rows(g_inv)))
     phi = InvolutionDescriptor(name="candidate", loop_map=loop_map, epsilon=epsilon)
     return phi, rf.truncate(draw(st.integers(1, 3)))
 

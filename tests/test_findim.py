@@ -12,15 +12,15 @@ from kmalg.findim import (
     check_bracket,
     direct_sum,
     entrywise_conjugation_automorphism,
-    identity_automorphism,
     make_abelian,
     make_sl,
     make_so,
     make_su,
-    mat,
     mat_add,
     mat_scale,
+    sparse_rows,
 )
+from kmalg.loop import untwisted
 from kmalg.rand import TrialRng
 from kmalg.scalars import I, Scalar, ZERO, vec_from_scalars
 
@@ -34,6 +34,7 @@ from oracles import (
     killing_reference,
     killing_sl_family,
     killing_so_family,
+    mat,
     order_reference,
     scalar_bracket,
     scalar_killing,
@@ -404,14 +405,14 @@ def test_entrywise_conjugation_on_su2():
 
 
 def test_identity_order_one():
-    ident = identity_automorphism(make_su(2))
+    ident = untwisted(make_su(2))
     assert ident.order == 1
     check_bracket(make_su(2), ident)
 
 
 def test_not_automorphism_rejected():
     su2 = make_su(2)
-    bogus = FiniteAutomorphism(su2, mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    bogus = FiniteAutomorphism(su2, sparse_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(findim.NotAutomorphismError):
         check_bracket(su2, bogus)
 
@@ -423,7 +424,7 @@ def test_automorphism_from_order_names_the_first_broken_pair(diag, pair):
     reference finds broken."""
     su2 = make_su(2).complexify()
     rows = [[diag[i] if i == j else 0 for j in range(3)] for i in range(3)]
-    phi = FiniteAutomorphism(su2, mat(rows))
+    phi = FiniteAutomorphism(su2, sparse_rows(rows))
     units = (E1, E2, E3)
     broken = [(j, k) for j in range(3) for k in range(3)
               if automorphism_apply(phi, bracket_reference(su2, units[j], units[k]))
@@ -463,7 +464,7 @@ def test_order_is_read_off_the_powers(data):
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=g.dim, max_size=g.dim))
     rows = mat([[signs[i] if j == perm[i] else 0 for j in range(g.dim)] for i in range(g.dim)])
     conjugate = data.draw(st.booleans())
-    assert FiniteAutomorphism(g, rows, conjugate).order == order_reference(rows, conjugate)
+    assert FiniteAutomorphism(g, sparse_rows(rows), conjugate).order == order_reference(rows, conjugate)
 
 
 @pytest.mark.parametrize("rows, order", [
@@ -473,7 +474,7 @@ def test_order_is_read_off_the_powers(data):
 def test_order_of_a_rotation_and_a_unipotent_map(rows, order):
     """The order is the power walk's, and automorphism_from_order refuses a
     map with none up to 8."""
-    phi = FiniteAutomorphism(_SU2, mat(rows))
+    phi = FiniteAutomorphism(_SU2, sparse_rows(rows))
     assert phi.order == order_reference(phi.matrix, False) == order
     if order is None:
         with pytest.raises(findim.WrongOrderError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmalg import linalg, serialize
-from kmalg.findim import FiniteLieAlgebra, make_su, mat_scale
+from kmalg.findim import FiniteLieAlgebra, make_su, mat_scale, sparse_rows
 from kmalg.involution import CoeffMap, RealFormDescriptor, _combine, fixed_and_eigenspaces
 from kmalg.kmext import ExtendedElement
 from kmalg.loop import TwistedLoopElement, loop_killing, twist_eigenbasis, untwisted
@@ -61,7 +61,7 @@ def real_forms(draw, shape, parity):
     perm = list(range(n)) if shape == "diagonal" else draw(st.permutations(range(n)))
     diag = [draw(st.sampled_from(ENTRIES)) for _ in range(n)]
     matrix = [[diag[j] if perm[i] == j else ZERO for j in range(n)] for i in range(n)]
-    conj = CoeffMap(matrix, index_sign=draw(st.sampled_from([1, -1])), conjugate=True, parity=parity)
+    conj = CoeffMap(sparse_rows(matrix), index_sign=draw(st.sampled_from([1, -1])), conjugate=True, parity=parity)
     return RealFormDescriptor(name="drawn", algebra=algebra, twist=twist, conj=conj,
                               cd_scale=draw(st.sampled_from([ONE, I])))
 
@@ -83,7 +83,7 @@ def test_order_two_twists_with_odd_parity_match_real_kernel_path(alg, order, par
     # twisted algebra: both kinds of equation in one elimination
     algebra, twist = serialize.lookup_algebra(alg, order)
     for sign in (1, -1):
-        conj = CoeffMap(CoeffMap.identity(algebra.dim).matrix, index_sign=sign, conjugate=True, parity=parity)
+        conj = CoeffMap(CoeffMap.identity(algebra.dim).sparse, index_sign=sign, conjugate=True, parity=parity)
         rf = RealFormDescriptor(name="odd", algebra=algebra, twist=twist, conj=conj)
         for key in KEYS:
             assert rf.block_basis(key) == block_basis_real_kernel(rf, key)

@@ -28,6 +28,7 @@ from kmalg.findim import (
     make_su,
     mat_bracket,
     sparse_apply,
+    sparse_rows,
 )
 from kmalg.involution import CoeffMap, RealFormDescriptor
 from kmalg.kmext import ExtendedElement, SplittingHom
@@ -69,7 +70,7 @@ def involutions(draw, n):
         else:
             rows[order[i]][order[i]] = draw(st.sampled_from(UNITS if conjugate else UNITS[::2]))
             i += 1
-    return CoeffMap(rows, s, conjugate, parity)
+    return CoeffMap(sparse_rows(rows), s, conjugate, parity)
 
 
 def _eigen_reference(phi, f, sign):
@@ -116,7 +117,7 @@ def test_fixes_matches_apply_loop(data):
         assert phi.fixes(f, s) == _eigen_reference(phi, f, s)
     if how != "drawn" and involutive:
         assert phi.fixes(f, sign)
-    tau = phi if phi.conjugate else CoeffMap(phi.matrix, phi.index_sign, True, phi.parity)
+    tau = phi if phi.conjugate else CoeffMap(phi.sparse, phi.index_sign, True, phi.parity)
     x = ExtendedElement(f, data.draw(line_scalars), data.draw(line_scalars))
     for scale in (ONE, I, None):
         rf = RealFormDescriptor("drawn", f.algebra, f.twist, tau, scale)
@@ -130,11 +131,11 @@ def test_fixes_needs_each_mirror_exponent():
     alg = make_abelian(2).complexify()
     f = TwistedLoopElement(alg, untwisted(alg), {1: (Scalar(Fraction(1, 3)), ZERO)})
     for matrix in ([[1, 0], [0, 1]], [[0, 0], [0, 0]]):
-        phi = CoeffMap(matrix, index_sign=-1)
+        phi = CoeffMap(sparse_rows(matrix), index_sign=-1)
         assert not phi.fixes(f) and not _eigen_reference(phi, f, 1)
     both = f + TwistedLoopElement(alg, untwisted(alg), {-1: (Scalar(Fraction(1, 3)), ZERO)})
-    assert CoeffMap([[1, 0], [0, 1]], index_sign=-1).fixes(both)
-    assert CoeffMap([[0, 0], [0, 0]], index_sign=-1).fixes(f - f)
+    assert CoeffMap(sparse_rows([[1, 0], [0, 1]]), index_sign=-1).fixes(both)
+    assert CoeffMap(sparse_rows([[0, 0], [0, 0]]), index_sign=-1).fixes(f - f)
 
 
 @st.composite

@@ -10,16 +10,14 @@ from kmalg.findim import (
     automorphism_from_order,
     check_bracket,
     entrywise_conjugation_automorphism,
-    identity_automorphism,
     make_sl,
     make_su,
-    mat,
+    sparse_rows,
 )
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
     InvolutionError,
-    InvolutionKind,
     PreservationError,
     RealFormDescriptor,
     Truncation,
@@ -38,6 +36,7 @@ from oracles import (
     admissibility_check,
     automorphism_apply,
     bracket_reference,
+    mat,
     materialize,
     nonzero_loops,
     truncation_elements,
@@ -45,7 +44,7 @@ from oracles import (
 
 SU2 = make_su(2)
 SU2C = SU2.complexify()
-ID_R = identity_automorphism(SU2)
+ID_R = untwisted(SU2)
 MU_R = entrywise_conjugation_automorphism(SU2)
 
 X = (Scalar(1), ZERO, ZERO)
@@ -54,7 +53,7 @@ X = (Scalar(1), ZERO, ZERO)
 def _compact_form(twist):
     return RealFormDescriptor(
         name="compact", algebra=SU2C, twist=twist,
-        conj=CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1, conjugate=True),
+        conj=CoeffMap(CoeffMap.identity(3).sparse, index_sign=-1, conjugate=True),
         cd_scale=ONE,
     )
 
@@ -62,9 +61,9 @@ def _compact_form(twist):
 # -- coefficient maps ----------------------------------------------------------
 
 def test_coeff_map_composition_and_identity():
-    theta = CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1, conjugate=True)
+    theta = CoeffMap(CoeffMap.identity(3).sparse, index_sign=-1, conjugate=True)
     assert theta.compose(theta).is_identity()
-    refl = CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1)
+    refl = CoeffMap(CoeffMap.identity(3).sparse, index_sign=-1)
     assert refl.compose(refl).is_identity()
     # composition on elements equals element-wise composition
     rng = TrialRng("coeffmap")
@@ -80,7 +79,7 @@ def test_coeff_map_composition_and_identity():
 
 def test_parity_map_squares_to_identity_on_elements():
     # a_k -> (-1)^k conj(a_k) is an involution
-    par = CoeffMap(CoeffMap.identity(3).matrix, index_sign=1, conjugate=True, parity=2)
+    par = CoeffMap(CoeffMap.identity(3).sparse, index_sign=1, conjugate=True, parity=2)
     tw = untwisted(SU2C)
     rng = TrialRng("parity")
     from kmalg.rand import random_loop_element
@@ -95,12 +94,12 @@ def test_compose_matches_elementwise_application():
     sequence, across conjugation, reflection and parity combinations."""
     from kmalg.rand import random_loop_element
 
-    mu_mat = mat([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    mu_mat = sparse_rows([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
     samples = [
-        CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1, conjugate=True),
+        CoeffMap(CoeffMap.identity(3).sparse, index_sign=-1, conjugate=True),
         CoeffMap(mu_mat, index_sign=-1),
         CoeffMap(mu_mat, index_sign=1, conjugate=True, parity=1),
-        CoeffMap(CoeffMap.identity(3).matrix, index_sign=1, parity=2),
+        CoeffMap(CoeffMap.identity(3).sparse, index_sign=1, parity=2),
         CoeffMap(mu_mat, index_sign=-1, conjugate=True, parity=3),
     ]
     tw = untwisted(SU2C)
@@ -161,7 +160,7 @@ def test_a_non_automorphism_invariant_raises_its_broken_pair(which):
     """An involutive map that breaks the bracket, given as either invariant
     or as both, raises NotAutomorphismError on the pair check_bracket
     names."""
-    bogus = FiniteAutomorphism(SU2, mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+    bogus = FiniteAutomorphism(SU2, sparse_rows([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
     assert bogus.order == 2
     with pytest.raises(NotAutomorphismError) as direct:
         check_bracket(SU2, bogus)
@@ -179,10 +178,10 @@ def test_invariant_pair_rejects_non_involution():
 
 
 @pytest.mark.parametrize("pair,message", [
-    ((ID_R, identity_automorphism(make_sl(2))), "the two invariants act on different algebras"),
-    ((FiniteAutomorphism(SU2, ID_R.matrix, conjugate=True), ID_R),
+    ((ID_R, untwisted(make_sl(2))), "the two invariants act on different algebras"),
+    ((FiniteAutomorphism(SU2, ID_R.sparse, conjugate=True), ID_R),
      "invariants are automorphisms of the real algebra"),
-    ((MU_R, FiniteAutomorphism(SU2, [[-1, 0, 0], [0, 0, 1], [0, 1, 0]])),
+    ((MU_R, FiniteAutomorphism(SU2, sparse_rows([[-1, 0, 0], [0, 0, 1], [0, 1, 0]]))),
      "sigma = rho_minus . rho_plus has order > 2 (out of scope)"),
 ], ids=["two-algebras", "conjugate-linear", "sigma-order-4"])
 def test_invariant_pair_refusals(pair, message):
@@ -228,7 +227,7 @@ def test_epsilon_forced_on_c():
     from kmalg.kmext import cocycle
     from kmalg.rand import random_loop_element
 
-    refl = CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1)
+    refl = CoeffMap(CoeffMap.identity(3).sparse, index_sign=-1)
     tw = untwisted(SU2C)
     rng = TrialRng("epsilon-regression")
     for _ in range(20):
@@ -241,23 +240,23 @@ def test_epsilon_forced_on_c():
 
 def test_check_kind():
     phi, _, _ = involution_from_invariants(ID_R, ID_R)
-    assert phi.kind() == InvolutionKind.SECOND
+    assert phi.epsilon == -1
     first = InvolutionDescriptor(
-        name="rotation", loop_map=CoeffMap(CoeffMap.identity(3).matrix), epsilon=1,
+        name="rotation", loop_map=CoeffMap(CoeffMap.identity(3).sparse), epsilon=1,
     )
-    assert first.kind() == InvolutionKind.FIRST
+    assert first.epsilon == 1
     compact_conj = InvolutionDescriptor(
         name="conjugation along the compact form",
-        loop_map=CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1, conjugate=True),
+        loop_map=CoeffMap(CoeffMap.identity(3).sparse, index_sign=-1, conjugate=True),
         epsilon=1,
     )
-    assert compact_conj.kind() == InvolutionKind.FIRST
+    assert compact_conj.epsilon == 1
 
 
 def test_admissibility():
     phi, _, _ = involution_from_invariants(ID_R, ID_R)
     first = InvolutionDescriptor(
-        name="first", loop_map=CoeffMap(CoeffMap.identity(3).matrix), epsilon=1,
+        name="first", loop_map=CoeffMap(CoeffMap.identity(3).sparse), epsilon=1,
     )
     assert admissibility_check([phi, phi]) == Admissibility.ADMISSIBLE
     assert admissibility_check([first, phi]) == Admissibility.LOCALLY_ADMISSIBLE_ONLY
@@ -344,7 +343,7 @@ def test_preservation_error():
     # multiplying coefficients by i leaves the sl(2,R)-coefficient form
     bad = InvolutionDescriptor(
         name="i-scaling",
-        loop_map=CoeffMap([[I if i == j else ZERO for j in range(3)] for i in range(3)],
+        loop_map=CoeffMap(sparse_rows([[I if i == j else ZERO for j in range(3)] for i in range(3)]),
                           index_sign=-1),
         epsilon=-1,
     )
@@ -360,8 +359,8 @@ def test_an_image_outside_the_span_of_its_block_is_not_preserved():
     truncation keeping only the t^1 half gives f(t) -> f(-t) images at t^-1,
     which are in the form but not in that span."""
     rf = RealFormDescriptor(name="real coefficients", algebra=SU2C, twist=untwisted(SU2C),
-                            conj=CoeffMap(CoeffMap.identity(3).matrix, conjugate=True))
-    phi = InvolutionDescriptor(name="time reflection", loop_map=CoeffMap(CoeffMap.identity(3).matrix, -1),
+                            conj=CoeffMap(CoeffMap.identity(3).sparse, conjugate=True))
+    phi = InvolutionDescriptor(name="time reflection", loop_map=CoeffMap(CoeffMap.identity(3).sparse, -1),
                                epsilon=-1)
     t = rf.truncate(1)
     assert fixed_and_eigenspaces(phi, t).dims()[(1, -1)] == (3, 3)
@@ -376,7 +375,7 @@ def test_non_involutive_map_rejected_on_eigensplit():
     # an order-4 rotation preserves the compact form but is not an involution
     rot = InvolutionDescriptor(
         name="quarter turn",
-        loop_map=CoeffMap(mat([[1, 0, 0], [0, 0, -1], [0, 1, 0]]), index_sign=-1),
+        loop_map=CoeffMap(sparse_rows([[1, 0, 0], [0, 0, -1], [0, 1, 0]]), index_sign=-1),
         epsilon=-1,
     )
     rf = _compact_form(untwisted(SU2C))
@@ -464,7 +463,7 @@ def test_conjugation_formula_agrees_on_form():
     linear representative built from the invariant pair (mu, mu)."""
     phi, gc, tw = involution_from_invariants(MU_R, MU_R)
     mu_c = entrywise_conjugation_automorphism(SU2C)
-    ambient = CoeffMap(mu_c.matrix, index_sign=1, conjugate=True)
+    ambient = CoeffMap(mu_c.sparse, index_sign=1, conjugate=True)
     rf = _compact_form(tw)
     for key, items in rf.truncate(2).blocks:
         for e, _ in items:
@@ -479,15 +478,15 @@ def test_ad_formula_is_conjugate_representative():
     second and third compact directions."""
     rec = catalog_record("I[Id,mu]")
     stored = rec.involution.loop_map
-    m_ad_mu = mat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])  # Ad(diag(1,-1)) . mu
+    m_ad_mu = sparse_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])  # Ad(diag(1,-1)) . mu
     ad_formula = CoeffMap(m_ad_mu, index_sign=-1)
-    rot = CoeffMap(mat([[1, 0, 0], [0, 0, -1], [0, 1, 0]]))
+    rot = CoeffMap(sparse_rows([[1, 0, 0], [0, 0, -1], [0, 1, 0]]))
     lhs = rot.compose(stored).compose(_inverse_rotation())
     assert lhs == ad_formula
 
 
 def _inverse_rotation():
-    return CoeffMap(mat([[1, 0, 0], [0, 0, 1], [0, -1, 0]]))
+    return CoeffMap(sparse_rows([[1, 0, 0], [0, 0, 1], [0, -1, 0]]))
 
 
 # -- membership of c and d without division -----------------------------------
@@ -510,7 +509,7 @@ _cd_coeffs = st.one_of(_rationals, st.builds(Scalar, _rationals, _rationals))
 )
 def test_contains_matches_division_rule(cd_scale, invariants, seed, symmetrize, c, d):
     twist = involution_from_invariants(*invariants)[2]
-    theta = CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1, conjugate=True)
+    theta = CoeffMap(CoeffMap.identity(3).sparse, index_sign=-1, conjugate=True)
     rf = RealFormDescriptor(name="compact", algebra=SU2C, twist=twist, conj=theta,
                             cd_scale=cd_scale)
     loop = random_extended_element(SU2C, twist, TrialRng("contains", seed), max_degree=3).loop

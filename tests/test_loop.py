@@ -60,7 +60,7 @@ def test_grading_enforced():
 
 @pytest.mark.parametrize("twist,error,message", [
     (untwisted(make_sl(2, "C")), MismatchError, "twist is defined on a different algebra"),
-    (FiniteAutomorphism(SU2C, untwisted(SU2C).matrix, conjugate=True), LoopError,
+    (FiniteAutomorphism(SU2C, untwisted(SU2C).sparse, conjugate=True), LoopError,
      "twists must be linear automorphisms"),
     (automorphism_from_order(SU2C, [[0, -1, 0], [1, 0, 0], [0, 0, 1]]), LoopError,
      "only twist orders 1 and 2 are supported"),

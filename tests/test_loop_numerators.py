@@ -13,7 +13,7 @@ from math import gcd
 from hypothesis import example, given, settings, strategies as st
 
 from kmalg import serialize
-from kmalg.findim import FiniteLieAlgebra, make_su, mat_scale
+from kmalg.findim import FiniteLieAlgebra, make_su, mat_scale, sparse_rows
 from kmalg.involution import CoeffMap
 from kmalg.kmext import ExtendedElement, cocycle, hat_bracket
 from kmalg.loop import (
@@ -157,7 +157,7 @@ def test_apply_loop_matches_scalar_reference(case, data):
     algebra, twist, fs, _ = case
     n = algebra.dim
     matrix = data.draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
-    phi = CoeffMap(matrix, index_sign=data.draw(st.sampled_from((1, -1))),
+    phi = CoeffMap(sparse_rows(matrix), index_sign=data.draw(st.sampled_from((1, -1))),
                    conjugate=data.draw(st.booleans()), parity=data.draw(st.integers(0, 3)))
     out = phi.apply_loop(lift(algebra, twist, fs))
     assert_canonical(out)

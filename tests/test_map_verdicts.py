@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmalg import cli, involution, kmext, loop, osaka, serialize
-from kmalg.findim import make_abelian, sparse_apply
+from kmalg.findim import make_abelian, sparse_apply, sparse_rows
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
@@ -74,10 +74,10 @@ def _involutions(rf):
     with conj applied when the form has no tau), with epsilon -1 and +1."""
     dim = rf.algebra.dim
     maps = [phi.loop_map for phi in PHIS] if dim == 3 else [
-        CoeffMap([[Scalar(e) if i == j else ZERO for j in range(dim)] for i in range(dim)], s, False, p)
+        CoeffMap(sparse_rows([[Scalar(e) if i == j else ZERO for j in range(dim)] for i in range(dim)]), s, False, p)
         for e in (1, -1) for s in (1, -1) for p in range(4)]
-    maps += [rec.involution.loop_map for rec in CATALOG if len(rec.involution.loop_map.matrix) == dim]
-    maps += [m.compose(rf.conj) if rf.conj is not None else CoeffMap(m.matrix, m.index_sign, True, m.parity)
+    maps += [rec.involution.loop_map for rec in CATALOG if len(rec.involution.loop_map.sparse[0]) == dim]
+    maps += [m.compose(rf.conj) if rf.conj is not None else CoeffMap(m.sparse, m.index_sign, True, m.parity)
              for m in maps]
     return [InvolutionDescriptor("phi", m, eps) for m in maps for eps in (-1, 1)]
 
@@ -248,7 +248,7 @@ def _almost_split(matrix, index_sign):
     """III[Id,Id]'s form with the linear involution a_k -> matrix a_{s k}."""
     rf = catalog_record("III[Id,Id]").real_form
     rows = [[Scalar(x) for x in row] for row in matrix]
-    return rf, InvolutionDescriptor("psi", CoeffMap(rows, index_sign), -1)
+    return rf, InvolutionDescriptor("psi", CoeffMap(sparse_rows(rows), index_sign), -1)
 
 
 @pytest.mark.parametrize("row", ["pair", "cd_sign"])

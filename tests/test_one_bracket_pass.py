@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 from kmalg import cli, osaka, serialize
+from kmalg.findim import sparse_rows
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
@@ -65,7 +66,7 @@ def _diag(signs):
 
 # Linear diagonal involutions a_k -> i^{p k} M a_{s k}, every sign pattern,
 # parity and index sign; time reflection exactly when s = -1.
-PHIS = [InvolutionDescriptor(f"{m}/{p}/{s}", CoeffMap(_diag(m), s, False, p), -1)
+PHIS = [InvolutionDescriptor(f"{m}/{p}/{s}", CoeffMap(sparse_rows(_diag(m)), s, False, p), -1)
         for m in [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)] for p in range(4) for s in (1, -1)]
 
 
@@ -109,7 +110,7 @@ def _with_maps(dec):
     phi = dec.involution
     m = phi.loop_map
     for other in [m, CoeffMap.identity(len(m.matrix))] + [
-            CoeffMap(m.matrix, m.index_sign, m.conjugate, p) for p in (1, 2)]:
+            CoeffMap(m.sparse, m.index_sign, m.conjugate, p) for p in (1, 2)]:
         keep = dec.built_period and dec.built_period % _period(dec.real_form.twist, other) == 0
         changed = replace(dec if keep else materialize(dec), involution=replace(phi, loop_map=other))
         if keep:
@@ -281,7 +282,7 @@ def test_squares_is_decided_on_every_block_after_one_fails():
     (0,) and still reads squares off the later blocks."""
     rec = catalog_record("I[Id,Id]")
     m = [[ZERO, Scalar(0, 1), ZERO], [Scalar(0, -1), ZERO, ZERO], [ZERO, ZERO, Scalar(1)]]
-    phi = InvolutionDescriptor("odd swap", CoeffMap(m, 1, False, 1), -1)
+    phi = InvolutionDescriptor("odd swap", CoeffMap(sparse_rows(m), 1, False, 1), -1)
     truncation = rec.real_form.truncate(2)
     with pytest.raises(PreservationError, match=r"on block \(0,\)"):
         fixed_and_eigenspaces(phi, truncation)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kmalg import osaka
-from kmalg.findim import direct_sum, make_abelian, make_su
+from kmalg.findim import direct_sum, make_abelian, make_su, sparse_rows
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
@@ -88,9 +88,9 @@ def test_fixed_vectors_mixing_simple_and_abelian_blocks_fail_fix_compact():
     the purely simple fixed loops reads, and its detail says why."""
     g = direct_sum(make_su(2), make_abelian(1)).complexify()
     form = RealFormDescriptor("compact", g, untwisted(g),
-                              CoeffMap(CoeffMap.identity(4).matrix, index_sign=-1, conjugate=True), ONE)
+                              CoeffMap(CoeffMap.identity(4).sparse, index_sign=-1, conjugate=True), ONE)
     swap = [[1 if j == {0: 3, 3: 0}.get(i, i) else 0 for j in range(4)] for i in range(4)]
-    phi = InvolutionDescriptor("swap of e0 and e3", CoeffMap(swap, index_sign=-1), -1)
+    phi = InvolutionDescriptor("swap of e0 and e3", CoeffMap(sparse_rows(swap), index_sign=-1), -1)
     rec = OsakaRecord("mixed", form, phi, OsakaType.COMPACT,
                       {"zero": (3, 1), "even_pair": (4, 4), "odd_pair": (4, 4), "cd": (0, 2)})
     rep = osaka_verify(rec, 2)
@@ -107,7 +107,7 @@ def test_type_fails_through_the_cartan_relations():
     NonCompact, and type fails only because the Cartan relations fail on
     the split, naming their witness."""
     rec = replace(catalog_record("III[Id,Id]"), involution=InvolutionDescriptor(
-        "negation", CoeffMap([[-1 if i == j else 0 for j in range(3)] for i in range(3)]), -1))
+        "negation", CoeffMap(sparse_rows([[-1 if i == j else 0 for j in range(3)] for i in range(3)])), -1))
     assert (rec.involution.loop_map.index_sign, rec.involution.loop_map.conjugate,
             rec.involution.loop_map.parity) == (1, False, 0)
     rep = osaka_verify(rec, 2)
@@ -122,12 +122,11 @@ def test_type_fails_through_the_cartan_relations():
 # -- effectiveness ------------------------------------------------------------
 
 def test_catalog_effective_and_second_kind():
-    from kmalg.involution import InvolutionKind
     from kmalg.kmext import central_element
 
     for rec in build_catalog_a1():
         assert effectiveness_check(rec) == Effectiveness.EFFECTIVE
-        assert rec.involution.kind() == InvolutionKind.SECOND
+        assert rec.involution.epsilon == -1
         scale = rec.real_form.cd_scale
         c_el = central_element(rec.real_form.algebra, rec.real_form.twist, scale)
         assert rec.involution.apply(c_el) == -c_el
@@ -368,14 +367,14 @@ def test_product_record_is_reducible():
     tw = untwisted(double)
     form = RealFormDescriptor(
         name="doubled compact", algebra=double, twist=tw,
-        conj=CoeffMap(CoeffMap.identity(6).matrix, index_sign=-1, conjugate=True),
+        conj=CoeffMap(CoeffMap.identity(6).sparse, index_sign=-1, conjugate=True),
         cd_scale=ONE,
     )
     mu_block = [[0] * 6 for _ in range(6)]
     for i, v in enumerate([1, 1, 1, -1, 1, -1]):
         mu_block[i][i] = v
     phi = InvolutionDescriptor(
-        name="blockwise", loop_map=CoeffMap(mu_block, index_sign=-1),
+        name="blockwise", loop_map=CoeffMap(sparse_rows(mu_block), index_sign=-1),
         epsilon=-1,
     )
     rec = OsakaRecord(

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmalg import kmext, loop, serialize
+from kmalg.findim import sparse_rows
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
@@ -56,7 +57,7 @@ def _form(pair, perm, signs, index_sign, parity, scale):
     algebra, twist = serialize.lookup_algebra(*pair)
     matrix = [[Scalar(signs[i]) if j == perm[i] else ZERO for j in range(3)] for i in range(3)]
     return RealFormDescriptor("form", algebra, twist,
-                              CoeffMap(matrix, index_sign, True, parity), scale)
+                              CoeffMap(sparse_rows(matrix), index_sign, True, parity), scale)
 
 
 DIAGONAL = [_form(pair, (0, 1, 2), signs, s, p, scale) for pair in PAIRS for signs in SIGNS
@@ -109,7 +110,7 @@ def test_period_is_the_lcm_of_the_twist_order_and_each_parity_period():
     own = {0: 1, 1: 4, 2: 2, 3: 4}
     for order in (1, 2):
         algebra, twist = serialize.lookup_algebra("su2c", order)
-        maps = {p: CoeffMap(CoeffMap.identity(algebra.dim).matrix, parity=p) for p in range(-4, 8)}
+        maps = {p: CoeffMap(CoeffMap.identity(algebra.dim).sparse, parity=p) for p in range(-4, 8)}
         assert _period(twist) == _period(twist, None) == _period(twist, None, None) == order
         for p, m in maps.items():
             assert _period(twist, m) == _period(twist, None, m) == _period(twist, m, None) == max(order, own[p % 4])
@@ -118,7 +119,7 @@ def test_period_is_the_lcm_of_the_twist_order_and_each_parity_period():
     # the form's twist and conj and the involution's loop map: phi's parity
     # counts, and the untwisted catalog form IV has period 1
     rec = catalog_record("IV")
-    rf, matrix = rec.real_form, rec.involution.loop_map.matrix
+    rf, matrix = rec.real_form, rec.involution.loop_map.sparse
     assert _period(rf.twist, rf.conj, rec.involution.loop_map) == 1
     assert _period(rf.twist, rf.conj, CoeffMap(matrix, -1, False, 2)) == 2
     assert _period(rf.twist, rf.conj, CoeffMap(matrix, -1, False, 1)) == 4
@@ -209,8 +210,8 @@ ODD_SPLITS = {
     "even form": _form(("su2c", 1), (0, 1, 2), (1, 1, 1), -1, 0, ONE),
 }
 ODD_PHI = InvolutionDescriptor(
-    "odd parity", CoeffMap([[Scalar(s) if i == j else ZERO for j in range(3)]
-                            for i, s in enumerate((1, -1, -1))], -1, False, 1), -1)
+    "odd parity", CoeffMap(sparse_rows([[Scalar(s) if i == j else ZERO for j in range(3)]
+                                        for i, s in enumerate((1, -1, -1))]), -1, False, 1), -1)
 
 
 @pytest.mark.parametrize("name", sorted(ODD_SPLITS))

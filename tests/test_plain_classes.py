@@ -34,9 +34,9 @@ from kmalg.scalars import I, ONE
 
 SRC = Path(kmalg.__file__).parent
 SU2C = make_su(2).complexify()
-THETA = CoeffMap(CoeffMap.identity(3).matrix, index_sign=-1, conjugate=True)
+THETA = CoeffMap(CoeffMap.identity(3).sparse, index_sign=-1, conjugate=True)
 RF = RealFormDescriptor("compact", SU2C, untwisted(SU2C), THETA)
-PHI = InvolutionDescriptor("time reflection", CoeffMap(CoeffMap.identity(3).matrix, -1), -1)
+PHI = InvolutionDescriptor("time reflection", CoeffMap(CoeffMap.identity(3).sparse, -1), -1)
 
 # (class, required arguments, another value of the first, semantics):
 # "frozen" compares and hashes by value, "mutable" compares by value and is
@@ -100,7 +100,7 @@ def test_involution_descriptor_checks_at_construction(epsilon, reflect_time):
     """epsilon must be +-1, on a map that reflects time or not. A
     time-reflecting map with epsilon +1 is built (the verdicts judge it);
     an involution file asking for one is refused in serialize (test_cli)."""
-    loop_map = CoeffMap(CoeffMap.identity(3).matrix, -1 if reflect_time else 1)
+    loop_map = CoeffMap(CoeffMap.identity(3).sparse, -1 if reflect_time else 1)
     with pytest.raises(InvolutionError):
         InvolutionDescriptor("bad", loop_map, epsilon)
     assert InvolutionDescriptor("built", loop_map, 1).epsilon == 1

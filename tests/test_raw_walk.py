@@ -17,7 +17,7 @@ classes_reference in oracles, which rediscovers the classes from the
 blocks."""
 from hypothesis import given, settings, strategies as st
 
-from kmalg.findim import make_abelian
+from kmalg.findim import make_abelian, sparse_rows
 from kmalg.involution import (
     CoeffMap,
     Truncation,
@@ -95,7 +95,7 @@ def test_fixes_matches_apply_loop_on_involutive_and_other_maps(data):
         phi = data.draw(involutions(n))
     else:
         phi = data.draw(coeff_maps(n).filter(lambda m: not _involutive(m)).map(
-            lambda m: CoeffMap(m.matrix, -1, m.conjugate, m.parity)).filter(lambda m: not _involutive(m)))
+            lambda m: CoeffMap(m.sparse, -1, m.conjugate, m.parity)).filter(lambda m: not _involutive(m)))
     assert _involutive(phi) == involutive
     f, sign = data.draw(loops(n)), data.draw(st.sampled_from((1, -1)))
     how = data.draw(st.sampled_from(("drawn", "eigen", "half")))
@@ -118,7 +118,7 @@ def test_a_map_that_is_not_involutive_is_checked_at_every_exponent():
     and the one at k = -1 does not (2 conj(2 e_1) != e_1)."""
     alg = make_abelian(1).complexify()
     f = TwistedLoopElement(alg, untwisted(alg), {1: (Scalar(2),), -1: (Scalar(1),)})
-    phi = CoeffMap([[2]], index_sign=-1, conjugate=True)
+    phi = CoeffMap(sparse_rows([[2]]), index_sign=-1, conjugate=True)
     image = phi.apply_loop(f)
     assert image.terms[1] == f.terms[1] and image.terms[-1] != f.terms[-1]
     assert not phi.fixes(f) and image != f

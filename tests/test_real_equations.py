@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmalg import serialize
-from kmalg.findim import LieAlgebraError
+from kmalg.findim import LieAlgebraError, sparse_rows
 from kmalg.involution import CoeffMap, RealFormDescriptor
 from kmalg.scalars import I, ONE, Scalar, ZERO, vec_to_scalars
 
@@ -94,7 +94,7 @@ def real_forms(draw):
         perm = draw(st.permutations(range(n)))
         diag = [draw(st.sampled_from(ENTRIES)) for _ in range(n)]
         matrix = [[diag[j] if perm[i] == j else ZERO for j in range(n)] for i in range(n)]
-        conj = CoeffMap(matrix, index_sign=draw(st.sampled_from([1, -1])), conjugate=True,
+        conj = CoeffMap(sparse_rows(matrix), index_sign=draw(st.sampled_from([1, -1])), conjugate=True,
                         parity=draw(st.integers(0, 3)))
     cd_scale = draw(st.sampled_from([ONE, I]))
     return RealFormDescriptor(name="drawn", algebra=algebra, twist=twist, conj=conj,

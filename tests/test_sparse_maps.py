@@ -1,6 +1,12 @@
-"""The sparse exact maps (findim.sparse_rows / sparse_apply behind CoeffMap
-and FiniteAutomorphism) and mat_mul against a dense reference: dense_apply
-in oracles and dense_mul here.
+"""The sparse exact maps behind CoeffMap and FiniteAutomorphism, and
+mat_mul, against a dense reference: dense_apply and order_reference in
+oracles and dense_mul here.
+
+A map holds its matrix once, as `findim.sparse_rows` gives it: sparse
+Gaussian-integer rows over one denominator in lowest terms, in ascending
+column order; `matrix` is a Scalar view of them. So `compose` must give
+exactly the sparse rows of the dense product, on ints, and `==` and `hash`
+agree with dense equality.
 
 Random maps mix zero entries, the units 1, i, -1, -i, other Gaussian
 rationals, zero rows and identity-like matrices; every product in the
@@ -10,11 +16,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from kmalg.findim import FiniteAutomorphism, make_abelian, mat_mul
+from kmalg.findim import FiniteAutomorphism, least_order, make_abelian, mat_mul, sparse_rows
 from kmalg.involution import CoeffMap
 from kmalg.loop import TwistedLoopElement, untwisted
 from kmalg.scalars import Scalar, ZERO
-from oracles import apply_vec, automorphism_apply, dense_apply
+from oracles import apply_vec, automorphism_apply, dense_apply, mat, order_reference
 
 UNITS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))
 
@@ -34,6 +40,11 @@ def dense_mul(a, b, conjugate=False):
         tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), ZERO) for j in range(len(b[0])))
         for i in range(len(a))
     )
+
+
+def all_ints(sparse):
+    rows, den = sparse
+    return type(den) is int and all(type(x) is int for row in rows for entry in row for x in entry)
 
 
 def dense_is_identity(matrix):
@@ -67,7 +78,7 @@ def matrices(draw, n, m=None):
 @st.composite
 def coeff_maps(draw, n):
     return CoeffMap(
-        draw(matrices(n)),
+        sparse_rows(draw(matrices(n))),
         index_sign=draw(st.sampled_from((1, -1))),
         conjugate=draw(st.booleans()),
         parity=draw(st.integers(0, 3)),
@@ -121,8 +132,46 @@ def test_coeff_map_compose_matches_dense(data):
     phi, psi = data.draw(coeff_maps(n)), data.draw(coeff_maps(n))
     f = data.draw(loops(n))
     both = phi.compose(psi)
-    assert both.matrix == dense_mul(phi.matrix, psi.matrix, phi.conjugate)
+    assert both.sparse == sparse_rows(dense_mul(phi.matrix, psi.matrix, phi.conjugate))
+    assert all_ints(both.sparse) and all_ints(phi.sparse)
     assert both.apply_loop(f) == phi.apply_loop(psi.apply_loop(f))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_equality_and_hash_agree_with_dense(data):
+    """Two maps are equal, and hash alike, exactly when their dense
+    matrices and their (s, d, p) are: also a map of c * rows composed with
+    the identity times 1 / c, whose product numerators share the factor c,
+    equals the map of rows."""
+    n = data.draw(dims)
+    rows = data.draw(matrices(n))
+    other = rows if data.draw(st.booleans()) else data.draw(matrices(n))
+    c = data.draw(st.sampled_from((2, -3, 6, Scalar(Fraction(1, 2)), Scalar(0, 2), Scalar(3, 3))))
+    scaled = CoeffMap(sparse_rows([[c * x for x in row] for row in rows]))
+    unscale = CoeffMap(sparse_rows([[Scalar(1) / c if i == j else ZERO for j in range(n)] for i in range(n)]))
+    plain = CoeffMap(sparse_rows(rows))
+    via = scaled.compose(unscale)
+    assert via == plain and hash(via) == hash(plain) and via.sparse == plain.sparse
+    flags = [(data.draw(st.sampled_from((1, -1))), data.draw(st.booleans()), data.draw(st.integers(0, 3)))
+             for _ in range(2)]
+    a, b = (CoeffMap(sparse_rows(m), *f) for m, f in zip((rows, other), flags))
+    want = mat(rows) == mat(other) and flags[0] == flags[1]
+    assert (a == b) == want
+    if want:
+        assert hash(a) == hash(b)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_least_order_matches_the_dense_power_walk(data):
+    """least_order of a signed permutation (entries 1, i, -1, -i), linear
+    or conjugate-linear, is `order_reference`'s, which composes no map."""
+    n = data.draw(dims)
+    perm = data.draw(st.permutations(range(n)))
+    rows = [[data.draw(st.sampled_from(UNITS)) if j == perm[i] else ZERO for j in range(n)] for i in range(n)]
+    conjugate = data.draw(st.booleans())
+    assert least_order(CoeffMap(sparse_rows(rows), conjugate=conjugate), 8) == order_reference(mat(rows), conjugate)
 
 
 @settings(deadline=None)
@@ -135,7 +184,7 @@ def test_coeff_map_is_identity_matches_dense(data):
         and dense_is_identity(phi.matrix)
     )
     assert phi.is_identity() == want
-    plain = CoeffMap(phi.matrix)
+    plain = CoeffMap(phi.sparse)
     assert plain.is_identity() == dense_is_identity(phi.matrix)
 
 
@@ -146,8 +195,8 @@ def test_coeff_map_is_identity_matches_dense(data):
 def test_finite_automorphism_matches_dense(data):
     n = data.draw(dims)
     alg = make_abelian(n).complexify()
-    a = FiniteAutomorphism(alg, data.draw(matrices(n)), data.draw(st.booleans()))
-    b = FiniteAutomorphism(alg, data.draw(matrices(n)), data.draw(st.booleans()))
+    a = FiniteAutomorphism(alg, sparse_rows(data.draw(matrices(n))), data.draw(st.booleans()))
+    b = FiniteAutomorphism(alg, sparse_rows(data.draw(matrices(n))), data.draw(st.booleans()))
     vec = data.draw(vectors(n))
     assert automorphism_apply(a, vec) == dense_apply(a.matrix, vec, a.conjugate)
     ab = a.compose(b)
@@ -162,5 +211,4 @@ def test_finite_automorphism_matches_dense(data):
 def test_mat_mul_matches_dense_on_rectangles(data):
     n, k, m = data.draw(dims), data.draw(dims), data.draw(dims)
     a, b = data.draw(matrices(n, k)), data.draw(matrices(k, m))
-    conjugate = data.draw(st.booleans())
-    assert mat_mul(a, b, conjugate) == dense_mul(a, b, conjugate)
+    assert mat_mul(a, b) == dense_mul(a, b)
