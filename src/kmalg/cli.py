@@ -226,13 +226,16 @@ def cmd_decompose(args):
     report = _base_report("decompose", form=args.form, degree=degree,
                           involution=args.involution)
     report["dims"] = {str(k): list(v) for k, v in sorted(dec.dims().items(), key=str)}
-    # every block, one past the split's built_period rendered as a shift
+    # every block, one past the split's built_period as a shift of its base
+    # block, whose elements are rendered once
     report["K"], report["P"] = [], []
+    texts = [[(report["K" if s == 1 else "P"], serialize.element_renderer(e)) for e, s in items]
+             for _, items in dec.blocks]
     for key, b in dec.layout():
-        base, items = dec.blocks[b]
+        base = dec.blocks[b][0]
         shift = 0 if key == base else key[0] - base[0]
-        for e, s in items:
-            report["K" if s == 1 else "P"].append(serialize.render_element(e, shift))
+        for out, render in texts[b]:
+            out.append(render(shift))
     report["gram"] = {"K_loops": kv.value, "P_loops": pv.value}
     return report, True
 

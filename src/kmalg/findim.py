@@ -13,10 +13,10 @@ Gaussian-integer rows over one denominator in lowest terms (`sparse_rows`,
 the one reader of Scalar or int rows); it composes, compares and hashes on
 those ints, and its `matrix` is a Scalar view built on demand.
 
-The structure constants and the Killing matrix are held once, on ints:
-Gaussian-integer numerators over one denominator each, with no Scalar
-copy. The bracket and the Killing form take numerator vectors (see
-`scalars`) and reduce a result once; automorphisms act on them the same way.
+The basis (`_cells`), the structure constants, solved from commutators
+summed on its numerators, and the Killing matrix are held on ints, each
+over one denominator. The bracket and the Killing form take numerator
+vectors (see `scalars`) and reduce a result once; automorphisms act on them the same way.
 """
 from __future__ import annotations
 
@@ -44,11 +44,7 @@ class WrongOrderError(LieAlgebraError):
     pass
 
 
-# -- small exact matrix helpers ----------------------------------------
-
-def mat_zero(n) -> Matrix:
-    return tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
-
+# -- small exact matrix helpers: the Scalar edge where bases are written -------
 
 def mat_add(a, b) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
@@ -62,32 +58,15 @@ def mat_scale(c, a) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_mul(a, b) -> Matrix:
-    """a . b, over the nonzero entries of a."""
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum((x * col[j] for j, x in row if col[j]), ZERO) for col in cols)
-                 for row in rows)
-
-
-def mat_bracket(a, b) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_conj(a) -> Matrix:
-    return tuple(tuple(x.conjugate() for x in row) for row in a)
-
-
-def mat_flatten(a):
-    return [x for row in a for x in row]
-
-
 # -- sparse exact linear maps ----------------------------------------------
 
 def sparse_rows(rows):
-    """M as (rows, D) from rows of Scalars or rationals: per row the
-    (j, re, im) integer numerators of its nonzero entries, ascending in j,
-    over one denominator D, in lowest terms."""
+    """M as (rows, D) from rows of Scalars or rationals, all of one length
+    (M may be rectangular): per row the (j, re, im) integer numerators of
+    its nonzero entries, ascending in j, over one denominator D, in lowest
+    terms."""
+    if len({len(row) for row in rows}) > 1:
+        raise LieAlgebraError("matrix rows are of unequal length")
     flat = [x if isinstance(x, Scalar) else Scalar(x) for row in rows for x in row]
     return _sparse_from_vec(vec_from_scalars(flat), len(rows))
 
@@ -154,7 +133,9 @@ class FiniteLieAlgebra:
         covered = sorted(i for b in self.blocks for i in b.indices)
         if covered != list(range(self.dim)):
             raise LieAlgebraError("ideal blocks must partition the basis indices")
-        self._flat_basis = [mat_flatten(b) for b in self.basis]
+        s = self.matrix_size
+        # the basis held once, on ints: row i lists entry i (row-major) of every e_j
+        self._cells = sparse_rows([[b[i // s][i % s] for b in self.basis] for i in range(s * s)])
         # the nonzero structure constants c_jk^m as (j, k, m, re, im) over _sc_den
         self._sc, self._sc_den = self._compute_structure() if _structure is None else _structure
         self._check_field_reality()
@@ -165,13 +146,27 @@ class FiniteLieAlgebra:
 
     def _compute_structure(self):
         """(_sc, _sc_den) from the coordinates of each [e_j, e_k], in
-        row-major order over the lcm of their denominators. One `_solve`
-        of the commutators with j < k gives them all, and so checks the
-        basis's independence: [e_k, e_j] is the negated [e_j, e_k], and
+        row-major order over the lcm of their denominators. The commutators
+        with j < k are summed on the numerators of _cells, over D^2 (D its
+        denominator), and one `_solve` of them gives them all, and so checks
+        the basis's independence: [e_k, e_j] is the negated [e_j, e_k], and
         [e_j, e_j] = 0."""
-        n = self.dim
-        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-        sols = dict(zip(pairs, self._solve([mat_bracket(self.basis[j], self.basis[k]) for j, k in pairs])))
+        n, s, cells = self.dim, self.matrix_size, self._cells[0]
+        rows = [[[] for _ in range(s)] for _ in range(n)]  # rows[j][r]: (c, re, im) of row r of e_j
+        for i, cell in enumerate(cells):
+            for j, a, b in cell:
+                rows[j][i // s].append((i % s, a, b))
+        pairs, commutators = [(j, k) for j in range(n) for k in range(j + 1, n)], []
+        for j, k in pairs:
+            acc = [0] * (2 * s * s)
+            for x, y, sign in ((j, k, 1), (k, j, -1)):
+                for r, row in enumerate(rows[x]):
+                    for c, a, b in row:
+                        for t, p, q in rows[y][c]:
+                            acc[r * s + t] += sign * (a * p - b * q)
+                            acc[s * s + r * s + t] += sign * (a * q + b * p)
+            commutators.append(acc)
+        sols = dict(zip(pairs, self._solve(commutators, self._cells[1] ** 2)))
         sols.update({(k, j): vec_neg(v) for (j, k), v in sols.items()})
         den = lcm(*(d for _, d in sols.values()))
         return tuple((j, k, m, re * (den // d), im * (den // d)) for (j, k), (nums, d) in sorted(sols.items())
@@ -202,24 +197,28 @@ class FiniteLieAlgebra:
 
     # -- coordinates -----------------------------------------------------
 
-    def _solve(self, mats):
-        """The coordinates of each matrix of mats, as numerator vectors, from
-        one `linalg.rref`: the basis's real blow-up (two rows per matrix
+    def _solve(self, targets, den):
+        """The coordinates of each target, the [re | im] integer numerators
+        of a matrix's entries (row-major) over den, as numerator vectors, from
+        one `linalg.rref`: the real blow-up of _cells (two rows per matrix
         entry, its real and imaginary part, and columns re c_j, then im c_j)
-        with one column per target beside it. Every re c_j column is a
-        pivot exactly when the basis is independent over R, and a pivot past
-        the basis columns marks a target outside the span; either raises.
-        Free variables are 0, as in `linalg.solve`. The reduction of the
-        basis columns does not depend on the targets beside them, so each
-        target gets the solution a solve of it alone would give."""
-        n, targets, size = self.dim, [mat_flatten(m) for m in mats], self.matrix_size ** 2
-        if any(len(t) != size for t in targets):
+        with one column per target beside it. Every re c_j column is a pivot
+        exactly when the basis is independent over R, and a pivot past the
+        basis columns marks a target outside the span; either raises. Free
+        variables are 0, as in `linalg.solve`. The reduction of the basis
+        columns does not depend on the targets beside them, so each target
+        gets the solution a solve of it alone would give, times den / D on
+        numerators over den and D (_cells'), which the result undoes."""
+        n, (cells, d) = self.dim, self._cells
+        if any(len(t) != 2 * len(cells) for t in targets):
             raise LieAlgebraError(f"matrix is not {self.matrix_size} x {self.matrix_size}")
         rows = []
-        for i in range(size):
-            entries = [b[i] for b in self._flat_basis]
-            rows.append([x.re for x in entries] + [-x.im for x in entries] + [t[i].re for t in targets])
-            rows.append([x.im for x in entries] + [x.re for x in entries] + [t[i].im for t in targets])
+        for i, cell in enumerate(cells):
+            re, im = [0] * n, [0] * n
+            for j, a, b in cell:
+                re[j], im[j] = a, b
+            rows.append(re + [-b for b in im] + [t[i] for t in targets])
+            rows.append(im + re + [t[len(cells) + i] for t in targets])
         red, pivots = linalg.rref(rows)
         if pivots[:n] != list(range(n)):
             raise LieAlgebraError("basis matrices are linearly dependent")
@@ -229,14 +228,7 @@ class FiniteLieAlgebra:
         for r, c in enumerate(pivots):
             for sol, x in zip(sols, red[r][2 * n:]):
                 sol[c] = x
-        return [vec_from_parts(sol) for sol in sols]
-
-    def matrix(self, coords) -> Matrix:
-        out = mat_zero(self.matrix_size)
-        for c, b in zip(coords, self.basis):
-            if c:
-                out = mat_add(out, mat_scale(c, b))
-        return out
+        return [vec_canon([x * d for x in nums], e * den) for nums, e in map(vec_from_parts, sols)]
 
     def zero_coords(self):
         return (ZERO,) * self.dim
@@ -425,16 +417,12 @@ def direct_sum(*algebras, name=None) -> FiniteLieAlgebra:
         raise LieAlgebraError("direct_sum requires a common field")
     total = sum(g.matrix_size for g in algebras)
     den = lcm(*(g._sc_den for g in algebras))
-    basis, blocks, sc = [], [], []
-    offset_mat = 0
-    offset_idx = 0
+    basis, blocks, sc, zero = [], [], [], (ZERO,) * total
+    offset_mat = offset_idx = 0
     for g in algebras:
-        for b in g.basis:
-            rows = [[ZERO] * total for _ in range(total)]
-            for i in range(g.matrix_size):
-                for j in range(g.matrix_size):
-                    rows[offset_mat + i][offset_mat + j] = b[i][j]
-            basis.append(tuple(tuple(r) for r in rows))
+        left, right = (ZERO,) * offset_mat, (ZERO,) * (total - offset_mat - g.matrix_size)
+        basis.extend((zero,) * len(left) + tuple(left + row + right for row in b) + (zero,) * len(right)
+                     for b in g.basis)
         for blk in g.blocks:
             blocks.append(IdealBlock(blk.kind, tuple(offset_idx + i for i in blk.indices)))
         f, o = den // g._sc_den, offset_idx
@@ -498,10 +486,13 @@ class CoeffMap:
 
     def compose(self, other) -> "CoeffMap":
         """self after other, as one coefficient map: M_1 conj^d_1(M_2) on
-        the sparse rows' ints, over D_1 D_2, in `sparse_rows` form."""
+        the sparse rows' ints, over D_1 D_2, in `sparse_rows` form. Maps of
+        different sizes raise InvolutionError."""
         s1, d1 = self.index_sign, self.conjugate
         (rows1, den1), (rows2, den2), flip = self.sparse, other.sparse, -1 if d1 else 1
         n = len(rows1)
+        if len(rows2) != n:
+            raise InvolutionError(f"cannot compose a {n} x {n} map after a {len(rows2)} x {len(rows2)} one")
         acc = [0] * (2 * n * n)
         for i, row in enumerate(rows1):
             for j, a, b in row:
@@ -585,8 +576,13 @@ def automorphism_from_order(g, matrix_rows, conjugate=False):
 
 def entrywise_conjugation_automorphism(g) -> FiniteAutomorphism:
     """x -> conj(x) entrywise on matrices. On a real algebra this is a linear
-    involution of the basis; on a complex algebra it is conjugate-linear."""
-    rows_t = [vec_to_scalars(v) for v in g._solve([mat_conj(b) for b in g.basis])]
-    rows = [[rows_t[j][i] for j in range(g.dim)] for i in range(g.dim)]
+    involution of the basis; on a complex algebra it is conjugate-linear.
+    The conjugates are the numerators of _cells with im negated."""
+    (cells, den), size = g._cells, len(g._cells[0])
+    conjugates = [[0] * (2 * size) for _ in range(g.dim)]
+    for i, cell in enumerate(cells):
+        for j, a, b in cell:
+            conjugates[j][i], conjugates[j][size + i] = a, -b
+    rows = list(zip(*(vec_to_scalars(v) for v in g._solve(conjugates, den))))
     return automorphism_from_order(g, rows, conjugate=(g.field == "C"))
 

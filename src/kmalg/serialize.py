@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .findim import automorphism_from_order, direct_sum, make_abelian, make_sl, make_su, sparse_rows
+from .findim import automorphism_from_order, direct_sum, make_abelian, make_sl, make_su, sparse_apply, sparse_rows
 from .involution import CoeffMap, InvolutionDescriptor, RealFormDescriptor
 from .kmext import ExtendedElement
 from .loop import GradingError, TwistedLoopElement, untwisted
-from .scalars import I, ONE, Scalar
+from .scalars import I, ONE, Scalar, exact_div
 
 SCHEMA = "kmalg/1"
 
@@ -324,19 +324,18 @@ def _expected_dims(spec):
 
 def _scalar_factor(s: Scalar) -> str:
     """Scalar as a multiplicative prefix: '', '-', '3/2·', 'i·', '(1/2-3·i)·'."""
-    if s == Scalar(1):
-        return ""
-    if s == Scalar(-1):
-        return "-"
-    text = str(s)
-    if s.re and s.im:
-        return f"({text})·"
-    return f"{text}·"
+    if s == 1 or s == -1:
+        return "" if s == 1 else "-"
+    return f"({s})·" if s.re and s.im else f"{s}·"
 
 
-def _render_matrix_sum(algebra, coords) -> str:
-    return _join([f"{_scalar_factor(v)}E{r + 1}{c + 1}"
-                  for r, row in enumerate(algebra.matrix(coords)) for c, v in enumerate(row) if v])
+def _render_matrix_sum(algebra, vec) -> str:
+    """The matrix of the numerator vector vec as its nonzero entries times
+    matrix units, read off `sparse_apply` of the algebra's _cells."""
+    (nums, den), s = sparse_apply(algebra._cells, vec), algebra.matrix_size
+    n = len(nums) // 2
+    return _join([f"{_scalar_factor(Scalar(exact_div(a, den), exact_div(b, den)))}E{i // s + 1}{i % s + 1}"
+                  for i, a, b in zip(range(n), nums, nums[n:]) if a or b])
 
 
 def _join(parts) -> str:
@@ -352,18 +351,19 @@ def _exp_str(k: int, m: int) -> str:
     return f"({k}/2)"
 
 
+def element_renderer(x: ExtendedElement):
+    """`render_element` of x as a function of its shift: each coefficient
+    is rendered once, and a shift only moves the exponents."""
+    m = x.loop.twist.order
+    terms = [(k, f"({_render_matrix_sum(x.loop.algebra, vec)})·z^") for k, vec in sorted(x.loop.terms.items())]
+    tail = [f"{_scalar_factor(v)}{name}" for v, name in ((x.c, "c"), (x.d, "d")) if v]
+    return lambda shift: _join([text + _exp_str(k + shift if k > 0 else k - shift if k < 0 else k, m)
+                                for k, text in terms] + tail)
+
+
 def render_element(x: ExtendedElement, shift: int = 0) -> str:
     """Deterministic text form, ordered by degree then c then d. shift
     moves every nonzero exponent that far further from 0, so a block past
     a truncation's built_period renders as the shift of its base block
     without being built."""
-    m = x.loop.twist.order
-    parts = []
-    for k in sorted(x.loop.terms):
-        e = k + shift if k > 0 else k - shift if k < 0 else k
-        parts.append(f"({_render_matrix_sum(x.loop.algebra, x.loop.coeff(k))})·z^{_exp_str(e, m)}")
-    if x.c:
-        parts.append(f"{_scalar_factor(x.c)}c")
-    if x.d:
-        parts.append(f"{_scalar_factor(x.d)}d")
-    return _join(parts)
+    return element_renderer(x)(shift)

@@ -17,6 +17,12 @@ elements stored numerator vectors. The loop Gram matrix is built class by
 class as it was before classes equal up to exponent renaming shared one
 computation, and laid out densely from the class blocks the library now
 returns.
+The Scalar matrix helpers (mat_zero, mat_mul, mat_bracket, mat_conj,
+mat_flatten) and matrix, the Scalar matrix of a coordinate tuple, are
+findim's as they were before the basis moved onto ints (_cells); the
+per-copy renderer (render_element_reference, cmd_decompose_reference)
+builds such a matrix for every element of every block, as rendering did
+before it read numerators and decompose rendered each base block once.
 parse_element, the inverse of the rendering, and parse_scalar, the inverse
 of render_scalar, live here because only the render round trips read them,
 and so do the finite-element JSON schema and the admissibility verdict of
@@ -80,15 +86,13 @@ from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
-from kmalg import linalg
+from kmalg import cli, linalg
 from kmalg.findim import (
     LieAlgebraError,
     _unit,
     mat_add,
-    mat_bracket,
-    mat_flatten,
     mat_scale,
-    mat_zero,
+    mat_sub,
     sparse_apply,
 )
 from kmalg.involution import (
@@ -97,6 +101,7 @@ from kmalg.involution import (
     Truncation,
     _period,
     dualize,
+    fixed_and_eigenspaces,
 )
 from kmalg.kmext import ExtendedElement, hat_bracket, real_coords
 from kmalg.serialize import (
@@ -105,6 +110,7 @@ from kmalg.serialize import (
     _check_schema,
     _coords_from_json,
     algebra_name,
+    involution_from_json,
     lookup_algebra,
     scalar_to_json,
 )
@@ -134,6 +140,41 @@ from kmalg.scalars import (
 def mat(rows):
     """Rows of Scalars or rationals as a tuple of Scalar row tuples."""
     return tuple(tuple(x if isinstance(x, Scalar) else Scalar(x) for x in row) for row in rows)
+
+
+# -- Scalar matrices, as findim held them before its basis moved onto ints -------
+
+def mat_zero(n):
+    return tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
+
+
+def mat_mul(a, b):
+    """a . b, over the nonzero entries of a."""
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum((x * col[j] for j, x in row if col[j]), ZERO) for col in cols)
+                 for row in rows)
+
+
+def mat_bracket(a, b):
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def mat_conj(a):
+    return tuple(tuple(x.conjugate() for x in row) for row in a)
+
+
+def mat_flatten(a):
+    return [x for row in a for x in row]
+
+
+def matrix(algebra, coords):
+    """The matrix sum of coords[j] e_j, as FiniteLieAlgebra.matrix gave it."""
+    out = mat_zero(algebra.matrix_size)
+    for c, b in zip(coords, algebra.basis):
+        if c:
+            out = mat_add(out, mat_scale(c, b))
+    return out
 
 
 def i_power(k: int) -> Scalar:
@@ -196,7 +237,7 @@ def solved_tables(basis):
     basis = tuple(basis)
     if basis not in _SOLVED:
         n = len(basis)
-        span = SimpleNamespace(_flat_basis=[mat_flatten(b) for b in basis], dim=n)
+        span = SimpleNamespace(basis=basis, dim=n)
         c = [[coords_reference(span, mat_bracket(a, b)) for b in basis] for a in basis]
         ad = [[[c[j][k][m] for k in range(n)] for m in range(n)] for j in range(n)]
         _SOLVED[basis] = c, [[_trace_of_product(ad[j], ad[l]) for l in range(n)] for j in range(n)]
@@ -596,10 +637,13 @@ def block_basis_reference(self, key):
 def coords_reference(self, m):
     """coords as it was, a FiniteLieAlgebra method, before it moved onto
     real_rows (then in linalg): the real blow-up written by hand, one solve
-    per matrix. `self` is the algebra; the body is kept verbatim."""
+    per matrix, on the Scalar basis matrices. `self` is the algebra; the
+    body is kept verbatim apart from the flattened basis it builds, which
+    the algebra held then."""
     target = mat_flatten(m)
+    flat_basis = [mat_flatten(b) for b in self.basis]
     # complex coordinates found by a real 2x-blown-up solve
-    flat = [[self._flat_basis[j][i] for j in range(self.dim)] for i in range(len(target))]
+    flat = [[flat_basis[j][i] for j in range(self.dim)] for i in range(len(target))]
     real_rows = []
     real_rhs = []
     for i, t in enumerate(target):
@@ -725,6 +769,90 @@ def combine_reference(elements, coeffs):
     coeffs a nullspace vector (so not zero)."""
     parts = [e.scale(Scalar(c)) for c, e in zip(coeffs, elements) if c]
     return sum(parts[1:], parts[0])
+
+
+# -- the per-copy Scalar renderer ---------------------------------------------------
+#
+# serialize's text rendering as it was before it read a coefficient's
+# numerators and decompose rendered each base block once: every element of
+# every block, a shifted copy included, went through a fresh Scalar matrix
+# (`matrix`). The bodies are kept verbatim apart from their names and that
+# matrix, which was FiniteLieAlgebra.matrix.
+
+def scalar_factor_reference(s: Scalar) -> str:
+    """Scalar as a multiplicative prefix: '', '-', '3/2·', 'i·', '(1/2-3·i)·'."""
+    if s == Scalar(1):
+        return ""
+    if s == Scalar(-1):
+        return "-"
+    text = str(s)
+    if s.re and s.im:
+        return f"({text})·"
+    return f"{text}·"
+
+
+def render_matrix_sum_reference(algebra, coords) -> str:
+    return join_reference([f"{scalar_factor_reference(v)}E{r + 1}{c + 1}"
+                           for r, row in enumerate(matrix(algebra, coords)) for c, v in enumerate(row) if v])
+
+
+def join_reference(parts) -> str:
+    """Signed terms joined by " + " and " - "; "0" for no terms."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(" - " + p[1:] if p.startswith("-") else " + " + p for p in parts[1:])
+
+
+def exp_str_reference(k: int, m: int) -> str:
+    if m == 1 or k % 2 == 0:
+        return str(k // m if m == 2 else k)
+    return f"({k}/2)"
+
+
+def render_element_reference(x: ExtendedElement, shift: int = 0) -> str:
+    """Deterministic text form, ordered by degree then c then d. shift
+    moves every nonzero exponent that far further from 0, so a block past
+    a truncation's built_period renders as the shift of its base block
+    without being built."""
+    m = x.loop.twist.order
+    parts = []
+    for k in sorted(x.loop.terms):
+        e = k + shift if k > 0 else k - shift if k < 0 else k
+        parts.append(f"({render_matrix_sum_reference(x.loop.algebra, x.loop.coeff(k))})·z^{exp_str_reference(e, m)}")
+    if x.c:
+        parts.append(f"{scalar_factor_reference(x.c)}c")
+    if x.d:
+        parts.append(f"{scalar_factor_reference(x.d)}d")
+    return join_reference(parts)
+
+
+def cmd_decompose_reference(args):
+    """cli.cmd_decompose as it was before it rendered each base block once:
+    render_element_reference of every element of every block, with the
+    shift of its block."""
+    degree = cli._check_degree(args.degree)
+    rec = cli._catalog_record(args.form)
+    inv = rec.involution
+    if args.involution:
+        inv = involution_from_json(cli._read_json(args.involution), rec.real_form.algebra)
+    try:
+        dec = fixed_and_eigenspaces(inv, rec.real_form.truncate(degree))
+    except InvolutionError as exc:
+        raise cli.CliError(str(exc), cli.EXIT_FAIL) from exc
+    _, kv = killing_gram([e.loop for e in dec.k_basis if not e.loop.is_zero()])
+    _, pv = killing_gram([e.loop for e in dec.p_basis if not e.loop.is_zero()])
+    report = cli._base_report("decompose", form=args.form, degree=degree,
+                              involution=args.involution)
+    report["dims"] = {str(k): list(v) for k, v in sorted(dec.dims().items(), key=str)}
+    # every block, one past the split's built_period rendered as a shift
+    report["K"], report["P"] = [], []
+    for key, b in dec.layout():
+        base, items = dec.blocks[b]
+        shift = 0 if key == base else key[0] - base[0]
+        for e, s in items:
+            report["K" if s == 1 else "P"].append(render_element_reference(e, shift))
+    report["gram"] = {"K_loops": kv.value, "P_loops": pv.value}
+    return report, True
 
 
 # -- the inverse of render_element -----------------------------------------------
@@ -899,8 +1027,10 @@ def is_semisimple(g) -> bool:
 
 def coords(algebra, m):
     """Coordinates of a matrix in the algebra's basis; raises if outside the
-    span: `_solve` of m alone."""
-    return vec_to_scalars(algebra._solve([m])[0])
+    span: `_solve` of the numerators of m alone."""
+    nums, den = vec_from_scalars(mat_flatten(m))
+    return vec_to_scalars(algebra._solve([nums], den)[0])
+
 
 def apply_vec(phi, vec, k=0):
     """A CoeffMap on Scalar coordinates landing at target degree k."""

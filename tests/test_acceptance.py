@@ -12,7 +12,6 @@ from kmalg.findim import (
     make_abelian,
     make_sl,
     make_su,
-    mat_conj,
     mat_scale,
 )
 from kmalg.involution import (
@@ -47,7 +46,7 @@ from kmalg.osaka import (
 from kmalg.rand import TrialRng, random_extended_element, random_loop_element
 from kmalg.scalars import I, Scalar, ZERO
 
-from oracles import dense_killing_gram, kp_blocks, leading_minors_oracle, mat_transpose, nonzero_loops
+from oracles import dense_killing_gram, kp_blocks, leading_minors_oracle, mat_conj, mat_transpose, matrix, nonzero_loops
 
 SU2C = make_su(2).complexify()
 SL2C = make_sl(2, "C")
@@ -233,7 +232,7 @@ def test_c06_kp_sign_split():
 # -- 7 ------------------------------------------------------------------------
 
 def _matrix_of(e, k):
-    return SU2C.matrix(e.loop.coeff(k))
+    return matrix(SU2C, e.loop.coeff(k))
 
 
 def _neg_conj_transpose(m):

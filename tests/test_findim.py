@@ -21,6 +21,7 @@ from kmalg.findim import (
     sparse_rows,
 )
 from kmalg.loop import untwisted
+from kmalg.osaka import build_catalog_a1, complex_conjugation_counterexample, euclidean_osaka
 from kmalg.rand import TrialRng
 from kmalg.scalars import I, Scalar, ZERO, vec_from_scalars
 
@@ -35,6 +36,7 @@ from oracles import (
     killing_sl_family,
     killing_so_family,
     mat,
+    matrix,
     order_reference,
     scalar_bracket,
     scalar_killing,
@@ -140,7 +142,7 @@ def test_killing_su2_against_trace_oracle():
     for _ in range(20):
         x = tuple(scalar_reference(rng, real_only=True) for _ in range(3))
         y = tuple(scalar_reference(rng, real_only=True) for _ in range(3))
-        assert scalar_killing(su2, x, y) == killing_sl_family(2, su2.matrix(x), su2.matrix(y))
+        assert scalar_killing(su2, x, y) == killing_sl_family(2, matrix(su2, x), matrix(su2, y))
 
 
 def test_killing_sl2r_h():
@@ -156,7 +158,7 @@ def test_killing_so_oracle():
     for _ in range(5):
         x = tuple(rng.scalar() for _ in range(10))
         y = tuple(rng.scalar() for _ in range(10))
-        assert scalar_killing(so5, x, y) == killing_so_family(5, so5.matrix(x), so5.matrix(y))
+        assert scalar_killing(so5, x, y) == killing_so_family(5, matrix(so5, x), matrix(so5, y))
 
 
 def test_killing_abelian_vanishes():
@@ -285,6 +287,9 @@ TABLE_CASES = {
     "quarter-su2+third-so3": direct_sum(QUARTER_SU2, THIRD_SO3),  # D_s = lcm(2, 3)
     "half-i-sl2+sl2": direct_sum(HALF_I_SL2, _SL2),
     "su4": make_su(4), "so7": make_so(7), "E11,iE11": R_NOT_C,
+    **{f"registry-{name}": alg for name, (alg, _) in serialize.registry().items()},
+    **{f"catalog-{rec.name}": rec.real_form.algebra
+       for rec in [*build_catalog_a1(), euclidean_osaka(), complex_conjugation_counterexample()]},
     # refused inputs: (field, basis, blocks, the reason)
     "non-real": ("R", [mat_scale(Scalar(0, 1), _SL2.basis[0]), *_SL2.basis[1:]], _SL2.blocks,
                  "non-real structure constant"),
@@ -298,10 +303,11 @@ TABLE_CASES = {
 
 @pytest.mark.parametrize("label", sorted(TABLE_CASES))
 def test_integer_tables_match_the_solved_reference(label):
-    """_sc, _sc_den and the Killing form on every unit pair equal the
-    tables solved from the basis matrices alone (solved_tables); an input
-    the reference refuses is refused for its reason, a non-orthogonal
-    split naming its lowest block pair."""
+    """_sc, _sc_den, _killing_rows and the Killing form on every unit pair
+    equal the tables solved from the Scalar commutators of the basis
+    matrices alone (solved_tables), on every registered and catalog
+    algebra among others; an input the reference refuses is refused for
+    its reason, a non-orthogonal split naming its lowest block pair."""
     case = TABLE_CASES[label]
     if isinstance(case, tuple):
         field, basis, blocks, reason = case
@@ -316,6 +322,7 @@ def test_integer_tables_match_the_solved_reference(label):
     nums, den = vec_from_scalars([x for *_, x in entries])
     assert g._sc_den == den
     assert g._sc == tuple((j, k, m, re, im) for (j, k, m, _), re, im in zip(entries, nums, nums[len(entries):]))
+    assert (g._killing_rows, g._killing_den) == sparse_rows(killing)
     units = [tuple(Scalar(1) if i == n else ZERO for i in range(g.dim)) for n in range(g.dim)]
     for j in range(g.dim):
         for l in range(g.dim):
@@ -356,7 +363,7 @@ def test_coords_match_the_per_matrix_reference(label, data):
     solves or refuses it, with the same message."""
     g = SPAN_ALGEBRAS[label]
     c = tuple(data.draw(_scalars) for _ in range(g.dim))
-    m = g.matrix(c)
+    m = matrix(g, c)
     assert coords(g, m) == coords_reference(g, m) == c
     n = g.matrix_size
     p, q = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))

@@ -26,7 +26,6 @@ from kmalg.findim import (
     make_sl,
     make_so,
     make_su,
-    mat_bracket,
     sparse_apply,
     sparse_rows,
 )
@@ -40,7 +39,7 @@ from kmalg.loop import (
     untwisted,
 )
 from kmalg.scalars import I, ONE, Scalar, ZERO
-from oracles import coords_reference, loop_bracket_reference, scalar_bracket
+from oracles import coords_reference, loop_bracket_reference, mat_bracket, scalar_bracket
 from test_findim import KERNEL_ALGEBRAS
 from test_sparse_maps import UNITS, coeff_maps, dims, general, loops, rationals
 

@@ -38,6 +38,7 @@ from oracles import (
     bracket_reference,
     mat,
     materialize,
+    matrix,
     nonzero_loops,
     truncation_elements,
 )
@@ -296,7 +297,7 @@ def test_membership_twisted_form():
     for e in elems:
         if 1 not in e.loop.terms:
             continue
-        m = SU2C.matrix(e.loop.coeff(1))
+        m = matrix(SU2C, e.loop.coeff(1))
         assert all(x.is_real() for row in m for x in row)
         assert m[0][1] == m[1][0] and m[0][0] == -m[1][1]
     # c, d lines are imaginary

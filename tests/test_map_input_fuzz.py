@@ -1,12 +1,16 @@
-"""Hostile input at the map edge: random JSON values in each field of an
-involution file (`decompose --involution`) and of a record file
-(`osaka-verify --record`), run through `cli.run` in-process.
+"""Hostile input at the file edge: each input file, its fields edited at
+random, run through `cli.run` in-process. An edit drops a key or gives it
+twice, or puts a random JSON value or a huge or non-rational JSON number
+in a field, a list item of it, and so on. The files are involution files
+(`decompose --involution`), record files (`osaka-verify --record`),
+element files (`bracket --lhs/--rhs`) and Cartan files (`classify --in`).
 
 Every coefficient map read from a file passes `serialize._square_matrix`
-and `findim.sparse_rows` before any check reads it. Whatever a field
-holds, the command exits 0 or 1 (the verdict), or 4 (a schema error)
-with one JSON {"schema", "error"} line on stderr, and prints no
-traceback.
+and `findim.sparse_rows` before any check reads it. Whatever an
+involution or record file holds, the command exits 0 or 1 (the verdict),
+or 4 (a schema error). On an element or Cartan file it exits 0 to 4. It
+never exits 5 (an internal error), prints one JSON {"schema", "error"}
+line on stderr on exits 2 to 4, and prints no traceback.
 """
 import contextlib
 import copy
@@ -60,49 +64,96 @@ junk = st.recursive(
 json_values = scalar_pairs | plausible | junk
 
 
-@st.composite
-def mutated(draw, base):
-    """base with one or two of its values replaced by a random JSON value,
-    or their key dropped. The value is a field's, or half the time one of
-    its list items (a matrix row), and so on (an entry, a part of it)."""
-    obj = copy.deepcopy(base)
-    for _ in range(draw(st.integers(1, 2))):
-        path = draw(st.sampled_from(list(_paths(obj))))
-        parent = obj
-        for key in path[:-1]:
-            parent = parent[key]
-        while isinstance(parent[path[-1]], list) and parent[path[-1]] and draw(st.booleans()):
-            parent, path = parent[path[-1]], path + (draw(st.integers(0, len(parent[path[-1]]) - 1)),)
-        if isinstance(parent, dict) and draw(st.booleans()):
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = copy.deepcopy(draw(json_values))
-    return obj
-
-
 def _run(obj, *argv):
-    """cli.run on argv with obj written to the file its last flag names."""
+    """cli.run on argv with obj written (`_text`) to the file its last flag
+    names."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
+            fh.write(_text(obj))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run([*argv, path])
     return code, out.getvalue(), err.getvalue()
 
 
-def _check_exit(code, out, err):
-    assert code in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_SCHEMA), (code, err)
+class _Raw(str):
+    """A JSON number written as it is."""
+
+
+# huge (past serialize.MAX_DIGITS, up to Python's int-string limit and past
+# it) or non-rational: a float, a float out of range, NaN and the infinities
+RAW_NUMBERS = [_Raw(t) for t in ("9" * 999, "1" * 1001, "-" + "9" * 3000, "1" * 4301, "1e999", "-1E400",
+                                 "0.1", "2.0", "0." + "3" * 2000, "NaN", "Infinity", "-Infinity")]
+
+
+def _text(obj):
+    """obj as JSON text; a ("twice", key) key writes key a second time."""
+    if isinstance(obj, _Raw):
+        return str(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k[1] if isinstance(k, tuple) else k)}: {_text(v)}"
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(_text(v) for v in obj) + "]"
+    return json.dumps(obj)
+
+
+@st.composite
+def mutated(draw, base):
+    """base with one or two edits, each at a value (a field's, or half the
+    time one of its list items (a matrix row), and so on (an entry, a part
+    of it)): its key dropped or given twice (with the same or a random
+    value), or the value replaced by a random JSON value or a raw number."""
+    obj = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(obj))
+        if not paths:  # the first edit dropped the only key
+            break
+        path = draw(st.sampled_from(paths))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        while isinstance(parent[path[-1]], list) and parent[path[-1]] and draw(st.booleans()):
+            parent, path = parent[path[-1]], path + (draw(st.integers(0, len(parent[path[-1]]) - 1)),)
+        edit = draw(st.sampled_from(["drop", "twice", "retype", "raw"]))
+        if isinstance(parent, dict) and edit == "drop":
+            del parent[path[-1]]
+        elif isinstance(parent, dict) and edit == "twice" and not isinstance(path[-1], tuple):
+            value = parent[path[-1]] if draw(st.booleans()) else draw(json_values)
+            parent[("twice", path[-1])] = copy.deepcopy(value)
+        else:
+            parent[path[-1]] = draw(st.sampled_from(RAW_NUMBERS)) if edit == "raw" else copy.deepcopy(
+                draw(json_values))
+    return obj
+
+
+def _check_exit(code, out, err, allowed=(cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_SCHEMA)):
+    """code is allowed (never 5), with no traceback, and exits 2 to 4
+    print one JSON {"schema", "error"} line on stderr."""
+    assert code in allowed, (code, err)
     assert "Traceback" not in out + err
-    if code == cli.EXIT_SCHEMA:
+    if code >= cli.EXIT_PARAM:
         lines = err.splitlines()
         assert len(lines) == 1 and set(json.loads(lines[0])) == {"schema", "error"}
 
 
-def test_the_unfuzzed_files_pass():
+ELEMENT = {"schema": "kmalg/1",
+           "loop": {"schema": "kmalg/1", "algebra": "su2c", "twist_order": 1,
+                    "terms": [{"k": -2, "coords": [["1", "0"], ["0", "1/2"], ["0", "0"]]},
+                              {"k": 1, "coords": [["0", "0"], ["-3", "0"], ["2/3", "-1"]]}]},
+           "c": ["1", "0"], "d": ["0", "-1"]}
+# a 3 x 3 generalized Cartan matrix of finite type (B3)
+CARTAN = {"matrix": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]}
+
+
+def test_the_unfuzzed_files_pass(tmp_path):
     assert _run(INVOLUTION, "decompose", "--form", "I[Id,mu]", "--degree", "1", "--involution")[0] == cli.EXIT_OK
     assert _run(RECORD, "osaka-verify", "--degree", "1", "--record")[0] == cli.EXIT_OK
+    good = tmp_path / "element.json"
+    good.write_text(json.dumps(ELEMENT), encoding="utf-8")
+    assert _run(ELEMENT, "bracket", "--lhs", str(good), "--rhs")[0] == cli.EXIT_OK
+    assert _run(CARTAN, "classify", "--in")[0] == cli.EXIT_OK
 
 
 @settings(max_examples=300, deadline=None)
@@ -115,3 +166,24 @@ def test_a_fuzzed_involution_file_exits_0_1_or_4(obj, form):
 @given(mutated(RECORD))
 def test_a_fuzzed_record_file_exits_0_1_or_4(obj):
     _check_exit(*_run(obj, "osaka-verify", "--degree", "1", "--record"))
+
+
+EXITS_0_TO_4 = (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_PARAM, cli.EXIT_PARSE, cli.EXIT_SCHEMA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated(ELEMENT), st.booleans())
+def test_an_edited_element_file_exits_0_to_4(obj, on_the_left):
+    with tempfile.TemporaryDirectory() as tmp:
+        good = os.path.join(tmp, "good.json")
+        with open(good, "w", encoding="utf-8") as fh:
+            json.dump(ELEMENT, fh)
+        # _run writes obj to the file its last flag names
+        argv = ["bracket", "--rhs", good, "--lhs"] if on_the_left else ["bracket", "--lhs", good, "--rhs"]
+        _check_exit(*_run(obj, *argv), allowed=EXITS_0_TO_4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated(CARTAN))
+def test_an_edited_cartan_file_exits_0_to_4(obj):
+    _check_exit(*_run(obj, "classify", "--in"), allowed=EXITS_0_TO_4)

@@ -17,7 +17,7 @@ from kmalg.findim import LieAlgebraError, sparse_rows
 from kmalg.involution import CoeffMap, RealFormDescriptor
 from kmalg.scalars import I, ONE, Scalar, ZERO, vec_to_scalars
 
-from oracles import block_basis_reference, coords, coords_reference, real_flatten, real_kernel, real_rows
+from oracles import block_basis_reference, coords, coords_reference, matrix, real_flatten, real_kernel, real_rows
 
 parts = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
 gaussians = st.builds(Scalar, parts, parts)
@@ -124,7 +124,7 @@ REGISTRY_ALGEBRAS = [entry[0] for entry in serialize.registry().values()]
 @given(st.sampled_from(REGISTRY_ALGEBRAS), st.data())
 def test_coords_round_trip_and_match_reference(algebra, data):
     c = tuple(data.draw(gaussians) for _ in range(algebra.dim))
-    m = algebra.matrix(c)
+    m = matrix(algebra, c)
     assert coords(algebra, m) == c
     assert coords_reference(algebra, m) == c
 

@@ -1,6 +1,6 @@
-"""The sparse exact maps behind CoeffMap and FiniteAutomorphism, and
-mat_mul, against a dense reference: dense_apply and order_reference in
-oracles and dense_mul here.
+"""The sparse exact maps behind CoeffMap and FiniteAutomorphism, and the
+oracles' mat_mul, against a dense reference: dense_apply and
+order_reference in oracles and dense_mul here.
 
 A map holds its matrix once, as `findim.sparse_rows` gives it: sparse
 Gaussian-integer rows over one denominator in lowest terms, in ascending
@@ -14,13 +14,14 @@ reference is a plain Scalar multiplication summed from zero.
 """
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmalg.findim import FiniteAutomorphism, least_order, make_abelian, mat_mul, sparse_rows
-from kmalg.involution import CoeffMap
+from kmalg.findim import FiniteAutomorphism, LieAlgebraError, least_order, make_abelian, sparse_rows
+from kmalg.involution import CoeffMap, InvolutionError
 from kmalg.loop import TwistedLoopElement, untwisted
 from kmalg.scalars import Scalar, ZERO
-from oracles import apply_vec, automorphism_apply, dense_apply, mat, order_reference
+from oracles import apply_vec, automorphism_apply, dense_apply, mat, mat_mul, order_reference
 
 UNITS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))
 
@@ -212,3 +213,23 @@ def test_mat_mul_matches_dense_on_rectangles(data):
     n, k, m = data.draw(dims), data.draw(dims), data.draw(dims)
     a, b = data.draw(matrices(n, k)), data.draw(matrices(k, m))
     assert mat_mul(a, b) == dense_mul(a, b)
+
+
+# -- shapes ---------------------------------------------------------------------------
+
+def test_sparse_rows_refuses_rows_of_unequal_length():
+    """Ragged rows are refused, not read as another matrix; a rectangular
+    matrix is valid, as an algebra's _cells is size^2 x dim."""
+    with pytest.raises(LieAlgebraError, match="unequal length"):
+        sparse_rows([[1, 0, 0], [0, 1], [0, 0, 1, 5]])
+    assert sparse_rows([[1, 0, Scalar(0, 2)], [0, Fraction(1, 2), 0]]) == (
+        (((0, 2, 0), (2, 0, 4)), ((1, 1, 0),)), 2)
+
+
+def test_compose_refuses_maps_of_different_sizes():
+    """A map composed after one of another size raises, in either order,
+    and builds no product."""
+    small, big = CoeffMap.identity(2), CoeffMap(sparse_rows(mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]])))
+    for a, b in ((small, big), (big, small)):
+        with pytest.raises(InvolutionError, match="cannot compose a"):
+            a.compose(b)
