@@ -526,11 +526,19 @@ class CoeffMap:
 class FiniteAutomorphism(CoeffMap):
     """Linear or conjugate-linear automorphism of algebra in basis
     coordinates: a CoeffMap with index sign 1 and parity 0, and its order,
-    read off its powers (`least_order` up to 8; None past 8)."""
+    read off its powers (`least_order` up to 8; None past 8). The sparse
+    rows must be algebra.dim rows naming no column past it, else
+    LieAlgebraError; a wider matrix whose extra columns are all zero has
+    the sparse rows of its square part, so it is accepted as that."""
 
     __slots__ = ("algebra", "order")
 
     def __init__(self, algebra, sparse, conjugate=False):
+        rows, n = sparse[0], algebra.dim
+        width = max((j + 1 for row in rows for j, _, _ in row), default=0)
+        if len(rows) != n or width > n:
+            raise LieAlgebraError(f"a {len(rows)} x {max(width, len(rows))} matrix is not a map of the"
+                                  f" {n}-dimensional {algebra.name}")
         super().__init__(sparse, conjugate=conjugate)
         self.algebra = algebra
         self.order = least_order(self, 8)

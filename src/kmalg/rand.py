@@ -8,9 +8,9 @@ The stream of trial t under seed s: block c is the SHA-256 digest of
 key || c, key the UTF-8 bytes of "s:t" and c an 8-byte big-endian counter
 from 0, and the stream is the eight big-endian 32-bit words of block 0,
 then of block 1, and so on. `u32` reads the next word and `randint(a, b)`
-is a + w mod (b - a + 1), span b - a + 1. A coefficient (`scalar`,
-`gaussian`) is a/p + i b/q from four words: a of span 7 in [-3, 3], p of
-span 2 in [1, 2], then b and q the same way.
+is a + w mod (b - a + 1), span b - a + 1. A coefficient (`scalar`) is
+a/p + i b/q from four words: a of span 7 in [-3, 3], p of span 2 in
+[1, 2], then b and q the same way.
 
 A random loop element (`random_loop_element`) draws its number of terms
 (span 4, 1 to 4); each term draws its exponent k (span 2 max_degree + 1)
@@ -64,13 +64,6 @@ class TrialRng:
         """a/p + i b/q from the four words of a coefficient."""
         word = self._word
         return Scalar(_PARTS[word() % 7][word() % 2], _PARTS[word() % 7][word() % 2])
-
-    def gaussian(self):
-        """scalar() as a numerator form ((a q, b p), p q), from the same four
-        words, building no Fraction or Scalar."""
-        word = self._word
-        a, p, b, q = word() % 7 - 3, 1 + word() % 2, word() % 7 - 3, 1 + word() % 2
-        return (a * q, b * p), p * q
 
 
 def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6):

@@ -1,3 +1,7 @@
+"""Generalized Cartan matrices: validation, the finite / affine /
+indefinite classification and its witnesses (the positive-pivot test
+against Bareiss leading minors), composite matrices, the 2 x 2 families
+and the realization dimensions (against the rank of the nonzero minors)."""
 from fractions import Fraction
 
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from kmalg import cartan, linalg
 from kmalg.cartan import CartanKind
 
-from oracles import bareiss_determinant, leading_minors_oracle
+from oracles import bareiss_determinant, leading_minors_oracle, rank_reference
 
 
 FINITE_2X2 = {
@@ -167,9 +171,15 @@ def test_identify_consistent_with_classify():
 # -- realization dims ------------------------------------------------------------------
 
 def test_realization_dims():
+    """(n, rank, 2n - rank), the rank that of the nonzero minors
+    (rank_reference), on finite, affine and indefinite matrices."""
     assert cartan.realization_dims(cartan.validate([[2, -2], [-2, 2]])) == cartan.RealizationDims(2, 1, 3)
     assert cartan.realization_dims(cartan.validate([[2, -1], [-1, 2]])) == cartan.RealizationDims(2, 2, 2)
     assert cartan.realization_dims(cartan.validate([[2, 0], [0, 2]])) == cartan.RealizationDims(2, 2, 2)
+    for rows in ([[2, -2], [-2, 2]], [[2, -4], [-1, 2]], [[2, -3], [-3, 2]], [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+                 [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]):
+        n, rank = len(rows), rank_reference(rows)
+        assert cartan.realization_dims(cartan.validate(rows)) == cartan.RealizationDims(n, rank, 2 * n - rank)
 
 
 def test_realization_dims_of_composite_affine_matrices():

@@ -2,7 +2,8 @@
 (P, -P) and ("cd",), and every number that grows with the degree is read
 off them and their multiplicities (`Truncation.counts`, `layout`). Each is
 checked against the materialized path, the same library code run on
-truncations whose every block is built (`materialize` in oracles): the
+truncations whose every block is built (`materialize` in oracles, each
+block equal to it solved, `truncate_reference`): the
 split's dims, the K/P check, the fix_compact count and verdict, the Gram
 size and verdict, classify_type and the whole osaka_verify report, on the
 8 catalog forms (with their killing-gram and decompose reports), on
@@ -30,9 +31,8 @@ from kmalg.osaka import (
     classify_type,
     osaka_verify,
 )
-from oracles import materialize, replace, truncate_eager
-from test_one_bracket_pass import PHIS
-from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS
+from cases import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS, PHIS
+from oracles import materialize, replace, truncate_reference
 
 DEGREES = range(1, 21)
 _truncate = RealFormDescriptor.truncate
@@ -94,9 +94,10 @@ def _check_degree_free(rec, degree):
     rf, phi = rec.real_form, rec.involution
     t = rf.truncate(degree)
     full = materialize(t)
+    assert t.built_period == _period(rf.twist, rf.conj) and replace(t).built_period is None
     assert [key for key, _ in t.blocks] == rf.block_keys(min(degree, _period(rf.twist, rf.conj)))
     assert [key for key, _ in t.layout()] == rf.block_keys(degree)
-    assert full.blocks == truncate_eager(rf, degree).blocks
+    assert full.blocks == truncate_reference(rf, degree).blocks
     assert _gram(t) == _gram(full) and _gram(full)[0] == len(full.loops)
     assert classify_type(t) == classify_type(full)
     dec, explicit = _split(phi, t), _split(phi, full)

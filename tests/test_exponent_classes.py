@@ -1,11 +1,12 @@
-"""Work proportional to what differs: killing_gram pairs only elements whose
-terms meet and signs each connected component of the nonzero entries on
-its own, truncate solves each block of its period once, and
+"""The loop Gram and the work per block: killing_gram pairs only elements
+whose terms meet and signs each connected component of the nonzero
+entries on its own, truncate solves each block of its period once, and
 fixed_and_eigenspaces reads the matrix of an involution off one
-elimination per block. Each is checked against a reference written here
-or kept in oracles: the Gram against all pairs (on drawn bases, some
-whose exponent classes repeat up to renaming) and against the
-class-by-class reference on materialized truncations."""
+elimination per block. The Gram is checked against all pairs
+(killing_gram_reference in oracles) on drawn bases, some whose exponent
+classes repeat up to renaming, and on materialized catalog truncations;
+truncate against every block solved (truncate_reference); the split
+against solving each image on its own."""
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from kmalg.involution import (
 from kmalg.findim import sparse_rows
 from kmalg.kmext import real_coords
 from kmalg.loop import (
-    Definiteness,
     MismatchError,
     NonRealPairingError,
     TwistedLoopElement,
@@ -40,35 +40,12 @@ from kmalg.osaka import (
     euclidean_osaka,
 )
 from kmalg.scalars import Scalar
-from oracles import coords_in_span, dense_killing_gram, killing_gram_reference, kp_blocks, materialize
+from oracles import dense_killing_gram, killing_gram_reference, kp_blocks, materialize, truncate_reference
 
 # -- killing_gram against all pairs ---------------------------------------------
 
 SU2C, _ = serialize.lookup_algebra("su2c", 1)
 SL2C, _ = serialize.lookup_algebra("sl2c", 1)
-
-
-def _all_pairs_gram(basis):
-    """Reference: every pair i <= j in row-major order, then the signature
-    of the whole matrix."""
-    n = len(basis)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = loop_killing(basis[i], basis[j])
-            if not v.is_real():
-                raise NonRealPairingError(f"pairing ({i},{j}) has value {v}")
-            gram[i][j] = gram[j][i] = v.re
-    if n == 0:
-        return gram, Definiteness.NEG_DEFINITE
-    pos, neg, zero = linalg.symmetric_signature(gram)
-    if zero:
-        return gram, Definiteness.DEGENERATE
-    if pos == n:
-        return gram, Definiteness.POS_DEFINITE
-    if neg == n:
-        return gram, Definiteness.NEG_DEFINITE
-    return gram, Definiteness.INDEFINITE
 
 
 def _expect_same_gram(basis, reference):
@@ -123,7 +100,7 @@ def loop_bases(draw):
 @settings(max_examples=300, deadline=None)
 @given(loop_bases())
 def test_killing_gram_matches_all_pairs(basis):
-    _expect_same_gram(basis, _all_pairs_gram)
+    _expect_same_gram(basis, killing_gram_reference)
 
 
 @st.composite
@@ -178,14 +155,14 @@ def renamed_bases(draw):
 @settings(max_examples=300, deadline=None)
 @given(renamed_bases())
 def test_killing_gram_reuses_classes_equal_up_to_renaming(basis):
-    _expect_same_gram(basis, _all_pairs_gram)
+    _expect_same_gram(basis, killing_gram_reference)
 
 
 GRAM_RECORDS = build_catalog_a1() + [euclidean_osaka(), complex_conjugation_counterexample()]
 
 
 @pytest.mark.parametrize("rec", GRAM_RECORDS, ids=lambda rec: rec.name)
-def test_killing_gram_matches_class_by_class_reference(rec):
+def test_killing_gram_matches_all_pairs_on_the_catalog(rec):
     basis = materialize(rec.real_form.truncate(24)).loops
     _expect_same_gram(basis, killing_gram_reference)
 
@@ -236,7 +213,7 @@ def test_killing_gram_names_the_first_non_real_pair_in_row_major_order():
     with pytest.raises(NonRealPairingError, match=r"pairing \(1,2\)"):
         killing_gram(basis)
     with pytest.raises(NonRealPairingError, match=r"pairing \(1,2\)"):
-        _all_pairs_gram(basis)
+        killing_gram_reference(basis)
 
 
 def test_killing_gram_rejects_a_mismatch_in_another_class():
@@ -263,9 +240,7 @@ def test_truncate_blocks_equal_direct_block_bases(alg, order, sign, parity):
     conj = CoeffMap(CoeffMap.identity(algebra.dim).sparse, index_sign=sign, conjugate=True,
                     parity=parity)
     rf = RealFormDescriptor(name="period test", algebra=algebra, twist=twist, conj=conj)
-    assert materialize(rf.truncate(12)).blocks == tuple(
-        (key, [(e, 0) for e in rf.block_basis(key)]) for key in rf.block_keys(12)
-    )
+    assert materialize(rf.truncate(12)).blocks == truncate_reference(rf, 12).blocks
 
 
 def _solved_keys(monkeypatch, rf, n_max):
@@ -305,7 +280,7 @@ def test_truncate_solves_four_blocks_at_odd_parity(monkeypatch):
 
 def _per_image_split(phi, truncation):
     """Reference: the eigen-split with each image solved on its own by
-    coords_in_span; returns (key, K, P) triples or the exception."""
+    linalg.solve; returns (key, K, P) triples or the exception."""
     rf = truncation.real_form
     out = []
     for key, items in materialize(truncation).blocks:
@@ -322,7 +297,7 @@ def _per_image_split(phi, truncation):
         for img in images:
             c = None
             if all(k in degrees for k in img.loop.terms):
-                c = coords_in_span(flat, real_coords(img, degrees))
+                c = linalg.solve([list(row) for row in zip(*flat)], list(real_coords(img, degrees)))
             if c is None:
                 return "PreservationError"
             coords.append(c)

@@ -1,3 +1,7 @@
+"""Finite-dimensional Lie algebras: the su, sl, so and abelian families,
+direct sums, the integer structure and Killing tables (against the
+constants solved from the basis matrices), coordinates, and finite
+automorphisms (orders, the bracket check and Killing invariance)."""
 from fractions import Fraction
 
 import pytest
@@ -25,6 +29,7 @@ from kmalg.osaka import build_catalog_a1, complex_conjugation_counterexample, eu
 from kmalg.rand import TrialRng
 from kmalg.scalars import I, Scalar, ZERO, vec_from_scalars
 
+from cases import HALF_I_SL2, KERNEL_ALGEBRAS, QUARTER_SU2, scaled_algebra
 from oracles import (
     automorphism_apply,
     bracket_reference,
@@ -33,8 +38,6 @@ from oracles import (
     coords_reference,
     is_semisimple,
     killing_reference,
-    killing_sl_family,
-    killing_so_family,
     mat,
     matrix,
     order_reference,
@@ -136,20 +139,20 @@ def test_abelian():
 
 def test_killing_su2_against_trace_oracle():
     su2 = make_su(2)
-    assert scalar_killing(su2, E1, E1) == killing_sl_family(2, su2.basis[0], su2.basis[0])
+    assert scalar_killing(su2, E1, E1) == killing_reference(su2, E1, E1)
     assert scalar_killing(su2, E1, E1) == Scalar(-8)
     rng = TrialRng("killing-su2")
     for _ in range(20):
         x = tuple(scalar_reference(rng, real_only=True) for _ in range(3))
         y = tuple(scalar_reference(rng, real_only=True) for _ in range(3))
-        assert scalar_killing(su2, x, y) == killing_sl_family(2, matrix(su2, x), matrix(su2, y))
+        assert scalar_killing(su2, x, y) == killing_reference(su2, x, y)
 
 
 def test_killing_sl2r_h():
     sl2r = make_sl(2, "R")
     h = E1  # first basis vector is H = E11 - E22
     assert scalar_killing(sl2r, h, h) == Scalar(8)
-    assert scalar_killing(sl2r, h, h) == killing_sl_family(2, sl2r.basis[0], sl2r.basis[0])
+    assert scalar_killing(sl2r, h, h) == killing_reference(sl2r, h, h)
 
 
 def test_killing_so_oracle():
@@ -158,7 +161,7 @@ def test_killing_so_oracle():
     for _ in range(5):
         x = tuple(rng.scalar() for _ in range(10))
         y = tuple(rng.scalar() for _ in range(10))
-        assert scalar_killing(so5, x, y) == killing_so_family(5, matrix(so5, x), matrix(so5, y))
+        assert scalar_killing(so5, x, y) == killing_reference(so5, x, y)
 
 
 def test_killing_abelian_vanishes():
@@ -213,22 +216,6 @@ def test_non_orthogonal_blocks_rejected():
 
 # -- the integer-numerator kernel against the Scalar reference ------------------
 
-def _scaled_algebra(g, factor, field):
-    """g's basis times factor: constants times factor, Killing entries times
-    factor**2, so a non-integral factor leaves Gaussian integers behind."""
-    return findim.FiniteLieAlgebra(f"{factor}*{g.name}", field,
-                                   [mat_scale(factor, b) for b in g.basis], g.blocks)
-
-
-# su(2)/4 has constants +-1/2 and B = -1/2; sl(2,C) times (1+i)/2 has
-# constants +-(1+i)/2 and +-(1+i) and purely imaginary Killing entries. Both
-# have D_s = 2, so the kernel's division and the imaginary parts of its
-# constants and Killing entries are exercised.
-QUARTER_SU2 = _scaled_algebra(make_su(2), Scalar(Fraction(1, 4)), "R")
-HALF_I_SL2 = _scaled_algebra(make_sl(2, "C"), Scalar(Fraction(1, 2), Fraction(1, 2)), "C")
-KERNEL_ALGEBRAS = [alg for alg, _ in serialize.registry().values()] + [
-    make_su(2), make_sl(3), make_so(4), make_so(5, "C"), QUARTER_SU2, HALF_I_SL2]
-
 _parts = st.integers(-6, 6) | st.fractions(min_value=-4, max_value=4, max_denominator=6)
 _scalars = st.one_of(
     st.just(ZERO),
@@ -271,7 +258,7 @@ def test_bracket_and_killing_match_reference(case):
 
 # -- the integer tables against the solved reference -------------------------------
 
-THIRD_SO3 = _scaled_algebra(make_so(3), Scalar(Fraction(1, 3)), "R")  # D_s = 3
+THIRD_SO3 = scaled_algebra(make_so(3), Scalar(Fraction(1, 3)), "R")  # D_s = 3
 _SU2, _SL2 = make_su(2), make_sl(2)
 _U1_SU2 = direct_sum(make_abelian(1), _SU2)
 # {E11, i E11}: independent over R, dependent over C; a real algebra may hold it

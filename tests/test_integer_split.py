@@ -1,8 +1,10 @@
-"""The per-record verifier on Gaussian-integer numerators: block bases from
-integer equation rows, K and P vectors as one int sum per exponent, loop
-Killing values summed from killing_raw, and rref dividing only pivots that
-are not 1. Each is checked against the Scalar path it replaced, kept in
-tests/oracles.py, and none of them may produce a float."""
+"""Block bases and the split on Gaussian-integer numerators: block bases
+from integer equation rows, K and P vectors as one int sum per exponent,
+loop Killing values summed from killing_raw, and rref dividing only pivots
+that are not 1. Each is checked against its Scalar-path reference in
+oracles (block_basis_real_kernel, combine_reference and
+fixed_and_eigenspaces_reference, loop_killing_reference, rref_reference),
+and none of them may produce a float."""
 from fractions import Fraction
 
 import pytest

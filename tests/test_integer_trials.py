@@ -1,11 +1,11 @@
-"""Jacobi trials on ints: the word stream, the drawn elements and the
-integer cocycle.
+"""The random stream and the cocycle of Jacobi trials: TrialRng, the
+integer cocycle and the central part of the residual.
 
-TrialRng reads its stream as the big-endian words of each SHA-256 block
-and random_loop_element reads each twist eigenspace over one denominator;
-both must give the draws and elements of the byte-slicing reference
-(oracles.TrialRngReference) and the digests pinned below, recorded from
-the byte-slicing code. The cocycle is summed as ints over one denominator
+TrialRng reads its stream as the big-endian words of each SHA-256 block;
+its draws must be those of the byte-slicing reference
+(oracles.TrialRngReference, with the numerator-form coefficient draw
+oracles.gaussian), and the first jacobi-check triples must keep the
+digests pinned below, recorded from the byte-slicing code. The cocycle is summed as ints over one denominator
 and must equal the Scalar oracle. On a copy of su2c whose Killing table is
 symmetric but not invariant the cocycle identity fails, so the residual's
 c is nonzero, and it must equal both the nested hat_brackets and the
@@ -28,6 +28,7 @@ from kmalg.scalars import Scalar, ZERO, vec_to_scalars
 from oracles import (
     TrialRngReference,
     cocycle_reference,
+    gaussian,
     jacobi_residual_reference,
     killing_reference,
 )
@@ -55,7 +56,7 @@ def test_draws_match_the_reference_on_every_span(seed):
             a = -(span // 2)
             assert new.randint(a, a + span - 1) == old.randint(a, a + span - 1)
             assert new.scalar() == old.scalar()
-            assert new.gaussian() == old.gaussian()
+            assert gaussian(new) == gaussian(old)
     assert new.u32() == old.u32()
 
 

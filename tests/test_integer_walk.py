@@ -1,17 +1,18 @@
-"""The integer paths against their references: `CoeffMap.fixes` (an
+"""Membership and the loop bracket on integers: `CoeffMap.fixes` (an
 image-free apply_loop(f) == +-f) and `RealFormDescriptor.contains` against
-building the image, the per-exponent `loop_bracket` against the
-Scalar-tuple convolution in oracles, the shifted structure constants of
-`direct_sum` against solving them from the sum's basis, and the grading
-check of `SplittingHom.apply`.
+the image on the Scalar path (apply_loop_reference in oracles), the
+per-exponent `loop_bracket` against the Scalar-tuple convolution, the
+shifted structure constants of `direct_sum` against solving them from the
+sum's basis, and the grading check of `SplittingHom.apply`.
 
-The maps are drawn as in test_sparse_maps (unit, non-unit and zero entries,
+The maps are drawn by cases.coeff_maps (unit, non-unit and zero entries,
 zero rows, singular matrices, both conjugate values, index signs +-1 and
-parities 0-3), plus involutive maps, so that f + sign * phi(f) is a
-sign-eigenvector of phi and True verdicts are common. Loop coefficients
-have denominators up to 5, and some elements lack the mirror exponent of a
-term, or hold the terms at k > 0 that the ones at -k force under s = -1,
-so that only the terms at negative k decide.
+parities 0-3), plus involutive maps (cases.involutions), so that
+f + sign * phi(f) is a sign-eigenvector of phi and True verdicts are
+common; the maps that are not involutive are test_raw_walk's. Loop
+coefficients have denominators up to 5, and some elements lack the mirror
+exponent of a term, or hold the terms at k > 0 that the ones at -k force
+under s = -1, so that only the terms at negative k decide.
 """
 from fractions import Fraction
 
@@ -39,56 +40,32 @@ from kmalg.loop import (
     untwisted,
 )
 from kmalg.scalars import I, ONE, Scalar, ZERO
-from oracles import coords_reference, loop_bracket_reference, mat_bracket, scalar_bracket
-from test_findim import KERNEL_ALGEBRAS
-from test_sparse_maps import UNITS, coeff_maps, dims, general, loops, rationals
+from cases import (
+    KERNEL_ALGEBRAS,
+    coeff_maps,
+    dims,
+    general,
+    half_built,
+    involutions,
+    loops,
+    rationals,
+)
+from oracles import apply_loop_reference, coords_reference, loop_bracket_reference, mat_bracket, scalar_bracket
 
-nonzero = st.one_of(st.sampled_from(UNITS), general.filter(bool))
 # c and d: zero, real, imaginary or general, so that each c/d line holds some
 line_scalars = st.one_of(st.just(ZERO), rationals.map(Scalar), rationals.map(lambda r: Scalar(0, r)), general)
 
 
-@st.composite
-def involutions(draw, n):
-    """A CoeffMap phi with phi(phi(f)) = f. phi^2 a_k is i^{pk(1+s)} M^2 a_k
-    when linear and i^{pk(1-s)} M conj(M) a_k when conjugate-linear, so M
-    pairs indices (i, j) with entries u and 1/u (1/conj(u) when
-    conjugate-linear) and fixes the rest with u^2 = 1 (|u| = 1), and the
-    parity p is free when the power of i vanishes (linear with s = -1,
-    conjugate-linear with s = 1) and even otherwise."""
-    conjugate, s = draw(st.booleans()), draw(st.sampled_from((1, -1)))
-    parity = draw(st.integers(0, 3)) if conjugate == (s == 1) else 2 * draw(st.integers(0, 1))
-    order = draw(st.permutations(range(n)))
-    rows = [[ZERO] * n for _ in range(n)]
-    i = 0
-    while i < n:
-        if i + 1 < n and draw(st.booleans()):
-            a, b, u = order[i], order[i + 1], draw(nonzero)
-            rows[a][b], rows[b][a] = u, 1 / (u.conjugate() if conjugate else u)
-            i += 2
-        else:
-            rows[order[i]][order[i]] = draw(st.sampled_from(UNITS if conjugate else UNITS[::2]))
-            i += 1
-    return CoeffMap(sparse_rows(rows), s, conjugate, parity)
-
-
 def _eigen_reference(phi, f, sign):
-    return phi.apply_loop(f) == (f if sign == 1 else -f)
+    """Whether phi(f) = sign * f, phi applied on the Scalar path."""
+    return apply_loop_reference(phi, f.coeffs) == {k: v if sign == 1 else tuple(-x for x in v)
+                                                   for k, v in f.coeffs.items()}
 
 
 def _on_line(x, scale):
     """Whether the Scalar x lies on the line scale * R (on any line when
     scale is None), read off x * conj(scale)."""
     return scale is None or not (x * scale.conjugate()).im
-
-
-def _half_built(phi, g, sign):
-    """g's terms at negative exponents plus sign * phi of them: under s = -1
-    the condition at each k > 0 holds by construction, and the one at -k
-    holds exactly when phi is involutive there."""
-    neg = TwistedLoopElement.from_vecs(g.algebra, g.twist, {k: v for k, v in g.terms.items() if k < 0})
-    image = phi.apply_loop(neg)
-    return neg + (image if sign == 1 else -image)
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,7 +86,7 @@ def test_fixes_matches_apply_loop(data):
         image = phi.apply_loop(f)
         f = f + (image if sign == 1 else -image)
     elif how == "half" and phi.index_sign == -1:
-        f = _half_built(phi, f, sign)
+        f = half_built(phi, f, sign)
     else:
         how = "drawn"
     for s in (1, -1):

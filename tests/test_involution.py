@@ -1,9 +1,13 @@
+"""Involutions and real forms: invariant pairs, CoeffMap composition and
+application, the involution formulas and their epsilon, membership in a
+real form, the Cartan split's dims and refusals, dualization, and the
+conjugation and ad formulas on a form."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmalg import involution
+from kmalg import involution, serialize
 from kmalg.findim import (
     FiniteAutomorphism,
     NotAutomorphismError,
@@ -32,8 +36,6 @@ from kmalg.osaka import build_catalog_a1, catalog_record, complex_conjugation_co
 from kmalg.rand import TrialRng, random_extended_element
 from kmalg.scalars import I, ONE, Scalar, ZERO
 from oracles import (
-    Admissibility,
-    admissibility_check,
     automorphism_apply,
     bracket_reference,
     mat,
@@ -237,7 +239,7 @@ def test_epsilon_forced_on_c():
         assert cocycle(refl.apply_loop(f), refl.apply_loop(g)) == -cocycle(f, g)
 
 
-# -- kinds and admissibility ----------------------------------------------------------
+# -- kinds --------------------------------------------------------------------------
 
 def test_check_kind():
     phi, _, _ = involution_from_invariants(ID_R, ID_R)
@@ -254,16 +256,6 @@ def test_check_kind():
     assert compact_conj.epsilon == 1
 
 
-def test_admissibility():
-    phi, _, _ = involution_from_invariants(ID_R, ID_R)
-    first = InvolutionDescriptor(
-        name="first", loop_map=CoeffMap(CoeffMap.identity(3).sparse), epsilon=1,
-    )
-    assert admissibility_check([phi, phi]) == Admissibility.ADMISSIBLE
-    assert admissibility_check([first, phi]) == Admissibility.LOCALLY_ADMISSIBLE_ONLY
-    assert admissibility_check([phi]) == Admissibility.ADMISSIBLE
-
-
 # -- membership ---------------------------------------------------------------------
 
 def test_membership_untwisted_forms():
@@ -272,6 +264,10 @@ def test_membership_untwisted_forms():
     tw = aspl_idid.twist
     u_su2 = ExtendedElement(loop_monomial(SU2C, tw, 1, (ZERO, Scalar(1), ZERO)))
     assert aspl_idid.contains(u_su2)
+    # the same coordinates over sl2c, whose untwisted twist is the same map
+    sl2c, tw_sl = serialize.lookup_algebra("sl2c", 1)
+    assert tw_sl == tw
+    assert not aspl_idid.contains(ExtendedElement(loop_monomial(sl2c, tw_sl, 1, (ZERO, Scalar(1), ZERO))))
     # H = -i X1 is in sl(2,R) but not su(2)
     h = ExtendedElement(loop_monomial(SU2C, tw, 1, (Scalar(0, -1), ZERO, ZERO)))
     assert aspl_mumu.contains(h)

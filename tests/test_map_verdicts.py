@@ -1,13 +1,14 @@
 """Closure and the Cartan relations read off the coefficient maps (the lemma
-in involution's docstring), against the oracle walk over the brackets of a
-truncation (bracket_verdicts_reference in oracles) at degree 2P, where
-every class of block pairs occurs.
+in involution's docstring), against all pairs of a truncation and of its
+split (verify_closed_reference and verify_cartan_relations_reference in
+oracles) at degree 2P, where every class of block pairs occurs.
 
 Wherever the form's tau is a real structure (it keeps the twist grading and
-squares to the identity on the loop algebra), the verdicts must be the
-walk's: on diagonal, signed-permutation and catalog forms, with each c/d
-line and with none (cd_scale None), and on forms with no real structure
-(conj None). Elsewhere closure fails and names why. A failed verdict
+squares to the identity on the loop algebra), the verdicts must be those
+of all pairs: on diagonal, signed-permutation, catalog and special (the
+abelian Euclidean forms and the complex algebra as a real one) forms,
+with each c/d line and with none (cd_scale None), and on forms with no
+real structure (conj None). Elsewhere closure fails and names why. A failed verdict
 names a witness, which each row below re-checks by another route, and
 osaka_verify decides both verdicts without bracketing a loop. A record
 file with no real structure is the complex algebra viewed as a real
@@ -35,13 +36,14 @@ from kmalg.kmext import ExtendedElement, central_element, cocycle, hat_bracket
 from kmalg.loop import TwistedLoopElement, twist_eigenbasis, untwisted, zero_loop
 from kmalg.osaka import build_catalog_a1, catalog_record, complex_conjugation_counterexample, euclidean_osaka
 from kmalg.scalars import I, ONE, Scalar, ZERO, vec_from_scalars
-from oracles import verify_cartan_relations_walk, verify_closed_walk
-from test_one_bracket_pass import PHIS
-from test_period_classes import PAIRS, SIGNS, _form, real_structure_failure
+
+from cases import PAIRS, PHIS, SIGNS, form, real_structure_failure
+from oracles import verify_cartan_relations_reference, verify_closed_reference
 
 PERMS = list(itertools.permutations(range(3)))
 SCALES = (ONE, I, None)
 CATALOG = build_catalog_a1()
+SPECIAL = [euclidean_osaka(1), euclidean_osaka(2), complex_conjugation_counterexample()]
 
 
 def _no_conj(name, twist_order, scale):
@@ -58,9 +60,9 @@ def _abelian(scale):
 
 
 forms = st.one_of(
-    st.builds(_form, st.sampled_from(PAIRS), st.sampled_from(PERMS), st.sampled_from(SIGNS),
+    st.builds(form, st.sampled_from(PAIRS), st.sampled_from(PERMS), st.sampled_from(SIGNS),
               st.sampled_from((1, -1)), st.integers(0, 3), st.sampled_from(SCALES)),
-    st.sampled_from([rec.real_form for rec in CATALOG]),
+    st.sampled_from([rec.real_form for rec in CATALOG + SPECIAL]),
     st.builds(_no_conj, st.sampled_from(("su2c", "sl2c")), st.sampled_from((1, 2)), st.sampled_from(SCALES)),
     st.builds(_abelian, st.sampled_from(SCALES)),
 )
@@ -91,7 +93,7 @@ def _split(phi, truncation):
 
 @settings(max_examples=200, deadline=None)
 @given(forms, st.data())
-def test_map_verdicts_match_the_walk_wherever_tau_is_a_real_structure(rf, data):
+def test_map_verdicts_match_all_pairs_wherever_tau_is_a_real_structure(rf, data):
     reason = None if rf.conj is None else real_structure_failure(rf)
     phi = data.draw(st.sampled_from(_involutions(rf)))
     truncation = rf.truncate(2 * _period(rf.twist, rf.conj, phi.loop_map))
@@ -99,14 +101,14 @@ def test_map_verdicts_match_the_walk_wherever_tau_is_a_real_structure(rf, data):
     if reason is not None:
         assert not closed and closed.witness == reason
         return
-    assert bool(closed) == verify_closed_walk(rf, truncation)
+    assert bool(closed) == verify_closed_reference(rf, truncation)
     dec = _split(phi, truncation)
     if closed and dec is not None:
         relations = verify_cartan_relations(rf, phi)
-        assert bool(relations) == verify_cartan_relations_walk(dec)
+        assert bool(relations) == verify_cartan_relations_reference(dec)
 
 
-def test_cartan_verdicts_match_the_walk_on_the_catalog_forms():
+def test_cartan_verdicts_match_all_pairs_on_the_catalog_forms():
     """Every catalog form with every involution of _involutions that
     splits it at degree 4: both verdicts occur, and both kinds of witness."""
     outcomes = Counter()
@@ -117,7 +119,7 @@ def test_cartan_verdicts_match_the_walk_on_the_catalog_forms():
             if dec is None:
                 continue
             relations = verify_cartan_relations(rf, phi)
-            assert bool(relations) == verify_cartan_relations_walk(dec)
+            assert bool(relations) == verify_cartan_relations_reference(dec)
             outcomes[bool(relations), type(relations.witness).__name__] += 1
     assert set(outcomes) == {(True, "NoneType"), (False, "tuple"), (False, "str")}
 
@@ -255,13 +257,13 @@ def _almost_split(matrix, index_sign):
 def test_a_failed_cartan_verdict_names_a_witness_that_rechecks(row):
     """psi = diag(1, 1, -1) is involutive and keeps the form but not the
     bracket of g; psi = identity with s = 1 and epsilon -1 scales c by -1
-    while the derivative picks up +1. Both split the form; the walk agrees."""
+    while the derivative picks up +1. Both split the form; all pairs agree."""
     rf, phi = _almost_split([[1, 0, 0], [0, 1, 0], [0, 0, -1]] if row == "pair" else IDENT,
                             -1 if row == "pair" else 1)
     dec = fixed_and_eigenspaces(phi, rf.truncate(4))
     assert rf.verify_closed()
     relations = verify_cartan_relations(rf, phi)
-    assert not relations and not verify_cartan_relations_walk(dec)
+    assert not relations and not verify_cartan_relations_reference(dec)
     witness = relations.witness
     if row == "pair":
         assert witness == (0, 1) and _breaks_bracket(rf.algebra, phi.loop_map, witness)

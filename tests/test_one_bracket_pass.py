@@ -1,15 +1,12 @@
-"""The oracle walk over the brackets of a K/P split
-(bracket_verdicts_reference in oracles) decides closure and the Cartan
-relations as all pairs do, the split's one pass over phi's images decides
-the involutive check, the involutive and expected K/P checks apply their
-maps to the blocks up to the split's built period only, and dualize only
-builds the dual maps: osaka-catalog brackets no loop (closure and the
-relations are read off the maps), images each element of those blocks
-twice, and decides membership with no image built. Each fast path is
-checked against the all-pairs or every-element reference in oracles, on
-the 512 diagonal forms, on every catalog record at degrees 1 to 16, and on
-the corrupted splits of test_period_classes, the period-4 ones at degrees
-1 to 11."""
+"""The involutive and expected K/P checks, and what osaka-catalog
+brackets and images. Closure and the Cartan relations, read off the maps,
+match all pairs on the 512 diagonal forms; the split's one pass over phi's
+images decides the involutive check, and the K/P check reads the blocks up
+to the split's built period only, each against the every-element
+reference in oracles, on every catalog record at degrees 1 to 16 and on
+corrupted catalog and period-4 splits (degrees 1 to 11). osaka-catalog
+brackets no loop, images each element of those blocks twice, and decides
+membership with no image built; dualize only builds the dual maps."""
 import itertools
 from collections import Counter
 
@@ -25,6 +22,7 @@ from kmalg.involution import (
     RealFormDescriptor,
     _period,
     fixed_and_eigenspaces,
+    verify_cartan_relations,
 )
 from kmalg.osaka import (
     OsakaRecord,
@@ -35,9 +33,20 @@ from kmalg.osaka import (
     duality_pairing,
 )
 from kmalg.scalars import Scalar, ZERO
-import oracles
+
+from cases import (
+    DIAGONAL,
+    NAMES,
+    ODD_PHI,
+    ODD_SPLITS,
+    PAIRS,
+    PHIS,
+    corrupted,
+    counting_brackets,
+    real_structure_failure,
+    span,
+)
 from oracles import (
-    bracket_verdicts_reference,
     check_expected_kp_reference,
     duality_pairing_reference,
     involutive_reference,
@@ -47,7 +56,6 @@ from oracles import (
     verify_cartan_relations_reference,
     verify_closed_reference,
 )
-from test_period_classes import DIAGONAL, NAMES, ODD_PHI, ODD_SPLITS, PAIRS, _corrupted, _counting_brackets, _span
 
 
 def split_verdicts(phi, truncation):
@@ -60,40 +68,40 @@ def split_verdicts(phi, truncation):
     return True, True
 
 
-def _diag(signs):
-    return [[Scalar(s) if i == j else ZERO for j in range(3)] for i, s in enumerate(signs)]
-
-
-# Linear diagonal involutions a_k -> i^{p k} M a_{s k}, every sign pattern,
-# parity and index sign; time reflection exactly when s = -1.
-PHIS = [InvolutionDescriptor(f"{m}/{p}/{s}", CoeffMap(sparse_rows(_diag(m)), s, False, p), -1)
-        for m in [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)] for p in range(4) for s in (1, -1)]
-
-
 @pytest.mark.parametrize("pair", PAIRS)
 def test_bracket_verdicts_match_all_pairs_on_every_diagonal_form(pair):
     """Each diagonal form of pair at degree 8 = 2P for P = 4 with two of
-    the involutions above and PHIS[0] (identity matrix, parity 0, s = 1,
-    which preserves every form); the form is split by the first of them
-    that preserves it and squares to the identity. The walk on the plain
-    truncation decides closure and never the relations."""
-    involutive, verdicts = Counter(), Counter()
+    PHIS and PHIS[0] (identity matrix, parity 0, s = 1, which preserves
+    every form); the form is split by the first of them that preserves it
+    and squares to the identity. osaka_verify's involutive check is that of
+    every element, once for each pair of verdicts. Where tau is a real
+    structure, closure is that of all pairs, and on a closed form the
+    relations are those of all pairs of the split."""
+    involutive, verdicts, checked = Counter(), Counter(), set()
     forms = [(n, rf) for n, rf in enumerate(DIAGONAL) if (rf.algebra, rf.twist.order) ==
              (serialize.lookup_algebra(*pair)[0], pair[1])]
     for n, rf in forms:
         truncation = rf.truncate(8)
-        assert bracket_verdicts_reference(truncation, True) == (verify_closed_reference(rf, truncation), False)
         phis = [PHIS[(5 * n + j) % len(PHIS)] for j in range(2)] + PHIS[:1]
         got = [split_verdicts(phi, truncation) for phi in phis]
         assert got == [involutive_reference(rf, phi, truncation) for phi in phis]
         involutive.update(got[:2])
+        for phi, v in zip(phis, got):
+            if v not in checked:  # osaka_verify's involutive check, once per verdict pair
+                checked.add(v)
+                rec = OsakaRecord("drawn", rf, phi, OsakaType.COMPACT,
+                                  dict.fromkeys(("zero", "even_pair", "odd_pair", "cd"), (0, 0)))
+                check = osaka.osaka_verify(rec, 8).checks["involutive"]
+                preserved, squares = want = involutive_reference(rf, phi, truncation)
+                assert check.passed == all(want)
+                assert check.detail == f"preserves form: {preserved}, squares to identity: {squares}"
         phi = next(phi for phi, v in zip(phis, got) if all(v))
-        dec = fixed_and_eigenspaces(phi, truncation)
-        closed, holds = bracket_verdicts_reference(dec, True)
-        assert closed == verify_closed_reference(rf, truncation)
-        assert (closed and holds) == verify_cartan_relations_reference(dec)
-        assert bracket_verdicts_reference(dec, False) == (closed, False)
-        verdicts[(closed, holds), _period(rf.twist, rf.conj, phi.loop_map)] += 1
+        closed, holds = bool(rf.verify_closed()), bool(verify_cartan_relations(rf, phi))
+        if real_structure_failure(rf) is None:
+            assert closed == verify_closed_reference(rf, truncation)
+        if closed:
+            assert holds == verify_cartan_relations_reference(fixed_and_eigenspaces(phi, truncation))
+        verdicts[(closed, closed and holds), _period(rf.twist, rf.conj, phi.loop_map)] += 1
     assert len(forms) == 128 and {all(v) for v in involutive} == {True, False}
     # closed and not, relations holding and not, at every period the twist
     # allows: 1 too when untwisted
@@ -120,7 +128,7 @@ def _with_maps(dec):
 
 def _checked_copies(dec):
     """The splits whose K/P check is compared with the reference: dec and
-    its corruptions (_corrupted, then dec with the K and P vectors of one
+    its corruptions (`corrupted`, then dec with the K and P vectors of one
     block swapped, for each block with both), each with the maps of
     _with_maps. A corruption is a copy of dec through its constructor
     (`replace`) with every block explicit (`materialize`) and no built
@@ -134,31 +142,35 @@ def _checked_copies(dec):
             blocks = list(full.blocks)
             blocks[i] = (key, [(e, 1) for e in p_basis] + [(e, -1) for e in k_basis])
             swapped.append(replace(full, blocks=tuple(blocks)))
-    for corrupted in itertools.chain(_corrupted(dec), swapped):
-        yield from _with_maps(corrupted)
-        if corrupted is dec:
+    for changed_dec in itertools.chain(corrupted(dec), swapped):
+        yield from _with_maps(changed_dec)
+        if changed_dec is dec:
             continue
-        changed = [key for (key, items), (_, old) in zip(corrupted.blocks, full.blocks) if items is not old]
+        changed = [key for (key, items), (_, old) in zip(changed_dec.blocks, full.blocks) if items is not old]
         if changed and period and all(key[0] == "cd" or key[0] <= period for key in changed):
-            kept = replace(corrupted, blocks=tuple(
-                (key, items) for key, items in corrupted.blocks if key[0] == "cd" or key[0] <= period))
+            kept = replace(changed_dec, blocks=tuple(
+                (key, items) for key, items in changed_dec.blocks if key[0] == "cd" or key[0] <= period))
             kept.built_period = period
             yield kept
 
 
 def test_involutive_and_expected_kp_match_every_element_on_the_catalog():
+    """Also with each record's even-block dims made wrong, which the check
+    reads at (2, -2) even when the split's period is 1."""
     details = set()
     for rec in build_catalog_a1():
         rf, phi = rec.real_form, rec.involution
+        wrong_even = replace(rec, expected_kp={**rec.expected_kp, "even_pair": (0, 0)})
         for degree in range(1, 17):
             truncation = rf.truncate(degree)
             assert split_verdicts(phi, truncation) == involutive_reference(rf, phi, truncation)
             for changed in _with_maps(fixed_and_eigenspaces(phi, truncation)):
-                got = _check_expected_kp(rec, changed)
-                assert got == check_expected_kp_reference(rec, changed)
-                details.add(got[1].split(" in block")[0])
+                for record in (rec, wrong_even):
+                    got = _check_expected_kp(record, changed)
+                    assert got == check_expected_kp_reference(record, changed)
+                    details.add(got[1].split(" in block")[0].split(":")[0])
     assert details == {"eigenspaces match the expected conditions and dimensions",
-                       "K vector", "P vector"}
+                       "K vector", "P vector", "block (2, -2)"}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -166,10 +178,10 @@ def test_involutive_and_expected_kp_match_every_element_on_corrupted_splits(name
     rec = catalog_record(name)
     verdicts = Counter()
     split = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(6))
-    for dec in _corrupted(split):
-        span = _span(dec)
-        got = split_verdicts(rec.involution, span)
-        assert got == involutive_reference(rec.real_form, rec.involution, span)
+    for dec in corrupted(split):
+        plain = span(dec)
+        got = split_verdicts(rec.involution, plain)
+        assert got == involutive_reference(rec.real_form, rec.involution, plain)
         verdicts[got] += 1
     for changed in _checked_copies(split):
         assert _check_expected_kp(rec, changed) == check_expected_kp_reference(rec, changed)
@@ -201,9 +213,8 @@ def test_expected_kp_matches_every_element_on_corrupted_period_4_splits(name):
 def test_osaka_catalog_makes_no_loop_bracket(monkeypatch, capsys):
     """osaka-catalog --degree 5 brackets no loop: the 8 records' closure
     checks and Cartan relations are read off the maps, and neither building
-    the catalog nor pairing it brackets anything. The oracle walk makes
-    1246 brackets for the same closure verdicts."""
-    calls = _counting_brackets(monkeypatch)
+    the catalog nor pairing it brackets anything."""
+    calls = counting_brackets(monkeypatch)
     for rec in build_catalog_a1():
         assert rec.real_form.verify_closed()
     assert calls["loop_bracket"] == 0
@@ -226,19 +237,6 @@ def test_osaka_catalog_makes_no_loop_bracket(monkeypatch, capsys):
     capsys.readouterr()
     assert calls["loop_bracket"] == 0
     assert inside == {"build_catalog_a1": 0, "duality_pairing": 0}
-    # the oracle walk brackets each of its pairs with hat_bracket
-    walk = Counter()
-    monkeypatch.setattr(oracles, "hat_bracket", counting_calls(oracles.hat_bracket, walk))
-    assert all(oracles.verify_closed_walk(rec.real_form, rec.real_form.truncate(5)) for rec in build_catalog_a1())
-    assert sum(walk.values()) == 1246
-
-
-def counting_calls(fn, calls):
-    """fn, counting its calls under its name in calls."""
-    def wrapper(*args):
-        calls[fn.__name__] += 1
-        return fn(*args)
-    return wrapper
 
 
 def test_walk_and_membership_build_no_image(monkeypatch, capsys):
@@ -246,7 +244,7 @@ def test_walk_and_membership_build_no_image(monkeypatch, capsys):
     RealFormDescriptor.contains decides its verdicts image-free
     (CoeffMap.fixes): it makes no CoeffMap.apply_loop call, though it runs
     and other checks apply maps."""
-    calls = _counting_brackets(monkeypatch)
+    calls = counting_brackets(monkeypatch)
     apply_loop = CoeffMap.apply_loop
 
     def counting_apply_loop(self, f):

@@ -1,3 +1,7 @@
+"""The OSAKA catalog and its checks: each record's osaka_verify report,
+the counterexample and special records, types, effectiveness, the
+duality pairing (against dualizing every record twice), irreducibility
+and the involution count table."""
 import json
 import os
 import subprocess

@@ -1,17 +1,15 @@
-"""The period-P lemma: block equations repeat with period P, the lcm of the
+"""Truncations, splits and the closure and Cartan verdicts under the
+period-P lemma: block equations repeat with period P, the lcm of the
 twist's order and 4 / gcd(4, parity) for each map involved (1 on an
 untwisted form of parity 0, 2 for an order-2 twist or an even nonzero
-parity, 4 for an odd parity), so the oracle walk
-(bracket_verdicts_reference in oracles) brackets one representative block
-pair per class, every class occurring from degree 2P on, and
-fixed_and_eigenspaces splits no block beyond (P, -P), which the split
-names as shifts. Each is checked against the all-pairs or every-block
-reference in oracles on the diagonal and permutation real forms over four
-registered algebras (all three periods), and on every catalog split
-(period 1, or 2 when twisted), intact and with one block's K vectors
-corrupted. The closure verdict, read off the maps, is checked against
-all pairs wherever the form's tau is a real structure, and names its
-failure elsewhere; it and osaka_verify make no loop bracket at any
+parity, 4 for an odd parity), so fixed_and_eigenspaces splits no block
+beyond (P, -P), which the split names as shifts, and closure and the
+Cartan relations are read off the maps. The split is checked against
+every block solved and the verdicts against all pairs (oracles), on the
+diagonal and permutation real forms over four registered algebras (all
+three periods) and on every catalog split, whose corruptions the
+all-pairs reference must catch. Closure names its failure wherever tau
+is no real structure, and it and osaka_verify make no loop bracket at any
 degree."""
 import itertools
 from collections import Counter
@@ -19,66 +17,30 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmalg import kmext, loop, serialize
-from kmalg.findim import sparse_rows
-from kmalg.involution import (
-    CoeffMap,
-    InvolutionDescriptor,
-    RealFormDescriptor,
-    _period,
-    Truncation,
-    fixed_and_eigenspaces,
+from kmalg import serialize
+from kmalg.involution import CoeffMap, _period, fixed_and_eigenspaces, verify_cartan_relations
+from kmalg.osaka import catalog_record, osaka_verify
+from kmalg.scalars import I, ONE
+
+from cases import (
+    DIAGONAL,
+    NAMES,
+    ODD_PHI,
+    ODD_SPLITS,
+    PAIRS,
+    SIGNS,
+    corrupted,
+    counting_brackets,
+    form,
+    real_structure_failure,
 )
-from kmalg.loop import TwistedLoopElement, twist_eigenbasis
-from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
-from kmalg.scalars import I, ONE, Scalar, ZERO
 from oracles import (
-    bracket_verdicts_reference,
-    classes_reference,
     fixed_and_eigenspaces_reference,
-    graded,
     kp_blocks,
-    materialize,
     replace,
-    representative_pairs_reference,
     verify_cartan_relations_reference,
-    verify_cartan_relations_walk as verify_cartan_relations,
     verify_closed_reference,
 )
-
-PAIRS = [("su2c", 1), ("su2c", 2), ("sl2c", 1), ("sl2c", 2)]
-SIGNS = list(itertools.product((1, -1), repeat=3))
-NAMES = [rec.name for rec in build_catalog_a1()]
-
-
-def _form(pair, perm, signs, index_sign, parity, scale):
-    """The real form fixed by i^{parity k} P conj(a_{index_sign k}), P the
-    signed permutation matrix with row i holding signs[i] at column perm[i]."""
-    algebra, twist = serialize.lookup_algebra(*pair)
-    matrix = [[Scalar(signs[i]) if j == perm[i] else ZERO for j in range(3)] for i in range(3)]
-    return RealFormDescriptor("form", algebra, twist,
-                              CoeffMap(sparse_rows(matrix), index_sign, True, parity), scale)
-
-
-DIAGONAL = [_form(pair, (0, 1, 2), signs, s, p, scale) for pair in PAIRS for signs in SIGNS
-            for s in (1, -1) for p in range(4) for scale in (ONE, I)]
-
-
-def real_structure_failure(rf):
-    """None when the form's tau is a real structure, else the reason
-    a failed verify_closed must name, found by imaging rather than from the
-    lemma's matrix conditions: "grading broken" when tau sends a basis
-    vector of a twist piece at degree 0 or 1 out of the piece, "tau^2 != 1
-    on the loop algebra" when tau applied twice does not return it."""
-    tau, twist = rf.conj, rf.twist
-    monomials = [TwistedLoopElement.from_vecs(rf.algebra, twist, {k: v})
-                 for k in (0, 1) for v in twist_eigenbasis(rf.algebra, twist, k % twist.order)]
-    images = [tau.apply_loop(f) for f in monomials]
-    if not all(graded(f) for f in images):
-        return "grading broken"
-    if any(tau.apply_loop(f) != g for f, g in zip(images, monomials)):
-        return "tau^2 != 1 on the loop algebra"
-    return None
 
 
 def test_closure_matches_all_pairs_on_every_diagonal_form():
@@ -134,7 +96,7 @@ def test_period_is_the_lcm_of_the_twist_order_and_each_parity_period():
 def test_closure_matches_all_pairs_on_permutation_forms(pair, perm, signs, s, parity, scale, degree):
     """Where tau is a real structure, the verdict from the maps is the
     all-pairs one at every degree; elsewhere closure fails naming why."""
-    rf = _form(pair, perm, signs, s, parity, scale)
+    rf = form(pair, perm, signs, s, parity, scale)
     truncation = rf.truncate(degree)
     reason = real_structure_failure(rf)
     verdict = rf.verify_closed()
@@ -144,50 +106,15 @@ def test_closure_matches_all_pairs_on_permutation_forms(pair, perm, signs, s, pa
         assert not verdict and verdict.witness == reason
 
 
-def _corrupted(dec):
-    """dec, then for each block of its degree with K vectors: dec with every
-    block explicit (`materialize`) and that block's first K vector moved to
-    P, with it multiplied by i, and with every K vector moved to P (the
-    block's vectors keep their order, only the signs change)."""
-    yield dec
-    full = materialize(dec)
-    for i, (key, k_basis, p_basis) in enumerate(kp_blocks(full)):
-        if not k_basis:
-            continue
-        for ks, ps in ((k_basis[1:], p_basis + k_basis[:1]),
-                       ([k_basis[0].scale(I)] + k_basis[1:], p_basis),
-                       ([], k_basis + p_basis)):
-            blocks = list(full.blocks)
-            blocks[i] = (key, [(e, 1) for e in ks] + [(e, -1) for e in ps])
-            yield replace(full, blocks=tuple(blocks))
-
-
-def _span(dec):
-    """The truncation whose blocks are K and P of dec, every block of its
-    degree."""
-    return Truncation(dec.real_form, dec.n_max,
-                      tuple((key, [(e, 0) for e, _ in items]) for key, items in materialize(dec).blocks))
-
-
-def _check_closure_of_the_split(dec):
-    """The closure half of the walk verify_cartan_relations makes
-    (bracket_verdicts_reference) against all pairs of K and P, on every
-    corruption: a K vector times i leaves the form, so some are not
-    closed."""
-    closures = [bracket_verdicts_reference(c, False) for c in _corrupted(dec)]
-    assert closures == [(verify_closed_reference(c.real_form, _span(c)), False) for c in _corrupted(dec)]
-    assert {closed for closed, _ in closures} == {True, False}
-
-
 @pytest.mark.parametrize("name", NAMES)
 def test_cartan_relations_match_all_pairs_on_corrupted_splits(name):
+    """The relations read off the maps hold on each catalog record, as all
+    pairs of its split at degree 6 do; all pairs of every corruption of
+    that split, blocks (5, -5) and (6, -6) included, fail."""
     rec = catalog_record(name)
     dec = fixed_and_eigenspaces(rec.involution, rec.real_form.truncate(6))
-    verdicts = [verify_cartan_relations(c) for c in _corrupted(dec)]
-    assert verdicts == [verify_cartan_relations_reference(c) for c in _corrupted(dec)]
-    _check_closure_of_the_split(dec)
-    # the intact split holds; every corruption, blocks (5, -5) and (6, -6)
-    # included, is caught
+    verdicts = [verify_cartan_relations_reference(c) for c in corrupted(dec)]
+    assert bool(verify_cartan_relations(rec.real_form, rec.involution)) == verdicts[0]
     assert verdicts[0] and not any(verdicts[1:])
     assert len(verdicts) == 1 + 3 * sum(1 for _, k_basis, _ in kp_blocks(dec) if k_basis)
 
@@ -199,19 +126,10 @@ def test_shifted_eigenspace_blocks_equal_the_solved_ones(name):
     got = fixed_and_eigenspaces(rec.involution, truncation)
     want = fixed_and_eigenspaces_reference(rec.involution, truncation)
     assert kp_blocks(got) == kp_blocks(want)
-
-
-# Period-4 splits: phi = i^{k} M a_{-k} with M = diag(1, -1, -1) (an
-# involutive automorphism of su2c), epsilon -1, on the closed odd-parity
-# diagonal form and on an untwisted parity-0 one. The form's own period is
-# 4 in the first and 1 in the second; the split's is 4 in both.
-ODD_SPLITS = {
-    "odd form": _form(("su2c", 1), (0, 1, 2), (1, 1, 1), 1, 1, I),
-    "even form": _form(("su2c", 1), (0, 1, 2), (1, 1, 1), -1, 0, ONE),
-}
-ODD_PHI = InvolutionDescriptor(
-    "odd parity", CoeffMap(sparse_rows([[Scalar(s) if i == j else ZERO for j in range(3)]
-                                        for i, s in enumerate((1, -1, -1))]), -1, False, 1), -1)
+    assert got.dims() == {key: (len(k_basis), len(p_basis)) for key, k_basis, p_basis in kp_blocks(want)}
+    # a copy through the constructor records no period
+    assert got.built_period == _period(rec.real_form.twist, rec.real_form.conj, rec.involution.loop_map)
+    assert replace(got).built_period is None
 
 
 @pytest.mark.parametrize("name", sorted(ODD_SPLITS))
@@ -222,33 +140,14 @@ def test_period_4_splits_match_every_block_and_all_pairs(name):
     dec = fixed_and_eigenspaces(ODD_PHI, truncation)
     want = fixed_and_eigenspaces_reference(ODD_PHI, truncation)
     assert kp_blocks(dec) == kp_blocks(want)
-    verdicts = [verify_cartan_relations(c) for c in _corrupted(dec)]
-    assert verdicts == [verify_cartan_relations_reference(c) for c in _corrupted(dec)]
-    _check_closure_of_the_split(dec)
+    verdicts = [verify_cartan_relations_reference(c) for c in corrupted(dec)]
+    assert bool(verify_cartan_relations(rf, ODD_PHI)) == verdicts[0]
     assert verdicts[0] and not any(verdicts[1:])
     assert len(verdicts) == 1 + 3 * sum(1 for _, k_basis, _ in kp_blocks(dec) if k_basis)
 
 
-def _counting_brackets(monkeypatch):
-    """Counts, under "loop_bracket", every loop bracket the library makes:
-    each goes through loop_bracket_raw, the one convolution, as bound in
-    loop (loop_bracket) or in kmext (extended_bracket_raw, under
-    hat_bracket and jacobi_residual)."""
-    calls = Counter()
-
-    def counting(fn):
-        def wrapper(*args):
-            calls["loop_bracket"] += 1
-            return fn(*args)
-        return wrapper
-
-    for module in (loop, kmext):
-        monkeypatch.setattr(module, "loop_bracket_raw", counting(module.loop_bracket_raw))
-    return calls
-
-
 def _bracket_count(monkeypatch, record, degree):
-    calls = _counting_brackets(monkeypatch)
+    calls = counting_brackets(monkeypatch)
     assert osaka_verify(record, degree).all_passed
     return calls["loop_bracket"]
 
@@ -271,23 +170,8 @@ def test_closure_bracket_count_is_flat_from_degree_8_at_odd_parity(monkeypatch):
     assert _period(rf.twist, rf.conj) == 4
     counts = []
     for degree in (1, 7, 8, 16):
-        calls = _counting_brackets(monkeypatch)
+        calls = counting_brackets(monkeypatch)
         rf.truncate(degree)
         assert rf.verify_closed()
         counts.append(calls["loop_bracket"])
     assert counts == [0, 0, 0, 0]
-
-
-def test_a_hand_built_truncation_brackets_every_pair():
-    """Two blocks with one key, in a truncation built by hand: it records no
-    period, classes_reference finds every block its own class, and the
-    pairs across the two blocks are bracketed as all others."""
-    truncation = catalog_record("I[Id,Id]").real_form.truncate(6)
-    blocks = list(truncation.blocks)
-    twice = Truncation(truncation.real_form, 6,
-                       tuple(blocks + [((1, -1), [(x.scale(I), s) for x, s in dict(blocks)[(1, -1)]])]))
-    assert twice.built_period is None
-    label = classes_reference(twice.blocks, 4)
-    assert label == list(range(len(twice.blocks)))
-    n = sum(len(its) for _, its in twice.blocks)
-    assert len(list(representative_pairs_reference(twice.blocks, label))) == n * (n + 1) // 2

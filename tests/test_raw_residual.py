@@ -1,4 +1,5 @@
-"""The Jacobi residual on raw numerators, and what feeds it.
+"""The Jacobi residual on raw numerators, and the random elements that feed
+it.
 
 jacobi_residual composes the raw extended brackets unreduced and reduces
 once; it must equal the sum of three nested hat_brackets
@@ -9,16 +10,14 @@ fails: there both residuals are nonzero, so jacobi-check reports the
 broken bracket. Pinned examples put a d over 5, or a non-real d on z
 only, beside loop terms over 3, where one common denominator for x, y
 and z must take in the d parts; and every accumulator and denominator
-the bracket kernel returns must be an int. TrialRng reads its stream as words and
-random_loop_element sums each term in one accumulator; both must give the
-draws and elements of the old code, on int and str seeds. The pair scan of the oracle walk
-(representative_pairs_reference), on which the map verdicts are checked,
-must yield every item pair of exactly one block pair per class of block
-pairs, and a block pair of every class.
+the bracket kernel returns must be an int. random_loop_element sums each
+term in one accumulator, and random_extended_element draws c and d after
+it; both must give the elements of the Scalar-draw reference on the
+byte-slicing stream (oracles), on int and str seeds, and TrialRng must
+give that stream's draws, 40 streams of 120 mixed draws.
 """
 import copy
 import json
-from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -26,24 +25,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kmalg import cli, kmext, serialize
-from kmalg.involution import _period, fixed_and_eigenspaces
 from kmalg.kmext import ExtendedElement, hat_bracket, jacobi_residual
 from kmalg.loop import MismatchError, TwistedLoopElement
-from kmalg.osaka import build_catalog_a1
 from kmalg.rand import TrialRng, random_extended_element, random_loop_element
 from kmalg.scalars import Scalar, ZERO
 
+from cases import D_OVER_5, NONREAL_D, OVER_3, SU2C
 from oracles import (
     TrialRngReference,
-    classes_reference,
+    gaussian,
     jacobi_residual_reference,
     jacobi_terms_reference,
-    materialize,
     random_loop_element_reference,
-    representative_pairs_reference,
 )
-from test_loop_numerators import D_OVER_5, NONREAL_D, OVER_3, SU2C
-from test_period_classes import DIAGONAL
 
 REGISTERED = [("su2c", 1), ("su2c", 2), ("sl2c", 1), ("sl2c", 2), ("su2su2c", 1), ("abelian1c", 1)]
 RESIDUAL_KINDS = [("su2c", 1), ("su2c", 2), ("sl2c", 2), ("su2su2c", 1), ("abelian1c", 1)]
@@ -200,8 +194,10 @@ def test_trial_rng_matches_the_slicing_reference_draw_for_draw():
             elif kind == 2:
                 assert new.scalar() == old.scalar()
             else:
-                assert new.gaussian() == old.gaussian()
+                assert gaussian(new) == gaussian(old)
 
+
+# -- the random elements -----------------------------------------------------------
 
 @pytest.mark.parametrize("kind", REGISTERED)
 def test_random_elements_match_the_reference_at_degrees_0_to_12(kind):
@@ -216,44 +212,3 @@ def test_random_elements_match_the_reference_at_degrees_0_to_12(kind):
             want = random_loop_element_reference(algebra, twist, old, max_degree=degree)
             assert (x.loop.terms, x.c, x.d) == (want.terms, old.scalar(), old.scalar())
             assert new.u32() == old.u32()
-
-
-# -- representative block pairs ---------------------------------------------------
-
-def _same_pairs(t, label):
-    """The scan's pairs, counted per block pair (i, i2), i <= i2: each
-    block pair it visits gives all its unordered item pairs, no two
-    visited block pairs share a class (label[i] and label[i2] unordered,
-    and whether i == i2), and every block pair with items on both sides
-    has the class of a visited one."""
-    sizes = [len(items) for _, items in t.blocks]
-    where = {id(item): i for i, (_, items) in enumerate(t.blocks) for item in items}
-    got = Counter((where[id(x)], where[id(y)]) for x, y in representative_pairs_reference(t.blocks, label))
-
-    def cls(i, i2):
-        return frozenset((label[i], label[i2])), i == i2
-
-    assert all(i <= i2 and n == (sizes[i] * (sizes[i] + 1) // 2 if i == i2 else sizes[i] * sizes[i2])
-               for (i, i2), n in got.items())
-    visited = {cls(i, i2) for i, i2 in got}
-    assert len(visited) == len(got)
-    assert all(cls(i, i2) in visited for i in range(len(sizes)) for i2 in range(i, len(sizes))
-               if sizes[i] and sizes[i2])
-
-
-@pytest.mark.parametrize("degree", list(range(1, 10)) + [16, 128])
-def test_representative_pairs_match_the_scan_on_the_catalog(degree):
-    for rec in build_catalog_a1():
-        rf, phi = rec.real_form, rec.involution
-        truncation = rf.truncate(degree)
-        for t in map(materialize, (truncation, fixed_and_eigenspaces(phi, truncation))):
-            for period in {2, 4, _period(rf.twist, rf.conj, phi.loop_map)}:
-                _same_pairs(t, classes_reference(t.blocks, period))
-            if degree <= 16:  # every block its own class: all pairs, quadratic in degree
-                _same_pairs(t, list(range(len(t.blocks))))
-
-
-def test_representative_pairs_match_the_scan_on_the_diagonal_forms():
-    for rf in DIAGONAL:
-        t = materialize(rf.truncate(8))
-        _same_pairs(t, classes_reference(t.blocks, _period(rf.twist, rf.conj)))

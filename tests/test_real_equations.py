@@ -1,12 +1,11 @@
-"""One builder for Q(i) equations: real_rows writes an equation
-sum alpha a + beta conj(a) = 0 as two rational rows, and real_kernel solves
-a list of them (both kept in tests/oracles.py since
-RealFormDescriptor.block_basis writes integer rows itself and
-FiniteLieAlgebra row-reduces its basis's own blow-up).
-RealFormDescriptor.block_basis and the coordinates FiniteLieAlgebra._solve
-finds (oracles.coords) are each checked here against the hand-written real
-blow-up they replaced (tests/oracles.py), element for element and in the
-same order."""
+"""Real blow-ups of Q(i) equations: the references' equation builder
+(real_rows writes sum alpha a + beta conj(a) = 0 as two rational rows, and
+real_kernel solves a list of them, both in oracles) against the complex
+values they encode; RealFormDescriptor.block_basis, also on the full
+complex algebra (no real structure), against its blow-up by real_rows
+(block_basis_real_kernel); and the coordinates FiniteLieAlgebra._solve
+finds (oracles.coords) against the hand-written per-matrix blow-up
+(coords_reference), element for element and in the same order."""
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ from kmalg.findim import LieAlgebraError, sparse_rows
 from kmalg.involution import CoeffMap, RealFormDescriptor
 from kmalg.scalars import I, ONE, Scalar, ZERO, vec_to_scalars
 
-from oracles import block_basis_reference, coords, coords_reference, matrix, real_flatten, real_kernel, real_rows
+from oracles import block_basis_real_kernel, coords, coords_reference, matrix, real_flatten, real_kernel, real_rows
 
 parts = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
 gaussians = st.builds(Scalar, parts, parts)
@@ -76,7 +75,7 @@ def test_real_kernel_without_equations_is_the_standard_basis():
     assert scalar_kernel([cancelling], 2, 1) == scalar_kernel([], 2, 1)
 
 
-# -- block_basis against the hand-written blow-up -------------------------------
+# -- block_basis against its blow-up by real_rows --------------------------------
 
 ALGEBRAS = [("su2c", 1), ("su2c", 2), ("sl2c", 1), ("sl2c", 2), ("su2su2c", 1)]
 ENTRIES = [ONE, -ONE, I, -I, Scalar(2), Scalar(1, 1)]
@@ -104,7 +103,7 @@ def real_forms(draw):
 @settings(max_examples=300, deadline=None)
 @given(real_forms(), st.sampled_from(KEYS))
 def test_block_basis_matches_hand_written_blow_up(rf, key):
-    assert rf.block_basis(key) == block_basis_reference(rf, key)
+    assert rf.block_basis(key) == block_basis_real_kernel(rf, key)
 
 
 @pytest.mark.parametrize("alg,order", ALGEBRAS)
@@ -112,7 +111,7 @@ def test_full_complex_blocks_match_hand_written_blow_up(alg, order):
     algebra, twist = serialize.lookup_algebra(alg, order)
     rf = RealFormDescriptor(name="full", algebra=algebra, twist=twist, conj=None, cd_scale=None)
     for key in KEYS:
-        assert rf.block_basis(key) == block_basis_reference(rf, key)
+        assert rf.block_basis(key) == block_basis_real_kernel(rf, key)
 
 
 # -- coords against the hand-written blow-up ------------------------------------

@@ -17,20 +17,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmalg.findim import FiniteAutomorphism, LieAlgebraError, least_order, make_abelian, sparse_rows
+from kmalg.findim import (
+    FiniteAutomorphism,
+    LieAlgebraError,
+    automorphism_from_order,
+    least_order,
+    make_abelian,
+    make_su,
+    sparse_rows,
+)
 from kmalg.involution import CoeffMap, InvolutionError
-from kmalg.loop import TwistedLoopElement, untwisted
+from kmalg.loop import TwistedLoopElement
 from kmalg.scalars import Scalar, ZERO
+from cases import UNITS, coeff_maps, dims, loops, matrices, vectors
 from oracles import apply_vec, automorphism_apply, dense_apply, mat, mat_mul, order_reference
-
-UNITS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))
-
-rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
-general = st.builds(Scalar, rationals, rationals)
-entries = st.one_of(st.just(ZERO), st.sampled_from(UNITS), general)
-coords = st.one_of(st.just(ZERO), general)
-dims = st.integers(1, 4)
-
 
 # -- dense reference -----------------------------------------------------------
 
@@ -51,51 +51,6 @@ def all_ints(sparse):
 def dense_is_identity(matrix):
     n = len(matrix)
     return all(matrix[i][j] == (Scalar(1) if i == j else ZERO) for i in range(n) for j in range(n))
-
-
-# -- strategies ----------------------------------------------------------------
-
-@st.composite
-def matrices(draw, n, m=None):
-    m = n if m is None else m
-    kind = draw(st.sampled_from(("random", "identity", "signed permutation")))
-    if kind == "identity":
-        rows = [[UNITS[0] if i == j else ZERO for j in range(m)] for i in range(n)]
-    elif kind == "signed permutation":
-        perm = draw(st.permutations(range(m)))
-        rows = [[draw(st.sampled_from(UNITS)) if j == perm[i % m] else ZERO for j in range(m)]
-                for i in range(n)]
-    else:
-        rows = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
-    # perturb one entry (possibly to zero, making a zero row more likely)
-    if draw(st.booleans()):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
-        rows[i][j] = draw(entries)
-    if draw(st.booleans()):
-        rows[draw(st.integers(0, n - 1))] = [ZERO] * m
-    return rows
-
-
-@st.composite
-def coeff_maps(draw, n):
-    return CoeffMap(
-        sparse_rows(draw(matrices(n))),
-        index_sign=draw(st.sampled_from((1, -1))),
-        conjugate=draw(st.booleans()),
-        parity=draw(st.integers(0, 3)),
-    )
-
-
-def vectors(n):
-    return st.lists(coords, min_size=n, max_size=n).map(tuple)
-
-
-@st.composite
-def loops(draw, n):
-    alg = make_abelian(n).complexify()
-    degrees = draw(st.lists(st.integers(-4, 4), max_size=4, unique=True))
-    terms = {k: draw(vectors(n)) for k in degrees}
-    return TwistedLoopElement(alg, untwisted(alg), terms)
 
 
 @st.composite
@@ -233,3 +188,19 @@ def test_compose_refuses_maps_of_different_sizes():
     for a, b in ((small, big), (big, small)):
         with pytest.raises(InvolutionError, match="cannot compose a"):
             a.compose(b)
+
+
+def test_an_automorphism_refuses_a_matrix_of_another_size():
+    """A matrix whose row count is not the algebra's dimension, or whose
+    sparse rows name a column past it, raises naming both sizes, built
+    directly or through automorphism_from_order; extra columns that are all
+    zero leave the sparse rows of the square part, which is accepted."""
+    su2 = make_su(2)
+    for rows, shape in (([[1, 0], [0, 1]], "2 x 2"),
+                        ([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], "3 x 4")):
+        for build in (lambda: FiniteAutomorphism(su2, sparse_rows(rows)),
+                      lambda: automorphism_from_order(su2, rows)):
+            with pytest.raises(LieAlgebraError, match=f"a {shape} matrix is not a map of the 3-dimensional"):
+                build()
+    padded = automorphism_from_order(su2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    assert padded.sparse == CoeffMap.identity(3).sparse and padded.order == 1

@@ -1,39 +1,19 @@
 """One truncation per real form and degree: osaka_verify builds each block
-basis and the type verdict once, and the oracle walk's Cartan verdict
-(verify_cartan_relations_walk in oracles) brackets each unordered pair of
-K/P vectors once with the same verdict as the ordered K x K, K x P, P x P
-check."""
+basis and the type verdict once; and the all-pairs Cartan reference
+(verify_cartan_relations_reference in oracles), which the relations read
+off the maps are compared with, holds on each catalog split and fails on
+a wrong one."""
 from collections import Counter
 
 import pytest
 
-import oracles
 from kmalg import osaka
-from kmalg.involution import RealFormDescriptor, fixed_and_eigenspaces
-from kmalg.kmext import hat_bracket
-from kmalg.osaka import build_catalog_a1, catalog_record, osaka_verify
+from kmalg.involution import RealFormDescriptor, fixed_and_eigenspaces, verify_cartan_relations
+from kmalg.osaka import catalog_record, osaka_verify
 from kmalg.scalars import I
-from oracles import kp_blocks, replace, verify_cartan_relations_walk as verify_cartan_relations
 
-NAMES = [rec.name for rec in build_catalog_a1()]
-
-
-def _ordered_cartan_relations(dec):
-    """Reference: every ordered pair of K x K, K x P and P x P."""
-    rf, phi = dec.real_form, dec.involution
-    for left, right, sign in (
-        (dec.k_basis, dec.k_basis, 1),
-        (dec.k_basis, dec.p_basis, -1),
-        (dec.p_basis, dec.p_basis, 1),
-    ):
-        for x in left:
-            for y in right:
-                z = hat_bracket(x, y)
-                if z.is_zero():
-                    continue
-                if not rf.contains(z) or phi.apply(z) != (z if sign == 1 else -z):
-                    return False
-    return True
+from cases import NAMES
+from oracles import kp_blocks, replace, verify_cartan_relations_reference
 
 
 def _decomposition(name, n_max=1):
@@ -68,36 +48,12 @@ def _first_k_times_i(dec):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_cartan_relations_fail_on_a_wrong_split(name):
+    rec = catalog_record(name)
     dec = _decomposition(name)
-    assert verify_cartan_relations(dec)
-    assert not verify_cartan_relations(_move_one(dec, from_k=True))
-    assert not verify_cartan_relations(_first_k_times_i(dec))
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_cartan_relations_agree_with_ordered_pairs(name):
-    dec = _decomposition(name)
-    for candidate in (dec, _move_one(dec, from_k=True), _move_one(dec, from_k=False),
-                      _first_k_times_i(dec)):
-        assert verify_cartan_relations(candidate) == _ordered_cartan_relations(candidate)
-
-
-def test_cartan_relations_bracket_each_unordered_pair_once(monkeypatch):
-    dec = _decomposition("III[mu,mu]")
-    n = len(dec.k_basis) + len(dec.p_basis)
-    calls = Counter()
-
-    # the walk brackets each pair through hat_bracket
-    def counting(fn, pair):
-        def wrapper(x, y):
-            calls[pair(x, y)] += 1
-            return fn(x, y)
-        return wrapper
-
-    monkeypatch.setattr(oracles, "hat_bracket", counting(hat_bracket, lambda x, y: (id(x.loop), id(y.loop))))
-    assert verify_cartan_relations(dec)
-    assert sum(calls.values()) == n * (n + 1) // 2
-    assert set(calls.values()) == {1}
+    assert verify_cartan_relations(rec.real_form, rec.involution)
+    assert verify_cartan_relations_reference(dec)
+    for wrong in (_move_one(dec, from_k=True), _move_one(dec, from_k=False), _first_k_times_i(dec)):
+        assert not verify_cartan_relations_reference(wrong)
 
 
 def test_osaka_verify_builds_each_block_and_the_type_once(monkeypatch):
