@@ -13,8 +13,9 @@ listing of the table's names. `kmalg osaka catalog|verify ...` is rewritten to
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad parameters
 (unknown record or form, negative degree or trial count, degree 0 for
-OSAKA verification), 3 input file could not be parsed or the report could
-not be written (an unwritable --out or a closed stdout), 4 schema violation,
+OSAKA verification, a degree past MAX_DEGREE on killing-gram or
+decompose), 3 input file could not be parsed or the report could not be
+written (an unwritable --out or a closed stdout), 4 schema violation,
 5 internal error (any other exception a command raises).
 """
 from __future__ import annotations
@@ -78,9 +79,14 @@ def _read_json(path):
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 
-def _check_degree(value, minimum=0):
+MAX_DEGREE = 100000  # of killing-gram and decompose, which print every block (decompose: 40-111 MB)
+
+
+def _check_degree(value, minimum=0, maximum=None):
     if value < minimum:
         raise CliError(f"--degree must be at least {minimum}, got {value}", EXIT_PARAM)
+    if maximum is not None and value > maximum:
+        raise CliError(f"--degree must be at most MAX_DEGREE = {maximum}, got {serialize.echo(value)}", EXIT_PARAM)
     return value
 
 
@@ -166,7 +172,7 @@ def cmd_bracket(args):
 
 
 def cmd_killing_gram(args):
-    degree = _check_degree(args.degree)
+    degree = _check_degree(args.degree, maximum=MAX_DEGREE)
     rec = _catalog_record(args.form)
     truncation = rec.real_form.truncate(degree)
     blocks, verdict = killing_gram(truncation.loops)  # the base blocks' loops, in order
@@ -212,7 +218,7 @@ def cmd_jacobi_check(args):
 
 
 def cmd_decompose(args):
-    degree = _check_degree(args.degree)
+    degree = _check_degree(args.degree, maximum=MAX_DEGREE)
     rec = _catalog_record(args.form)
     inv = rec.involution
     if args.involution:

@@ -17,6 +17,7 @@ The basis (`_cells`), the structure constants, solved from commutators
 summed on its numerators, and the Killing matrix are held on ints, each
 over one denominator. The bracket and the Killing form take numerator
 vectors (see `scalars`) and reduce a result once; automorphisms act on them the same way.
+Every bracket, finite or loop, is one walk of a table of the constants (`convolve`).
 """
 from __future__ import annotations
 
@@ -100,6 +101,29 @@ def sparse_apply(sparse, vec, conjugate=False, power=0):
     return vec_canon(re_out + im_out, den * dm)
 
 
+def convolve(tables, fs, gs, out):
+    """The bracket kernel: for (exponent, numerator list) pairs fs over D_x
+    and gs over D_y, add (s + i t) x_j y_k over D_x D_y D_s at r of out[p + q]
+    (made where missing) for each entry (j, ., k, ., r, ., s, t) of
+    tables[p % m][q % m] (m a side) with x_j and y_k nonzero; return out."""
+    m = len(tables)
+    for p, x in fs:
+        row = tables[p % m]
+        for q, y in gs:
+            acc = out.get(p + q)
+            if acc is None:
+                acc = out[p + q] = [0] * len(x)
+            for j, jj, k, kk, r, rr, s, t in row[q % m]:
+                a, b = x[j], x[jj]
+                if a or b:
+                    c, d = y[k], y[kk]
+                    if c or d:
+                        u, v = a * c - b * d, a * d + b * c
+                        acc[r] += u * s - v * t
+                        acc[rr] += u * t + v * s
+    return out
+
+
 class IdealBlock(Value):
     __slots__ = ("kind", "indices")
 
@@ -138,6 +162,7 @@ class FiniteLieAlgebra:
         self._cells = sparse_rows([[b[i // s][i % s] for b in self.basis] for i in range(s * s)])
         # the nonzero structure constants c_jk^m as (j, k, m, re, im) over _sc_den
         self._sc, self._sc_den = self._compute_structure() if _structure is None else _structure
+        self._tables = (None, {})  # (_sc, {(twist.sparse, scale): bracket_tables}), filled on use
         self._check_field_reality()
         self._check_block_orthogonality()
         self._killing_rows, self._killing_den = self._killing_table()
@@ -235,27 +260,34 @@ class FiniteLieAlgebra:
 
     # -- bracket and Killing form ----------------------------------------
 
-    def bracket_add(self, acc, x, y):
-        """Add the numerators of [x, y] into the int list acc = [re | im]:
-        for numerator lists x over D_x and y over D_y, acc gains [x, y] over
-        D_x D_y D_s, one product per nonzero structure constant whose two
-        coordinates are nonzero."""
-        n = self.dim
-        for j, k, m, s, t in self._sc:
-            a, b = x[j], x[n + j]
-            if a or b:
-                c, d = y[k], y[n + k]
-                if c or d:
-                    p, q = a * c - b * d, a * d + b * c
-                    acc[m] += p * s - q * t
-                    acc[n + m] += p * t + q * s
+    def bracket_tables(self, twist=None, scale=1):
+        """tables[a][b], a, b < m the twist's order (one whole table with no
+        twist): the c_jk^r that `convolve` walks for exponents p = a, q = b
+        mod m, as (j, n + j, k, n + k, r, n + r, scale re, scale im), j and
+        k in the coordinate supports of the (-1)^a and (-1)^b eigenspaces:
+        the nonzero rows of their projectors D I +- M (M over D). Built on
+        first use and keyed on the _sc object itself."""
+        held = self._tables
+        if held[0] is not self._sc:
+            held = self._tables = (self._sc, {})
+        key = (None if twist is None else twist.sparse, scale)
+        if key not in held[1]:
+            n, supports = self.dim, [range(self.dim)]
+            if twist is not None:
+                cells, den = twist.sparse
+                supports = [{j for j, row in enumerate(cells) if row != ((j, -sign * den, 0),)}
+                            for sign in (1, -1)[:twist.order]]
+            held[1][key] = tuple(tuple(
+                tuple((j, n + j, k, n + k, r, n + r, scale * s, scale * t) for j, k, r, s, t in self._sc
+                      if j in left and k in right) for right in supports) for left in supports)
+        return held[1][key]
 
     def bracket(self, x, y):
-        """[x, y] of numerator vectors x and y: `bracket_add` and one
-        reduction."""
+        """[x, y] of numerator vectors x and y: `convolve` on the whole
+        table at one exponent, and one reduction."""
         (xn, dx), (yn, dy) = x, y
         acc = [0] * (2 * self.dim)
-        self.bracket_add(acc, xn, yn)
+        convolve(self.bracket_tables(), [(0, xn)], [(0, yn)], {0: acc})
         return vec_canon(acc, dx * dy * self._sc_den)
 
     def killing(self, x, y) -> Scalar:
@@ -467,6 +499,8 @@ class CoeffMap:
         return tuple(tuple(c.get(j, ZERO) for j in range(len(rows))) for c in cells)
 
     def apply_loop(self, f):
+        """The image of f. It may break the grading; no image reaches a bracket:
+        `fixed_and_eigenspaces` reads images through `contains` and `real_coords`."""
         # source degree j contributes to target degree s*j
         s, p = self.index_sign, self.parity
         return f.from_vecs(f.algebra, f.twist, {

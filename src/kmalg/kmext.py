@@ -12,10 +12,10 @@ integral form by a factor of i (d/dt = i z d/dz): the integral form, the
 one the bracket uses, is i times the residue form.
 
 The loop part of a bracket comes from one raw kernel,
-`extended_bracket_raw`: it adds the convolution (`loop.loop_bracket_raw`)
-and the derivative terms rd g' - sd f' of two operands, each over one
-denominator of its own, into int accumulators over m D_x D_y D_s, with no
-gcd and no element built. `hat_bracket` reduces each output exponent once;
+`extended_bracket_raw`: it adds the convolution (`loop.loop_bracket_raw`,
+on the constants times m) and the derivative terms rd g' - sd f' of two
+operands, each over one denominator of its own, into int accumulators over
+m D_x D_y D_s, with no gcd and no element built. `hat_bracket` reduces each output exponent once;
 `jacobi_residual` puts x, y and z over one denominator, adds its three
 outer brackets into one set of accumulators and reduces only the sum.
 
@@ -46,7 +46,6 @@ from .scalars import (
     Scalar,
     ZERO,
     exact_div,
-    nums_add_scaled,
     vec_add,
     vec_canon,
     vec_support,
@@ -180,15 +179,16 @@ def _numerators(x, den):
     return over_denominator(x.loop.terms, den), rd
 
 
-def extended_bracket_raw(alg, m, fs, rd, gs, sd, out):
+def extended_bracket_raw(alg, twist, fs, rd, gs, sd, out):
     """Add the loop part of [x, y] unreduced into out, and return out. x is
     its loop terms fs, (exponent, numerators) pairs, and its d coefficient
     rd, an int pair (re, im) or None for zero, all over one denominator D_x
-    (`_numerators`); y is gs and sd over D_y; m is the twist order. out
-    gains [f, g] + rd g' - sd f' over m D_x D_y D_s: the convolution of
-    `loop_bracket_raw` with g's numerators times m, and the derivative
-    terms times D_s. No gcd is taken; an accumulator may be all zero."""
-    loop_bracket_raw(alg, fs, gs if m == 1 else [(q, [v * m for v in b]) for q, b in gs], out)
+    (`_numerators`); y is gs and sd over D_y; both are graded by twist, of
+    order m. out gains [f, g] + rd g' - sd f' over m D_x D_y D_s: the
+    convolution of `loop_bracket_raw` on the constants times m, and the
+    derivative terms times D_s. No gcd is taken; an accumulator may be all
+    zero."""
+    loop_bracket_raw(alg, twist, fs, gs, out, twist.order)
     sc = alg._sc_den
     if rd:
         # rd g'_q = q i rd b_q / m = q (-s + i r) b_q / (m D_x D_y)
@@ -203,13 +203,18 @@ def extended_bracket_raw(alg, m, fs, rd, gs, sd, out):
 
 def _add_derivative(out, terms, u, v):
     """Add k (u + i v) a_k into the accumulator out[k] for each (k, a_k) of
-    terms with k nonzero."""
+    terms with k nonzero, skipping the zero coordinates of a_k."""
     for k, nums in terms:
         if k:
             acc = out.get(k)
             if acc is None:
                 acc = out[k] = [0] * len(nums)
-            nums_add_scaled(acc, nums, k * u, k * v)
+            p, q, n = k * u, k * v, len(nums) // 2
+            for j in range(n):
+                a, b = nums[j], nums[n + j]
+                if a or b:
+                    acc[j] += a * p - b * q
+                    acc[n + j] += a * q + b * p
 
 
 def hat_bracket(x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
@@ -220,7 +225,7 @@ def hat_bracket(x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
     f._require_match(g)
     alg, m = f.algebra, f.twist.order
     dx, dy = _denominator(x), _denominator(y)
-    out = extended_bracket_raw(alg, m, *_numerators(x, dx), *_numerators(y, dy), {})
+    out = extended_bracket_raw(alg, f.twist, *_numerators(x, dx), *_numerators(y, dy), {})
     den = m * dx * dy * alg._sc_den
     loop = f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
     return ExtendedElement(loop, cocycle(f, g), ZERO)
@@ -243,9 +248,9 @@ def jacobi_residual(x: ExtendedElement, y: ExtendedElement, z: ExtendedElement) 
     ready = [_numerators(w, e) for w in (x, y, z)]
     total, cocycles = {}, []
     for a, b, h in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        inner = extended_bracket_raw(alg, m, *ready[a], *ready[b], {})
+        inner = extended_bracket_raw(alg, f.twist, *ready[a], *ready[b], {})
         hs, hd = ready[h]
-        extended_bracket_raw(alg, m, [(k, acc) for k, acc in inner.items() if any(acc)], None, hs, hd, total)
+        extended_bracket_raw(alg, f.twist, [(k, acc) for k, acc in inner.items() if any(acc)], None, hs, hd, total)
         cocycles.append(_cocycle_sum(alg, inner, hs))
     dc = m * e ** 3 * alg._sc_den  # of the outer cocycle sums, times D_K
     den = m * dc * alg._sc_den  # of the outer brackets

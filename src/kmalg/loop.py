@@ -14,10 +14,12 @@ tuples, and +, -, scale, the bracket, the derivative, the Killing form, the
 cocycle and the coefficient maps of `involution` all run on ints. Scalar is
 the type at the edge: the constructor takes Scalar coordinates, `coeff` and
 `coeffs` give them back, and c, d, real coordinates, JSON and rendering
-read Scalars or rationals. A loop bracket sums the numerators of its finite
-brackets into one int accumulator per output exponent (`loop_bracket_raw`)
-and reduces each exponent once. The derivative terms of the extended
-bracket are added to them as ints by `kmext.extended_bracket_raw`.
+read Scalars or rationals. A loop bracket sums its finite brackets into one
+int accumulator per output exponent (`loop_bracket_raw`) and reduces each
+exponent once; each exponent pair walks only the structure constants its
+twist eigenspaces meet (`findim.convolve`), so operands must be graded, and
+`from_vecs` callers pass graded vectors. The derivative terms of the
+extended bracket are added as ints by `kmext.extended_bracket_raw`.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from enum import Enum
 from math import lcm
 
 from . import linalg
-from .findim import CoeffMap, FiniteAutomorphism, FiniteLieAlgebra, sparse_apply
+from .findim import CoeffMap, FiniteAutomorphism, FiniteLieAlgebra, convolve, sparse_apply
 from .scalars import (
     Scalar,
     exact_div,
@@ -190,20 +192,13 @@ def over_denominator(terms, den):
     return [(k, nums if d == den else [x * (den // d) for x in nums]) for k, (nums, d) in terms.items()]
 
 
-def loop_bracket_raw(alg, fs, gs, out):
-    """The convolution of `loop_bracket` on prepared operands, unreduced,
-    added into out and returned: for (exponent, numerators) lists fs over
-    D_f and gs over D_g (`over_one_denominator`), out[p + q] gains the int
-    list [re | im] of sum [a_p, b_q] over D_f D_g D_s
-    (`FiniteLieAlgebra.bracket_add`). An accumulator may be all zero."""
-    add, width = alg.bracket_add, 2 * alg.dim
-    for p, a in fs:
-        for q, b in gs:
-            acc = out.get(p + q)
-            if acc is None:
-                acc = out[p + q] = [0] * width
-            add(acc, a, b)
-    return out
+def loop_bracket_raw(alg, twist, fs, gs, out, scale=1):
+    """The convolution of `loop_bracket` on prepared operands, unreduced:
+    for (exponent, numerators) lists fs over D_f and gs over D_g
+    (`over_one_denominator`) of elements graded by twist, `findim.convolve`
+    adds scale times sum [a_p, b_q] over D_f D_g D_s into out[p + q] on
+    `alg.bracket_tables(twist, scale)`, and out is returned."""
+    return convolve(alg.bracket_tables(twist, scale), fs, gs, out)
 
 
 def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopElement:
@@ -215,7 +210,7 @@ def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopEle
     alg = f.algebra
     (fs, df), (gs, dg) = over_one_denominator(f.terms), over_one_denominator(g.terms)
     den = df * dg * alg._sc_den
-    out = loop_bracket_raw(alg, fs, gs, {})
+    out = loop_bracket_raw(alg, f.twist, fs, gs, {})
     return f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
 
 

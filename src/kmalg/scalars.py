@@ -208,16 +208,6 @@ def vec_mul(v, c):
     return vec_canon([a * p - b * q for a, b in pairs] + [a * q + b * p for a, b in pairs], den * e)
 
 
-def nums_add_scaled(acc, nums, p, q):
-    """Add (p + q i) times the numerators nums = [re | im] into the int
-    list acc of the same layout, in place, with no gcd."""
-    n = len(nums) // 2
-    for j in range(n):
-        a, b = nums[j], nums[n + j]
-        acc[j] += a * p - b * q
-        acc[n + j] += a * q + b * p
-
-
 def vec_support(v):
     """The set of indices of the nonzero coordinates."""
     nums = v[0]

@@ -2,8 +2,8 @@
 draws from, kept here so that no test module imports another: the random
 coefficient maps and loops of the sparse-map tests, the involutions and
 half-built elements of the fixes tests, the kernel algebras of the
-finite-algebra tests, the loop terms over 3 of the numerator tests, and
-the diagonal, signed-permutation and period-4 real forms with their
+finite-algebra tests, the loop terms over 3 of the numerator tests, the
+swap twist of su2su2c, and the diagonal, signed-permutation and period-4 real forms with their
 involutions and corrupted splits."""
 import itertools
 from collections import Counter
@@ -143,6 +143,16 @@ OVER_3 = (
 D_OVER_5 = Scalar(Fraction(2, 5))
 NONREAL_D = Scalar(Fraction(1, 5), Fraction(-2, 3))
 SU2C = [serialize.lookup_algebra("su2c", order) for order in (1, 2)]
+
+
+# -- a twist whose eigenvectors are not coordinate vectors -------------------------
+
+# The order-2 swap of the two summands of su2su2c: its eigenvectors are
+# e_i +- e_{i+3}, so both eigenspaces have every coordinate in their support
+# and each exponent pair of a loop bracket walks all 12 structure constants.
+_DOUBLE = serialize.lookup_algebra("su2su2c", 1)[0]
+SWAP = (_DOUBLE, findim.automorphism_from_order(_DOUBLE, [[int(j == (i + 3) % 6) for j in range(6)]
+                                                         for i in range(6)]))
 
 
 # -- diagonal, signed-permutation and period-4 forms -------------------------------

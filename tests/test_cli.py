@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmalg import cli, osaka, serialize
+from kmalg.involution import RealFormDescriptor
 from kmalg.kmext import ExtendedElement
 from kmalg.loop import loop_monomial
 from kmalg.rand import TrialRng, random_extended_element
@@ -945,6 +946,22 @@ def test_negative_degree_exits_param(capsys, argv):
     assert code == cli.EXIT_PARAM
     assert out == ""
     assert "--degree must be at least" in _param_error(err)
+
+
+@pytest.mark.parametrize("argv", [["killing-gram", "--form", "I[Id,Id]"], ["killing-gram", "--form", "IV"],
+                                  ["decompose", "--form", "I[Id,Id]"]],
+                         ids=["killing-gram", "killing-gram-IV", "decompose"])
+def test_degree_past_the_cap_exits_param(capsys, monkeypatch, argv):
+    """A --degree past cli.MAX_DEGREE exits 2 with a message naming the cap,
+    before any truncation is built (one at 10^8 ran out of memory)."""
+    def refuse(*args):
+        raise AssertionError("a truncation was built")
+
+    monkeypatch.setattr(RealFormDescriptor, "truncate", refuse)
+    code, out, err = run_cli(capsys, *argv, "--degree", "100000000")
+    assert (code, out) == (cli.EXIT_PARAM, "")
+    assert _param_error(err) == f"--degree must be at most MAX_DEGREE = {cli.MAX_DEGREE}, got 100000000"
+    assert cli.MAX_DEGREE >= 100000  # the workflow's decompose step runs there
 
 
 @pytest.mark.parametrize("argv", [["osaka-verify", "--record", "II"], ["osaka-catalog"]])

@@ -5,24 +5,22 @@ fixed_and_eigenspaces reads the matrix of an involution off one
 elimination per block. The Gram is checked against all pairs
 (killing_gram_reference in oracles) on drawn bases, some whose exponent
 classes repeat up to renaming, and on materialized catalog truncations;
-truncate against every block solved (truncate_reference); the split
-against solving each image on its own."""
+truncate against every block solved (truncate_reference); the split of
+drawn maps against every block solved (fixed_and_eigenspaces_reference)."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmalg import linalg, loop, serialize
+from kmalg import loop, serialize
 from kmalg.involution import (
     CoeffMap,
     InvolutionDescriptor,
     InvolutionError,
     RealFormDescriptor,
-    _combine,
     fixed_and_eigenspaces,
 )
 from kmalg.findim import sparse_rows
-from kmalg.kmext import real_coords
 from kmalg.loop import (
     MismatchError,
     NonRealPairingError,
@@ -40,7 +38,14 @@ from kmalg.osaka import (
     euclidean_osaka,
 )
 from kmalg.scalars import Scalar
-from oracles import dense_killing_gram, killing_gram_reference, kp_blocks, materialize, truncate_reference
+from oracles import (
+    dense_killing_gram,
+    fixed_and_eigenspaces_reference,
+    killing_gram_reference,
+    kp_blocks,
+    materialize,
+    truncate_reference,
+)
 
 # -- killing_gram against all pairs ---------------------------------------------
 
@@ -278,40 +283,6 @@ def test_truncate_solves_four_blocks_at_odd_parity(monkeypatch):
 # -- one elimination per eigen-split block ----------------------------------------
 
 
-def _per_image_split(phi, truncation):
-    """Reference: the eigen-split with each image solved on its own by
-    linalg.solve; returns (key, K, P) triples or the exception."""
-    rf = truncation.real_form
-    out = []
-    for key, items in materialize(truncation).blocks:
-        elems = [e for e, _ in items]
-        if not elems:
-            out.append((key, [], []))
-            continue
-        degrees = [0] if key == ("cd",) else sorted(set(key))
-        images = [phi.apply(e) for e in elems]
-        if not all(rf.contains(img) for img in images):
-            return "PreservationError"
-        flat = [real_coords(e, degrees) for e in elems]
-        coords = []
-        for img in images:
-            c = None
-            if all(k in degrees for k in img.loop.terms):
-                c = linalg.solve([list(row) for row in zip(*flat)], list(real_coords(img, degrees)))
-            if c is None:
-                return "PreservationError"
-            coords.append(c)
-        n = len(elems)
-        m = [[coords[j][i] for j in range(n)] for i in range(n)]
-        k_vecs = linalg.nullspace([[m[i][j] - (i == j) for j in range(n)] for i in range(n)])
-        p_vecs = linalg.nullspace([[m[i][j] + (i == j) for j in range(n)] for i in range(n)])
-        if len(k_vecs) + len(p_vecs) != n:
-            return "InvolutionError"
-        out.append((key, [_combine(elems, v) for v in k_vecs],
-                    [_combine(elems, v) for v in p_vecs]))
-    return out
-
-
 SPLIT_RECORDS = build_catalog_a1() + [euclidean_osaka(), complex_conjugation_counterexample()]
 _BY_ALGEBRA = {}
 for _rec in SPLIT_RECORDS:
@@ -349,12 +320,15 @@ def split_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(split_cases())
-def test_eigen_split_matches_per_image_solves(case):
+def test_eigen_split_matches_the_reference_on_drawn_maps(case):
+    """The split, or the error of the first failing block, equals
+    fixed_and_eigenspaces_reference's, every block solved."""
     phi, truncation = case
-    expected = _per_image_split(phi, truncation)
     try:
-        dec = fixed_and_eigenspaces(phi, truncation)
+        expected = kp_blocks(fixed_and_eigenspaces_reference(phi, truncation))
     except InvolutionError as exc:
-        assert type(exc).__name__ == expected
+        with pytest.raises(InvolutionError) as got:
+            fixed_and_eigenspaces(phi, truncation)
+        assert type(got.value) is type(exc)
         return
-    assert kp_blocks(dec) == expected
+    assert kp_blocks(fixed_and_eigenspaces(phi, truncation)) == expected

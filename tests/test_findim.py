@@ -24,12 +24,12 @@ from kmalg.findim import (
     mat_scale,
     sparse_rows,
 )
-from kmalg.loop import untwisted
+from kmalg.loop import twist_eigenbasis, untwisted
 from kmalg.osaka import build_catalog_a1, complex_conjugation_counterexample, euclidean_osaka
 from kmalg.rand import TrialRng
 from kmalg.scalars import I, Scalar, ZERO, vec_from_scalars
 
-from cases import HALF_I_SL2, KERNEL_ALGEBRAS, QUARTER_SU2, scaled_algebra
+from cases import HALF_I_SL2, KERNEL_ALGEBRAS, QUARTER_SU2, SWAP, scaled_algebra
 from oracles import (
     automorphism_apply,
     bracket_reference,
@@ -254,6 +254,44 @@ def test_bracket_and_killing_match_reference(case):
     b = scalar_killing(g, x, y)
     assert b == killing_reference(g, x, y)
     _assert_exact((b,))
+
+
+# -- the bracket tables ------------------------------------------------------------
+
+def _support(algebra, twist, parity):
+    """The coordinates some vector of the solved twist eigenbasis at parity
+    does not vanish on."""
+    return {j for nums, _ in twist_eigenbasis(algebra, twist, parity) for j in range(algebra.dim)
+            if nums[j] or nums[algebra.dim + j]}
+
+
+def test_bracket_tables_walk_only_what_the_grading_meets(monkeypatch):
+    """On su2c/2 and sl2c/2 an even-even exponent pair walks none of the 6
+    structure constants and every other parity pair walks 2; an untwisted
+    algebra and su2su2c under the swap of its summands walk every one. Each
+    table holds the constants whose coordinates lie in the supports of the
+    solved eigenbases, times the scale, as ints. Replacing _sc on the
+    algebra itself gives new tables."""
+    kinds = [serialize.lookup_algebra(*kind) for kind in (("su2c", 2), ("sl2c", 2), ("su2c", 1), ("su2su2c", 1))]
+    for algebra, twist in kinds + [SWAP]:
+        n, m = algebra.dim, twist.order
+        for scale in (1, m):
+            tables = algebra.bracket_tables(twist, scale)
+            assert [[len(table) for table in row] for row in tables] == (
+                [[0, 2], [2, 2]] if algebra.dim == 3 and m == 2 else [[len(algebra._sc)] * m] * m)
+            for a in range(m):
+                for b in range(m):
+                    left, right = _support(algebra, twist, a), _support(algebra, twist, b)
+                    assert tables[a][b] == tuple((j, n + j, k, n + k, r, n + r, scale * s, scale * t)
+                                                 for j, k, r, s, t in algebra._sc if j in left and k in right)
+                    assert all(type(v) is int for entry in tables[a][b] for v in entry)
+    algebra, twist = kinds[0]
+    j, k, r, s, t = algebra._sc[0]
+    old, new = ((j, 3 + j, k, 3 + k, r, 3 + r, v, t) for v in (s, s + 1))
+    monkeypatch.setattr(algebra, "_sc", ((j, k, r, s + 1, t),) + algebra._sc[1:])
+    for tables in (algebra.bracket_tables(twist), algebra.bracket_tables()):
+        entries = [entry for row in tables for table in row for entry in table]
+        assert new in entries and old not in entries
 
 
 # -- the integer tables against the solved reference -------------------------------

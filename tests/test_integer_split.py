@@ -1,5 +1,6 @@
 """Block bases and the split on Gaussian-integer numerators: block bases
-from integer equation rows, K and P vectors as one int sum per exponent,
+from integer equation rows (also on the full complex algebra, with no real
+structure; no other module compares them), K and P vectors as one int sum per exponent,
 loop Killing values summed from killing_raw, and rref dividing only pivots
 that are not 1. Each is checked against its Scalar-path reference in
 oracles (block_basis_real_kernel, combine_reference and
@@ -87,6 +88,16 @@ def test_order_two_twists_with_odd_parity_match_real_kernel_path(alg, order, par
     for sign in (1, -1):
         conj = CoeffMap(CoeffMap.identity(algebra.dim).sparse, index_sign=sign, conjugate=True, parity=parity)
         rf = RealFormDescriptor(name="odd", algebra=algebra, twist=twist, conj=conj)
+        for key in KEYS:
+            assert rf.block_basis(key) == block_basis_real_kernel(rf, key)
+
+
+@pytest.mark.parametrize("alg,order", ALGEBRAS)
+def test_full_complex_blocks_match_real_kernel_path(alg, order):
+    """The algebra with no real structure, with every c/d line."""
+    algebra, twist = serialize.lookup_algebra(alg, order)
+    for cd_scale in (None, ONE, I):
+        rf = RealFormDescriptor(name="full", algebra=algebra, twist=twist, conj=None, cd_scale=cd_scale)
         for key in KEYS:
             assert rf.block_basis(key) == block_basis_real_kernel(rf, key)
 

@@ -5,7 +5,9 @@ Coefficients mix integers, Fractions with denominators up to 7, purely
 imaginary and zero entries; one element in a pair often repeats or negates
 terms of the other, so sums and brackets cancel to zero. The algebras are
 the registry's, in both twist orders, plus su(2) scaled by (1 + i)/3, whose
-structure constants and Killing entries are not Gaussian integers.
+structure constants and Killing entries are not Gaussian integers, and
+su2su2c with the swap of its summands as twist, whose eigenvectors are not
+coordinate vectors, so the bracket walks every constant at every exponent.
 """
 from fractions import Fraction
 from math import gcd
@@ -25,7 +27,7 @@ from kmalg.loop import (
 )
 from kmalg.rand import TrialRng, random_loop_element
 from kmalg.scalars import Scalar, ZERO, vec_to_scalars
-from cases import D_OVER_5, NONREAL_D, OVER_3, SU2C
+from cases import D_OVER_5, NONREAL_D, OVER_3, SU2C, SWAP
 from oracles import (
     apply_loop_reference,
     cocycle_reference,
@@ -48,7 +50,7 @@ SCALED = FiniteLieAlgebra("(1+i)/3 su(2)", "C",
                           _SU2.blocks)
 KINDS = [serialize.lookup_algebra(name, order) for name, order in (
     ("su2c", 1), ("su2c", 2), ("sl2c", 1), ("sl2c", 2), ("su2su2c", 1), ("abelian1c", 1))]
-KINDS.append((SCALED, untwisted(SCALED)))
+KINDS += [(SCALED, untwisted(SCALED)), SWAP]
 
 parts = st.one_of(st.integers(-6, 6),
                   st.builds(Fraction, st.integers(-9, 9), st.integers(3, 7)))

@@ -1,9 +1,7 @@
 """Real blow-ups of Q(i) equations: the references' equation builder
 (real_rows writes sum alpha a + beta conj(a) = 0 as two rational rows, and
 real_kernel solves a list of them, both in oracles) against the complex
-values they encode; RealFormDescriptor.block_basis, also on the full
-complex algebra (no real structure), against its blow-up by real_rows
-(block_basis_real_kernel); and the coordinates FiniteLieAlgebra._solve
+values they encode; and the coordinates FiniteLieAlgebra._solve
 finds (oracles.coords) against the hand-written per-matrix blow-up
 (coords_reference), element for element and in the same order."""
 from fractions import Fraction
@@ -12,11 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmalg import serialize
-from kmalg.findim import LieAlgebraError, sparse_rows
-from kmalg.involution import CoeffMap, RealFormDescriptor
+from kmalg.findim import LieAlgebraError
 from kmalg.scalars import I, ONE, Scalar, ZERO, vec_to_scalars
 
-from oracles import block_basis_real_kernel, coords, coords_reference, matrix, real_flatten, real_kernel, real_rows
+from oracles import coords, coords_reference, matrix, real_flatten, real_kernel, real_rows
 
 parts = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
 gaussians = st.builds(Scalar, parts, parts)
@@ -73,45 +70,6 @@ def test_real_kernel_without_equations_is_the_standard_basis():
     # an equation whose terms cancel leaves the standard basis too
     cancelling = [(0, 0, ONE, ZERO), (0, 0, -ONE, ZERO)]
     assert scalar_kernel([cancelling], 2, 1) == scalar_kernel([], 2, 1)
-
-
-# -- block_basis against its blow-up by real_rows --------------------------------
-
-ALGEBRAS = [("su2c", 1), ("su2c", 2), ("sl2c", 1), ("sl2c", 2), ("su2su2c", 1)]
-ENTRIES = [ONE, -ONE, I, -I, Scalar(2), Scalar(1, 1)]
-KEYS = [(0,)] + [(k, -k) for k in range(1, 5)] + [("cd",)]
-
-
-@st.composite
-def real_forms(draw):
-    """A form whose conjugation is a permutation matrix times a diagonal
-    (or None), with every index sign, parity and cd scale."""
-    algebra, twist = serialize.lookup_algebra(*draw(st.sampled_from(ALGEBRAS)))
-    n = algebra.dim
-    conj = None
-    if draw(st.integers(0, 5)):
-        perm = draw(st.permutations(range(n)))
-        diag = [draw(st.sampled_from(ENTRIES)) for _ in range(n)]
-        matrix = [[diag[j] if perm[i] == j else ZERO for j in range(n)] for i in range(n)]
-        conj = CoeffMap(sparse_rows(matrix), index_sign=draw(st.sampled_from([1, -1])), conjugate=True,
-                        parity=draw(st.integers(0, 3)))
-    cd_scale = draw(st.sampled_from([ONE, I]))
-    return RealFormDescriptor(name="drawn", algebra=algebra, twist=twist, conj=conj,
-                              cd_scale=cd_scale)
-
-
-@settings(max_examples=300, deadline=None)
-@given(real_forms(), st.sampled_from(KEYS))
-def test_block_basis_matches_hand_written_blow_up(rf, key):
-    assert rf.block_basis(key) == block_basis_real_kernel(rf, key)
-
-
-@pytest.mark.parametrize("alg,order", ALGEBRAS)
-def test_full_complex_blocks_match_hand_written_blow_up(alg, order):
-    algebra, twist = serialize.lookup_algebra(alg, order)
-    rf = RealFormDescriptor(name="full", algebra=algebra, twist=twist, conj=None, cd_scale=None)
-    for key in KEYS:
-        assert rf.block_basis(key) == block_basis_real_kernel(rf, key)
 
 
 # -- coords against the hand-written blow-up ------------------------------------
