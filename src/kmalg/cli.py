@@ -84,7 +84,7 @@ MAX_DEGREE = 100000  # of killing-gram and decompose, which print every block (d
 
 def _check_degree(value, minimum=0, maximum=None):
     if value < minimum:
-        raise CliError(f"--degree must be at least {minimum}, got {value}", EXIT_PARAM)
+        raise CliError(f"--degree must be at least {minimum}, got {serialize.echo(value)}", EXIT_PARAM)
     if maximum is not None and value > maximum:
         raise CliError(f"--degree must be at most MAX_DEGREE = {maximum}, got {serialize.echo(value)}", EXIT_PARAM)
     return value
@@ -193,7 +193,7 @@ def cmd_killing_gram(args):
 def cmd_jacobi_check(args):
     degree = _check_degree(args.degree)
     if args.trials < 0:
-        raise CliError(f"--trials must be at least 0, got {args.trials}", EXIT_PARAM)
+        raise CliError(f"--trials must be at least 0, got {serialize.echo(args.trials)}", EXIT_PARAM)
     try:
         algebra, twist = serialize.lookup_algebra(args.algebra, args.twist)
     except serialize.SchemaError as exc:

@@ -17,8 +17,11 @@ The basis (`_cells`), the structure constants, solved from commutators
 summed on its numerators, and the Killing matrix are held on ints, each
 over one denominator. The bracket and the Killing form take numerator
 vectors (see `scalars`) and reduce a result once; automorphisms act on them the same way.
-Every bracket, finite or loop, is one walk of a table of the constants (`convolve`).
-"""
+Every bracket, finite or loop, is one walk of a table of the constants (`convolve`)
+on lanes, there alone: a + bi is one int a + (b << W) (i -> 2^W maps Z[i] onto
+Z/N, N = 2^(2W) + 1). A caller packs on entry at a W one bit past a bound on all
+it tests or decodes, and decodes on exit (`lane_nums`: v the balanced residue
+mod N, a that of v mod 2^W, b = (v - a) >> W)."""
 from __future__ import annotations
 
 import copy
@@ -101,26 +104,49 @@ def sparse_apply(sparse, vec, conjugate=False, power=0):
     return vec_canon(re_out + im_out, den * dm)
 
 
+def numerator_sum(terms, den):
+    """S, the sum of the |numerators| of terms {k: (numerators, d)} over
+    den, a multiple of every d."""
+    return sum(sum(map(abs, nums)) * (den // d) for nums, d in terms.values())
+
+
+def to_lanes(terms, den, w):
+    """The (exponent, lanes of width w) pairs of terms {k: (numerators
+    [re | im], d)} over den, a multiple of every d."""
+    out = []
+    for k, (nums, d) in terms.items():
+        f = den // d
+        out.append((k, [(a + (b << w)) * f for a, b in zip(nums, nums[len(nums) // 2:])]))
+    return out
+
+
+def lane_nums(lanes, w):
+    """The numerators [re | im] of lanes of width w (module docstring)."""
+    big, top, half = (1 << 2 * w) + 1, 1 << (2 * w - 1), 1 << (w - 1)
+    re, im = [], []
+    for v in lanes:
+        v = (v + top) % big - top
+        b = (v + half) >> w  # a = v - (b << w) is v's balanced residue mod 2^w
+        re.append(v - (b << w))
+        im.append(b)
+    return re + im
+
+
 def convolve(tables, fs, gs, out):
-    """The bracket kernel: for (exponent, numerator list) pairs fs over D_x
-    and gs over D_y, add (s + i t) x_j y_k over D_x D_y D_s at r of out[p + q]
-    (made where missing) for each entry (j, ., k, ., r, ., s, t) of
-    tables[p % m][q % m] (m a side) with x_j and y_k nonzero; return out."""
+    """The bracket kernel: for (exponent, lanes) pairs fs over D_x and gs
+    over D_y, add x_j y_k c over D_x D_y D_s at r of out[p + q] (made where
+    missing) for each entry (j, k, r, c) of tables[p % m][q % m]; return out."""
     m = len(tables)
     for p, x in fs:
         row = tables[p % m]
         for q, y in gs:
-            acc = out.get(p + q)
-            if acc is None:
-                acc = out[p + q] = [0] * len(x)
-            for j, jj, k, kk, r, rr, s, t in row[q % m]:
-                a, b = x[j], x[jj]
-                if a or b:
-                    c, d = y[k], y[kk]
-                    if c or d:
-                        u, v = a * c - b * d, a * d + b * c
-                        acc[r] += u * s - v * t
-                        acc[rr] += u * t + v * s
+            table = row[q % m]
+            if table:
+                acc = out.get(p + q)
+                if acc is None:
+                    acc = out[p + q] = [0] * len(x)
+                for j, k, r, c in table:
+                    acc[r] += x[j] * y[k] * c
     return out
 
 
@@ -162,7 +188,7 @@ class FiniteLieAlgebra:
         self._cells = sparse_rows([[b[i // s][i % s] for b in self.basis] for i in range(s * s)])
         # the nonzero structure constants c_jk^m as (j, k, m, re, im) over _sc_den
         self._sc, self._sc_den = self._compute_structure() if _structure is None else _structure
-        self._tables = (None, {})  # (_sc, {(twist.sparse, scale): bracket_tables}), filled on use
+        self._tables = (None, 0, {})  # (_sc, constant_norm, {(twist.sparse, scale, W): tables})
         self._check_field_reality()
         self._check_block_orthogonality()
         self._killing_rows, self._killing_den = self._killing_table()
@@ -260,35 +286,45 @@ class FiniteLieAlgebra:
 
     # -- bracket and Killing form ----------------------------------------
 
-    def bracket_tables(self, twist=None, scale=1):
+    def constant_norm(self, scale=1):
+        """C, kept with the tables: each part of scale [x, y] over D_x D_y D_s,
+        and their |sum|, is at most C S_x S_y, S the sum of |numerators|."""
+        if self._tables[0] is not self._sc:
+            sums = {}
+            for j, k, _, s, t in self._sc:
+                sums[j, k] = sums.get((j, k), 0) + abs(s) + abs(t)
+            self._tables = (self._sc, max(sums.values(), default=0), {})
+        return self._tables[1] * scale
+
+    def bracket_tables(self, w, twist=None, scale=1):
         """tables[a][b], a, b < m the twist's order (one whole table with no
         twist): the c_jk^r that `convolve` walks for exponents p = a, q = b
-        mod m, as (j, n + j, k, n + k, r, n + r, scale re, scale im), j and
-        k in the coordinate supports of the (-1)^a and (-1)^b eigenspaces:
-        the nonzero rows of their projectors D I +- M (M over D). Built on
-        first use and keyed on the _sc object itself."""
-        held = self._tables
-        if held[0] is not self._sc:
-            held = self._tables = (self._sc, {})
-        key = (None if twist is None else twist.sparse, scale)
-        if key not in held[1]:
-            n, supports = self.dim, [range(self.dim)]
+        mod m, as (j, k, r, the lane of scale c_jk^r at width w), j and k in
+        the coordinate supports of the (-1)^a and (-1)^b eigenspaces: the
+        nonzero rows of their projectors D I +- M (M over D). Built on first
+        use and keyed on the _sc object itself."""
+        self.constant_norm()
+        held, key = self._tables[2], (None if twist is None else twist.sparse, scale, w)
+        if key not in held:
+            supports = [range(self.dim)]
             if twist is not None:
                 cells, den = twist.sparse
                 supports = [{j for j, row in enumerate(cells) if row != ((j, -sign * den, 0),)}
                             for sign in (1, -1)[:twist.order]]
-            held[1][key] = tuple(tuple(
-                tuple((j, n + j, k, n + k, r, n + r, scale * s, scale * t) for j, k, r, s, t in self._sc
+            held[key] = tuple(tuple(
+                tuple((j, k, r, scale * (s + (t << w))) for j, k, r, s, t in self._sc
                       if j in left and k in right) for right in supports) for left in supports)
-        return held[1][key]
+        return held[key]
 
     def bracket(self, x, y):
-        """[x, y] of numerator vectors x and y: `convolve` on the whole
-        table at one exponent, and one reduction."""
+        """[x, y] of numerator vectors x and y: `convolve` on their lanes, W
+        one bit past C S_x S_y (`constant_norm`), and the whole table at one
+        exponent, and one decode and reduction."""
         (xn, dx), (yn, dy) = x, y
-        acc = [0] * (2 * self.dim)
-        convolve(self.bracket_tables(), [(0, xn)], [(0, yn)], {0: acc})
-        return vec_canon(acc, dx * dy * self._sc_den)
+        w = (self.constant_norm() * sum(map(abs, xn)) * sum(map(abs, yn))).bit_length() + 1
+        acc = [0] * self.dim
+        convolve(self.bracket_tables(w), to_lanes({0: x}, dx, w), to_lanes({0: y}, dy, w), {0: acc})
+        return vec_canon(lane_nums(acc, w), dx * dy * self._sc_den)
 
     def killing(self, x, y) -> Scalar:
         """Trace of ad(x) ad(y) for numerator vectors x and y: one Scalar of
@@ -595,13 +631,15 @@ def check_bracket(g, cmap):
     whose bracket cmap's matrix M conj^conjugate does not keep:
     M [e_j, e_k] != [M e_j, M e_k]. Only pairs j < k are bracketed: both
     sides vanish at j = k, and by antisymmetry (k, j) fails exactly when
-    (j, k) does, which comes first in row-major order."""
+    (j, k) does, which comes first in row-major order; [e_j, e_k] is _sc's."""
     n, sparse, conjugate = g.dim, cmap.sparse, cmap.conjugate
     units = [((0,) * j + (1,) + (0,) * (2 * n - j - 1), 1) for j in range(n)]
-    images = [sparse_apply(sparse, e, conjugate) for e in units]
+    images, columns = [sparse_apply(sparse, e, conjugate) for e in units], {}
+    for j, k, r, s, t in g._sc:
+        columns.setdefault((j, k), [0] * (2 * n))[r::n] = s, t
     for j in range(n):
         for k in range(j + 1, n):
-            lhs = sparse_apply(sparse, g.bracket(units[j], units[k]), conjugate)
+            lhs = sparse_apply(sparse, (columns.get((j, k), (0,) * (2 * n)), g._sc_den), conjugate)
             if lhs != g.bracket(images[j], images[k]):
                 raise NotAutomorphismError(j, k)
 

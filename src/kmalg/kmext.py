@@ -12,12 +12,12 @@ integral form by a factor of i (d/dt = i z d/dz): the integral form, the
 one the bracket uses, is i times the residue form.
 
 The loop part of a bracket comes from one raw kernel,
-`extended_bracket_raw`: it adds the convolution (`loop.loop_bracket_raw`,
-on the constants times m) and the derivative terms rd g' - sd f' of two
-operands, each over one denominator of its own, into int accumulators over
-m D_x D_y D_s, with no gcd and no element built. `hat_bracket` reduces each output exponent once;
+`extended_bracket_raw`: on lanes (`findim`) it adds the convolution
+(`findim.convolve`, on the constants times m) and the derivative terms
+rd g' - sd f' of two operands, each over one denominator of its own, into
+accumulators over m D_x D_y D_s, with no gcd. `hat_bracket` decodes each output exponent once;
 `jacobi_residual` puts x, y and z over one denominator, adds its three
-outer brackets into one set of accumulators and reduces only the sum.
+outer brackets into one set of accumulators and decodes only what it reads.
 
 The cocycle has one body, `_cocycle_sum`: it sums k B(a_k, b_{-k}) as ints
 over one common denominator, each term from the raw Killing form
@@ -31,13 +31,12 @@ from __future__ import annotations
 from math import lcm
 
 from . import linalg
+from .findim import convolve, lane_nums, numerator_sum, to_lanes
 from .loop import (
     MismatchError,
     TwistedLoopElement,
     check_grading,
     loop_bracket,  # unused here; perfbench/selftest.py checks the tracer wraps this binding
-    loop_bracket_raw,
-    over_denominator,
     over_one_denominator,
     twist_eigenbasis,
     zero_loop,
@@ -118,28 +117,29 @@ def derivation_element(algebra, twist, value=1) -> ExtendedElement:
 
 def cocycle(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:
     """(1/2pi) int <f, g'> dt = sum_k B(a_k, -(i k/m) b_{-k}). Antisymmetric.
-    One Scalar of `_cocycle_sum` on f's and g's terms, each over one
-    denominator."""
+    One Scalar of `_cocycle_sum` on f's terms over one denominator and g's
+    terms as they are."""
     f._require_match(g)
-    (fs, df), (gs, dg) = over_one_denominator(f.terms), over_one_denominator(g.terms)
-    return _cocycle_value(f.algebra, f.twist.order, _cocycle_sum(f.algebra, dict(fs), gs), df * dg)
+    (fs, df), dg = over_one_denominator(f.terms), lcm(*(d for _, d in g.terms.values()))
+    return _cocycle_value(f.algebra, f.twist.order, _cocycle_sum(f.algebra, dict(fs), g.terms, dg), df * dg)
 
 
-def _cocycle_sum(alg, fs, gs):
+def _cocycle_sum(alg, fs, terms, den):
     """The body of the cocycle, unreduced: for fs a map {k: a_k} of
-    numerator lists over D_f and gs (exponent, numerators) pairs over D_g,
-    the int pair (re, im) of sum_k k B(a_k, b_{-k}) over D_f D_g D_K
-    (D_K = alg._killing_den), each term from `killing_raw`. The cocycle is
-    -i/m times it, and the residue form -1 times it."""
+    numerator lists over D_f and g's terms {q: (b_q, d_q)}, den a multiple
+    of every d_q, the int pair (re, im) of sum_k k B(a_k, b_{-k}) over
+    D_f den D_K (D_K = alg._killing_den), each term from `killing_raw`. The
+    cocycle is -i/m times it, and the residue form -1 times it."""
     killing_raw = alg.killing_raw
     re = im = 0
-    for q, b in gs:  # b_q pairs with a_k for k = -q
+    for q, (b, d) in terms.items():  # b_q pairs with a_k for k = -q
         if q:
             a = fs.get(-q)
             if a is not None:
                 s, t = killing_raw(a, b)
-                re -= q * s
-                im -= q * t
+                f = q * (den // d)
+                re -= f * s
+                im -= f * t
     return re, im
 
 
@@ -154,12 +154,9 @@ def residue_cocycle(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:
     """Res_z <f, dg/dz> = sum_k (-k) B(a_k, b_{-k}) for untwisted z-Laurent
     loops (-1 times `_cocycle_sum`). The integral form, `cocycle`, is i
     times it."""
-    f._require_match(g)
     if f.twist.order != 1:
         raise MismatchError("the residue form is defined for untwisted loops")
-    (fs, df), (gs, dg) = over_one_denominator(f.terms), over_one_denominator(g.terms)
-    re, im = _cocycle_sum(f.algebra, dict(fs), gs)
-    return vec_to_scalars(((-re, -im), df * dg * f.algebra._killing_den))[0]
+    return cocycle(f, g) * Scalar(0, -1)
 
 
 # -- bracket --------------------------------------------------------------
@@ -171,91 +168,104 @@ def _denominator(*xs):
                *(p.denominator for x in xs for p in (x.d.re, x.d.im)))
 
 
-def _numerators(x, den):
-    """x's loop terms as (exponent, numerators) pairs, and x.d as an int pair
-    (re, im) or None for zero, over den, a multiple of `_denominator(x)`."""
+def _sizes(x, den):
+    """x.d as an int pair (re, im) over den, a multiple of `_denominator(x)`,
+    and S, the sum of the |numerators| of x's loop terms and d over den:
+    each part of the loop part of [x, y] over m D_x D_y D_s, and their
+    |sum|, is at most (C + k D_s) S_x S_y, C the `constant_norm` at m and k
+    the largest |exponent| (`_add_derivative`)."""
     re, im = x.d.re, x.d.im
-    rd = (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)) if re or im else None
-    return over_denominator(x.loop.terms, den), rd
+    rd = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+    return rd, numerator_sum(x.loop.terms, den) + abs(rd[0]) + abs(rd[1])
 
 
-def extended_bracket_raw(alg, twist, fs, rd, gs, sd, out):
-    """Add the loop part of [x, y] unreduced into out, and return out. x is
-    its loop terms fs, (exponent, numerators) pairs, and its d coefficient
-    rd, an int pair (re, im) or None for zero, all over one denominator D_x
-    (`_numerators`); y is gs and sd over D_y; both are graded by twist, of
-    order m. out gains [f, g] + rd g' - sd f' over m D_x D_y D_s: the
-    convolution of `loop_bracket_raw` on the constants times m, and the
-    derivative terms times D_s. No gcd is taken; an accumulator may be all
-    zero."""
-    loop_bracket_raw(alg, twist, fs, gs, out, twist.order)
-    sc = alg._sc_den
+def _packed(x, den, rd, w, sc):
+    """x's loop terms on lanes of width w over den (`findim.to_lanes`), and
+    the lane of i D_s d, rd = d over den (`_sizes`) and D_s = sc."""
+    return to_lanes(x.loop.terms, den, w), (-rd[1] + (rd[0] << w)) * sc
+
+
+def extended_bracket_raw(tables, fs, rd, gs, sd, out):
+    """Add to out, and return, the loop part of [x, y] over m D_x D_y D_s: the
+    convolution on tables = bracket_tables(W, twist, m) and q (i D_s rd) b_q -
+    p (i D_s sd) a_p, for x's `_packed` terms fs and d lane rd over D_x, y's gs, sd over D_y."""
+    convolve(tables, fs, gs, out)
     if rd:
-        # rd g'_q = q i rd b_q / m = q (-s + i r) b_q / (m D_x D_y)
-        r, s = rd
-        _add_derivative(out, gs, -s * sc, r * sc)
+        _add_derivative(out, gs, rd)
     if sd:
-        # -sd f'_p = p (s - i r) a_p / (m D_x D_y)
-        r, s = sd
-        _add_derivative(out, fs, s * sc, -r * sc)
+        _add_derivative(out, fs, -sd)
     return out
 
 
-def _add_derivative(out, terms, u, v):
-    """Add k (u + i v) a_k into the accumulator out[k] for each (k, a_k) of
-    terms with k nonzero, skipping the zero coordinates of a_k."""
-    for k, nums in terms:
+def _add_derivative(out, terms, u):
+    """Add k u a_k into out[k] for each (k, lanes a_k) of terms, k nonzero, one
+    product per nonzero lane: at most |k| D_s |d| |a_k| for u the lane of i D_s d."""
+    for k, lanes in terms:
         if k:
             acc = out.get(k)
             if acc is None:
-                acc = out[k] = [0] * len(nums)
-            p, q, n = k * u, k * v, len(nums) // 2
-            for j in range(n):
-                a, b = nums[j], nums[n + j]
-                if a or b:
-                    acc[j] += a * p - b * q
-                    acc[n + j] += a * q + b * p
+                acc = out[k] = [0] * len(lanes)
+            ku = k * u
+            for j, a in enumerate(lanes):
+                if a:
+                    acc[j] += a * ku
 
 
 def hat_bracket(x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
     """Bracket of the extended algebra; c is central, d acts by d/dt. The
-    loop part is `extended_bracket_raw`, each output exponent reduced once,
-    and c the cocycle."""
+    loop part is `extended_bracket_raw` at W one bit past the bound of
+    `_sizes`, each output exponent decoded and reduced once; c is the cocycle."""
     f, g = x.loop, y.loop
     f._require_match(g)
-    alg, m = f.algebra, f.twist.order
+    alg, m, sc = f.algebra, f.twist.order, f.algebra._sc_den
     dx, dy = _denominator(x), _denominator(y)
-    out = extended_bracket_raw(alg, f.twist, *_numerators(x, dx), *_numerators(y, dy), {})
-    den = m * dx * dy * alg._sc_den
-    loop = f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
+    (rx, sx), (ry, sy) = _sizes(x, dx), _sizes(y, dy)
+    kmax = max(map(abs, (*f.terms, *g.terms)), default=0)
+    w = ((alg.constant_norm(m) + kmax * sc) * sx * sy).bit_length() + 1
+    out = extended_bracket_raw(alg.bracket_tables(w, f.twist, m), *_packed(x, dx, rx, w, sc),
+                               *_packed(y, dy, ry, w, sc), {})
+    den = m * dx * dy * sc
+    loop = f.from_vecs(alg, f.twist, {k: vec_canon(lane_nums(acc, w), den) for k, acc in out.items()})
     return ExtendedElement(loop, cocycle(f, g), ZERO)
 
 
 def jacobi_residual(x: ExtendedElement, y: ExtendedElement, z: ExtendedElement) -> ExtendedElement:
     """[[x,y],z] + [[y,z],x] + [[z,x],y]; contract: exactly zero.
 
-    x, y and z go over one denominator E once (`_numerators`). Every inner
-    bracket is over m E^2 D_s and goes unreduced into the outer one (it has
-    no d, and its c is central and drops out). Every outer bracket is over
-    m^2 E^3 D_s^2 and every outer cocycle sum over m E^3 D_s D_K, so the
-    three add as ints, and each exponent and c is reduced once. Raises
-    MismatchError on operands over different algebras or twists."""
+    x, y and z go over one denominator E once (`_sizes`), onto lanes
+    of one width W. An inner bracket, over m E^2 D_s, goes into the outer
+    one as it is (it has no d, and its c is central and drops out); only
+    what its cocycle reads is decoded. An outer bracket is over
+    m^2 E^3 D_s^2 and an outer cocycle sum over m E^3 D_s D_K, so the three
+    add as ints. With C' = C + 2 D_s max |k| (`_sizes`), an inner part
+    is at most C' S_x S_y, one of the sum 3 C'^2 S_x S_y S_z, and W is one
+    bit past both: a lane of the sum decodes to 0 exactly when it is 0 mod
+    2^(2W) + 1, and on real constants, where the lanes compute in Z[2^W] and
+    the identity holds there too, a zero sum is the int 0 and is not decoded.
+    Raises MismatchError on operands over different algebras or twists."""
     f = x.loop
     f._require_match(y.loop)
     f._require_match(z.loop)
-    alg, m = f.algebra, f.twist.order
-    e = _denominator(x, y, z)
-    ready = [_numerators(w, e) for w in (x, y, z)]
+    alg, m, sc = f.algebra, f.twist.order, f.algebra._sc_den
+    xyz, e = (x, y, z), _denominator(x, y, z)
+    sizes = [_sizes(v, e) for v in xyz]
+    sx, sy, sz = (s for _, s in sizes)
+    c = alg.constant_norm(m) + 2 * sc * max(map(abs, (*f.terms, *y.loop.terms, *z.loop.terms)), default=0)
+    w = (c * max(3 * c * sx * sy * sz, sx * sy, sy * sz, sz * sx)).bit_length() + 1
+    tables = alg.bracket_tables(w, f.twist, m)
+    packed = [_packed(v, e, rd, w, sc) for v, (rd, _) in zip(xyz, sizes)]
     total, cocycles = {}, []
     for a, b, h in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        inner = extended_bracket_raw(alg, f.twist, *ready[a], *ready[b], {})
-        hs, hd = ready[h]
-        extended_bracket_raw(alg, f.twist, [(k, acc) for k, acc in inner.items() if any(acc)], None, hs, hd, total)
-        cocycles.append(_cocycle_sum(alg, inner, hs))
-    dc = m * e ** 3 * alg._sc_den  # of the outer cocycle sums, times D_K
-    den = m * dc * alg._sc_den  # of the outer brackets
-    # the Jacobi identity makes every accumulator zero: skip reducing them
-    loop = f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in total.items() if any(acc)})
+        inner = extended_bracket_raw(tables, *packed[a], *packed[b], {})
+        extended_bracket_raw(tables, inner.items(), 0, *packed[h], total)
+        hs = xyz[h].loop.terms
+        read = {-q: lane_nums(inner[-q], w) for q in hs if q and -q in inner}
+        cocycles.append(_cocycle_sum(alg, read, hs, e))
+    dc = m * e ** 3 * sc  # of the outer cocycle sums, times D_K
+    den = m * dc * sc  # of the outer brackets
+    big = (1 << 2 * w) + 1
+    loop = f.from_vecs(alg, f.twist, {k: vec_canon(lane_nums(acc, w), den)
+                                      for k, acc in total.items() if any(acc) and any(map(big.__rmod__, acc))})
     return ExtendedElement(loop, _cocycle_value(alg, m, tuple(map(sum, zip(*cocycles))), dc), ZERO)
 
 

@@ -14,12 +14,13 @@ tuples, and +, -, scale, the bracket, the derivative, the Killing form, the
 cocycle and the coefficient maps of `involution` all run on ints. Scalar is
 the type at the edge: the constructor takes Scalar coordinates, `coeff` and
 `coeffs` give them back, and c, d, real coordinates, JSON and rendering
-read Scalars or rationals. A loop bracket sums its finite brackets into one
-int accumulator per output exponent (`loop_bracket_raw`) and reduces each
-exponent once; each exponent pair walks only the structure constants its
-twist eigenspaces meet (`findim.convolve`), so operands must be graded, and
-`from_vecs` callers pass graded vectors. The derivative terms of the
-extended bracket are added as ints by `kmext.extended_bracket_raw`.
+read Scalars or rationals. A loop bracket packs each operand's terms, over
+one denominator, as lanes (`findim`), sums its finite brackets into one
+accumulator per output exponent and decodes and reduces each exponent once;
+each exponent pair walks only the structure constants its twist eigenspaces
+meet (`findim.convolve`), so operands must be graded, and `from_vecs`
+callers pass graded vectors. The derivative terms of the extended bracket
+are added on the same lanes by `kmext.extended_bracket_raw`.
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ from enum import Enum
 from math import lcm
 
 from . import linalg
-from .findim import CoeffMap, FiniteAutomorphism, FiniteLieAlgebra, convolve, sparse_apply
+from .findim import (CoeffMap, FiniteAutomorphism, FiniteLieAlgebra, convolve, lane_nums, numerator_sum,
+                     sparse_apply, to_lanes)
 from .scalars import (
     Scalar,
     exact_div,
@@ -181,37 +183,24 @@ def untwisted(algebra) -> FiniteAutomorphism:
 
 def over_one_denominator(terms):
     """(exponent, numerators) pairs of terms over their least common
-    denominator D, and D."""
+    denominator D, and D; a term already over D is not copied."""
     den = lcm(*(d for _, d in terms.values()))
-    return over_denominator(terms, den), den
-
-
-def over_denominator(terms, den):
-    """(exponent, numerators) pairs of terms over den, a multiple of every
-    denominator of terms; a term already over den is not copied."""
-    return [(k, nums if d == den else [x * (den // d) for x in nums]) for k, (nums, d) in terms.items()]
-
-
-def loop_bracket_raw(alg, twist, fs, gs, out, scale=1):
-    """The convolution of `loop_bracket` on prepared operands, unreduced:
-    for (exponent, numerators) lists fs over D_f and gs over D_g
-    (`over_one_denominator`) of elements graded by twist, `findim.convolve`
-    adds scale times sum [a_p, b_q] over D_f D_g D_s into out[p + q] on
-    `alg.bracket_tables(twist, scale)`, and out is returned."""
-    return convolve(alg.bracket_tables(twist, scale), fs, gs, out)
+    return [(k, nums if d == den else [x * (den // d) for x in nums]) for k, (nums, d) in terms.items()], den
 
 
 def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopElement:
     """Pointwise bracket: coefficient convolution [f,g]_k = sum [a_p, b_q].
-    f's terms go over one denominator and g's over another, the raw
-    accumulators come from `loop_bracket_raw`, and each output exponent is
-    reduced once."""
+    f's terms go on lanes over one denominator and g's over another, and
+    `convolve` adds them into one accumulator per output exponent, decoded
+    and reduced once; W is one bit past `constant_norm` S_f S_g, a bound on
+    each part (S the `findim.numerator_sum`)."""
     f._require_match(g)
     alg = f.algebra
-    (fs, df), (gs, dg) = over_one_denominator(f.terms), over_one_denominator(g.terms)
+    df, dg = (lcm(*(d for _, d in h.terms.values())) for h in (f, g))
+    w = (alg.constant_norm() * numerator_sum(f.terms, df) * numerator_sum(g.terms, dg)).bit_length() + 1
+    out = convolve(alg.bracket_tables(w, f.twist), to_lanes(f.terms, df, w), to_lanes(g.terms, dg, w), {})
     den = df * dg * alg._sc_den
-    out = loop_bracket_raw(alg, f.twist, fs, gs, {})
-    return f.from_vecs(alg, f.twist, {k: vec_canon(acc, den) for k, acc in out.items()})
+    return f.from_vecs(alg, f.twist, {k: vec_canon(lane_nums(acc, w), den) for k, acc in out.items()})
 
 
 def loop_killing(f: TwistedLoopElement, g: TwistedLoopElement) -> Scalar:

@@ -16,7 +16,8 @@ parts and then of the imaginary parts (the real layout of ``linalg``), all
 over one positive ``den``. It is kept in lowest terms, gcd(den, *nums) = 1,
 so that equal vectors are equal tuples; the zero vector is
 ``((0, ..., 0), 1)``. The loop layer stores and combines these, and
-converts to Scalar only at its edge.
+converts to Scalar only at its edge; only the bracket kernels (`findim`)
+hold them as lanes, one int per Gaussian coordinate.
 """
 from __future__ import annotations
 

@@ -3,11 +3,14 @@ draws from, kept here so that no test module imports another: the random
 coefficient maps and loops of the sparse-map tests, the involutions and
 half-built elements of the fixes tests, the kernel algebras of the
 finite-algebra tests, the loop terms over 3 of the numerator tests, the
-swap twist of su2su2c, and the diagonal, signed-permutation and period-4 real forms with their
-involutions and corrupted splits."""
+wide terms and the int check of the lane kernels, the swap twist of
+su2su2c, and the diagonal, signed-permutation and period-4 real forms with
+their involutions and corrupted splits."""
+import contextlib
 import itertools
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import strategies as st
 
@@ -145,6 +148,51 @@ NONREAL_D = Scalar(Fraction(1, 5), Fraction(-2, 3))
 SU2C = [serialize.lookup_algebra("su2c", order) for order in (1, 2)]
 
 
+# -- wide terms, and lanes on ints only ---------------------------------------------
+
+# Coefficients whose numerators have serialize.MAX_DIGITS digits, over the
+# mixed denominators 3, 7 and 11, at exponents up to 10^6 in size, graded
+# for both twists of su2c as OVER_3 is; WIDE_D is a nonzero, non-real d of
+# the same size. A lane width that does not grow with its operands decodes
+# their brackets wrongly.
+_WIDE = 10 ** (serialize.MAX_DIGITS - 1)
+WIDE_COORDS = (
+    (Scalar(Fraction(_WIDE + 1, 3), -_WIDE), Scalar(Fraction(-_WIDE, 7)), Scalar(3, Fraction(_WIDE - 1, 11))),
+    (Scalar(0, Fraction(_WIDE, 11)), Scalar(Fraction(-2, 7), _WIDE), Scalar(-_WIDE, Fraction(_WIDE + 2, 3))),
+)
+WIDE = (
+    {10 ** 6: (ZERO, WIDE_COORDS[0][0], ZERO), 1 - 10 ** 6: (WIDE_COORDS[0][1], ZERO, WIDE_COORDS[0][2])},
+    {-10 ** 6: (ZERO, WIDE_COORDS[1][1], ZERO), 1: (WIDE_COORDS[1][0], ZERO, WIDE_COORDS[1][2])},
+    {10 ** 6 - 1: (WIDE_COORDS[1][2], ZERO, WIDE_COORDS[0][0]), 2: (ZERO, WIDE_COORDS[0][2], ZERO)},
+)
+WIDE_D = Scalar(Fraction(_WIDE, 7), Fraction(-_WIDE - 1, 3))
+
+
+@contextlib.contextmanager
+def lanes_are_ints():
+    """Fails the block where a lane or a decoded numerator is not an int:
+    every operand lane and accumulator of findim.convolve, and every
+    numerator of findim.lane_nums, as bound in findim, loop and kmext."""
+    def kernel(tables, fs, gs, out):
+        fs, gs = list(fs), list(gs)
+        convolve(tables, fs, gs, out)
+        lanes = [v for _, x in fs + gs for v in x] + [v for acc in out.values() for v in acc]
+        assert all(type(v) is int for v in lanes), lanes[:3]
+        return out
+
+    def decode(lanes, w):
+        nums = lane_nums(lanes, w)
+        assert type(w) is int and all(type(v) is int for v in nums), nums[:3]
+        return nums
+
+    convolve, lane_nums = findim.convolve, findim.lane_nums
+    with contextlib.ExitStack() as stack:
+        for module in (findim, loop, kmext):
+            stack.enter_context(patch.object(module, "convolve", kernel))
+            stack.enter_context(patch.object(module, "lane_nums", decode))
+        yield
+
+
 # -- a twist whose eigenvectors are not coordinate vectors -------------------------
 
 # The order-2 swap of the two summands of su2su2c: its eigenvectors are
@@ -232,7 +280,7 @@ ODD_PHI = InvolutionDescriptor(
 
 def counting_brackets(monkeypatch):
     """Counts, under "loop_bracket", every loop bracket the library makes:
-    each goes through loop_bracket_raw, the one convolution, as bound in
+    each goes through convolve, the one convolution, as bound in
     loop (loop_bracket) or in kmext (extended_bracket_raw, under
     hat_bracket and jacobi_residual)."""
     calls = Counter()
@@ -244,7 +292,7 @@ def counting_brackets(monkeypatch):
         return wrapper
 
     for module in (loop, kmext):
-        monkeypatch.setattr(module, "loop_bracket_raw", counting(module.loop_bracket_raw))
+        monkeypatch.setattr(module, "convolve", counting(module.convolve))
     return calls
 
 

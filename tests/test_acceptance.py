@@ -21,6 +21,7 @@ from kmalg.involution import (
 from kmalg.kmext import (
     ExtendedElement,
     cocycle,
+    hat_bracket,
     jacobi_residual,
     residue_cocycle,
     SplittingHom,
@@ -422,3 +423,33 @@ def test_c12_involution_counts():
         "f4(1)": 6,
         "g2(1)": 3,
     }
+
+
+# -- 13 -----------------------------------------------------------------------
+
+F = Fraction
+_HAT_PINS = [
+    # (algebra, twist, x terms, x.c, x.d, y terms, y.c, y.d), then [x, y]: loop terms and c
+    ((SU2C, TW_SU2, {1: (Scalar(1), ZERO, Scalar(-2)), 0: (ZERO, Scalar(F(1, 2)), ZERO)}, Scalar(1), Scalar(F(3, 2)),
+      {-1: (Scalar(0, 1), ZERO, Scalar(3)), 2: (ZERO, Scalar(-1, 1), ZERO)}, ZERO, Scalar(-1, F(2, 3))),
+     {-1: (Scalar(F(15, 4)), ZERO, Scalar(0, F(-13, 4))), 0: (ZERO, Scalar(-6, -4), ZERO),
+      1: (Scalar(F(1, 3), F(1, 2)), ZERO, Scalar(F(-2, 3), -1)), 2: (ZERO, Scalar(F(-3, 2), F(-3, 2)), ZERO),
+      3: (Scalar(-4, 4), ZERO, Scalar(-2, 2))}, Scalar(-4, -24)),
+    ((SL2C, TW_SL2, {1: (ZERO, Scalar(2), Scalar(0, -1)), -2: (Scalar(F(1, 3)), ZERO, ZERO)}, ZERO, Scalar(0, 1),
+      {1: (ZERO, Scalar(1), Scalar(1)), 0: (Scalar(-2), ZERO, ZERO)}, Scalar(5), Scalar(F(-1, 2))),
+     {-2: (Scalar(0, F(-1, 6)), ZERO, ZERO), -1: (ZERO, Scalar(F(2, 3)), Scalar(F(-2, 3))),
+      1: (ZERO, Scalar(F(15, 2), F(1, 2)), Scalar(F(-1, 4), 4)), 2: (Scalar(2, 1), ZERO, ZERO)}, ZERO),
+    ((SL2C, TW_SL2, {-1: (ZERO, Scalar(1), ZERO), 1: (ZERO, ZERO, Scalar(F(1, 2)))}, ZERO, ZERO,
+      {1: (ZERO, ZERO, Scalar(1)), -1: (ZERO, Scalar(3), ZERO)}, ZERO, ZERO),
+     {0: (Scalar(F(-1, 2)), ZERO, ZERO)}, Scalar(0, -1)),
+]
+
+
+@criterion(13, "hat_bracket on su2c/2 and sl2c/2 gives the pinned loop parts and c, with d on both sides")
+def test_c13_hat_bracket_values():
+    for (alg, twist, f, fc, fd, g, gc, gd), loop_part, c in _HAT_PINS:
+        x = ExtendedElement(TwistedLoopElement(alg, twist, f), fc, fd)
+        y = ExtendedElement(TwistedLoopElement(alg, twist, g), gc, gd)
+        z = hat_bracket(x, y)
+        assert z.loop.coeffs == loop_part
+        assert (z.c, z.d) == (c, ZERO)

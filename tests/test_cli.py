@@ -964,6 +964,19 @@ def test_degree_past_the_cap_exits_param(capsys, monkeypatch, argv):
     assert cli.MAX_DEGREE >= 100000  # the workflow's decompose step runs there
 
 
+@pytest.mark.parametrize("argv", [["killing-gram", "--form", "II", "--degree"],
+                                  ["jacobi-check", "--seed", "s", "--trials"]],
+                         ids=["killing-gram-degree", "jacobi-check-trials"])
+def test_a_long_negative_value_is_echoed_cut(capsys, argv):
+    """A refused negative --degree or --trials of 4000 digits exits 2 with
+    one JSON line on stderr, under 1000 bytes: the value is echoed cut."""
+    value = "-" + "1" * 4000
+    code, out, err = run_cli(capsys, *argv, value)
+    assert (code, out) == (cli.EXIT_PARAM, "")
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1000
+    assert _param_error(err).endswith(f"got {serialize.echo(int(value))}")
+
+
 @pytest.mark.parametrize("argv", [["osaka-verify", "--record", "II"], ["osaka-catalog"]])
 def test_degree_zero_verification_exits_param(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--degree", "0")

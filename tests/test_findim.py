@@ -5,7 +5,7 @@ automorphisms (orders, the bracket check and Killing invariance)."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kmalg import findim, serialize
 from kmalg.findim import (
@@ -29,7 +29,7 @@ from kmalg.osaka import build_catalog_a1, complex_conjugation_counterexample, eu
 from kmalg.rand import TrialRng
 from kmalg.scalars import I, Scalar, ZERO, vec_from_scalars
 
-from cases import HALF_I_SL2, KERNEL_ALGEBRAS, QUARTER_SU2, SWAP, scaled_algebra
+from cases import HALF_I_SL2, KERNEL_ALGEBRAS, QUARTER_SU2, SWAP, WIDE_COORDS, lanes_are_ints, scaled_algebra
 from oracles import (
     automorphism_apply,
     bracket_reference,
@@ -246,9 +246,15 @@ def test_kernel_algebras_need_division():
 
 @settings(max_examples=300, deadline=None)
 @given(case=_algebra_and_vectors())
+@example(case=(QUARTER_SU2, *WIDE_COORDS))
+@example(case=(HALF_I_SL2, *WIDE_COORDS))
 def test_bracket_and_killing_match_reference(case):
+    """The examples bracket coordinates of serialize.MAX_DIGITS digits over
+    mixed denominators, on real and on non-real constants over D_s = 2;
+    every lane of the bracket and every decoded numerator is an int."""
     g, x, y = case
-    br = scalar_bracket(g, x, y)
+    with lanes_are_ints():
+        br = scalar_bracket(g, x, y)
     assert br == bracket_reference(g, x, y)
     _assert_exact(br)
     b = scalar_killing(g, x, y)
@@ -270,26 +276,26 @@ def test_bracket_tables_walk_only_what_the_grading_meets(monkeypatch):
     structure constants and every other parity pair walks 2; an untwisted
     algebra and su2su2c under the swap of its summands walk every one. Each
     table holds the constants whose coordinates lie in the supports of the
-    solved eigenbases, times the scale, as ints. Replacing _sc on the
-    algebra itself gives new tables."""
+    solved eigenbases, times the scale, as int lanes at the width asked
+    for. Replacing _sc on the algebra itself gives new tables."""
     kinds = [serialize.lookup_algebra(*kind) for kind in (("su2c", 2), ("sl2c", 2), ("su2c", 1), ("su2su2c", 1))]
     for algebra, twist in kinds + [SWAP]:
-        n, m = algebra.dim, twist.order
-        for scale in (1, m):
-            tables = algebra.bracket_tables(twist, scale)
+        m = twist.order
+        for scale, w in ((1, 5), (m, 40)):
+            tables = algebra.bracket_tables(w, twist, scale)
             assert [[len(table) for table in row] for row in tables] == (
                 [[0, 2], [2, 2]] if algebra.dim == 3 and m == 2 else [[len(algebra._sc)] * m] * m)
             for a in range(m):
                 for b in range(m):
                     left, right = _support(algebra, twist, a), _support(algebra, twist, b)
-                    assert tables[a][b] == tuple((j, n + j, k, n + k, r, n + r, scale * s, scale * t)
+                    assert tables[a][b] == tuple((j, k, r, scale * s + (scale * t << w))
                                                  for j, k, r, s, t in algebra._sc if j in left and k in right)
                     assert all(type(v) is int for entry in tables[a][b] for v in entry)
     algebra, twist = kinds[0]
     j, k, r, s, t = algebra._sc[0]
-    old, new = ((j, 3 + j, k, 3 + k, r, 3 + r, v, t) for v in (s, s + 1))
+    old, new = ((j, k, r, v + (t << 5)) for v in (s, s + 1))
     monkeypatch.setattr(algebra, "_sc", ((j, k, r, s + 1, t),) + algebra._sc[1:])
-    for tables in (algebra.bracket_tables(twist), algebra.bracket_tables()):
+    for tables in (algebra.bracket_tables(5, twist), algebra.bracket_tables(5)):
         entries = [entry for row in tables for table in row for entry in table]
         assert new in entries and old not in entries
 

@@ -17,7 +17,7 @@ under s = -1, so that only the terms at negative k decide.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kmalg import kmext
 from kmalg.findim import (
@@ -41,12 +41,16 @@ from kmalg.loop import (
 )
 from kmalg.scalars import I, ONE, Scalar, ZERO
 from cases import (
+    HALF_I_SL2,
     KERNEL_ALGEBRAS,
+    SU2C,
+    WIDE,
     coeff_maps,
     dims,
     general,
     half_built,
     involutions,
+    lanes_are_ints,
     loops,
     rationals,
 )
@@ -129,11 +133,22 @@ def algebra_loops(draw):
     return alg, element(), element()
 
 
+_WIDE_LOOPS = [(alg, *(TwistedLoopElement(alg, untwisted(alg), terms) for terms in WIDE[:2]))
+               for alg in (SU2C[0][0], HALF_I_SL2)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(algebra_loops())
+@example(_WIDE_LOOPS[0])
+@example(_WIDE_LOOPS[1])
 def test_loop_bracket_matches_reference_on_mixed_denominators(case):
+    """The examples bracket terms of serialize.MAX_DIGITS digits over mixed
+    denominators at exponents up to 10^6 in size, on real and on non-real
+    constants; every lane and every decoded numerator is an int."""
     alg, f, g = case
-    assert loop_bracket(f, g).coeffs == loop_bracket_reference(alg, f.coeffs, g.coeffs)
+    with lanes_are_ints():
+        h = loop_bracket(f, g)
+    assert h.coeffs == loop_bracket_reference(alg, f.coeffs, g.coeffs)
 
 
 def _ints(nums):

@@ -1,12 +1,12 @@
 """Exact linear algebra: rref, rank, solve and nullspace on rationals and
-Scalars, and symmetric signatures (Sylvester's law, a Fraction
-reference, int matrices)."""
+Scalars, symmetric signatures (Sylvester's law, a Fraction reference, int
+matrices), and the [re | im] layout of scalars.vec_from_scalars."""
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from kmalg import linalg
-from kmalg.scalars import Scalar, vec_from_parts, vec_to_scalars
+from kmalg.scalars import Scalar, vec_from_parts, vec_from_scalars, vec_to_scalars
 
 from oracles import fraction_backed, real_flatten
 
@@ -89,9 +89,13 @@ def test_signature_obeys_sylvesters_law(case):
     assert linalg.symmetric_signature(s) == expected
 
 
-def test_real_flatten_round_trip():
-    vec = (Scalar(1, 2), Scalar(F(-1, 3), 0))
-    assert vec_to_scalars(vec_from_parts(real_flatten(vec))) == vec
+@given(st.lists(st.builds(Scalar, st.fractions(max_denominator=6), st.fractions(max_denominator=6)), max_size=4))
+def test_real_flatten_round_trip(vec):
+    """scalars.vec_from_scalars writes the [re | im] layout of real_flatten
+    over one denominator, and vec_to_scalars reads it back."""
+    vec = tuple(vec)
+    assert vec_from_scalars(vec) == vec_from_parts(real_flatten(vec))
+    assert vec_to_scalars(vec_from_scalars(vec)) == vec
 
 
 # -- exact division: no float on int, Fraction or Scalar entries ---------------

@@ -27,7 +27,7 @@ from kmalg.loop import (
 )
 from kmalg.rand import TrialRng, random_loop_element
 from kmalg.scalars import Scalar, ZERO, vec_to_scalars
-from cases import D_OVER_5, NONREAL_D, OVER_3, SU2C, SWAP
+from cases import D_OVER_5, NONREAL_D, OVER_3, SU2C, SWAP, WIDE, WIDE_D, lanes_are_ints
 from oracles import (
     apply_loop_reference,
     cocycle_reference,
@@ -173,15 +173,20 @@ def test_equality_and_hash_follow_the_scalar_coefficients(case, c):
 @example((*SU2C[0], *OVER_3[:2]), ZERO, ZERO, ZERO, NONREAL_D)
 @example((*SU2C[1], *OVER_3[:2]), ZERO, D_OVER_5, ZERO, ZERO)
 @example((*SU2C[1], *OVER_3[:2]), ZERO, ZERO, ZERO, NONREAL_D)
+@example((*SU2C[0], *WIDE[:2]), ZERO, WIDE_D, ZERO, NONREAL_D)
+@example((*SU2C[1], *WIDE[1:]), ZERO, NONREAL_D, ZERO, WIDE_D)
 def test_hat_bracket_matches_scalar_reference(case, xc, xd, yc, yd):
     """The derivative terms are scaled by i k d / m in one step; d ranges
     over zero, integral, non-integral and purely imaginary values. The
     examples put a d over 5, or a non-real d on y only, beside loop terms
-    over 3, on both twists of su2c."""
+    over 3, on both twists of su2c, and a non-real d of serialize.MAX_DIGITS
+    digits beside such terms at exponents up to 10^6 in size. Every lane
+    and every decoded numerator is an int."""
     algebra, twist, fs, gs = case
     x = ExtendedElement(lift(algebra, twist, fs), xc, xd)
     y = ExtendedElement(lift(algebra, twist, gs), yc, yd)
-    z = hat_bracket(x, y)
+    with lanes_are_ints():
+        z = hat_bracket(x, y)
     assert_canonical(z.loop)
     assert (z.loop.coeffs, z.c, z.d) == hat_bracket_reference(
         algebra, twist.order, (fs, xc, xd), (gs, yc, yd))

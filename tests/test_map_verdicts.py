@@ -296,7 +296,7 @@ def test_osaka_verify_decides_closure_once_and_brackets_no_loop(monkeypatch):
     monkeypatch.setattr(involution, "verify_cartan_relations", relations)
     monkeypatch.setattr(osaka, "verify_cartan_relations", relations)
     for module in (loop, kmext):
-        monkeypatch.setattr(module, "loop_bracket_raw", counting(module.loop_bracket_raw, "loop_bracket_raw"))
+        monkeypatch.setattr(module, "convolve", counting(module.convolve, "convolve"))
     for module in (kmext, involution):
         monkeypatch.setattr(module, "hat_bracket", counting(module.hat_bracket, "hat_bracket"))
     asked = 0
@@ -306,7 +306,7 @@ def test_osaka_verify_decides_closure_once_and_brackets_no_loop(monkeypatch):
             osaka.osaka_verify(rec, degree)
             assert calls["verify_closed"] == 1
             assert calls["verify_cartan_relations"] <= 1
-            assert calls["loop_bracket_raw"] == calls["hat_bracket"] == 0
+            assert calls["convolve"] == calls["hat_bracket"] == 0
             asked += calls["verify_cartan_relations"]
     # III[.] and IV ask the relations at both degrees; the complex algebra
     # fails fix_compact first

@@ -32,7 +32,7 @@ from kmalg.loop import MismatchError, TwistedLoopElement
 from kmalg.rand import TrialRng, random_extended_element, random_loop_element
 from kmalg.scalars import Scalar, ZERO
 
-from cases import D_OVER_5, NONREAL_D, OVER_3, SU2C, SWAP
+from cases import D_OVER_5, NONREAL_D, OVER_3, SU2C, SWAP, WIDE, WIDE_D, lanes_are_ints
 from oracles import (
     TrialRngReference,
     gaussian,
@@ -86,6 +86,13 @@ def _over_3(kind, dx=ZERO, dz=ZERO):
     return [ExtendedElement(TwistedLoopElement(*kind, terms), ZERO, d) for terms, d in zip(OVER_3, (dx, ZERO, dz))]
 
 
+def _wide(kind, broken=None):
+    """The WIDE loops over kind, an (algebra, twist) pair of SU2C, with the d
+    coefficients WIDE_D, NONREAL_D and 0, moved onto broken when given."""
+    out = [ExtendedElement(TwistedLoopElement(*kind, terms), ZERO, d) for terms, d in zip(WIDE, (WIDE_D, NONREAL_D, ZERO))]
+    return out if broken is None else [_over(broken, x) for x in out]
+
+
 def _accumulators(out):
     return [v for acc in out.values() for v in acc]
 
@@ -107,22 +114,26 @@ def _ints_only(fn, values):
 @example(_over_3(SU2C[0], dz=NONREAL_D))
 @example(_over_3(SU2C[1], dx=D_OVER_5))
 @example(_over_3(SU2C[1], dz=NONREAL_D))
+@example(_wide(SU2C[0]))
+@example(_wide(SU2C[1]))
 def test_residual_equals_the_nested_brackets(xyz):
     """Also: every accumulator of extended_bracket_raw and of the
-    convolution beneath it (loop_bracket_raw) and every denominator of
-    _denominator, under jacobi_residual and under the hat_brackets of the
-    reference, holds ints only. The residual is zero
+    convolution beneath it (convolve), every lane and decoded numerator
+    (lanes_are_ints) and every denominator of _denominator, under
+    jacobi_residual and under the hat_brackets of the reference, holds ints
+    only. The residual is zero
     on any Lie bracket, so the three nested brackets it sums are checked on
     the Scalar path (jacobi_terms_reference), where a kernel fault that
     keeps a Lie bracket shows. The examples put a d over 5 on x, or a
     non-real d on z only, beside loop terms over 3, on both twists of
-    su2c."""
+    su2c, and the WIDE terms with non-real d's of up to
+    serialize.MAX_DIGITS digits."""
     kernel = _ints_only(kmext.extended_bracket_raw, _accumulators)
-    convolution = _ints_only(kmext.loop_bracket_raw, _accumulators)
+    convolution = _ints_only(kmext.convolve, _accumulators)
     denominator = _ints_only(kmext._denominator, lambda den: [den])
     x, y, z = xyz
-    with (patch.object(kmext, "extended_bracket_raw", kernel), patch.object(kmext, "_denominator", denominator),
-          patch.object(kmext, "loop_bracket_raw", convolution)):
+    with (lanes_are_ints(), patch.object(kmext, "extended_bracket_raw", kernel),
+          patch.object(kmext, "_denominator", denominator), patch.object(kmext, "convolve", convolution)):
         r = jacobi_residual(*xyz)
         assert r == jacobi_residual_reference(*xyz)
         terms = [hat_bracket(hat_bracket(a, b), w) for a, b, w in ((x, y, z), (y, z, x), (z, x, y))]
@@ -136,16 +147,22 @@ def test_residual_equals_the_nested_brackets(xyz):
 @example(_over_3(SU2C[0], dz=NONREAL_D))
 @example(_over_3(SU2C[1], dx=D_OVER_5))
 @example(_over_3(SU2C[1], dz=NONREAL_D))
+@example(_wide(SU2C[0]))
+@example(_wide(SU2C[1]))
 def test_residual_equals_the_nested_brackets_on_a_broken_bracket(xyz):
     """On a Lie bracket both residuals are zero even where a d was dropped
     on the way: the examples of test_residual_equals_the_nested_brackets
-    pin its denominators here, where the residual is not zero."""
+    pin its denominators here, where the residual is not zero, and its
+    WIDE terms make that residual one of some thousands of digits, decoded
+    from lanes that are ints."""
     algebra = xyz[0].loop.algebra
     if not algebra._sc:
         return  # abelian: no structure constant to perturb
     broken = _perturbed(algebra)
     broken = [_over(broken, x) for x in xyz]
-    assert jacobi_residual(*broken) == jacobi_residual_reference(*broken)
+    with lanes_are_ints():
+        residual = jacobi_residual(*broken)
+    assert residual == jacobi_residual_reference(*broken)
 
 
 @pytest.mark.parametrize("kind", [k for k in RESIDUAL_KINDS if k[0]._sc])

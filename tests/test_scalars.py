@@ -1,12 +1,14 @@
 """Gaussian rationals: the Scalar arithmetic, its int-first parts and
-refusals, and render_scalar against its inverse (parse_scalar)."""
+refusals, render_scalar against its inverse (parse_scalar), and the powers
+of i that findim.sparse_apply multiplies by."""
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kmalg.scalars import I, ONE, Scalar, ZERO, render_scalar
+from kmalg.findim import CoeffMap, sparse_apply
+from kmalg.scalars import I, ONE, Scalar, ZERO, render_scalar, vec_to_scalars
 from oracles import fraction_backed, i_power, parse_scalar
 
 rationals = st.builds(
@@ -25,8 +27,11 @@ def test_basics():
 
 
 def test_i_powers():
+    """findim.sparse_apply's power argument, on the 1 x 1 identity and the
+    vector 1, is i^power for every power, negative ones included."""
     assert [i_power(k) for k in range(4)] == [ONE, I, Scalar(-1), Scalar(0, -1)]
-    assert i_power(-1) == Scalar(0, -1)
+    for k in range(-9, 10):
+        assert vec_to_scalars(sparse_apply(CoeffMap.identity(1).sparse, ((1, 0), 1), power=k)) == (i_power(k),)
 
 
 @given(scalars, scalars, scalars)
