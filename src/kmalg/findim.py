@@ -17,14 +17,15 @@ The basis (`_cells`), the structure constants, solved from commutators
 summed on its numerators, and the Killing matrix are held on ints, each
 over one denominator. The bracket and the Killing form take numerator
 vectors (see `scalars`) and reduce a result once; automorphisms act on them the same way.
-Every bracket, finite or loop, is one walk of a table of the constants (`convolve`)
-on lanes, there alone: a + bi is one int a + (b << W) (i -> 2^W maps Z[i] onto
+Every bracket of elements, finite or loop, is one walk of a table of the constants
+(`convolve`) on lanes, there alone; `check_bracket` brackets basis images on _sc's
+Gaussian-integer numerators directly. On lanes a + bi is one int a + (b << W) (i -> 2^W maps Z[i] onto
 Z/N, N = 2^(2W) + 1). A caller packs on entry at a W one bit past a bound on all
 it tests or decodes, and decodes on exit (`lane_nums`: v the balanced residue
 mod N, a that of v mod 2^W, b = (v - a) >> W)."""
 from __future__ import annotations
 
-import copy
+from collections import defaultdict
 from math import lcm
 
 from . import linalg
@@ -368,8 +369,8 @@ class FiniteLieAlgebra:
         if self.field == "C":
             return self
         if self._complexified is None:
-            twin = copy.copy(self)
-            twin.name, twin.field = self.name + "_C", "C"
+            twin = object.__new__(type(self))
+            twin.__dict__.update(vars(self), name=self.name + "_C", field="C")
             self._complexified = twin
         return self._complexified
 
@@ -629,19 +630,36 @@ def least_order(phi, limit):
 def check_bracket(g, cmap):
     """Raise NotAutomorphismError(j, k) for the first basis pair (row-major)
     whose bracket cmap's matrix M conj^conjugate does not keep:
-    M [e_j, e_k] != [M e_j, M e_k]. Only pairs j < k are bracketed: both
-    sides vanish at j = k, and by antisymmetry (k, j) fails exactly when
-    (j, k) does, which comes first in row-major order; [e_j, e_k] is _sc's."""
-    n, sparse, conjugate = g.dim, cmap.sparse, cmap.conjugate
-    units = [((0,) * j + (1,) + (0,) * (2 * n - j - 1), 1) for j in range(n)]
-    images, columns = [sparse_apply(sparse, e, conjugate) for e in units], {}
-    for j, k, r, s, t in g._sc:
-        columns.setdefault((j, k), [0] * (2 * n))[r::n] = s, t
-    for j in range(n):
-        for k in range(j + 1, n):
-            lhs = sparse_apply(sparse, (columns.get((j, k), (0,) * (2 * n)), g._sc_den), conjugate)
-            if lhs != g.bracket(images[j], images[k]):
-                raise NotAutomorphismError(j, k)
+    M conj^conjugate(c_jk) != [M e_j, M e_k], c_jk = [e_j, e_k]. One walk
+    over _sc sums, for each pair j < k, D_M M conj^conjugate(c_jk) minus
+    M_pj M_qk c_pq over every constant c_pq whose rows p and q of M meet
+    columns j and k, on Gaussian-integer numerators over D_M^2 D_s (M over
+    D_M); a pair fails when a sum is nonzero. Only pairs j < k are
+    checked: both sides vanish at j = k, and by antisymmetry (k, j) fails
+    exactly when (j, k) does, which comes first in row-major order."""
+    n, (rows, dm), flip = g.dim, cmap.sparse, -1 if cmap.conjugate else 1
+    columns = [[] for _ in range(n)]
+    for p, row in enumerate(rows):
+        for j, a, b in row:
+            columns[j].append((p, a, b))
+    sums = defaultdict(lambda: [0] * (2 * n))  # per pair (j, k), [re | im] over D_M^2 D_s
+    for p, q, r, s, t in g._sc:
+        if p < q:  # + D_M M conj(c_pq^r e_r) at pair (p, q)
+            acc = sums[p, q]
+            u, v = s * dm, flip * t * dm
+            for i, a, b in columns[r]:
+                acc[i] += a * u - b * v
+                acc[n + i] += a * v + b * u
+        for j, a, b in rows[p]:  # - M_pj M_qk c_pq^r at pair (j, k)
+            for k, c, d in rows[q]:
+                if j < k:
+                    acc = sums[j, k]
+                    e, f = a * c - b * d, a * d + b * c
+                    acc[r] -= e * s - f * t
+                    acc[n + r] -= e * t + f * s
+    broken = [pair for pair, acc in sums.items() if any(acc)]
+    if broken:
+        raise NotAutomorphismError(*min(broken))
 
 
 def automorphism_from_order(g, matrix_rows, conjugate=False):

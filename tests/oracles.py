@@ -56,6 +56,8 @@ the catalog) have no reference; the acceptance suite pins them.
         test_findim::test_bracket_and_killing_match_reference
     findim.FiniteLieAlgebra.killing               killing_reference
         test_findim::test_bracket_and_killing_match_reference
+    findim.check_bracket                          check_bracket_reference
+        test_findim::test_check_bracket_matches_the_reference
     findim.FiniteLieAlgebra._solve                coords_reference
         test_findim::test_coords_match_the_per_matrix_reference
     findim.sparse_apply                           dense_apply
@@ -91,7 +93,7 @@ from math import gcd
 from types import SimpleNamespace
 
 from kmalg import cli, linalg
-from kmalg.findim import LieAlgebraError, mat_add, mat_scale, mat_sub, sparse_apply
+from kmalg.findim import LieAlgebraError, NotAutomorphismError, mat_add, mat_scale, mat_sub, sparse_apply
 from kmalg.involution import InvolutionError, PreservationError, Truncation, dualize, fixed_and_eigenspaces
 from kmalg.kmext import ExtendedElement, hat_bracket, real_coords
 from kmalg.serialize import involution_from_json
@@ -247,6 +249,23 @@ def killing_reference(g, x, y) -> Scalar:
     _, km = solved_tables(g.basis)
     return sum((xj * yl * km[j][l] for j, xj in enumerate(x) for l, yl in enumerate(y)
                 if xj and yl and km[j][l]), ZERO)
+
+
+def check_bracket_reference(g, cmap):
+    """NotAutomorphismError(j, k) for the first pair j < k (row-major) with
+    M conj^conjugate([e_j, e_k]) != [M e_j, M e_k]: the images of the unit
+    vectors and of each column of the constants by `sparse_apply`, and one
+    `FiniteLieAlgebra.bracket` per pair."""
+    n, sparse, conjugate = g.dim, cmap.sparse, cmap.conjugate
+    units = [((0,) * j + (1,) + (0,) * (2 * n - j - 1), 1) for j in range(n)]
+    images, columns = [sparse_apply(sparse, e, conjugate) for e in units], {}
+    for j, k, r, s, t in g._sc:
+        columns.setdefault((j, k), [0] * (2 * n))[r::n] = s, t
+    for j in range(n):
+        for k in range(j + 1, n):
+            lhs = sparse_apply(sparse, (columns.get((j, k), (0,) * (2 * n)), g._sc_den), conjugate)
+            if lhs != g.bracket(images[j], images[k]):
+                raise NotAutomorphismError(j, k)
 
 
 # -- the loop layer on Scalar-tuple coefficients --------------------------------

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kmalg import findim, serialize
 from kmalg.findim import (
+    CoeffMap,
     FiniteAutomorphism,
     IdealBlock,
     _unit,
@@ -29,10 +30,12 @@ from kmalg.osaka import build_catalog_a1, complex_conjugation_counterexample, eu
 from kmalg.rand import TrialRng
 from kmalg.scalars import I, Scalar, ZERO, vec_from_scalars
 
-from cases import HALF_I_SL2, KERNEL_ALGEBRAS, QUARTER_SU2, SWAP, WIDE_COORDS, lanes_are_ints, scaled_algebra
+from cases import (HALF_I_SL2, KERNEL_ALGEBRAS, QUARTER_SU2, SWAP, UNITS, WIDE_COORDS, entries, general,
+                   lanes_are_ints, scaled_algebra)
 from oracles import (
     automorphism_apply,
     bracket_reference,
+    check_bracket_reference,
     construction_error_reference,
     coords,
     coords_reference,
@@ -471,6 +474,74 @@ def test_automorphism_from_order_names_the_first_broken_pair(diag, pair):
     with pytest.raises(findim.NotAutomorphismError) as err:
         automorphism_from_order(su2, rows)
     assert err.value.pair == pair
+
+
+_I_SL2 = scaled_algebra(make_sl(2, "C"), I, "C")  # constants i c_jk: purely imaginary
+# every registered twist, the catalog's twists, real structures and loop
+# maps, the swap of su(2)+su(2), and entrywise conjugation on two algebras
+# with non-real constants, each with its algebra
+_MAPS = ([(phi.algebra, phi) for _, twists in serialize.registry().values() for phi in twists.values()]
+         + [(rec.real_form.algebra, m) for rec in build_catalog_a1()
+            for m in (rec.real_form.twist, rec.real_form.conj, rec.involution.loop_map) if m is not None]
+         + [SWAP] + [(g, entrywise_conjugation_automorphism(g)) for g in (HALF_I_SL2, _I_SL2)])
+
+
+@st.composite
+def _algebra_and_map(draw):
+    """An algebra and a CoeffMap of its size: a permutation signed by the
+    units 1, i, -1, -i, a sparse Gaussian-rational matrix, either linear or
+    conjugate-linear, or one entry of a map of _MAPS replaced."""
+    kind = draw(st.sampled_from(["signed permutation", "sparse", "corrupted"]))
+    if kind == "corrupted":
+        g, phi = draw(st.sampled_from(_MAPS))
+        rows, conjugate = [list(row) for row in phi.matrix], phi.conjugate
+        rows[draw(st.integers(0, g.dim - 1))][draw(st.integers(0, g.dim - 1))] = draw(entries)
+    else:
+        g, conjugate = draw(st.sampled_from(KERNEL_ALGEBRAS + [_I_SL2])), draw(st.booleans())
+        n = g.dim
+        if kind == "signed permutation":
+            perm = draw(st.permutations(range(n)))
+            signs = draw(st.lists(st.sampled_from(UNITS), min_size=n, max_size=n))
+            cells = {(i, perm[i]): signs[i] for i in range(n)}
+        else:
+            cells = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), general,
+                                         max_size=2 * n))
+        rows = [[cells.get((i, j), ZERO) for j in range(n)] for i in range(n)]
+    return g, CoeffMap(sparse_rows(rows), conjugate=conjugate)
+
+
+def _broken_pair(check, g, cmap):
+    try:
+        check(g, cmap)
+    except findim.NotAutomorphismError as err:
+        return err.pair
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_algebra_and_map())
+@example(case=_MAPS[-1])
+@example(case=(_I_SL2, CoeffMap(sparse_rows([[I, 0, 0], [0, -I, 0], [0, 0, -I]]), conjugate=True)))
+def test_check_bracket_matches_the_reference(case):
+    """check_bracket and the per-pair bracket of the images raise on the
+    same first broken pair, or neither raises. The examples are entrywise
+    conjugation on i sl(2, C), whose constants are purely imaginary, which
+    keeps the bracket, and a conjugate-linear diagonal map that does not."""
+    g, cmap = case
+    assert _broken_pair(check_bracket, g, cmap) == _broken_pair(check_bracket_reference, g, cmap)
+
+
+def test_check_bracket_brackets_no_element(monkeypatch):
+    """check_bracket reads the structure constants alone: with
+    FiniteLieAlgebra.bracket and sparse_apply refusing every call, every
+    map of _MAPS still passes."""
+    def refuse(*args):
+        raise AssertionError("check_bracket called a bracket or a map image")
+
+    monkeypatch.setattr(findim.FiniteLieAlgebra, "bracket", refuse)
+    monkeypatch.setattr(findim, "sparse_apply", refuse)
+    for g, phi in _MAPS:
+        check_bracket(g, phi)
 
 
 def test_automorphism_from_order_composes_each_power_once(monkeypatch):

@@ -45,6 +45,7 @@ ALLOWED = {
     ("loop.py", "coeffs"),
     # perfbench span (ROADMAP item 1)
     ("findim.py", "killing"),
+    ("findim.py", "bracket"),
 }
 
 

@@ -1,5 +1,6 @@
 """The library's record classes are plain slotted classes, not dataclasses,
-and a fresh CLI process does not import dataclasses, inspect or typing.
+and a fresh CLI process does not import dataclasses, inspect or typing, nor
+kmalg.cartan outside classify.
 
 Each of the 13 classes that were dataclasses keeps its semantics: the
 ones that compared by value still do (and hash by value when they were
@@ -145,3 +146,49 @@ def test_a_cold_start_command_loads_no_argparse():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stderr, out.stdout) == (0, "", "0 [] 0 True\n")
+
+
+def test_only_classify_loads_cartan(tmp_path):
+    """In a fresh interpreter, killing-gram, osaka-catalog, osaka-verify,
+    decompose and jacobi-check run without loading kmalg.cartan, and no
+    module imports copy; classify --in then loads cartan and classifies
+    A_1^(1) as affine, family a1tilde."""
+    for path in sorted(SRC.glob("*.py")):
+        imported = {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Import) for alias in node.names}
+        assert "copy" not in imported, path.name
+    matrix = tmp_path / "a1.json"
+    matrix.write_text('{"matrix": [[2, -2], [-2, 2]]}', encoding="utf-8")
+    code = ("import contextlib, io, json, sys\nfrom kmalg import cli\n"
+            "runs = [['killing-gram', '--form', 'IV', '--degree', '2'], ['osaka-catalog', '--degree', '1'],\n"
+            "        ['osaka-verify', '--record', 'II', '--degree', '1'],\n"
+            "        ['decompose', '--form', 'IV', '--degree', '1'],\n"
+            "        ['jacobi-check', '--trials', '2', '--degree', '2', '--seed', '1']]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.run(argv) for argv in runs]\n"
+            "before = 'kmalg.cartan' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.run(['classify', '--in', sys.argv[1]])\n"
+            "report = json.loads(out.getvalue())\n"
+            "print(codes, before, code, 'kmalg.cartan' in sys.modules, report['kind'], report['family'],"
+            " report['dims'])")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(matrix)], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert (out.returncode, out.stderr, out.stdout) == (
+        0, "", "[0, 0, 0, 0, 0] False 0 True Affine a1tilde {'n': 2, 'l': 1, 'dim_h': 3}\n")
+
+
+def test_the_package_loads_a_submodule_on_first_access():
+    """import kmalg loads no submodule; kmalg.<module>, from kmalg import
+    <module> and kmalg.Scalar load theirs, and an unknown name is an
+    AttributeError."""
+    code = ("import sys, kmalg\nprint(sorted(m for m in sys.modules if m.startswith('kmalg')))\n"
+            "from kmalg import cartan\n"
+            "print(cartan is sys.modules['kmalg.cartan'], kmalg.findim is sys.modules['kmalg.findim'],"
+            " kmalg.Scalar is sys.modules['kmalg.scalars'].Scalar)\n"
+            "try:\n    kmalg.nope\nexcept AttributeError as exc:\n    print(exc)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr, out.stdout) == (
+        0, "", "['kmalg']\nTrue True True\nmodule 'kmalg' has no attribute 'nope'\n")
