@@ -127,23 +127,7 @@ class RealizationDims(Value):
 
 def decompose(a: GeneralizedCartanMatrix):
     """Connected components of the zero-pattern graph, ordered by least index."""
-    n = a.n
-    seen = [False] * n
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and (a[i, j] != 0 or a[j, i] != 0):
-                    seen[j] = True
-                    stack.append(j)
-        blocks.append(tuple(sorted(comp)))
-    return blocks
+    return linalg.components(a.n, [(i, j) for i, row in enumerate(a.entries) for j, x in enumerate(row) if x])
 
 
 def _submatrix(a: GeneralizedCartanMatrix, idx):

@@ -311,7 +311,7 @@ def cmd_counts(args):
 # -- driver ----------------------------------------------------------------------
 
 _REQUIRED = {"required": True}
-_DEGREE = ("--degree", {"type": int, "default": 3})  # 4 for the definiteness check of killing-gram
+_DEGREE = ("--degree", {"type": int, "default": 3})  # killing-gram has its own spec, default 4
 
 # name -> (handler, help, option specs); every command also takes --out, last
 COMMANDS = {

@@ -22,7 +22,9 @@ Every bracket of elements, finite or loop, is one walk of a table of the constan
 Gaussian-integer numerators directly. On lanes a + bi is one int a + (b << W) (i -> 2^W maps Z[i] onto
 Z/N, N = 2^(2W) + 1). A caller packs on entry at a W one bit past a bound on all
 it tests or decodes, and decodes on exit (`lane_nums`: v the balanced residue
-mod N, a that of v mod 2^W, b = (v - a) >> W)."""
+mod N, a that of v mod 2^W, b = (v - a) >> W). A real constant's lane is the
+same int at every W, so an algebra whose constants are all real holds one set of
+tables per (twist, scale) whatever the widths its callers ask for."""
 from __future__ import annotations
 
 from collections import defaultdict
@@ -189,7 +191,7 @@ class FiniteLieAlgebra:
         self._cells = sparse_rows([[b[i // s][i % s] for b in self.basis] for i in range(s * s)])
         # the nonzero structure constants c_jk^m as (j, k, m, re, im) over _sc_den
         self._sc, self._sc_den = self._compute_structure() if _structure is None else _structure
-        self._tables = (None, 0, {})  # (_sc, constant_norm, {(twist.sparse, scale, W): tables})
+        self._tables = (None, 0, {}, False)  # (_sc, constant_norm, {key: tables}, any non-real constant)
         self._check_field_reality()
         self._check_block_orthogonality()
         self._killing_rows, self._killing_den = self._killing_table()
@@ -294,7 +296,7 @@ class FiniteLieAlgebra:
             sums = {}
             for j, k, _, s, t in self._sc:
                 sums[j, k] = sums.get((j, k), 0) + abs(s) + abs(t)
-            self._tables = (self._sc, max(sums.values(), default=0), {})
+            self._tables = (self._sc, max(sums.values(), default=0), {}, any(t for *_, t in self._sc))
         return self._tables[1] * scale
 
     def bracket_tables(self, w, twist=None, scale=1):
@@ -303,9 +305,13 @@ class FiniteLieAlgebra:
         mod m, as (j, k, r, the lane of scale c_jk^r at width w), j and k in
         the coordinate supports of the (-1)^a and (-1)^b eigenspaces: the
         nonzero rows of their projectors D I +- M (M over D). Built on first
-        use and keyed on the _sc object itself."""
+        use and held with the _sc object itself, keyed on (twist.sparse,
+        scale, W); when every constant is real, a lane scale c_jk^r is the
+        same int at every W, so the key holds None for W and one set of
+        tables serves every width."""
         self.constant_norm()
-        held, key = self._tables[2], (None if twist is None else twist.sparse, scale, w)
+        _, _, held, lanes_vary = self._tables
+        key = (None if twist is None else twist.sparse, scale, w if lanes_vary else None)
         if key not in held:
             supports = [range(self.dim)]
             if twist is not None:

@@ -61,23 +61,27 @@ from .findim import (
 from .kmext import ExtendedElement, hat_bracket, real_coords  # hat_bracket: perfbench/selftest.py wraps it here
 from .loop import TwistedLoopElement, check_twist, twist_eigenbasis, zero_loop
 from .scalars import I, ONE, Scalar, ZERO, vec_canon, vec_from_parts
+from .value import Value
 
 
 class PreservationError(InvolutionError):
     """Map does not preserve the real form it was asked to act on."""
 
 
-class Verdict:
-    """A decided check: true when it holds, else false with the witness of
-    its failure (a reason string or a basis pair)."""
+class CheckResult(Value):
+    """A decided check: true when it passed, with its detail and, when it
+    failed, the witness of its failure (a reason string or a basis pair)."""
 
-    __slots__ = ("witness",)
+    __slots__ = ("passed", "detail", "witness")
+    __hash__ = None
 
-    def __init__(self, witness=None):
+    def __init__(self, passed: bool, detail: str = "", witness=None):
+        self.passed = passed
+        self.detail = detail
         self.witness = witness
 
     def __bool__(self):
-        return self.witness is None
+        return bool(self.passed)
 
 
 # -- involutions -----------------------------------------------------------
@@ -272,21 +276,25 @@ class RealFormDescriptor:
         return t
 
     # -- closure -----------------------------------------------------------
-    def verify_closed(self) -> Verdict:
+    def verify_closed(self) -> CheckResult:
         """Whether the form is closed (the lemma in the module docstring),
         at every degree. A failed verdict names the first failing condition:
         the basis pair (j, k) for (c), a reason string for any other."""
         tau, alg, twist = self.conj, self.algebra, self.twist
         if tau is None:  # the cocycle stays on a c/d line only when the Killing form is 0
             flat = self.cd_scale is None or not any(alg._killing_rows)
-            return Verdict(None if flat else "cocycle leaves the c/d line")
-        if twist.order == 2 and tau.compose(twist) != twist.compose(tau):
-            return Verdict("grading broken")
-        square = tau.compose(tau)  # s = 1, linear, parity 0 or 2: acts on degree k as on k mod 2
-        if not all(sparse_apply(square.sparse, v, False, square.parity * k) == v
-                   for k in (0, 1) for v in twist_eigenbasis(alg, twist, k % twist.order)):
-            return Verdict("tau^2 != 1 on the loop algebra")
-        return _automorphism_verdict(alg, tau, _line_signs(self.cd_scale))
+            witness = None if flat else "cocycle leaves the c/d line"
+        elif twist.order == 2 and tau.compose(twist) != twist.compose(tau):
+            witness = "grading broken"
+        else:
+            square = tau.compose(tau)  # s = 1, linear, parity 0 or 2: acts on degree k as on k mod 2
+            squares = all(sparse_apply(square.sparse, v, False, square.parity * k) == v
+                          for k in (0, 1) for v in twist_eigenbasis(alg, twist, k % twist.order))
+            witness = (_automorphism_witness(alg, tau, _line_signs(self.cd_scale)) if squares
+                       else "tau^2 != 1 on the loop algebra")
+        if witness is None:
+            return CheckResult(True, "real form closed under the bracket")
+        return CheckResult(False, "real form not closed", witness)
 
 
 def _line_signs(cd_scale):
@@ -294,18 +302,17 @@ def _line_signs(cd_scale):
     return (1, -1) if cd_scale is None else (1 if cd_scale == ONE else -1,)
 
 
-def _automorphism_verdict(algebra, cmap, factors):
-    """Whether cmap, scaling c by each of factors (one per c/d line),
-    keeps the extended bracket; if not, the witness is the basis pair
-    (j, k) on which its matrix breaks that of g, or "c/d line sign" when a
-    factor is not the one the derivative picks up: s, or -s for a
-    conjugate-linear map."""
+def _automorphism_witness(algebra, cmap, factors):
+    """None when cmap, scaling c by each of factors (one per c/d line),
+    keeps the extended bracket; else the basis pair (j, k) on which its
+    matrix breaks that of g, or "c/d line sign" when a factor is not the
+    one the derivative picks up: s, or -s for a conjugate-linear map."""
     try:
         check_bracket(algebra, cmap)
     except NotAutomorphismError as err:
-        return Verdict(err.pair)
+        return err.pair
     want = -cmap.index_sign if cmap.conjugate else cmap.index_sign
-    return Verdict(None if all(f == want for f in factors) else "c/d line sign")
+    return None if all(f == want for f in factors) else "c/d line sign"
 
 
 def _period(twist, *maps):
@@ -490,16 +497,19 @@ def fixed_and_eigenspaces(phi: InvolutionDescriptor, truncation: Truncation) -> 
     return split
 
 
-def verify_cartan_relations(rf: RealFormDescriptor, phi: InvolutionDescriptor) -> Verdict:
+def verify_cartan_relations(rf: RealFormDescriptor, phi: InvolutionDescriptor) -> CheckResult:
     """[K,K] in K, [K,P] in P, [P,P] in K for the split of rf by phi (module
-    docstring), at every degree, with the witness of `_automorphism_verdict`
+    docstring), at every degree, with the witness of `_automorphism_witness`
     for psi = phi, or phi tau when phi is conjugate-linear and the form has
     a tau."""
     psi, factors = phi.loop_map, (phi.epsilon,)
     if psi.conjugate and rf.conj is not None:
         psi = psi.compose(rf.conj)
         factors = tuple(phi.epsilon * sign for sign in _line_signs(rf.cd_scale))
-    return _automorphism_verdict(rf.algebra, psi, factors)
+    witness = _automorphism_witness(rf.algebra, psi, factors)
+    if witness is None:
+        return CheckResult(True, "Cartan relations hold on the split")
+    return CheckResult(False, "Cartan relations failed on the split", witness)
 
 
 # -- duality -------------------------------------------------------------------

@@ -11,6 +11,8 @@ connected component of the nonzero entries (5 to 18 per catalog form, each
 1 x 1 or 2 x 2, at any degree), the eigen-split solves all images of a block in one
 `rref`, and an algebra's construction solves every commutator of its
 basis in one (98 x 252 for so(7)). Matrices are lists of row lists; functions never mutate inputs.
+`components` is the one connected-component walk, over the nonzero entries of
+a Gram matrix (`loop.killing_gram`) or of a Cartan matrix (`cartan.decompose`).
 
 The module holds no Scalar code: its callers write Q(i) equations as rational
 rows themselves. A Q(i) vector v becomes the rational vector [re v | im v],
@@ -140,3 +142,17 @@ def symmetric_signature(rows):
                 f = exact_div(f, d)
                 row[:] = [a - f * b for a, b in zip(row, pivot_row)]
     return pos, neg, 0
+
+
+def components(n, edges):
+    """Connected components of the graph on 0, ..., n - 1 with these edges
+    (pairs (i, j), in either order; self-loops and repeats allowed): each a
+    tuple in ascending order, ordered by least vertex."""
+    comp = [{v} for v in range(n)]  # the vertex set of v's component, one object per component
+    for i, j in edges:
+        small, big = sorted((comp[i], comp[j]), key=len)
+        if small is not big:
+            big |= small
+            for v in small:
+                comp[v] = big
+    return [tuple(sorted(c)) for c in {id(c): c for c in comp}.values()]

@@ -242,14 +242,14 @@ def killing_gram(basis):
     A degree-k coefficient pairs only with a degree -k one, so an entry
     (i, j) can be nonzero only when a term at k of one element meets a term
     at -k of the other. The basis is indexed by exponent, and loop_killing
-    runs only on the pairs i <= j that meet. The nonzero off-diagonal
-    entries join their two elements, and the Gram matrix is returned as a
-    list of (members, sub-matrix) pairs, one per connected component,
-    members its basis indices in order; every other entry of the matrix is
-    zero. The signature is the sum of the signatures of the components'
-    sub-matrices: grouping the basis by component is a permutation
-    congruence, so by Sylvester's law of inertia the sum is the signature
-    of the whole matrix.
+    runs only on the pairs i <= j that meet. The nonzero entries are the
+    edges of `linalg.components`, and the Gram matrix is returned as a list
+    of (members, sub-matrix) pairs, one per connected component in its
+    order, members a tuple of basis indices in ascending order; every other
+    entry of the matrix is zero. The signature is the sum of the
+    signatures of the components' sub-matrices: grouping the basis by
+    component is a permutation congruence, so by Sylvester's law of
+    inertia the sum is the signature of the whole matrix.
 
     Entries must come out real; a non-real value means the basis does not
     span a real subspace and raises NonRealPairingError for the first such
@@ -272,15 +272,6 @@ def killing_gram(basis):
     for i, f in enumerate(basis):
         for k in f.terms:
             at.setdefault(k, []).append(i)
-    n = len(basis)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     entries = {}
     for i, f in enumerate(basis):
         for j in sorted({j for k in f.terms for j in at.get(-k, ()) if j >= i}):
@@ -289,13 +280,10 @@ def killing_gram(basis):
                 raise NonRealPairingError(f"pairing ({i},{j}) has value {v}")
             if v.re:
                 entries[i, j] = entries[j, i] = v.re
-                parent[find(j)] = find(i)
-    components = {}
-    for i in range(n):
-        components.setdefault(find(i), []).append(i)
+    n = len(basis)
     blocks = []
     pos = neg = zero = 0
-    for members in components.values():
+    for members in linalg.components(n, entries):
         rows = [[entries.get((i, j), 0) for j in members] for i in members]
         blocks.append((members, rows))
         p, q, z = linalg.symmetric_signature(rows)

@@ -17,6 +17,7 @@ from enum import Enum
 from . import findim
 from .findim import direct_sum, make_abelian, make_su
 from .involution import (
+    CheckResult,
     CoeffMap,
     InvolutionDescriptor,
     InvolutionError,
@@ -57,16 +58,6 @@ class OsakaRecord:
         self.dual_name = dual_name
 
 
-class CheckResult(Value):
-    __slots__ = ("passed", "detail", "witness")
-    __hash__ = None
-
-    def __init__(self, passed: bool, detail: str = "", witness=None):
-        self.passed = passed
-        self.detail = detail
-        self.witness = witness  # of a failed closure or Cartan verdict
-
-
 class OsakaReport(Value):
     __slots__ = ("name", "checks", "computed_type")
     __hash__ = None
@@ -98,9 +89,7 @@ def osaka_verify(record: OsakaRecord, n_max: int = 3) -> OsakaReport:
         dec = fixed_and_eigenspaces(phi, truncation)
     except InvolutionError as err:
         dec, (preserved, squares) = truncation, err.verdicts
-    closed = rf.verify_closed()
-    report.checks["closure"] = (CheckResult(True, "real form closed under the bracket") if closed
-                                else CheckResult(False, "real form not closed", closed.witness))
+    report.checks["closure"] = closed = rf.verify_closed()
     report.checks["involutive"] = CheckResult(
         preserved and squares,
         f"preserves form: {preserved}, squares to identity: {squares}",
@@ -211,7 +200,7 @@ def _check_type(record: OsakaRecord, computed: OsakaType, valid_so_far: bool) ->
     if ok and valid_so_far and computed == OsakaType.NON_COMPACT:
         relations = verify_cartan_relations(record.real_form, record.involution)
         if not relations:
-            return CheckResult(False, "Cartan relations failed on the split", relations.witness)
+            return relations
     return CheckResult(ok, f"computed {computed.value}, claimed {record.claimed_type.value}")
 
 

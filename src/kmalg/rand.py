@@ -8,9 +8,11 @@ The stream of trial t under seed s: block c is the SHA-256 digest of
 key || c, key the UTF-8 bytes of "s:t" and c an 8-byte big-endian counter
 from 0, and the stream is the eight big-endian 32-bit words of block 0,
 then of block 1, and so on. `u32` reads the next word and `randint(a, b)`
-is a + w mod (b - a + 1), span b - a + 1. A coefficient (`scalar`) is
-a/p + i b/q from four words: a of span 7 in [-3, 3], p of span 2 in
-[1, 2], then b and q the same way.
+is a + w mod (b - a + 1), span b - a + 1: w is the next word when the
+span is at most 2^32, and else the big-endian int of the next ceil(L / 32)
+words, L the bit length of span - 1, so every value of the span can be
+drawn. A coefficient (`scalar`) is a/p + i b/q from four words: a of span
+7 in [-3, 3], p of span 2 in [1, 2], then b and q the same way.
 
 A random loop element (`random_loop_element`) draws its number of terms
 (span 4, 1 to 4); each term draws its exponent k (span 2 max_degree + 1)
@@ -58,7 +60,10 @@ class TrialRng:
 
     def randint(self, a, b) -> int:
         """Uniform-ish integer in [a, b]; bias is irrelevant for fuzzing."""
-        return a + self.u32() % (b - a + 1)
+        span, w = b - a + 1, self.u32()
+        for _ in range(((span - 1).bit_length() - 1) // 32):
+            w = w << 32 | self.u32()
+        return a + w % span
 
     def scalar(self) -> Scalar:
         """a/p + i b/q from the four words of a coefficient."""

@@ -76,6 +76,8 @@ the catalog) have no reference; the acceptance suite pins them.
         test_integer_trials::test_cocycle_matches_the_scalar_reference
     linalg.rref                                   rref_reference
         test_integer_split::test_rref_matches_reference
+    linalg.components                             components_reference
+        test_linalg::test_components_match_the_reference
     involution._combine                           combine_reference
         test_integer_split::test_combine_matches_scalar_chain
 
@@ -586,6 +588,22 @@ def rref_reference(rows):
     return m, pivots
 
 
+def components_reference(n, edges):
+    """Each vertex labelled by itself, then both ends of every edge given
+    the lesser of their labels until a pass changes none; the vertices
+    grouped by label, each component labelled by its least vertex."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in edges:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    return [tuple(v for v in range(n) if label[v] == c) for c in range(n) if label[c] == c]
+
+
 def combine_reference(elements, coeffs):
     """sum_j coeffs[j] elements[j] as a chain of Scalar scalings and sums,
     coeffs a nullspace vector (so not zero)."""
@@ -800,9 +818,12 @@ class TrialRngReference:
         return int.from_bytes(out, "big")
 
     def randint(self, a, b) -> int:
-        """Uniform-ish integer in [a, b]; bias is irrelevant for fuzzing."""
+        """Uniform-ish integer in [a, b]: a plus, mod the span, the
+        big-endian int of max(1, ceil(L / 32)) words, L the bit length of
+        span - 1."""
         span = b - a + 1
-        return a + self.u32() % span
+        words = max(1, -(-(span - 1).bit_length() // 32))
+        return a + int.from_bytes(b"".join(self.u32().to_bytes(4, "big") for _ in range(words)), "big") % span
 
     def scalar(self, real_only=False) -> Scalar:
         """a/p + i b/q: a, b in [-3, 3] and p, q in [1, 2]; real_only draws

@@ -39,6 +39,7 @@ from kmalg.osaka import (
 )
 from kmalg.scalars import Scalar
 from oracles import (
+    components_reference,
     dense_killing_gram,
     fixed_and_eigenspaces_reference,
     killing_gram_reference,
@@ -55,7 +56,8 @@ SL2C, _ = serialize.lookup_algebra("sl2c", 1)
 
 def _expect_same_gram(basis, reference):
     """killing_gram(basis) equals reference(basis): the same matrix and
-    verdict, or a NonRealPairingError with the same message."""
+    verdict, in one block per connected component of the matrix's nonzero
+    entries, or a NonRealPairingError with the same message."""
     try:
         expected = reference(basis)
     except NonRealPairingError as exc:
@@ -64,6 +66,8 @@ def _expect_same_gram(basis, reference):
         assert str(got.value) == str(exc)
         return
     assert dense_killing_gram(basis) == expected
+    edges = [(i, j) for i, row in enumerate(expected[0]) for j, x in enumerate(row) if x]
+    assert [members for members, _ in killing_gram(basis)[0]] == components_reference(len(basis), edges)
 
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))

@@ -25,9 +25,10 @@ from kmalg.findim import (
     mat_scale,
     sparse_rows,
 )
+from kmalg.kmext import jacobi_residual
 from kmalg.loop import twist_eigenbasis, untwisted
 from kmalg.osaka import build_catalog_a1, complex_conjugation_counterexample, euclidean_osaka
-from kmalg.rand import TrialRng
+from kmalg.rand import TrialRng, random_extended_element
 from kmalg.scalars import I, Scalar, ZERO, vec_from_scalars
 
 from cases import (HALF_I_SL2, KERNEL_ALGEBRAS, QUARTER_SU2, SWAP, UNITS, WIDE_COORDS, entries, general,
@@ -301,6 +302,24 @@ def test_bracket_tables_walk_only_what_the_grading_meets(monkeypatch):
     for tables in (algebra.bracket_tables(5, twist), algebra.bracket_tables(5)):
         entries = [entry for row in tables for table in row for entry in table]
         assert new in entries and old not in entries
+
+
+def test_real_constants_hold_one_table_set_per_twist_and_scale():
+    """After 300 Jacobi triples per registered kind at degree 6, each
+    registered algebra, all of whose constants are real, holds one set of
+    lane tables per (twist, scale) whatever widths the triples asked for,
+    and two widths get the same tables. HALF_I_SL2 has non-real constants,
+    whose lanes move with the width, so it keeps one set per width."""
+    for algebra, twists in serialize.registry().values():
+        for twist in twists.values():
+            for t in range(300):
+                rng = TrialRng(1, t)
+                jacobi_residual(*(random_extended_element(algebra, twist, rng) for _ in range(3)))
+            assert algebra.bracket_tables(5, twist, 2) is algebra.bracket_tables(90, twist, 2)
+        held = algebra._tables[2]
+        assert len(held) == len({key[:2] for key in held})
+    assert HALF_I_SL2.bracket_tables(5) != HALF_I_SL2.bracket_tables(9)
+    assert {key[2] for key in HALF_I_SL2._tables[2]} >= {5, 9}
 
 
 # -- the integer tables against the solved reference -------------------------------

@@ -48,16 +48,39 @@ def test_words_match_the_reference_over_five_blocks(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_draws_match_the_reference_on_every_span(seed):
-    """randint on spans 1 to 13, scalar and gaussian, interleaved across
-    block boundaries, then the next word."""
+    """randint on spans 1 to 13, 2^32, 2^32 + 1 (two words) and
+    2 10^30 + 1 (four words), scalar and gaussian, interleaved across block
+    boundaries, then the next word."""
     new, old = TrialRng(seed, 7), TrialRngReference(seed, 7)
     for _ in range(4):
-        for span in range(1, 14):
+        for span in [*range(1, 14), 2**32, 2**32 + 1, 2 * 10**30 + 1]:
             a = -(span // 2)
             assert new.randint(a, a + span - 1) == old.randint(a, a + span - 1)
             assert new.scalar() == old.scalar()
             assert gaussian(new) == gaussian(old)
     assert new.u32() == old.u32()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(-2**40, 2**40), st.integers(1, 2**32))
+def test_a_span_up_to_2_32_reads_one_word(seed, a, span):
+    """Every degree up to 2^31 - 1 draws exactly as with one word per
+    randint: a + w mod span, w the next word, and the word after it is next."""
+    rng, words = TrialRng(seed), TrialRng(seed)
+    assert rng.randint(a, a + span - 1) == a + words.u32() % span
+    assert rng.u32() == words.u32()
+
+
+def test_a_degree_past_2_32_draws_exponents_of_both_signs():
+    """At degree 10^30 the exponents of 200 su2c/2 triples span both signs
+    (one word per draw held them all in [-10^30, -10^30 + 2^32))."""
+    algebra, twist = serialize.lookup_algebra("su2c", 2)
+    exponents = set()
+    for t in range(200):
+        rng = TrialRng(1, t)
+        for _ in range(3):
+            exponents |= set(random_extended_element(algebra, twist, rng, max_degree=10**30).loop.terms)
+    assert min(exponents) < -10**29 and max(exponents) > 10**29
 
 
 # SHA-256 of the JSON of the first 50 jacobi-check triples at degree 6, per

@@ -1,6 +1,7 @@
 """Exact linear algebra: rref, rank, solve and nullspace on rationals and
 Scalars, symmetric signatures (Sylvester's law, a Fraction reference, int
-matrices), and the [re | im] layout of scalars.vec_from_scalars."""
+matrices), the [re | im] layout of scalars.vec_from_scalars, and the
+connected components of a graph against the label-propagation reference."""
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kmalg import linalg
 from kmalg.scalars import Scalar, vec_from_parts, vec_from_scalars, vec_to_scalars
 
-from oracles import fraction_backed, real_flatten
+from oracles import components_reference, fraction_backed, real_flatten
 
 F = Fraction
 
@@ -199,3 +200,22 @@ def test_signature_on_int_matrices_is_exact(case):
     s, expected = case
     assert all(type(x) is int for row in s for x in row)
     assert linalg.symmetric_signature(s) == expected
+
+
+@st.composite
+def graphs(draw):
+    """A vertex count n <= 12 and edges among its vertices: self-loops,
+    repeated and reversed pairs and isolated vertices all occur."""
+    n = draw(st.integers(0, 12))
+    if not n:
+        return 0, []
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    extra = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    return n, edges + [(j, i) for i, j in extra]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_components_match_the_reference(graph):
+    n, edges = graph
+    assert linalg.components(n, edges) == components_reference(n, edges)
