@@ -251,12 +251,11 @@ def identify_2x2(a: GeneralizedCartanMatrix) -> Family2x2:
     return UNKNOWN_FAMILY
 
 
-def realization_dims(a: GeneralizedCartanMatrix) -> RealizationDims:
-    """(n, rank, 2n - rank). An affine matrix of b indecomposable blocks
-    must have rank n - b, one less than full in each block."""
+def realization_dims(a: GeneralizedCartanMatrix, cls: CartanClass) -> RealizationDims:
+    """(n, rank, 2n - rank), cls = `classify(a)`. An affine matrix of b
+    indecomposable blocks must have rank n - b, one less than full in each."""
     n = a.n
     l = n - len(linalg.nullspace(_submatrix(a, range(n))))
-    cls = classify(a)
     if cls.kind == CartanKind.AFFINE and l != n - len(cls.components):
         raise ClassificationError(f"affine matrix of {len(cls.components)} blocks has rank {l}")
     return RealizationDims(n=n, l=l, dim_h=2 * n - l)

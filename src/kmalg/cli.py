@@ -155,7 +155,7 @@ def cmd_classify(args):
         fam = cartan.identify_2x2(a)
         report["family"] = fam.name
         report["family_dimension"] = fam.dimension
-    dims = cartan.realization_dims(a)
+    dims = cartan.realization_dims(a, cls)
     report["dims"] = {"n": dims.n, "l": dims.l, "dim_h": dims.dim_h}
     return report, True
 

@@ -7,11 +7,12 @@ traces, and finite-order automorphisms checked against the bracket.
 
 Every map of the package is one `CoeffMap`, a_k -> i^{pk} M conj^d(a_{sk}):
 twists, invariants and sigma, and the real structures and involutions of
-`involution`. A `FiniteAutomorphism` is one with s = 1 and p = 0 that
-also holds its algebra and its order. A map holds M once, as sparse
-Gaussian-integer rows over one denominator in lowest terms (`sparse_rows`,
-the one reader of Scalar or int rows); it composes, compares and hashes on
-those ints, and its `matrix` is a Scalar view built on demand.
+`involution`. A `FiniteAutomorphism` is one with s = 1 and p = 0 that also
+holds its algebra, its order and its +-1 eigenspaces (`eigenspace`), the
+grading of a twisted loop. A map holds M once, as sparse Gaussian-integer
+rows over one denominator in lowest terms (`sparse_rows`, the one reader of
+Scalar or int rows); it composes, compares and hashes on those ints, and
+its `matrix` is a Scalar view built on demand.
 
 The basis (`_cells`), the structure constants, solved from commutators
 summed on its numerators, and the Killing matrix are held on ints, each
@@ -24,7 +25,7 @@ Z/N, N = 2^(2W) + 1). A caller packs on entry at a W one bit past a bound on all
 it tests or decodes, and decodes on exit (`lane_nums`: v the balanced residue
 mod N, a that of v mod 2^W, b = (v - a) >> W). A real constant's lane is the
 same int at every W, so an algebra whose constants are all real holds one set of
-tables per (twist, scale) whatever the widths its callers ask for."""
+tables per twist whatever the widths its callers ask for."""
 from __future__ import annotations
 
 from collections import defaultdict
@@ -299,27 +300,26 @@ class FiniteLieAlgebra:
             self._tables = (self._sc, max(sums.values(), default=0), {}, any(t for *_, t in self._sc))
         return self._tables[1] * scale
 
-    def bracket_tables(self, w, twist=None, scale=1):
-        """tables[a][b], a, b < m the twist's order (one whole table with no
-        twist): the c_jk^r that `convolve` walks for exponents p = a, q = b
-        mod m, as (j, k, r, the lane of scale c_jk^r at width w), j and k in
-        the coordinate supports of the (-1)^a and (-1)^b eigenspaces: the
-        nonzero rows of their projectors D I +- M (M over D). Built on first
-        use and held with the _sc object itself, keyed on (twist.sparse,
-        scale, W); when every constant is real, a lane scale c_jk^r is the
-        same int at every W, so the key holds None for W and one set of
-        tables serves every width."""
+    def bracket_tables(self, w, twist=None):
+        """tables[a][b], a, b < m the twist's order (one whole table, m = 1,
+        with no twist): the c_jk^r that `convolve` walks for exponents p = a,
+        q = b mod m, as (j, k, r, the lane of m c_jk^r at width w), j and k
+        in the coordinate supports of the (-1)^a and (-1)^b eigenspaces the
+        twist holds (`FiniteAutomorphism.eigenspace`). Built on first use
+        and held with the _sc object itself, keyed on (twist.sparse, W);
+        when every constant is real, a lane m c_jk^r is the same int at
+        every W, so the key holds None for W and one set of tables serves
+        every width."""
         self.constant_norm()
         _, _, held, lanes_vary = self._tables
-        key = (None if twist is None else twist.sparse, scale, w if lanes_vary else None)
+        key = (None if twist is None else twist.sparse, w if lanes_vary else None)
         if key not in held:
-            supports = [range(self.dim)]
+            m, supports = 1, [range(self.dim)]
             if twist is not None:
-                cells, den = twist.sparse
-                supports = [{j for j, row in enumerate(cells) if row != ((j, -sign * den, 0),)}
-                            for sign in (1, -1)[:twist.order]]
+                m = twist.order
+                supports = [{j for vector in twist.eigenspace(a)[2] for j, _ in vector} for a in range(m)]
             held[key] = tuple(tuple(
-                tuple((j, k, r, scale * (s + (t << w))) for j, k, r, s, t in self._sc
+                tuple((j, k, r, m * (s + (t << w))) for j, k, r, s, t in self._sc
                       if j in left and k in right) for right in supports) for left in supports)
         return held[key]
 
@@ -608,7 +608,7 @@ class FiniteAutomorphism(CoeffMap):
     LieAlgebraError; a wider matrix whose extra columns are all zero has
     the sparse rows of its square part, so it is accepted as that."""
 
-    __slots__ = ("algebra", "order")
+    __slots__ = ("algebra", "order", "_eigenspaces")
 
     def __init__(self, algebra, sparse, conjugate=False):
         rows, n = sparse[0], algebra.dim
@@ -619,6 +619,27 @@ class FiniteAutomorphism(CoeffMap):
         super().__init__(sparse, conjugate=conjugate)
         self.algebra = algebra
         self.order = least_order(self, 8)
+        self._eigenspaces = [None, None]  # per parity, solved on first use
+
+    def eigenspace(self, parity):
+        """The (-1)^parity eigenspace as (basis, D, vectors): its basis as
+        numerator vectors, and over their lcm D as the (j, numerator) pairs of
+        each vector's nonzero coordinates. Solved once per parity, on first
+        use, as the kernel of D_M M - (-1)^parity D_M I, M real over D_M (a
+        twist's is: `loop.check_twist`), and held on the map."""
+        parity %= 2
+        space = self._eigenspaces[parity]
+        if space is None:
+            (rows, dm), n = self.sparse, self.algebra.dim
+            sign = -dm if parity else dm
+            cells = [{j: re for j, re, _ in row} for row in rows]
+            kernel = linalg.nullspace([[c.get(j, 0) - (sign if i == j else 0) for j in range(n)]
+                                       for i, c in enumerate(cells)])
+            basis = [vec_from_parts(v + [0] * n) for v in kernel]
+            den = lcm(*(d for _, d in basis))
+            vectors = tuple(tuple((j, x * (den // d)) for j, x in enumerate(nums[:n]) if x) for nums, d in basis)
+            space = self._eigenspaces[parity] = basis, den, vectors
+        return space
 
 
 def least_order(phi, limit):

@@ -187,6 +187,11 @@ class RealFormDescriptor:
             return not c.im and not d.im
         return not c.re and not d.re
 
+    def cd_lines(self):
+        """The c/d lines l R the form holds: cd_scale's, or both 1 and i
+        when cd_scale is None."""
+        return (ONE, I) if self.cd_scale is None else (self.cd_scale,)
+
     # -- truncated bases ---------------------------------------------------
     def block_keys(self, n_max: int):
         keys = [(0,)]
@@ -209,8 +214,7 @@ class RealFormDescriptor:
         """
         if key == ("cd",):
             out = []
-            scales = (self.cd_scale,) if self.cd_scale is not None else (ONE, I)
-            for scale in scales:
+            for scale in self.cd_lines():
                 out.append(ExtendedElement(zero_loop(self.algebra, self.twist), c=scale))
                 out.append(ExtendedElement(zero_loop(self.algebra, self.twist), d=scale))
             return out
@@ -290,16 +294,16 @@ class RealFormDescriptor:
             square = tau.compose(tau)  # s = 1, linear, parity 0 or 2: acts on degree k as on k mod 2
             squares = all(sparse_apply(square.sparse, v, False, square.parity * k) == v
                           for k in (0, 1) for v in twist_eigenbasis(alg, twist, k % twist.order))
-            witness = (_automorphism_witness(alg, tau, _line_signs(self.cd_scale)) if squares
+            witness = (_automorphism_witness(alg, tau, _line_signs(self)) if squares
                        else "tau^2 != 1 on the loop algebra")
         if witness is None:
             return CheckResult(True, "real form closed under the bracket")
         return CheckResult(False, "real form not closed", witness)
 
 
-def _line_signs(cd_scale):
-    """l^2 for each c/d line l R a form holds (both when cd_scale is None)."""
-    return (1, -1) if cd_scale is None else (1 if cd_scale == ONE else -1,)
+def _line_signs(rf):
+    """l^2 for each c/d line l R the form rf holds (`cd_lines`)."""
+    return tuple(1 if line == ONE else -1 for line in rf.cd_lines())
 
 
 def _automorphism_witness(algebra, cmap, factors):
@@ -505,7 +509,7 @@ def verify_cartan_relations(rf: RealFormDescriptor, phi: InvolutionDescriptor) -
     psi, factors = phi.loop_map, (phi.epsilon,)
     if psi.conjugate and rf.conj is not None:
         psi = psi.compose(rf.conj)
-        factors = tuple(phi.epsilon * sign for sign in _line_signs(rf.cd_scale))
+        factors = tuple(phi.epsilon * sign for sign in _line_signs(rf))
     witness = _automorphism_witness(rf.algebra, psi, factors)
     if witness is None:
         return CheckResult(True, "Cartan relations hold on the split")

@@ -187,8 +187,9 @@ def _packed(x, den, rd, w, sc):
 
 def extended_bracket_raw(tables, fs, rd, gs, sd, out):
     """Add to out, and return, the loop part of [x, y] over m D_x D_y D_s: the
-    convolution on tables = bracket_tables(W, twist, m) and q (i D_s rd) b_q -
-    p (i D_s sd) a_p, for x's `_packed` terms fs and d lane rd over D_x, y's gs, sd over D_y."""
+    convolution on tables = bracket_tables(W, twist), whose lanes hold
+    m c_jk^r, and q (i D_s rd) b_q - p (i D_s sd) a_p, for x's `_packed`
+    terms fs and d lane rd over D_x, y's gs, sd over D_y."""
     convolve(tables, fs, gs, out)
     if rd:
         _add_derivative(out, gs, rd)
@@ -222,7 +223,7 @@ def hat_bracket(x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
     (rx, sx), (ry, sy) = _sizes(x, dx), _sizes(y, dy)
     kmax = max(map(abs, (*f.terms, *g.terms)), default=0)
     w = ((alg.constant_norm(m) + kmax * sc) * sx * sy).bit_length() + 1
-    out = extended_bracket_raw(alg.bracket_tables(w, f.twist, m), *_packed(x, dx, rx, w, sc),
+    out = extended_bracket_raw(alg.bracket_tables(w, f.twist), *_packed(x, dx, rx, w, sc),
                                *_packed(y, dy, ry, w, sc), {})
     den = m * dx * dy * sc
     loop = f.from_vecs(alg, f.twist, {k: vec_canon(lane_nums(acc, w), den) for k, acc in out.items()})
@@ -252,7 +253,7 @@ def jacobi_residual(x: ExtendedElement, y: ExtendedElement, z: ExtendedElement) 
     sx, sy, sz = (s for _, s in sizes)
     c = alg.constant_norm(m) + 2 * sc * max(map(abs, (*f.terms, *y.loop.terms, *z.loop.terms)), default=0)
     w = (c * max(3 * c * sx * sy * sz, sx * sy, sy * sz, sz * sx)).bit_length() + 1
-    tables = alg.bracket_tables(w, f.twist, m)
+    tables = alg.bracket_tables(w, f.twist)
     packed = [_packed(v, e, rd, w, sc) for v, (rd, _) in zip(xyz, sizes)]
     total, cocycles = {}, []
     for a, b, h in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

@@ -19,8 +19,9 @@ one denominator, as lanes (`findim`), sums its finite brackets into one
 accumulator per output exponent and decodes and reduces each exponent once;
 each exponent pair walks only the structure constants its twist eigenspaces
 meet (`findim.convolve`), so operands must be graded, and `from_vecs`
-callers pass graded vectors. The derivative terms of the extended bracket
-are added on the same lanes by `kmext.extended_bracket_raw`.
+callers pass graded vectors. The twist holds those eigenspaces, solved once
+per parity (`FiniteAutomorphism.eigenspace`). The derivative terms of the
+extended bracket are added on the same lanes by `kmext.extended_bracket_raw`.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from .scalars import (
     exact_div,
     vec_add,
     vec_canon,
-    vec_from_parts,
     vec_from_scalars,
     vec_mul,
     vec_neg,
@@ -191,15 +191,17 @@ def over_one_denominator(terms):
 def loop_bracket(f: TwistedLoopElement, g: TwistedLoopElement) -> TwistedLoopElement:
     """Pointwise bracket: coefficient convolution [f,g]_k = sum [a_p, b_q].
     f's terms go on lanes over one denominator and g's over another, and
-    `convolve` adds them into one accumulator per output exponent, decoded
-    and reduced once; W is one bit past `constant_norm` S_f S_g, a bound on
-    each part (S the `findim.numerator_sum`)."""
+    `convolve` adds them, on the tables of m times the constants (m the
+    twist order), into one accumulator per output exponent over
+    m D_f D_g D_s, decoded and reduced once; W is one bit past
+    `constant_norm(m)` S_f S_g, a bound on each part (S `numerator_sum`)."""
     f._require_match(g)
     alg = f.algebra
     df, dg = (lcm(*(d for _, d in h.terms.values())) for h in (f, g))
-    w = (alg.constant_norm() * numerator_sum(f.terms, df) * numerator_sum(g.terms, dg)).bit_length() + 1
+    m = f.twist.order
+    w = (alg.constant_norm(m) * numerator_sum(f.terms, df) * numerator_sum(g.terms, dg)).bit_length() + 1
     out = convolve(alg.bracket_tables(w, f.twist), to_lanes(f.terms, df, w), to_lanes(g.terms, dg, w), {})
-    den = df * dg * alg._sc_den
+    den = m * df * dg * alg._sc_den
     return f.from_vecs(alg, f.twist, {k: vec_canon(lane_nums(acc, w), den) for k, acc in out.items()})
 
 
@@ -299,38 +301,9 @@ def killing_gram(basis):
     return blocks, verdict
 
 
-_EIGENBASIS_CACHE = {}
-
-
 def twist_eigenbasis(algebra, twist, parity):
     """Basis of the twist eigenspace with eigenvalue (-1)^parity, as
-    numerator vectors."""
-    return twist_eigenspace(algebra, twist, parity)[0]
-
-
-def twist_eigenspace(algebra, twist, parity):
-    """The twist eigenspace with eigenvalue (-1)^parity, computed once per
-    algebra, twist and parity, as (basis, D, vectors): its basis as
-    numerator vectors (`_twist_eigenbasis`), and the same basis over their
-    least common denominator D, each vector the (j, numerator) pairs of its
-    nonzero coordinates. The basis is real, as the twist is."""
-    key = (id(algebra), twist.sparse, parity % 2)  # sparse names a linear twist exactly
-    space = _EIGENBASIS_CACHE.get(key)
-    if space is None:
-        basis = _twist_eigenbasis(algebra, twist, parity)
-        den = lcm(*(d for _, d in basis))
-        vectors = tuple(tuple((j, x * (den // d)) for j, x in enumerate(nums[:algebra.dim]) if x)
-                        for nums, d in basis)
-        space = _EIGENBASIS_CACHE[key] = basis, den, vectors
-    return space
-
-
-def _twist_eigenbasis(algebra, twist, parity):
-    """The kernel of the rational matrix M - (-1)^parity I of a twist M,
-    which `check_twist` has made sure is real: that of D M - (-1)^parity D I,
-    read off M's sparse numerators over D."""
+    numerator vectors (`FiniteAutomorphism.eigenspace`), once `check_twist`
+    passes."""
     check_twist(algebra, twist)
-    (sparse, den), sign = twist.sparse, -1 if parity % 2 else 1
-    cells = [{j: re for j, re, _ in entries} for entries in sparse]
-    rows = [[c.get(j, 0) - (sign * den if i == j else 0) for j in range(algebra.dim)] for i, c in enumerate(cells)]
-    return [vec_from_parts(v + [0] * algebra.dim) for v in linalg.nullspace(rows)]
+    return twist.eigenspace(parity)[0]

@@ -30,7 +30,7 @@ from .involution import (
 )
 from .kmext import central_element
 from .loop import Definiteness, NonRealPairingError, killing_gram, untwisted
-from .scalars import I, ONE, vec_support
+from .scalars import ONE, vec_support
 from .value import Value
 
 
@@ -209,8 +209,7 @@ def effectiveness_check(record: OsakaRecord) -> Effectiveness:
     both 1 and i when it has none), read from its image, and not from its
     declared epsilon."""
     rf, phi = record.real_form, record.involution
-    scales = (ONE, I) if rf.cd_scale is None else (rf.cd_scale,)
-    effective = all(phi.apply(central_element(rf.algebra, rf.twist, c)).c == -c for c in scales)
+    effective = all(phi.apply(central_element(rf.algebra, rf.twist, c)).c == -c for c in rf.cd_lines())
     return Effectiveness.EFFECTIVE if effective else Effectiveness.NOT_EFFECTIVE
 
 

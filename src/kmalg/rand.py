@@ -17,12 +17,12 @@ drawn. A coefficient (`scalar`) is a/p + i b/q from four words: a of span
 A random loop element (`random_loop_element`) draws its number of terms
 (span 4, 1 to 4); each term draws its exponent k (span 2 max_degree + 1)
 and then one coefficient per basis vector of the twist eigenspace of
-parity k mod 2 (`loop.twist_eigenspace`), and terms of equal k add. An
-untwisted loop has no eigenvalue -1, so an odd k draws nothing: untwisted
-elements have even exponents only, though their loop algebra has every
-exponent. Drawing odd ones changes every draw after the first odd k, and
-so every jacobi-check triple and the inputs of the benchmark's jacobi
-workload; the fix waits for a revision of that benchmark.
+parity k mod 2 (`FiniteAutomorphism.eigenspace`, held on the twist), and
+terms of equal k add. An untwisted loop has no eigenvalue -1, so an odd k
+draws nothing: untwisted elements have even exponents only, though their
+loop algebra has every exponent. Drawing odd ones changes every draw after
+the first odd k, and so every jacobi-check triple and the inputs of the
+benchmark's jacobi workload; the fix waits for a revision of that benchmark.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import itertools
 import struct
 
 from .kmext import ExtendedElement
-from .loop import TwistedLoopElement, twist_eigenspace
+from .loop import TwistedLoopElement, check_twist
 from .scalars import Scalar, exact_div, vec_canon
 
 _BLOCK = struct.Struct(">8I")
@@ -76,12 +76,12 @@ def random_loop_element(algebra, twist, rng: TrialRng, max_degree=6):
     inside twist eigenspaces, so the grading holds by construction. Each
     exponent's basis combinations are summed in one int accumulator over
     GAUSSIAN_DEN times the eigenspace's denominator, and reduced once."""
+    check_twist(algebra, twist)
     word, n = rng._word, algebra.dim
-    spaces = twist_eigenspace(algebra, twist, 0), twist_eigenspace(algebra, twist, 1)
     accs = {}
     for _ in range(rng.randint(1, 4)):
         k = rng.randint(-max_degree, max_degree)
-        _, den, vectors = spaces[k % 2]
+        _, den, vectors = twist.eigenspace(k % 2)
         if not vectors:
             continue
         acc = accs.setdefault(k, ([0] * (2 * n), GAUSSIAN_DEN * den))[0]

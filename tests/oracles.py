@@ -64,6 +64,10 @@ the catalog) have no reference; the acceptance suite pins them.
         test_sparse_maps::test_apply_vec_matches_dense
     findim.least_order                            order_reference
         test_findim::test_order_is_read_off_the_powers
+    findim.FiniteAutomorphism.eigenspace          eigenspace_reference
+        test_findim::test_eigenspaces_match_the_reference
+    findim.FiniteLieAlgebra.bracket_tables        eigenspace_support_reference
+        test_findim::test_bracket_tables_walk_only_what_the_grading_meets
     findim.CoeffMap.apply_loop                    apply_loop_reference
         test_loop_numerators::test_apply_loop_matches_scalar_reference
     findim.CoeffMap.fixes                         apply_loop_reference
@@ -304,6 +308,36 @@ def order_reference(matrix, conjugate, limit=8):
         if vecs == starts:
             return k
     return None
+
+
+def eigenspace_reference(twist) -> bool:
+    """Whether both eigenspaces twist.eigenspace holds are those of its
+    matrix M, on Scalars: for each parity, every basis vector v is real and
+    has M v = (-1)^parity v (`dense_apply`), the basis is independent (its
+    Gram determinant is nonzero, Bareiss) and its vectors over D are the
+    basis; and, when the order is at most 2, the two dimensions add up to
+    dim."""
+    matrix, n, dims = twist.matrix, twist.algebra.dim, 0
+    for parity, sign in ((0, ONE), (1, -ONE)):
+        basis, den, vectors = twist.eigenspace(parity)
+        vs = [vec_to_scalars(v) for v in basis]
+        if any(x.im for v in vs for x in v) or any(dense_apply(matrix, v) != tuple(sign * x for x in v) for v in vs):
+            return False
+        if vs and not bareiss_determinant([[sum(x.re * y.re for x, y in zip(u, v)) for v in vs] for u in vs]):
+            return False
+        if [tuple(Scalar(Fraction(dict(vector).get(j, 0), den)) for j in range(n)) for vector in vectors] != vs:
+            return False
+        dims += len(vs)
+    return twist.order not in (1, 2) or dims == n
+
+
+def eigenspace_support_reference(twist, parity):
+    """The coordinates the (-1)^parity eigenspace of a twist M of order at
+    most 2 does not vanish on: the nonzero rows of its projector
+    D I + (-1)^parity M, M over D."""
+    rows, den = twist.sparse
+    sign = -1 if parity % 2 else 1
+    return {j for j, row in enumerate(rows) if row != ((j, -sign * den, 0),)}
 
 
 def loop_add_reference(f, g):

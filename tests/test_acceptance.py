@@ -117,7 +117,7 @@ def test_c02_realization_dims():
     for n in range(2, 7):
         a = cartan.validate(_affine_cycle(n))
         assert cartan.classify(a).kind == CartanKind.AFFINE
-        dims = cartan.realization_dims(a)
+        dims = cartan.realization_dims(a, cartan.classify(a))
         assert dims.l == n - 1
         assert dims.dim_h == n + 1
 

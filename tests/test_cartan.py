@@ -2,12 +2,13 @@
 indefinite classification and its witnesses (the positive-pivot test
 against Bareiss leading minors), composite matrices, the 2 x 2 families
 and the realization dimensions (against the rank of the nonzero minors)."""
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmalg import cartan, linalg
+from kmalg import cartan, cli, linalg
 from kmalg.cartan import CartanKind
 
 from oracles import bareiss_determinant, leading_minors_oracle, rank_reference
@@ -170,27 +171,49 @@ def test_identify_consistent_with_classify():
 
 # -- realization dims ------------------------------------------------------------------
 
+def _dims(rows):
+    """realization_dims of rows, given the class classify gives."""
+    a = cartan.validate(rows)
+    return cartan.realization_dims(a, cartan.classify(a))
+
+
 def test_realization_dims():
     """(n, rank, 2n - rank), the rank that of the nonzero minors
     (rank_reference), on finite, affine and indefinite matrices."""
-    assert cartan.realization_dims(cartan.validate([[2, -2], [-2, 2]])) == cartan.RealizationDims(2, 1, 3)
-    assert cartan.realization_dims(cartan.validate([[2, -1], [-1, 2]])) == cartan.RealizationDims(2, 2, 2)
-    assert cartan.realization_dims(cartan.validate([[2, 0], [0, 2]])) == cartan.RealizationDims(2, 2, 2)
+    assert _dims([[2, -2], [-2, 2]]) == cartan.RealizationDims(2, 1, 3)
+    assert _dims([[2, -1], [-1, 2]]) == cartan.RealizationDims(2, 2, 2)
+    assert _dims([[2, 0], [0, 2]]) == cartan.RealizationDims(2, 2, 2)
     for rows in ([[2, -2], [-2, 2]], [[2, -4], [-1, 2]], [[2, -3], [-3, 2]], [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
                  [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]):
         n, rank = len(rows), rank_reference(rows)
-        assert cartan.realization_dims(cartan.validate(rows)) == cartan.RealizationDims(n, rank, 2 * n - rank)
+        assert _dims(rows) == cartan.RealizationDims(n, rank, 2 * n - rank)
 
 
 def test_realization_dims_of_composite_affine_matrices():
     """Each affine block loses one from full rank, so two blocks lose two;
     the check that once asserted rank n - 1 refused every such matrix."""
     a1t, a2t = [[2, -2], [-2, 2]], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
-    two = cartan.validate([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]])
-    assert cartan.classify(two).kind == CartanKind.AFFINE
-    assert cartan.realization_dims(two) == cartan.RealizationDims(4, 2, 6)
-    mixed_sizes = cartan.validate([row + [0] * 3 for row in a1t] + [[0] * 2 + row for row in a2t])
-    assert cartan.realization_dims(mixed_sizes) == cartan.RealizationDims(5, 3, 7)
+    two = [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]
+    assert cartan.classify(cartan.validate(two)).kind == CartanKind.AFFINE
+    assert _dims(two) == cartan.RealizationDims(4, 2, 6)
+    assert _dims([row + [0] * 3 for row in a1t] + [[0] * 2 + row for row in a2t]) == cartan.RealizationDims(5, 3, 7)
+
+
+def test_realization_dims_reads_the_class_it_is_given(monkeypatch, tmp_path, capsys):
+    """realization_dims classifies nothing: it checks the affine rank
+    against the class its caller holds, so an affine matrix handed a
+    class of more blocks than it has is refused, and the classify command
+    classifies once."""
+    a = cartan.validate([[2, -2], [-2, 2]])
+    two_blocks = cartan.classify(cartan.validate([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]))
+    with pytest.raises(cartan.ClassificationError, match="2 blocks has rank 1"):
+        cartan.realization_dims(a, two_blocks)
+    calls, classify = [], cartan.classify
+    monkeypatch.setattr(cartan, "classify", lambda m: calls.append(m) or classify(m))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": [[2, -2, 0], [-2, 2, 0], [0, 0, 2]]}))
+    assert cli.run(["classify", "--in", str(path)]) == cli.EXIT_OK
+    assert len(calls) == 1 and json.loads(capsys.readouterr().out)["dims"] == {"n": 3, "l": 2, "dim_h": 4}
 
 
 # -- permutation invariance ------------------------------------------------------------

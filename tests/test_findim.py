@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kmalg import findim, serialize
+from kmalg import findim, linalg, serialize
 from kmalg.findim import (
     CoeffMap,
     FiniteAutomorphism,
@@ -26,7 +26,7 @@ from kmalg.findim import (
     sparse_rows,
 )
 from kmalg.kmext import jacobi_residual
-from kmalg.loop import twist_eigenbasis, untwisted
+from kmalg.loop import untwisted
 from kmalg.osaka import build_catalog_a1, complex_conjugation_counterexample, euclidean_osaka
 from kmalg.rand import TrialRng, random_extended_element
 from kmalg.scalars import I, Scalar, ZERO, vec_from_scalars
@@ -40,6 +40,8 @@ from oracles import (
     construction_error_reference,
     coords,
     coords_reference,
+    eigenspace_reference,
+    eigenspace_support_reference,
     is_semisimple,
     killing_reference,
     mat,
@@ -268,58 +270,105 @@ def test_bracket_and_killing_match_reference(case):
 
 # -- the bracket tables ------------------------------------------------------------
 
-def _support(algebra, twist, parity):
-    """The coordinates some vector of the solved twist eigenbasis at parity
-    does not vanish on."""
-    return {j for nums, _ in twist_eigenbasis(algebra, twist, parity) for j in range(algebra.dim)
-            if nums[j] or nums[algebra.dim + j]}
-
-
 def test_bracket_tables_walk_only_what_the_grading_meets(monkeypatch):
     """On su2c/2 and sl2c/2 an even-even exponent pair walks none of the 6
     structure constants and every other parity pair walks 2; an untwisted
     algebra and su2su2c under the swap of its summands walk every one. Each
     table holds the constants whose coordinates lie in the supports of the
-    solved eigenbases, times the scale, as int lanes at the width asked
-    for. Replacing _sc on the algebra itself gives new tables."""
+    eigenspaces, the nonzero rows of their projectors
+    (`eigenspace_support_reference`), times the twist order m, as int lanes
+    at the width asked for. Replacing _sc on the algebra itself gives new
+    tables."""
     kinds = [serialize.lookup_algebra(*kind) for kind in (("su2c", 2), ("sl2c", 2), ("su2c", 1), ("su2su2c", 1))]
     for algebra, twist in kinds + [SWAP]:
         m = twist.order
-        for scale, w in ((1, 5), (m, 40)):
-            tables = algebra.bracket_tables(w, twist, scale)
+        for w in (5, 40):
+            tables = algebra.bracket_tables(w, twist)
             assert [[len(table) for table in row] for row in tables] == (
                 [[0, 2], [2, 2]] if algebra.dim == 3 and m == 2 else [[len(algebra._sc)] * m] * m)
             for a in range(m):
                 for b in range(m):
-                    left, right = _support(algebra, twist, a), _support(algebra, twist, b)
-                    assert tables[a][b] == tuple((j, k, r, scale * s + (scale * t << w))
+                    left, right = (eigenspace_support_reference(twist, p) for p in (a, b))
+                    assert tables[a][b] == tuple((j, k, r, m * s + (m * t << w))
                                                  for j, k, r, s, t in algebra._sc if j in left and k in right)
                     assert all(type(v) is int for entry in tables[a][b] for v in entry)
     algebra, twist = kinds[0]
     j, k, r, s, t = algebra._sc[0]
-    old, new = ((j, k, r, v + (t << 5)) for v in (s, s + 1))
     monkeypatch.setattr(algebra, "_sc", ((j, k, r, s + 1, t),) + algebra._sc[1:])
-    for tables in (algebra.bracket_tables(5, twist), algebra.bracket_tables(5)):
+    for tables, m in ((algebra.bracket_tables(5, twist), 2), (algebra.bracket_tables(5), 1)):
+        old, new = ((j, k, r, m * (v + (t << 5))) for v in (s, s + 1))
         entries = [entry for row in tables for table in row for entry in table]
         assert new in entries and old not in entries
 
 
-def test_real_constants_hold_one_table_set_per_twist_and_scale():
+def test_real_constants_hold_one_table_set_per_twist():
     """After 300 Jacobi triples per registered kind at degree 6, each
     registered algebra, all of whose constants are real, holds one set of
-    lane tables per (twist, scale) whatever widths the triples asked for,
-    and two widths get the same tables. HALF_I_SL2 has non-real constants,
-    whose lanes move with the width, so it keeps one set per width."""
+    lane tables per twist whatever widths the triples asked for, and two
+    widths get the same tables. HALF_I_SL2 has non-real constants, whose
+    lanes move with the width, so it keeps one set per width."""
     for algebra, twists in serialize.registry().values():
         for twist in twists.values():
             for t in range(300):
                 rng = TrialRng(1, t)
                 jacobi_residual(*(random_extended_element(algebra, twist, rng) for _ in range(3)))
-            assert algebra.bracket_tables(5, twist, 2) is algebra.bracket_tables(90, twist, 2)
+            assert algebra.bracket_tables(5, twist) is algebra.bracket_tables(90, twist)
         held = algebra._tables[2]
-        assert len(held) == len({key[:2] for key in held})
+        assert len(held) == len({sparse for sparse, _ in held})
     assert HALF_I_SL2.bracket_tables(5) != HALF_I_SL2.bracket_tables(9)
-    assert {key[2] for key in HALF_I_SL2._tables[2]} >= {5, 9}
+    assert {w for _, w in HALF_I_SL2._tables[2]} >= {5, 9}
+
+
+def test_each_twist_eigenspace_is_solved_once(monkeypatch):
+    """300 Jacobi triples per registered kind, over a new copy of each
+    registered twist, solve each (twist, parity) eigenspace at most once:
+    the twist holds what it solved, and nothing else takes a nullspace."""
+    calls = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: calls.append(len(rows)) or nullspace(rows))
+    for algebra, twists in serialize.registry().values():
+        for twist in twists.values():
+            copy = FiniteAutomorphism(algebra, twist.sparse)
+            calls.clear()
+            for t in range(300):
+                rng = TrialRng(1, t)
+                jacobi_residual(*(random_extended_element(algebra, copy, rng) for _ in range(3)))
+            assert 1 <= len(calls) <= 2 and calls == [algebra.dim] * len(calls), (algebra.name, twist.order)
+            for parity in (0, 1):
+                copy.eigenspace(parity)
+            assert len(calls) <= 2
+
+
+@st.composite
+def _involutive_signed_permutations(draw):
+    """A signed permutation map of order at most 2 on a kernel algebra (of
+    dimension 1 to 10): disjoint transpositions, each with one sign on both
+    its entries, and a sign on each fixed point. It need not keep the
+    bracket; its eigenspaces are solved on first use."""
+    algebra = draw(st.sampled_from(KERNEL_ALGEBRAS))
+    n = algebra.dim
+    order, pairs = draw(st.permutations(range(n))), draw(st.integers(0, n // 2))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(pairs):
+        a, b, sign = order[2 * i], order[2 * i + 1], draw(st.sampled_from((1, -1)))
+        rows[a][b] = rows[b][a] = sign
+    for a in order[2 * pairs:]:
+        rows[a][a] = draw(st.sampled_from((1, -1)))
+    return FiniteAutomorphism(algebra, sparse_rows(rows))
+
+
+_HELD_TWISTS = ([twist for _, twists in serialize.registry().values() for twist in twists.values()]
+                + [rec.real_form.twist for rec in build_catalog_a1()] + [SWAP[1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(_HELD_TWISTS), _involutive_signed_permutations()))
+def test_eigenspaces_match_the_reference(twist):
+    """The eigenspaces a twist holds are those of its matrix
+    (`eigenspace_reference`): on every registered twist, every catalog
+    sigma, the swap of su2su2c and random signed permutations of order at
+    most 2."""
+    assert twist.order in (1, 2) and eigenspace_reference(twist)
 
 
 # -- the integer tables against the solved reference -------------------------------
